@@ -12,7 +12,7 @@ Usage: python scripts/reproduce_morse_index.py [--p 50,100,200,400]
 import argparse
 import time
 
-from lanemorse import MorseConfig, morse_index, scales, solve_nodal
+from lanemorse import morse_index, scales, solve_nodal
 
 
 def main():
@@ -27,7 +27,7 @@ def main():
     for p in ps:
         t0 = time.time()
         sol = solve_nodal(p)
-        rep = morse_index(sol, MorseConfig(verify_stability=True))
+        rep = morse_index(sol)
         ledger = "+".join(str(m) for m in rep.contributions)
         print(f"{p:6g} {rep.beta1:10.4f} {rep.beta2:12.8f} {rep.m_rad:6d} "
               f"{ledger:>22} {rep.total:6d} {str(rep.stable):>7} "

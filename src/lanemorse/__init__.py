@@ -41,12 +41,13 @@ from .spectral import (
     LedgerEntry,
     MorseConfig,
     MorseReport,
+    RadialBetas,
     RadialSpectrum,
     build_problem,
     count_negative,
     morse_index,
+    radial_betas,
     sphere_spectrum,
-    unweighted_radial_count,
     weighted_radial_eigs,
 )
 
@@ -60,9 +61,9 @@ __all__ = [
     "Scales", "FpAnalysis", "scales", "rescaled_profile", "rescaled_potential",
     "fp_values", "analyze_fp",
     # spectral
-    "AnnulusEigenProblem", "RadialSpectrum", "MorseConfig", "MorseReport",
-    "LedgerEntry", "build_problem", "count_negative", "weighted_radial_eigs",
-    "unweighted_radial_count", "sphere_spectrum", "morse_index",
+    "AnnulusEigenProblem", "RadialSpectrum", "RadialBetas", "MorseConfig",
+    "MorseReport", "LedgerEntry", "build_problem", "count_negative",
+    "weighted_radial_eigs", "radial_betas", "sphere_spectrum", "morse_index",
     # limits
     "REFERENCE_ELL", "LimitConstants", "LimitProfile", "TestFunctionSpec",
     "QuotientParts", "Check", "limit_constants", "eval_profile",

@@ -19,16 +19,9 @@ from .errors import CheckError, ConfigError, LaneMorseError
 from .limits import REFERENCE_ELL, limit_constants, verification_battery
 from .profile import analyze_fp, scales
 from .radial import solve_nodal
-from .spectral import (
-    MorseConfig,
-    auto_grid_size,
-    auto_inner_radius,
-    build_problem,
-    morse_index,
-    weighted_radial_eigs,
-)
+from .spectral import MorseConfig, checked_radial_betas, morse_index
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -72,7 +65,6 @@ class RunConfig:
     grid_M: int | None = None
     inner_rule: str = "auto"
     tol_shoot: float = 1e-9
-    tol_eig: float = 1e-8
     ell: float = REFERENCE_ELL
     fmt: str = "json"
     out: str | None = None
@@ -82,23 +74,26 @@ class RunConfig:
             raise ConfigError(f"command {self.command!r} needs at least one p value")
         if any(p <= 1 for p in self.p_list):
             raise ConfigError("exponents must satisfy p > 1")
-        if self.tol_shoot <= 0 or self.tol_eig <= 0:
-            raise ConfigError("tolerances must be positive")
+        if self.tol_shoot <= 0:
+            raise ConfigError("tolerance must be positive")
+        if self.grid_M is not None and self.grid_M < 2:
+            raise ConfigError("need at least two interior grid points")
+        if self.inner_rule != "auto":
+            try:
+                inner = float(self.inner_rule)
+            except ValueError as exc:
+                raise ConfigError(f"bad --inner-rule {self.inner_rule!r}") from exc
+            if not (0.0 < inner < 1.0):
+                raise ConfigError("explicit inner radius must lie in (0, 1)")
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.fmt!r}")
         if self.fmt == "csv" and self.command != "sweep":
             raise ConfigError("csv output is only defined for sweep")
 
-    def inner_for(self, sol) -> float:
-        if self.inner_rule == "auto":
-            return auto_inner_radius(sol)
-        try:
-            inner = float(self.inner_rule)
-        except ValueError as exc:
-            raise ConfigError(f"bad --inner-rule {self.inner_rule!r}") from exc
-        if not (0.0 < inner < 1.0):
-            raise ConfigError("explicit inner radius must lie in (0, 1)")
-        return inner
+    def morse_config(self) -> MorseConfig:
+        """Annulus and grid selection shared by spectrum, morse and sweep."""
+        inner = None if self.inner_rule == "auto" else float(self.inner_rule)
+        return MorseConfig(inner=inner, M=self.grid_M)
 
 
 def format_float(x: float) -> str:
@@ -160,31 +155,21 @@ def _solution_record(sol, cfg: RunConfig) -> dict:
 
 
 def _spectrum_record(sol, cfg: RunConfig) -> dict:
-    inner = cfg.inner_for(sol)
-    M = cfg.grid_M or auto_grid_size(inner)
-    tol = min(cfg.tol_eig, 1e-12)
-    spec1 = weighted_radial_eigs(build_problem(sol, inner, M), 3,
-                                 want_vector=False, tol=tol)
-    spec2 = weighted_radial_eigs(build_problem(sol, inner, 2 * M), 3,
-                                 want_vector=False, tol=tol)
-    extrap = (4.0 * spec2.betas - spec1.betas) / 3.0
+    inner, M = cfg.morse_config().annulus(sol)
+    spec, neg_count = checked_radial_betas(sol, inner, M)
     return {
         "p": sol.p, "N": sol.N, "inner": inner, "M": M,
-        "betas": [float(b) for b in extrap],
-        "betas_raw": [float(b) for b in spec1.betas],
+        "betas": [float(b) for b in spec.extrapolated],
+        "betas_raw": [float(b) for b in spec.coarse],
         "refinement_delta": [float(b2 - b1) for b1, b2
-                             in zip(spec1.betas, spec2.betas)],
-        "neg_count": spec1.neg_count,
+                             in zip(spec.coarse, spec.fine)],
+        "neg_count": neg_count,
         "anchors": {k: ANCHORS[k] for k in ("betas", "neg_count")},
     }
 
 
 def _morse_record(sol, cfg: RunConfig) -> dict:
-    mcfg = MorseConfig(
-        inner=None if cfg.inner_rule == "auto" else cfg.inner_for(sol),
-        M=cfg.grid_M,
-    )
-    rep = morse_index(sol, mcfg)
+    rep = morse_index(sol, cfg.morse_config())
     return {
         "p": rep.p, "N": rep.N,
         "beta1": rep.beta1, "beta2": rep.beta2, "beta3": rep.beta3,
@@ -193,7 +178,8 @@ def _morse_record(sol, cfg: RunConfig) -> dict:
         "ledger": rep.contributions,
         "ledger_detail": [
             {"i": e.i, "k": e.k, "lambda": e.lam, "mult": e.mult,
-             "sum": e.total_eig, "contributes": e.contributes}
+             "sum": e.total_eig, "contributes": e.contributes,
+             "boundary": e.boundary}
             for e in rep.ledger
         ],
         "inner": rep.inner, "M": rep.M,
@@ -210,7 +196,7 @@ def _sweep_row(p: float, cfg: RunConfig) -> dict:
         sol = solve_nodal(p, N=cfg.N, tol=cfg.tol_shoot)
         sc = scales(sol)
         fp = analyze_fp(sol)
-        rep = morse_index(sol, MorseConfig(M=cfg.grid_M))
+        rep = morse_index(sol, cfg.morse_config())
         row = {
             "p": p, "u0": sol.u0, "r_p": sol.r_p, "s_p": sol.s_p,
             "eps_plus": sc.eps_plus, "eps_minus": sc.eps_minus,
@@ -234,8 +220,8 @@ def run(config: RunConfig) -> tuple[int, str]:
         "config": {
             "p": config.p_list, "N": config.N,
             "grid_M": config.grid_M, "inner_rule": config.inner_rule,
-            "tol_shoot": config.tol_shoot, "tol_eig": config.tol_eig,
-            "ell": config.ell, "format": config.fmt,
+            "tol_shoot": config.tol_shoot, "ell": config.ell,
+            "format": config.fmt,
         },
         "results": {},
         "checks": [],
@@ -298,33 +284,32 @@ def parse_args(argv: list[str]) -> RunConfig:
         description="Nodal radial Lane-Emden solutions and their Morse index",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command accepts only the flags it reads
     for name in ("solve", "spectrum", "morse", "sweep", "limit-check"):
         sp = sub.add_parser(name)
         if name != "limit-check":
             sp.add_argument("--p", required=True,
                             help="exponent, or comma-separated list for sweeps")
+            sp.add_argument("--tol-shoot", type=float, default=1e-9)
         sp.add_argument("--N", type=int, default=2)
-        sp.add_argument("--grid-M", type=int, default=None)
-        sp.add_argument("--inner-rule", default="auto",
-                        help="'auto' (min(eps_plus^2, r_p/10)) or an explicit radius")
-        sp.add_argument("--tol-shoot", type=float, default=1e-9)
-        sp.add_argument("--tol-eig", type=float, default=1e-8)
-        sp.add_argument("--ell", type=float, default=REFERENCE_ELL)
+        if name in ("spectrum", "morse", "sweep"):
+            sp.add_argument("--grid-M", type=int, default=None)
+            sp.add_argument("--inner-rule", default="auto",
+                            help="'auto' (min(eps_plus^2, r_p/10)) or an explicit radius")
+        if name == "limit-check":
+            sp.add_argument("--ell", type=float, default=REFERENCE_ELL)
         sp.add_argument("--format", dest="fmt", choices=("json", "csv"),
                         default="json")
         sp.add_argument("--out", default=None)
-    ns = parser.parse_args(argv)
+    opts = vars(parser.parse_args(argv))
+    p = opts.pop("p", None)
     p_list = []
-    if getattr(ns, "p", None):
+    if p:
         try:
-            p_list = [float(tok) for tok in str(ns.p).split(",") if tok.strip()]
+            p_list = [float(tok) for tok in str(p).split(",") if tok.strip()]
         except ValueError as exc:
-            raise ConfigError(f"bad --p value {ns.p!r}") from exc
-    return RunConfig(
-        command=ns.command, p_list=p_list, N=ns.N, grid_M=ns.grid_M,
-        inner_rule=ns.inner_rule, tol_shoot=ns.tol_shoot, tol_eig=ns.tol_eig,
-        ell=ns.ell, fmt=ns.fmt, out=ns.out,
-    )
+            raise ConfigError(f"bad --p value {p!r}") from exc
+    return RunConfig(p_list=p_list, **opts)
 
 
 def main(argv: list[str] | None = None) -> int:

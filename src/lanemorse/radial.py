@@ -322,11 +322,6 @@ class RadialSolution:
     kappa: float = field(repr=False, default=1.0)   # amplitude factor R2^(2/(p-1))
     _traj: Trajectory = field(repr=False, default=None)
 
-    @property
-    def interpolator(self):
-        """Dense-output rule r -> (u, du); alias for eval."""
-        return self.eval
-
     def eval(self, r):
         """Evaluate (u(r), u'(r)) for scaled radii r in [0, 1] (vectorized)."""
         r = np.asarray(r, dtype=float)

@@ -11,21 +11,17 @@ problem on (ln a, 0):
 
 with f(t) = q(e^t) e^(2t) = f_p(e^t) and *unit* mass: the 1/|x|^2 weight is
 absorbed exactly, so a plain second-difference tridiagonal matrix on a
-uniform t grid is all that is needed. The unweighted problem goes through the
-same change of variable and keeps its L^2(r^(N-1) dr) mass, which becomes the
-diagonal matrix e^(2t); by Sylvester's law of inertia the negative count of
-the pencil (A, diag(e^(2t))) equals that of A itself, i.e. the weighted and
-unweighted negative counts coincide matrix-identically, mirroring the
-equivalence that holds for the continuum operators.
+uniform t grid is all that is needed.
 
 The log grid is also what makes large p tractable: the two bumps of f_p sit
 at radii eps_plus and eps_minus, as small as e^(-0.45 p), but have O(1) width
 in t, so a uniform t grid resolves both.
 
-Negative counts are computed by the signed LDL^T (Sturm sequence) pivot scan;
-individual eigenvalues use bisection-based LAPACK drivers (stebz/stein)
-through SciPy, which keeps an independent route against the hand-rolled
-inertia count.
+Eigenvalues come from LAPACK bisection (stebz) through SciPy, on an (M, 2M)
+grid pair combined by Richardson extrapolation (`radial_betas`). The negative
+count is taken once, by the signed LDL^T (Sturm sequence) pivot scan, and
+cross-checked against the negative bisection values on the same grid. The
+first eigenfunction (stein) is computed only on request.
 """
 
 from __future__ import annotations
@@ -44,13 +40,15 @@ from .radial import RadialSolution
 __all__ = [
     "AnnulusEigenProblem",
     "RadialSpectrum",
+    "RadialBetas",
     "MorseConfig",
     "MorseReport",
     "LedgerEntry",
     "build_problem",
     "count_negative",
     "weighted_radial_eigs",
-    "unweighted_radial_count",
+    "radial_betas",
+    "checked_radial_betas",
     "sphere_spectrum",
     "sphere_mode_multiplicity",
     "morse_index",
@@ -75,8 +73,7 @@ class AnnulusEigenProblem:
 
     q holds the potential samples f_p(e^t) on the interior nodes t_nodes of a
     uniform grid on (ln inner, 0); alpha = (N-2)/2 is the symmetrization
-    shift. weighted selects the |x|^2-weighted operator (unit mass) versus
-    the unweighted one (mass e^(2t)).
+    shift.
     """
 
     N: int
@@ -85,7 +82,6 @@ class AnnulusEigenProblem:
     t_nodes: np.ndarray
     q: np.ndarray
     alpha: float
-    weighted: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.inner < 1.0):
@@ -105,20 +101,6 @@ class AnnulusEigenProblem:
     def offdiagonal(self) -> np.ndarray:
         return np.full(self.M - 1, -1.0 / self.h**2)
 
-    def mass(self) -> np.ndarray | None:
-        """Diagonal mass matrix, None for the weighted (unit-mass) problem."""
-        if self.weighted:
-            return None
-        return np.exp(2.0 * self.t_nodes)
-
-    def symmetrized(self) -> tuple[np.ndarray, np.ndarray]:
-        """(diag, offdiag) of the mass-normalized symmetric tridiagonal form."""
-        d, e = self.diagonal(), self.offdiagonal()
-        m = self.mass()
-        if m is None:
-            return d, e
-        return d / m, e / np.sqrt(m[:-1] * m[1:])
-
 
 def _uniform_log_grid(inner: float, M: int) -> np.ndarray:
     t0 = math.log(inner)
@@ -126,8 +108,7 @@ def _uniform_log_grid(inner: float, M: int) -> np.ndarray:
     return t0 + h * np.arange(1, M + 1)
 
 
-def build_problem(sol: RadialSolution, inner: float, M: int,
-                  weighted: bool = True) -> AnnulusEigenProblem:
+def build_problem(sol: RadialSolution, inner: float, M: int) -> AnnulusEigenProblem:
     """Assemble the annulus eigenproblem for a computed solution.
 
     The annulus must leave the whole negative nodal region inside, hence
@@ -143,7 +124,7 @@ def build_problem(sol: RadialSolution, inner: float, M: int,
     q = fp_values(sol, np.exp(t))
     return AnnulusEigenProblem(
         N=sol.N, inner=inner, M=M, t_nodes=t, q=q,
-        alpha=0.5 * (sol.N - 2), weighted=weighted,
+        alpha=0.5 * (sol.N - 2),
     )
 
 
@@ -156,16 +137,13 @@ def count_negative(prob: AnnulusEigenProblem, shift: float = 0.0) -> int:
     """
     d = prob.diagonal()
     e = prob.offdiagonal()
-    m = prob.mass()
-    dd = d - shift * (m if m is not None else 1.0)
-    cnt = _ldl_negative_pivots(dd, e)
+    cnt = _ldl_negative_pivots(d - shift, e)
     if cnt is None:
         warnings.warn(
             f"zero pivot at shift {shift}; retrying at shift {shift - 1e-12}",
             RuntimeWarning, stacklevel=2,
         )
-        dd = d - (shift - 1e-12) * (m if m is not None else 1.0)
-        cnt = _ldl_negative_pivots(dd, e)
+        cnt = _ldl_negative_pivots(d - (shift - 1e-12), e)
         if cnt is None:
             raise SolverError("zero pivot persisted under perturbed shift")
     return cnt
@@ -194,7 +172,6 @@ class RadialSpectrum:
     """Lowest weighted radial eigenvalues on one annulus."""
 
     betas: np.ndarray
-    neg_count: int
     eigvec_1: tuple[np.ndarray, np.ndarray] | None = None  # (radii, phi samples)
     inner: float = 0.0
     M: int = 0
@@ -205,23 +182,20 @@ class RadialSpectrum:
 
 
 def weighted_radial_eigs(prob: AnnulusEigenProblem, k: int,
-                         want_vector: bool = True,
-                         tol: float = 1e-14) -> RadialSpectrum:
+                         want_vector: bool = False) -> RadialSpectrum:
     """k smallest eigenvalues of the weighted problem by Sturm bisection.
 
     The first eigenfunction, when requested, is recovered by inverse
     iteration, sign-fixed positive and normalized so that the weighted norm
     ||phi/|x| ||_{L^2(A)} equals one.
     """
-    if not prob.weighted:
-        raise ConfigError("weighted_radial_eigs requires a weighted problem")
     if k < 1 or k > prob.M:
         raise ConfigError(f"requested {k} eigenvalues from an {prob.M}-point grid")
     d, e = prob.diagonal(), prob.offdiagonal()
     try:
         betas = eigvalsh_tridiagonal(
             d, e, select="i", select_range=(0, k - 1),
-            lapack_driver="stebz", tol=tol,
+            lapack_driver="stebz", tol=1e-14,
         )
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise BisectionError(f"tridiagonal bisection failed: {exc}") from exc
@@ -240,7 +214,6 @@ def weighted_radial_eigs(prob: AnnulusEigenProblem, k: int,
 
     return RadialSpectrum(
         betas=betas,
-        neg_count=count_negative(prob),
         eigvec_1=vec,
         inner=prob.inner,
         M=prob.M,
@@ -250,12 +223,6 @@ def weighted_radial_eigs(prob: AnnulusEigenProblem, k: int,
 def sphere_area(N: int) -> float:
     """Surface area of the unit sphere S^(N-1)."""
     return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
-
-
-def unweighted_radial_count(sol: RadialSolution, inner: float, M: int) -> int:
-    """Negative-eigenvalue count of the unweighted radial operator on the annulus."""
-    prob = build_problem(sol, inner, M, weighted=False)
-    return count_negative(prob)
 
 
 def _homogeneous_dim(N: int, h: int) -> int:
@@ -301,16 +268,17 @@ class MorseConfig:
     """Controls for the Morse index computation.
 
     inner=None selects the annulus rule min(eps_plus^2, r_p/10); M=None the
-    density-based grid size. With verify_stability the whole count is redone
-    under doubling of n (inner halved) and of M, and the report is flagged
-    unstable if any count moves.
+    density-based grid size.
     """
 
     inner: float | None = None
     M: int | None = None
-    k_eigs: int = 3
-    verify_stability: bool = True
-    extrapolate: bool = True
+
+    def annulus(self, sol: RadialSolution) -> tuple[float, int]:
+        """(inner radius, grid size) this configuration selects for sol."""
+        inner = self.inner if self.inner is not None else auto_inner_radius(sol)
+        M = self.M if self.M is not None else auto_grid_size(inner)
+        return inner, M
 
 
 @dataclass
@@ -346,17 +314,58 @@ def auto_grid_size(inner: float) -> int:
     return max(DEFAULT_GRID_SIZE, int(math.ceil(GRID_DENSITY * abs(math.log(inner)))))
 
 
-def _weighted_betas_extrapolated(sol, inner, M, k):
-    """Richardson-extrapolated eigenvalues from the (M, 2M) grid pair.
+N_BETAS = 3  # beta_1, beta_2 enter the ledger; beta_3 >= 0 is checked
 
-    The second-difference scheme has an h^2 eigenvalue bias which matters
-    around the beta_2 ~ -(N-1) threshold; the (4 x finer - coarser)/3
-    combination removes it.
+
+@dataclass
+class RadialBetas:
+    """beta_1..beta_3 on the (M, 2M) grid pair of one annulus."""
+
+    coarse: np.ndarray  # on the M-node grid
+    fine: np.ndarray    # on the 2M-node grid
+
+    @property
+    def extrapolated(self) -> np.ndarray:
+        """Richardson combination (4 fine - coarse) / 3.
+
+        The second-difference scheme has an h^2 eigenvalue bias which matters
+        around the beta_2 ~ -(N-1) threshold; this combination removes it.
+        """
+        return (4.0 * self.fine - self.coarse) / 3.0
+
+
+def _grid_betas(sol: RadialSolution, inner: float, M: int) -> np.ndarray:
+    return weighted_radial_eigs(build_problem(sol, inner, M), N_BETAS).betas
+
+
+def radial_betas(sol: RadialSolution, inner: float, M: int,
+                 coarse: np.ndarray | None = None) -> RadialBetas:
+    """beta_1..beta_3 on the (inner, M) and (inner, 2M) grids.
+
+    coarse, when given, holds the values already computed on the (inner, M)
+    grid (the fine grid of the (inner, M/2) pair), which is then not rebuilt.
     """
-    coarse = weighted_radial_eigs(build_problem(sol, inner, M), k, want_vector=True)
-    fine = weighted_radial_eigs(build_problem(sol, inner, 2 * M), k, want_vector=False)
-    betas = (4.0 * fine.betas - coarse.betas) / 3.0
-    return betas, coarse
+    if coarse is None:
+        coarse = _grid_betas(sol, inner, M)
+    return RadialBetas(coarse=coarse, fine=_grid_betas(sol, inner, 2 * M))
+
+
+def checked_radial_betas(sol: RadialSolution, inner: float,
+                         M: int) -> tuple[RadialBetas, int]:
+    """radial_betas plus the negative-eigenvalue count of the (inner, M) grid.
+
+    The count is one inertia scan of that grid, cross-checked against the
+    number of negative bisection values on the same grid.
+    """
+    prob = build_problem(sol, inner, M)
+    coarse = weighted_radial_eigs(prob, N_BETAS).betas
+    neg = count_negative(prob)
+    if min(neg, N_BETAS) != int(np.sum(coarse < 0)):
+        raise SolverError(
+            f"inertia count {neg} disagrees with the bisection values "
+            f"{coarse.tolist()} (inner={inner:.3e}, M={M})"
+        )
+    return radial_betas(sol, inner, M, coarse=coarse), neg
 
 
 def _assemble_ledger(N: int, betas_neg: list[tuple[int, float]],
@@ -395,31 +404,16 @@ def morse_index(sol: RadialSolution, config: MorseConfig | None = None) -> Morse
     the annulus, checks that only two of them are negative, and sums the
     multiplicities of the spherical modes k with beta_i + lambda_k < 0. The
     annulus and grid follow the configured rules and the count is re-verified
-    under doubling of n and M; a changed count is reported (stable=False)
-    rather than silently resolved.
+    under doubling of n (inner halved) and of M; a changed count is reported
+    (stable=False) rather than silently resolved.
     """
     cfg = config or MorseConfig()
-    inner = cfg.inner if cfg.inner is not None else auto_inner_radius(sol)
-    M = cfg.M if cfg.M is not None else auto_grid_size(inner)
-    k = max(cfg.k_eigs, 3)
-
-    def betas_at(inner_, M_):
-        if cfg.extrapolate:
-            b, _ = _weighted_betas_extrapolated(sol, inner_, M_, k)
-            return b
-        return weighted_radial_eigs(build_problem(sol, inner_, M_), k,
-                                    want_vector=False).betas
-
-    betas = betas_at(inner, M)
-    neg_w = count_negative(build_problem(sol, inner, M, weighted=True))
-    m_rad = unweighted_radial_count(sol, inner, M)
-    if neg_w != m_rad:
+    inner, M = cfg.annulus(sol)
+    spec, m_rad = checked_radial_betas(sol, inner, M)
+    betas = spec.extrapolated
+    if m_rad != 2:
         raise SolverError(
-            f"weighted/unweighted negative counts disagree: {neg_w} != {m_rad}"
-        )
-    if neg_w != 2:
-        raise SolverError(
-            f"expected exactly two negative radial eigenvalues, found {neg_w} "
+            f"expected exactly two negative radial eigenvalues, found {m_rad} "
             f"(inner={inner:.3e}, M={M}); annulus rule violated?"
         )
     if betas[2] < -LEDGER_TIE_EPS:
@@ -428,12 +422,13 @@ def morse_index(sol: RadialSolution, config: MorseConfig | None = None) -> Morse
     ledger, total = _assemble_ledger(sol.N, [(1, float(betas[0])), (2, float(betas[1]))])
 
     totals = [total]
-    if cfg.verify_stability:
-        for inner_, M_ in ((inner / 2.0, auto_grid_size(inner / 2.0) if cfg.M is None
-                            else cfg.M), (inner, 2 * M)):
-            b = betas_at(inner_, M_)
-            _, tot = _assemble_ledger(sol.N, [(1, float(b[0])), (2, float(b[1]))])
-            totals.append(tot)
+    for check in (
+        radial_betas(sol, *MorseConfig(inner=inner / 2.0, M=cfg.M).annulus(sol)),
+        radial_betas(sol, inner, 2 * M, coarse=spec.fine),
+    ):
+        b = check.extrapolated
+        _, tot = _assemble_ledger(sol.N, [(1, float(b[0])), (2, float(b[1]))])
+        totals.append(tot)
     stable = len(set(totals)) == 1
 
     return MorseReport(

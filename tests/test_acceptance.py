@@ -13,7 +13,6 @@ import numpy as np
 
 from lanemorse import (
     IvpConfig,
-    MorseConfig,
     TestFunctionSpec,
     build_problem,
     count_negative,
@@ -26,16 +25,12 @@ from lanemorse import (
     rayleigh_limit,
     scales,
     sphere_spectrum,
+    radial_betas,
     test_function_quotient,
-    unweighted_radial_count,
     weighted_radial_eigs,
 )
 from lanemorse.limits import REFERENCE_ELL, rayleigh_quotient_suite
-from lanemorse.spectral import (
-    _weighted_betas_extrapolated,
-    auto_grid_size,
-    auto_inner_radius,
-)
+from lanemorse.spectral import auto_grid_size, auto_inner_radius
 
 from test_radial import bessel_j0_first_zero
 from test_spectral import homogeneous_dim_dp
@@ -144,16 +139,14 @@ def test_criterion_radial_morse_index(nodal):
         M = auto_grid_size(inner)
         counts = {
             "w": count_negative(build_problem(sol, inner, M)),
-            "u": unweighted_radial_count(sol, inner, M),
             "w2M": count_negative(build_problem(sol, inner, 2 * M)),
-            "u2M": unweighted_radial_count(sol, inner, 2 * M),
             "wn2": count_negative(build_problem(sol, inner / 2.0, M)),
         }
         if any(c != 2 for c in counts.values()):
             ok = False
             details.append(f"p={p}: {counts}")
     _report(
-        "radial-morse-index (weighted and unweighted counts = 2, doubling-stable)",
+        "radial-morse-index (inertia counts = 2, doubling-stable)",
         ok, "; ".join(details) or f"all 2, elapsed={time.time() - t0:.1f}s",
     )
 
@@ -164,7 +157,7 @@ def test_criterion_beta2_above_minus_one(nodal):
     for p in SWEEP:
         sol = nodal(p)
         inner = auto_inner_radius(sol)
-        betas, _ = _weighted_betas_extrapolated(sol, inner, auto_grid_size(inner), 2)
+        betas = radial_betas(sol, inner, auto_grid_size(inner)).extrapolated
         ok &= betas[1] > -1.0 - BETA2_DISC_TOL and betas[1] < 0.0
         rows.append(f"p={p:g}:{betas[1] + 1.0:+.1e}")
     _report(
@@ -192,7 +185,7 @@ def test_criterion_beta1_window_and_trend(nodal):
     for p in LADDER:
         sol = nodal(p)
         inner = auto_inner_radius(sol)
-        b, _ = _weighted_betas_extrapolated(sol, inner, auto_grid_size(inner), 1)
+        b = radial_betas(sol, inner, auto_grid_size(inner)).extrapolated
         betas[p] = float(b[0])
     ok = all(-36.0 < betas[p] < -25.0 for p in (200.0, 400.0))
     gaps = [abs(betas[p] + 26.9) for p in LADDER]
@@ -208,7 +201,7 @@ def test_criterion_morse_index_12(nodal):
     details = []
     for p in (200.0, 400.0):
         t0 = time.time()
-        rep = morse_index(nodal(p), MorseConfig(verify_stability=True))
+        rep = morse_index(nodal(p))
         good = (rep.total == 12 and rep.contributions == [1, 1, 2, 2, 2, 2, 2]
                 and rep.stable)
         ok &= good

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -38,6 +39,14 @@ def test_bad_config_rejected():
         RunConfig(command="solve", p_list=[5.0], fmt="csv")
     with pytest.raises(ConfigError):
         RunConfig(command="morse", p_list=[0.5])
+    # each command accepts only the flags it reads; bad values fail up front
+    for argv in (["morse", "--p", "5", "--ell", "7"],
+                 ["morse", "--p", "5", "--tol-eig", "1e-8"],
+                 ["solve", "--p", "5", "--grid-M", "512"],
+                 ["limit-check", "--tol-shoot", "1e-9"],
+                 ["spectrum", "--p", "5", "--grid-M", "0"],
+                 ["sweep", "--p", "5", "--inner-rule", "abc"]):
+        assert main(argv) == EXIT_CONFIG, argv
 
 
 def test_dumps_deterministic_floats():
@@ -106,6 +115,33 @@ def test_morse_command_small_p():
     assert '"anchors"' in text
 
 
+def _records(command, *args):
+    code, text = run(parse_args([command, *args]))
+    assert code == EXIT_OK
+    return json.loads(text)["results"][command]
+
+
+def test_ledger_detail_flags_the_tie():
+    # at p = 50 the sum beta_2 + lambda_1 is about -1.7e-11, inside the tie window
+    (rec,) = _records("morse", "--p", "50")
+    flagged = [(e["i"], e["k"]) for e in rec["ledger_detail"] if e["boundary"]]
+    assert flagged == [(2, 1)]
+    assert all(e["boundary"] is False for e in rec["ledger_detail"]
+               if (e["i"], e["k"]) != (2, 1))
+
+
+def test_commands_share_the_spectral_pipeline():
+    # spectrum, morse and sweep resolve the annulus from the same flags and
+    # report the same extrapolated betas, digit for digit
+    args = ("--p", "5", "--inner-rule", "1e-3")
+    (morse,) = _records("morse", *args)
+    (sweep,) = _records("sweep", *args)
+    (spectrum,) = _records("spectrum", *args)
+    assert morse["inner"] == spectrum["inner"] == 1e-3
+    assert [sweep["beta1"], sweep["beta2"]] == [morse["beta1"], morse["beta2"]]
+    assert spectrum["betas"] == [morse["beta1"], morse["beta2"], morse["beta3"]]
+
+
 def _run_cli(*args):
     # Run the CLI as `python -m lanemorse` in a child process, on the same
     # source tree this test process imported, so no install is needed.
@@ -126,7 +162,7 @@ def _run_cli(*args):
 def test_exit_codes_via_entry_point():
     proc = _run_cli("limit-check", "--N", "2")
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert '"schema_version": 1' in proc.stdout, proc.stderr
+    assert '"schema_version": 2' in proc.stdout, proc.stderr
     proc = _run_cli("solve", "--p", "0.5")
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     proc = _run_cli("bogus")
@@ -145,7 +181,7 @@ def test_exit_codes_via_entry_point():
 
 def test_schema_shape():
     _, text = run(parse_args(["solve", "--p", "3"]))
-    assert text.startswith('{\n  "schema_version": 1')
+    assert text.startswith('{\n  "schema_version": 2')
     for key in ('"command"', '"config"', '"results"', '"checks"'):
         assert key in text
     assert text.endswith("}\n")

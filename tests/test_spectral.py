@@ -10,29 +10,29 @@ from lanemorse import (
     build_problem,
     count_negative,
     morse_index,
+    radial_betas,
     sphere_spectrum,
-    unweighted_radial_count,
     weighted_radial_eigs,
 )
+from lanemorse import spectral
 from lanemorse.profile import analyze_fp
 from lanemorse.spectral import (
     AnnulusEigenProblem,
     _assemble_ledger,
-    _weighted_betas_extrapolated,
     auto_grid_size,
     auto_inner_radius,
     sphere_area,
 )
 
 
-def free_problem(N, inner, M, weighted=True, q=None):
+def free_problem(N, inner, M, q=None):
     """Annulus problem with prescribed potential (zero by default)."""
     t0 = math.log(inner)
     h = -t0 / (M + 1)
     t = t0 + h * np.arange(1, M + 1)
     qq = np.zeros(M) if q is None else np.asarray(q, dtype=float)
     return AnnulusEigenProblem(N=N, inner=inner, M=M, t_nodes=t, q=qq,
-                               alpha=0.5 * (N - 2), weighted=weighted)
+                               alpha=0.5 * (N - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -86,20 +86,19 @@ def test_build_problem_rejects_bad_inner(nodal):
 
 def test_count_zero_potential():
     assert count_negative(free_problem(2, 0.1, 500)) == 0
-    assert count_negative(free_problem(3, 0.1, 500, weighted=False)) == 0
+    assert count_negative(free_problem(3, 0.1, 500)) == 0
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.floats(min_value=0.0, max_value=400.0), min_size=4, max_size=24),
     st.floats(min_value=-50.0, max_value=50.0),
-    st.booleans(),
 )
-def test_count_matches_dense_eigensolve(qvals, shift, weighted):
-    # inertia count against a dense symmetric eigensolve on the same pencil
+def test_count_matches_dense_eigensolve(qvals, shift):
+    # inertia count against a dense symmetric eigensolve on the same matrix
     M = len(qvals)
-    prob = free_problem(2, 0.05, M, weighted=weighted, q=qvals)
-    d, e = prob.symmetrized()
+    prob = free_problem(2, 0.05, M, q=qvals)
+    d, e = prob.diagonal(), prob.offdiagonal()
     A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     eigs = np.linalg.eigvalsh(A)
     expected = int(np.sum(eigs < shift))
@@ -125,9 +124,8 @@ def test_radial_counts_are_two(nodal):
         inner = auto_inner_radius(sol)
         M = auto_grid_size(inner)
         assert count_negative(build_problem(sol, inner, M)) == 2
-        assert unweighted_radial_count(sol, inner, M) == 2
         # agreement under grid doubling
-        assert unweighted_radial_count(sol, inner, 2 * M) == 2
+        assert count_negative(build_problem(sol, inner, 2 * M)) == 2
 
 
 def test_beta2_strictly_above_threshold_small_p(nodal):
@@ -135,7 +133,7 @@ def test_beta2_strictly_above_threshold_small_p(nodal):
     for p, margin in ((2.0, 0.3), (3.0, 0.05), (5.0, 0.005), (10.0, 5e-5)):
         sol = nodal(p)
         inner = auto_inner_radius(sol)
-        betas, _ = _weighted_betas_extrapolated(sol, inner, auto_grid_size(inner), 2)
+        betas = radial_betas(sol, inner, auto_grid_size(inner)).extrapolated
         assert betas[1] > -1.0 + margin / 2.0
         assert betas[1] < 0.0
 
@@ -143,7 +141,7 @@ def test_beta2_strictly_above_threshold_small_p(nodal):
 def test_beta1_window_p400(nodal):
     sol = nodal(400.0)
     inner = auto_inner_radius(sol)
-    betas, _ = _weighted_betas_extrapolated(sol, inner, auto_grid_size(inner), 3)
+    betas = radial_betas(sol, inner, auto_grid_size(inner)).extrapolated
     assert -36.0 < betas[0] < -25.0
     assert betas[2] > 0.0
 
@@ -172,10 +170,11 @@ def test_domain_monotonicity_nested_annuli(nodal):
         M = int(round(-math.log(inner) / h)) - 1
         prob = build_problem(sol, inner, M)
         spec = weighted_radial_eigs(prob, 3, want_vector=False)
+        neg_count = count_negative(prob)
         if prev is not None:
             assert np.all(spec.betas <= prev + 1e-7)
-        assert spec.neg_count >= prev_count
-        prev, prev_count = spec.betas, spec.neg_count
+        assert neg_count >= prev_count
+        prev, prev_count = spec.betas, neg_count
     assert prev_count == 2
 
 
@@ -275,6 +274,32 @@ def test_morse_report_moderate_p(nodal):
     assert rep.m_rad == 2
     assert rep.total >= rep.N + 2
     assert rep.stable
+
+
+def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
+    # (inner, M), (inner, 2M), (inner/2, M'), (inner/2, 2M') and (inner, 4M):
+    # the (inner, 2M) re-check reuses the 2M grid, one inertia scan, and no
+    # eigenvectors
+    sol = nodal(5.0)
+    grids, scans, vectors = [], [], []
+
+    def counted(calls, fn, key=lambda *a, **kw: None):
+        def wrapper(*args, **kwargs):
+            calls.append(key(*args, **kwargs))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectral, "build_problem", counted(
+        grids, spectral.build_problem, lambda sol, inner, M: (inner, M)))
+    monkeypatch.setattr(spectral, "count_negative",
+                        counted(scans, spectral.count_negative))
+    monkeypatch.setattr(spectral, "eigh_tridiagonal",
+                        counted(vectors, spectral.eigh_tridiagonal))
+    rep = morse_index(sol)
+    assert rep.stable
+    assert len(grids) == 5 and len(set(grids)) == 5
+    assert len(scans) == 1
+    assert vectors == []
 
 
 def test_morse_report_three_dimensional(nodal):
