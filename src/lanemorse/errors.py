@@ -34,7 +34,7 @@ class HorizonError(SolverError):
 
 
 class UnimodalityError(SolverError):
-    """A profile expected to be unimodal on an interval is not (under-resolved grid)."""
+    """f_p does not have exactly one critical point on a nodal interval."""
 
 
 class BisectionError(SolverError):

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 from scipy.special import betainc
 from scipy.special import beta as beta_fn
 
@@ -279,44 +278,23 @@ def _rayleigh_eta1(N: int, trunc: float = 50.0) -> float:
 def rayleigh_limit(v, N: int) -> float:
     """Weighted Rayleigh quotient of the limit operator for a radial function.
 
-    v may be the string "eta1" (closed-form path with exact tails), a pair of
-    callables (value, derivative) defined on (0, inf), or a pair of sample
-    arrays (radii, values), interpreted as a compactly supported spline.
+    v may be the string "eta1" (closed-form path with exact tails) or a pair
+    of callables (value, derivative) defined on (0, inf).
     """
     if isinstance(v, str):
         if v != "eta1":
             raise ConfigError(f"unknown built-in test function {v!r}")
         return _rayleigh_eta1(N)
-    f, df = _as_value_and_derivative(v)
-    hi = getattr(f, "support_end", np.inf)
+    f, df = v
     opts = dict(epsabs=1e-11, epsrel=1e-10, limit=400)
     num, _ = quad(
         lambda r: (df(r) ** 2 - limit_potential(r, N) * f(r) ** 2) * r ** (N - 1),
-        0.0, hi, **opts,
+        0.0, np.inf, **opts,
     )
-    den, _ = quad(lambda r: f(r) ** 2 * r ** (N - 3), 0.0, hi, **opts)
+    den, _ = quad(lambda r: f(r) ** 2 * r ** (N - 3), 0.0, np.inf, **opts)
     if den <= 0.0 or not math.isfinite(den):
         raise ConfigError("vanishing weighted norm in the Rayleigh quotient")
     return num / den
-
-
-def _as_value_and_derivative(v):
-    f, g = v
-    if callable(f) and callable(g):
-        return f, g
-    r = np.asarray(f, dtype=float)
-    vals = np.asarray(g, dtype=float)
-    spline = CubicSpline(r, vals, bc_type="natural")
-    dspline = spline.derivative()
-
-    def value(x):
-        return float(spline(x)) if r[0] <= x <= r[-1] else 0.0
-
-    def deriv(x):
-        return float(dspline(x)) if r[0] <= x <= r[-1] else 0.0
-
-    value.support_end = float(r[-1])
-    return value, deriv
 
 
 def limit_residual(N: int, lam: float, grid: np.ndarray | None = None) -> float:

@@ -2,7 +2,8 @@
 
 Everything here is a pure function of a computed RadialSolution. Quantities
 involving |u|^(p-1) are evaluated as exp((p-1) ln|u|) throughout; naive
-powering would overflow well before p ~ 10^3.
+powering would overflow well before p ~ 10^3. The maximizers of f_p are read
+off the shooting integration, where they are located as events.
 """
 
 from __future__ import annotations
@@ -113,77 +114,28 @@ class FpAnalysis:
     sup_f: float
 
 
-# f_p underflows to zero in floats close to the nodal radius and the
-# boundary; differences below this fraction of the interval max are treated
-# as plateau noise by the unimodality check.
-_PLATEAU_FLOOR = 1e-9
-
-
-def _check_unimodal(f: np.ndarray, where: str) -> None:
-    floor = _PLATEAU_FLOOR * float(np.max(f))
-    keep = f > floor
-    fs = f[keep]
-    if len(fs) < 3:
-        raise UnimodalityError(f"too few usable f_p samples on the {where} interval")
-    d = np.diff(fs)
-    sign_changes = np.sum(np.sign(d[:-1]) * np.sign(d[1:]) < 0)
-    i_max = int(np.argmax(fs))
-    rising = np.all(d[:i_max] > 0) if i_max > 0 else True
-    falling = np.all(d[i_max:] < 0) if i_max < len(fs) - 1 else True
-    if sign_changes > 1 or not (rising and falling):
+def _unique_critical(radii: np.ndarray, lo: float, hi: float, where: str) -> float:
+    inside = radii[(radii > lo) & (radii < hi)]
+    if len(inside) != 1:
         raise UnimodalityError(
-            f"f_p is not single-peaked on the {where} nodal interval "
-            f"({sign_changes} interior sign changes); grid under-resolved?"
+            f"f_p has {len(inside)} critical points on the {where} nodal "
+            f"interval ({lo:.6e}, {hi:.6e}), expected exactly one"
         )
-
-
-def _golden_max_log(sol: RadialSolution, t_lo: float, t_hi: float,
-                    tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section maximum of f_p over r = e^t, t in [t_lo, t_hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = t_lo, t_hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = fp_values(sol, math.exp(c))
-    fd = fp_values(sol, math.exp(d))
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fp_values(sol, math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fp_values(sol, math.exp(d))
-    t_star = 0.5 * (a + b)
-    return math.exp(t_star), float(fp_values(sol, math.exp(t_star)))
+    return float(inside[0])
 
 
 def analyze_fp(sol: RadialSolution) -> FpAnalysis:
     """Locate the unique maximum of f_p in each nodal region.
 
-    Unimodality is verified from the sign pattern of discrete differences on
-    the solution grid; maxima are then refined by golden section on the
-    interpolator in the log radius (tolerance 1e-10, i.e. relative in r).
+    The critical points of f_p are the roots of (p-1) r u' + 2u, located as
+    events of the shooting integration. f_p vanishes at both ends of each
+    nodal interval, so exactly one critical point per interval is its
+    maximizer; any other count raises UnimodalityError.
     """
-    g = sol.grid
-    interior = (g > 0) & (g < 1.0)
-    plus = interior & (g < sol.r_p)
-    minus = interior & (g > sol.r_p)
-    f_plus = fp_values(sol, g[plus])
-    f_minus = fp_values(sol, g[minus])
-    _check_unimodal(f_plus, "positive")
-    _check_unimodal(f_minus, "negative")
-
-    def refine(mask, f):
-        idx = np.where(mask)[0]
-        i = idx[int(np.argmax(f))]
-        lo = g[max(i - 1, 1)]
-        hi = g[min(i + 1, len(g) - 1)]
-        return _golden_max_log(sol, math.log(lo), math.log(hi))
-
-    c_p, max_plus = refine(plus, f_plus)
-    d_p, max_minus = refine(minus, f_minus)
+    radii = np.asarray(sol._traj.fp_critical) / sol.lam
+    c_p = _unique_critical(radii, 0.0, sol.r_p, "positive")
+    d_p = _unique_critical(radii, sol.r_p, 1.0, "negative")
+    max_plus, max_minus = (float(f) for f in fp_values(sol, [c_p, d_p]))
     return FpAnalysis(
         c_p=c_p,
         d_p=d_p,

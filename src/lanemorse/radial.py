@@ -13,7 +13,7 @@ Internally the integration runs in the log radius rho = ln r with state
 
     du/drho = w,      dw/drho = -(N-2) w - e^(2 rho) |u|^(p-1) u.
 
-This keeps the relative step size h/r bounded (max_log_step), which is what
+This keeps the relative step size h/r bounded (_MAX_LOG_STEP), which is what
 the dense-reconstruction residual bound requires: for large p the trajectory
 spans tens of decades in r and any fixed-variable integrator would take steps
 with h/r >> 1 through the quiet stretches. The (N-1)/r origin singularity
@@ -51,6 +51,9 @@ __all__ = [
 # Quintic Hermite sample points used for the interpolated-residual check.
 _RESIDUAL_THETAS = (0.15, 0.35, 0.5, 0.65, 0.85)
 
+_ABS_TOL = 1e-14        # absolute integrator tolerance on (u, w)
+_MAX_LOG_STEP = 0.075   # largest step in rho = ln r
+
 
 def signed_power(u, p: float):
     """|u|^(p-1) u, guarded at u = 0 and safe against overflow of u**(p-1).
@@ -87,11 +90,9 @@ class IvpConfig:
     N: int
     a: float
     r_start: float = 1e-6
-    abs_tol: float = 1e-14
     rel_tol: float = 1e-12
     r_max: float = 100.0
     max_zeros: int | None = 2
-    max_log_step: float = 0.075
 
     def __post_init__(self):
         if self.p <= 0:
@@ -100,8 +101,8 @@ class IvpConfig:
             raise ConfigError(f"dimension N must be an integer >= 2, got {self.N}")
         if self.r_start <= 0:
             raise ConfigError("r_start must be positive")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ConfigError("integrator tolerances must be positive")
+        if self.rel_tol <= 0:
+            raise ConfigError("integrator tolerance rel_tol must be positive")
         if self.r_max <= self.r_start:
             raise ConfigError("r_max must exceed r_start")
         if self.max_zeros is not None and self.max_zeros < 1:
@@ -114,7 +115,10 @@ class Trajectory:
 
     nodes/u/du are the accepted integration steps mapped back to the r
     variable; zeros holds (radius, direction) for each simple zero crossing
-    of u, minima the radii where u' crosses zero upward.
+    of u, minima the radii where u' crosses zero upward, and fp_critical the
+    radii where d ln f_p / d ln r = (p-1) r u'/u + 2 vanishes, i.e. the
+    critical points of f_p = p |u|^(p-1) r^2 (all located as events of the
+    one integration).
     """
 
     config: IvpConfig
@@ -123,6 +127,7 @@ class Trajectory:
     du: np.ndarray
     zeros: list[tuple[float, int]]
     minima: list[float]
+    fp_critical: list[float]
     _logsol: object = field(repr=False, default=None)
 
     def eval(self, r):
@@ -142,15 +147,11 @@ class Trajectory:
         """
         if len(self.nodes) < 2:
             return 0.0
-        return _residual_sup_log(self._logsol_data(), self.config.p, self.config.N)
-
-    def _logsol_data(self):
-        rho = np.log(self.nodes)
-        u = self.u
-        w = self.du * self.nodes
         p, N = self.config.p, self.config.N
-        dw = -(N - 2.0) * w - np.exp(2.0 * rho) * signed_power(u, p)
-        return rho, u, w, dw
+        rho = np.log(self.nodes)
+        w = self.du * self.nodes
+        dw = -(N - 2.0) * w - np.exp(2.0 * rho) * signed_power(self.u, p)
+        return _residual_sup_log((rho, self.u, w, dw), p, N)
 
 
 def _quintic_coeffs(th: float):
@@ -242,7 +243,7 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
         # zero data propagates to the zero solution; nothing to integrate
         nodes = np.array([cfg.r_start, cfg.r_max])
         zero = np.zeros(2)
-        return Trajectory(cfg, nodes, zero, zero.copy(), [], [], _ZeroDense())
+        return Trajectory(cfg, nodes, zero, zero.copy(), [], [], [], _ZeroDense())
 
     def rhs(rho, y):
         u, w = float(y[0]), float(y[1])
@@ -260,20 +261,30 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
 
     min_ev.direction = 1.0
 
+    def fp_crit_ev(rho, y):
+        # u * d ln f_p / d rho; at a zero of u it equals (p-1) w != 0
+        return (p - 1.0) * y[1] + 2.0 * y[0]
+
     c2 = signed_power(a, p) / (2.0 * N)
     rho0, rho1 = math.log(cfg.r_start), math.log(cfg.r_max)
     y0 = (a - c2 * cfg.r_start**2, -2.0 * c2 * cfg.r_start**2)
-    sol = solve_ivp(
-        rhs,
-        (rho0, rho1),
-        y0,
-        method="RK45",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_log_step,
-        dense_output=True,
-        events=(zero_ev, min_ev),
-    )
+    # For large p the initial-step heuristic probes one step across the whole
+    # interval, where e^(2 rho) overflows its norm; the resulting zero guess is
+    # raised to the minimum step, so the overflow is harmless there. An
+    # overflow inside a real step makes its error estimate infinite, the step
+    # is rejected and the failure surfaces as StiffnessError below.
+    with np.errstate(over="ignore"):
+        sol = solve_ivp(
+            rhs,
+            (rho0, rho1),
+            y0,
+            method="RK45",
+            rtol=cfg.rel_tol,
+            atol=_ABS_TOL,
+            max_step=_MAX_LOG_STEP,
+            dense_output=True,
+            events=(zero_ev, min_ev, fp_crit_ev),
+        )
     if sol.status == -1:
         raise StiffnessError(f"integration failed at r={math.exp(sol.t[-1]):.3e}: {sol.message}")
 
@@ -284,13 +295,14 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
     for rho_z in sol.t_events[0]:
         r_z = math.exp(rho_z)
         w_z = float(sol.sol(rho_z)[1])
-        if abs(w_z) < 1e3 * cfg.abs_tol:
+        if abs(w_z) < 1e3 * _ABS_TOL:
             raise TangentialZeroError(
                 f"degenerate zero at r={r_z:.6e}: |u| and |u'| both below tolerance"
             )
         zeros.append((r_z, 1 if w_z > 0 else -1))
     minima = [math.exp(rho_m) for rho_m in sol.t_events[1]]
-    return Trajectory(cfg, nodes, u, du, zeros, minima, sol.sol)
+    fp_critical = [math.exp(rho_c) for rho_c in sol.t_events[2]]
+    return Trajectory(cfg, nodes, u, du, zeros, minima, fp_critical, sol.sol)
 
 
 class _ZeroDense:
@@ -364,16 +376,11 @@ class RadialSolution:
     def residual_sup(self) -> float:
         """Normalized interpolated residual over the trajectory up to r = 1.
 
-        The normalization makes the figure invariant under the shooting
+        The trajectory ends at the terminal zero R2, i.e. at r = 1 after the
+        rescale, and the normalization makes the figure invariant under the
         rescale, so this bounds the defect of the scaled solution as well.
         """
-        data = self._traj._logsol_data()
-        rho, u, w, dw = data
-        keep = rho <= math.log(self.lam) + 1e-12
-        n = int(np.sum(keep))
-        return _residual_sup_log(
-            (rho[:n], u[:n], w[:n], dw[:n]), self.p, self.N
-        )
+        return self._traj.residual_sup()
 
 
 _LN_RMAX_CAP = 345.0  # keep r^2 representable in float64
@@ -384,8 +391,6 @@ def solve_nodal(
     N: int = 2,
     tol: float = 1e-9,
     rel_tol: float = 1e-12,
-    abs_tol: float = 1e-14,
-    r_start: float = 1e-6,
 ) -> RadialSolution:
     """Construct the least-energy sign-changing radial solution on the ball.
 
@@ -404,11 +409,9 @@ def solve_nodal(
 
     # ln R2 grows like ~0.45 p in 2-d; start generous and extend on a miss
     ln_rmax = min(0.5 * p + 30.0, _LN_RMAX_CAP)
-    traj = None
     while True:
         cfg = IvpConfig(
-            p=p, N=N, a=1.0, r_start=r_start, abs_tol=abs_tol,
-            rel_tol=rel_tol, r_max=math.exp(ln_rmax), max_zeros=2,
+            p=p, N=N, a=1.0, rel_tol=rel_tol, r_max=math.exp(ln_rmax), max_zeros=2,
         )
         traj = integrate_ivp(cfg)
         if len(traj.zeros) >= 2:

@@ -168,13 +168,6 @@ def test_rayleigh_homogeneity():
     assert rayleigh_limit((f, df), 2) == pytest.approx(rayleigh_limit((g, dg), 2), rel=1e-13)
 
 
-def test_rayleigh_sampled_input():
-    r = np.linspace(1e-6, 60.0, 4000)
-    vals = eta1(r, 2)
-    val = rayleigh_limit((r, vals), 2)
-    assert val == pytest.approx(-1.0, rel=5e-3)  # spline + truncation error
-
-
 @pytest.mark.parametrize("N,lam", [(2, -1.0), (3, -2.0), (4, -3.0), (5, -4.0)])
 def test_limit_residual_at_eigenvalue(N, lam):
     assert limit_residual(N, lam) < 1e-10

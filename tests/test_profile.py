@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from lanemorse import ConfigError, analyze_fp, limit_constants, scales
+from lanemorse import ConfigError, UnimodalityError, analyze_fp, limit_constants, scales
+from lanemorse import profile
 from lanemorse.limits import REFERENCE_ELL, eval_profile, LimitProfile
 from lanemorse.profile import fp_values, rescaled_potential, rescaled_profile
 
@@ -126,3 +128,45 @@ def test_fp_unimodal_structure(nodal):
     sol = nodal(10.0)
     fp = analyze_fp(sol)
     assert 0 < fp.c_p < sol.r_p < fp.d_p < 1.0
+
+
+@pytest.mark.parametrize("p", [8.3, 100.0, 400.0, 760.0])
+def test_maximizers_are_critical_points(nodal, p):
+    # d ln f_p / d ln r = (p-1) r u'/u + 2 vanishes at both maximizers
+    sol = nodal(p)
+    fp = analyze_fp(sol)
+    for r in (fp.c_p, fp.d_p):
+        u, du = sol.eval(r)
+        assert abs((p - 1.0) * r * du / u + 2.0) <= 1e-10
+
+
+def test_analyze_fp_evaluates_f_p_once(nodal, monkeypatch):
+    sol = nodal(50.0)
+    calls = []
+
+    def counting(s, r):
+        calls.append(np.size(r))
+        return fp_values(s, r)
+
+    monkeypatch.setattr(profile, "fp_values", counting)
+    fp = analyze_fp(sol)
+    assert calls == [2]
+    assert fp.max_plus == fp_values(sol, fp.c_p)
+    assert fp.max_minus == fp_values(sol, fp.d_p)
+
+
+@pytest.mark.parametrize("where", ["positive", "negative"])
+@pytest.mark.parametrize("count", [0, 2])
+def test_analyze_fp_requires_one_critical_point(nodal, where, count):
+    sol = nodal(10.0)
+    traj = sol._traj
+    r_p = traj.zeros[0][0]
+    (c,) = [r for r in traj.fp_critical if r < r_p]
+    (d,) = [r for r in traj.fp_critical if r > r_p]
+    if where == "positive":
+        edited = [d] if count == 0 else [0.5 * c, c, d]
+    else:
+        edited = [c] if count == 0 else [c, d, 0.5 * (d + sol.lam)]
+    bad = dataclasses.replace(sol, _traj=dataclasses.replace(traj, fp_critical=edited))
+    with pytest.raises(UnimodalityError, match=f"{count} critical points on the {where}"):
+        analyze_fp(bad)

@@ -1,3 +1,4 @@
+import warnings
 
 import numpy as np
 import pytest
@@ -172,3 +173,11 @@ def test_nodal_N3():
     assert abs(sol.u[-1]) < 1e-9
     assert sol.u_min < 0 < sol.u0
     assert sol.residual_sup() < 1e-7
+
+
+def test_large_p_solve_emits_no_warning():
+    # the integrator's initial-step probe overflows e^(2 rho) at large p
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_nodal(400.0)
+    assert abs(sol.u[-1]) < 1e-9
