@@ -21,7 +21,7 @@ from .profile import analyze_fp, scales
 from .radial import solve_nodal
 from .spectral import MorseConfig, checked_radial_betas, morse_index
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -156,7 +156,7 @@ def _solution_record(sol, cfg: RunConfig) -> dict:
 
 def _spectrum_record(sol, cfg: RunConfig) -> dict:
     inner, M = cfg.morse_config().annulus(sol)
-    spec, neg_count = checked_radial_betas(sol, inner, M)
+    (spec,), neg_count = checked_radial_betas(sol, inner, M)
     return {
         "p": sol.p, "N": sol.N, "inner": inner, "M": M,
         "betas": [float(b) for b in spec.extrapolated],

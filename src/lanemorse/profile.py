@@ -2,8 +2,9 @@
 
 Everything here is a pure function of a computed RadialSolution. Quantities
 involving |u|^(p-1) are evaluated as exp((p-1) ln|u|) throughout; naive
-powering would overflow well before p ~ 10^3. The maximizers of f_p are read
-off the shooting integration, where they are located as events.
+powering would overflow well before p ~ 10^3. The maximizers of f_p and the
+states there are read off the shooting integration, where they are located
+as events.
 """
 
 from __future__ import annotations
@@ -114,14 +115,14 @@ class FpAnalysis:
     sup_f: float
 
 
-def _unique_critical(radii: np.ndarray, lo: float, hi: float, where: str) -> float:
-    inside = radii[(radii > lo) & (radii < hi)]
+def _unique_critical(radii: np.ndarray, lo: float, hi: float, where: str) -> int:
+    inside = np.flatnonzero((radii > lo) & (radii < hi))
     if len(inside) != 1:
         raise UnimodalityError(
             f"f_p has {len(inside)} critical points on the {where} nodal "
             f"interval ({lo:.6e}, {hi:.6e}), expected exactly one"
         )
-    return float(inside[0])
+    return int(inside[0])
 
 
 def analyze_fp(sol: RadialSolution) -> FpAnalysis:
@@ -130,12 +131,20 @@ def analyze_fp(sol: RadialSolution) -> FpAnalysis:
     The critical points of f_p are the roots of (p-1) r u' + 2u, located as
     events of the shooting integration. f_p vanishes at both ends of each
     nodal interval, so exactly one critical point per interval is its
-    maximizer; any other count raises UnimodalityError.
+    maximizer; any other count raises UnimodalityError. f_p is invariant
+    under the shooting rescale, so its maxima are p |u|^(p-1) r^2 of the
+    unscaled event states, in log form; no dense evaluation is needed.
     """
-    radii = np.asarray(sol._traj.fp_critical) / sol.lam
-    c_p = _unique_critical(radii, 0.0, sol.r_p, "positive")
-    d_p = _unique_critical(radii, sol.r_p, 1.0, "negative")
-    max_plus, max_minus = (float(f) for f in fp_values(sol, [c_p, d_p]))
+    traj = sol._traj
+    radii = np.asarray(traj.fp_critical) / sol.lam
+    idx = [_unique_critical(radii, 0.0, sol.r_p, "positive"),
+           _unique_critical(radii, sol.r_p, 1.0, "negative")]
+    r_raw = np.asarray(traj.fp_critical)[idx]
+    u_raw = traj.event_states[2][idx, 0]
+    max_plus, max_minus = np.exp(
+        math.log(sol.p) + (sol.p - 1.0) * np.log(np.abs(u_raw)) + 2.0 * np.log(r_raw)
+    ).tolist()
+    c_p, d_p = (r_raw / sol.lam).tolist()
     return FpAnalysis(
         c_p=c_p,
         d_p=d_p,

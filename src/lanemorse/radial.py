@@ -110,6 +110,44 @@ class IvpConfig:
 
 
 @dataclass
+class _DenseOutput:
+    """The RK45 step interpolants of one integration, stacked into arrays.
+
+    Step j covers [ts[j], ts[j+1]] and evaluates the quartic
+    y = y_old + h * sum_k Q[:, k] x^(k+1), x = (rho - t_old) / h, with its own
+    t_old and h (the event-truncated last step keeps its full-step
+    interpolant). A point on a breakpoint takes the lower step, as SciPy's
+    OdeSolution does; points outside [ts[0], ts[-1]] take the end steps.
+    """
+
+    ts: np.ndarray      # (n + 1,) breakpoints in rho
+    t_old: np.ndarray   # (n,)
+    h: np.ndarray       # (n,)
+    y_old: np.ndarray   # (n, 2)
+    Q: np.ndarray       # (n, 2, 4)
+
+    @classmethod
+    def stack(cls, sol) -> _DenseOutput:
+        steps = sol.interpolants
+        return cls(
+            ts=np.asarray(sol.ts, dtype=float),
+            t_old=np.array([s.t_old for s in steps]),
+            h=np.array([s.h for s in steps]),
+            y_old=np.array([s.y_old for s in steps]),
+            Q=np.array([s.Q for s in steps]),
+        )
+
+    def __call__(self, rho) -> np.ndarray:
+        rho = np.asarray(rho, dtype=float)
+        j = np.clip(np.searchsorted(self.ts, rho, side="left") - 1, 0, len(self.h) - 1)
+        x = (rho - self.t_old[j]) / self.h[j]
+        powers = np.cumprod(np.repeat(x[..., None], self.Q.shape[-1], axis=-1), axis=-1)
+        y = self.y_old[j] + self.h[j][..., None] * np.einsum(
+            "...ck,...k->...c", self.Q[j], powers)
+        return np.moveaxis(y, -1, 0)
+
+
+@dataclass
 class Trajectory:
     """Integrated radial trajectory with event data and dense output.
 
@@ -118,7 +156,8 @@ class Trajectory:
     of u, minima the radii where u' crosses zero upward, and fp_critical the
     radii where d ln f_p / d ln r = (p-1) r u'/u + 2 vanishes, i.e. the
     critical points of f_p = p |u|^(p-1) r^2 (all located as events of the
-    one integration).
+    one integration). event_states holds the states (u, r u') at those three
+    kinds of event, one (n, 2) array per kind in the same order.
     """
 
     config: IvpConfig
@@ -128,12 +167,16 @@ class Trajectory:
     zeros: list[tuple[float, int]]
     minima: list[float]
     fp_critical: list[float]
+    event_states: tuple[np.ndarray, ...] = ()
     _logsol: object = field(repr=False, default=None)
+    _dense: _DenseOutput | None = field(repr=False, default=None)
 
     def eval(self, r):
         """Dense evaluation (u, du) at radii r inside [r_start, nodes[-1]]."""
         r = np.asarray(r, dtype=float)
-        y = self._logsol(np.log(r))
+        if self._dense is None:  # built on first use; the solve path needs none
+            self._dense = _DenseOutput.stack(self._logsol)
+        y = self._dense(np.log(r))
         return y[0], y[1] / r
 
     def residual_sup(self) -> float:
@@ -239,11 +282,15 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
     after cfg.max_zeros zero crossings, whichever comes first.
     """
     p, N, a = cfg.p, cfg.N, cfg.a
+    rho0, rho1 = math.log(cfg.r_start), math.log(cfg.r_max)
     if a == 0.0:
         # zero data propagates to the zero solution; nothing to integrate
         nodes = np.array([cfg.r_start, cfg.r_max])
         zero = np.zeros(2)
-        return Trajectory(cfg, nodes, zero, zero.copy(), [], [], [], _ZeroDense())
+        dense = _DenseOutput(ts=np.array([rho0, rho1]), t_old=np.array([rho0]),
+                             h=np.array([rho1 - rho0]), y_old=np.zeros((1, 2)),
+                             Q=np.zeros((1, 2, 4)))
+        return Trajectory(cfg, nodes, zero, zero.copy(), [], [], [], _dense=dense)
 
     def rhs(rho, y):
         u, w = float(y[0]), float(y[1])
@@ -266,7 +313,6 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
         return (p - 1.0) * y[1] + 2.0 * y[0]
 
     c2 = signed_power(a, p) / (2.0 * N)
-    rho0, rho1 = math.log(cfg.r_start), math.log(cfg.r_max)
     y0 = (a - c2 * cfg.r_start**2, -2.0 * c2 * cfg.r_start**2)
     # For large p the initial-step heuristic probes one step across the whole
     # interval, where e^(2 rho) overflows its norm; the resulting zero guess is
@@ -292,9 +338,8 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
     u = sol.y[0]
     du = sol.y[1] / nodes
     zeros = []
-    for rho_z in sol.t_events[0]:
+    for rho_z, (_, w_z) in zip(sol.t_events[0], sol.y_events[0]):
         r_z = math.exp(rho_z)
-        w_z = float(sol.sol(rho_z)[1])
         if abs(w_z) < 1e3 * _ABS_TOL:
             raise TangentialZeroError(
                 f"degenerate zero at r={r_z:.6e}: |u| and |u'| both below tolerance"
@@ -302,13 +347,8 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
         zeros.append((r_z, 1 if w_z > 0 else -1))
     minima = [math.exp(rho_m) for rho_m in sol.t_events[1]]
     fp_critical = [math.exp(rho_c) for rho_c in sol.t_events[2]]
-    return Trajectory(cfg, nodes, u, du, zeros, minima, fp_critical, sol.sol)
-
-
-class _ZeroDense:
-    def __call__(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return np.zeros((2,) + rho.shape)
+    return Trajectory(cfg, nodes, u, du, zeros, minima, fp_critical,
+                      event_states=tuple(sol.y_events), _logsol=sol.sol)
 
 
 @dataclass
@@ -428,13 +468,13 @@ def solve_nodal(
     lam = r2
     kappa = math.exp(2.0 / (p - 1.0) * math.log(lam))
 
-    mins = [m for m in traj.minima if r1 < m < r2]
+    mins = [j for j, m in enumerate(traj.minima) if r1 < m < r2]
     if len(mins) != 1:
         raise SolverError(
             f"expected a unique interior minimum in (r_p, 1), found {len(mins)}"
         )
-    s_p_raw = mins[0]
-    u_min = kappa * float(traj.eval(s_p_raw)[0])
+    s_p_raw = traj.minima[mins[0]]
+    u_min = kappa * float(traj.event_states[1][mins[0], 0])
 
     keep = traj.nodes <= r2 * (1.0 + 1e-15)
     grid = np.concatenate(([0.0], traj.nodes[keep] / lam))

@@ -10,18 +10,34 @@ problem on (ln a, 0):
     -w'' + (alpha^2 - f(t)) w = beta w,     alpha = (N-2)/2,
 
 with f(t) = q(e^t) e^(2t) = f_p(e^t) and *unit* mass: the 1/|x|^2 weight is
-absorbed exactly, so a plain second-difference tridiagonal matrix on a
-uniform t grid is all that is needed.
+absorbed exactly.
 
-The log grid is also what makes large p tractable: the two bumps of f_p sit
-at radii eps_plus and eps_minus, as small as e^(-0.45 p), but have O(1) width
-in t, so a uniform t grid resolves both.
+The two bumps of f_p sit at t = ln c_p and ln d_p (radii as small as
+e^(-0.45 p)) and have O(1) width in t, while f_p is negligible on most of
+(ln a, 0) at large p. The grid is therefore graded: t = phi(s) with s
+uniform on [0, 1] and node density (nodes per unit of t)
 
-Eigenvalues come from LAPACK bisection (stebz) through SciPy, on an (M, 2M)
-grid pair combined by Richardson extrapolation (`radial_betas`). The negative
-count is taken once, by the signed LDL^T (Sturm sequence) pivot scan, and
-cross-checked against the negative bisection values on the same grid. The
-first eigenfunction (stein) is computed only on request.
+    g(t) = G_FREE + G_BUMP * sum_c sech^2((t - t_c) / BUMP_WIDTH),
+
+t_c = ln c_p, ln d_p read off the shooting events. S(t) = int g has a closed
+form (tanh), which is inverted by table lookup and Newton steps; the default
+grid has M = ceil(int g dt) interior nodes. With s_i = i k, k = 1/(M+1),
+m_i = phi'(s_i) and a = 1/phi' at the half nodes, the conservative
+second-order scheme, symmetrized by the mass weights m_i, is the tridiagonal
+
+    diag_i = (a_(i-1/2) + a_(i+1/2)) / (k^2 m_i) + alpha^2 - q_i,
+    off_i  = -a_(i+1/2) / (k^2 sqrt(m_i m_(i+1))),
+
+which for a constant phi' is the plain second difference on a uniform grid.
+
+Refinement M -> 2M+1 -> 4M+3 halves k exactly and keeps every node, so f_p is
+sampled once, on the finest grid of an annulus, and the coarser problems
+take every second node (`AnnulusEigenProblem.coarsened`). Eigenvalues come
+from LAPACK bisection (stebz) through SciPy on consecutive grids, combined by
+Richardson extrapolation (`radial_betas`). The negative count is taken once,
+by the signed LDL^T (Sturm sequence) pivot scan, and cross-checked against
+the negative bisection values on the same grid. The first eigenfunction
+(stein) is computed only on request.
 """
 
 from __future__ import annotations
@@ -34,7 +50,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .errors import BisectionError, ConfigError, SolverError
-from .profile import fp_values, scales
+from .profile import analyze_fp, fp_values, scales
 from .radial import RadialSolution
 
 __all__ = [
@@ -44,6 +60,8 @@ __all__ = [
     "MorseConfig",
     "MorseReport",
     "LedgerEntry",
+    "LogGridMap",
+    "mapped_problem",
     "build_problem",
     "count_negative",
     "weighted_radial_eigs",
@@ -56,10 +74,16 @@ __all__ = [
     "auto_grid_size",
 ]
 
-DEFAULT_GRID_SIZE = 4096
-# grid points per unit of ln r; keeps the h^2 eigenvalue error small enough
-# for the doubling-stability tolerances across the whole p sweep
-GRID_DENSITY = 320.0
+# node density of the graded log grid, in nodes per unit of t = ln r: a floor
+# G_FREE everywhere plus G_BUMP * sech^2((t - t_c) / BUMP_WIDTH) around each
+# maximizer of f_p. Sized so that the extrapolated betas agree with those of
+# a uniform grid of 320 nodes per unit of t to ~2e-8 for p from 2.5 to 760
+# (~1e-4 at p = 1.5, where |u|^(p-1) is not smooth at r_p)
+G_FREE = 3.0
+G_BUMP = 200.0
+BUMP_WIDTH = 4.0
+_NEWTON_STEPS = 3
+_TABLE_STEP = 1.0 / 16.0   # t spacing of the lookup table seeding Newton
 
 # |beta_i + lambda_k| below this is sub-discretization noise; such sums are
 # counted as nonnegative (the continuum bound beta_2 > -(N-1) settles the
@@ -67,13 +91,63 @@ GRID_DENSITY = 320.0
 LEDGER_TIE_EPS = 1e-7
 
 
+@dataclass(frozen=True)
+class LogGridMap:
+    """The graded map t = phi(s) of s in [0, 1] onto [t0, 0], t0 = ln(inner).
+
+    centres are the bump centres t_c; `total` is int g dt over [t0, 0].
+    """
+
+    inner: float
+    centres: tuple[float, ...]
+
+    @property
+    def t0(self) -> float:
+        return math.log(self.inner)
+
+    def density(self, t):
+        """g(t), nodes per unit of t."""
+        t = np.asarray(t, dtype=float)
+        return G_FREE + G_BUMP * sum(
+            1.0 / np.cosh((t - c) / BUMP_WIDTH) ** 2 for c in self.centres)
+
+    def _primitive(self, t):
+        # an antiderivative of g
+        t = np.asarray(t, dtype=float)
+        return G_FREE * t + G_BUMP * BUMP_WIDTH * sum(
+            np.tanh((t - c) / BUMP_WIDTH) for c in self.centres)
+
+    @property
+    def total(self) -> float:
+        return float(self._primitive(0.0) - self._primitive(self.t0))
+
+    def __call__(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """(phi(s), phi'(s)) for s in [0, 1]."""
+        s = np.asarray(s, dtype=float)
+        t0 = self.t0
+        table = np.linspace(t0, 0.0, max(2, math.ceil(-t0 / _TABLE_STEP) + 1))
+        G = self._primitive(table)
+        target = G[0] + s * (G[-1] - G[0])
+        t = np.interp(target, G, table)
+        for _ in range(_NEWTON_STEPS):
+            t = np.clip(t - (self._primitive(t) - target) / self.density(t), t0, 0.0)
+        return t, (G[-1] - G[0]) / self.density(t)
+
+
+def _grid_map(sol: RadialSolution, inner: float) -> LogGridMap:
+    """The graded map of the annulus (inner, 1), centred on the f_p maxima."""
+    fp = analyze_fp(sol)
+    return LogGridMap(inner=inner, centres=(math.log(fp.c_p), math.log(fp.d_p)))
+
+
 @dataclass
 class AnnulusEigenProblem:
     """Discretized radial operator on the annulus (inner, 1) in log variable.
 
-    q holds the potential samples f_p(e^t) on the interior nodes t_nodes of a
-    uniform grid on (ln inner, 0); alpha = (N-2)/2 is the symmetrization
-    shift.
+    q holds the potential samples f_p(e^t) on the interior nodes t_nodes =
+    phi(i k), k = 1/(M+1), of a mapped grid on (ln inner, 0); dt_ds holds
+    phi' on those nodes (the mass weights) and dt_ds_half on the M+1 half
+    nodes (i + 1/2) k, i = 0..M. alpha = (N-2)/2 is the symmetrization shift.
     """
 
     N: int
@@ -82,6 +156,8 @@ class AnnulusEigenProblem:
     t_nodes: np.ndarray
     q: np.ndarray
     alpha: float
+    dt_ds: np.ndarray
+    dt_ds_half: np.ndarray
 
     def __post_init__(self):
         if not (0.0 < self.inner < 1.0):
@@ -92,24 +168,52 @@ class AnnulusEigenProblem:
             raise ConfigError("potential samples must be nonnegative")
 
     @property
-    def h(self) -> float:
-        return -math.log(self.inner) / (self.M + 1)
+    def k(self) -> float:
+        """Step in the uniform variable s."""
+        return 1.0 / (self.M + 1)
 
     def diagonal(self) -> np.ndarray:
-        return 2.0 / self.h**2 + self.alpha**2 - self.q
+        a = 1.0 / self.dt_ds_half
+        return ((a[:-1] + a[1:]) / (self.k**2 * self.dt_ds)
+                + self.alpha**2 - self.q)
 
     def offdiagonal(self) -> np.ndarray:
-        return np.full(self.M - 1, -1.0 / self.h**2)
+        a = 1.0 / self.dt_ds_half
+        return -a[1:-1] / (self.k**2 * np.sqrt(self.dt_ds[:-1] * self.dt_ds[1:]))
+
+    def coarsened(self) -> AnnulusEigenProblem:
+        """The same problem on every second node: M = 2 M_c + 1 -> M_c.
+
+        The coarse half nodes are the odd fine nodes, so nothing is
+        re-evaluated.
+        """
+        if self.M % 2 == 0 or self.M < 5:
+            raise ConfigError(f"an {self.M}-node grid has no nested coarse grid")
+        return AnnulusEigenProblem(
+            N=self.N, inner=self.inner, M=(self.M - 1) // 2,
+            t_nodes=self.t_nodes[1::2], q=self.q[1::2], alpha=self.alpha,
+            dt_ds=self.dt_ds[1::2], dt_ds_half=self.dt_ds[0::2],
+        )
 
 
-def _uniform_log_grid(inner: float, M: int) -> np.ndarray:
-    t0 = math.log(inner)
-    h = -t0 / (M + 1)
-    return t0 + h * np.arange(1, M + 1)
+def mapped_problem(gmap: LogGridMap, N: int, M: int, potential) -> AnnulusEigenProblem:
+    """The annulus problem on the M-node grid of gmap.
+
+    potential(t) gives f at the nodes t; it is called once.
+    """
+    if M < 2:
+        raise ConfigError("need at least two interior grid points")
+    # nodes and half nodes interleaved: s = j / (2 (M+1)), j = 1..2M+1
+    t, dt_ds = gmap(np.arange(1, 2 * M + 2) / (2.0 * (M + 1)))
+    t_nodes = t[1::2]
+    return AnnulusEigenProblem(
+        N=N, inner=gmap.inner, M=M, t_nodes=t_nodes, q=potential(t_nodes),
+        alpha=0.5 * (N - 2), dt_ds=dt_ds[1::2], dt_ds_half=dt_ds[0::2],
+    )
 
 
 def build_problem(sol: RadialSolution, inner: float, M: int) -> AnnulusEigenProblem:
-    """Assemble the annulus eigenproblem for a computed solution.
+    """Assemble the annulus eigenproblem on the graded M-node grid.
 
     The annulus must leave the whole negative nodal region inside, hence
     inner < r_p.
@@ -118,14 +222,20 @@ def build_problem(sol: RadialSolution, inner: float, M: int) -> AnnulusEigenProb
         raise ConfigError(
             f"inner radius {inner:.3e} must lie in (0, r_p={sol.r_p:.3e})"
         )
-    if M < 2:
-        raise ConfigError("need at least two interior grid points")
-    t = _uniform_log_grid(inner, M)
-    q = fp_values(sol, np.exp(t))
-    return AnnulusEigenProblem(
-        N=sol.N, inner=inner, M=M, t_nodes=t, q=q,
-        alpha=0.5 * (sol.N - 2),
-    )
+    return mapped_problem(_grid_map(sol, inner), sol.N, M,
+                          lambda t: fp_values(sol, np.exp(t)))
+
+
+def _nested_problems(sol: RadialSolution, inner: float, M: int,
+                    levels: int) -> list[AnnulusEigenProblem]:
+    """The problems on the nested (inner, M), (inner, 2M+1), ... grids.
+
+    `levels` grids, coarsest first; f_p is sampled once, on the finest.
+    """
+    probs = [build_problem(sol, inner, (M + 1) * 2 ** (levels - 1) - 1)]
+    while len(probs) < levels:
+        probs.append(probs[-1].coarsened())
+    return probs[::-1]
 
 
 def count_negative(prob: AnnulusEigenProblem, shift: float = 0.0) -> int:
@@ -206,9 +316,11 @@ def weighted_radial_eigs(prob: AnnulusEigenProblem, k: int,
         w = v[:, 0]
         if np.sum(w) < 0:
             w = -w
-        # ||phi/|x|||^2 = omega_{N-1} * int w^2 dt  (exact in the t variable)
+        # the symmetric eigenvector is sqrt(m_i) w_i, w = r^((N-2)/2) phi, and
+        # ||phi/|x|||^2 = omega_{N-1} int w^2 dt = omega_{N-1} k sum m_i w_i^2
+        w = w / np.sqrt(prob.dt_ds)
         omega = sphere_area(prob.N)
-        w = w / math.sqrt(omega * prob.h * float(np.sum(w * w)))
+        w = w / math.sqrt(omega * prob.k * float(np.sum(prob.dt_ds * w * w)))
         phi = np.exp(-prob.alpha * prob.t_nodes) * w
         vec = (np.exp(prob.t_nodes), phi)
 
@@ -268,7 +380,7 @@ class MorseConfig:
     """Controls for the Morse index computation.
 
     inner=None selects the annulus rule min(eps_plus^2, r_p/10); M=None the
-    density-based grid size.
+    density-based grid size. M counts the interior nodes of the coarsest grid.
     """
 
     inner: float | None = None
@@ -277,7 +389,7 @@ class MorseConfig:
     def annulus(self, sol: RadialSolution) -> tuple[float, int]:
         """(inner radius, grid size) this configuration selects for sol."""
         inner = self.inner if self.inner is not None else auto_inner_radius(sol)
-        M = self.M if self.M is not None else auto_grid_size(inner)
+        M = self.M if self.M is not None else auto_grid_size(sol, inner)
         return inner, M
 
 
@@ -310,8 +422,9 @@ def auto_inner_radius(sol: RadialSolution) -> float:
     return max(min(sc.eps_plus**2, sol.r_p / 10.0), 1e-300)
 
 
-def auto_grid_size(inner: float) -> int:
-    return max(DEFAULT_GRID_SIZE, int(math.ceil(GRID_DENSITY * abs(math.log(inner)))))
+def auto_grid_size(sol: RadialSolution, inner: float) -> int:
+    """M = ceil(int g dt): about one node per unit of the grid density."""
+    return max(2, math.ceil(_grid_map(sol, inner).total))
 
 
 N_BETAS = 3  # beta_1, beta_2 enter the ledger; beta_3 >= 0 is checked
@@ -319,53 +432,50 @@ N_BETAS = 3  # beta_1, beta_2 enter the ledger; beta_3 >= 0 is checked
 
 @dataclass
 class RadialBetas:
-    """beta_1..beta_3 on the (M, 2M) grid pair of one annulus."""
+    """beta_1..beta_3 on a nested (M, 2M+1) grid pair of one annulus."""
 
     coarse: np.ndarray  # on the M-node grid
-    fine: np.ndarray    # on the 2M-node grid
+    fine: np.ndarray    # on the (2M+1)-node grid
 
     @property
     def extrapolated(self) -> np.ndarray:
         """Richardson combination (4 fine - coarse) / 3.
 
-        The second-difference scheme has an h^2 eigenvalue bias which matters
-        around the beta_2 ~ -(N-1) threshold; this combination removes it.
+        The scheme has a k^2 eigenvalue bias which matters around the
+        beta_2 ~ -(N-1) threshold; the fine grid has exactly half the step
+        k, so this combination removes it.
         """
         return (4.0 * self.fine - self.coarse) / 3.0
 
 
-def _grid_betas(sol: RadialSolution, inner: float, M: int) -> np.ndarray:
-    return weighted_radial_eigs(build_problem(sol, inner, M), N_BETAS).betas
+def _betas_ladder(probs: list[AnnulusEigenProblem]) -> list[RadialBetas]:
+    betas = [weighted_radial_eigs(prob, N_BETAS).betas for prob in probs]
+    return [RadialBetas(coarse=c, fine=f) for c, f in zip(betas, betas[1:])]
 
 
-def radial_betas(sol: RadialSolution, inner: float, M: int,
-                 coarse: np.ndarray | None = None) -> RadialBetas:
-    """beta_1..beta_3 on the (inner, M) and (inner, 2M) grids.
+def radial_betas(sol: RadialSolution, inner: float, M: int) -> RadialBetas:
+    """beta_1..beta_3 on the nested (inner, M) and (inner, 2M+1) grids."""
+    return _betas_ladder(_nested_problems(sol, inner, M, 2))[0]
 
-    coarse, when given, holds the values already computed on the (inner, M)
-    grid (the fine grid of the (inner, M/2) pair), which is then not rebuilt.
+
+def checked_radial_betas(sol: RadialSolution, inner: float, M: int,
+                         levels: int = 2) -> tuple[list[RadialBetas], int]:
+    """radial_betas on `levels` nested grids plus the negative count.
+
+    Returns the Richardson pairs of consecutive grids, (M, 2M+1) first, and
+    the negative-eigenvalue count of the (inner, M) grid: one inertia scan,
+    cross-checked against the number of negative bisection values there.
     """
-    if coarse is None:
-        coarse = _grid_betas(sol, inner, M)
-    return RadialBetas(coarse=coarse, fine=_grid_betas(sol, inner, 2 * M))
-
-
-def checked_radial_betas(sol: RadialSolution, inner: float,
-                         M: int) -> tuple[RadialBetas, int]:
-    """radial_betas plus the negative-eigenvalue count of the (inner, M) grid.
-
-    The count is one inertia scan of that grid, cross-checked against the
-    number of negative bisection values on the same grid.
-    """
-    prob = build_problem(sol, inner, M)
-    coarse = weighted_radial_eigs(prob, N_BETAS).betas
-    neg = count_negative(prob)
+    probs = _nested_problems(sol, inner, M, levels)
+    pairs = _betas_ladder(probs)
+    coarse = pairs[0].coarse
+    neg = count_negative(probs[0])
     if min(neg, N_BETAS) != int(np.sum(coarse < 0)):
         raise SolverError(
             f"inertia count {neg} disagrees with the bisection values "
             f"{coarse.tolist()} (inner={inner:.3e}, M={M})"
         )
-    return radial_betas(sol, inner, M, coarse=coarse), neg
+    return pairs, neg
 
 
 def _assemble_ledger(N: int, betas_neg: list[tuple[int, float]],
@@ -404,12 +514,13 @@ def morse_index(sol: RadialSolution, config: MorseConfig | None = None) -> Morse
     the annulus, checks that only two of them are negative, and sums the
     multiplicities of the spherical modes k with beta_i + lambda_k < 0. The
     annulus and grid follow the configured rules and the count is re-verified
-    under doubling of n (inner halved) and of M; a changed count is reported
-    (stable=False) rather than silently resolved.
+    with the annulus deepened (inner halved) and on the refined (2M+1, 4M+3)
+    pair; a changed count is reported (stable=False) rather than silently
+    resolved. f_p is sampled once per annulus, on its finest grid.
     """
     cfg = config or MorseConfig()
     inner, M = cfg.annulus(sol)
-    spec, m_rad = checked_radial_betas(sol, inner, M)
+    (spec, refined), m_rad = checked_radial_betas(sol, inner, M, levels=3)
     betas = spec.extrapolated
     if m_rad != 2:
         raise SolverError(
@@ -424,7 +535,7 @@ def morse_index(sol: RadialSolution, config: MorseConfig | None = None) -> Morse
     totals = [total]
     for check in (
         radial_betas(sol, *MorseConfig(inner=inner / 2.0, M=cfg.M).annulus(sol)),
-        radial_betas(sol, inner, 2 * M, coarse=spec.fine),
+        refined,
     ):
         b = check.extrapolated
         _, tot = _assemble_ledger(sol.N, [(1, float(b[0])), (2, float(b[1]))])

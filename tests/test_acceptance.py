@@ -33,7 +33,7 @@ from lanemorse.limits import REFERENCE_ELL, rayleigh_quotient_suite
 from lanemorse.spectral import auto_grid_size, auto_inner_radius
 
 from test_radial import bessel_j0_first_zero
-from test_spectral import homogeneous_dim_dp
+from test_spectral import homogeneous_dim_dp, lattice_annuli
 
 SWEEP = (2.0, 3.0, 5.0, 10.0, 50.0, 100.0, 200.0, 400.0)
 LADDER = (50.0, 100.0, 200.0, 400.0)
@@ -136,7 +136,7 @@ def test_criterion_radial_morse_index(nodal):
     for p in SWEEP:
         sol = nodal(p)
         inner = auto_inner_radius(sol)
-        M = auto_grid_size(inner)
+        M = auto_grid_size(sol, inner)
         counts = {
             "w": count_negative(build_problem(sol, inner, M)),
             "w2M": count_negative(build_problem(sol, inner, 2 * M)),
@@ -157,7 +157,7 @@ def test_criterion_beta2_above_minus_one(nodal):
     for p in SWEEP:
         sol = nodal(p)
         inner = auto_inner_radius(sol)
-        betas = radial_betas(sol, inner, auto_grid_size(inner)).extrapolated
+        betas = radial_betas(sol, inner, auto_grid_size(sol, inner)).extrapolated
         ok &= betas[1] > -1.0 - BETA2_DISC_TOL and betas[1] < 0.0
         rows.append(f"p={p:g}:{betas[1] + 1.0:+.1e}")
     _report(
@@ -185,7 +185,7 @@ def test_criterion_beta1_window_and_trend(nodal):
     for p in LADDER:
         sol = nodal(p)
         inner = auto_inner_radius(sol)
-        b = radial_betas(sol, inner, auto_grid_size(inner)).extrapolated
+        b = radial_betas(sol, inner, auto_grid_size(sol, inner)).extrapolated
         betas[p] = float(b[0])
     ok = all(-36.0 < betas[p] < -25.0 for p in (200.0, 400.0))
     gaps = [abs(betas[p] + 26.9) for p in LADDER]
@@ -228,7 +228,7 @@ def test_criterion_appendix_estimate(nodal):
     fparts = test_function_quotient(fspec, mode="finite_p", sol=sol)
     inner = auto_inner_radius(sol)
     beta1 = weighted_radial_eigs(
-        build_problem(sol, inner, auto_grid_size(inner)), 1, want_vector=False
+        build_problem(sol, inner, auto_grid_size(sol, inner)), 1, want_vector=False
     ).betas[0]
     upper = fparts.quotient >= beta1
     _report(
@@ -243,14 +243,12 @@ def test_criterion_property_suite(nodal):
     t0 = time.time()
     margins = rayleigh_quotient_suite(count=50)
     ok = len(margins) == 50 and min(margins) >= -1e-6
-    # domain monotonicity on nested annuli, h-matched grids
+    # domain monotonicity on nested annuli, grids on one graded lattice
     sol = nodal(5.0)
     inner0 = sol.r_p / 2.0
-    M0 = 8192
-    h = -math.log(inner0) / (M0 + 1)
     prev = None
-    for inner in (inner0, inner0 / 2.0, inner0 / 4.0, inner0 / 8.0):
-        M = int(round(-math.log(inner) / h)) - 1
+    for inner, M in lattice_annuli(sol, inner0 / 8.0, 8192, (
+            inner0, inner0 / 2.0, inner0 / 4.0, inner0 / 8.0)):
         betas = weighted_radial_eigs(build_problem(sol, inner, M), 3,
                                      want_vector=False).betas
         if prev is not None:

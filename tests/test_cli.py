@@ -162,7 +162,7 @@ def _run_cli(*args):
 def test_exit_codes_via_entry_point():
     proc = _run_cli("limit-check", "--N", "2")
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert '"schema_version": 2' in proc.stdout, proc.stderr
+    assert '"schema_version": 3' in proc.stdout, proc.stderr
     proc = _run_cli("solve", "--p", "0.5")
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     proc = _run_cli("bogus")
@@ -181,7 +181,7 @@ def test_exit_codes_via_entry_point():
 
 def test_schema_shape():
     _, text = run(parse_args(["solve", "--p", "3"]))
-    assert text.startswith('{\n  "schema_version": 2')
+    assert text.startswith('{\n  "schema_version": 3')
     for key in ('"command"', '"config"', '"results"', '"checks"'):
         assert key in text
     assert text.endswith("}\n")

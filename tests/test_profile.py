@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from lanemorse import ConfigError, UnimodalityError, analyze_fp, limit_constants, scales
+from lanemorse import (
+    ConfigError, UnimodalityError, analyze_fp, limit_constants, scales, solve_nodal,
+)
 from lanemorse import profile
 from lanemorse.limits import REFERENCE_ELL, eval_profile, LimitProfile
 from lanemorse.profile import fp_values, rescaled_potential, rescaled_profile
@@ -140,8 +142,10 @@ def test_maximizers_are_critical_points(nodal, p):
         assert abs((p - 1.0) * r * du / u + 2.0) <= 1e-10
 
 
-def test_analyze_fp_evaluates_f_p_once(nodal, monkeypatch):
-    sol = nodal(50.0)
+def test_analyze_fp_reads_maxima_off_the_events(monkeypatch):
+    # the maxima come from the event states: no f_p sampling and no dense
+    # output, and they agree with f_p evaluated through the dense output
+    sol = solve_nodal(50.0)
     calls = []
 
     def counting(s, r):
@@ -150,9 +154,10 @@ def test_analyze_fp_evaluates_f_p_once(nodal, monkeypatch):
 
     monkeypatch.setattr(profile, "fp_values", counting)
     fp = analyze_fp(sol)
-    assert calls == [2]
-    assert fp.max_plus == fp_values(sol, fp.c_p)
-    assert fp.max_minus == fp_values(sol, fp.d_p)
+    assert calls == []
+    assert sol._traj._dense is None
+    assert fp.max_plus == pytest.approx(fp_values(sol, fp.c_p), rel=1e-13)
+    assert fp.max_minus == pytest.approx(fp_values(sol, fp.d_p), rel=1e-13)
 
 
 @pytest.mark.parametrize("where", ["positive", "negative"])

@@ -181,3 +181,17 @@ def test_large_p_solve_emits_no_warning():
         warnings.simplefilter("error")
         sol = solve_nodal(400.0)
     assert abs(sol.u[-1]) < 1e-9
+
+
+@pytest.mark.parametrize("p", [2.5, 400.0])
+def test_dense_eval_matches_ode_solution(nodal, p):
+    # the stacked RK45 interpolants against SciPy's per-step OdeSolution at
+    # random points, at every step node and at both ends
+    traj = nodal(p)._traj
+    ode = traj._logsol
+    rng = np.random.default_rng(7)
+    r = np.exp(np.concatenate([rng.uniform(ode.ts[0], ode.ts[-1], 4000), ode.ts]))
+    u, du = traj.eval(r)
+    ref = ode(np.log(r))
+    assert np.allclose(u, ref[0], rtol=1e-13, atol=0)
+    assert np.allclose(du, ref[1] / r, rtol=1e-13, atol=0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
 from lanemorse import (
     ConfigError,
@@ -18,21 +19,45 @@ from lanemorse import spectral
 from lanemorse.profile import analyze_fp
 from lanemorse.spectral import (
     AnnulusEigenProblem,
+    LogGridMap,
     _assemble_ledger,
     auto_grid_size,
     auto_inner_radius,
+    mapped_problem,
     sphere_area,
 )
 
+# a graded map with two bumps, as the solution annuli have at large p
+GRADED = LogGridMap(inner=math.exp(-40.0), centres=(-30.0, -8.0))
+# beta_1..beta_3 at p = 400 (morse --p 400 --N 2 with the uniform 116811-node
+# grid pair that preceded the graded map)
+P400_BETAS = (-26.7471221471375, -1.00000000004608, 1.21926818488687e-4)
+
 
 def free_problem(N, inner, M, q=None):
-    """Annulus problem with prescribed potential (zero by default)."""
-    t0 = math.log(inner)
-    h = -t0 / (M + 1)
-    t = t0 + h * np.arange(1, M + 1)
+    """Annulus problem on a uniform grid (constant map phi' = |ln inner|)
+    with prescribed potential (zero by default)."""
+    L = -math.log(inner)
+    t = -L + L / (M + 1) * np.arange(1, M + 1)
     qq = np.zeros(M) if q is None else np.asarray(q, dtype=float)
     return AnnulusEigenProblem(N=N, inner=inner, M=M, t_nodes=t, q=qq,
-                               alpha=0.5 * (N - 2))
+                               alpha=0.5 * (N - 2), dt_ds=np.full(M, L),
+                               dt_ds_half=np.full(M + 1, L))
+
+
+def lattice_annuli(sol, inner_deep, M_deep, radii):
+    """(inner, M) pairs whose graded grids are sub-grids of the deep one.
+
+    Each inner radius is the node of the (inner_deep, M_deep) grid nearest
+    the requested radius, and M counts the deep nodes above it, so the
+    problem matrix is a principal submatrix of the deep one.
+    """
+    t = build_problem(sol, inner_deep, M_deep).t_nodes
+    out = []
+    for r in radii:
+        j = int(np.argmin(np.abs(t - math.log(r))))
+        out.append((math.exp(t[j]), M_deep - j - 1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +74,8 @@ def test_dirichlet_exact_n2():
     for j, beta in enumerate(spec.betas, start=1):
         continuum = (j * math.pi / L) ** 2
         assert abs(beta - continuum) / continuum < 1e-5
-        discrete = 2.0 / prob.h**2 * (1.0 - math.cos(j * math.pi / (M + 1)))
+        h = L / (M + 1)
+        discrete = 2.0 / h**2 * (1.0 - math.cos(j * math.pi / (M + 1)))
         assert abs(beta - discrete) < 1e-10 * discrete
 
 
@@ -64,12 +90,62 @@ def test_dirichlet_exact_n3_shift():
 
 
 def test_assembled_diagonal(nodal):
+    # the conservative scheme on the graded map ...
     sol = nodal(3.0)
     prob = build_problem(sol, 0.01, 64)
-    h = prob.h
-    expected = 2.0 / h**2 + prob.alpha**2 - prob.q
+    k = 1.0 / 65
+    m, a = prob.dt_ds, 1.0 / prob.dt_ds_half
+    expected = (a[:-1] + a[1:]) / (k**2 * m) + prob.alpha**2 - prob.q
     assert np.allclose(prob.diagonal(), expected, rtol=0, atol=0)
-    assert np.all(prob.offdiagonal() == -1.0 / h**2)
+    assert np.all(prob.offdiagonal() == -a[1:-1] / (k**2 * np.sqrt(m[:-1] * m[1:])))
+    assert np.all(np.diff(m) != 0.0)  # the map is not uniform
+    # ... whose weights are the derivative of its nodes ...
+    t = np.concatenate(([math.log(0.01)], prob.t_nodes, [0.0]))
+    assert np.allclose(np.diff(t) / k, prob.dt_ds_half, rtol=2e-3, atol=0)
+    assert np.allclose((t[2:] - t[:-2]) / (2 * k), m, rtol=2e-3, atol=0)
+    # ... and a constant map gives back the plain second difference 2/h^2
+    flat = free_problem(3, 0.01, 64)
+    h = -math.log(0.01) / 65
+    assert np.allclose(flat.diagonal(), 2.0 / h**2 + 0.25, rtol=1e-14, atol=0)
+    assert np.allclose(flat.offdiagonal(), -1.0 / h**2, rtol=1e-14, atol=0)
+
+
+def test_coarsened_grid_is_the_direct_grid():
+    # every second node of the (2M+1)-node grid is the M-node grid of the map
+    f = lambda t: 10.0 / np.cosh(t + 8.0) ** 2
+    fine = mapped_problem(GRADED, 2, 2 * 300 + 1, f)
+    coarse = fine.coarsened()
+    direct = mapped_problem(GRADED, 2, 300, f)
+    assert coarse.M == 300 and coarse.k == 2.0 * fine.k
+    for name in ("t_nodes", "q", "dt_ds", "dt_ds_half"):
+        assert np.allclose(getattr(coarse, name), getattr(direct, name),
+                           rtol=1e-13, atol=1e-13), name
+    with pytest.raises(ConfigError):
+        direct.coarsened()  # an even node count has no nested coarse grid
+
+
+def test_richardson_ratio_on_graded_map():
+    # smooth potential: the scheme's eigenvalue error is k^2, so the nested
+    # (M, 2M+1, 4M+3) differences shrink by ~4 and (4 fine - coarse)/3 holds
+    f = lambda t: 20.0 / np.cosh(t + 30.0) ** 2 + 40.0 / np.cosh((t + 8.0) / 1.5) ** 2
+    M = 200
+    b = [weighted_radial_eigs(mapped_problem(GRADED, 2, m, f), 3).betas
+         for m in (M, 2 * M + 1, 4 * M + 3)]
+    ratio = (b[0] - b[1]) / (b[1] - b[2])
+    assert np.all((3.5 <= ratio) & (ratio <= 4.5)), ratio
+
+
+def test_free_spectrum_on_graded_map():
+    # q = 0: beta_j -> (j pi / L)^2 + alpha^2 on the graded grid too
+    exact = (np.arange(1, 4) * math.pi / 40.0) ** 2 + 0.25
+    finest = mapped_problem(GRADED, 3, 4 * 400 + 3, np.zeros_like)
+    probs = [finest.coarsened().coarsened(), finest.coarsened(), finest]
+    b = [weighted_radial_eigs(prob, 3).betas for prob in probs]
+    err = [bj - exact for bj in b]
+    assert np.all(err[0] > 0) and np.all(err[0] < 1e-4 * exact)
+    ratio = err[0] / err[1], err[1] / err[2]
+    assert np.all((3.5 <= np.array(ratio)) & (np.array(ratio) <= 4.5)), ratio
+    assert np.all(np.abs((4.0 * b[2] - b[1]) / 3.0 - exact) < 1e-7 * exact)
 
 
 def test_build_problem_rejects_bad_inner(nodal):
@@ -122,7 +198,7 @@ def test_radial_counts_are_two(nodal):
     for p in (5.0, 50.0, 400.0):
         sol = nodal(p)
         inner = auto_inner_radius(sol)
-        M = auto_grid_size(inner)
+        M = auto_grid_size(sol, inner)
         assert count_negative(build_problem(sol, inner, M)) == 2
         # agreement under grid doubling
         assert count_negative(build_problem(sol, inner, 2 * M)) == 2
@@ -133,7 +209,7 @@ def test_beta2_strictly_above_threshold_small_p(nodal):
     for p, margin in ((2.0, 0.3), (3.0, 0.05), (5.0, 0.005), (10.0, 5e-5)):
         sol = nodal(p)
         inner = auto_inner_radius(sol)
-        betas = radial_betas(sol, inner, auto_grid_size(inner)).extrapolated
+        betas = radial_betas(sol, inner, auto_grid_size(sol, inner)).extrapolated
         assert betas[1] > -1.0 + margin / 2.0
         assert betas[1] < 0.0
 
@@ -141,7 +217,7 @@ def test_beta2_strictly_above_threshold_small_p(nodal):
 def test_beta1_window_p400(nodal):
     sol = nodal(400.0)
     inner = auto_inner_radius(sol)
-    betas = radial_betas(sol, inner, auto_grid_size(inner)).extrapolated
+    betas = radial_betas(sol, inner, auto_grid_size(sol, inner)).extrapolated
     assert -36.0 < betas[0] < -25.0
     assert betas[2] > 0.0
 
@@ -152,23 +228,24 @@ def test_beta1_bounded_by_sup_fp(nodal):
         sol = nodal(p)
         inner = auto_inner_radius(sol)
         spec = weighted_radial_eigs(
-            build_problem(sol, inner, auto_grid_size(inner)), 1, want_vector=False
+            build_problem(sol, inner, auto_grid_size(sol, inner)), 1, want_vector=False
         )
         assert spec.betas[0] >= -analyze_fp(sol).sup_f
 
 
 def test_domain_monotonicity_nested_annuli(nodal):
     # beta_i^n >= beta_i^(n+1): deepening the annulus lowers every eigenvalue.
-    # Grids are h-matched so the discretization bias cancels in comparisons.
+    # The inner radii sit on one graded lattice, so the grids nest and the
+    # discrete property holds exactly (Cauchy interlacing).
     sol = nodal(5.0)
     inner0 = sol.r_p / 2.0
-    M0 = 8192
-    h = -math.log(inner0) / (M0 + 1)
+    deep = build_problem(sol, inner0 / 16.0, 8192)
     prev = None
     prev_count = 0
-    for inner in (inner0, inner0 / 2.0, inner0 / 4.0, inner0 / 16.0):
-        M = int(round(-math.log(inner) / h)) - 1
+    for inner, M in lattice_annuli(sol, inner0 / 16.0, 8192, (
+            inner0, inner0 / 2.0, inner0 / 4.0, inner0 / 16.0)):
         prob = build_problem(sol, inner, M)
+        assert np.allclose(prob.t_nodes, deep.t_nodes[-M:], rtol=0, atol=1e-12)
         spec = weighted_radial_eigs(prob, 3, want_vector=False)
         neg_count = count_negative(prob)
         if prev is not None:
@@ -181,7 +258,7 @@ def test_domain_monotonicity_nested_annuli(nodal):
 def test_grid_convergence(nodal):
     sol = nodal(50.0)
     inner = auto_inner_radius(sol)
-    M = auto_grid_size(inner)
+    M = auto_grid_size(sol, inner)
     b1 = weighted_radial_eigs(build_problem(sol, inner, M), 1, want_vector=False).betas[0]
     b2 = weighted_radial_eigs(build_problem(sol, inner, 2 * M), 1, want_vector=False).betas[0]
     assert abs(b2 - b1) / abs(b1) < 1e-4
@@ -198,6 +275,15 @@ def test_first_eigenfunction_positive_and_normalized(nodal):
     integrand = phi**2 * r ** (sol.N - 3)
     norm2 = sphere_area(sol.N) * np.trapezoid(integrand, r)
     assert norm2 == pytest.approx(1.0, rel=1e-3)
+    # and of its shape: the Rayleigh quotient of w = r^alpha phi in t, by
+    # differences on the graded nodes, reproduces beta_1 (the symmetric
+    # eigenvector must be divided by sqrt(m_i) to give w)
+    t = np.concatenate(([math.log(inner)], np.log(r), [0.0]))
+    w = np.concatenate(([0.0], phi * r**prob.alpha, [0.0]))
+    q = np.concatenate(([0.0], prob.q, [0.0]))
+    energy = (np.sum(np.diff(w) ** 2 / np.diff(t))
+              + np.trapezoid((prob.alpha**2 - q) * w**2, t))
+    assert energy / np.trapezoid(w**2, t) == pytest.approx(spec.betas[0], rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +363,11 @@ def test_morse_report_moderate_p(nodal):
 
 
 def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
-    # (inner, M), (inner, 2M), (inner/2, M'), (inner/2, 2M') and (inner, 4M):
-    # the (inner, 2M) re-check reuses the 2M grid, one inertia scan, and no
-    # eigenvectors
+    # (inner, M), (inner, 2M+1), (inner, 4M+3), (inner/2, M') and
+    # (inner/2, 2M'+1): f_p sampled once per annulus, on its finest grid,
+    # one inertia scan, and no eigenvectors
     sol = nodal(5.0)
-    grids, scans, vectors = [], [], []
+    grids, samples, scans, vectors = [], [], [], []
 
     def counted(calls, fn, key=lambda *a, **kw: None):
         def wrapper(*args, **kwargs):
@@ -289,8 +375,10 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(spectral, "build_problem", counted(
-        grids, spectral.build_problem, lambda sol, inner, M: (inner, M)))
+    monkeypatch.setattr(spectral, "weighted_radial_eigs", counted(
+        grids, spectral.weighted_radial_eigs, lambda prob, k: (prob.inner, prob.M)))
+    monkeypatch.setattr(spectral, "fp_values", counted(
+        samples, spectral.fp_values, lambda sol, r: np.size(r)))
     monkeypatch.setattr(spectral, "count_negative",
                         counted(scans, spectral.count_negative))
     monkeypatch.setattr(spectral, "eigh_tridiagonal",
@@ -298,6 +386,11 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     rep = morse_index(sol)
     assert rep.stable
     assert len(grids) == 5 and len(set(grids)) == 5
+    M = rep.M
+    assert sorted(m for r, m in grids if r == rep.inner) == [M, 2 * M + 1, 4 * M + 3]
+    deeper = sorted(m for r, m in grids if r == rep.inner / 2.0)
+    assert len(deeper) == 2 and deeper[1] == 2 * deeper[0] + 1
+    assert samples == [4 * M + 3, deeper[1]]
     assert len(scans) == 1
     assert vectors == []
 
@@ -319,3 +412,26 @@ def test_morse_report_p400(nodal):
     assert -36.0 < rep.beta1 < -25.0
     assert rep.stable
     assert rep.stability_totals == (12, 12, 12)
+
+
+def test_morse_index_p400_matches_anchors(nodal):
+    rep = morse_index(nodal(400.0))
+    got = (rep.beta1, rep.beta2, rep.beta3)
+    for value, anchor, tol in zip(got, P400_BETAS, (5e-8, 5e-9, 5e-8)):
+        assert abs(value - anchor) <= tol, (value, anchor)
+    assert rep.total == 12
+    assert rep.stability_totals == (12, 12, 12)
+
+
+def test_morse_index_p400_bisects_few_rows(nodal, monkeypatch):
+    # the graded grids: the five bisections see fewer than 50k rows in all
+    # (the uniform grids of 116811 nodes passed about 1.17M)
+    rows = []
+
+    def counted(d, e, **kw):
+        rows.append(len(d))
+        return eigvalsh_tridiagonal(d, e, **kw)
+
+    monkeypatch.setattr(spectral, "eigvalsh_tridiagonal", counted)
+    assert morse_index(nodal(400.0)).total == 12
+    assert len(rows) == 5 and sum(rows) < 50_000, rows
