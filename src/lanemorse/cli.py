@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 solver failure, 2 check failure, 3 bad config.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ from .profile import analyze_fp, scales
 from .radial import solve_nodal
 from .spectral import MorseConfig, checked_radial_betas, morse_index
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -72,10 +73,14 @@ class RunConfig:
     def __post_init__(self):
         if self.command in ("solve", "spectrum", "morse", "sweep") and not self.p_list:
             raise ConfigError(f"command {self.command!r} needs at least one p value")
-        if any(p <= 1 for p in self.p_list):
-            raise ConfigError("exponents must satisfy p > 1")
-        if self.tol_shoot <= 0:
-            raise ConfigError("tolerance must be positive")
+        if not all(math.isfinite(p) and p > 1 for p in self.p_list):
+            raise ConfigError("exponents must be finite and satisfy p > 1")
+        if self.N < 2:
+            raise ConfigError(f"dimension N must be >= 2, got {self.N}")
+        if not (math.isfinite(self.tol_shoot) and self.tol_shoot > 0):
+            raise ConfigError("tolerance must be finite and positive")
+        if not math.isfinite(self.ell):
+            raise ConfigError(f"ell must be finite, got {self.ell}")
         if self.grid_M is not None and self.grid_M < 2:
             raise ConfigError("need at least two interior grid points")
         if self.inner_rule != "auto":

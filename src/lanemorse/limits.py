@@ -549,6 +549,8 @@ def _mk_check(name, anchor, value, expected, tol, relative=False) -> Check:
 
 def verification_battery(N: int = 2, ell: float = REFERENCE_ELL) -> list[Check]:
     """Run every closed-form limit check at dimension N; pure and fast."""
+    if N < 2:
+        raise ConfigError(f"dimension N must be >= 2, got {N}")
     k = limit_constants(ell)
     g, d = k.gamma, k.delta
     checks = [

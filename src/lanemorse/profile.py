@@ -133,7 +133,7 @@ def analyze_fp(sol: RadialSolution) -> FpAnalysis:
     nodal interval, so exactly one critical point per interval is its
     maximizer; any other count raises UnimodalityError. f_p is invariant
     under the shooting rescale, so its maxima are p |u|^(p-1) r^2 of the
-    unscaled event states, in log form; no dense evaluation is needed.
+    unscaled event states, in log form; the trajectory is not evaluated.
     """
     traj = sol._traj
     radii = np.asarray(traj.fp_critical) / sol.lam

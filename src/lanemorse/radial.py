@@ -14,7 +14,7 @@ Internally the integration runs in the log radius rho = ln r with state
     du/drho = w,      dw/drho = -(N-2) w - e^(2 rho) |u|^(p-1) u.
 
 This keeps the relative step size h/r bounded (_MAX_LOG_STEP), which is what
-the dense-reconstruction residual bound requires: for large p the trajectory
+the Hermite-reconstruction residual bound requires: for large p the trajectory
 spans tens of decades in r and any fixed-variable integrator would take steps
 with h/r >> 1 through the quiet stretches. The (N-1)/r origin singularity
 also disappears. Reported trajectories are always in the r variables.
@@ -95,69 +95,35 @@ class IvpConfig:
     max_zeros: int | None = 2
 
     def __post_init__(self):
-        if self.p <= 0:
-            raise ConfigError(f"exponent p must be positive, got {self.p}")
-        if self.N < 2 or int(self.N) != self.N:
+        if not (math.isfinite(self.p) and self.p > 0):
+            raise ConfigError(f"exponent p must be finite and positive, got {self.p}")
+        # negated comparisons, so that nan fails them
+        if not (self.N >= 2 and float(self.N).is_integer()):
             raise ConfigError(f"dimension N must be an integer >= 2, got {self.N}")
-        if self.r_start <= 0:
+        if not self.r_start > 0:
             raise ConfigError("r_start must be positive")
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise ConfigError("integrator tolerance rel_tol must be positive")
-        if self.r_max <= self.r_start:
-            raise ConfigError("r_max must exceed r_start")
+        if not (math.isfinite(self.r_max) and self.r_max > self.r_start):
+            raise ConfigError("r_max must be finite and exceed r_start")
         if self.max_zeros is not None and self.max_zeros < 1:
             raise ConfigError("max_zeros must be None or >= 1")
 
 
 @dataclass
-class _DenseOutput:
-    """The RK45 step interpolants of one integration, stacked into arrays.
-
-    Step j covers [ts[j], ts[j+1]] and evaluates the quartic
-    y = y_old + h * sum_k Q[:, k] x^(k+1), x = (rho - t_old) / h, with its own
-    t_old and h (the event-truncated last step keeps its full-step
-    interpolant). A point on a breakpoint takes the lower step, as SciPy's
-    OdeSolution does; points outside [ts[0], ts[-1]] take the end steps.
-    """
-
-    ts: np.ndarray      # (n + 1,) breakpoints in rho
-    t_old: np.ndarray   # (n,)
-    h: np.ndarray       # (n,)
-    y_old: np.ndarray   # (n, 2)
-    Q: np.ndarray       # (n, 2, 4)
-
-    @classmethod
-    def stack(cls, sol) -> _DenseOutput:
-        steps = sol.interpolants
-        return cls(
-            ts=np.asarray(sol.ts, dtype=float),
-            t_old=np.array([s.t_old for s in steps]),
-            h=np.array([s.h for s in steps]),
-            y_old=np.array([s.y_old for s in steps]),
-            Q=np.array([s.Q for s in steps]),
-        )
-
-    def __call__(self, rho) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
-        j = np.clip(np.searchsorted(self.ts, rho, side="left") - 1, 0, len(self.h) - 1)
-        x = (rho - self.t_old[j]) / self.h[j]
-        powers = np.cumprod(np.repeat(x[..., None], self.Q.shape[-1], axis=-1), axis=-1)
-        y = self.y_old[j] + self.h[j][..., None] * np.einsum(
-            "...ck,...k->...c", self.Q[j], powers)
-        return np.moveaxis(y, -1, 0)
-
-
-@dataclass
 class Trajectory:
-    """Integrated radial trajectory with event data and dense output.
+    """Integrated radial trajectory with event data.
 
     nodes/u/du are the accepted integration steps mapped back to the r
     variable; zeros holds (radius, direction) for each simple zero crossing
-    of u, minima the radii where u' crosses zero upward, and fp_critical the
-    radii where d ln f_p / d ln r = (p-1) r u'/u + 2 vanishes, i.e. the
-    critical points of f_p = p |u|^(p-1) r^2 (all located as events of the
-    one integration). event_states holds the states (u, r u') at those three
-    kinds of event, one (n, 2) array per kind in the same order.
+    of u, critical the radii of all zeros of u', and fp_critical the radii
+    where d ln f_p / d ln r = (p-1) r u'/u + 2 vanishes, i.e. the critical
+    points of f_p = p |u|^(p-1) r^2 (all located as events of the one
+    integration). event_states holds the states (u, r u') at those three
+    kinds of event, one (n, 2) array per kind in the same order. Between the
+    nodes the trajectory is the quintic Hermite reconstruction in rho from
+    the node states and their first two rho-derivatives, taken from the ODE:
+    eval() evaluates it and residual_sup() certifies it.
     """
 
     config: IvpConfig
@@ -165,36 +131,35 @@ class Trajectory:
     u: np.ndarray
     du: np.ndarray
     zeros: list[tuple[float, int]]
-    minima: list[float]
+    critical: list[float]
     fp_critical: list[float]
     event_states: tuple[np.ndarray, ...] = ()
-    _logsol: object = field(repr=False, default=None)
-    _dense: _DenseOutput | None = field(repr=False, default=None)
 
-    def eval(self, r):
-        """Dense evaluation (u, du) at radii r inside [r_start, nodes[-1]]."""
-        r = np.asarray(r, dtype=float)
-        if self._dense is None:  # built on first use; the solve path needs none
-            self._dense = _DenseOutput.stack(self._logsol)
-        y = self._dense(np.log(r))
-        return y[0], y[1] / r
-
-    def residual_sup(self) -> float:
-        """Sup over the trajectory of the normalized interpolated ODE residual.
-
-        Between accepted steps the states are reconstructed by quintic Hermite
-        interpolation in rho (values, first and second derivatives match at
-        both step ends), and the defect of the radial equation is normalized
-        by the largest of its three terms (floored at one), so the figure is
-        meaningful across the full dynamic range of r and u.
-        """
-        if len(self.nodes) < 2:
-            return 0.0
+    def _hermite_data(self):
+        """(rho, u, w, dw, ddw) at the nodes, w = r u', d = d/drho."""
         p, N = self.config.p, self.config.N
         rho = np.log(self.nodes)
         w = self.du * self.nodes
         dw = -(N - 2.0) * w - np.exp(2.0 * rho) * signed_power(self.u, p)
-        return _residual_sup_log((rho, self.u, w, dw), p, N)
+        return rho, self.u, w, dw, _ddw(rho, self.u, w, dw, p, N)
+
+    def eval(self, r):
+        """(u, du) at radii r in [r_start, nodes[-1]], vectorized."""
+        r = np.asarray(r, dtype=float)
+        data = self._hermite_data()
+        rho, x = data[0], np.log(r)
+        j = np.clip(np.searchsorted(rho, x, side="left") - 1, 0, len(rho) - 2)
+        u, w, _ = _hermite(data, j, (x - rho[j]) / (rho[j + 1] - rho[j]))
+        return u, w / r
+
+    def residual_sup(self) -> float:
+        """Sup over the trajectory of the normalized interpolated ODE residual.
+
+        The defect of the radial equation along the Hermite reconstruction is
+        normalized by the largest of its three terms (floored at one), so the
+        figure is meaningful across the full dynamic range of r and u.
+        """
+        return _residual_sup_log(self._hermite_data(), self.config.p, self.config.N)
 
 
 def _quintic_coeffs(th: float):
@@ -217,6 +182,28 @@ def _quintic_coeffs(th: float):
     return H, dH
 
 
+def _hermite(data, j, th):
+    """Quintic Hermite (u, w, dw/drho) at fraction th of steps j.
+
+    Values and first and second rho-derivatives match the node data at both
+    step ends; w is interpolated from its own data (w, dw, ddw).
+    """
+    rho, u, w, dw, ddw = data
+    h = rho[j + 1] - rho[j]
+    u0, u1 = u[j], u[j + 1]
+    w0, w1 = w[j], w[j + 1]
+    a0, a1 = dw[j], dw[j + 1]
+    b0, b1 = ddw[j], ddw[j + 1]
+    H, dH = _quintic_coeffs(th)
+    Pu = (H[0] * u0 + H[1] * h * w0 + H[2] * h * h * a0
+          + H[3] * u1 + H[4] * h * w1 + H[5] * h * h * a1)
+    Pw = (H[0] * w0 + H[1] * h * a0 + H[2] * h * h * b0
+          + H[3] * w1 + H[4] * h * a1 + H[5] * h * h * b1)
+    dPw = (dH[0] * w0 + dH[1] * h * a0 + dH[2] * h * h * b0
+           + dH[3] * w1 + dH[4] * h * a1 + dH[5] * h * h * b1) / h
+    return Pu, Pw, dPw
+
+
 def _residual_sup_log(data, p: float, N: int) -> float:
     """Normalized defect of the r-form equation sampled inside every step.
 
@@ -225,31 +212,15 @@ def _residual_sup_log(data, p: float, N: int) -> float:
     step, the startup step) only amplifies float rounding of data that
     already satisfies the equation to machine precision at both ends.
     """
-    rho, u, w, dw = data
-    keep = np.diff(rho) > 1e-3
-    if not np.any(keep):
+    rho = data[0]
+    j = np.flatnonzero(np.diff(rho) > 1e-3)
+    if len(j) == 0:
         return 0.0
-    idx = np.where(keep)[0]
-    h = np.diff(rho)[idx]
-    rho = rho[:-1][idx]  # left endpoints of sampled steps
-    u0, u1 = u[:-1][idx], u[1:][idx]
-    w0, w1 = w[:-1][idx], w[1:][idx]
-    a0, a1 = dw[:-1][idx], dw[1:][idx]
-    # second derivative of u in rho is dw/drho of the first-order system
-    # w interpolated from its own Hermite data (w, dw, ddw)
-    ddw0 = _ddw(rho, u0, w0, a0, p, N)
-    ddw1 = _ddw(rho + h, u1, w1, a1, p, N)
+    h = rho[j + 1] - rho[j]
     worst = 0.0
     for th in _RESIDUAL_THETAS:
-        H, dH = _quintic_coeffs(th)
-        rho_s = rho + th * h
-        r = np.exp(rho_s)
-        Pu = (H[0] * u0 + H[1] * h * w0 + H[2] * h * h * a0
-              + H[3] * u1 + H[4] * h * w1 + H[5] * h * h * a1)
-        Pw = (H[0] * w0 + H[1] * h * a0 + H[2] * h * h * ddw0
-              + H[3] * w1 + H[4] * h * a1 + H[5] * h * h * ddw1)
-        dPw = (dH[0] * w0 + dH[1] * h * a0 + dH[2] * h * h * ddw0
-               + dH[3] * w1 + dH[4] * h * a1 + dH[5] * h * h * ddw1) / h
+        Pu, Pw, dPw = _hermite(data, j, th)
+        r = np.exp(rho[j] + th * h)
         with np.errstate(over="ignore", under="ignore"):
             r2 = r * r
             term_dd = -(dPw - Pw) / r2          # -u''
@@ -287,10 +258,7 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
         # zero data propagates to the zero solution; nothing to integrate
         nodes = np.array([cfg.r_start, cfg.r_max])
         zero = np.zeros(2)
-        dense = _DenseOutput(ts=np.array([rho0, rho1]), t_old=np.array([rho0]),
-                             h=np.array([rho1 - rho0]), y_old=np.zeros((1, 2)),
-                             Q=np.zeros((1, 2, 4)))
-        return Trajectory(cfg, nodes, zero, zero.copy(), [], [], [], _dense=dense)
+        return Trajectory(cfg, nodes, zero, zero.copy(), [], [], [])
 
     def rhs(rho, y):
         u, w = float(y[0]), float(y[1])
@@ -303,10 +271,8 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
     if cfg.max_zeros is not None:
         zero_ev.terminal = cfg.max_zeros
 
-    def min_ev(rho, y):
+    def crit_ev(rho, y):
         return y[1]
-
-    min_ev.direction = 1.0
 
     def fp_crit_ev(rho, y):
         # u * d ln f_p / d rho; at a zero of u it equals (p-1) w != 0
@@ -328,8 +294,7 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
             rtol=cfg.rel_tol,
             atol=_ABS_TOL,
             max_step=_MAX_LOG_STEP,
-            dense_output=True,
-            events=(zero_ev, min_ev, fp_crit_ev),
+            events=(zero_ev, crit_ev, fp_crit_ev),
         )
     if sol.status == -1:
         raise StiffnessError(f"integration failed at r={math.exp(sol.t[-1]):.3e}: {sol.message}")
@@ -345,10 +310,10 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
                 f"degenerate zero at r={r_z:.6e}: |u| and |u'| both below tolerance"
             )
         zeros.append((r_z, 1 if w_z > 0 else -1))
-    minima = [math.exp(rho_m) for rho_m in sol.t_events[1]]
+    critical = [math.exp(rho_c) for rho_c in sol.t_events[1]]
     fp_critical = [math.exp(rho_c) for rho_c in sol.t_events[2]]
-    return Trajectory(cfg, nodes, u, du, zeros, minima, fp_critical,
-                      event_states=tuple(sol.y_events), _logsol=sol.sol)
+    return Trajectory(cfg, nodes, u, du, zeros, critical, fp_critical,
+                      event_states=tuple(sol.y_events))
 
 
 @dataclass
@@ -357,8 +322,8 @@ class RadialSolution:
 
     u0 is the value at the origin (also the sup norm), r_p the interior nodal
     radius, s_p the radius of the unique negative minimum, u_min = u(s_p).
-    eval() provides dense off-grid evaluation through the underlying
-    trajectory, with the origin Taylor model below the integration start.
+    eval() evaluates the trajectory's Hermite reconstruction off the grid,
+    with the origin Taylor model below the integration start.
     """
 
     p: float
@@ -468,12 +433,12 @@ def solve_nodal(
     lam = r2
     kappa = math.exp(2.0 / (p - 1.0) * math.log(lam))
 
-    mins = [j for j, m in enumerate(traj.minima) if r1 < m < r2]
+    mins = [j for j, m in enumerate(traj.critical) if r1 < m < r2]
     if len(mins) != 1:
         raise SolverError(
-            f"expected a unique interior minimum in (r_p, 1), found {len(mins)}"
+            f"expected a unique critical point in (r_p, 1), found {len(mins)}"
         )
-    s_p_raw = traj.minima[mins[0]]
+    s_p_raw = traj.critical[mins[0]]
     u_min = kappa * float(traj.event_states[1][mins[0], 0])
 
     keep = traj.nodes <= r2 * (1.0 + 1e-15)

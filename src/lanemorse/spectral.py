@@ -516,7 +516,9 @@ def morse_index(sol: RadialSolution, config: MorseConfig | None = None) -> Morse
     annulus and grid follow the configured rules and the count is re-verified
     with the annulus deepened (inner halved) and on the refined (2M+1, 4M+3)
     pair; a changed count is reported (stable=False) rather than silently
-    resolved. f_p is sampled once per annulus, on its finest grid.
+    resolved. f_p is sampled once per annulus, on its finest grid. The k = 1
+    row of the ledger must match the Sturm count of the zeros of u' in
+    (0, 1), else SolverError.
     """
     cfg = config or MorseConfig()
     inner, M = cfg.annulus(sol)
@@ -531,6 +533,16 @@ def morse_index(sol: RadialSolution, config: MorseConfig | None = None) -> Morse
         raise SolverError(f"third radial eigenvalue is negative: {betas[2]:.3e}")
 
     ledger, total = _assemble_ledger(sol.N, [(1, float(betas[0])), (2, float(betas[1]))])
+    # u' solves the k = 1 mode equation and is regular at 0, so by Sturm
+    # oscillation the k = 1 operator has one negative eigenvalue per zero of
+    # u' in (0, 1): an exact count for the beta_2 + (N-1) tie
+    k1 = sum(e.contributes for e in ledger if e.k == 1)
+    du_zeros = sum(r < sol.lam for r in sol._traj.critical)
+    if k1 != du_zeros:
+        raise SolverError(
+            f"ledger has {k1} contributing k=1 entries but u' has {du_zeros} "
+            f"zeros in (0, 1) (Sturm count)"
+        )
 
     totals = [total]
     for check in (

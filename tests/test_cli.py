@@ -45,7 +45,17 @@ def test_bad_config_rejected():
                  ["solve", "--p", "5", "--grid-M", "512"],
                  ["limit-check", "--tol-shoot", "1e-9"],
                  ["spectrum", "--p", "5", "--grid-M", "0"],
-                 ["sweep", "--p", "5", "--inner-rule", "abc"]):
+                 ["sweep", "--p", "5", "--inner-rule", "abc"],
+                 # non-finite numbers and dimensions below 2, on every command
+                 ["solve", "--p", "nan"],
+                 ["solve", "--p", "inf"],
+                 ["solve", "--p", "1e400"],
+                 ["sweep", "--p", "5,nan"],
+                 ["limit-check", "--N", "1"],
+                 ["limit-check", "--N", "0"],
+                 ["morse", "--p", "5", "--N", "1"],
+                 ["solve", "--p", "5", "--tol-shoot", "nan"],
+                 ["limit-check", "--ell", "nan"]):
         assert main(argv) == EXIT_CONFIG, argv
 
 
@@ -162,7 +172,7 @@ def _run_cli(*args):
 def test_exit_codes_via_entry_point():
     proc = _run_cli("limit-check", "--N", "2")
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert '"schema_version": 3' in proc.stdout, proc.stderr
+    assert '"schema_version": 4' in proc.stdout, proc.stderr
     proc = _run_cli("solve", "--p", "0.5")
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     proc = _run_cli("bogus")
@@ -181,7 +191,7 @@ def test_exit_codes_via_entry_point():
 
 def test_schema_shape():
     _, text = run(parse_args(["solve", "--p", "3"]))
-    assert text.startswith('{\n  "schema_version": 3')
+    assert text.startswith('{\n  "schema_version": 4')
     for key in ('"command"', '"config"', '"results"', '"checks"'):
         assert key in text
     assert text.endswith("}\n")

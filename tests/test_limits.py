@@ -255,3 +255,10 @@ def test_verification_battery_passes():
         checks = verification_battery(N=N)
         failed = [c.name for c in checks if not c.passed]
         assert failed == []
+
+
+@pytest.mark.parametrize("N", [0, 1])
+def test_verification_battery_rejects_low_dimension(N):
+    # N = 1 used to divide by zero in the eta_1 decay checks
+    with pytest.raises(ConfigError, match="N must be >= 2"):
+        verification_battery(N=N)

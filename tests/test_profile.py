@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from lanemorse import (
-    ConfigError, UnimodalityError, analyze_fp, limit_constants, scales, solve_nodal,
+    ConfigError, Trajectory, UnimodalityError, analyze_fp, limit_constants, scales,
+    solve_nodal,
 )
 from lanemorse import profile
 from lanemorse.limits import REFERENCE_ELL, eval_profile, LimitProfile
@@ -143,19 +144,26 @@ def test_maximizers_are_critical_points(nodal, p):
 
 
 def test_analyze_fp_reads_maxima_off_the_events(monkeypatch):
-    # the maxima come from the event states: no f_p sampling and no dense
-    # output, and they agree with f_p evaluated through the dense output
+    # the maxima come from the event states: no f_p sampling and no
+    # evaluation of the trajectory, and they agree with f_p evaluated
+    # through the Hermite reconstruction
     sol = solve_nodal(50.0)
-    calls = []
+    calls, evals = [], []
 
     def counting(s, r):
         calls.append(np.size(r))
         return fp_values(s, r)
 
+    def counting_eval(traj, r):
+        evals.append(np.size(r))
+        return real_eval(traj, r)
+
+    real_eval = Trajectory.eval
     monkeypatch.setattr(profile, "fp_values", counting)
+    monkeypatch.setattr(Trajectory, "eval", counting_eval)
     fp = analyze_fp(sol)
-    assert calls == []
-    assert sol._traj._dense is None
+    monkeypatch.undo()
+    assert calls == [] and evals == []
     assert fp.max_plus == pytest.approx(fp_values(sol, fp.c_p), rel=1e-13)
     assert fp.max_minus == pytest.approx(fp_values(sol, fp.d_p), rel=1e-13)
 

@@ -1,12 +1,14 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from lanemorse import ConfigError, IvpConfig, integrate_ivp, solve_nodal
-from lanemorse.radial import signed_power
+from lanemorse.radial import _MAX_LOG_STEP, signed_power
 
 
 def bessel_j0_first_zero():
@@ -81,6 +83,12 @@ def test_signed_power_monotone(a, b, p):
     "kw",
     [
         dict(p=0.0, N=2, a=1.0),
+        dict(p=float("nan"), N=2, a=1.0),
+        dict(p=float("inf"), N=2, a=1.0),
+        dict(p=3.0, N=float("nan"), a=1.0),
+        dict(p=3.0, N=2, a=1.0, r_max=float("nan")),
+        dict(p=3.0, N=2, a=1.0, r_max=float("inf")),
+        dict(p=3.0, N=2, a=1.0, rel_tol=float("nan")),
         dict(p=3.0, N=1, a=1.0),
         dict(p=3.0, N=2, a=1.0, r_start=-1.0),
         dict(p=3.0, N=2, a=1.0, r_max=1e-7),
@@ -185,13 +193,26 @@ def test_large_p_solve_emits_no_warning():
 
 @pytest.mark.parametrize("p", [2.5, 400.0])
 def test_dense_eval_matches_ode_solution(nodal, p):
-    # the stacked RK45 interpolants against SciPy's per-step OdeSolution at
-    # random points, at every step node and at both ends
+    # the Hermite reconstruction against an independent DOP853 solution of
+    # the same log-form IVP from the first node, at random points, at every
+    # step node and at both ends; at the nodes it returns the node states
     traj = nodal(p)._traj
-    ode = traj._logsol
+    N = traj.config.N
+    ts = np.log(traj.nodes)
     rng = np.random.default_rng(7)
-    r = np.exp(np.concatenate([rng.uniform(ode.ts[0], ode.ts[-1], 4000), ode.ts]))
+    rho = np.sort(np.concatenate([rng.uniform(ts[0], ts[-1], 4000), ts]))
+
+    def rhs(t, y):
+        return (y[1], -(N - 2.0) * y[1] - math.exp(2.0 * t) * signed_power(y[0], p))
+
+    y0 = (traj.u[0], traj.du[0] * traj.nodes[0])
+    with np.errstate(over="ignore"):  # the initial-step probe at large p
+        ref = solve_ivp(rhs, (ts[0], ts[-1]), y0, method="DOP853", rtol=2.3e-14,
+                        atol=1e-16, max_step=_MAX_LOG_STEP, t_eval=rho)
+    assert ref.success
+    r = np.exp(rho)
     u, du = traj.eval(r)
-    ref = ode(np.log(r))
-    assert np.allclose(u, ref[0], rtol=1e-13, atol=0)
-    assert np.allclose(du, ref[1] / r, rtol=1e-13, atol=0)
+    assert np.max(np.abs(u - ref.y[0])) <= 1e-11
+    assert np.max(np.abs(r * du - ref.y[1])) <= 2e-11
+    u_n, du_n = traj.eval(traj.nodes)
+    assert np.array_equal(u_n, traj.u) and np.array_equal(du_n, traj.du)

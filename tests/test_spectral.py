@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from lanemorse import (
     ConfigError,
+    SolverError,
     build_problem,
     count_negative,
     morse_index,
@@ -435,3 +437,25 @@ def test_morse_index_p400_bisects_few_rows(nodal, monkeypatch):
     monkeypatch.setattr(spectral, "eigvalsh_tridiagonal", counted)
     assert morse_index(nodal(400.0)).total == 12
     assert len(rows) == 5 and sum(rows) < 50_000, rows
+
+
+@pytest.mark.parametrize("p, N", [(1.5, 2), (8.0, 2), (400.0, 2), (4.9, 3), (2.9, 4)])
+def test_k1_ledger_row_is_the_sturm_count(nodal, p, N):
+    # u' vanishes once in (0, 1), at s_p, so exactly one k = 1 pair
+    # contributes, whichever side of the tie window beta_2 + (N-1) falls
+    sol = nodal(p, N)
+    assert [r / sol.lam for r in sol._traj.critical] == pytest.approx([sol.s_p], rel=1e-15)
+    rep = morse_index(sol)
+    assert [e.i for e in rep.ledger if e.k == 1 and e.contributes] == [1]
+
+
+@pytest.mark.parametrize("edit", ["extra", "missing"])
+def test_morse_index_rejects_a_wrong_sturm_count(nodal, edit):
+    sol = nodal(50.0)
+    traj = sol._traj
+    critical = ([0.5 * traj.zeros[0][0]] + traj.critical if edit == "extra"
+                else [r for r in traj.critical if r > sol.lam])
+    bad = dataclasses.replace(sol, _traj=dataclasses.replace(traj, critical=critical))
+    count = 2 if edit == "extra" else 0
+    with pytest.raises(SolverError, match=f"1 contributing k=1 entries but u' has {count} zeros"):
+        morse_index(bad)
