@@ -39,14 +39,12 @@ from .radial import IvpConfig, RadialSolution, Trajectory, integrate_ivp, solve_
 from .spectral import (
     AnnulusEigenProblem,
     LedgerEntry,
-    MorseConfig,
     MorseReport,
-    RadialBetas,
-    RadialSpectrum,
+    annulus_betas,
     build_problem,
     count_negative,
     morse_index,
-    radial_betas,
+    richardson,
     sphere_spectrum,
     weighted_radial_eigs,
 )
@@ -61,9 +59,9 @@ __all__ = [
     "Scales", "FpAnalysis", "scales", "rescaled_profile", "rescaled_potential",
     "fp_values", "analyze_fp",
     # spectral
-    "AnnulusEigenProblem", "RadialSpectrum", "RadialBetas", "MorseConfig",
-    "MorseReport", "LedgerEntry", "build_problem", "count_negative",
-    "weighted_radial_eigs", "radial_betas", "sphere_spectrum", "morse_index",
+    "AnnulusEigenProblem", "MorseReport", "LedgerEntry", "build_problem",
+    "count_negative", "weighted_radial_eigs", "annulus_betas", "richardson",
+    "sphere_spectrum", "morse_index",
     # limits
     "REFERENCE_ELL", "LimitConstants", "LimitProfile", "TestFunctionSpec",
     "QuotientParts", "Check", "limit_constants", "eval_profile",

@@ -20,7 +20,7 @@ from .errors import CheckError, ConfigError, LaneMorseError
 from .limits import REFERENCE_ELL, limit_constants, verification_battery
 from .profile import analyze_fp, scales
 from .radial import solve_nodal
-from .spectral import MorseConfig, checked_radial_betas, morse_index
+from .spectral import annulus, annulus_betas, morse_index, richardson
 
 SCHEMA_VERSION = 4
 
@@ -69,6 +69,7 @@ class RunConfig:
     ell: float = REFERENCE_ELL
     fmt: str = "json"
     out: str | None = None
+    inner: float | None = field(default=None, init=False)  # parsed inner_rule
 
     def __post_init__(self):
         if self.command in ("solve", "spectrum", "morse", "sweep") and not self.p_list:
@@ -85,20 +86,15 @@ class RunConfig:
             raise ConfigError("need at least two interior grid points")
         if self.inner_rule != "auto":
             try:
-                inner = float(self.inner_rule)
+                self.inner = float(self.inner_rule)
             except ValueError as exc:
                 raise ConfigError(f"bad --inner-rule {self.inner_rule!r}") from exc
-            if not (0.0 < inner < 1.0):
+            if not (0.0 < self.inner < 1.0):
                 raise ConfigError("explicit inner radius must lie in (0, 1)")
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.fmt!r}")
         if self.fmt == "csv" and self.command != "sweep":
             raise ConfigError("csv output is only defined for sweep")
-
-    def morse_config(self) -> MorseConfig:
-        """Annulus and grid selection shared by spectrum, morse and sweep."""
-        inner = None if self.inner_rule == "auto" else float(self.inner_rule)
-        return MorseConfig(inner=inner, M=self.grid_M)
 
 
 def format_float(x: float) -> str:
@@ -160,21 +156,20 @@ def _solution_record(sol, cfg: RunConfig) -> dict:
 
 
 def _spectrum_record(sol, cfg: RunConfig) -> dict:
-    inner, M = cfg.morse_config().annulus(sol)
-    (spec,), neg_count = checked_radial_betas(sol, inner, M)
+    inner, M = annulus(sol, cfg.inner, cfg.grid_M)
+    (coarse, fine), neg_count = annulus_betas(sol, inner, M)
     return {
         "p": sol.p, "N": sol.N, "inner": inner, "M": M,
-        "betas": [float(b) for b in spec.extrapolated],
-        "betas_raw": [float(b) for b in spec.coarse],
-        "refinement_delta": [float(b2 - b1) for b1, b2
-                             in zip(spec.coarse, spec.fine)],
+        "betas": [float(b) for b in richardson(coarse, fine)],
+        "betas_raw": [float(b) for b in coarse],
+        "refinement_delta": [float(b2 - b1) for b1, b2 in zip(coarse, fine)],
         "neg_count": neg_count,
         "anchors": {k: ANCHORS[k] for k in ("betas", "neg_count")},
     }
 
 
 def _morse_record(sol, cfg: RunConfig) -> dict:
-    rep = morse_index(sol, cfg.morse_config())
+    rep = morse_index(sol, cfg.inner, cfg.grid_M)
     return {
         "p": rep.p, "N": rep.N,
         "beta1": rep.beta1, "beta2": rep.beta2, "beta3": rep.beta3,
@@ -201,7 +196,7 @@ def _sweep_row(p: float, cfg: RunConfig) -> dict:
         sol = solve_nodal(p, N=cfg.N, tol=cfg.tol_shoot)
         sc = scales(sol)
         fp = analyze_fp(sol)
-        rep = morse_index(sol, cfg.morse_config())
+        rep = morse_index(sol, cfg.inner, cfg.grid_M)
         row = {
             "p": p, "u0": sol.u0, "r_p": sol.r_p, "s_p": sol.s_p,
             "eps_plus": sc.eps_plus, "eps_minus": sc.eps_minus,
@@ -322,6 +317,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_args(argv)
         code, text = run(config)
+        if config.out:
+            _write_out(config.out, text)
+        else:
+            sys.stdout.write(text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -333,13 +332,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SOLVER
     except SystemExit as exc:  # argparse errors
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
+
+
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {path!r}: {exc.strerror or exc}") from exc
 
 
 if __name__ == "__main__":

@@ -62,6 +62,16 @@ __all__ = [
 # is fed in as configuration and cross-checked against the solver estimate
 REFERENCE_ELL = 7.1979
 
+# ell range of the singular-profile arithmetic. gamma = sqrt(2 ell^2 + 4) - 2
+# is formed by cancellation, with relative error about 4e-16 / ell^2 (4e-4 at
+# ELL_MIN; it rounds to 0 below ell ~ 1.5e-8); the Z_ell mass tail needs
+# 1e3^sqrt(2 ell^2 + 4), which leaves the float64 range above ell ~ 72.6
+ELL_MIN = 1e-6
+ELL_MAX = 70.0
+# the exact eta_1 tails carry (N (N-2))^((N+4)/2), which leaves the float64
+# range at N = 140
+MAX_LIMIT_N = 139
+
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
 
 
@@ -85,8 +95,8 @@ def limit_constants(ell: float = REFERENCE_ELL) -> LimitConstants:
     s^(gamma+1) endpoint into a linear one. (Algebraically H = -gamma; the
     quadrature route keeps this an independent check.)
     """
-    if ell <= 0:
-        raise ConfigError("ell must be positive")
+    if not (ELL_MIN <= ell <= ELL_MAX):
+        raise ConfigError(f"ell must lie in [{ELL_MIN:g}, {ELL_MAX:g}], got {ell:g}")
     gamma = math.sqrt(2.0 * ell * ell + 4.0) - 2.0
     delta = ((gamma + 4.0) / gamma) ** (1.0 / (gamma + 2.0)) * ell
     ex = 2.0 / (gamma + 2.0)
@@ -551,6 +561,9 @@ def verification_battery(N: int = 2, ell: float = REFERENCE_ELL) -> list[Check]:
     """Run every closed-form limit check at dimension N; pure and fast."""
     if N < 2:
         raise ConfigError(f"dimension N must be >= 2, got {N}")
+    if N > MAX_LIMIT_N:
+        raise ConfigError(
+            f"dimension N must be <= {MAX_LIMIT_N} for the limit checks, got {N}")
     k = limit_constants(ell)
     g, d = k.gamma, k.delta
     checks = [

@@ -26,6 +26,7 @@ neither overflows nor loses the sign for p up to ~10^3.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -389,6 +390,7 @@ class RadialSolution:
 
 
 _LN_RMAX_CAP = 345.0  # keep r^2 representable in float64
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def solve_nodal(
@@ -431,7 +433,14 @@ def solve_nodal(
     if not (d1 < 0 < d2):
         raise SolverError(f"unexpected crossing directions at p={p}: {traj.zeros}")
     lam = r2
-    kappa = math.exp(2.0 / (p - 1.0) * math.log(lam))
+    ln_kappa = 2.0 / (p - 1.0) * math.log(lam)
+    if ln_kappa > _LN_FLOAT_MAX:
+        raise ConfigError(
+            f"p={p} is too close to 1: u(0) = R2^(2/(p-1)) = exp({ln_kappa:.4g}) "
+            f"overflows float64; N={N} needs p > "
+            f"{1.0 + 2.0 * math.log(lam) / _LN_FLOAT_MAX:.6g}"
+        )
+    kappa = math.exp(ln_kappa)
 
     mins = [j for j, m in enumerate(traj.critical) if r1 < m < r2]
     if len(mins) != 1:

@@ -34,10 +34,11 @@ Refinement M -> 2M+1 -> 4M+3 halves k exactly and keeps every node, so f_p is
 sampled once, on the finest grid of an annulus, and the coarser problems
 take every second node (`AnnulusEigenProblem.coarsened`). Eigenvalues come
 from LAPACK bisection (stebz) through SciPy on consecutive grids, combined by
-Richardson extrapolation (`radial_betas`). The negative count is taken once,
-by the signed LDL^T (Sturm sequence) pivot scan, and cross-checked against
-the negative bisection values on the same grid. The first eigenfunction
-(stein) is computed only on request.
+Richardson extrapolation (`richardson`); `annulus_betas` is the one ladder
+every command goes through. The negative count is taken once per annulus, on
+its coarsest grid, by the signed LDL^T (Sturm sequence) pivot scan, and
+cross-checked against the negative bisection values on the same grid. The
+first eigenfunction (stein) has its own entry point, `first_eigenfunction`.
 """
 
 from __future__ import annotations
@@ -55,9 +56,6 @@ from .radial import RadialSolution
 
 __all__ = [
     "AnnulusEigenProblem",
-    "RadialSpectrum",
-    "RadialBetas",
-    "MorseConfig",
     "MorseReport",
     "LedgerEntry",
     "LogGridMap",
@@ -65,8 +63,10 @@ __all__ = [
     "build_problem",
     "count_negative",
     "weighted_radial_eigs",
-    "radial_betas",
-    "checked_radial_betas",
+    "first_eigenfunction",
+    "richardson",
+    "annulus",
+    "annulus_betas",
     "sphere_spectrum",
     "sphere_mode_multiplicity",
     "morse_index",
@@ -201,8 +201,6 @@ def mapped_problem(gmap: LogGridMap, N: int, M: int, potential) -> AnnulusEigenP
 
     potential(t) gives f at the nodes t; it is called once.
     """
-    if M < 2:
-        raise ConfigError("need at least two interior grid points")
     # nodes and half nodes interleaved: s = j / (2 (M+1)), j = 1..2M+1
     t, dt_ds = gmap(np.arange(1, 2 * M + 2) / (2.0 * (M + 1)))
     t_nodes = t[1::2]
@@ -224,18 +222,6 @@ def build_problem(sol: RadialSolution, inner: float, M: int) -> AnnulusEigenProb
         )
     return mapped_problem(_grid_map(sol, inner), sol.N, M,
                           lambda t: fp_values(sol, np.exp(t)))
-
-
-def _nested_problems(sol: RadialSolution, inner: float, M: int,
-                    levels: int) -> list[AnnulusEigenProblem]:
-    """The problems on the nested (inner, M), (inner, 2M+1), ... grids.
-
-    `levels` grids, coarsest first; f_p is sampled once, on the finest.
-    """
-    probs = [build_problem(sol, inner, (M + 1) * 2 ** (levels - 1) - 1)]
-    while len(probs) < levels:
-        probs.append(probs[-1].coarsened())
-    return probs[::-1]
 
 
 def count_negative(prob: AnnulusEigenProblem, shift: float = 0.0) -> int:
@@ -277,59 +263,40 @@ def _ldl_negative_pivots(diag: np.ndarray, off: np.ndarray) -> int | None:
     return count
 
 
-@dataclass
-class RadialSpectrum:
-    """Lowest weighted radial eigenvalues on one annulus."""
-
-    betas: np.ndarray
-    eigvec_1: tuple[np.ndarray, np.ndarray] | None = None  # (radii, phi samples)
-    inner: float = 0.0
-    M: int = 0
-
-    def __post_init__(self):
-        if np.any(np.diff(self.betas) < 0):
-            raise SolverError("eigenvalues not returned in ascending order")
-
-
-def weighted_radial_eigs(prob: AnnulusEigenProblem, k: int,
-                         want_vector: bool = False) -> RadialSpectrum:
-    """k smallest eigenvalues of the weighted problem by Sturm bisection.
-
-    The first eigenfunction, when requested, is recovered by inverse
-    iteration, sign-fixed positive and normalized so that the weighted norm
-    ||phi/|x| ||_{L^2(A)} equals one.
-    """
+def weighted_radial_eigs(prob: AnnulusEigenProblem, k: int) -> np.ndarray:
+    """k smallest eigenvalues of the weighted problem by Sturm bisection."""
     if k < 1 or k > prob.M:
         raise ConfigError(f"requested {k} eigenvalues from an {prob.M}-point grid")
-    d, e = prob.diagonal(), prob.offdiagonal()
     try:
         betas = eigvalsh_tridiagonal(
-            d, e, select="i", select_range=(0, k - 1),
-            lapack_driver="stebz", tol=1e-14,
+            prob.diagonal(), prob.offdiagonal(), select="i",
+            select_range=(0, k - 1), lapack_driver="stebz", tol=1e-14,
         )
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise BisectionError(f"tridiagonal bisection failed: {exc}") from exc
+    if np.any(np.diff(betas) < 0):
+        raise SolverError("eigenvalues not returned in ascending order")
+    return betas
 
-    vec = None
-    if want_vector:
-        _, v = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-        w = v[:, 0]
-        if np.sum(w) < 0:
-            w = -w
-        # the symmetric eigenvector is sqrt(m_i) w_i, w = r^((N-2)/2) phi, and
-        # ||phi/|x|||^2 = omega_{N-1} int w^2 dt = omega_{N-1} k sum m_i w_i^2
-        w = w / np.sqrt(prob.dt_ds)
-        omega = sphere_area(prob.N)
-        w = w / math.sqrt(omega * prob.k * float(np.sum(prob.dt_ds * w * w)))
-        phi = np.exp(-prob.alpha * prob.t_nodes) * w
-        vec = (np.exp(prob.t_nodes), phi)
 
-    return RadialSpectrum(
-        betas=betas,
-        eigvec_1=vec,
-        inner=prob.inner,
-        M=prob.M,
-    )
+def first_eigenfunction(prob: AnnulusEigenProblem) -> tuple[np.ndarray, np.ndarray]:
+    """(radii, phi samples) of the first eigenfunction on the grid nodes.
+
+    Recovered by inverse iteration, sign-fixed positive and normalized so
+    that the weighted norm ||phi/|x| ||_{L^2(A)} equals one.
+    """
+    _, v = eigh_tridiagonal(prob.diagonal(), prob.offdiagonal(),
+                            select="i", select_range=(0, 0))
+    w = v[:, 0]
+    if np.sum(w) < 0:
+        w = -w
+    # the symmetric eigenvector is sqrt(m_i) w_i, w = r^((N-2)/2) phi, and
+    # ||phi/|x|||^2 = omega_{N-1} int w^2 dt = omega_{N-1} k sum m_i w_i^2
+    w = w / np.sqrt(prob.dt_ds)
+    omega = sphere_area(prob.N)
+    w = w / math.sqrt(omega * prob.k * float(np.sum(prob.dt_ds * w * w)))
+    phi = np.exp(-prob.alpha * prob.t_nodes) * w
+    return np.exp(prob.t_nodes), phi
 
 
 def sphere_area(N: int) -> float:
@@ -342,6 +309,11 @@ def _homogeneous_dim(N: int, h: int) -> int:
     if h < 0:
         return 0
     return math.comb(N - 1 + h, N - 1)
+
+
+def _sphere_eigenvalue(N: int, k: int) -> int:
+    # lambda_k = k (k + N - 2), the k-th Laplace-Beltrami eigenvalue on S^(N-1)
+    return k * (k + N - 2)
 
 
 def sphere_mode_multiplicity(N: int, k: int) -> int:
@@ -359,7 +331,8 @@ def sphere_spectrum(N: int, k_max: int) -> list[tuple[int, int]]:
         raise ConfigError("sphere spectrum needs N >= 2")
     if k_max < 0:
         raise ConfigError("k_max must be nonnegative")
-    return [(k * (k + N - 2), sphere_mode_multiplicity(N, k)) for k in range(k_max + 1)]
+    return [(_sphere_eigenvalue(N, k), sphere_mode_multiplicity(N, k))
+            for k in range(k_max + 1)]
 
 
 @dataclass
@@ -373,24 +346,6 @@ class LedgerEntry:
     total_eig: float
     contributes: bool
     boundary: bool = False  # |beta_i + lambda_k| below the tie threshold
-
-
-@dataclass
-class MorseConfig:
-    """Controls for the Morse index computation.
-
-    inner=None selects the annulus rule min(eps_plus^2, r_p/10); M=None the
-    density-based grid size. M counts the interior nodes of the coarsest grid.
-    """
-
-    inner: float | None = None
-    M: int | None = None
-
-    def annulus(self, sol: RadialSolution) -> tuple[float, int]:
-        """(inner radius, grid size) this configuration selects for sol."""
-        inner = self.inner if self.inner is not None else auto_inner_radius(sol)
-        M = self.M if self.M is not None else auto_grid_size(sol, inner)
-        return inner, M
 
 
 @dataclass
@@ -427,78 +382,76 @@ def auto_grid_size(sol: RadialSolution, inner: float) -> int:
     return max(2, math.ceil(_grid_map(sol, inner).total))
 
 
+def annulus(sol: RadialSolution, inner: float | None = None,
+            M: int | None = None) -> tuple[float, int]:
+    """(inner radius, grid size) of the annulus; None selects the default.
+
+    The default inner radius is the rule min(eps_plus^2, r_p/10), the
+    default M the density-based size of the coarsest grid.
+    """
+    inner = inner if inner is not None else auto_inner_radius(sol)
+    M = M if M is not None else auto_grid_size(sol, inner)
+    return inner, M
+
+
 N_BETAS = 3  # beta_1, beta_2 enter the ledger; beta_3 >= 0 is checked
 
 
-@dataclass
-class RadialBetas:
-    """beta_1..beta_3 on a nested (M, 2M+1) grid pair of one annulus."""
+def richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """Richardson combination (4 fine - coarse) / 3 of a nested grid pair.
 
-    coarse: np.ndarray  # on the M-node grid
-    fine: np.ndarray    # on the (2M+1)-node grid
-
-    @property
-    def extrapolated(self) -> np.ndarray:
-        """Richardson combination (4 fine - coarse) / 3.
-
-        The scheme has a k^2 eigenvalue bias which matters around the
-        beta_2 ~ -(N-1) threshold; the fine grid has exactly half the step
-        k, so this combination removes it.
-        """
-        return (4.0 * self.fine - self.coarse) / 3.0
-
-
-def _betas_ladder(probs: list[AnnulusEigenProblem]) -> list[RadialBetas]:
-    betas = [weighted_radial_eigs(prob, N_BETAS).betas for prob in probs]
-    return [RadialBetas(coarse=c, fine=f) for c, f in zip(betas, betas[1:])]
-
-
-def radial_betas(sol: RadialSolution, inner: float, M: int) -> RadialBetas:
-    """beta_1..beta_3 on the nested (inner, M) and (inner, 2M+1) grids."""
-    return _betas_ladder(_nested_problems(sol, inner, M, 2))[0]
-
-
-def checked_radial_betas(sol: RadialSolution, inner: float, M: int,
-                         levels: int = 2) -> tuple[list[RadialBetas], int]:
-    """radial_betas on `levels` nested grids plus the negative count.
-
-    Returns the Richardson pairs of consecutive grids, (M, 2M+1) first, and
-    the negative-eigenvalue count of the (inner, M) grid: one inertia scan,
-    cross-checked against the number of negative bisection values there.
+    The scheme has a k^2 eigenvalue bias which matters around the
+    beta_2 ~ -(N-1) threshold; the fine grid has exactly half the step k,
+    so this combination removes it.
     """
-    probs = _nested_problems(sol, inner, M, levels)
-    pairs = _betas_ladder(probs)
-    coarse = pairs[0].coarse
+    return (4.0 * fine - coarse) / 3.0
+
+
+def annulus_betas(sol: RadialSolution, inner: float, M: int,
+                  levels: int = 2) -> tuple[list[np.ndarray], int]:
+    """Raw beta_1..beta_3 on the nested (M, 2M+1, ...) grids, and the count.
+
+    Returns the eigenvalues of `levels` grids, coarsest first (f_p sampled
+    once, on the finest), and the negative-eigenvalue count of the
+    (inner, M) grid: one inertia scan, cross-checked against the number of
+    negative bisection values there.
+    """
+    probs = [build_problem(sol, inner, (M + 1) * 2 ** (levels - 1) - 1)]
+    while len(probs) < levels:
+        probs.append(probs[-1].coarsened())
+    probs.reverse()
+    raw = [weighted_radial_eigs(prob, N_BETAS) for prob in probs]
     neg = count_negative(probs[0])
-    if min(neg, N_BETAS) != int(np.sum(coarse < 0)):
+    if min(neg, N_BETAS) != int(np.sum(raw[0] < 0)):
         raise SolverError(
             f"inertia count {neg} disagrees with the bisection values "
-            f"{coarse.tolist()} (inner={inner:.3e}, M={M})"
+            f"{raw[0].tolist()} (inner={inner:.3e}, M={M})"
         )
-    return pairs, neg
+    return raw, neg
 
 
-def _assemble_ledger(N: int, betas_neg: list[tuple[int, float]],
-                     tie_eps: float = LEDGER_TIE_EPS) -> tuple[list[LedgerEntry], int]:
+def _assemble_ledger(N: int, betas_neg: list[tuple[int, float]]
+                     ) -> tuple[list[LedgerEntry], int]:
     """Combine negative radial eigenvalues with the sphere spectrum.
 
     betas_neg is [(i, beta_i)] for the negative radial eigenvalues. For each,
-    modes k with beta_i + lambda_k < -tie_eps contribute mult(lambda_k); the
-    first non-contributing mode is kept on the ledger for inspection. Sums
-    inside [-tie_eps, tie_eps] are counted as nonnegative and flagged.
+    modes k with beta_i + lambda_k < -LEDGER_TIE_EPS contribute
+    mult(lambda_k); the first non-contributing mode is kept on the ledger for
+    inspection. Sums inside the tie window are counted as nonnegative and
+    flagged.
     """
     entries: list[LedgerEntry] = []
     total = 0
     for i, beta in sorted(betas_neg, key=lambda t: -t[1]):
         k = 0
         while True:
-            lam = k * (k + N - 2)
+            lam = _sphere_eigenvalue(N, k)
             mult = sphere_mode_multiplicity(N, k)
             s = beta + lam
-            contributes = s < -tie_eps
+            contributes = s < -LEDGER_TIE_EPS
             entries.append(LedgerEntry(
                 i=i, k=k, lam=lam, mult=mult, total_eig=s,
-                contributes=contributes, boundary=abs(s) <= tie_eps,
+                contributes=contributes, boundary=abs(s) <= LEDGER_TIE_EPS,
             ))
             if not contributes:
                 break
@@ -507,23 +460,25 @@ def _assemble_ledger(N: int, betas_neg: list[tuple[int, float]],
     return entries, total
 
 
-def morse_index(sol: RadialSolution, config: MorseConfig | None = None) -> MorseReport:
+def morse_index(sol: RadialSolution, inner: float | None = None,
+                M: int | None = None) -> MorseReport:
     """Morse index of the solution via the weighted annulus decomposition.
 
     Computes the first radial eigenvalues beta_i of the weighted operator on
     the annulus, checks that only two of them are negative, and sums the
     multiplicities of the spherical modes k with beta_i + lambda_k < 0. The
-    annulus and grid follow the configured rules and the count is re-verified
-    with the annulus deepened (inner halved) and on the refined (2M+1, 4M+3)
-    pair; a changed count is reported (stable=False) rather than silently
-    resolved. f_p is sampled once per annulus, on its finest grid. The k = 1
-    row of the ledger must match the Sturm count of the zeros of u' in
-    (0, 1), else SolverError.
+    annulus and grid follow `annulus(sol, inner, M)`, and the count is
+    re-verified with the annulus deepened (inner halved) and on the refined
+    (2M+1, 4M+3) pair; a changed ledger total, or a deep annulus whose
+    inertia count differs from m_rad, is reported (stable=False) rather than
+    silently resolved. f_p is sampled once per annulus, on its finest grid.
+    The k = 1 row of the ledger must match the Sturm count of the zeros of u'
+    in (0, 1), else SolverError.
     """
-    cfg = config or MorseConfig()
-    inner, M = cfg.annulus(sol)
-    (spec, refined), m_rad = checked_radial_betas(sol, inner, M, levels=3)
-    betas = spec.extrapolated
+    grid_M = M
+    inner, M = annulus(sol, inner, M)
+    raw, m_rad = annulus_betas(sol, inner, M, levels=3)
+    betas = richardson(raw[0], raw[1])
     if m_rad != 2:
         raise SolverError(
             f"expected exactly two negative radial eigenvalues, found {m_rad} "
@@ -544,15 +499,14 @@ def morse_index(sol: RadialSolution, config: MorseConfig | None = None) -> Morse
             f"zeros in (0, 1) (Sturm count)"
         )
 
+    deep, deep_neg = annulus_betas(sol, *annulus(sol, inner / 2.0, grid_M))
     totals = [total]
-    for check in (
-        radial_betas(sol, *MorseConfig(inner=inner / 2.0, M=cfg.M).annulus(sol)),
-        refined,
-    ):
-        b = check.extrapolated
+    for b in (richardson(*deep), richardson(raw[1], raw[2])):
         _, tot = _assemble_ledger(sol.N, [(1, float(b[0])), (2, float(b[1]))])
         totals.append(tot)
-    stable = len(set(totals)) == 1
+    # the deep count catches a radial eigenvalue lost or gained under
+    # deepening, which the ledger totals alone can miss
+    stable = len(set(totals)) == 1 and deep_neg == m_rad
 
     return MorseReport(
         p=sol.p, N=sol.N,

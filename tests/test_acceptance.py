@@ -14,6 +14,7 @@ import numpy as np
 from lanemorse import (
     IvpConfig,
     TestFunctionSpec,
+    annulus_betas,
     build_problem,
     count_negative,
     integrate_ivp,
@@ -24,8 +25,8 @@ from lanemorse import (
     quotient_closed_forms,
     rayleigh_limit,
     scales,
+    richardson,
     sphere_spectrum,
-    radial_betas,
     test_function_quotient,
     weighted_radial_eigs,
 )
@@ -157,7 +158,7 @@ def test_criterion_beta2_above_minus_one(nodal):
     for p in SWEEP:
         sol = nodal(p)
         inner = auto_inner_radius(sol)
-        betas = radial_betas(sol, inner, auto_grid_size(sol, inner)).extrapolated
+        betas = richardson(*annulus_betas(sol, inner, auto_grid_size(sol, inner))[0])
         ok &= betas[1] > -1.0 - BETA2_DISC_TOL and betas[1] < 0.0
         rows.append(f"p={p:g}:{betas[1] + 1.0:+.1e}")
     _report(
@@ -185,7 +186,7 @@ def test_criterion_beta1_window_and_trend(nodal):
     for p in LADDER:
         sol = nodal(p)
         inner = auto_inner_radius(sol)
-        b = radial_betas(sol, inner, auto_grid_size(sol, inner)).extrapolated
+        b = richardson(*annulus_betas(sol, inner, auto_grid_size(sol, inner))[0])
         betas[p] = float(b[0])
     ok = all(-36.0 < betas[p] < -25.0 for p in (200.0, 400.0))
     gaps = [abs(betas[p] + 26.9) for p in LADDER]
@@ -228,8 +229,8 @@ def test_criterion_appendix_estimate(nodal):
     fparts = test_function_quotient(fspec, mode="finite_p", sol=sol)
     inner = auto_inner_radius(sol)
     beta1 = weighted_radial_eigs(
-        build_problem(sol, inner, auto_grid_size(sol, inner)), 1, want_vector=False
-    ).betas[0]
+        build_problem(sol, inner, auto_grid_size(sol, inner)), 1
+    )[0]
     upper = fparts.quotient >= beta1
     _report(
         "appendix-estimate (quotient to 1e-3; ramp parts to 1e-8; upper bound)",
@@ -249,8 +250,7 @@ def test_criterion_property_suite(nodal):
     prev = None
     for inner, M in lattice_annuli(sol, inner0 / 8.0, 8192, (
             inner0, inner0 / 2.0, inner0 / 4.0, inner0 / 8.0)):
-        betas = weighted_radial_eigs(build_problem(sol, inner, M), 3,
-                                     want_vector=False).betas
+        betas = weighted_radial_eigs(build_problem(sol, inner, M), 3)
         if prev is not None:
             ok &= bool(np.all(betas <= prev + 1e-7))
         prev = betas

@@ -10,6 +10,7 @@ import lanemorse
 from lanemorse.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_SOLVER,
     RunConfig,
     SWEEP_COLUMNS,
     dumps,
@@ -30,7 +31,7 @@ def test_parse_args_roundtrip():
     assert cfg.fmt == "csv"
 
 
-def test_bad_config_rejected():
+def test_bad_config_rejected(tmp_path):
     with pytest.raises(ConfigError):
         parse_args(["sweep", "--p", "abc"])
     with pytest.raises(ConfigError):
@@ -55,7 +56,13 @@ def test_bad_config_rejected():
                  ["limit-check", "--N", "0"],
                  ["morse", "--p", "5", "--N", "1"],
                  ["solve", "--p", "5", "--tol-shoot", "nan"],
-                 ["limit-check", "--ell", "nan"]):
+                 ["limit-check", "--ell", "nan"],
+                 # past the float64 range of the arithmetic, and unwritable output
+                 ["solve", "--p", "1.001"],
+                 ["limit-check", "--N", "140"],
+                 ["limit-check", "--ell", "1e-9"],
+                 ["limit-check", "--ell", "1e150"],
+                 ["solve", "--p", "5", "--out", str(tmp_path / "missing" / "x.json")]):
         assert main(argv) == EXIT_CONFIG, argv
 
 
@@ -88,6 +95,16 @@ def test_sweep_row_independence():
     r5_pair = [r for r in rows(pair) if '"p": 5' in r]
     assert len(r5_alone) == 1
     assert r5_alone == r5_pair
+
+
+def test_sweep_keeps_rows_after_an_error():
+    # p = 1.001 is past the float64 range of u(0); the p = 5 row still runs
+    code, text = run(parse_args(["sweep", "--p", "1.001,5"]))
+    assert code == EXIT_SOLVER
+    rows = json.loads(text)["results"]["sweep"]
+    assert [row["p"] for row in rows] == [1.001, 5.0]
+    assert rows[0]["status"].startswith("error: p=1.001 is too close to 1")
+    assert rows[1]["status"] == "ok" and rows[1]["morse_total"] == 10
 
 
 def test_sweep_csv_format(tmp_path):

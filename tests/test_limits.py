@@ -20,6 +20,9 @@ from lanemorse import (
     verification_battery,
 )
 from lanemorse.limits import (
+    ELL_MAX,
+    ELL_MIN,
+    MAX_LIMIT_N,
     REFERENCE_ELL,
     core_profile_identity_gap,
     eta1,
@@ -262,3 +265,27 @@ def test_verification_battery_rejects_low_dimension(N):
     # N = 1 used to divide by zero in the eta_1 decay checks
     with pytest.raises(ConfigError, match="N must be >= 2"):
         verification_battery(N=N)
+
+
+def test_limit_dimension_cap_is_the_float64_edge():
+    # power_tail_integral(N + 3, ...) scales with c^((N+4)/2), c = N (N - 2)
+    ln_max = math.log(np.finfo(float).max)
+    ln_scale = lambda N: (N + 4) / 2.0 * math.log(N * (N - 2))
+    assert ln_scale(MAX_LIMIT_N) < ln_max < ln_scale(MAX_LIMIT_N + 1)
+    assert all(c.passed for c in verification_battery(N=MAX_LIMIT_N))
+    with pytest.raises(ConfigError, match=f"N must be <= {MAX_LIMIT_N}"):
+        verification_battery(N=MAX_LIMIT_N + 1)
+
+
+@pytest.mark.parametrize("ell", [1e-9, 0.5 * ELL_MIN, 2.0 * ELL_MAX, 1e150])
+def test_limit_constants_reject_ell_out_of_range(ell):
+    # gamma cancels to 0 at ell = 1e-9; the Z_ell mass tail overflows at 1e150
+    with pytest.raises(ConfigError, match=r"ell must lie in \[1e-06, 70\]"):
+        limit_constants(ell)
+
+
+def test_limit_constants_at_the_ell_range_ends():
+    for ell in (ELL_MIN, ELL_MAX):
+        k = limit_constants(ell)
+        assert k.gamma > 0.0 and math.isfinite(k.delta) and math.isfinite(k.H)
+        assert math.isfinite(liouville_mass("Z_ell", k))

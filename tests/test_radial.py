@@ -176,6 +176,14 @@ def test_supercritical_rejected():
         solve_nodal(1.0, N=2)
 
 
+@pytest.mark.parametrize("p, N", [(1.001, 2), (1.004, 3)])
+def test_near_one_exponent_names_the_overflow_limit(p, N):
+    # u(0) = R2^(2/(p-1)) leaves the float64 range; the error names the
+    # smallest exponent that keeps it representable
+    with pytest.raises(ConfigError, match=rf"p={p} is too close to 1: .* N={N} needs p > 1\.00"):
+        solve_nodal(p, N=N)
+
+
 def test_nodal_N3():
     sol = solve_nodal(3.0, N=3)
     assert abs(sol.u[-1]) < 1e-9

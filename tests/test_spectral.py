@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,14 +11,16 @@ from scipy.linalg import eigvalsh_tridiagonal
 from lanemorse import (
     ConfigError,
     SolverError,
+    annulus_betas,
     build_problem,
     count_negative,
     morse_index,
-    radial_betas,
+    richardson,
     sphere_spectrum,
     weighted_radial_eigs,
 )
 from lanemorse import spectral
+from lanemorse.cli import EXIT_CHECK, main
 from lanemorse.profile import analyze_fp
 from lanemorse.spectral import (
     AnnulusEigenProblem,
@@ -25,6 +28,7 @@ from lanemorse.spectral import (
     _assemble_ledger,
     auto_grid_size,
     auto_inner_radius,
+    first_eigenfunction,
     mapped_problem,
     sphere_area,
 )
@@ -71,9 +75,9 @@ def test_dirichlet_exact_n2():
     # an interval of length |ln a|
     inner, M = 0.1, 4000
     prob = free_problem(2, inner, M)
-    spec = weighted_radial_eigs(prob, 4, want_vector=False)
+    spec = weighted_radial_eigs(prob, 4)
     L = -math.log(inner)
-    for j, beta in enumerate(spec.betas, start=1):
+    for j, beta in enumerate(spec, start=1):
         continuum = (j * math.pi / L) ** 2
         assert abs(beta - continuum) / continuum < 1e-5
         h = L / (M + 1)
@@ -84,9 +88,9 @@ def test_dirichlet_exact_n2():
 def test_dirichlet_exact_n3_shift():
     inner, M = 0.05, 4000
     prob = free_problem(3, inner, M)
-    spec = weighted_radial_eigs(prob, 3, want_vector=False)
+    spec = weighted_radial_eigs(prob, 3)
     L = -math.log(inner)
-    for j, beta in enumerate(spec.betas, start=1):
+    for j, beta in enumerate(spec, start=1):
         target = (j * math.pi / L) ** 2 + 0.25
         assert abs(beta - target) < 2e-5 * target
 
@@ -131,7 +135,7 @@ def test_richardson_ratio_on_graded_map():
     # (M, 2M+1, 4M+3) differences shrink by ~4 and (4 fine - coarse)/3 holds
     f = lambda t: 20.0 / np.cosh(t + 30.0) ** 2 + 40.0 / np.cosh((t + 8.0) / 1.5) ** 2
     M = 200
-    b = [weighted_radial_eigs(mapped_problem(GRADED, 2, m, f), 3).betas
+    b = [weighted_radial_eigs(mapped_problem(GRADED, 2, m, f), 3)
          for m in (M, 2 * M + 1, 4 * M + 3)]
     ratio = (b[0] - b[1]) / (b[1] - b[2])
     assert np.all((3.5 <= ratio) & (ratio <= 4.5)), ratio
@@ -142,7 +146,7 @@ def test_free_spectrum_on_graded_map():
     exact = (np.arange(1, 4) * math.pi / 40.0) ** 2 + 0.25
     finest = mapped_problem(GRADED, 3, 4 * 400 + 3, np.zeros_like)
     probs = [finest.coarsened().coarsened(), finest.coarsened(), finest]
-    b = [weighted_radial_eigs(prob, 3).betas for prob in probs]
+    b = [weighted_radial_eigs(prob, 3) for prob in probs]
     err = [bj - exact for bj in b]
     assert np.all(err[0] > 0) and np.all(err[0] < 1e-4 * exact)
     ratio = err[0] / err[1], err[1] / err[2]
@@ -188,8 +192,8 @@ def test_count_matches_dense_eigensolve(qvals, shift):
 def test_count_cross_oracle(nodal):
     sol = nodal(5.0)
     prob = build_problem(sol, auto_inner_radius(sol), 4096)
-    spec = weighted_radial_eigs(prob, 6, want_vector=False)
-    assert count_negative(prob) == int(np.sum(spec.betas < 0))
+    spec = weighted_radial_eigs(prob, 6)
+    assert count_negative(prob) == int(np.sum(spec < 0))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +215,7 @@ def test_beta2_strictly_above_threshold_small_p(nodal):
     for p, margin in ((2.0, 0.3), (3.0, 0.05), (5.0, 0.005), (10.0, 5e-5)):
         sol = nodal(p)
         inner = auto_inner_radius(sol)
-        betas = radial_betas(sol, inner, auto_grid_size(sol, inner)).extrapolated
+        betas = richardson(*annulus_betas(sol, inner, auto_grid_size(sol, inner))[0])
         assert betas[1] > -1.0 + margin / 2.0
         assert betas[1] < 0.0
 
@@ -219,7 +223,7 @@ def test_beta2_strictly_above_threshold_small_p(nodal):
 def test_beta1_window_p400(nodal):
     sol = nodal(400.0)
     inner = auto_inner_radius(sol)
-    betas = radial_betas(sol, inner, auto_grid_size(sol, inner)).extrapolated
+    betas = richardson(*annulus_betas(sol, inner, auto_grid_size(sol, inner))[0])
     assert -36.0 < betas[0] < -25.0
     assert betas[2] > 0.0
 
@@ -230,9 +234,9 @@ def test_beta1_bounded_by_sup_fp(nodal):
         sol = nodal(p)
         inner = auto_inner_radius(sol)
         spec = weighted_radial_eigs(
-            build_problem(sol, inner, auto_grid_size(sol, inner)), 1, want_vector=False
+            build_problem(sol, inner, auto_grid_size(sol, inner)), 1
         )
-        assert spec.betas[0] >= -analyze_fp(sol).sup_f
+        assert spec[0] >= -analyze_fp(sol).sup_f
 
 
 def test_domain_monotonicity_nested_annuli(nodal):
@@ -248,12 +252,12 @@ def test_domain_monotonicity_nested_annuli(nodal):
             inner0, inner0 / 2.0, inner0 / 4.0, inner0 / 16.0)):
         prob = build_problem(sol, inner, M)
         assert np.allclose(prob.t_nodes, deep.t_nodes[-M:], rtol=0, atol=1e-12)
-        spec = weighted_radial_eigs(prob, 3, want_vector=False)
+        spec = weighted_radial_eigs(prob, 3)
         neg_count = count_negative(prob)
         if prev is not None:
-            assert np.all(spec.betas <= prev + 1e-7)
+            assert np.all(spec <= prev + 1e-7)
         assert neg_count >= prev_count
-        prev, prev_count = spec.betas, neg_count
+        prev, prev_count = spec, neg_count
     assert prev_count == 2
 
 
@@ -261,8 +265,8 @@ def test_grid_convergence(nodal):
     sol = nodal(50.0)
     inner = auto_inner_radius(sol)
     M = auto_grid_size(sol, inner)
-    b1 = weighted_radial_eigs(build_problem(sol, inner, M), 1, want_vector=False).betas[0]
-    b2 = weighted_radial_eigs(build_problem(sol, inner, 2 * M), 1, want_vector=False).betas[0]
+    b1 = weighted_radial_eigs(build_problem(sol, inner, M), 1)[0]
+    b2 = weighted_radial_eigs(build_problem(sol, inner, 2 * M), 1)[0]
     assert abs(b2 - b1) / abs(b1) < 1e-4
 
 
@@ -270,8 +274,7 @@ def test_first_eigenfunction_positive_and_normalized(nodal):
     sol = nodal(5.0)
     inner = auto_inner_radius(sol)
     prob = build_problem(sol, inner, 8192)
-    spec = weighted_radial_eigs(prob, 1, want_vector=True)
-    r, phi = spec.eigvec_1
+    r, phi = first_eigenfunction(prob)
     assert np.all(phi > 0)
     # independent check of the weighted normalization by trapezoid in r
     integrand = phi**2 * r ** (sol.N - 3)
@@ -285,7 +288,8 @@ def test_first_eigenfunction_positive_and_normalized(nodal):
     q = np.concatenate(([0.0], prob.q, [0.0]))
     energy = (np.sum(np.diff(w) ** 2 / np.diff(t))
               + np.trapezoid((prob.alpha**2 - q) * w**2, t))
-    assert energy / np.trapezoid(w**2, t) == pytest.approx(spec.betas[0], rel=1e-6)
+    assert energy / np.trapezoid(w**2, t) == pytest.approx(
+        weighted_radial_eigs(prob, 1)[0], rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +371,7 @@ def test_morse_report_moderate_p(nodal):
 def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     # (inner, M), (inner, 2M+1), (inner, 4M+3), (inner/2, M') and
     # (inner/2, 2M'+1): f_p sampled once per annulus, on its finest grid,
-    # one inertia scan, and no eigenvectors
+    # one inertia scan per annulus, on its coarsest grid, and no eigenvectors
     sol = nodal(5.0)
     grids, samples, scans, vectors = [], [], [], []
 
@@ -381,8 +385,8 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
         grids, spectral.weighted_radial_eigs, lambda prob, k: (prob.inner, prob.M)))
     monkeypatch.setattr(spectral, "fp_values", counted(
         samples, spectral.fp_values, lambda sol, r: np.size(r)))
-    monkeypatch.setattr(spectral, "count_negative",
-                        counted(scans, spectral.count_negative))
+    monkeypatch.setattr(spectral, "count_negative", counted(
+        scans, spectral.count_negative, lambda prob: (prob.inner, prob.M)))
     monkeypatch.setattr(spectral, "eigh_tridiagonal",
                         counted(vectors, spectral.eigh_tridiagonal))
     rep = morse_index(sol)
@@ -393,8 +397,27 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     deeper = sorted(m for r, m in grids if r == rep.inner / 2.0)
     assert len(deeper) == 2 and deeper[1] == 2 * deeper[0] + 1
     assert samples == [4 * M + 3, deeper[1]]
-    assert len(scans) == 1
+    assert scans == [(rep.inner, M), (rep.inner / 2.0, deeper[0])]
     assert vectors == []
+
+
+def test_deep_annulus_count_decides_stability(nodal, monkeypatch):
+    # a radial eigenvalue gained under deepening leaves every ledger total
+    # as it was, but the deep inertia count differs from m_rad
+    sol = nodal(5.0)
+    honest = morse_index(sol)
+    original = spectral.annulus_betas
+
+    def deep_gains_one(sol, inner, M, levels=2):
+        raw, neg = original(sol, inner, M, levels)
+        return raw, neg + 1 if inner < honest.inner else neg
+
+    monkeypatch.setattr(spectral, "annulus_betas", deep_gains_one)
+    rep = morse_index(sol)
+    assert rep.stable is False
+    assert rep.stability_totals == honest.stability_totals
+    assert len(set(rep.stability_totals)) == 1
+    assert main(["morse", "--p", "5", "--out", os.devnull]) == EXIT_CHECK
 
 
 def test_morse_report_three_dimensional(nodal):
