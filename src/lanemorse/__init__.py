@@ -22,15 +22,17 @@ from .limits import (
     REFERENCE_ELL,
     Check,
     LimitConstants,
-    LimitProfile,
     QuotientParts,
     TestFunctionSpec,
-    eval_profile,
     limit_constants,
     limit_residual,
     liouville_mass,
+    liouville_profile,
     quotient_closed_forms,
+    rayleigh_eta1,
     rayleigh_limit,
+    singular_mass,
+    singular_profile,
     test_function_quotient,
     verification_battery,
 )
@@ -63,9 +65,10 @@ __all__ = [
     "count_negative", "weighted_radial_eigs", "annulus_betas", "richardson",
     "sphere_spectrum", "morse_index",
     # limits
-    "REFERENCE_ELL", "LimitConstants", "LimitProfile", "TestFunctionSpec",
-    "QuotientParts", "Check", "limit_constants", "eval_profile",
-    "liouville_mass", "rayleigh_limit", "limit_residual",
+    "REFERENCE_ELL", "LimitConstants", "TestFunctionSpec", "QuotientParts",
+    "Check", "limit_constants", "liouville_profile", "singular_profile",
+    "liouville_mass", "singular_mass", "rayleigh_eta1", "rayleigh_limit",
+    "limit_residual",
     "test_function_quotient", "quotient_closed_forms", "verification_battery",
     # errors
     "LaneMorseError", "ConfigError", "SolverError", "CheckError",

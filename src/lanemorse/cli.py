@@ -1,7 +1,8 @@
 """Command-line driver: solve / spectrum / morse / sweep / limit-check.
 
 Output is machine-readable JSON (or CSV for sweeps) with a fixed schema:
-one top-level object carrying schema_version, config, results and checks.
+one top-level object carrying schema_version, config (the flags the command
+read, in parser order), results and checks.
 Floats are always rendered with 15 significant digits in insertion order, so
 identical configurations produce byte-identical files. Every emitted record
 carries an `anchor` string naming the quantity it reports.
@@ -12,22 +13,44 @@ Exit codes: 0 success, 1 solver failure, 2 check failure, 3 bad config.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import math
 import sys
 from dataclasses import dataclass, field
 
 from .errors import CheckError, ConfigError, LaneMorseError
-from .limits import REFERENCE_ELL, limit_constants, verification_battery
+from .limits import limit_constants, verification_battery
 from .profile import analyze_fp, scales
 from .radial import solve_nodal
 from .spectral import annulus, annulus_betas, morse_index, richardson
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
 EXIT_CHECK = 2
 EXIT_CONFIG = 3
+
+# each command accepts only the flags it reads, in this (parser) order, and
+# echoes them in the config block; every command also takes --out
+COMMAND_FLAGS = {
+    "solve": ("p", "N", "tol_shoot"),
+    "spectrum": ("p", "N", "grid_M", "inner_rule", "tol_shoot"),
+    "morse": ("p", "N", "grid_M", "inner_rule", "tol_shoot"),
+    "sweep": ("p", "N", "grid_M", "inner_rule", "tol_shoot", "format"),
+    "limit-check": ("N",),
+}
+
+_FLAG_ARGS = {
+    "p": dict(required=True, help="exponent, or comma-separated list for sweeps"),
+    "N": dict(type=int, default=2),
+    "grid_M": dict(type=int, default=None),
+    "inner_rule": dict(default="auto",
+                       help="'auto' (min(eps_plus^2, r_p/10)) or an explicit radius"),
+    "tol_shoot": dict(type=float, default=1e-9),
+    "format": dict(dest="fmt", choices=("json", "csv"), default="json"),
+}
 
 # column order is the CSV contract; do not reorder
 SWEEP_COLUMNS = [
@@ -66,13 +89,14 @@ class RunConfig:
     grid_M: int | None = None
     inner_rule: str = "auto"
     tol_shoot: float = 1e-9
-    ell: float = REFERENCE_ELL
     fmt: str = "json"
     out: str | None = None
     inner: float | None = field(default=None, init=False)  # parsed inner_rule
 
     def __post_init__(self):
-        if self.command in ("solve", "spectrum", "morse", "sweep") and not self.p_list:
+        if self.command not in COMMAND_FLAGS:
+            raise ConfigError(f"unknown command {self.command!r}")
+        if "p" in COMMAND_FLAGS[self.command] and not self.p_list:
             raise ConfigError(f"command {self.command!r} needs at least one p value")
         if not all(math.isfinite(p) and p > 1 for p in self.p_list):
             raise ConfigError("exponents must be finite and satisfy p > 1")
@@ -80,8 +104,6 @@ class RunConfig:
             raise ConfigError(f"dimension N must be >= 2, got {self.N}")
         if not (math.isfinite(self.tol_shoot) and self.tol_shoot > 0):
             raise ConfigError("tolerance must be finite and positive")
-        if not math.isfinite(self.ell):
-            raise ConfigError(f"ell must be finite, got {self.ell}")
         if self.grid_M is not None and self.grid_M < 2:
             raise ConfigError("need at least two interior grid points")
         if self.inner_rule != "auto":
@@ -214,15 +236,13 @@ def _sweep_row(p: float, cfg: RunConfig) -> dict:
 
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute one command; returns (exit_code, rendered artifact)."""
+    flags = {"p": config.p_list, "N": config.N, "grid_M": config.grid_M,
+             "inner_rule": config.inner_rule, "tol_shoot": config.tol_shoot,
+             "format": config.fmt}
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": config.command,
-        "config": {
-            "p": config.p_list, "N": config.N,
-            "grid_M": config.grid_M, "inner_rule": config.inner_rule,
-            "tol_shoot": config.tol_shoot, "ell": config.ell,
-            "format": config.fmt,
-        },
+        "config": {key: flags[key] for key in COMMAND_FLAGS[config.command]},
         "results": {},
         "checks": [],
     }
@@ -245,37 +265,35 @@ def run(config: RunConfig) -> tuple[int, str]:
             code = EXIT_SOLVER
         if config.fmt == "csv":
             return code, _render_csv(rows)
-    elif config.command == "limit-check":
-        checks = verification_battery(N=config.N, ell=config.ell)
+    else:  # limit-check
+        checks = verification_battery(N=config.N)
         payload["checks"] = [
             {"name": c.name, "anchor": c.anchor, "value": c.value,
              "expected": c.expected, "tol": c.tol,
              "status": "pass" if c.passed else "fail"}
             for c in checks
         ]
-        k = limit_constants(config.ell)
+        k = limit_constants()
         payload["results"]["constants"] = {
             "ell": k.ell, "gamma": k.gamma, "delta": k.delta, "H": k.H,
-            "morse_Z": k.morse_Z, "kernel_Z": k.kernel_Z,
+            "morse_Z": k.morse_Z,
         }
         if not all(c.passed for c in checks):
             code = EXIT_CHECK
-    else:
-        raise ConfigError(f"unknown command {config.command!r}")
 
     return code, dumps(payload) + "\n"
 
 
 def _render_csv(rows: list[dict]) -> str:
-    lines = [",".join(SWEEP_COLUMNS + ["status"])]
+    # minimal quoting: only a cell with a comma or quote (an error status) changes
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SWEEP_COLUMNS + ["status"])
     for row in rows:
-        cells = []
-        for c in SWEEP_COLUMNS:
-            v = row[c]
-            cells.append(str(v) if isinstance(v, int) else format_float(float(v)))
-        cells.append(row["status"])
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        cells = [str(row[c]) if isinstance(row[c], int) else format_float(float(row[c]))
+                 for c in SWEEP_COLUMNS]
+        writer.writerow(cells + [row["status"]])
+    return buf.getvalue()
 
 
 def parse_args(argv: list[str]) -> RunConfig:
@@ -284,22 +302,10 @@ def parse_args(argv: list[str]) -> RunConfig:
         description="Nodal radial Lane-Emden solutions and their Morse index",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # each command accepts only the flags it reads
-    for name in ("solve", "spectrum", "morse", "sweep", "limit-check"):
+    for name, keys in COMMAND_FLAGS.items():
         sp = sub.add_parser(name)
-        if name != "limit-check":
-            sp.add_argument("--p", required=True,
-                            help="exponent, or comma-separated list for sweeps")
-            sp.add_argument("--tol-shoot", type=float, default=1e-9)
-        sp.add_argument("--N", type=int, default=2)
-        if name in ("spectrum", "morse", "sweep"):
-            sp.add_argument("--grid-M", type=int, default=None)
-            sp.add_argument("--inner-rule", default="auto",
-                            help="'auto' (min(eps_plus^2, r_p/10)) or an explicit radius")
-        if name == "limit-check":
-            sp.add_argument("--ell", type=float, default=REFERENCE_ELL)
-        sp.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                        default="json")
+        for key in keys:
+            sp.add_argument("--" + key.replace("_", "-"), **_FLAG_ARGS[key])
         sp.add_argument("--out", default=None)
     opts = vars(parser.parse_args(argv))
     p = opts.pop("p", None)

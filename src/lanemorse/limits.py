@@ -1,12 +1,13 @@
 """Closed-form limit objects and quadrature-based verification.
 
-Profiles: the planar Liouville solution U with mass 8 pi, the singular
-profile Z_ell (parameters gamma = sqrt(2 ell^2 + 4) - 2 and
-delta = ((gamma+4)/gamma)^(1/(gamma+2)) ell), the first eigenfunction eta_1
-of the weighted limit operator |x|^2(-Delta - V) whose lowest eigenvalue is
--(N-1) in every dimension N >= 2, and the cut-off core profile used for the
-variational upper bound on the first weighted eigenvalue, whose Rayleigh
-quotient tends to -(ell^2+2)/2.
+One function per object: the Liouville profile U (`liouville_profile`, mass
+8 pi by `liouville_mass`), the singular profile Z_ell (`singular_profile`,
+`singular_mass`; gamma = sqrt(2 ell^2 + 4) - 2 and delta =
+((gamma+4)/gamma)^(1/(gamma+2)) ell from `limit_constants`), the potential
+V_+ (`limit_potential`), the first eigenfunction `eta1` of the weighted limit
+operator |x|^2(-Delta - V), whose lowest eigenvalue -(N-1) in every
+dimension N >= 2 is `rayleigh_eta1`, and the cut-off test function
+(`test_function_quotient`), whose quotient tends to -(ell^2+2)/2.
 
 All improper integrals reduce to linear combinations of
 
@@ -23,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import betainc
-from scipy.special import beta as beta_fn
+from scipy.special import beta as beta_fn, betainc
 
 from .errors import ConfigError
 from .radial import RadialSolution
@@ -33,22 +33,23 @@ from .profile import fp_values
 __all__ = [
     "REFERENCE_ELL",
     "LimitConstants",
-    "LimitProfile",
     "TestFunctionSpec",
     "QuotientParts",
     "Check",
     "limit_constants",
-    "eval_profile",
+    "liouville_profile",
+    "singular_profile",
     "eta1",
     "eta1_d1",
     "eta1_d2",
     "limit_potential",
     "liouville_mass",
+    "singular_mass",
     "mass_tail_bound",
+    "rayleigh_eta1",
     "rayleigh_limit",
     "limit_residual",
     "power_tail_integral",
-    "power_integral_full",
     "psi_core",
     "dpsi_core",
     "test_function_quotient",
@@ -71,6 +72,9 @@ ELL_MAX = 70.0
 # the exact eta_1 tails carry (N (N-2))^((N+4)/2), which leaves the float64
 # range at N = 140
 MAX_LIMIT_N = 139
+# truncation radius of the mass quadratures, placed by mass_tail_bound; the
+# remainders beyond it are added in exact closed form
+MASS_TRUNC = 1e3
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
 
@@ -84,7 +88,6 @@ class LimitConstants:
     delta: float
     H: float
     morse_Z: int
-    kernel_Z: int = 1
 
 
 def limit_constants(ell: float = REFERENCE_ELL) -> LimitConstants:
@@ -128,92 +131,61 @@ def _sphere_dim_c(N: int) -> float:
     return 8.0 if N == 2 else float(N * (N - 2))
 
 
-def eta1(r, N: int = 2):
-    """First eigenfunction of the limit weighted operator (any N >= 2)."""
+def _radius_w(r, N: int):
+    # (r, c, W = 1 + r^2/c): U, eta_1 and V are closed forms in W
     c = _sphere_dim_c(N)
     r = np.asarray(r, dtype=float)
-    w = 1.0 + r * r / c
+    return r, c, 1.0 + r * r / c
+
+
+def eta1(r, N: int = 2):
+    """First eigenfunction of the limit weighted operator (any N >= 2)."""
+    r, _, w = _radius_w(r, N)
     return r * w ** (-N / 2.0)
 
 
 def eta1_d1(r, N: int = 2):
-    c = _sphere_dim_c(N)
-    r = np.asarray(r, dtype=float)
-    w = 1.0 + r * r / c
+    r, c, w = _radius_w(r, N)
     return w ** (-N / 2.0 - 1.0) * (1.0 - (N - 1.0) * r * r / c)
 
 
 def eta1_d2(r, N: int = 2):
-    c = _sphere_dim_c(N)
-    r = np.asarray(r, dtype=float)
-    w = 1.0 + r * r / c
+    r, c, w = _radius_w(r, N)
     return (N * r / c) * w ** (-N / 2.0 - 2.0) * ((N - 1.0) * r * r / c - 3.0)
 
 
 def limit_potential(r, N: int = 2):
     """V(x): e^U in the plane, p_S U^(p_S - 1) for N >= 3; both kappa/W^2."""
-    c = _sphere_dim_c(N)
     kappa = 1.0 if N == 2 else (N + 2.0) / (N - 2.0)
-    r = np.asarray(r, dtype=float)
-    w = 1.0 + r * r / c
+    r, _, w = _radius_w(r, N)
     return kappa * w**-2.0
 
 
-@dataclass
-class LimitProfile:
-    """Dispatchable closed-form profile: U, Z_ell, eta1, V_plus or V_minus."""
-
-    kind: str
-    N: int = 2
-    constants: LimitConstants | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("U", "Z_ell", "eta1", "V_plus", "V_minus"):
-            raise ConfigError(f"unknown profile kind {self.kind!r}")
-        if self.kind in ("Z_ell", "V_minus"):
-            if self.N != 2:
-                raise ConfigError(f"{self.kind} is a planar profile")
-            if self.constants is None:
-                self.constants = limit_constants()
+def liouville_profile(x, N: int = 2):
+    """U(x): -2 ln W in the plane, W^(-(N-2)/2) above, W = 1 + |x|^2/c."""
+    x, c, w = _radius_w(x, N)
+    if N == 2:
+        return -2.0 * np.log1p(x * x / c)
+    return w ** (-(N - 2.0) / 2.0)
 
 
-def eval_profile(profile: LimitProfile, x):
-    """Evaluate the profile at radius x >= 0 (x > 0 for Z_ell)."""
+def singular_profile(x, constants: LimitConstants):
+    """Z_ell(x) for x > 0 (planar; logarithmically singular at the origin)."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ConfigError("radius must be nonnegative")
-    kind, N = profile.kind, profile.N
-    if kind == "U":
-        if N == 2:
-            return -2.0 * np.log1p(x * x / 8.0)
-        c = _sphere_dim_c(N)
-        return (1.0 + x * x / c) ** (-(N - 2.0) / 2.0)
-    if kind == "eta1":
-        return eta1(x, N)
-    if kind == "V_plus":
-        return limit_potential(x, N)
-    k = profile.constants
-    if np.any(x == 0.0):
-        raise ConfigError("Z_ell has a logarithmic singularity at x = 0")
-    z = _z_ell_log(x, k.gamma, k.delta)
-    return z if kind == "Z_ell" else np.exp(z)
+    if np.any(x <= 0.0):
+        raise ConfigError("Z_ell is defined for x > 0 (logarithmic singularity at 0)")
+    return _z_ell_log(x, constants.gamma, constants.delta)
 
 
 # ---------------------------------------------------------------------------
 # exact tails for power-of-(1 + r^2/c) integrands
 
 
-def power_integral_full(m: float, q: float, c: float) -> float:
-    """int_0^inf r^m (1 + r^2/c)^(-q) dr, exact (requires q > (m+1)/2)."""
-    a = (m + 1.0) / 2.0
-    b = q - a
-    if b <= 0:
-        raise ConfigError("divergent power integral: need q > (m+1)/2")
-    return 0.5 * c**a * beta_fn(a, b)
-
-
 def power_tail_integral(m: float, q: float, c: float, lo: float) -> float:
-    """int_lo^inf r^m (1 + r^2/c)^(-q) dr via the regularized incomplete beta."""
+    """int_lo^inf r^m (1 + r^2/c)^(-q) dr via the regularized incomplete beta.
+
+    lo = 0 gives the whole integral (requires q > (m+1)/2).
+    """
     a = (m + 1.0) / 2.0
     b = q - a
     if b <= 0:
@@ -222,52 +194,40 @@ def power_tail_integral(m: float, q: float, c: float, lo: float) -> float:
     return 0.5 * c**a * beta_fn(a, b) * betainc(b, a, 1.0 - x)
 
 
-def liouville_mass(kind: str = "U", constants: LimitConstants | None = None,
-                   trunc: float = 1e3) -> float:
-    """Planar mass integral int_{R^2} e^(profile) dx by radial quadrature.
-
-    The integrand is truncated at `trunc` and the remainder added in exact
-    closed form; mass_tail_bound() gives the a priori bound used to place the
-    truncation radius.
-    """
-    if kind == "U":
-        val, _ = quad(lambda r: r * (1.0 + r * r / 8.0) ** -2.0, 0.0, trunc, **_QUAD_OPTS)
-        tail = power_tail_integral(1.0, 2.0, 8.0, trunc)
-        return 2.0 * math.pi * (val + tail)
-    if kind == "Z_ell":
-        k = constants or limit_constants()
-        g, d = k.gamma, k.delta
-
-        def integrand(s):
-            return math.exp(_z_ell_log(s, g, d)) * s
-
-        val, _ = quad(integrand, 0.0, trunc, **_QUAD_OPTS)
-        dg2 = math.exp((g + 2.0) * math.log(d))
-        tail = 2.0 * (g + 2.0) * dg2 / (dg2 + math.exp((g + 2.0) * math.log(trunc)))
-        return 2.0 * math.pi * (val + tail)
-    raise ConfigError(f"no mass integral for profile kind {kind!r}")
+def liouville_mass() -> float:
+    """Planar mass int_{R^2} e^U dx: quadrature to MASS_TRUNC plus the exact tail."""
+    val, _ = quad(lambda r: r * (1.0 + r * r / 8.0) ** -2.0, 0.0, MASS_TRUNC,
+                  **_QUAD_OPTS)
+    tail = power_tail_integral(1.0, 2.0, 8.0, MASS_TRUNC)
+    return 2.0 * math.pi * (val + tail)
 
 
-def mass_tail_bound(kind: str, trunc: float,
-                    constants: LimitConstants | None = None) -> float:
-    """Closed-form bound on the mass integrand tail beyond `trunc` (no 2 pi)."""
-    if kind == "U":
-        # r e^U <= 64 r^(-3)
-        return 32.0 / trunc**2
-    if kind == "Z_ell":
-        k = constants or limit_constants()
-        g, d = k.gamma, k.delta
-        dg2 = math.exp((g + 2.0) * math.log(d))
-        return 2.0 * (g + 2.0) * dg2 * math.exp(-(g + 2.0) * math.log(trunc))
-    raise ConfigError(f"no mass integral for profile kind {kind!r}")
+def singular_mass(constants: LimitConstants) -> float:
+    """Singular-profile mass int_{R^2} e^(Z_ell) dx, truncated like liouville_mass."""
+    g, d = constants.gamma, constants.delta
+
+    def integrand(s):
+        return math.exp(_z_ell_log(s, g, d)) * s
+
+    val, _ = quad(integrand, 0.0, MASS_TRUNC, **_QUAD_OPTS)
+    dg2 = math.exp((g + 2.0) * math.log(d))
+    tail = 2.0 * (g + 2.0) * dg2 / (dg2 + math.exp((g + 2.0) * math.log(MASS_TRUNC)))
+    return 2.0 * math.pi * (val + tail)
+
+
+def mass_tail_bound(trunc: float = MASS_TRUNC) -> float:
+    """Closed-form bound on the U mass integrand tail beyond `trunc` (no 2 pi)."""
+    # r e^U <= 64 r^(-3)
+    return 32.0 / trunc**2
 
 
 # ---------------------------------------------------------------------------
 # Rayleigh quotient of the limit operator
 
 
-def _rayleigh_eta1(N: int, trunc: float = 50.0) -> float:
-    """R*(eta_1): quadrature on (0, trunc) plus exact beta-function tails."""
+def rayleigh_eta1(N: int) -> float:
+    """R*(eta_1) = -(N-1): quadrature on (0, 50) plus exact beta-function tails."""
+    trunc = 50.0
     c = _sphere_dim_c(N)
     kappa = 1.0 if N == 2 else (N + 2.0) / (N - 2.0)
 
@@ -285,17 +245,11 @@ def _rayleigh_eta1(N: int, trunc: float = 50.0) -> float:
     return (grad - pot) / den
 
 
-def rayleigh_limit(v, N: int) -> float:
+def rayleigh_limit(f, df, N: int) -> float:
     """Weighted Rayleigh quotient of the limit operator for a radial function.
 
-    v may be the string "eta1" (closed-form path with exact tails) or a pair
-    of callables (value, derivative) defined on (0, inf).
+    f and df are callables (value, derivative) defined on (0, inf).
     """
-    if isinstance(v, str):
-        if v != "eta1":
-            raise ConfigError(f"unknown built-in test function {v!r}")
-        return _rayleigh_eta1(N)
-    f, df = v
     opts = dict(epsabs=1e-11, epsrel=1e-10, limit=400)
     num, _ = quad(
         lambda r: (df(r) ** 2 - limit_potential(r, N) * f(r) ** 2) * r ** (N - 1),
@@ -307,13 +261,12 @@ def rayleigh_limit(v, N: int) -> float:
     return num / den
 
 
-def limit_residual(N: int, lam: float, grid: np.ndarray | None = None) -> float:
-    """sup over a radial grid of |-Delta eta_1 - V eta_1 - lam eta_1/r^2|.
+def limit_residual(N: int, lam: float) -> float:
+    """sup of |-Delta eta_1 - V eta_1 - lam eta_1/r^2| on a log grid over [1e-3, 1e3].
 
-    Uses the closed-form first and second derivatives of eta_1; the default
-    grid is logarithmic over [1e-3, 1e3].
+    Uses the closed-form first and second derivatives of eta_1.
     """
-    r = np.logspace(-3, 3, 601) if grid is None else np.asarray(grid, dtype=float)
+    r = np.logspace(-3, 3, 601)
     res = (-eta1_d2(r, N) - (N - 1.0) / r * eta1_d1(r, N)
            - limit_potential(r, N) * eta1(r, N) - lam * eta1(r, N) / r**2)
     return float(np.max(np.abs(res)))
@@ -388,14 +341,14 @@ def _limit_core_potential(s, gamma: float):
     return 2.0 * (gamma + 2.0) ** 2 * s**gamma / (1.0 + sg) ** 2
 
 
-def test_function_quotient(spec: TestFunctionSpec, mode: str = "limit",
+def test_function_quotient(spec: TestFunctionSpec,
                            sol: RadialSolution | None = None) -> QuotientParts:
     """Rayleigh parts of the four-branch test function, by quadrature.
 
-    In limit mode the potential on the core is the closed-form rescaled
-    singular-profile exponential; in finite_p mode it is p |u|^(p-1) sampled
-    through the solution interpolator, and the resulting quotient is a
-    variational upper bound for the first weighted radial eigenvalue of any
+    Without `sol` the potential on the core is the closed-form rescaled
+    singular-profile exponential (the limit); with `sol` it is p |u|^(p-1)
+    sampled through the solution interpolator, and the resulting quotient is
+    a variational upper bound for the first weighted radial eigenvalue of any
     annulus containing the support.
     """
     g = spec.constants.gamma
@@ -408,29 +361,24 @@ def test_function_quotient(spec: TestFunctionSpec, mode: str = "limit",
     psi_b = float(psi_core(b, g))
 
     grad_core, _ = quad(lambda s: dpsi_core(s, g) ** 2 * s, a, b, **_QUAD_OPTS)
-    if mode == "limit":
+    if sol is None:
         pot_core, _ = quad(
             lambda s: _limit_core_potential(s, g) * psi_core(s, g) ** 2 * s,
             a, b, **_QUAD_OPTS,
         )
-    elif mode == "finite_p":
-        if sol is None:
-            raise ConfigError("finite_p mode requires a RadialSolution")
-        lo, hi = spec.breakpoints()[0], spec.breakpoints()[3]
+    else:
+        lo, _, _, hi = spec.breakpoints()
         if hi >= 1.0:
             raise ConfigError(
                 f"test-function support [{lo:.3e}, {hi:.3e}] leaves the unit ball; "
                 "reduce R or the scale"
             )
-        sigma = spec.scale
 
         def pot_integrand(s):
-            # p |u(sigma s)|^(p-1) psi^2 sigma^2 s = f_p(sigma s) psi^2 / s
-            return float(fp_values(sol, sigma * s)) * float(psi_core(s, g)) ** 2 / s
+            # sigma = scale: p |u(sigma s)|^(p-1) psi^2 sigma^2 s = f_p(sigma s) psi^2 / s
+            return float(fp_values(sol, spec.scale * s)) * float(psi_core(s, g)) ** 2 / s
 
         pot_core, _ = quad(pot_integrand, a, b, **_QUAD_OPTS)
-    else:
-        raise ConfigError(f"unknown mode {mode!r}")
 
     n1 = two_pi * (grad_core - pot_core)
     d1 = two_pi * quad(lambda s: psi_core(s, g) ** 2 / s, a, b, **_QUAD_OPTS)[0]
@@ -452,7 +400,7 @@ TestFunctionSpec.__test__ = False
 
 
 def quotient_closed_forms(spec: TestFunctionSpec) -> QuotientParts:
-    """Exact limit-mode values of the six parts.
+    """Exact values of the six limit parts.
 
     The core pair comes from the explicit antiderivative in t = 1 + s^(2+g);
     the ramp pairs from elementary integrals of the linear branches. As
@@ -479,15 +427,13 @@ def quotient_closed_forms(spec: TestFunctionSpec) -> QuotientParts:
     )
 
 
-def core_profile_identity_gap(constants: LimitConstants,
-                              s: np.ndarray | None = None) -> float:
-    """Pointwise gap of eta_1(2 sqrt2 s^((2+g)/2)) against 2 sqrt2 psi(s).
+def core_profile_identity_gap(constants: LimitConstants) -> float:
+    """Gap of eta_1(2 sqrt2 s^((2+g)/2)) against 2 sqrt2 psi(s), s in [1e-2, 1e2].
 
     The composition reproduces the core profile up to the constant factor
     2 sqrt 2, which is immaterial for the (0-homogeneous) Rayleigh quotient.
     """
-    if s is None:
-        s = np.logspace(-2, 2, 201)
+    s = np.logspace(-2, 2, 201)
     g = constants.gamma
     lhs = eta1(2.0 * math.sqrt(2.0) * s ** ((2.0 + g) / 2.0), N=2)
     rhs = 2.0 * math.sqrt(2.0) * psi_core(s, g)
@@ -530,8 +476,8 @@ def rayleigh_quotient_suite(count: int = 50, seed: int = 20160127) -> list[float
     margins = []
     for _ in range(count):
         N = int(rng.integers(2, 6))
-        v = random_admissible_function(rng, N)
-        margins.append(rayleigh_limit(v, N) + (N - 1.0))
+        f, df = random_admissible_function(rng, N)
+        margins.append(rayleigh_limit(f, df, N) + (N - 1.0))
     return margins
 
 
@@ -557,45 +503,42 @@ def _mk_check(name, anchor, value, expected, tol, relative=False) -> Check:
                  expected=float(expected), tol=tol, passed=bool(err < tol))
 
 
-def verification_battery(N: int = 2, ell: float = REFERENCE_ELL) -> list[Check]:
-    """Run every closed-form limit check at dimension N; pure and fast."""
+def verification_battery(N: int = 2) -> list[Check]:
+    """Run every closed-form limit check at dimension N and REFERENCE_ELL."""
     if N < 2:
         raise ConfigError(f"dimension N must be >= 2, got {N}")
     if N > MAX_LIMIT_N:
         raise ConfigError(
             f"dimension N must be <= {MAX_LIMIT_N} for the limit checks, got {N}")
-    k = limit_constants(ell)
-    g, d = k.gamma, k.delta
+    k = limit_constants()
+    g, d, ell = k.gamma, k.delta, k.ell
+    wrong = limit_residual(N, 0.0)
     checks = [
         _mk_check("gamma_identity", "identity gamma(gamma+4) = 2 ell^2",
                   g * (g + 4.0), 2.0 * ell * ell, 1e-10),
         _mk_check("gamma_shift_identity", "identity (gamma+2)^2 = 2 ell^2 + 4",
                   (g + 2.0) ** 2, 2.0 * ell * ell + 4.0, 1e-10),
         _mk_check("z_ell_root", "singular profile vanishes at ell",
-                  float(_z_ell_log(ell, g, d)), 0.0, 1e-10),
+                  float(singular_profile(ell, k)), 0.0, 1e-10),
         _mk_check("h_at_delta", "weighted potential peak h(delta) = ell^2 + 2",
-                  float(np.exp(_z_ell_log(d, g, d))) * d * d, ell * ell + 2.0, 1e-10),
+                  float(np.exp(singular_profile(d, k))) * d * d, ell * ell + 2.0, 1e-10),
         _mk_check("g_at_sqrt8", "planar potential peak g(sqrt 8) = 2",
                   float(limit_potential(math.sqrt(8.0), 2)) * 8.0, 2.0, 1e-10),
         _mk_check("H_quadrature", "quadrature of the point-mass coefficient (= -gamma)",
                   k.H, -g, 1e-8),
         _mk_check("liouville_mass", "planar Liouville mass 8 pi",
-                  liouville_mass("U"), 8.0 * math.pi, 1e-6, relative=True),
+                  liouville_mass(), 8.0 * math.pi, 1e-6, relative=True),
         _mk_check("singular_mass_finite", "singular-profile mass 4 pi (gamma + 2)",
-                  liouville_mass("Z_ell", k), 4.0 * math.pi * (g + 2.0), 1e-6,
-                  relative=True),
+                  singular_mass(k), 4.0 * math.pi * (g + 2.0), 1e-6, relative=True),
         _mk_check("rayleigh_eta1", "limit eigenvalue -(N-1) attained at eta_1",
-                  rayleigh_limit("eta1", N), -(N - 1.0), 1e-6, relative=True),
+                  rayleigh_eta1(N), -(N - 1.0), 1e-6, relative=True),
         _mk_check("limit_residual", "eta_1 solves the limit equation at -(N-1)",
                   limit_residual(N, -(N - 1.0)), 0.0, 1e-10),
         Check(name="residual_wrong_eigenvalue",
               anchor="residual bounded away from 0 at lambda = 0",
-              value=limit_residual(N, 0.0), expected=0.0, tol=1e-2,
-              passed=bool(limit_residual(N, 0.0) > 1e-2)),
+              value=wrong, expected=0.0, tol=1e-2, passed=bool(wrong > 1e-2)),
         _mk_check("morse_singular_profile", "Morse index of the singular profile",
                   k.morse_Z, 11.0, 0.5),
-        _mk_check("kernel_singular_profile", "kernel dimension of the singular profile",
-                  k.kernel_Z, 1.0, 0.5),
         _mk_check("eta1_decay_origin", "eta_1 |x|^(N-1) -> 0 at the origin",
                   float(eta1(1e-6, N)) * (1e-6) ** (N - 1), 0.0, 1e-5),
         _mk_check("eta1_decay_infinity", "eta_1 / |x| -> 0 at infinity",
@@ -603,7 +546,7 @@ def verification_battery(N: int = 2, ell: float = REFERENCE_ELL) -> list[Check]:
     ]
     if N == 2:
         spec = TestFunctionSpec(R=10.0, constants=k)
-        parts = test_function_quotient(spec, mode="limit")
+        parts = test_function_quotient(spec)
         exact = quotient_closed_forms(spec)
         part_err = max(
             abs(getattr(parts, f) - getattr(exact, f)) / abs(getattr(exact, f))

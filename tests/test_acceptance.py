@@ -23,7 +23,7 @@ from lanemorse import (
     liouville_mass,
     morse_index,
     quotient_closed_forms,
-    rayleigh_limit,
+    rayleigh_eta1,
     scales,
     richardson,
     sphere_spectrum,
@@ -85,7 +85,7 @@ def test_criterion_limit_eigenvalue():
     t0 = time.time()
     worst_rq, worst_res = 0.0, 0.0
     for N in (2, 3, 4, 5):
-        rq = rayleigh_limit("eta1", N)
+        rq = rayleigh_eta1(N)
         worst_rq = max(worst_rq, abs(rq + (N - 1.0)) / (N - 1.0))
         worst_res = max(worst_res, limit_residual(N, -(N - 1.0)))
     _report(
@@ -97,7 +97,7 @@ def test_criterion_limit_eigenvalue():
 
 
 def test_criterion_liouville_mass():
-    mass = liouville_mass("U")
+    mass = liouville_mass()
     err = abs(mass - 8.0 * math.pi) / (8.0 * math.pi)
     _report("liouville-mass (8 pi within 1e-6 relative)", err < 1e-6,
             f"rel err={err:.1e}")
@@ -215,7 +215,7 @@ def test_criterion_morse_index_12(nodal):
 def test_criterion_appendix_estimate(nodal):
     k = limit_constants()
     spec = TestFunctionSpec(R=10.0, constants=k)
-    parts = test_function_quotient(spec, mode="limit")
+    parts = test_function_quotient(spec)
     exact = quotient_closed_forms(spec)
     target = -(k.ell**2 + 2.0) / 2.0
     quot_err = abs(parts.quotient - target) / abs(target)
@@ -226,7 +226,7 @@ def test_criterion_appendix_estimate(nodal):
     sol = nodal(400.0)
     sigma = k.delta * scales(sol).eps_minus
     fspec = TestFunctionSpec(R=10.0, scale=sigma, constants=k)
-    fparts = test_function_quotient(fspec, mode="finite_p", sol=sol)
+    fparts = test_function_quotient(fspec, sol=sol)
     inner = auto_inner_radius(sol)
     beta1 = weighted_radial_eigs(
         build_problem(sol, inner, auto_grid_size(sol, inner)), 1

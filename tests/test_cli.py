@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import lanemorse
+from lanemorse import cli
 from lanemorse.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -18,7 +21,7 @@ from lanemorse.cli import (
     parse_args,
     run,
 )
-from lanemorse.errors import ConfigError
+from lanemorse.errors import ConfigError, SolverError
 
 
 def test_parse_args_roundtrip():
@@ -45,6 +48,8 @@ def test_bad_config_rejected(tmp_path):
                  ["morse", "--p", "5", "--tol-eig", "1e-8"],
                  ["solve", "--p", "5", "--grid-M", "512"],
                  ["limit-check", "--tol-shoot", "1e-9"],
+                 ["limit-check", "--ell", "7"],
+                 ["morse", "--p", "5", "--format", "json"],
                  ["spectrum", "--p", "5", "--grid-M", "0"],
                  ["sweep", "--p", "5", "--inner-rule", "abc"],
                  # non-finite numbers and dimensions below 2, on every command
@@ -56,12 +61,9 @@ def test_bad_config_rejected(tmp_path):
                  ["limit-check", "--N", "0"],
                  ["morse", "--p", "5", "--N", "1"],
                  ["solve", "--p", "5", "--tol-shoot", "nan"],
-                 ["limit-check", "--ell", "nan"],
                  # past the float64 range of the arithmetic, and unwritable output
                  ["solve", "--p", "1.001"],
                  ["limit-check", "--N", "140"],
-                 ["limit-check", "--ell", "1e-9"],
-                 ["limit-check", "--ell", "1e150"],
                  ["solve", "--p", "5", "--out", str(tmp_path / "missing" / "x.json")]):
         assert main(argv) == EXIT_CONFIG, argv
 
@@ -120,6 +122,38 @@ def test_sweep_csv_format(tmp_path):
     assert int(first[11]) == 2  # m_rad column
     assert first[-1] == "ok"
     assert "\r" not in text
+
+
+def test_sweep_csv_quotes_a_status_with_commas(monkeypatch):
+    # an error message with commas stays one cell and round-trips
+    message = "found 1 (inner=2e-2, M=1304)"
+    real_solve = cli.solve_nodal
+
+    def solve_or_fail(p, **kwargs):
+        if p == 3.0:
+            raise SolverError(message)
+        return real_solve(p, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_nodal", solve_or_fail)
+    code, text = run(parse_args(["sweep", "--p", "3,5", "--format", "csv"]))
+    assert code == EXIT_SOLVER
+    header, *rows = list(csv.reader(text.splitlines()))
+    assert header == SWEEP_COLUMNS + ["status"]
+    assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
+    assert rows[0][-1] == "error: " + message
+    assert rows[1][-1] == "ok"
+
+
+@pytest.mark.parametrize("argv", [["solve", "--p", "3"], ["spectrum", "--p", "3"],
+                                  ["morse", "--p", "3"], ["sweep", "--p", "3"],
+                                  ["limit-check"]])
+def test_config_block_lists_the_flags_the_command_reads(argv, capsys):
+    assert main([argv[0], "--help"]) == EXIT_OK
+    options = re.findall(r"^\s+--([\w-]+)", capsys.readouterr().out, re.M)
+    flags = [opt.replace("-", "_") for opt in options if opt != "out"]
+    code, text = run(parse_args(argv))
+    assert code == EXIT_OK
+    assert list(json.loads(text)["config"]) == flags
 
 
 def test_limit_check_command():
@@ -189,7 +223,7 @@ def _run_cli(*args):
 def test_exit_codes_via_entry_point():
     proc = _run_cli("limit-check", "--N", "2")
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert '"schema_version": 4' in proc.stdout, proc.stderr
+    assert '"schema_version": 5' in proc.stdout, proc.stderr
     proc = _run_cli("solve", "--p", "0.5")
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     proc = _run_cli("bogus")
@@ -208,7 +242,7 @@ def test_exit_codes_via_entry_point():
 
 def test_schema_shape():
     _, text = run(parse_args(["solve", "--p", "3"]))
-    assert text.startswith('{\n  "schema_version": 4')
+    assert text.startswith('{\n  "schema_version": 5')
     for key in ('"command"', '"config"', '"results"', '"checks"'):
         assert key in text
     assert text.endswith("}\n")

@@ -8,14 +8,16 @@ from scipy.integrate import quad
 
 from lanemorse import (
     ConfigError,
-    LimitProfile,
     TestFunctionSpec,
-    eval_profile,
     limit_constants,
     limit_residual,
     liouville_mass,
+    liouville_profile,
     quotient_closed_forms,
+    rayleigh_eta1,
     rayleigh_limit,
+    singular_mass,
+    singular_profile,
     test_function_quotient,
     verification_battery,
 )
@@ -27,8 +29,8 @@ from lanemorse.limits import (
     core_profile_identity_gap,
     eta1,
     eta1_d1,
+    limit_potential,
     mass_tail_bound,
-    power_integral_full,
     power_tail_integral,
     psi_core,
     rayleigh_quotient_suite,
@@ -46,7 +48,6 @@ def test_constants_from_reference_ell():
     assert abs(k.gamma - 8.3740) < 5e-4
     assert abs(k.delta - 7.474) < 5e-3
     assert k.morse_Z == 11
-    assert k.kernel_Z == 1
 
 
 def test_H_quadrature_matches_closed_form():
@@ -65,14 +66,14 @@ def test_algebraic_identities(ell):
     g, d = k.gamma, k.delta
     assert abs(g * (g + 4.0) - 2.0 * ell * ell) < 1e-10
     assert abs((g + 2.0) ** 2 - (2.0 * ell * ell + 4.0)) < 1e-10
-    z_at_ell = eval_profile(LimitProfile("Z_ell", constants=k), ell)
+    z_at_ell = singular_profile(ell, k)
     assert abs(z_at_ell) < 1e-10
-    h_at_delta = eval_profile(LimitProfile("V_minus", constants=k), d) * d * d
+    h_at_delta = np.exp(singular_profile(d, k)) * d * d
     assert abs(h_at_delta - (ell * ell + 2.0)) < 1e-10
 
 
 def test_planar_peak_identity():
-    g_at = eval_profile(LimitProfile("V_plus", N=2), math.sqrt(8.0)) * 8.0
+    g_at = limit_potential(math.sqrt(8.0), 2) * 8.0
     assert abs(g_at - 2.0) < 1e-12
 
 
@@ -81,13 +82,11 @@ def test_planar_peak_identity():
 
 
 def test_profile_values():
-    assert eval_profile(LimitProfile("U", N=2), 0.0) == 0.0
-    assert eval_profile(LimitProfile("U", N=3), 0.0) == 1.0
-    assert eval_profile(LimitProfile("V_plus", N=2), 0.0) == 1.0
+    assert liouville_profile(0.0, 2) == 0.0
+    assert liouville_profile(0.0, 3) == 1.0
+    assert limit_potential(0.0, 2) == 1.0
     with pytest.raises(ConfigError):
-        eval_profile(LimitProfile("Z_ell"), 0.0)
-    with pytest.raises(ConfigError):
-        LimitProfile("nope")
+        singular_profile(0.0, limit_constants())
 
 
 def test_eta1_peak():
@@ -109,8 +108,8 @@ def test_profiles_positive():
     r = np.logspace(-3, 3, 50)
     k = limit_constants()
     assert np.all(eta1(r, 2) > 0)
-    assert np.all(eval_profile(LimitProfile("V_plus", N=3), r) > 0)
-    assert np.all(eval_profile(LimitProfile("V_minus", constants=k), r) > 0)
+    assert np.all(limit_potential(r, 3) > 0)
+    assert np.all(np.exp(singular_profile(r, k)) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -118,20 +117,20 @@ def test_profiles_positive():
 
 
 def test_liouville_mass_8pi():
-    assert liouville_mass("U") == pytest.approx(8.0 * math.pi, rel=1e-6)
+    assert liouville_mass() == pytest.approx(8.0 * math.pi, rel=1e-6)
 
 
 def test_mass_tail_bound_at_1e3():
     # closed-form tail bound far below the requested truncation error
-    assert mass_tail_bound("U", 1e3) < 1e-4 * 8.0 * math.pi
+    assert mass_tail_bound(1e3) < 1e-4 * 8.0 * math.pi
     # and it really bounds the tail: exact remainder is 4/(1+T^2/8)
     exact_tail = power_tail_integral(1.0, 2.0, 8.0, 1e3)
-    assert exact_tail <= mass_tail_bound("U", 1e3)
+    assert exact_tail <= mass_tail_bound(1e3)
 
 
 def test_singular_profile_mass_finite():
     k = limit_constants()
-    mass = liouville_mass("Z_ell", k)
+    mass = singular_mass(k)
     assert math.isfinite(mass)
     # elementary antiderivative gives 4 pi (gamma + 2)
     assert mass == pytest.approx(4.0 * math.pi * (k.gamma + 2.0), rel=1e-8)
@@ -150,7 +149,7 @@ def test_power_tail_integral_against_quad(m, extra, c, lo):
     num, _ = quad(lambda r: r**m * (1.0 + r * r / c) ** -q, lo, np.inf,
                   epsabs=1e-13, epsrel=1e-12, limit=300)
     assert exact == pytest.approx(num, rel=1e-8, abs=1e-12)
-    full = power_integral_full(m, q, c)
+    full = power_tail_integral(m, q, c, 0.0)
     assert full >= exact >= 0.0
 
 
@@ -160,7 +159,7 @@ def test_power_tail_integral_against_quad(m, extra, c, lo):
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_rayleigh_eta1(N):
-    assert rayleigh_limit("eta1", N) == pytest.approx(-(N - 1.0), rel=1e-6)
+    assert rayleigh_eta1(N) == pytest.approx(-(N - 1.0), rel=1e-6)
 
 
 def test_rayleigh_homogeneity():
@@ -168,7 +167,7 @@ def test_rayleigh_homogeneity():
     df = lambda r: eta1_d1(r, 2)
     g = lambda r: 3.0 * eta1(r, 2)
     dg = lambda r: 3.0 * eta1_d1(r, 2)
-    assert rayleigh_limit((f, df), 2) == pytest.approx(rayleigh_limit((g, dg), 2), rel=1e-13)
+    assert rayleigh_limit(f, df, 2) == pytest.approx(rayleigh_limit(g, dg, 2), rel=1e-13)
 
 
 @pytest.mark.parametrize("N,lam", [(2, -1.0), (3, -2.0), (4, -3.0), (5, -4.0)])
@@ -192,7 +191,7 @@ def test_random_admissible_suite():
 
 def test_quotient_parts_match_closed_forms():
     spec = TestFunctionSpec(R=10.0)
-    parts = test_function_quotient(spec, mode="limit")
+    parts = test_function_quotient(spec)
     exact = quotient_closed_forms(spec)
     for name in ("n1", "n2", "n3", "d1", "d2", "d3"):
         assert getattr(parts, name) == pytest.approx(getattr(exact, name), rel=1e-8)
@@ -202,22 +201,22 @@ def test_inner_ramp_closed_form_explicit():
     # N2/(2 pi) = (3/2) R^-(2+g) / (1 + R^-(2+g))^2
     spec = TestFunctionSpec(R=10.0)
     g = spec.constants.gamma
-    parts = test_function_quotient(spec, mode="limit")
+    parts = test_function_quotient(spec)
     explicit = 1.5 * (0.1 ** (2.0 + g)) / (1.0 + 0.1 ** (2.0 + g)) ** 2
     assert parts.n2 / (2.0 * math.pi) == pytest.approx(explicit, rel=1e-8)
 
 
 def test_quotient_at_R10():
     spec = TestFunctionSpec(R=10.0)
-    parts = test_function_quotient(spec, mode="limit")
+    parts = test_function_quotient(spec)
     ell = spec.constants.ell
     target = -(ell * ell + 2.0) / 2.0
     assert abs(parts.quotient - target) / abs(target) < 1e-3
 
 
 def test_quotient_scale_invariant_limit_mode():
-    a = test_function_quotient(TestFunctionSpec(R=8.0), mode="limit")
-    b = test_function_quotient(TestFunctionSpec(R=8.0, scale=0.37), mode="limit")
+    a = test_function_quotient(TestFunctionSpec(R=8.0))
+    b = test_function_quotient(TestFunctionSpec(R=8.0, scale=0.37))
     assert a.quotient == pytest.approx(b.quotient, rel=1e-12)
 
 
@@ -230,15 +229,13 @@ def test_spec_validation():
         TestFunctionSpec(R=0.9)
     with pytest.raises(ConfigError):
         TestFunctionSpec(R=10.0, scale=-1.0)
-    with pytest.raises(ConfigError):
-        test_function_quotient(TestFunctionSpec(R=10.0), mode="finite_p", sol=None)
 
 
 def test_finite_p_support_must_fit(nodal):
     sol = nodal(3.0)
     spec = TestFunctionSpec(R=10.0, scale=0.2)  # support reaches 2*R*scale = 4
     with pytest.raises(ConfigError):
-        test_function_quotient(spec, mode="finite_p", sol=sol)
+        test_function_quotient(spec, sol=sol)
 
 
 def test_psi_core_shape():
@@ -288,4 +285,4 @@ def test_limit_constants_at_the_ell_range_ends():
     for ell in (ELL_MIN, ELL_MAX):
         k = limit_constants(ell)
         assert k.gamma > 0.0 and math.isfinite(k.delta) and math.isfinite(k.H)
-        assert math.isfinite(liouville_mass("Z_ell", k))
+        assert math.isfinite(singular_mass(k))

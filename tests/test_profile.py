@@ -9,7 +9,7 @@ from lanemorse import (
     solve_nodal,
 )
 from lanemorse import profile
-from lanemorse.limits import REFERENCE_ELL, eval_profile, LimitProfile
+from lanemorse.limits import REFERENCE_ELL, liouville_profile, singular_profile
 from lanemorse.profile import fp_values, rescaled_potential, rescaled_profile
 
 P_LADDER = (50.0, 100.0, 200.0, 400.0)
@@ -75,7 +75,7 @@ def test_rescaled_domain_errors(nodal):
 
 def test_positive_rescaling_converges_to_liouville(nodal):
     x = np.linspace(0.0, 5.0, 101)
-    U = eval_profile(LimitProfile("U", N=2), x)
+    U = liouville_profile(x, 2)
     sups = [
         float(np.max(np.abs(rescaled_profile(nodal(p), "+", x) - U)))
         for p in (100.0, 400.0)
@@ -85,7 +85,7 @@ def test_positive_rescaling_converges_to_liouville(nodal):
 
 def test_negative_potential_converges_to_singular_profile(nodal):
     x = np.linspace(1.0, 5.0, 101)
-    target = eval_profile(LimitProfile("V_minus", N=2), x)
+    target = np.exp(singular_profile(x, limit_constants()))
     sups = [
         float(np.max(np.abs(rescaled_potential(nodal(p), "-", x) - target)))
         for p in (100.0, 400.0)
