@@ -1,11 +1,12 @@
 """Collect perfbench run records into one committed BENCH_<n>.json.
 
-    python scripts/collect_bench.py BENCH_6.json --seed 21 \
-        parent=../parent/.perfbench_out change=.perfbench_out
+    python scripts/collect_bench.py BENCH_6.json \
+        parent=../parent/.perfbench_out change=.perfbench_out --seed 21
 
 Each LABEL=DIR names the .perfbench_out/ directory of one checkout (e.g. the
 parent commit and the change). Every record `<workload>-seed<N>-trace<t>.json`
-found there is summarized: seed, workload, trace flag, request counts and, for
+found there for one of the --seed values (one or more, so that several
+parent/change pairs of a workload land in one file) is summarized: seed, workload, trace flag, request counts and, for
 --trace 0, the end-to-end metrics computed from the record as perfbench/run.py
 computes them (timings scaled to the reference host speed); for --trace 1, the
 per-layer metrics and the import breakdown. The host and library versions are
@@ -56,13 +57,14 @@ def summarize(rec: dict) -> dict:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out")
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seed", type=int, nargs="+", required=True)
     ap.add_argument("sides", nargs="+", metavar="LABEL=DIR")
     args = ap.parse_args(argv)
     runs, environment = [], None
     for side in args.sides:
         label, _, directory = side.partition("=")
-        files = sorted(Path(directory).glob(f"*-seed{args.seed}-trace[01].json"))
+        files = [path for seed in args.seed
+                 for path in sorted(Path(directory).glob(f"*-seed{seed}-trace[01].json"))]
         if not files:
             ap.error(f"no seed {args.seed} records in {directory}")
         for path in files:

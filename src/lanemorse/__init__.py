@@ -18,24 +18,6 @@ from .errors import (
     TangentialZeroError,
     UnimodalityError,
 )
-from .limits import (
-    REFERENCE_ELL,
-    Check,
-    LimitConstants,
-    QuotientParts,
-    TestFunctionSpec,
-    limit_constants,
-    limit_residual,
-    liouville_mass,
-    liouville_profile,
-    quotient_closed_forms,
-    rayleigh_eta1,
-    rayleigh_limit,
-    singular_mass,
-    singular_profile,
-    test_function_quotient,
-    verification_battery,
-)
 from .profile import FpAnalysis, Scales, analyze_fp, fp_values, rescaled_potential, rescaled_profile, scales
 from .radial import IvpConfig, RadialSolution, Trajectory, integrate_ivp, solve_nodal
 from .spectral import (
@@ -53,6 +35,26 @@ from .spectral import (
 
 __version__ = "0.1.0"
 
+# limits imports scipy.integrate and scipy.special, which take most of the
+# package's import time; only limit-check and the tests use it, so its names
+# load it on first access
+_LIMITS_NAMES = (
+    "REFERENCE_ELL", "LimitConstants", "TestFunctionSpec", "QuotientParts",
+    "Check", "limit_constants", "liouville_profile", "singular_profile",
+    "liouville_mass", "singular_mass", "rayleigh_eta1", "rayleigh_limit",
+    "limit_residual", "test_function_quotient", "quotient_closed_forms",
+    "verification_battery",
+)
+
+
+def __getattr__(name):
+    if name in _LIMITS_NAMES:
+        from . import limits
+
+        return getattr(limits, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "__version__",
     # radial
@@ -65,11 +67,7 @@ __all__ = [
     "count_negative", "weighted_radial_eigs", "annulus_betas", "richardson",
     "sphere_spectrum", "morse_index",
     # limits
-    "REFERENCE_ELL", "LimitConstants", "TestFunctionSpec", "QuotientParts",
-    "Check", "limit_constants", "liouville_profile", "singular_profile",
-    "liouville_mass", "singular_mass", "rayleigh_eta1", "rayleigh_limit",
-    "limit_residual",
-    "test_function_quotient", "quotient_closed_forms", "verification_battery",
+    *_LIMITS_NAMES,
     # errors
     "LaneMorseError", "ConfigError", "SolverError", "CheckError",
     "StiffnessError", "TangentialZeroError", "HorizonError",

@@ -20,7 +20,6 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import CheckError, ConfigError, LaneMorseError
-from .limits import limit_constants, verification_battery
 from .profile import analyze_fp, scales
 from .radial import solve_nodal
 from .spectral import annulus, annulus_betas, morse_index, richardson
@@ -266,14 +265,17 @@ def run(config: RunConfig) -> tuple[int, str]:
         if config.fmt == "csv":
             return code, _render_csv(rows)
     else:  # limit-check
-        checks = verification_battery(N=config.N)
+        # imported here: limits loads scipy.integrate, which no other command needs
+        from .limits import limit_constants, verification_battery
+
+        k = limit_constants()
+        checks = verification_battery(N=config.N, constants=k)
         payload["checks"] = [
             {"name": c.name, "anchor": c.anchor, "value": c.value,
              "expected": c.expected, "tol": c.tol,
              "status": "pass" if c.passed else "fail"}
             for c in checks
         ]
-        k = limit_constants()
         payload["results"]["constants"] = {
             "ell": k.ell, "gamma": k.gamma, "delta": k.delta, "H": k.H,
             "morse_Z": k.morse_Z,

@@ -503,14 +503,20 @@ def _mk_check(name, anchor, value, expected, tol, relative=False) -> Check:
                  expected=float(expected), tol=tol, passed=bool(err < tol))
 
 
-def verification_battery(N: int = 2) -> list[Check]:
-    """Run every closed-form limit check at dimension N and REFERENCE_ELL."""
+def verification_battery(
+    N: int = 2, constants: LimitConstants | None = None,
+) -> list[Check]:
+    """Run every closed-form limit check at dimension N and REFERENCE_ELL.
+
+    constants: limit_constants() when the caller already holds them, so that
+    their H quadrature runs once.
+    """
     if N < 2:
         raise ConfigError(f"dimension N must be >= 2, got {N}")
     if N > MAX_LIMIT_N:
         raise ConfigError(
             f"dimension N must be <= {MAX_LIMIT_N} for the limit checks, got {N}")
-    k = limit_constants()
+    k = constants if constants is not None else limit_constants()
     g, d, ell = k.gamma, k.delta, k.ell
     wrong = limit_residual(N, 0.0)
     checks = [

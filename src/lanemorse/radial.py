@@ -19,8 +19,17 @@ spans tens of decades in r and any fixed-variable integrator would take steps
 with h/r >> 1 through the quiet stretches. The (N-1)/r origin singularity
 also disappears. Reported trajectories are always in the r variables.
 
-Powers |u|^(p-1) u are evaluated as sign(u) exp((p-1) ln|u| + ln|u|), which
-neither overflows nor loses the sign for p up to ~10^3.
+The integrator is a scalar Dormand-Prince 5(4) loop (_dormand_prince) with
+the step control of SciPy's RK45: same tableau, error norm, step factors,
+minimum step and initial-step rule, so it takes the same steps. Its events
+(zeros of u, of u' and of d ln f_p / d ln r) are located by Brent's method
+on each step's quartic interpolant; only the step states are kept, and the
+trajectory between them is the quintic Hermite reconstruction.
+
+Powers |u|^(p-1) u are evaluated through logarithms, as sign(u) exp(p ln|u|),
+which keeps the sign and underflows gracefully; past the float64 range the
+array form returns inf and the scalar form used by the integrator raises
+OverflowError, which rejects the step.
 """
 
 from __future__ import annotations
@@ -30,7 +39,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     ConfigError,
@@ -54,6 +62,8 @@ _RESIDUAL_THETAS = (0.15, 0.35, 0.5, 0.65, 0.85)
 
 _ABS_TOL = 1e-14        # absolute integrator tolerance on (u, w)
 _MAX_LOG_STEP = 0.075   # largest step in rho = ln r
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
+_MIN_REL_TOL = 100 * sys.float_info.epsilon
 
 
 def signed_power(u, p: float):
@@ -64,12 +74,16 @@ def signed_power(u, p: float):
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
     nz = u != 0.0
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        lg = (p - 1.0) * np.log(np.abs(u[nz]))
-        out[nz] = np.sign(u[nz]) * np.exp(lg + np.log(np.abs(u[nz])))
+    lg = (p - 1.0) * np.log(np.abs(u[nz]))
+    out[nz] = np.sign(u[nz]) * _exp(lg + np.log(np.abs(u[nz])))
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _exp(x):
+    """np.exp(x), with inf and no overflow warning past the float64 range."""
+    return np.exp(x, out=np.full(np.shape(x), np.inf), where=~(x > _LN_FLOAT_MAX))
 
 
 def _signed_power_scalar(u: float, p: float) -> float:
@@ -103,8 +117,11 @@ class IvpConfig:
             raise ConfigError(f"dimension N must be an integer >= 2, got {self.N}")
         if not self.r_start > 0:
             raise ConfigError("r_start must be positive")
-        if not self.rel_tol > 0:
-            raise ConfigError("integrator tolerance rel_tol must be positive")
+        if not self.rel_tol >= _MIN_REL_TOL:
+            # below this the rounding of a step outweighs its error estimate
+            raise ConfigError(
+                f"integrator tolerance rel_tol must be >= 100 eps = {_MIN_REL_TOL:.3g}, "
+                f"got {self.rel_tol}")
         if not (math.isfinite(self.r_max) and self.r_max > self.r_start):
             raise ConfigError("r_max must be finite and exceed r_start")
         if self.max_zeros is not None and self.max_zeros < 1:
@@ -222,27 +239,25 @@ def _residual_sup_log(data, p: float, N: int) -> float:
     for th in _RESIDUAL_THETAS:
         Pu, Pw, dPw = _hermite(data, j, th)
         r = np.exp(rho[j] + th * h)
-        with np.errstate(over="ignore", under="ignore"):
-            r2 = r * r
-            term_dd = -(dPw - Pw) / r2          # -u''
-            term_d = -(N - 1.0) * Pw / r2       # -(N-1) u'/r
-            term_u = -signed_power(Pu, p)
-            res = np.abs(term_dd + term_d + term_u)
-            scale = np.maximum(
-                1.0,
-                np.maximum(np.abs(term_dd), np.maximum(np.abs(term_d), np.abs(term_u))),
-            )
-            worst = max(worst, float(np.max(res / scale)))
+        r2 = r * r
+        term_dd = -(dPw - Pw) / r2          # -u''
+        term_d = -(N - 1.0) * Pw / r2       # -(N-1) u'/r
+        term_u = -signed_power(Pu, p)
+        res = np.abs(term_dd + term_d + term_u)
+        scale = np.maximum(
+            1.0,
+            np.maximum(np.abs(term_dd), np.maximum(np.abs(term_d), np.abs(term_u))),
+        )
+        worst = max(worst, float(np.max(res / scale)))
     return worst
 
 
 def _ddw(rho, u, w, dw, p, N):
     # d/drho of dw = -(N-2) w - e^(2 rho) |u|^(p-1) u
     e2 = np.exp(2.0 * rho)
-    with np.errstate(over="ignore", under="ignore"):
-        dpow = p * np.exp((p - 1.0) * np.log(np.where(u != 0.0, np.abs(u), 1.0)))
-        dpow = np.where(u != 0.0, dpow, 0.0 if p > 1 else p)
-        return -(N - 2.0) * dw - e2 * (2.0 * signed_power(u, p) + dpow * w)
+    dpow = p * _exp((p - 1.0) * np.log(np.where(u != 0.0, np.abs(u), 1.0)))
+    dpow = np.where(u != 0.0, dpow, 0.0 if p > 1 else p)
+    return -(N - 2.0) * dw - e2 * (2.0 * signed_power(u, p) + dpow * w)
 
 
 def integrate_ivp(cfg: IvpConfig) -> Trajectory:
@@ -251,7 +266,10 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
     Start values at r_start come from the Taylor seed
     u = a - (|a|^(p-1) a / (2N)) r^2 (regularity at the origin forces
     u'(0) = 0; the seed error is O(r_start^4)). Integration stops at r_max or
-    after cfg.max_zeros zero crossings, whichever comes first.
+    after cfg.max_zeros zero crossings, whichever comes first. A seed or
+    start derivative outside the float64 range raises ConfigError; a step
+    that cannot be taken (an overflow in every stage down to the smallest
+    step) raises StiffnessError.
     """
     p, N, a = cfg.p, cfg.N, cfg.a
     rho0, rho1 = math.log(cfg.r_start), math.log(cfg.r_max)
@@ -261,60 +279,267 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
         zero = np.zeros(2)
         return Trajectory(cfg, nodes, zero, zero.copy(), [], [], [])
 
-    def rhs(rho, y):
-        u, w = float(y[0]), float(y[1])
-        e2 = math.exp(2.0 * rho)
-        return (w, -(N - 2.0) * w - e2 * _signed_power_scalar(u, p))
+    def accel(rho, u, w):
+        # dw/drho; math.exp raises OverflowError past the float64 range
+        return -(N - 2.0) * w - math.exp(2.0 * rho) * _signed_power_scalar(u, p)
 
-    def zero_ev(rho, y):
-        return y[0]
-
-    if cfg.max_zeros is not None:
-        zero_ev.terminal = cfg.max_zeros
-
-    def crit_ev(rho, y):
-        return y[1]
-
-    def fp_crit_ev(rho, y):
-        # u * d ln f_p / d rho; at a zero of u it equals (p-1) w != 0
-        return (p - 1.0) * y[1] + 2.0 * y[0]
-
-    c2 = signed_power(a, p) / (2.0 * N)
-    y0 = (a - c2 * cfg.r_start**2, -2.0 * c2 * cfg.r_start**2)
-    # For large p the initial-step heuristic probes one step across the whole
-    # interval, where e^(2 rho) overflows its norm; the resulting zero guess is
-    # raised to the minimum step, so the overflow is harmless there. An
-    # overflow inside a real step makes its error estimate infinite, the step
-    # is rejected and the failure surfaces as StiffnessError below.
-    with np.errstate(over="ignore"):
-        sol = solve_ivp(
-            rhs,
-            (rho0, rho1),
-            y0,
-            method="RK45",
-            rtol=cfg.rel_tol,
-            atol=_ABS_TOL,
-            max_step=_MAX_LOG_STEP,
-            events=(zero_ev, crit_ev, fp_crit_ev),
+    try:
+        c2 = _signed_power_scalar(a, p) / (2.0 * N)
+        u0, w0 = a - c2 * cfg.r_start**2, -2.0 * c2 * cfg.r_start**2
+        f0 = accel(rho0, u0, w0)
+        finite = all(map(math.isfinite, (u0, w0, f0)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError(
+            f"Taylor seed at r_start={cfg.r_start:g} is not finite for a={a:g}, "
+            f"p={p:g}, N={N}: |a|^(p-1) a r_start^2 / (2N) or the start "
+            "derivative leaves the float64 range"
         )
-    if sol.status == -1:
-        raise StiffnessError(f"integration failed at r={math.exp(sol.t[-1]):.3e}: {sol.message}")
-
-    nodes = np.exp(sol.t)
-    u = sol.y[0]
-    du = sol.y[1] / nodes
+    # events: u (the zeros), w = r u' (the critical points) and
+    # u * d ln f_p / d rho = (p-1) w + 2u (the critical points of f_p)
+    ts, us, ws, t_events, y_events = _dormand_prince(
+        accel, rho0, rho1, u0, w0, f0, cfg.rel_tol,
+        events=((1.0, 0.0), (0.0, 1.0), (2.0, p - 1.0)),
+        max_events=(cfg.max_zeros or math.inf, math.inf, math.inf),
+    )
+    nodes = np.exp(ts)
+    u = np.array(us)
+    du = np.array(ws) / nodes
     zeros = []
-    for rho_z, (_, w_z) in zip(sol.t_events[0], sol.y_events[0]):
+    for rho_z, (_, w_z) in zip(t_events[0], y_events[0]):
         r_z = math.exp(rho_z)
         if abs(w_z) < 1e3 * _ABS_TOL:
             raise TangentialZeroError(
                 f"degenerate zero at r={r_z:.6e}: |u| and |u'| both below tolerance"
             )
         zeros.append((r_z, 1 if w_z > 0 else -1))
-    critical = [math.exp(rho_c) for rho_c in sol.t_events[1]]
-    fp_critical = [math.exp(rho_c) for rho_c in sol.t_events[2]]
+    critical = [math.exp(rho_c) for rho_c in t_events[1]]
+    fp_critical = [math.exp(rho_c) for rho_c in t_events[2]]
+    states = tuple(np.array(y, dtype=float).reshape(-1, 2) for y in y_events)
     return Trajectory(cfg, nodes, u, du, zeros, critical, fp_critical,
-                      event_states=tuple(sol.y_events))
+                      event_states=states)
+
+
+# Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6 (1980)):
+# stage nodes _C*, stage weights _A*, fifth-order weights _B*, error weights
+# _E* (with the first-same-as-last stage 6) and the quartic dense-output
+# matrix _P of Shampine (Math. Comp. 46 (1986)), all as in SciPy's RK45.
+# Zero entries (stage 1 in _B, _E and _P) are left out.
+_C1, _C2, _C3, _C4 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A10 = 1 / 5
+_A20, _A21 = 3 / 40, 9 / 40
+_A30, _A31, _A32 = 44 / 45, -56 / 15, 32 / 9
+_A40, _A41, _A42, _A43 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A50, _A51, _A52, _A53, _A54 = (
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
+_B0, _B2, _B3, _B4, _B5 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E0, _E2, _E3, _E4, _E5, _E6 = (
+    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_P = (  # rows: stages 0, 2, 3, 4, 5, 6; columns: powers 1..4 of theta
+    (1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+# step control of Hairer-Norsett-Wanner, Solving ODEs I, II.4
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERR_EXP = -1 / 5                    # -1 / (order of the error estimator + 1)
+_EVENT_TOL = 4 * sys.float_info.epsilon
+
+
+def _rms(xu: float, xw: float) -> float:
+    return math.sqrt(xu * xu + xw * xw) / 2**0.5
+
+
+def _dormand_prince(accel, t, t_end, u, w, f, rtol, events, max_events):
+    """Integrate u' = w, w' = accel(t, u, w) from t to t_end by DP5(4).
+
+    f = accel(t, u, w) at the start. The step control is SciPy's RK45 one:
+    the RMS error norm over _ABS_TOL + max(|y|, |y_new|) rtol, safety 0.9,
+    step factors in [0.2, 10] with no growth right after a rejection, steps
+    between 10 ulp(t) and _MAX_LOG_STEP, and the same initial-step rule. An
+    overflow in a stage makes the error norm infinite, so the step is
+    rejected; a step below 10 ulp(t) raises StiffnessError.
+
+    events holds (a, b) for each event function a u + b w. A sign change over
+    a step is located on that step's quartic interpolant by _brentq, and the
+    max_events[i]-th occurrence of event i ends the integration at its root,
+    as in solve_ivp. Returns the nodes (ts, us, ws) and, per event, the
+    lists of its roots and of the interpolated states (u, w) there.
+    """
+    atol = _ABS_TOL
+    span = t_end - t
+    # initial step (Hairer-Norsett-Wanner II.4), with SciPy's constants
+    su, sw = atol + abs(u) * rtol, atol + abs(w) * rtol
+    d0, d1 = _rms(u / su, w / sw), _rms(w / su, f / sw)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    w1 = w + h0 * f
+    try:
+        d2 = _rms((w1 - w) / su, (accel(t + h0, u + h0 * w, w1) - f) / sw) / h0
+    except OverflowError:
+        d2 = math.inf  # the probe left the float range: start at 10 ulp
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, span, _MAX_LOG_STEP)
+
+    ts, us, ws = [t], [u], [w]
+    t_events = tuple([] for _ in events)
+    y_events = tuple([] for _ in events)
+    counts = [0] * len(events)
+    g = [a * u + b * w for a, b in events]
+    while True:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = min(max(h_abs, min_step), _MAX_LOG_STEP)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError(
+                    f"integration failed at r={math.exp(t):.3e}: required step "
+                    "size is less than spacing between numbers")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = h
+            try:
+                w1 = w + (_A10 * f) * h
+                a1 = accel(t + _C1 * h, u + (_A10 * w) * h, w1)
+                w2 = w + (_A20 * f + _A21 * a1) * h
+                a2 = accel(t + _C2 * h, u + (_A20 * w + _A21 * w1) * h, w2)
+                w3 = w + (_A30 * f + _A31 * a1 + _A32 * a2) * h
+                a3 = accel(t + _C3 * h, u + (_A30 * w + _A31 * w1 + _A32 * w2) * h, w3)
+                w4 = w + (_A40 * f + _A41 * a1 + _A42 * a2 + _A43 * a3) * h
+                a4 = accel(t + _C4 * h,
+                           u + (_A40 * w + _A41 * w1 + _A42 * w2 + _A43 * w3) * h, w4)
+                w5 = w + (_A50 * f + _A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4) * h
+                a5 = accel(t + h, u + (_A50 * w + _A51 * w1 + _A52 * w2 + _A53 * w3
+                                       + _A54 * w4) * h, w5)
+                u_new = u + h * (_B0 * w + _B2 * w2 + _B3 * w3 + _B4 * w4 + _B5 * w5)
+                w_new = w + h * (_B0 * f + _B2 * a2 + _B3 * a3 + _B4 * a4 + _B5 * a5)
+                f_new = accel(t + h, u_new, w_new)
+                err = _rms(
+                    (_E0 * w + _E2 * w2 + _E3 * w3 + _E4 * w4 + _E5 * w5
+                     + _E6 * w_new) * h / (atol + max(abs(u), abs(u_new)) * rtol),
+                    (_E0 * f + _E2 * a2 + _E3 * a3 + _E4 * a4 + _E5 * a5
+                     + _E6 * f_new) * h / (atol + max(abs(w), abs(w_new)) * rtol),
+                )
+            except OverflowError:
+                err = math.inf
+            if err < 1:
+                factor = (_MAX_FACTOR if err == 0
+                          else min(_MAX_FACTOR, _SAFETY * err**_ERR_EXP))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERR_EXP)
+            rejected = True
+
+        g_new = [a * u_new + b * w_new for a, b in events]
+        active = [i for i, (g0, g1) in enumerate(zip(g, g_new))
+                  if (g0 <= 0 and g1 >= 0) or (g0 >= 0 and g1 <= 0)]
+        stop = False
+        if active:
+            # quartic interpolant y(t + x h) = y + h sum_k Q_k x^k
+            ku = (w, w2, w3, w4, w5, w_new)
+            kw = (f, a2, a3, a4, a5, f_new)
+            qu = [sum(k * row[m] for k, row in zip(ku, _P)) for m in range(4)]
+            qw = [sum(k * row[m] for k, row in zip(kw, _P)) for m in range(4)]
+
+            def state(s):
+                x = (s - t) / h
+                x2 = x * x
+                x3 = x2 * x
+                x4 = x3 * x
+                return (h * (qu[0] * x + qu[1] * x2 + qu[2] * x3 + qu[3] * x4) + u,
+                        h * (qw[0] * x + qw[1] * x2 + qw[2] * x3 + qw[3] * x4) + w)
+
+            roots = []
+            for i in active:
+                a, b = events[i]
+
+                def event(s):
+                    u_s, w_s = state(s)
+                    return a * u_s + b * w_s
+
+                roots.append(_brentq(event, t, t_new))
+                counts[i] += 1
+            hits = sorted(zip(roots, active))
+            ends = [j for j, (_, i) in enumerate(hits) if counts[i] >= max_events[i]]
+            if ends:
+                hits = hits[:ends[0] + 1]
+                stop = True
+            else:
+                hits = zip(roots, active)
+            for root, i in hits:
+                t_events[i].append(root)
+                y_events[i].append(state(root))
+            if stop:
+                t_new = root
+                u_new, w_new = state(root)
+        g = g_new
+        ts.append(t_new)
+        us.append(u_new)
+        ws.append(w_new)
+        if stop or t_new >= t_end:
+            return ts, us, ws, t_events, y_events
+        t, u, w, f = t_new, u_new, w_new, f_new
+
+
+def _brentq(fun, xa: float, xb: float) -> float:
+    """Root of fun in [xa, xb] by Brent's method, to 4 eps in x.
+
+    The iteration of scipy.optimize.brentq (Brent 1973, as in SciPy's C
+    brentq) with xtol = rtol = 4 eps, the tolerance solve_ivp uses for
+    events. Without a sign change at the ends (the interpolant's end value
+    rounds to the other side of zero) the end nearer a root is returned.
+    The last interpolation step usually lands well inside the bracket, which
+    the terminal zero needs: the rescale by R2^(2/(p-1)) amplifies its
+    residual u, and bisection to the same bracket leaves |u(1)| = 2.2e-9 at
+    p = 1.25, past the 1e-9 shooting check.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = fun(xpre), fun(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        return xpre if abs(fpre) < abs(fcur) else xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_EVENT_TOL + _EVENT_TOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fun(xcur)
+    return xcur
 
 
 @dataclass
@@ -354,14 +579,13 @@ class RadialSolution:
         if np.any(inner):
             # origin Taylor model u = u0 (1 - u0^(p-1) r^2 / (2N)), in log form
             lnu0 = math.log(self.u0)
-            with np.errstate(under="ignore"):
-                quad_term = np.exp(
-                    (self.p - 1.0) * lnu0 + 2.0 * np.log(np.maximum(r[inner], 1e-320))
-                ) / (2.0 * self.N)
-                u[inner] = self.u0 * (1.0 - quad_term)
-                du[inner] = -self.u0 * np.exp(
-                    (self.p - 1.0) * lnu0 + np.log(np.maximum(r[inner], 1e-320))
-                ) / self.N
+            quad_term = np.exp(
+                (self.p - 1.0) * lnu0 + 2.0 * np.log(np.maximum(r[inner], 1e-320))
+            ) / (2.0 * self.N)
+            u[inner] = self.u0 * (1.0 - quad_term)
+            du[inner] = -self.u0 * np.exp(
+                (self.p - 1.0) * lnu0 + np.log(np.maximum(r[inner], 1e-320))
+            ) / self.N
             u[inner & (r == 0.0)] = self.u0
             du[inner & (r == 0.0)] = 0.0
         outer = ~inner
@@ -376,8 +600,8 @@ class RadialSolution:
     def ln_abs_u(self, r):
         """(ln|u(r)|, sign(u(r))) for scaled radii; -inf where u vanishes."""
         u, _ = self.eval(r)
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(u)), np.sign(u)
+        au = np.abs(u)
+        return np.log(au, out=np.full(np.shape(au), -np.inf), where=au != 0), np.sign(u)
 
     def residual_sup(self) -> float:
         """Normalized interpolated residual over the trajectory up to r = 1.
@@ -390,7 +614,6 @@ class RadialSolution:
 
 
 _LN_RMAX_CAP = 345.0  # keep r^2 representable in float64
-_LN_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def solve_nodal(

@@ -168,6 +168,25 @@ def test_limit_check_command():
     assert m and abs(float(m.group(1)) + 2.0) < 1e-5
 
 
+def test_limit_check_computes_the_constants_once(monkeypatch):
+    from lanemorse import limits
+
+    calls = []
+    original = limits.limit_constants
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(limits, "limit_constants", counting)
+    # a binding cli may hold from importing limits at module level
+    monkeypatch.setattr(cli, "limit_constants", counting, raising=False)
+    code, text = run(parse_args(["limit-check", "--N", "2"]))
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    assert '"constants"' in text
+
+
 def test_morse_command_small_p():
     code, text = run(parse_args(["morse", "--p", "5"]))
     assert code == EXIT_OK
@@ -203,21 +222,38 @@ def test_commands_share_the_spectral_pipeline():
     assert spectrum["betas"] == [morse["beta1"], morse["beta2"], morse["beta3"]]
 
 
-def _run_cli(*args):
-    # Run the CLI as `python -m lanemorse` in a child process, on the same
-    # source tree this test process imported, so no install is needed.
+def _run_python(*args):
+    # Run `python *args` in a child process, on the same source tree this test
+    # process imported, so no install is needed.
     src = str(Path(lanemorse.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return subprocess.run(
-        [sys.executable, "-m", "lanemorse", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def _run_cli(*args):
+    return _run_python("-m", "lanemorse", *args)
+
+
+def test_cli_import_leaves_the_limit_modules_unloaded():
+    # scipy.integrate, scipy.special and lanemorse.limits load only on a
+    # limit-check request or a first access to a limits name
+    proc = _run_python("-c", (
+        "import sys, lanemorse.cli, lanemorse\n"
+        "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.special', 'lanemorse.limits')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "print(lanemorse.limit_constants().morse_Z, 'lanemorse.limits' in sys.modules)"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "11 True"]
 
 
 def test_exit_codes_via_entry_point():

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from lanemorse import ConfigError, IvpConfig, integrate_ivp, solve_nodal
-from lanemorse.radial import _MAX_LOG_STEP, signed_power
+from lanemorse import ConfigError, IvpConfig, StiffnessError, integrate_ivp, solve_nodal
+from lanemorse.radial import _ABS_TOL, _MAX_LOG_STEP, signed_power
 
 
 def bessel_j0_first_zero():
@@ -93,6 +94,7 @@ def test_signed_power_monotone(a, b, p):
         dict(p=3.0, N=2, a=1.0, r_start=-1.0),
         dict(p=3.0, N=2, a=1.0, r_max=1e-7),
         dict(p=3.0, N=2, a=1.0, rel_tol=0.0),
+        dict(p=3.0, N=2, a=1.0, rel_tol=1e-15),
     ],
 )
 def test_config_validation(kw):
@@ -224,3 +226,83 @@ def test_dense_eval_matches_ode_solution(nodal, p):
     assert np.max(np.abs(r * du - ref.y[1])) <= 2e-11
     u_n, du_n = traj.eval(traj.nodes)
     assert np.array_equal(u_n, traj.u) and np.array_equal(du_n, traj.du)
+
+
+def _rk45_reference(cfg):
+    """The same log-form IVP, tolerances, step cap and events through SciPy's
+    RK45 (solve_ivp)."""
+    p, N, a = cfg.p, cfg.N, cfg.a
+
+    def rhs(rho, y):
+        u = float(y[0])
+        power = math.copysign(math.exp(p * math.log(abs(u))), u) if u else 0.0
+        return (y[1], -(N - 2.0) * y[1] - math.exp(2.0 * rho) * power)
+
+    def zero_ev(rho, y):
+        return y[0]
+
+    zero_ev.terminal = cfg.max_zeros
+
+    def crit_ev(rho, y):
+        return y[1]
+
+    def fp_crit_ev(rho, y):
+        return (p - 1.0) * y[1] + 2.0 * y[0]
+
+    c2 = signed_power(a, p) / (2.0 * N)
+    y0 = (a - c2 * cfg.r_start**2, -2.0 * c2 * cfg.r_start**2)
+    with np.errstate(over="ignore"):  # the initial-step probe at large p
+        return solve_ivp(rhs, (math.log(cfg.r_start), math.log(cfg.r_max)), y0,
+                         rtol=cfg.rel_tol, atol=_ABS_TOL, max_step=_MAX_LOG_STEP,
+                         events=(zero_ev, crit_ev, fp_crit_ev))
+
+
+@pytest.mark.parametrize("p, N", [(2.0, 2), (2.5, 3), (8.0, 2), (50.0, 2), (400.0, 2),
+                                  (760.0, 2)])
+def test_stepper_matches_scipy_rk45(p, N):
+    # the shooting integration of solve_nodal (at its first horizon) against
+    # SciPy's RK45 with the same controller: the same steps and events, the
+    # same trajectory
+    cfg = IvpConfig(p=p, N=N, a=1.0, r_max=math.exp(min(0.5 * p + 30.0, 345.0)), max_zeros=2)
+    traj = integrate_ivp(cfg)
+    ref = _rk45_reference(cfg)
+    assert ref.status == 1
+    assert len(traj.nodes) == len(ref.t)
+    # the error estimate cancels to ~1e-12 of the stage sums, so rounding
+    # (fused multiply-adds in SciPy's BLAS dot, scalar sums here) moves each
+    # step size by ~1e-5 relative: the step ends drift (2.4e-5 in ln r at
+    # p = 760) while the solution through them agrees to the tolerances
+    rho = np.log(traj.nodes)
+    assert np.max(np.abs(rho - ref.t)) < 1e-4
+    assert rho[-1] == pytest.approx(ref.t[-1], rel=1e-11)
+    u, du = traj.eval(np.exp(ref.t))
+    assert np.max(np.abs(u - ref.y[0])) <= 1e-11 * np.max(np.abs(ref.y[0]))
+    # r u' at p = 760 differs by 1.9e-11 of its peak, after the first zero
+    w_ref = ref.y[1]
+    assert np.max(np.abs(np.exp(ref.t) * du - w_ref)) <= 3e-11 * np.max(np.abs(w_ref))
+    events = ([z for z, _ in traj.zeros], traj.critical, traj.fp_critical)
+    for mine, theirs, states, ref_states in zip(events, ref.t_events,
+                                                traj.event_states, ref.y_events):
+        assert len(mine) == len(theirs) == len(states)
+        assert np.allclose(mine, np.exp(theirs), rtol=1e-11, atol=0.0)
+        if len(states):
+            assert np.allclose(states, ref_states, rtol=0.0,
+                               atol=1e-11 * np.max(np.abs(w_ref)))
+
+
+def test_overflow_inside_a_step_is_a_stiffness_error():
+    # past ln r = 354.9 the factor e^(2 ln r) leaves the float range: each
+    # stage that gets there overflows, so its step is rejected, until the
+    # step falls below 10 ulp of ln r
+    cfg = IvpConfig(p=3.0, N=2, a=1e-160, r_start=math.exp(354.0), r_max=math.exp(356.0))
+    with pytest.raises(StiffnessError, match=r"integration failed at r=1\.3\d+e\+154"):
+        integrate_ivp(cfg)
+
+
+@pytest.mark.parametrize("p, a, r_max", [(5.0, 1e100, 100.0), (3.0, 1e160, 100.0),
+                                         (1000.0, 2.0, 1e10)])
+def test_non_finite_taylor_seed_is_a_config_error(p, a, r_max):
+    # |a|^(p-1) a, or the start derivative e^(2 rho) |u|^(p-1) u, overflows
+    message = re.escape(f"Taylor seed at r_start=1e-06 is not finite for a={a:g},")
+    with pytest.raises(ConfigError, match=message):
+        integrate_ivp(IvpConfig(p=p, N=2, a=a, r_max=r_max))
