@@ -20,24 +20,17 @@ from .errors import (
 )
 from .profile import FpAnalysis, Scales, analyze_fp, fp_values, rescaled_potential, rescaled_profile, scales
 from .radial import IvpConfig, RadialSolution, Trajectory, integrate_ivp, solve_nodal
-from .spectral import (
-    AnnulusEigenProblem,
-    LedgerEntry,
-    MorseReport,
-    annulus_betas,
-    build_problem,
-    count_negative,
-    morse_index,
-    richardson,
-    sphere_spectrum,
-    weighted_radial_eigs,
-)
 
 __version__ = "0.1.0"
 
-# limits imports scipy.integrate and scipy.special, which take most of the
-# package's import time; only limit-check and the tests use it, so its names
-# load it on first access
+# spectral imports scipy.linalg, and limits scipy.integrate and scipy.special,
+# which take most of the package's import time; solve needs neither, and
+# limit-check only limits, so their names load them on first access
+_SPECTRAL_NAMES = (
+    "AnnulusEigenProblem", "MorseReport", "LedgerEntry", "build_problem",
+    "count_negative", "weighted_radial_eigs", "annulus_betas", "richardson",
+    "sphere_spectrum", "morse_index",
+)
 _LIMITS_NAMES = (
     "REFERENCE_ELL", "LimitConstants", "TestFunctionSpec", "QuotientParts",
     "Check", "limit_constants", "liouville_profile", "singular_profile",
@@ -48,6 +41,10 @@ _LIMITS_NAMES = (
 
 
 def __getattr__(name):
+    if name in _SPECTRAL_NAMES:
+        from . import spectral
+
+        return getattr(spectral, name)
     if name in _LIMITS_NAMES:
         from . import limits
 
@@ -63,9 +60,7 @@ __all__ = [
     "Scales", "FpAnalysis", "scales", "rescaled_profile", "rescaled_potential",
     "fp_values", "analyze_fp",
     # spectral
-    "AnnulusEigenProblem", "MorseReport", "LedgerEntry", "build_problem",
-    "count_negative", "weighted_radial_eigs", "annulus_betas", "richardson",
-    "sphere_spectrum", "morse_index",
+    *_SPECTRAL_NAMES,
     # limits
     *_LIMITS_NAMES,
     # errors

@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 from .errors import CheckError, ConfigError, LaneMorseError
 from .profile import analyze_fp, scales
 from .radial import solve_nodal
-from .spectral import annulus, annulus_betas, morse_index, richardson
+
+# spectral (and with it scipy.linalg) and limits are imported in the
+# branches that use them, so that solve loads neither
 
 SCHEMA_VERSION = 5
 
@@ -177,6 +179,8 @@ def _solution_record(sol, cfg: RunConfig) -> dict:
 
 
 def _spectrum_record(sol, cfg: RunConfig) -> dict:
+    from .spectral import annulus, annulus_betas, richardson
+
     inner, M = annulus(sol, cfg.inner, cfg.grid_M)
     (coarse, fine), neg_count = annulus_betas(sol, inner, M)
     return {
@@ -190,6 +194,8 @@ def _spectrum_record(sol, cfg: RunConfig) -> dict:
 
 
 def _morse_record(sol, cfg: RunConfig) -> dict:
+    from .spectral import morse_index
+
     rep = morse_index(sol, cfg.inner, cfg.grid_M)
     return {
         "p": rep.p, "N": rep.N,
@@ -212,6 +218,8 @@ def _morse_record(sol, cfg: RunConfig) -> dict:
 
 
 def _sweep_row(p: float, cfg: RunConfig) -> dict:
+    from .spectral import morse_index
+
     # each row is an independent pure pipeline (identical alone or in a sweep)
     try:
         sol = solve_nodal(p, N=cfg.N, tol=cfg.tol_shoot)
@@ -265,7 +273,6 @@ def run(config: RunConfig) -> tuple[int, str]:
         if config.fmt == "csv":
             return code, _render_csv(rows)
     else:  # limit-check
-        # imported here: limits loads scipy.integrate, which no other command needs
         from .limits import limit_constants, verification_battery
 
         k = limit_constants()

@@ -181,21 +181,23 @@ class Trajectory:
 
 
 def _quintic_coeffs(th: float):
+    # each power once: th may be an array of some 10^4 evaluation points
+    th2, th3, th4, th5 = th**2, th**3, th**4, th**5
     H = (
-        1 - 10 * th**3 + 15 * th**4 - 6 * th**5,
-        th - 6 * th**3 + 8 * th**4 - 3 * th**5,
-        (th**2 - 3 * th**3 + 3 * th**4 - th**5) / 2,
-        10 * th**3 - 15 * th**4 + 6 * th**5,
-        -4 * th**3 + 7 * th**4 - 3 * th**5,
-        (th**3 - 2 * th**4 + th**5) / 2,
+        1 - 10 * th3 + 15 * th4 - 6 * th5,
+        th - 6 * th3 + 8 * th4 - 3 * th5,
+        (th2 - 3 * th3 + 3 * th4 - th5) / 2,
+        10 * th3 - 15 * th4 + 6 * th5,
+        -4 * th3 + 7 * th4 - 3 * th5,
+        (th3 - 2 * th4 + th5) / 2,
     )
     dH = (
-        -30 * th**2 + 60 * th**3 - 30 * th**4,
-        1 - 18 * th**2 + 32 * th**3 - 15 * th**4,
-        (2 * th - 9 * th**2 + 12 * th**3 - 5 * th**4) / 2,
-        30 * th**2 - 60 * th**3 + 30 * th**4,
-        -12 * th**2 + 28 * th**3 - 15 * th**4,
-        (3 * th**2 - 8 * th**3 + 5 * th**4) / 2,
+        -30 * th2 + 60 * th3 - 30 * th4,
+        1 - 18 * th2 + 32 * th3 - 15 * th4,
+        (2 * th - 9 * th2 + 12 * th3 - 5 * th4) / 2,
+        30 * th2 - 60 * th3 + 30 * th4,
+        -12 * th2 + 28 * th3 - 15 * th4,
+        (3 * th2 - 8 * th3 + 5 * th4) / 2,
     )
     return H, dH
 
@@ -279,14 +281,10 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
         zero = np.zeros(2)
         return Trajectory(cfg, nodes, zero, zero.copy(), [], [], [])
 
-    def accel(rho, u, w):
-        # dw/drho; math.exp raises OverflowError past the float64 range
-        return -(N - 2.0) * w - math.exp(2.0 * rho) * _signed_power_scalar(u, p)
-
     try:
         c2 = _signed_power_scalar(a, p) / (2.0 * N)
         u0, w0 = a - c2 * cfg.r_start**2, -2.0 * c2 * cfg.r_start**2
-        f0 = accel(rho0, u0, w0)
+        f0 = _accel(rho0, u0, w0, p, N)
         finite = all(map(math.isfinite, (u0, w0, f0)))
     except OverflowError:
         finite = False
@@ -299,7 +297,7 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
     # events: u (the zeros), w = r u' (the critical points) and
     # u * d ln f_p / d rho = (p-1) w + 2u (the critical points of f_p)
     ts, us, ws, t_events, y_events = _dormand_prince(
-        accel, rho0, rho1, u0, w0, f0, cfg.rel_tol,
+        p, N, rho0, rho1, u0, w0, f0, cfg.rel_tol,
         events=((1.0, 0.0), (0.0, 1.0), (2.0, p - 1.0)),
         max_events=(cfg.max_zeros or math.inf, math.inf, math.inf),
     )
@@ -358,15 +356,24 @@ def _rms(xu: float, xw: float) -> float:
     return math.sqrt(xu * xu + xw * xw) / 2**0.5
 
 
-def _dormand_prince(accel, t, t_end, u, w, f, rtol, events, max_events):
-    """Integrate u' = w, w' = accel(t, u, w) from t to t_end by DP5(4).
+def _accel(rho: float, u: float, w: float, p: float, N: int) -> float:
+    """dw/drho; math.exp raises OverflowError past the float64 range.
 
-    f = accel(t, u, w) at the start. The step control is SciPy's RK45 one:
-    the RMS error norm over _ABS_TOL + max(|y|, |y_new|) rtol, safety 0.9,
-    step factors in [0.2, 10] with no growth right after a rejection, steps
-    between 10 ulp(t) and _MAX_LOG_STEP, and the same initial-step rule. An
-    overflow in a stage makes the error norm infinite, so the step is
-    rejected; a step below 10 ulp(t) raises StiffnessError.
+    _dormand_prince evaluates its stages with this expression inline, in the
+    same operation order, so that every stage value is the same float.
+    """
+    return -(N - 2.0) * w - math.exp(2.0 * rho) * _signed_power_scalar(u, p)
+
+
+def _dormand_prince(p, N, t, t_end, u, w, f, rtol, events, max_events):
+    """Integrate u' = w, w' = _accel(t, u, w, p, N) from t to t_end by DP5(4).
+
+    f = _accel(t, u, w, p, N) at the start. The step control is SciPy's RK45
+    one: the RMS error norm over _ABS_TOL + max(|y|, |y_new|) rtol, safety
+    0.9, step factors in [0.2, 10] with no growth right after a rejection,
+    steps between 10 ulp(t) and _MAX_LOG_STEP, and the same initial-step
+    rule. An overflow in a stage makes the error norm infinite, so the step
+    is rejected; a step below 10 ulp(t) raises StiffnessError.
 
     events holds (a, b) for each event function a u + b w. A sign change over
     a step is located on that step's quartic interpolant by _brentq, and the
@@ -382,7 +389,7 @@ def _dormand_prince(accel, t, t_end, u, w, f, rtol, events, max_events):
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
     w1 = w + h0 * f
     try:
-        d2 = _rms((w1 - w) / su, (accel(t + h0, u + h0 * w, w1) - f) / sw) / h0
+        d2 = _rms((w1 - w) / su, (_accel(t + h0, u + h0 * w, w1, p, N) - f) / sw) / h0
     except OverflowError:
         d2 = math.inf  # the probe left the float range: start at 10 ulp
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -391,11 +398,23 @@ def _dormand_prince(accel, t, t_end, u, w, f, rtol, events, max_events):
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
     h_abs = min(100 * h0, h1, span, _MAX_LOG_STEP)
 
+    # the stage loop runs some 10^4 times per solve: locals, and _accel
+    # written out, save the global lookups and the calls
+    exp, log, copysign, sqrt = math.exp, math.log, math.copysign, math.sqrt
+    shift = -(N - 2.0)
+    C1, C2, C3, C4 = _C1, _C2, _C3, _C4
+    A10, A20, A21, A30, A31, A32 = _A10, _A20, _A21, _A30, _A31, _A32
+    A40, A41, A42, A43 = _A40, _A41, _A42, _A43
+    A50, A51, A52, A53, A54 = _A50, _A51, _A52, _A53, _A54
+    B0, B2, B3, B4, B5 = _B0, _B2, _B3, _B4, _B5
+    E0, E2, E3, E4, E5, E6 = _E0, _E2, _E3, _E4, _E5, _E6
+
     ts, us, ws = [t], [u], [w]
     t_events = tuple([] for _ in events)
     y_events = tuple([] for _ in events)
     counts = [0] * len(events)
-    g = [a * u + b * w for a, b in events]
+    g = _event_values(events, u, w)
+    g_pos = [x > 0 for x in g]
     while True:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = min(max(h_abs, min_step), _MAX_LOG_STEP)
@@ -409,27 +428,35 @@ def _dormand_prince(accel, t, t_end, u, w, f, rtol, events, max_events):
             h = t_new - t
             h_abs = h
             try:
-                w1 = w + (_A10 * f) * h
-                a1 = accel(t + _C1 * h, u + (_A10 * w) * h, w1)
-                w2 = w + (_A20 * f + _A21 * a1) * h
-                a2 = accel(t + _C2 * h, u + (_A20 * w + _A21 * w1) * h, w2)
-                w3 = w + (_A30 * f + _A31 * a1 + _A32 * a2) * h
-                a3 = accel(t + _C3 * h, u + (_A30 * w + _A31 * w1 + _A32 * w2) * h, w3)
-                w4 = w + (_A40 * f + _A41 * a1 + _A42 * a2 + _A43 * a3) * h
-                a4 = accel(t + _C4 * h,
-                           u + (_A40 * w + _A41 * w1 + _A42 * w2 + _A43 * w3) * h, w4)
-                w5 = w + (_A50 * f + _A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4) * h
-                a5 = accel(t + h, u + (_A50 * w + _A51 * w1 + _A52 * w2 + _A53 * w3
-                                       + _A54 * w4) * h, w5)
-                u_new = u + h * (_B0 * w + _B2 * w2 + _B3 * w3 + _B4 * w4 + _B5 * w5)
-                w_new = w + h * (_B0 * f + _B2 * a2 + _B3 * a3 + _B4 * a4 + _B5 * a5)
-                f_new = accel(t + h, u_new, w_new)
-                err = _rms(
-                    (_E0 * w + _E2 * w2 + _E3 * w3 + _E4 * w4 + _E5 * w5
-                     + _E6 * w_new) * h / (atol + max(abs(u), abs(u_new)) * rtol),
-                    (_E0 * f + _E2 * a2 + _E3 * a3 + _E4 * a4 + _E5 * a5
-                     + _E6 * f_new) * h / (atol + max(abs(w), abs(w_new)) * rtol),
-                )
+                w1 = w + (A10 * f) * h
+                x = u + (A10 * w) * h
+                a1 = shift * w1 - exp(2.0 * (t + C1 * h)) * (
+                    copysign(exp(p * log(abs(x))), x) if x else 0.0)
+                w2 = w + (A20 * f + A21 * a1) * h
+                x = u + (A20 * w + A21 * w1) * h
+                a2 = shift * w2 - exp(2.0 * (t + C2 * h)) * (
+                    copysign(exp(p * log(abs(x))), x) if x else 0.0)
+                w3 = w + (A30 * f + A31 * a1 + A32 * a2) * h
+                x = u + (A30 * w + A31 * w1 + A32 * w2) * h
+                a3 = shift * w3 - exp(2.0 * (t + C3 * h)) * (
+                    copysign(exp(p * log(abs(x))), x) if x else 0.0)
+                w4 = w + (A40 * f + A41 * a1 + A42 * a2 + A43 * a3) * h
+                x = u + (A40 * w + A41 * w1 + A42 * w2 + A43 * w3) * h
+                a4 = shift * w4 - exp(2.0 * (t + C4 * h)) * (
+                    copysign(exp(p * log(abs(x))), x) if x else 0.0)
+                w5 = w + (A50 * f + A51 * a1 + A52 * a2 + A53 * a3 + A54 * a4) * h
+                x = u + (A50 * w + A51 * w1 + A52 * w2 + A53 * w3 + A54 * w4) * h
+                a5 = shift * w5 - exp(2.0 * (t + h)) * (
+                    copysign(exp(p * log(abs(x))), x) if x else 0.0)
+                u_new = u + h * (B0 * w + B2 * w2 + B3 * w3 + B4 * w4 + B5 * w5)
+                w_new = w + h * (B0 * f + B2 * a2 + B3 * a3 + B4 * a4 + B5 * a5)
+                f_new = shift * w_new - exp(2.0 * (t + h)) * (
+                    copysign(exp(p * log(abs(u_new))), u_new) if u_new else 0.0)
+                eu = ((E0 * w + E2 * w2 + E3 * w3 + E4 * w4 + E5 * w5 + E6 * w_new)
+                      * h / (atol + max(abs(u), abs(u_new)) * rtol))
+                ew = ((E0 * f + E2 * a2 + E3 * a3 + E4 * a4 + E5 * a5 + E6 * f_new)
+                      * h / (atol + max(abs(w), abs(w_new)) * rtol))
+                err = sqrt(eu * eu + ew * ew) / 2**0.5  # _rms(eu, ew)
             except OverflowError:
                 err = math.inf
             if err < 1:
@@ -440,30 +467,21 @@ def _dormand_prince(accel, t, t_end, u, w, f, rtol, events, max_events):
             h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERR_EXP)
             rejected = True
 
-        g_new = [a * u_new + b * w_new for a, b in events]
+        g_new = _event_values(events, u_new, w_new)
+        g_new_pos = [x > 0 for x in g_new]
+        # a step on which every event keeps one strict sign needs no search
+        crossed = g_new_pos != g_pos or 0.0 in g or 0.0 in g_new
         active = [i for i, (g0, g1) in enumerate(zip(g, g_new))
-                  if (g0 <= 0 and g1 >= 0) or (g0 >= 0 and g1 <= 0)]
+                  if (g0 <= 0 and g1 >= 0) or (g0 >= 0 and g1 <= 0)] if crossed else ()
         stop = False
         if active:
-            # quartic interpolant y(t + x h) = y + h sum_k Q_k x^k
-            ku = (w, w2, w3, w4, w5, w_new)
-            kw = (f, a2, a3, a4, a5, f_new)
-            qu = [sum(k * row[m] for k, row in zip(ku, _P)) for m in range(4)]
-            qw = [sum(k * row[m] for k, row in zip(kw, _P)) for m in range(4)]
-
-            def state(s):
-                x = (s - t) / h
-                x2 = x * x
-                x3 = x2 * x
-                x4 = x3 * x
-                return (h * (qu[0] * x + qu[1] * x2 + qu[2] * x3 + qu[3] * x4) + u,
-                        h * (qw[0] * x + qw[1] * x2 + qw[2] * x3 + qw[3] * x4) + w)
-
+            state = _quartic(t, h, u, w, (w, w2, w3, w4, w5, w_new),
+                             (f, a2, a3, a4, a5, f_new))
             roots = []
             for i in active:
                 a, b = events[i]
 
-                def event(s):
+                def event(s, a=a, b=b):
                     u_s, w_s = state(s)
                     return a * u_s + b * w_s
 
@@ -482,13 +500,40 @@ def _dormand_prince(accel, t, t_end, u, w, f, rtol, events, max_events):
             if stop:
                 t_new = root
                 u_new, w_new = state(root)
-        g = g_new
+        g, g_pos = g_new, g_new_pos
         ts.append(t_new)
         us.append(u_new)
         ws.append(w_new)
         if stop or t_new >= t_end:
             return ts, us, ws, t_events, y_events
         t, u, w, f = t_new, u_new, w_new, f_new
+
+
+def _event_values(events, u: float, w: float) -> list[float]:
+    # a helper, not a comprehension in the loop: up to Python 3.11 a
+    # comprehension there makes u_new and w_new closure cells, which every
+    # stage then reads more slowly
+    return [a * u + b * w for a, b in events]
+
+
+def _quartic(t, h, u, w, ku, kw):
+    """s -> (u, w) on the quartic interpolant of the step from t to t + h.
+
+    ku, kw are the stage derivatives of u and w (stages 0, 2..6):
+    y(t + x h) = y + h sum_k Q_k x^k with Q = k _P.
+    """
+    qu = [sum(k * row[m] for k, row in zip(ku, _P)) for m in range(4)]
+    qw = [sum(k * row[m] for k, row in zip(kw, _P)) for m in range(4)]
+
+    def state(s):
+        x = (s - t) / h
+        x2 = x * x
+        x3 = x2 * x
+        x4 = x3 * x
+        return (h * (qu[0] * x + qu[1] * x2 + qu[2] * x3 + qu[3] * x4) + u,
+                h * (qw[0] * x + qw[1] * x2 + qw[2] * x3 + qw[3] * x4) + w)
+
+    return state
 
 
 def _brentq(fun, xa: float, xb: float) -> float:

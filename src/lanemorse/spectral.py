@@ -35,7 +35,14 @@ sampled once, on the finest grid of an annulus, and the coarser problems
 take every second node (`AnnulusEigenProblem.coarsened`). Eigenvalues come
 from LAPACK bisection (stebz) through SciPy on consecutive grids, combined by
 Richardson extrapolation (`richardson`); `annulus_betas` is the one ladder
-every command goes through. The negative count is taken once per annulus, on
+every command goes through. The coarsest grid of an annulus is bisected from
+the whole spectrum (an index range); each finer grid only in value brackets
+around the coarser grid's eigenvalues, of half-width max(1e-3 |beta|, 1e-6),
+which saves most of the halvings. `weighted_radial_eigs` certifies such a
+result (disjoint brackets, one eigenvalue in each, and a Sturm count that
+finds no other eigenvalue below the top bracket) and otherwise falls back to
+the index range, so the seeds can only cost time, never change the values
+beyond the bisection tolerance. The negative count is taken once per annulus, on
 its coarsest grid, by the signed LDL^T (Sturm sequence) pivot scan, and
 cross-checked against the negative bisection values on the same grid. The
 first eigenfunction (stein) has its own entry point, `first_eigenfunction`.
@@ -89,6 +96,16 @@ _TABLE_STEP = 1.0 / 16.0   # t spacing of the lookup table seeding Newton
 # counted as nonnegative (the continuum bound beta_2 > -(N-1) settles the
 # only case that ever lands here) and flagged on the ledger entry.
 LEDGER_TIE_EPS = 1e-7
+
+# absolute tolerance of the LAPACK bisection
+BISECT_TOL = 1e-14
+# half-width max(SEED_REL |b|, SEED_ABS) of the bracket around a coarser
+# grid's eigenvalue b in which the finer grid bisects. One refinement of the
+# default grids moves beta_1..beta_3 by at most 0.21 half-widths (p from 1.5
+# to 760, N = 2..4; 5.1e-4 in beta_1 at p = 760), and the floor stays well
+# below the closest pair, beta_4 - beta_3 ~ 5e-5 at p = 760
+SEED_REL = 1e-3
+SEED_ABS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -263,20 +280,65 @@ def _ldl_negative_pivots(diag: np.ndarray, off: np.ndarray) -> int | None:
     return count
 
 
-def weighted_radial_eigs(prob: AnnulusEigenProblem, k: int) -> np.ndarray:
-    """k smallest eigenvalues of the weighted problem by Sturm bisection."""
+def weighted_radial_eigs(prob: AnnulusEigenProblem, k: int,
+                         near: np.ndarray | None = None) -> np.ndarray:
+    """k smallest eigenvalues of the weighted problem by Sturm bisection.
+
+    Without `near` the bisection starts from the whole spectrum (LAPACK's
+    index range). `near`, the same k eigenvalues on a coarser grid of the
+    annulus, seeds it: each is bisected only in the value bracket
+    near[i] +- max(SEED_REL |near[i]|, SEED_ABS) (see `_seeded_eigs`). Where
+    the brackets do not certify the k smallest eigenvalues, the index-range
+    result is returned instead.
+    """
     if k < 1 or k > prob.M:
         raise ConfigError(f"requested {k} eigenvalues from an {prob.M}-point grid")
-    try:
-        betas = eigvalsh_tridiagonal(
-            prob.diagonal(), prob.offdiagonal(), select="i",
-            select_range=(0, k - 1), lapack_driver="stebz", tol=1e-14,
-        )
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise BisectionError(f"tridiagonal bisection failed: {exc}") from exc
+    if near is not None and np.shape(near) != (k,):
+        raise ConfigError(f"{k} eigenvalues need {k} seeds, got shape {np.shape(near)}")
+    d, e = prob.diagonal(), prob.offdiagonal()
+    betas = None if near is None else _seeded_eigs(prob, d, e, np.asarray(near, float))
+    if betas is None:
+        betas = _stebz(d, e, "i", (0, k - 1))
     if np.any(np.diff(betas) < 0):
         raise SolverError("eigenvalues not returned in ascending order")
     return betas
+
+
+def _stebz(d: np.ndarray, e: np.ndarray, select: str, select_range,
+           tol: float = BISECT_TOL) -> np.ndarray:
+    """Eigenvalues of the tridiagonal (d, e) by LAPACK bisection (stebz)."""
+    try:
+        return eigvalsh_tridiagonal(d, e, select=select, select_range=select_range,
+                                    lapack_driver="stebz", tol=tol)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise BisectionError(f"tridiagonal bisection failed: {exc}") from exc
+
+
+def _seeded_eigs(prob: AnnulusEigenProblem, d: np.ndarray, e: np.ndarray,
+                 near: np.ndarray) -> np.ndarray | None:
+    """The len(near) smallest eigenvalues, bisected in brackets around near.
+
+    Returns None unless the brackets (near - w, near + w], w = max(SEED_REL
+    |near|, SEED_ABS), certify the result: they are disjoint, each holds
+    exactly one eigenvalue, and a count-only bisection finds exactly len(near)
+    eigenvalues in (alpha^2 - max q - 1, top bracket end]. That interval
+    starts below the spectrum, because the difference part of the matrix is
+    positive semidefinite, so no eigenvalue was missed.
+    """
+    half = np.maximum(SEED_REL * np.abs(near), SEED_ABS)
+    lo, hi = near - half, near + half
+    if not (np.all(np.isfinite(near)) and np.all(hi[:-1] <= lo[1:])):
+        return None
+    betas = []
+    for a, b in zip(lo, hi):
+        found = _stebz(d, e, "v", (a, b))
+        if len(found) != 1:
+            return None
+        betas.append(found[0])
+    floor = prob.alpha**2 - float(np.max(prob.q)) - 1.0
+    if len(_stebz(d, e, "v", (floor, hi[-1]), tol=hi[-1] - floor)) != len(near):
+        return None
+    return np.array(betas)
 
 
 def first_eigenfunction(prob: AnnulusEigenProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -420,7 +482,10 @@ def annulus_betas(sol: RadialSolution, inner: float, M: int,
     while len(probs) < levels:
         probs.append(probs[-1].coarsened())
     probs.reverse()
-    raw = [weighted_radial_eigs(prob, N_BETAS) for prob in probs]
+    # each finer grid bisects around the values of the next coarser one
+    raw = [weighted_radial_eigs(probs[0], N_BETAS)]
+    for prob in probs[1:]:
+        raw.append(weighted_radial_eigs(prob, N_BETAS, near=raw[-1]))
     neg = count_negative(probs[0])
     if min(neg, N_BETAS) != int(np.sum(raw[0] < 0)):
         raise SolverError(

@@ -245,15 +245,18 @@ def _run_cli(*args):
 
 def test_cli_import_leaves_the_limit_modules_unloaded():
     # scipy.integrate, scipy.special and lanemorse.limits load only on a
-    # limit-check request or a first access to a limits name
+    # limit-check request or a first access to a limits name, scipy.linalg and
+    # lanemorse.spectral only on a spectral request or name
     proc = _run_python("-c", (
         "import sys, lanemorse.cli, lanemorse\n"
-        "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.special', 'lanemorse.limits')\n"
+        "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.special', 'lanemorse.limits',\n"
+        "         'scipy.linalg', 'lanemorse.spectral')\n"
         "print(sorted(m for m in heavy if m in sys.modules))\n"
-        "print(lanemorse.limit_constants().morse_Z, 'lanemorse.limits' in sys.modules)"
+        "print(lanemorse.limit_constants().morse_Z, 'lanemorse.limits' in sys.modules)\n"
+        "print(lanemorse.sphere_spectrum(2, 1), 'lanemorse.spectral' in sys.modules)"
     ))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "11 True"]
+    assert proc.stdout.splitlines() == ["[]", "11 True", "[(0, 1), (1, 2)] True"]
 
 
 def test_exit_codes_via_entry_point():

@@ -290,6 +290,57 @@ def test_stepper_matches_scipy_rk45(p, N):
                                atol=1e-11 * np.max(np.abs(w_ref)))
 
 
+# r_p, s_p, u0, u_min; the step count; the radii of the zeros of u, of u' and
+# of d ln f_p / d ln r, as float.hex: any change to the operation order of a
+# stage or of the step control moves some of them (recorded with Python
+# 3.11, glibc libm, x86-64)
+STEPPER_PINS = {
+    (3.0, 2): (
+        ('0x1.29d928726def1p-2', '0x1.2d7ab00c98ba4p-1',
+         '0x1.892f753dd0ccbp+3', '-0x1.4ba12f7eddf5fp+2'),
+        806,
+        ['0x1.c975965e42efbp+1', '0x1.892f753dd0ccbp+3'],
+        ['0x1.cf093bdb875c6p+2'],
+        ['0x1.8dbef146771ffp+0', '0x1.fe6295e82f691p+2'],
+    ),
+    (400.0, 2): (
+        ('0x1.6e10a7fa996e0p-117', '0x1.ea8fe2af6aff5p-48',
+         '0x1.3ac8523421804p+1', '-0x1.2bee2c0a03d07p+0'),
+        3029,
+        ['0x1.6c583b6d8d66cp+142', '0x1.fd97ff48d96f7p+258'],
+        ['0x1.e841ace33491ep+211'],
+        ['0x1.2186a75d4a669p-3', '0x1.fb27ced5ebae5p+211'],
+    ),
+    (760.0, 2): (
+        ('0x1.6f5b76fba667bp-221', '0x1.f3df36e075de3p-90',
+         '0x1.3a9d0e0f0436bp+1', '-0x1.2c243259eb560p+0'),
+        5141,
+        ['0x1.dd254b882b962p+271', '0x1.4c8216d7b3c18p+492'],
+        ['0x1.44a1bf8faa82ap+403'],
+        ['0x1.a4291c7b11bdcp-4', '0x1.5124b5afabe56p+403'],
+    ),
+    (2.5, 3): (
+        ('0x1.142e1e2a72a2cp-2', '0x1.0a3553d687593p-1',
+         '0x1.ae23a5c3de958p+5', '-0x1.1a66992855064p+3'),
+        915,
+        ['0x1.56bcd5476288bp+2', '0x1.3db1b79186e9ep+4'],
+        ['0x1.4a5cd693105b0p+3'],
+        ['0x1.2a1440d6fc6dcp+1', '0x1.8737b7bf19f7bp+3'],
+    ),
+}
+
+
+@pytest.mark.parametrize("p, N", list(STEPPER_PINS))
+def test_stepper_is_pinned_bit_for_bit(nodal, p, N):
+    sol = nodal(p, N)
+    traj = sol._traj
+    scalars, steps, *radii = STEPPER_PINS[p, N]
+    assert tuple(x.hex() for x in (sol.r_p, sol.s_p, sol.u0, sol.u_min)) == scalars
+    assert len(traj.nodes) == steps
+    got = ([r for r, _ in traj.zeros], traj.critical, traj.fp_critical)
+    assert [[r.hex() for r in rs] for rs in got] == radii
+
+
 def test_overflow_inside_a_step_is_a_stiffness_error():
     # past ln r = 354.9 the factor e^(2 ln r) leaves the float range: each
     # stage that gets there overflows, so its step is rejected, until the

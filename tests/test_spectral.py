@@ -26,6 +26,7 @@ from lanemorse.spectral import (
     AnnulusEigenProblem,
     LogGridMap,
     _assemble_ledger,
+    annulus,
     auto_grid_size,
     auto_inner_radius,
     first_eigenfunction,
@@ -293,6 +294,79 @@ def test_first_eigenfunction_positive_and_normalized(nodal):
 
 
 # ---------------------------------------------------------------------------
+# bisection seeded by the coarser grid
+
+
+def seeded_pair(sol, k=3):
+    """The (2M+1)-node grid of the default annulus and the k smallest
+    eigenvalues of its M-node coarsening, the seeds annulus_betas passes."""
+    inner, M = annulus(sol)
+    fine = build_problem(sol, inner, 2 * M + 1)
+    return fine, weighted_radial_eigs(fine.coarsened(), k)
+
+
+def record_bisections(monkeypatch):
+    """(select, number of values found) of every stebz call, in order."""
+    calls = []
+
+    def counted(d, e, **kw):
+        out = eigvalsh_tridiagonal(d, e, **kw)
+        calls.append((kw["select"], len(out)))
+        return out
+
+    monkeypatch.setattr(spectral, "eigvalsh_tridiagonal", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p, N", [(8.0, 2), (400.0, 2), (2.5, 3), (1.5, 3)])
+def test_seeded_bisection_matches_the_index_range(nodal, monkeypatch, p, N):
+    # three brackets of one value each and the count: the seeded values are
+    # the index-range ones up to the bisection tolerance
+    fine, near = seeded_pair(nodal(p, N))
+    calls = record_bisections(monkeypatch)
+    seeded = weighted_radial_eigs(fine, 3, near=near)
+    assert calls == [("v", 1)] * 3 + [("v", 3)]
+    assert np.max(np.abs(seeded - weighted_radial_eigs(fine, 3))) <= 2e-14
+
+
+@pytest.mark.parametrize("seeds", ["shifted", "beta_2 to beta_4"])
+def test_uncertified_seeds_fall_back_to_the_index_range(nodal, monkeypatch, seeds):
+    # brackets 10 half-widths off hold no eigenvalue; seeds that skip beta_1
+    # give three brackets of one value each, but the count finds four
+    fine, near = seeded_pair(nodal(8.0), k=4)
+    if seeds == "shifted":
+        near = near[:3] + 10.0 * np.maximum(spectral.SEED_REL * np.abs(near[:3]),
+                                            spectral.SEED_ABS)
+        expected = [("v", 0)]
+    else:
+        near = near[1:]
+        expected = [("v", 1)] * 3 + [("v", 4)]
+    calls = record_bisections(monkeypatch)
+    got = weighted_radial_eigs(fine, 3, near=near)
+    assert calls == expected + [("i", 3)]
+    assert np.array_equal(got, weighted_radial_eigs(fine, 3))
+
+
+def test_a_bracket_holding_two_eigenvalues_is_rejected(nodal, monkeypatch):
+    # at p = 760 beta_4 - beta_3 is about 5e-5; with a 6e-5 floor on the
+    # half-width the beta_3 bracket holds beta_4 as well
+    fine, near = seeded_pair(nodal(760.0))
+    betas = weighted_radial_eigs(fine, 4)
+    assert 4e-5 < betas[3] - betas[2] < 6e-5
+    monkeypatch.setattr(spectral, "SEED_ABS", 6e-5)
+    calls = record_bisections(monkeypatch)
+    got = weighted_radial_eigs(fine, 3, near=near)
+    assert calls == [("v", 1), ("v", 1), ("v", 2), ("i", 3)]
+    assert np.array_equal(got, weighted_radial_eigs(fine, 3))
+
+
+def test_seeds_must_match_the_requested_count(nodal):
+    fine, near = seeded_pair(nodal(8.0))
+    with pytest.raises(ConfigError):
+        weighted_radial_eigs(fine, 2, near=near)
+
+
+# ---------------------------------------------------------------------------
 # sphere spectrum
 
 
@@ -382,7 +456,8 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(spectral, "weighted_radial_eigs", counted(
-        grids, spectral.weighted_radial_eigs, lambda prob, k: (prob.inner, prob.M)))
+        grids, spectral.weighted_radial_eigs,
+        lambda prob, k, near=None: (prob.inner, prob.M)))
     monkeypatch.setattr(spectral, "fp_values", counted(
         samples, spectral.fp_values, lambda sol, r: np.size(r)))
     monkeypatch.setattr(spectral, "count_negative", counted(
@@ -449,17 +524,22 @@ def test_morse_index_p400_matches_anchors(nodal):
 
 
 def test_morse_index_p400_bisects_few_rows(nodal, monkeypatch):
-    # the graded grids: the five bisections see fewer than 50k rows in all
-    # (the uniform grids of 116811 nodes passed about 1.17M)
-    rows = []
+    # the graded grids: the five grids have fewer than 50k rows in all (the
+    # uniform grids of 116811 nodes passed about 1.17M), and the three finer
+    # ones, (2M+1, 4M+3) and (2M'+1), bisect in value brackets only
+    selects = {}
 
     def counted(d, e, **kw):
-        rows.append(len(d))
+        selects.setdefault(len(d), set()).add(kw["select"])
         return eigvalsh_tridiagonal(d, e, **kw)
 
     monkeypatch.setattr(spectral, "eigvalsh_tridiagonal", counted)
-    assert morse_index(nodal(400.0)).total == 12
-    assert len(rows) == 5 and sum(rows) < 50_000, rows
+    rep = morse_index(nodal(400.0))
+    assert rep.total == 12
+    sizes = sorted(selects)  # M < M' < 2M+1 < 2M'+1 < 4M+3
+    assert len(sizes) == 5 and sum(sizes) < 50_000, selects
+    assert sizes[0] == rep.M
+    assert [selects[rows] for rows in sizes] == [{"i"}, {"i"}, {"v"}, {"v"}, {"v"}]
 
 
 @pytest.mark.parametrize("p, N", [(1.5, 2), (8.0, 2), (400.0, 2), (4.9, 3), (2.9, 4)])
