@@ -13,18 +13,23 @@ Internally the integration runs in the log radius rho = ln r with state
 
     du/drho = w,      dw/drho = -(N-2) w - e^(2 rho) |u|^(p-1) u.
 
-This keeps the relative step size h/r bounded (_MAX_LOG_STEP), which is what
-the Hermite-reconstruction residual bound requires: for large p the trajectory
-spans tens of decades in r and any fixed-variable integrator would take steps
-with h/r >> 1 through the quiet stretches. The (N-1)/r origin singularity
-also disappears. Reported trajectories are always in the r variables.
+A step in rho is a relative step in r, so the tens of decades in r that the
+trajectory spans at large p need no step with h/r >> 1, and the (N-1)/r
+origin singularity disappears. Reported trajectories are always in the r
+variables.
 
 The integrator is a scalar Dormand-Prince 5(4) loop (_dormand_prince) with
 the step control of SciPy's RK45: same tableau, error norm, step factors,
-minimum step and initial-step rule, so it takes the same steps. Its events
-(zeros of u, of u' and of d ln f_p / d ln r) are located by Brent's method
-on each step's quartic interpolant; only the step states are kept, and the
-trajectory between them is the quintic Hermite reconstruction.
+minimum step and initial-step rule. Where the equation is nonlinear it also
+caps the step in rho (_MAX_LOG_STEP), which the residual bound of the
+Hermite reconstruction requires. Where the nonlinear term
+e^(2 rho) |u|^(p-1) u falls below the rounding of the state, as between the
+two bubbles at large p, the equation is w' = -(N-2) w to working precision,
+which the step and the reconstruction both reproduce, and the error control
+alone sizes the steps. Its events (zeros of u, of u' and of
+d ln f_p / d ln r) are located by Brent's method on each step's quartic
+interpolant; only the step states are kept, and the trajectory between them
+is the quintic Hermite reconstruction.
 
 Powers |u|^(p-1) u are evaluated through logarithms, as sign(u) exp(p ln|u|),
 which keeps the sign and underflows gracefully; past the float64 range the
@@ -61,7 +66,8 @@ __all__ = [
 _RESIDUAL_THETAS = (0.15, 0.35, 0.5, 0.65, 0.85)
 
 _ABS_TOL = 1e-14        # absolute integrator tolerance on (u, w)
-_MAX_LOG_STEP = 0.075   # largest step in rho = ln r
+_MAX_LOG_STEP = 0.075   # largest step in rho = ln r where the ODE is nonlinear
+_MAX_DECAY_STEP = 0.2   # largest (N-2) h: w decays like e^(-(N-2) rho)
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
 _MIN_REL_TOL = 100 * sys.float_info.epsilon
 
@@ -133,7 +139,9 @@ class Trajectory:
     """Integrated radial trajectory with event data.
 
     nodes/u/du are the accepted integration steps mapped back to the r
-    variable; zeros holds (radius, direction) for each simple zero crossing
+    variable, rejected counts the rejected step attempts and rhs_evals the
+    evaluations of dw/drho (2 at the start, 6 per attempt that raised no
+    overflow); zeros holds (radius, direction) for each simple zero crossing
     of u, critical the radii of all zeros of u', and fp_critical the radii
     where d ln f_p / d ln r = (p-1) r u'/u + 2 vanishes, i.e. the critical
     points of f_p = p |u|^(p-1) r^2 (all located as events of the one
@@ -152,6 +160,8 @@ class Trajectory:
     critical: list[float]
     fp_critical: list[float]
     event_states: tuple[np.ndarray, ...] = ()
+    rejected: int = 0
+    rhs_evals: int = 0
 
     def _hermite_data(self):
         """(rho, u, w, dw, ddw) at the nodes, w = r u', d = d/drho."""
@@ -296,7 +306,7 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
         )
     # events: u (the zeros), w = r u' (the critical points) and
     # u * d ln f_p / d rho = (p-1) w + 2u (the critical points of f_p)
-    ts, us, ws, t_events, y_events = _dormand_prince(
+    ts, us, ws, t_events, y_events, rejected, rhs_evals = _dormand_prince(
         p, N, rho0, rho1, u0, w0, f0, cfg.rel_tol,
         events=((1.0, 0.0), (0.0, 1.0), (2.0, p - 1.0)),
         max_events=(cfg.max_zeros or math.inf, math.inf, math.inf),
@@ -316,7 +326,7 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
     fp_critical = [math.exp(rho_c) for rho_c in t_events[2]]
     states = tuple(np.array(y, dtype=float).reshape(-1, 2) for y in y_events)
     return Trajectory(cfg, nodes, u, du, zeros, critical, fp_critical,
-                      event_states=states)
+                      event_states=states, rejected=rejected, rhs_evals=rhs_evals)
 
 
 # Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6 (1980)):
@@ -371,15 +381,21 @@ def _dormand_prince(p, N, t, t_end, u, w, f, rtol, events, max_events):
     f = _accel(t, u, w, p, N) at the start. The step control is SciPy's RK45
     one: the RMS error norm over _ABS_TOL + max(|y|, |y_new|) rtol, safety
     0.9, step factors in [0.2, 10] with no growth right after a rejection,
-    steps between 10 ulp(t) and _MAX_LOG_STEP, and the same initial-step
-    rule. An overflow in a stage makes the error norm infinite, so the step
-    is rejected; a step below 10 ulp(t) raises StiffnessError.
+    steps of at least 10 ulp(t) and the same initial-step rule. A step is at
+    most _MAX_LOG_STEP, and at most _MAX_DECAY_STEP / (N-2), unless the
+    nonlinear term e^(2 t) |u|^(p-1) u at its start is at most
+    eps (|u| + |w|): there the equation is linear to working precision and
+    the error control alone sizes the step. Where the cap binds throughout
+    (N = 2 with p <= 3, and N >= 3) these are the steps of SciPy's RK45 with
+    that max_step. An overflow in a stage makes the error norm infinite, so
+    the step is rejected; a step below 10 ulp(t) raises StiffnessError.
 
     events holds (a, b) for each event function a u + b w. A sign change over
     a step is located on that step's quartic interpolant by _brentq, and the
     max_events[i]-th occurrence of event i ends the integration at its root,
-    as in solve_ivp. Returns the nodes (ts, us, ws) and, per event, the
-    lists of its roots and of the interpolated states (u, w) there.
+    as in solve_ivp. Returns the nodes (ts, us, ws), per event the lists of
+    its roots and of the interpolated states (u, w) there, the number of
+    rejected attempts and the number of evaluations of w'.
     """
     atol = _ABS_TOL
     span = t_end - t
@@ -396,7 +412,12 @@ def _dormand_prince(p, N, t, t_end, u, w, f, rtol, events, max_events):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    h_abs = min(100 * h0, h1, span, _MAX_LOG_STEP)
+    # the Hermite defect of a capped step grows with the decay of w over it
+    max_step = min(_MAX_LOG_STEP, _MAX_DECAY_STEP / (N - 2)) if N > 2 else _MAX_LOG_STEP
+    cap = max_step
+    h_abs = min(100 * h0, h1, span, cap)
+    n_rejected, rhs_evals = 0, 2
+    eps = sys.float_info.epsilon
 
     # the stage loop runs some 10^4 times per solve: locals, and _accel
     # written out, save the global lookups and the calls
@@ -417,7 +438,7 @@ def _dormand_prince(p, N, t, t_end, u, w, f, rtol, events, max_events):
     g_pos = [x > 0 for x in g]
     while True:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        h_abs = min(max(h_abs, min_step), _MAX_LOG_STEP)
+        h_abs = min(max(h_abs, min_step), cap)
         rejected = False
         while True:
             if h_abs < min_step:
@@ -450,8 +471,10 @@ def _dormand_prince(p, N, t, t_end, u, w, f, rtol, events, max_events):
                     copysign(exp(p * log(abs(x))), x) if x else 0.0)
                 u_new = u + h * (B0 * w + B2 * w2 + B3 * w3 + B4 * w4 + B5 * w5)
                 w_new = w + h * (B0 * f + B2 * a2 + B3 * a3 + B4 * a4 + B5 * a5)
-                f_new = shift * w_new - exp(2.0 * (t + h)) * (
+                nonlin = exp(2.0 * (t + h)) * (
                     copysign(exp(p * log(abs(u_new))), u_new) if u_new else 0.0)
+                f_new = shift * w_new - nonlin
+                rhs_evals += 6
                 eu = ((E0 * w + E2 * w2 + E3 * w3 + E4 * w4 + E5 * w5 + E6 * w_new)
                       * h / (atol + max(abs(u), abs(u_new)) * rtol))
                 ew = ((E0 * f + E2 * a2 + E3 * a3 + E4 * a4 + E5 * a5 + E6 * f_new)
@@ -466,6 +489,7 @@ def _dormand_prince(p, N, t, t_end, u, w, f, rtol, events, max_events):
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERR_EXP)
             rejected = True
+            n_rejected += 1
 
         g_new = _event_values(events, u_new, w_new)
         g_new_pos = [x > 0 for x in g_new]
@@ -505,7 +529,9 @@ def _dormand_prince(p, N, t, t_end, u, w, f, rtol, events, max_events):
         us.append(u_new)
         ws.append(w_new)
         if stop or t_new >= t_end:
-            return ts, us, ws, t_events, y_events
+            return ts, us, ws, t_events, y_events, n_rejected, rhs_evals
+        # below the rounding of the state the nonlinear term drops out
+        cap = max_step if abs(nonlin) > eps * (abs(u_new) + abs(w_new)) else math.inf
         t, u, w, f = t_new, u_new, w_new, f_new
 
 
