@@ -14,7 +14,7 @@ Usage: python scripts/asymptotic_sweep.py [--p 10,50,100,200,400]
 import argparse
 import math
 
-from lanemorse import analyze_fp, limit_constants, scales, solve_nodal
+from lanemorse import limit_constants, scales, solve_nodal
 
 
 def main():
@@ -29,11 +29,10 @@ def main():
     for p in ps:
         sol = solve_nodal(p)
         sc = scales(sol)
-        fp = analyze_fp(sol)
         print(f"{p:6g} {sol.u0:8.4f} {sol.r_p:10.3e} {sol.s_p:10.3e} "
-              f"{sc.ell_hat:8.4f} {fp.max_plus:7.4f} "
-              f"{fp.c_p / sc.eps_plus:7.4f} {fp.max_minus:7.3f} "
-              f"{fp.d_p / sc.eps_minus:7.4f}")
+              f"{sc.ell_hat:8.4f} {sol.max_plus:7.4f} "
+              f"{sol.c_p / sc.eps_plus:7.4f} {sol.max_minus:7.3f} "
+              f"{sol.d_p / sc.eps_minus:7.4f}")
 
     print(f"\nlimits:        {'':24}  {k.ell:8.4f} {2.0:7.4f} "
           f"{math.sqrt(8.0):7.4f} {k.ell**2 + 2.0:7.3f} {k.delta:7.4f}")

@@ -9,7 +9,6 @@ every step.
 
 from .errors import (
     BisectionError,
-    CheckError,
     ConfigError,
     HorizonError,
     LaneMorseError,
@@ -18,7 +17,7 @@ from .errors import (
     TangentialZeroError,
     UnimodalityError,
 )
-from .profile import FpAnalysis, Scales, analyze_fp, fp_values, rescaled_potential, rescaled_profile, scales
+from .profile import Scales, fp_values, rescaled_potential, rescaled_profile, scales
 from .radial import IvpConfig, RadialSolution, Trajectory, integrate_ivp, solve_nodal
 
 __version__ = "0.1.0"
@@ -57,14 +56,13 @@ __all__ = [
     # radial
     "IvpConfig", "Trajectory", "RadialSolution", "integrate_ivp", "solve_nodal",
     # profile
-    "Scales", "FpAnalysis", "scales", "rescaled_profile", "rescaled_potential",
-    "fp_values", "analyze_fp",
+    "Scales", "scales", "rescaled_profile", "rescaled_potential", "fp_values",
     # spectral
     *_SPECTRAL_NAMES,
     # limits
     *_LIMITS_NAMES,
     # errors
-    "LaneMorseError", "ConfigError", "SolverError", "CheckError",
+    "LaneMorseError", "ConfigError", "SolverError",
     "StiffnessError", "TangentialZeroError", "HorizonError",
     "UnimodalityError", "BisectionError",
 ]

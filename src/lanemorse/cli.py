@@ -19,8 +19,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .errors import CheckError, ConfigError, LaneMorseError
-from .profile import analyze_fp, scales
+from .errors import ConfigError, LaneMorseError
+from .profile import scales
 from .radial import solve_nodal
 
 # spectral (and with it scipy.linalg) and limits are imported in the
@@ -163,14 +163,14 @@ def dumps(obj, indent: int = 0) -> str:
 
 def _solution_record(sol, cfg: RunConfig) -> dict:
     sc = scales(sol)
-    fp = analyze_fp(sol)
     return {
         "p": sol.p, "N": sol.N,
         "u0": sol.u0, "r_p": sol.r_p, "s_p": sol.s_p, "u_min": sol.u_min,
         "eps_plus": sc.eps_plus, "eps_minus": sc.eps_minus,
         "ell_hat": sc.ell_hat,
         "ratio_plus": sc.ratio_plus, "ratio_minus": sc.ratio_minus,
-        "max_plus": fp.max_plus, "max_minus": fp.max_minus, "sup_f": fp.sup_f,
+        "max_plus": sol.max_plus, "max_minus": sol.max_minus,
+        "sup_f": max(sol.max_plus, sol.max_minus),
         "residual_sup": sol.residual_sup(),
         "anchors": {k: ANCHORS[k] for k in
                     ("u0", "r_p", "s_p", "eps_plus", "eps_minus", "ell_hat",
@@ -224,13 +224,12 @@ def _sweep_row(p: float, cfg: RunConfig) -> dict:
     try:
         sol = solve_nodal(p, N=cfg.N, tol=cfg.tol_shoot)
         sc = scales(sol)
-        fp = analyze_fp(sol)
         rep = morse_index(sol, cfg.inner, cfg.grid_M)
         row = {
             "p": p, "u0": sol.u0, "r_p": sol.r_p, "s_p": sol.s_p,
             "eps_plus": sc.eps_plus, "eps_minus": sc.eps_minus,
-            "ell_hat": sc.ell_hat, "max_plus": fp.max_plus,
-            "max_minus": fp.max_minus, "beta1": rep.beta1, "beta2": rep.beta2,
+            "ell_hat": sc.ell_hat, "max_plus": sol.max_plus,
+            "max_minus": sol.max_minus, "beta1": rep.beta1, "beta2": rep.beta2,
             "m_rad": rep.m_rad, "morse_total": rep.total,
             "status": "ok" if rep.stable else "unstable",
         }
@@ -339,9 +338,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CheckError as exc:
-        print(f"check failure: {exc}", file=sys.stderr)
-        return EXIT_CHECK
     except LaneMorseError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -1,7 +1,6 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 3, CheckError -> 2,
-any SolverError -> 1.
+The CLI maps these onto exit codes: ConfigError -> 3, any SolverError -> 1.
 """
 
 
@@ -15,10 +14,6 @@ class ConfigError(LaneMorseError):
 
 class SolverError(LaneMorseError):
     """A numerical routine failed to produce a trustworthy result."""
-
-
-class CheckError(LaneMorseError):
-    """A verification check did not pass."""
 
 
 class StiffnessError(SolverError):

@@ -2,9 +2,9 @@
 
 Everything here is a pure function of a computed RadialSolution. Quantities
 involving |u|^(p-1) are evaluated as exp((p-1) ln|u|) throughout; naive
-powering would overflow well before p ~ 10^3. The maximizers of f_p and the
-states there are read off the shooting integration, where they are located
-as events.
+powering would overflow well before p ~ 10^3. The maximizers and maxima of
+f_p are fields of the solution, read off the shooting events by
+radial.solve_nodal.
 """
 
 from __future__ import annotations
@@ -14,17 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UnimodalityError
+from .errors import ConfigError
 from .radial import RadialSolution
 
 __all__ = [
     "Scales",
-    "FpAnalysis",
     "scales",
     "rescaled_profile",
     "rescaled_potential",
     "fp_values",
-    "analyze_fp",
 ]
 
 
@@ -102,53 +100,3 @@ def fp_values(sol: RadialSolution, r):
         out = np.where(np.isfinite(lg), np.exp(np.minimum(lg, 700.0)), 0.0)
     out[np.atleast_1d(r) == 0.0] = 0.0
     return float(out[0]) if r.ndim == 0 else out
-
-
-@dataclass
-class FpAnalysis:
-    """Maximizers and maxima of f_p on the two nodal intervals."""
-
-    c_p: float
-    d_p: float
-    max_plus: float
-    max_minus: float
-    sup_f: float
-
-
-def _unique_critical(radii: np.ndarray, lo: float, hi: float, where: str) -> int:
-    inside = np.flatnonzero((radii > lo) & (radii < hi))
-    if len(inside) != 1:
-        raise UnimodalityError(
-            f"f_p has {len(inside)} critical points on the {where} nodal "
-            f"interval ({lo:.6e}, {hi:.6e}), expected exactly one"
-        )
-    return int(inside[0])
-
-
-def analyze_fp(sol: RadialSolution) -> FpAnalysis:
-    """Locate the unique maximum of f_p in each nodal region.
-
-    The critical points of f_p are the roots of (p-1) r u' + 2u, located as
-    events of the shooting integration. f_p vanishes at both ends of each
-    nodal interval, so exactly one critical point per interval is its
-    maximizer; any other count raises UnimodalityError. f_p is invariant
-    under the shooting rescale, so its maxima are p |u|^(p-1) r^2 of the
-    unscaled event states, in log form; the trajectory is not evaluated.
-    """
-    traj = sol._traj
-    radii = np.asarray(traj.fp_critical) / sol.lam
-    idx = [_unique_critical(radii, 0.0, sol.r_p, "positive"),
-           _unique_critical(radii, sol.r_p, 1.0, "negative")]
-    r_raw = np.asarray(traj.fp_critical)[idx]
-    u_raw = traj.event_states[2][idx, 0]
-    max_plus, max_minus = np.exp(
-        math.log(sol.p) + (sol.p - 1.0) * np.log(np.abs(u_raw)) + 2.0 * np.log(r_raw)
-    ).tolist()
-    c_p, d_p = (r_raw / sol.lam).tolist()
-    return FpAnalysis(
-        c_p=c_p,
-        d_p=d_p,
-        max_plus=max_plus,
-        max_minus=max_minus,
-        sup_f=max(max_plus, max_minus),
-    )

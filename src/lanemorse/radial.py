@@ -51,6 +51,7 @@ from .errors import (
     SolverError,
     StiffnessError,
     TangentialZeroError,
+    UnimodalityError,
 )
 
 __all__ = [
@@ -619,6 +620,9 @@ class RadialSolution:
 
     u0 is the value at the origin (also the sup norm), r_p the interior nodal
     radius, s_p the radius of the unique negative minimum, u_min = u(s_p).
+    c_p < r_p < d_p are the maximizers of f_p = p |u|^(p-1) r^2 on the two
+    nodal intervals and max_plus, max_minus its maxima there; du_zeros is the
+    number of zeros of u' in (0, 1). All are read off the shooting events.
     eval() evaluates the trajectory's Hermite reconstruction off the grid,
     with the origin Taylor model below the integration start.
     """
@@ -632,9 +636,15 @@ class RadialSolution:
     r_p: float
     s_p: float
     u_min: float
+    c_p: float
+    d_p: float
+    max_plus: float
+    max_minus: float
+    du_zeros: int
     lam: float = field(repr=False, default=1.0)     # shooting rescale factor R2
     kappa: float = field(repr=False, default=1.0)   # amplitude factor R2^(2/(p-1))
     _traj: Trajectory = field(repr=False, default=None)
+    _residual_sup: float = field(repr=False, default=math.nan)
 
     def eval(self, r):
         """Evaluate (u(r), u'(r)) for scaled radii r in [0, 1] (vectorized)."""
@@ -680,11 +690,14 @@ class RadialSolution:
         The trajectory ends at the terminal zero R2, i.e. at r = 1 after the
         rescale, and the normalization makes the figure invariant under the
         rescale, so this bounds the defect of the scaled solution as well.
+        solve_nodal computes it once and rejects a solution where it
+        reaches 1e-7.
         """
-        return self._traj.residual_sup()
+        return self._residual_sup
 
 
 _LN_RMAX_CAP = 345.0  # keep r^2 representable in float64
+_RESIDUAL_BOUND = 1e-7  # the shooting contract on residual_sup
 
 
 def solve_nodal(
@@ -699,7 +712,10 @@ def solve_nodal(
     lands at r = 1; by the scaling invariance the result solves the Dirichlet
     problem with u(0) = R2^(2/(p-1)) > 0. Raises ConfigError for supercritical
     exponents (N >= 3, p >= (N+2)/(N-2)) and HorizonError if no second zero
-    exists before the largest representable horizon.
+    exists before the largest representable horizon. The shooting events are
+    read here, once: u' must vanish once on (r_p, 1) and f_p must have one
+    critical point on each nodal interval (else UnimodalityError). A
+    solution whose residual_sup reaches 1e-7 raises SolverError.
     """
     if p <= 1:
         raise ConfigError(f"nodal solving requires p > 1, got {p}")
@@ -736,43 +752,75 @@ def solve_nodal(
         )
     kappa = math.exp(ln_kappa)
 
-    mins = [j for j, m in enumerate(traj.critical) if r1 < m < r2]
-    if len(mins) != 1:
-        raise SolverError(
-            f"expected a unique critical point in (r_p, 1), found {len(mins)}"
-        )
-    s_p_raw = traj.critical[mins[0]]
-    u_min = kappa * float(traj.event_states[1][mins[0], 0])
+    r_p = r1 / lam
+    positive, negative = ("positive", 0.0, r_p), ("negative", r_p, 1.0)
+    critical = np.asarray(traj.critical) / lam
+    j = _unique_event(critical, negative, "u", SolverError)
+    u_min = kappa * float(traj.event_states[1][j, 0])
 
     keep = traj.nodes <= r2 * (1.0 + 1e-15)
     grid = np.concatenate(([0.0], traj.nodes[keep] / lam))
     grid[-1] = 1.0
     u = np.concatenate(([kappa], kappa * traj.u[keep]))
     du = np.concatenate(([0.0], kappa * lam * traj.du[keep]))
+    _validate_nodal(grid, u, r_p, u_min, 100.0 * rel_tol * kappa, tol)
 
-    sol = RadialSolution(
+    # f_p vanishes at both ends of each nodal interval, so its one critical
+    # point there is the maximizer. f_p is invariant under the rescale: its
+    # maxima are p |u|^(p-1) r^2 of the unscaled event states, in log form
+    fp_raw = np.asarray(traj.fp_critical)
+    fp_radii = fp_raw / lam
+    idx = [_unique_event(fp_radii, interval, "f_p", UnimodalityError)
+           for interval in (positive, negative)]
+    r_raw, u_raw = fp_raw[idx], traj.event_states[2][idx, 0]
+    max_plus, max_minus = np.exp(
+        math.log(p) + (p - 1.0) * np.log(np.abs(u_raw)) + 2.0 * np.log(r_raw)
+    ).tolist()
+    c_p, d_p = fp_radii[idx].tolist()
+
+    residual = traj.residual_sup()
+    if residual >= _RESIDUAL_BOUND:
+        raise SolverError(
+            f"interpolated ODE residual {residual:.3e} exceeds the bound "
+            f"{_RESIDUAL_BOUND:g} at p={p}, N={N}"
+        )
+    return RadialSolution(
         p=p, N=N, grid=grid, u=u, du=du,
-        u0=kappa, r_p=r1 / lam, s_p=s_p_raw / lam, u_min=u_min,
-        lam=lam, kappa=kappa, _traj=traj,
+        u0=kappa, r_p=r_p, s_p=float(critical[j]), u_min=u_min,
+        c_p=c_p, d_p=d_p, max_plus=max_plus, max_minus=max_minus,
+        du_zeros=int(np.count_nonzero(critical < 1.0)),
+        lam=lam, kappa=kappa, _traj=traj, _residual_sup=residual,
     )
-    _validate_nodal(sol, tol)
-    return sol
 
 
-def _validate_nodal(sol: RadialSolution, tol: float) -> None:
-    g, u = sol.grid, sol.u
+def _unique_event(radii: np.ndarray, interval, what: str, error) -> int:
+    """Index of the one event radius inside a nodal interval (name, lo, hi).
+
+    radii are the critical points of `what`; any other count than one
+    inside raises error naming it.
+    """
+    where, lo, hi = interval
+    inside = np.flatnonzero((radii > lo) & (radii < hi))
+    if len(inside) != 1:
+        raise error(
+            f"{what} has {len(inside)} critical points on the {where} nodal "
+            f"interval ({lo:.6e}, {hi:.6e}), expected exactly one"
+        )
+    return int(inside[0])
+
+
+def _validate_nodal(g, u, r_p: float, u_min: float, noise: float, tol: float) -> None:
     # near the origin the true decrement of u between steps sits below the
-    # integration error, so monotonicity is asserted up to that noise floor
-    noise = 100.0 * sol._traj.config.rel_tol * sol.u0
+    # integration error (noise), so monotonicity is asserted up to that floor
     if abs(u[-1]) >= tol:
         raise SolverError(f"|u(1)|={abs(u[-1]):.3e} exceeds shooting tolerance {tol}")
-    if sol.u_min >= 0:
+    if u_min >= 0:
         raise SolverError("interior minimum is not negative")
-    pos = (g > 0) & (g < sol.r_p)
+    pos = (g > 0) & (g < r_p)
     if np.any(np.diff(u[pos]) >= noise):
         raise SolverError("u is not decreasing on (0, r_p)")
-    neg = (g > sol.r_p) & (g < 1.0)
+    neg = (g > r_p) & (g < 1.0)
     if np.any(u[neg] >= noise):
         raise SolverError("u does not stay negative on (r_p, 1)")
-    if not math.isclose(sol.u0, float(np.max(np.abs(u))), rel_tol=1e-9):
+    if not math.isclose(u[0], float(np.max(np.abs(u))), rel_tol=1e-9):
         raise SolverError("u(0) is not the sup norm")

@@ -44,8 +44,7 @@ finds no other eigenvalue below the top bracket) and otherwise falls back to
 the index range, so the seeds can only cost time, never change the values
 beyond the bisection tolerance. The negative count is taken once per annulus, on
 its coarsest grid, by the signed LDL^T (Sturm sequence) pivot scan, and
-cross-checked against the negative bisection values on the same grid. The
-first eigenfunction (stein) has its own entry point, `first_eigenfunction`.
+cross-checked against the negative bisection values on the same grid.
 """
 
 from __future__ import annotations
@@ -55,10 +54,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import BisectionError, ConfigError, SolverError
-from .profile import analyze_fp, fp_values, scales
+from .profile import fp_values, scales
 from .radial import RadialSolution
 
 __all__ = [
@@ -70,7 +69,6 @@ __all__ = [
     "build_problem",
     "count_negative",
     "weighted_radial_eigs",
-    "first_eigenfunction",
     "richardson",
     "annulus",
     "annulus_betas",
@@ -153,8 +151,7 @@ class LogGridMap:
 
 def _grid_map(sol: RadialSolution, inner: float) -> LogGridMap:
     """The graded map of the annulus (inner, 1), centred on the f_p maxima."""
-    fp = analyze_fp(sol)
-    return LogGridMap(inner=inner, centres=(math.log(fp.c_p), math.log(fp.d_p)))
+    return LogGridMap(inner=inner, centres=(math.log(sol.c_p), math.log(sol.d_p)))
 
 
 @dataclass
@@ -339,31 +336,6 @@ def _seeded_eigs(prob: AnnulusEigenProblem, d: np.ndarray, e: np.ndarray,
     if len(_stebz(d, e, "v", (floor, hi[-1]), tol=hi[-1] - floor)) != len(near):
         return None
     return np.array(betas)
-
-
-def first_eigenfunction(prob: AnnulusEigenProblem) -> tuple[np.ndarray, np.ndarray]:
-    """(radii, phi samples) of the first eigenfunction on the grid nodes.
-
-    Recovered by inverse iteration, sign-fixed positive and normalized so
-    that the weighted norm ||phi/|x| ||_{L^2(A)} equals one.
-    """
-    _, v = eigh_tridiagonal(prob.diagonal(), prob.offdiagonal(),
-                            select="i", select_range=(0, 0))
-    w = v[:, 0]
-    if np.sum(w) < 0:
-        w = -w
-    # the symmetric eigenvector is sqrt(m_i) w_i, w = r^((N-2)/2) phi, and
-    # ||phi/|x|||^2 = omega_{N-1} int w^2 dt = omega_{N-1} k sum m_i w_i^2
-    w = w / np.sqrt(prob.dt_ds)
-    omega = sphere_area(prob.N)
-    w = w / math.sqrt(omega * prob.k * float(np.sum(prob.dt_ds * w * w)))
-    phi = np.exp(-prob.alpha * prob.t_nodes) * w
-    return np.exp(prob.t_nodes), phi
-
-
-def sphere_area(N: int) -> float:
-    """Surface area of the unit sphere S^(N-1)."""
-    return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
 
 
 def _homogeneous_dim(N: int, h: int) -> int:
@@ -557,10 +529,9 @@ def morse_index(sol: RadialSolution, inner: float | None = None,
     # oscillation the k = 1 operator has one negative eigenvalue per zero of
     # u' in (0, 1): an exact count for the beta_2 + (N-1) tie
     k1 = sum(e.contributes for e in ledger if e.k == 1)
-    du_zeros = sum(r < sol.lam for r in sol._traj.critical)
-    if k1 != du_zeros:
+    if k1 != sol.du_zeros:
         raise SolverError(
-            f"ledger has {k1} contributing k=1 entries but u' has {du_zeros} "
+            f"ledger has {k1} contributing k=1 entries but u' has {sol.du_zeros} "
             f"zeros in (0, 1) (Sturm count)"
         )
 

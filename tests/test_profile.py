@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from lanemorse import (
-    ConfigError, Trajectory, UnimodalityError, analyze_fp, limit_constants, scales,
-    solve_nodal,
+    ConfigError, Trajectory, UnimodalityError, limit_constants, scales, solve_nodal,
 )
-from lanemorse import profile
+from lanemorse import radial
 from lanemorse.limits import REFERENCE_ELL, liouville_profile, singular_profile
 from lanemorse.profile import fp_values, rescaled_potential, rescaled_profile
 
@@ -101,16 +100,17 @@ def test_fp_vanishes_at_interval_ends(nodal):
 
 
 def test_fp_maxima_near_limits(nodal):
-    fp = analyze_fp(nodal(400.0))
+    sol = nodal(400.0)
     ell = REFERENCE_ELL
-    assert 1.8 < fp.max_plus < 2.2
-    assert abs(fp.max_minus - (ell * ell + 2.0)) / (ell * ell + 2.0) < 0.10
+    assert 1.8 < sol.max_plus < 2.2
+    assert abs(sol.max_minus - (ell * ell + 2.0)) / (ell * ell + 2.0) < 0.10
 
 
 def test_fp_uniform_bound(nodal):
     # sup f_p <= 60: the limit peak ell^2+2 ~ 53.8 plus margin
     for p in (2.0, 5.0, 10.0, 50.0, 100.0, 400.0):
-        assert analyze_fp(nodal(p)).sup_f <= 60.0
+        sol = nodal(p)
+        assert max(sol.max_plus, sol.max_minus) <= 60.0
 
 
 def test_maximizer_scale_trends(nodal):
@@ -119,58 +119,50 @@ def test_maximizer_scale_trends(nodal):
     for p in (100.0, 400.0):
         sol = nodal(p)
         sc = scales(sol)
-        fp = analyze_fp(sol)
-        gaps_plus.append(abs(fp.c_p / sc.eps_plus - math.sqrt(8.0)))
-        gaps_minus.append(abs(fp.d_p / sc.eps_minus - k.delta))
+        gaps_plus.append(abs(sol.c_p / sc.eps_plus - math.sqrt(8.0)))
+        gaps_minus.append(abs(sol.d_p / sc.eps_minus - k.delta))
     assert gaps_plus[1] < gaps_plus[0]
     assert gaps_minus[1] < gaps_minus[0]
 
 
 def test_fp_unimodal_structure(nodal):
-    # one local max per nodal interval, visible from the analysis succeeding
+    # one local max per nodal interval, visible from the solve succeeding
     sol = nodal(10.0)
-    fp = analyze_fp(sol)
-    assert 0 < fp.c_p < sol.r_p < fp.d_p < 1.0
+    assert 0 < sol.c_p < sol.r_p < sol.d_p < 1.0
 
 
 @pytest.mark.parametrize("p", [8.3, 100.0, 400.0, 760.0])
 def test_maximizers_are_critical_points(nodal, p):
     # d ln f_p / d ln r = (p-1) r u'/u + 2 vanishes at both maximizers
     sol = nodal(p)
-    fp = analyze_fp(sol)
-    for r in (fp.c_p, fp.d_p):
+    for r in (sol.c_p, sol.d_p):
         u, du = sol.eval(r)
         assert abs((p - 1.0) * r * du / u + 2.0) <= 1e-10
 
 
 def test_analyze_fp_reads_maxima_off_the_events(monkeypatch):
-    # the maxima come from the event states: no f_p sampling and no
+    # solve_nodal takes the maxima from the event states, with no
     # evaluation of the trajectory, and they agree with f_p evaluated
     # through the Hermite reconstruction
-    sol = solve_nodal(50.0)
-    calls, evals = [], []
-
-    def counting(s, r):
-        calls.append(np.size(r))
-        return fp_values(s, r)
+    evals = []
 
     def counting_eval(traj, r):
         evals.append(np.size(r))
         return real_eval(traj, r)
 
     real_eval = Trajectory.eval
-    monkeypatch.setattr(profile, "fp_values", counting)
     monkeypatch.setattr(Trajectory, "eval", counting_eval)
-    fp = analyze_fp(sol)
+    sol = solve_nodal(50.0)
     monkeypatch.undo()
-    assert calls == [] and evals == []
-    assert fp.max_plus == pytest.approx(fp_values(sol, fp.c_p), rel=1e-13)
-    assert fp.max_minus == pytest.approx(fp_values(sol, fp.d_p), rel=1e-13)
+    assert evals == []
+    assert sol.max_plus == pytest.approx(fp_values(sol, sol.c_p), rel=1e-13)
+    assert sol.max_minus == pytest.approx(fp_values(sol, sol.d_p), rel=1e-13)
 
 
 @pytest.mark.parametrize("where", ["positive", "negative"])
 @pytest.mark.parametrize("count", [0, 2])
-def test_analyze_fp_requires_one_critical_point(nodal, where, count):
+def test_analyze_fp_requires_one_critical_point(nodal, monkeypatch, where, count):
+    # solve_nodal reads the f_p events of the integration it ran
     sol = nodal(10.0)
     traj = sol._traj
     r_p = traj.zeros[0][0]
@@ -180,6 +172,7 @@ def test_analyze_fp_requires_one_critical_point(nodal, where, count):
         edited = [d] if count == 0 else [0.5 * c, c, d]
     else:
         edited = [c] if count == 0 else [c, d, 0.5 * (d + sol.lam)]
-    bad = dataclasses.replace(sol, _traj=dataclasses.replace(traj, fp_critical=edited))
-    with pytest.raises(UnimodalityError, match=f"{count} critical points on the {where}"):
-        analyze_fp(bad)
+    bad = dataclasses.replace(traj, fp_critical=edited)
+    monkeypatch.setattr(radial, "integrate_ivp", lambda cfg: bad)
+    with pytest.raises(UnimodalityError, match=f"f_p has {count} critical points on the {where}"):
+        solve_nodal(10.0)

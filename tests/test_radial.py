@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from lanemorse import ConfigError, IvpConfig, StiffnessError, integrate_ivp, solve_nodal
+from lanemorse import (
+    ConfigError, HorizonError, IvpConfig, SolverError, StiffnessError, Trajectory,
+    integrate_ivp, radial, solve_nodal,
+)
 from lanemorse.radial import _ABS_TOL, _MAX_LOG_STEP, signed_power
 
 
@@ -383,6 +386,41 @@ def test_shooting_ladder_meets_the_contract(nodal, p, N):
     if p >= 100:
         # u is harmonic between the two bubbles, which no cap slices up
         assert len(traj.nodes) <= 1000
+
+
+def test_solve_rejects_a_residual_past_the_contract(monkeypatch):
+    # a decay cap of 1 on (N-2) h is the N = 6 cap before it shrank with
+    # N - 2; the interpolated residual there is 2.7e-7
+    monkeypatch.setattr(radial, "_MAX_DECAY_STEP", 1.0)
+    with pytest.raises(SolverError, match=r"residual 2\.7\d+e-07 exceeds the bound 1e-07"):
+        solve_nodal(1.5, N=6)
+
+
+def test_solve_computes_the_residual_once(monkeypatch):
+    calls = []
+    real = Trajectory.residual_sup
+    monkeypatch.setattr(Trajectory, "residual_sup",
+                        lambda traj: calls.append(traj) or real(traj))
+    sol = solve_nodal(3.0)
+    assert sol.residual_sup() == sol.residual_sup() < 1e-7
+    assert calls == [sol._traj]
+
+
+def test_no_second_zero_before_the_last_horizon_is_a_horizon_error():
+    with pytest.raises(HorizonError, match=r"second zero not found before r=exp\(345\)"):
+        solve_nodal(800.0)
+
+
+def test_horizon_retry_finds_a_zero_past_the_first_horizon(monkeypatch):
+    # ln R2 = 34.45 lies past the first horizon 0.5 p + 30 = 32.5, so the
+    # first integration ends without a second zero and the retry finds it
+    horizons = []
+    real = radial.integrate_ivp
+    monkeypatch.setattr(radial, "integrate_ivp",
+                        lambda cfg: horizons.append(math.log(cfg.r_max)) or real(cfg))
+    sol = solve_nodal(4.9999, N=3)
+    assert math.log(sol.lam) == pytest.approx(34.45, abs=5e-3)
+    assert len(horizons) == 2 and horizons[0] < 32.5 < math.log(sol.lam) < horizons[1]
 
 
 def test_overflow_inside_a_step_is_a_stiffness_error():

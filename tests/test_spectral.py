@@ -21,7 +21,6 @@ from lanemorse import (
 )
 from lanemorse import spectral
 from lanemorse.cli import EXIT_CHECK, main
-from lanemorse.profile import analyze_fp
 from lanemorse.spectral import (
     AnnulusEigenProblem,
     LogGridMap,
@@ -29,9 +28,7 @@ from lanemorse.spectral import (
     annulus,
     auto_grid_size,
     auto_inner_radius,
-    first_eigenfunction,
     mapped_problem,
-    sphere_area,
 )
 
 # a graded map with two bumps, as the solution annuli have at large p
@@ -237,7 +234,7 @@ def test_beta1_bounded_by_sup_fp(nodal):
         spec = weighted_radial_eigs(
             build_problem(sol, inner, auto_grid_size(sol, inner)), 1
         )
-        assert spec[0] >= -analyze_fp(sol).sup_f
+        assert spec[0] >= -max(sol.max_plus, sol.max_minus)
 
 
 def test_domain_monotonicity_nested_annuli(nodal):
@@ -269,28 +266,6 @@ def test_grid_convergence(nodal):
     b1 = weighted_radial_eigs(build_problem(sol, inner, M), 1)[0]
     b2 = weighted_radial_eigs(build_problem(sol, inner, 2 * M), 1)[0]
     assert abs(b2 - b1) / abs(b1) < 1e-4
-
-
-def test_first_eigenfunction_positive_and_normalized(nodal):
-    sol = nodal(5.0)
-    inner = auto_inner_radius(sol)
-    prob = build_problem(sol, inner, 8192)
-    r, phi = first_eigenfunction(prob)
-    assert np.all(phi > 0)
-    # independent check of the weighted normalization by trapezoid in r
-    integrand = phi**2 * r ** (sol.N - 3)
-    norm2 = sphere_area(sol.N) * np.trapezoid(integrand, r)
-    assert norm2 == pytest.approx(1.0, rel=1e-3)
-    # and of its shape: the Rayleigh quotient of w = r^alpha phi in t, by
-    # differences on the graded nodes, reproduces beta_1 (the symmetric
-    # eigenvector must be divided by sqrt(m_i) to give w)
-    t = np.concatenate(([math.log(inner)], np.log(r), [0.0]))
-    w = np.concatenate(([0.0], phi * r**prob.alpha, [0.0]))
-    q = np.concatenate(([0.0], prob.q, [0.0]))
-    energy = (np.sum(np.diff(w) ** 2 / np.diff(t))
-              + np.trapezoid((prob.alpha**2 - q) * w**2, t))
-    assert energy / np.trapezoid(w**2, t) == pytest.approx(
-        weighted_radial_eigs(prob, 1)[0], rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +420,9 @@ def test_morse_report_moderate_p(nodal):
 def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     # (inner, M), (inner, 2M+1), (inner, 4M+3), (inner/2, M') and
     # (inner/2, 2M'+1): f_p sampled once per annulus, on its finest grid,
-    # one inertia scan per annulus, on its coarsest grid, and no eigenvectors
+    # one inertia scan per annulus, on its coarsest grid
     sol = nodal(5.0)
-    grids, samples, scans, vectors = [], [], [], []
+    grids, samples, scans = [], [], []
 
     def counted(calls, fn, key=lambda *a, **kw: None):
         def wrapper(*args, **kwargs):
@@ -462,8 +437,6 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
         samples, spectral.fp_values, lambda sol, r: np.size(r)))
     monkeypatch.setattr(spectral, "count_negative", counted(
         scans, spectral.count_negative, lambda prob: (prob.inner, prob.M)))
-    monkeypatch.setattr(spectral, "eigh_tridiagonal",
-                        counted(vectors, spectral.eigh_tridiagonal))
     rep = morse_index(sol)
     assert rep.stable
     assert len(grids) == 5 and len(set(grids)) == 5
@@ -473,7 +446,6 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     assert len(deeper) == 2 and deeper[1] == 2 * deeper[0] + 1
     assert samples == [4 * M + 3, deeper[1]]
     assert scans == [(rep.inner, M), (rep.inner / 2.0, deeper[0])]
-    assert vectors == []
 
 
 def test_deep_annulus_count_decides_stability(nodal, monkeypatch):
@@ -554,11 +526,7 @@ def test_k1_ledger_row_is_the_sturm_count(nodal, p, N):
 
 @pytest.mark.parametrize("edit", ["extra", "missing"])
 def test_morse_index_rejects_a_wrong_sturm_count(nodal, edit):
-    sol = nodal(50.0)
-    traj = sol._traj
-    critical = ([0.5 * traj.zeros[0][0]] + traj.critical if edit == "extra"
-                else [r for r in traj.critical if r > sol.lam])
-    bad = dataclasses.replace(sol, _traj=dataclasses.replace(traj, critical=critical))
     count = 2 if edit == "extra" else 0
+    bad = dataclasses.replace(nodal(50.0), du_zeros=count)
     with pytest.raises(SolverError, match=f"1 contributing k=1 entries but u' has {count} zeros"):
         morse_index(bad)
