@@ -105,8 +105,12 @@ class RunConfig:
             raise ConfigError(f"dimension N must be >= 2, got {self.N}")
         if not (math.isfinite(self.tol_shoot) and self.tol_shoot > 0):
             raise ConfigError("tolerance must be finite and positive")
-        if self.grid_M is not None and self.grid_M < 2:
-            raise ConfigError("need at least two interior grid points")
+        # the ladder takes beta_1..beta_3 from the coarsest grid (N_BETAS in
+        # spectral, which is not imported here)
+        if self.grid_M is not None and self.grid_M < 3:
+            raise ConfigError(
+                f"--grid-M must be at least 3 (beta_1..beta_3 on the coarsest "
+                f"grid), got {self.grid_M}")
         if self.inner_rule != "auto":
             try:
                 self.inner = float(self.inner_rule)

@@ -42,15 +42,16 @@ which saves most of the halvings. `weighted_radial_eigs` certifies such a
 result (disjoint brackets, one eigenvalue in each, and a Sturm count that
 finds no other eigenvalue below the top bracket) and otherwise falls back to
 the index range, so the seeds can only cost time, never change the values
-beyond the bisection tolerance. The negative count is taken once per annulus, on
-its coarsest grid, by the signed LDL^T (Sturm sequence) pivot scan, and
-cross-checked against the negative bisection values on the same grid.
+beyond the bisection tolerance. Every eigenvalue count is the one Sturm count
+`_count_below`, LAPACK's own (stebz with a tolerance as wide as its
+interval): the certificate of the seeds, and the negative count
+(`count_negative`), taken once per annulus on its coarsest grid. The check
+that does not read the matrix is the zero count of u' (`morse_index`).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,42 +240,11 @@ def build_problem(sol: RadialSolution, inner: float, M: int) -> AnnulusEigenProb
 
 
 def count_negative(prob: AnnulusEigenProblem, shift: float = 0.0) -> int:
-    """Number of eigenvalues below `shift`, by tridiagonal matrix inertia.
+    """Number of eigenvalues below `shift`, by a LAPACK Sturm count.
 
-    One signed LDL^T pivot scan; no eigenvalue extraction. An exactly zero
-    pivot is retried at shift - 1e-12 and the perturbation reported as a
-    warning.
+    No eigenvalue extraction: see `_count_below`.
     """
-    d = prob.diagonal()
-    e = prob.offdiagonal()
-    cnt = _ldl_negative_pivots(d - shift, e)
-    if cnt is None:
-        warnings.warn(
-            f"zero pivot at shift {shift}; retrying at shift {shift - 1e-12}",
-            RuntimeWarning, stacklevel=2,
-        )
-        cnt = _ldl_negative_pivots(d - (shift - 1e-12), e)
-        if cnt is None:
-            raise SolverError("zero pivot persisted under perturbed shift")
-    return cnt
-
-
-def _ldl_negative_pivots(diag: np.ndarray, off: np.ndarray) -> int | None:
-    d = diag.tolist()
-    e2 = (off * off).tolist()
-    count = 0
-    piv = d[0]
-    if piv == 0.0:
-        return None
-    if piv < 0.0:
-        count += 1
-    for i in range(1, len(d)):
-        piv = d[i] - e2[i - 1] / piv
-        if piv == 0.0:
-            return None
-        if piv < 0.0:
-            count += 1
-    return count
+    return _count_below(prob, prob.diagonal(), prob.offdiagonal(), shift)
 
 
 def weighted_radial_eigs(prob: AnnulusEigenProblem, k: int,
@@ -317,10 +287,9 @@ def _seeded_eigs(prob: AnnulusEigenProblem, d: np.ndarray, e: np.ndarray,
 
     Returns None unless the brackets (near - w, near + w], w = max(SEED_REL
     |near|, SEED_ABS), certify the result: they are disjoint, each holds
-    exactly one eigenvalue, and a count-only bisection finds exactly len(near)
-    eigenvalues in (alpha^2 - max q - 1, top bracket end]. That interval
-    starts below the spectrum, because the difference part of the matrix is
-    positive semidefinite, so no eigenvalue was missed.
+    exactly one eigenvalue, and the Sturm count `_count_below` finds exactly
+    len(near) eigenvalues up to the top bracket end, so no eigenvalue was
+    missed.
     """
     half = np.maximum(SEED_REL * np.abs(near), SEED_ABS)
     lo, hi = near - half, near + half
@@ -332,10 +301,25 @@ def _seeded_eigs(prob: AnnulusEigenProblem, d: np.ndarray, e: np.ndarray,
         if len(found) != 1:
             return None
         betas.append(found[0])
-    floor = prob.alpha**2 - float(np.max(prob.q)) - 1.0
-    if len(_stebz(d, e, "v", (floor, hi[-1]), tol=hi[-1] - floor)) != len(near):
+    if _count_below(prob, d, e, hi[-1]) != len(near):
         return None
     return np.array(betas)
+
+
+def _count_below(prob: AnnulusEigenProblem, d: np.ndarray, e: np.ndarray,
+                 x: float) -> int:
+    """Number of eigenvalues of the tridiagonal (d, e) of prob up to x.
+
+    The Sturm count of LAPACK's bisection (Kahan's, in stebz) on the interval
+    (alpha^2 - max q - 1, x]: that floor lies below the spectrum, because the
+    difference part of the matrix is positive semidefinite. The tolerance is
+    the whole interval, so stebz counts and does not bisect. Nothing lies
+    below the floor, and stebz rejects an empty interval, hence the guard.
+    """
+    floor = prob.alpha**2 - float(np.max(prob.q)) - 1.0
+    if x <= floor:
+        return 0
+    return len(_stebz(d, e, "v", (floor, x), tol=x - floor))
 
 
 def _homogeneous_dim(N: int, h: int) -> int:
@@ -406,9 +390,8 @@ class MorseReport:
 
 
 def auto_inner_radius(sol: RadialSolution) -> float:
-    """Annulus rule min(eps_plus^2, r_p/10), floored at the float range."""
-    sc = scales(sol)
-    return max(min(sc.eps_plus**2, sol.r_p / 10.0), 1e-300)
+    """Annulus rule min(eps_plus^2, r_p/10), unclamped (no floor)."""
+    return min(scales(sol).eps_plus**2, sol.r_p / 10.0)
 
 
 def auto_grid_size(sol: RadialSolution, inner: float) -> int:
@@ -447,8 +430,8 @@ def annulus_betas(sol: RadialSolution, inner: float, M: int,
 
     Returns the eigenvalues of `levels` grids, coarsest first (f_p sampled
     once, on the finest), and the negative-eigenvalue count of the
-    (inner, M) grid: one inertia scan, cross-checked against the number of
-    negative bisection values there.
+    (inner, M) grid: one Sturm count (`count_negative`). The count that is
+    independent of the matrix is the zeros of u' (see `morse_index`).
     """
     probs = [build_problem(sol, inner, (M + 1) * 2 ** (levels - 1) - 1)]
     while len(probs) < levels:
@@ -458,13 +441,7 @@ def annulus_betas(sol: RadialSolution, inner: float, M: int,
     raw = [weighted_radial_eigs(probs[0], N_BETAS)]
     for prob in probs[1:]:
         raw.append(weighted_radial_eigs(prob, N_BETAS, near=raw[-1]))
-    neg = count_negative(probs[0])
-    if min(neg, N_BETAS) != int(np.sum(raw[0] < 0)):
-        raise SolverError(
-            f"inertia count {neg} disagrees with the bisection values "
-            f"{raw[0].tolist()} (inner={inner:.3e}, M={M})"
-        )
-    return raw, neg
+    return raw, count_negative(probs[0])
 
 
 def _assemble_ledger(N: int, betas_neg: list[tuple[int, float]]
@@ -502,15 +479,16 @@ def morse_index(sol: RadialSolution, inner: float | None = None,
     """Morse index of the solution via the weighted annulus decomposition.
 
     Computes the first radial eigenvalues beta_i of the weighted operator on
-    the annulus, checks that only two of them are negative, and sums the
-    multiplicities of the spherical modes k with beta_i + lambda_k < 0. The
-    annulus and grid follow `annulus(sol, inner, M)`, and the count is
-    re-verified with the annulus deepened (inner halved) and on the refined
-    (2M+1, 4M+3) pair; a changed ledger total, or a deep annulus whose
-    inertia count differs from m_rad, is reported (stable=False) rather than
-    silently resolved. f_p is sampled once per annulus, on its finest grid.
-    The k = 1 row of the ledger must match the Sturm count of the zeros of u'
-    in (0, 1), else SolverError.
+    the annulus, checks that only two of them are negative (m_rad, the
+    Sturm count of the coarsest grid), and sums the multiplicities of the
+    spherical modes k with beta_i + lambda_k < 0. The annulus and grid
+    follow `annulus(sol, inner, M)`, and the count is re-verified with the
+    annulus deepened (inner halved) and on the refined (2M+1, 4M+3) pair; a
+    changed ledger total, or a deep annulus whose Sturm count differs from
+    m_rad, is reported (stable=False) rather than silently resolved. f_p is
+    sampled once per annulus, on its finest grid. The k = 1 row of the
+    ledger must match the zero count of u' in (0, 1), a Sturm count that
+    does not read the matrix, else SolverError.
     """
     grid_M = M
     inner, M = annulus(sol, inner, M)

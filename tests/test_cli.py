@@ -51,6 +51,8 @@ def test_bad_config_rejected(tmp_path):
                  ["limit-check", "--ell", "7"],
                  ["morse", "--p", "5", "--format", "json"],
                  ["spectrum", "--p", "5", "--grid-M", "0"],
+                 # the ladder takes three eigenvalues from the coarsest grid
+                 ["sweep", "--p", "8", "--grid-M", "2"],
                  ["sweep", "--p", "5", "--inner-rule", "abc"],
                  # non-finite numbers and dimensions below 2, on every command
                  ["solve", "--p", "nan"],

@@ -16,6 +16,7 @@ from lanemorse import (
     count_negative,
     morse_index,
     richardson,
+    scales,
     sphere_spectrum,
     weighted_radial_eigs,
 )
@@ -160,13 +161,27 @@ def test_build_problem_rejects_bad_inner(nodal):
         build_problem(sol, 0.01, 1)
 
 
+def test_inner_rule_is_not_clamped(nodal):
+    # eps_plus^2 = 5.3e-302 at p = 765: the annulus takes the rule's value,
+    # with no floor at 1e-300
+    sol = nodal(765.0)
+    assert auto_inner_radius(sol) == scales(sol).eps_plus ** 2 < 1e-300
+    rep = morse_index(sol)
+    assert rep.inner == auto_inner_radius(sol)
+    assert rep.total == 12 and rep.stable
+
+
 # ---------------------------------------------------------------------------
-# negative counts by inertia
+# negative counts by the LAPACK Sturm count
 
 
 def test_count_zero_potential():
     assert count_negative(free_problem(2, 0.1, 500)) == 0
     assert count_negative(free_problem(3, 0.1, 500)) == 0
+    # at and below the floor alpha^2 - max q - 1 = -1 nothing is counted:
+    # stebz rejects the empty interval (floor, floor] and prints to C stdout
+    assert count_negative(free_problem(2, 0.1, 500), shift=-1.0) == 0
+    assert count_negative(free_problem(2, 0.1, 500), shift=-5.0) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -175,7 +190,7 @@ def test_count_zero_potential():
     st.floats(min_value=-50.0, max_value=50.0),
 )
 def test_count_matches_dense_eigensolve(qvals, shift):
-    # inertia count against a dense symmetric eigensolve on the same matrix
+    # Sturm count against a dense symmetric eigensolve on the same matrix
     M = len(qvals)
     prob = free_problem(2, 0.05, M, q=qvals)
     d, e = prob.diagonal(), prob.offdiagonal()
@@ -420,7 +435,7 @@ def test_morse_report_moderate_p(nodal):
 def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     # (inner, M), (inner, 2M+1), (inner, 4M+3), (inner/2, M') and
     # (inner/2, 2M'+1): f_p sampled once per annulus, on its finest grid,
-    # one inertia scan per annulus, on its coarsest grid
+    # one Sturm count per annulus, on its coarsest grid
     sol = nodal(5.0)
     grids, samples, scans = [], [], []
 
@@ -450,7 +465,7 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
 
 def test_deep_annulus_count_decides_stability(nodal, monkeypatch):
     # a radial eigenvalue gained under deepening leaves every ledger total
-    # as it was, but the deep inertia count differs from m_rad
+    # as it was, but the deep Sturm count differs from m_rad
     sol = nodal(5.0)
     honest = morse_index(sol)
     original = spectral.annulus_betas
@@ -497,8 +512,10 @@ def test_morse_index_p400_matches_anchors(nodal):
 
 def test_morse_index_p400_bisects_few_rows(nodal, monkeypatch):
     # the graded grids: the five grids have fewer than 50k rows in all (the
-    # uniform grids of 116811 nodes passed about 1.17M), and the three finer
-    # ones, (2M+1, 4M+3) and (2M'+1), bisect in value brackets only
+    # uniform grids of 116811 nodes passed about 1.17M); the two coarsest,
+    # M and M', are bisected by index range and take the negative count (a
+    # value range), and the three finer ones, (2M+1, 4M+3) and (2M'+1),
+    # bisect in value brackets only
     selects = {}
 
     def counted(d, e, **kw):
@@ -511,7 +528,8 @@ def test_morse_index_p400_bisects_few_rows(nodal, monkeypatch):
     sizes = sorted(selects)  # M < M' < 2M+1 < 2M'+1 < 4M+3
     assert len(sizes) == 5 and sum(sizes) < 50_000, selects
     assert sizes[0] == rep.M
-    assert [selects[rows] for rows in sizes] == [{"i"}, {"i"}, {"v"}, {"v"}, {"v"}]
+    assert [selects[rows] for rows in sizes] == [
+        {"i", "v"}, {"i", "v"}, {"v"}, {"v"}, {"v"}]
 
 
 @pytest.mark.parametrize("p, N", [(1.5, 2), (8.0, 2), (400.0, 2), (4.9, 3), (2.9, 4)])
