@@ -118,6 +118,11 @@ class RunConfig:
                 raise ConfigError(f"bad --inner-rule {self.inner_rule!r}") from exc
             if not (0.0 < self.inner < 1.0):
                 raise ConfigError("explicit inner radius must lie in (0, 1)")
+            # morse (and each sweep row) re-verifies on the annulus (inner/2, 1)
+            if self.command in ("morse", "sweep") and self.inner / 2.0 == 0.0:
+                raise ConfigError(
+                    f"explicit inner radius {self.inner_rule} is too small for the "
+                    f"deep annulus (inner/2 underflows to 0)")
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.fmt!r}")
         if self.fmt == "csv" and self.command != "sweep":

@@ -33,20 +33,24 @@ which for a constant phi' is the plain second difference on a uniform grid.
 Refinement M -> 2M+1 -> 4M+3 halves k exactly and keeps every node, so f_p is
 sampled once, on the finest grid of an annulus, and the coarser problems
 take every second node (`AnnulusEigenProblem.coarsened`). Eigenvalues come
-from LAPACK bisection (stebz) through SciPy on consecutive grids, combined by
-Richardson extrapolation (`richardson`); `annulus_betas` is the one ladder
-every command goes through. The coarsest grid of an annulus is bisected from
-the whole spectrum (an index range); each finer grid only in value brackets
-around the coarser grid's eigenvalues, of half-width max(1e-3 |beta|, 1e-6),
-which saves most of the halvings. `weighted_radial_eigs` certifies such a
-result (disjoint brackets, one eigenvalue in each, and a Sturm count that
-finds no other eigenvalue below the top bracket) and otherwise falls back to
-the index range, so the seeds can only cost time, never change the values
-beyond the bisection tolerance. Every eigenvalue count is the one Sturm count
-`_count_below`, LAPACK's own (stebz with a tolerance as wide as its
-interval): the certificate of the seeds, and the negative count
-(`count_negative`), taken once per annulus on its coarsest grid. The check
-that does not read the matrix is the zero count of u' (`morse_index`).
+from LAPACK bisection (stebz) through SciPy on the (M, 2M+1) pair, combined by
+Richardson extrapolation (`richardson`); every command bisects that pair the
+same way (`annulus_betas` for spectrum, `morse_index` for morse and sweep).
+The coarsest grid of an annulus is bisected from the whole spectrum (an index
+range); the 2M+1 grid only in value brackets around the coarser grid's
+eigenvalues, of half-width max(1e-3 |beta|, 1e-6), which saves most of the
+halvings. `weighted_radial_eigs` certifies such a result (disjoint brackets,
+one eigenvalue in each, and a Sturm count that finds no other eigenvalue
+below the top bracket) and otherwise falls back to the index range, so the
+seeds can only cost time, never change the values beyond the bisection
+tolerance. Every eigenvalue count is the one Sturm count `_count_below`,
+LAPACK's own (stebz with a tolerance as wide as its interval): the
+certificate of the seeds, the negative count (`count_negative`), taken once
+per annulus on its coarsest grid, and the ledger decisions of the two
+re-verification pairs of `morse_index` (`_counted_total`), taken on the
+4M+3 grid and on the 2M'+1 grid of the deep annulus, which are counted and
+never bisected. The check that does not read the matrix is the zero count of
+u' (`morse_index`).
 """
 
 from __future__ import annotations
@@ -404,14 +408,18 @@ def annulus(sol: RadialSolution, inner: float | None = None,
     """(inner radius, grid size) of the annulus; None selects the default.
 
     The default inner radius is the rule min(eps_plus^2, r_p/10), the
-    default M the density-based size of the coarsest grid.
+    default M the density-based size of the coarsest grid. An inner radius
+    outside (0, 1) is a ConfigError before any grid is sized.
     """
     inner = inner if inner is not None else auto_inner_radius(sol)
+    if not (0.0 < inner < 1.0):
+        raise ConfigError(f"inner radius {inner:.3e} must lie in (0, 1)")
     M = M if M is not None else auto_grid_size(sol, inner)
     return inner, M
 
 
 N_BETAS = 3  # beta_1, beta_2 enter the ledger; beta_3 >= 0 is checked
+N_LEDGER = 2  # beta_1, beta_2
 
 
 def richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
@@ -424,24 +432,39 @@ def richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
     return (4.0 * fine - coarse) / 3.0
 
 
-def annulus_betas(sol: RadialSolution, inner: float, M: int,
-                  levels: int = 2) -> tuple[list[np.ndarray], int]:
-    """Raw beta_1..beta_3 on the nested (M, 2M+1, ...) grids, and the count.
+def _nested_problems(sol: RadialSolution, inner: float, M: int,
+                     levels: int) -> list[AnnulusEigenProblem]:
+    """The annulus problems on the nested (M, 2M+1, ...) grids, coarsest first.
 
-    Returns the eigenvalues of `levels` grids, coarsest first (f_p sampled
-    once, on the finest), and the negative-eigenvalue count of the
-    (inner, M) grid: one Sturm count (`count_negative`). The count that is
-    independent of the matrix is the zeros of u' (see `morse_index`).
+    f_p is sampled once, on the finest grid; each coarser grid takes every
+    second node of the next finer one.
     """
     probs = [build_problem(sol, inner, (M + 1) * 2 ** (levels - 1) - 1)]
     while len(probs) < levels:
         probs.append(probs[-1].coarsened())
-    probs.reverse()
-    # each finer grid bisects around the values of the next coarser one
-    raw = [weighted_radial_eigs(probs[0], N_BETAS)]
-    for prob in probs[1:]:
-        raw.append(weighted_radial_eigs(prob, N_BETAS, near=raw[-1]))
-    return raw, count_negative(probs[0])
+    return probs[::-1]
+
+
+def _pair_betas(coarse: AnnulusEigenProblem, fine: AnnulusEigenProblem
+                ) -> tuple[list[np.ndarray], int]:
+    """Raw beta_1..beta_3 of a nested grid pair, and the coarse negative count.
+
+    The fine grid bisects around the coarse values.
+    """
+    raw = weighted_radial_eigs(coarse, N_BETAS)
+    return [raw, weighted_radial_eigs(fine, N_BETAS, near=raw)], count_negative(coarse)
+
+
+def annulus_betas(sol: RadialSolution, inner: float,
+                  M: int) -> tuple[list[np.ndarray], int]:
+    """Raw beta_1..beta_3 on the nested (M, 2M+1) grids, and the count.
+
+    Returns the eigenvalues of both grids, coarsest first (f_p sampled once,
+    on the finer), and the negative-eigenvalue count of the (inner, M) grid:
+    one Sturm count (`count_negative`). The count that is independent of the
+    matrix is the zeros of u' (see `morse_index`).
+    """
+    return _pair_betas(*_nested_problems(sol, inner, M, 2))
 
 
 def _assemble_ledger(N: int, betas_neg: list[tuple[int, float]]
@@ -474,6 +497,34 @@ def _assemble_ledger(N: int, betas_neg: list[tuple[int, float]]
     return entries, total
 
 
+def _counted_total(N: int, fine: AnnulusEigenProblem, coarse: np.ndarray,
+                   start: list[int]) -> int:
+    """Ledger total of the Richardson pair (coarse values, fine grid), by counts.
+
+    The pair's entry (i, k) contributes when (4 f_i - c_i)/3 + lambda_k <
+    -LEDGER_TIE_EPS, f_i the i-th eigenvalue of `fine` and c_i = coarse[i-1]:
+    when f_i < tau = (c_i - 3 (lambda_k + LEDGER_TIE_EPS)) / 4, that is when
+    the Sturm count `_count_below(fine, tau)` is at least i; no eigenvalue of
+    `fine` is bisected. tau falls as k grows, so beta_i contributes for
+    k < K_i. The walk starts at K_i = start[i-1] and checks that K_i - 1
+    contributes and K_i does not (two counts), moving on where a check fails.
+    """
+    d, e = fine.diagonal(), fine.offdiagonal()
+
+    def contributes(i: int, k: int) -> bool:
+        tau = (coarse[i - 1] - 3.0 * (_sphere_eigenvalue(N, k) + LEDGER_TIE_EPS)) / 4.0
+        return _count_below(fine, d, e, tau) >= i
+
+    total = 0
+    for i, K in enumerate(start, start=1):
+        while K > 0 and not contributes(i, K - 1):
+            K -= 1
+        while contributes(i, K):
+            K += 1
+        total += sum(sphere_mode_multiplicity(N, k) for k in range(K))
+    return total
+
+
 def morse_index(sol: RadialSolution, inner: float | None = None,
                 M: int | None = None) -> MorseReport:
     """Morse index of the solution via the weighted annulus decomposition.
@@ -482,18 +533,22 @@ def morse_index(sol: RadialSolution, inner: float | None = None,
     the annulus, checks that only two of them are negative (m_rad, the
     Sturm count of the coarsest grid), and sums the multiplicities of the
     spherical modes k with beta_i + lambda_k < 0. The annulus and grid
-    follow `annulus(sol, inner, M)`, and the count is re-verified with the
-    annulus deepened (inner halved) and on the refined (2M+1, 4M+3) pair; a
-    changed ledger total, or a deep annulus whose Sturm count differs from
-    m_rad, is reported (stable=False) rather than silently resolved. f_p is
-    sampled once per annulus, on its finest grid. The k = 1 row of the
-    ledger must match the zero count of u' in (0, 1), a Sturm count that
-    does not read the matrix, else SolverError.
+    follow `annulus(sol, inner, M)`: beta_1..beta_3 are bisected on the
+    (M, 2M+1) pair. The total is re-verified on the refined (2M+1, 4M+3)
+    pair and on the annulus deepened (inner halved, grids M', 2M'+1), by
+    Sturm counts on the finer grid of each pair (`_counted_total`): of
+    these grids only M' is bisected, for beta_1 and beta_2. A changed
+    ledger total, or a deep annulus whose Sturm count differs from m_rad, is
+    reported (stable=False) rather than silently resolved. f_p is sampled
+    once per annulus, on its finest grid. The k = 1 row of the ledger must
+    match the zero count of u' in (0, 1), a Sturm count that does not read
+    the matrix, else SolverError.
     """
     grid_M = M
     inner, M = annulus(sol, inner, M)
-    raw, m_rad = annulus_betas(sol, inner, M, levels=3)
-    betas = richardson(raw[0], raw[1])
+    coarse, mid, fine = _nested_problems(sol, inner, M, 3)
+    raw, m_rad = _pair_betas(coarse, mid)
+    betas = richardson(*raw)
     if m_rad != 2:
         raise SolverError(
             f"expected exactly two negative radial eigenvalues, found {m_rad} "
@@ -513,11 +568,15 @@ def morse_index(sol: RadialSolution, inner: float | None = None,
             f"zeros in (0, 1) (Sturm count)"
         )
 
-    deep, deep_neg = annulus_betas(sol, *annulus(sol, inner / 2.0, grid_M))
-    totals = [total]
-    for b in (richardson(*deep), richardson(raw[1], raw[2])):
-        _, tot = _assemble_ledger(sol.N, [(1, float(b[0])), (2, float(b[1]))])
-        totals.append(tot)
+    K = [sum(e.contributes for e in ledger if e.i == i) for i in range(1, N_LEDGER + 1)]
+    deep_coarse, deep_fine = _nested_problems(
+        sol, *annulus(sol, inner / 2.0, grid_M), 2)
+    deep_neg = count_negative(deep_coarse)
+    totals = [
+        total,
+        _counted_total(sol.N, deep_fine, weighted_radial_eigs(deep_coarse, N_LEDGER), K),
+        _counted_total(sol.N, fine, raw[1][:N_LEDGER], K),
+    ]
     # the deep count catches a radial eigenvalue lost or gained under
     # deepening, which the ledger totals alone can miss
     stable = len(set(totals)) == 1 and deep_neg == m_rad

@@ -54,6 +54,10 @@ def test_bad_config_rejected(tmp_path):
                  # the ladder takes three eigenvalues from the coarsest grid
                  ["sweep", "--p", "8", "--grid-M", "2"],
                  ["sweep", "--p", "5", "--inner-rule", "abc"],
+                 # morse re-verifies on the deep annulus (inner/2, 1), whose
+                 # inner radius underflows to 0 from the smallest subnormal
+                 ["morse", "--p", "5", "--inner-rule", "5e-324"],
+                 ["sweep", "--p", "5", "--inner-rule", "5e-324"],
                  # non-finite numbers and dimensions below 2, on every command
                  ["solve", "--p", "nan"],
                  ["solve", "--p", "inf"],
@@ -68,6 +72,13 @@ def test_bad_config_rejected(tmp_path):
                  ["limit-check", "--N", "140"],
                  ["solve", "--p", "5", "--out", str(tmp_path / "missing" / "x.json")]):
         assert main(argv) == EXIT_CONFIG, argv
+
+
+def test_the_smallest_inner_radii_keep_working():
+    # spectrum has no deep annulus; the smallest inner radius whose half is
+    # still a positive float serves morse
+    assert main(["spectrum", "--p", "5", "--inner-rule", "5e-324", "--out", os.devnull]) == EXIT_OK
+    assert main(["morse", "--p", "5", "--inner-rule", "1e-323", "--out", os.devnull]) == EXIT_OK
 
 
 def test_dumps_deterministic_floats():

@@ -26,6 +26,7 @@ from lanemorse.spectral import (
     AnnulusEigenProblem,
     LogGridMap,
     _assemble_ledger,
+    _counted_total,
     annulus,
     auto_grid_size,
     auto_inner_radius,
@@ -283,6 +284,14 @@ def test_grid_convergence(nodal):
     assert abs(b2 - b1) / abs(b1) < 1e-4
 
 
+def test_annulus_rejects_an_inner_radius_outside_the_unit_interval(nodal):
+    # before any grid is sized: math.log(0) would raise a bare ValueError
+    sol = nodal(5.0)
+    for inner in (0.0, -1e-3, 1.0, math.nan):
+        with pytest.raises(ConfigError, match="must lie in"):
+            annulus(sol, inner=inner)
+
+
 # ---------------------------------------------------------------------------
 # bisection seeded by the coarser grid
 
@@ -435,7 +444,9 @@ def test_morse_report_moderate_p(nodal):
 def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     # (inner, M), (inner, 2M+1), (inner, 4M+3), (inner/2, M') and
     # (inner/2, 2M'+1): f_p sampled once per annulus, on its finest grid,
-    # one Sturm count per annulus, on its coarsest grid
+    # one negative count per annulus, on its coarsest grid; bisected are only
+    # beta_1..beta_3 on M and 2M+1 and beta_1, beta_2 on M' (the 4M+3 and
+    # 2M'+1 grids are only counted)
     sol = nodal(5.0)
     grids, samples, scans = [], [], []
 
@@ -447,20 +458,18 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
 
     monkeypatch.setattr(spectral, "weighted_radial_eigs", counted(
         grids, spectral.weighted_radial_eigs,
-        lambda prob, k, near=None: (prob.inner, prob.M)))
+        lambda prob, k, near=None: (prob.inner, prob.M, k)))
     monkeypatch.setattr(spectral, "fp_values", counted(
         samples, spectral.fp_values, lambda sol, r: np.size(r)))
     monkeypatch.setattr(spectral, "count_negative", counted(
         scans, spectral.count_negative, lambda prob: (prob.inner, prob.M)))
     rep = morse_index(sol)
     assert rep.stable
-    assert len(grids) == 5 and len(set(grids)) == 5
-    M = rep.M
-    assert sorted(m for r, m in grids if r == rep.inner) == [M, 2 * M + 1, 4 * M + 3]
-    deeper = sorted(m for r, m in grids if r == rep.inner / 2.0)
-    assert len(deeper) == 2 and deeper[1] == 2 * deeper[0] + 1
-    assert samples == [4 * M + 3, deeper[1]]
-    assert scans == [(rep.inner, M), (rep.inner / 2.0, deeper[0])]
+    M, deep = rep.M, rep.inner / 2.0
+    M_deep = auto_grid_size(sol, deep)
+    assert grids == [(rep.inner, M, 3), (rep.inner, 2 * M + 1, 3), (deep, M_deep, 2)]
+    assert samples == [4 * M + 3, 2 * M_deep + 1]
+    assert scans == [(rep.inner, M), (deep, M_deep)]
 
 
 def test_deep_annulus_count_decides_stability(nodal, monkeypatch):
@@ -468,18 +477,88 @@ def test_deep_annulus_count_decides_stability(nodal, monkeypatch):
     # as it was, but the deep Sturm count differs from m_rad
     sol = nodal(5.0)
     honest = morse_index(sol)
-    original = spectral.annulus_betas
+    original = spectral.count_negative
 
-    def deep_gains_one(sol, inner, M, levels=2):
-        raw, neg = original(sol, inner, M, levels)
-        return raw, neg + 1 if inner < honest.inner else neg
+    def deep_gains_one(prob, shift=0.0):
+        neg = original(prob, shift)
+        return neg + 1 if prob.inner < honest.inner else neg
 
-    monkeypatch.setattr(spectral, "annulus_betas", deep_gains_one)
+    monkeypatch.setattr(spectral, "count_negative", deep_gains_one)
     rep = morse_index(sol)
     assert rep.stable is False
     assert rep.stability_totals == honest.stability_totals
     assert len(set(rep.stability_totals)) == 1
     assert main(["morse", "--p", "5", "--out", os.devnull]) == EXIT_CHECK
+
+
+# the re-verification pairs decide the ledger by Sturm counts on the finer
+# grid; the reference bisects both grids and assembles the ledger of the
+# Richardson values
+COUNT_CASES = [(2.0, 2), (5.0, 2), (50.0, 2), (400.0, 2), (2.5, 3), (2.9, 4), (1.5, 3)]
+COUNT_GRIDS = [3, 5, 8, 12, 20, 40, 80, 200]
+
+
+def ledger_K(rep):
+    """Number of contributing modes of beta_1 and beta_2 on the ledger."""
+    return [sum(e.contributes for e in rep.ledger if e.i == i) for i in (1, 2)]
+
+
+@pytest.fixture(scope="module")
+def main_reports(nodal):
+    cache = {}
+
+    def get(p, N):
+        if (p, N) not in cache:
+            cache[(p, N)] = morse_index(nodal(p, N))
+        return cache[(p, N)]
+
+    return get
+
+
+def counted_and_reference(sol, inner, M, start):
+    """(counted total, value-based total) of the nested (M, 2M+1) pair."""
+    fine = build_problem(sol, inner, 2 * M + 1)
+    coarse = weighted_radial_eigs(fine.coarsened(), 2)
+    betas = richardson(coarse, weighted_radial_eigs(fine, 2))
+    _, reference = _assemble_ledger(sol.N, [(1, float(betas[0])), (2, float(betas[1]))])
+    return _counted_total(sol.N, fine, coarse, start), reference
+
+
+@pytest.mark.parametrize("start", ["ledger", "zero", "nine"])
+@pytest.mark.parametrize("M", COUNT_GRIDS)
+@pytest.mark.parametrize("p, N", COUNT_CASES)
+def test_counted_total_matches_the_value_ledger(nodal, main_reports, p, N, M, start):
+    # coarse grids move beta_i far from the main values, so the walk meets
+    # totals above and below the main one, from starts near and far
+    rep = main_reports(p, N)
+    K = {"ledger": ledger_K(rep), "zero": [0, 0], "nine": [9, 9]}[start]
+    counted, reference = counted_and_reference(nodal(p, N), rep.inner, M, K)
+    assert counted == reference
+
+
+def test_counted_total_follows_a_moved_ledger(nodal, main_reports):
+    # at p = 400 the M = 20 pair moves beta_1 to about -42: total 16, not 12
+    rep = main_reports(400.0, 2)
+    counted, reference = counted_and_reference(nodal(400.0), rep.inner, 20, ledger_K(rep))
+    assert counted == reference == 16 != rep.total
+
+
+def test_a_stable_pair_costs_two_counts_per_beta(nodal, main_reports, monkeypatch):
+    # the refined (2M+1, 4M+3) pair of p = 400 keeps the main ledger: one
+    # count confirms that K_i - 1 contributes, one that K_i does not
+    sol, rep = nodal(400.0), main_reports(400.0, 2)
+    fine = build_problem(sol, rep.inner, 4 * rep.M + 3)
+    coarse = weighted_radial_eigs(fine.coarsened(), 2)
+    calls = []
+    original = spectral._count_below
+
+    def counted(prob, d, e, x):
+        calls.append(x)
+        return original(prob, d, e, x)
+
+    monkeypatch.setattr(spectral, "_count_below", counted)
+    assert _counted_total(2, fine, coarse, ledger_K(rep)) == rep.total == 12
+    assert len(calls) == 4
 
 
 def test_morse_report_three_dimensional(nodal):
