@@ -2,7 +2,11 @@
 
 Output is machine-readable JSON (or CSV for sweeps) with a fixed schema:
 one top-level object carrying schema_version, config (the flags the command
-read, in parser order), results and checks.
+read, in parser order: p and N, plus format for sweep; N alone for
+limit-check), results and checks.
+Every result follows from p and N alone: the annulus, its grid and the
+shooting tolerances are rules of the radial and spectral modules, and the
+records report the inner radius and grid size M that the rules chose.
 Floats are always rendered with 15 significant digits in insertion order, so
 identical configurations produce byte-identical files. Every emitted record
 carries an `anchor` string naming the quantity it reports.
@@ -26,7 +30,7 @@ from .radial import solve_nodal
 # spectral (and with it scipy.linalg) and limits are imported in the
 # branches that use them, so that solve loads neither
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -36,20 +40,16 @@ EXIT_CONFIG = 3
 # each command accepts only the flags it reads, in this (parser) order, and
 # echoes them in the config block; every command also takes --out
 COMMAND_FLAGS = {
-    "solve": ("p", "N", "tol_shoot"),
-    "spectrum": ("p", "N", "grid_M", "inner_rule", "tol_shoot"),
-    "morse": ("p", "N", "grid_M", "inner_rule", "tol_shoot"),
-    "sweep": ("p", "N", "grid_M", "inner_rule", "tol_shoot", "format"),
+    "solve": ("p", "N"),
+    "spectrum": ("p", "N"),
+    "morse": ("p", "N"),
+    "sweep": ("p", "N", "format"),
     "limit-check": ("N",),
 }
 
 _FLAG_ARGS = {
     "p": dict(required=True, help="exponent, or comma-separated list for sweeps"),
     "N": dict(type=int, default=2),
-    "grid_M": dict(type=int, default=None),
-    "inner_rule": dict(default="auto",
-                       help="'auto' (min(eps_plus^2, r_p/10)) or an explicit radius"),
-    "tol_shoot": dict(type=float, default=1e-9),
     "format": dict(dest="fmt", choices=("json", "csv"), default="json"),
 }
 
@@ -87,12 +87,8 @@ class RunConfig:
     command: str
     p_list: list[float] = field(default_factory=list)
     N: int = 2
-    grid_M: int | None = None
-    inner_rule: str = "auto"
-    tol_shoot: float = 1e-9
     fmt: str = "json"
     out: str | None = None
-    inner: float | None = field(default=None, init=False)  # parsed inner_rule
 
     def __post_init__(self):
         if self.command not in COMMAND_FLAGS:
@@ -103,26 +99,6 @@ class RunConfig:
             raise ConfigError("exponents must be finite and satisfy p > 1")
         if self.N < 2:
             raise ConfigError(f"dimension N must be >= 2, got {self.N}")
-        if not (math.isfinite(self.tol_shoot) and self.tol_shoot > 0):
-            raise ConfigError("tolerance must be finite and positive")
-        # the ladder takes beta_1..beta_3 from the coarsest grid (N_BETAS in
-        # spectral, which is not imported here)
-        if self.grid_M is not None and self.grid_M < 3:
-            raise ConfigError(
-                f"--grid-M must be at least 3 (beta_1..beta_3 on the coarsest "
-                f"grid), got {self.grid_M}")
-        if self.inner_rule != "auto":
-            try:
-                self.inner = float(self.inner_rule)
-            except ValueError as exc:
-                raise ConfigError(f"bad --inner-rule {self.inner_rule!r}") from exc
-            if not (0.0 < self.inner < 1.0):
-                raise ConfigError("explicit inner radius must lie in (0, 1)")
-            # morse (and each sweep row) re-verifies on the annulus (inner/2, 1)
-            if self.command in ("morse", "sweep") and self.inner / 2.0 == 0.0:
-                raise ConfigError(
-                    f"explicit inner radius {self.inner_rule} is too small for the "
-                    f"deep annulus (inner/2 underflows to 0)")
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.fmt!r}")
         if self.fmt == "csv" and self.command != "sweep":
@@ -170,7 +146,7 @@ def dumps(obj, indent: int = 0) -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _solution_record(sol, cfg: RunConfig) -> dict:
+def _solution_record(sol) -> dict:
     sc = scales(sol)
     return {
         "p": sol.p, "N": sol.N,
@@ -187,10 +163,10 @@ def _solution_record(sol, cfg: RunConfig) -> dict:
     }
 
 
-def _spectrum_record(sol, cfg: RunConfig) -> dict:
+def _spectrum_record(sol) -> dict:
     from .spectral import annulus, annulus_betas, richardson
 
-    inner, M = annulus(sol, cfg.inner, cfg.grid_M)
+    inner, M = annulus(sol)
     (coarse, fine), neg_count = annulus_betas(sol, inner, M)
     return {
         "p": sol.p, "N": sol.N, "inner": inner, "M": M,
@@ -202,10 +178,10 @@ def _spectrum_record(sol, cfg: RunConfig) -> dict:
     }
 
 
-def _morse_record(sol, cfg: RunConfig) -> dict:
+def _morse_record(sol) -> dict:
     from .spectral import morse_index
 
-    rep = morse_index(sol, cfg.inner, cfg.grid_M)
+    rep = morse_index(sol)
     return {
         "p": rep.p, "N": rep.N,
         "beta1": rep.beta1, "beta2": rep.beta2, "beta3": rep.beta3,
@@ -227,21 +203,15 @@ def _morse_record(sol, cfg: RunConfig) -> dict:
 
 
 def _sweep_row(p: float, cfg: RunConfig) -> dict:
-    from .spectral import morse_index
-
-    # each row is an independent pure pipeline (identical alone or in a sweep)
+    # each row is an independent pure pipeline (identical alone or in a
+    # sweep), read off the solve and morse records so that it cannot drift
+    # from them
     try:
-        sol = solve_nodal(p, N=cfg.N, tol=cfg.tol_shoot)
-        sc = scales(sol)
-        rep = morse_index(sol, cfg.inner, cfg.grid_M)
-        row = {
-            "p": p, "u0": sol.u0, "r_p": sol.r_p, "s_p": sol.s_p,
-            "eps_plus": sc.eps_plus, "eps_minus": sc.eps_minus,
-            "ell_hat": sc.ell_hat, "max_plus": sol.max_plus,
-            "max_minus": sol.max_minus, "beta1": rep.beta1, "beta2": rep.beta2,
-            "m_rad": rep.m_rad, "morse_total": rep.total,
-            "status": "ok" if rep.stable else "unstable",
-        }
+        sol = solve_nodal(p, N=cfg.N)
+        rec = _solution_record(sol) | _morse_record(sol)
+        rec["morse_total"] = rec["total"]
+        row = {c: rec[c] for c in SWEEP_COLUMNS}
+        row["status"] = "ok" if rec["stable"] else "unstable"
     except LaneMorseError as exc:
         row = {c: float("nan") for c in SWEEP_COLUMNS}
         row["p"] = p
@@ -251,9 +221,7 @@ def _sweep_row(p: float, cfg: RunConfig) -> dict:
 
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute one command; returns (exit_code, rendered artifact)."""
-    flags = {"p": config.p_list, "N": config.N, "grid_M": config.grid_M,
-             "inner_rule": config.inner_rule, "tol_shoot": config.tol_shoot,
-             "format": config.fmt}
+    flags = {"p": config.p_list, "N": config.N, "format": config.fmt}
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": config.command,
@@ -268,8 +236,7 @@ def run(config: RunConfig) -> tuple[int, str]:
                     "morse": _morse_record}
         records = []
         for p in config.p_list:
-            sol = solve_nodal(p, N=config.N, tol=config.tol_shoot)
-            records.append(builders[config.command](sol, config))
+            records.append(builders[config.command](solve_nodal(p, N=config.N)))
         payload["results"][config.command] = records
         if config.command == "morse" and any(not r["stable"] for r in records):
             code = EXIT_CHECK

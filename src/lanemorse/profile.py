@@ -42,10 +42,20 @@ class Scales:
     ratio_minus: float
 
 
+def _blowup_scale(sol: RadialSolution, name: str, amp: float) -> float:
+    """exp(-(ln p + (p-1) ln|amp|) / 2); ConfigError where it underflows to 0."""
+    ln_eps = -0.5 * (math.log(sol.p) + (sol.p - 1.0) * math.log(abs(amp)))
+    eps = math.exp(ln_eps)
+    if eps == 0.0:
+        raise ConfigError(
+            f"blow-up scale {name} = exp({ln_eps:.6g}) underflows float64 "
+            f"at p={sol.p}, N={sol.N}")
+    return eps
+
+
 def scales(sol: RadialSolution) -> Scales:
-    p = sol.p
-    eps_plus = math.exp(-0.5 * (math.log(p) + (p - 1.0) * math.log(sol.u0)))
-    eps_minus = math.exp(-0.5 * (math.log(p) + (p - 1.0) * math.log(abs(sol.u_min))))
+    eps_plus = _blowup_scale(sol, "eps_plus", sol.u0)
+    eps_minus = _blowup_scale(sol, "eps_minus", sol.u_min)
     return Scales(
         eps_plus=eps_plus,
         eps_minus=eps_minus,

@@ -697,15 +697,13 @@ class RadialSolution:
 
 
 _LN_RMAX_CAP = 345.0  # keep r^2 representable in float64
-_RESIDUAL_BOUND = 1e-7  # the shooting contract on residual_sup
+# the shooting contract: fixed, so that no caller can loosen it
+_RESIDUAL_BOUND = 1e-7  # on residual_sup
+_U1_BOUND = 1e-9  # on |u(1)| after the rescale
+_SHOOT_RTOL = 1e-12  # the integrator's relative tolerance
 
 
-def solve_nodal(
-    p: float,
-    N: int = 2,
-    tol: float = 1e-9,
-    rel_tol: float = 1e-12,
-) -> RadialSolution:
+def solve_nodal(p: float, N: int = 2) -> RadialSolution:
     """Construct the least-energy sign-changing radial solution on the ball.
 
     Shoots from a = 1, locates the second zero R2, and rescales so that it
@@ -714,8 +712,11 @@ def solve_nodal(
     exponents (N >= 3, p >= (N+2)/(N-2)) and HorizonError if no second zero
     exists before the largest representable horizon. The shooting events are
     read here, once: u' must vanish once on (r_p, 1) and f_p must have one
-    critical point on each nodal interval (else UnimodalityError). A
-    solution whose residual_sup reaches 1e-7 raises SolverError.
+    critical point on each nodal interval (else UnimodalityError).
+
+    The shooting contract is fixed: the integrator runs at relative
+    tolerance 1e-12 (_SHOOT_RTOL), and a solution with |u(1)| >= 1e-9
+    (_U1_BOUND) or residual_sup >= 1e-7 (_RESIDUAL_BOUND) raises SolverError.
     """
     if p <= 1:
         raise ConfigError(f"nodal solving requires p > 1, got {p}")
@@ -728,7 +729,7 @@ def solve_nodal(
     ln_rmax = min(0.5 * p + 30.0, _LN_RMAX_CAP)
     while True:
         cfg = IvpConfig(
-            p=p, N=N, a=1.0, rel_tol=rel_tol, r_max=math.exp(ln_rmax), max_zeros=2,
+            p=p, N=N, a=1.0, rel_tol=_SHOOT_RTOL, r_max=math.exp(ln_rmax), max_zeros=2,
         )
         traj = integrate_ivp(cfg)
         if len(traj.zeros) >= 2:
@@ -763,7 +764,7 @@ def solve_nodal(
     grid[-1] = 1.0
     u = np.concatenate(([kappa], kappa * traj.u[keep]))
     du = np.concatenate(([0.0], kappa * lam * traj.du[keep]))
-    _validate_nodal(grid, u, r_p, u_min, 100.0 * rel_tol * kappa, tol)
+    _validate_nodal(grid, u, r_p, u_min, 100.0 * _SHOOT_RTOL * kappa)
 
     # f_p vanishes at both ends of each nodal interval, so its one critical
     # point there is the maximizer. f_p is invariant under the rescale: its
@@ -809,11 +810,11 @@ def _unique_event(radii: np.ndarray, interval, what: str, error) -> int:
     return int(inside[0])
 
 
-def _validate_nodal(g, u, r_p: float, u_min: float, noise: float, tol: float) -> None:
+def _validate_nodal(g, u, r_p: float, u_min: float, noise: float) -> None:
     # near the origin the true decrement of u between steps sits below the
     # integration error (noise), so monotonicity is asserted up to that floor
-    if abs(u[-1]) >= tol:
-        raise SolverError(f"|u(1)|={abs(u[-1]):.3e} exceeds shooting tolerance {tol}")
+    if abs(u[-1]) >= _U1_BOUND:
+        raise SolverError(f"|u(1)|={abs(u[-1]):.3e} exceeds shooting tolerance {_U1_BOUND}")
     if u_min >= 0:
         raise SolverError("interior minimum is not negative")
     pos = (g > 0) & (g < r_p)

@@ -535,7 +535,8 @@ def morse_index(sol: RadialSolution, inner: float | None = None,
     spherical modes k with beta_i + lambda_k < 0. The annulus and grid
     follow `annulus(sol, inner, M)`: beta_1..beta_3 are bisected on the
     (M, 2M+1) pair. The total is re-verified on the refined (2M+1, 4M+3)
-    pair and on the annulus deepened (inner halved, grids M', 2M'+1), by
+    pair and on the annulus deepened (inner halved, grids M', 2M'+1; an
+    inner radius whose half underflows to 0 is a ConfigError), by
     Sturm counts on the finer grid of each pair (`_counted_total`): of
     these grids only M' is bisected, for beta_1 and beta_2. A changed
     ledger total, or a deep annulus whose Sturm count differs from m_rad, is
@@ -546,6 +547,10 @@ def morse_index(sol: RadialSolution, inner: float | None = None,
     """
     grid_M = M
     inner, M = annulus(sol, inner, M)
+    if inner / 2.0 == 0.0:
+        raise ConfigError(
+            f"inner radius {inner:.3e} is too small for the deep annulus "
+            f"(inner/2 underflows to 0)")
     coarse, mid, fine = _nested_problems(sol, inner, M, 3)
     raw, m_rad = _pair_betas(coarse, mid)
     betas = richardson(*raw)

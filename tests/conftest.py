@@ -8,10 +8,9 @@ def nodal():
     """Session-cached factory for nodal solutions (keyed by (p, N))."""
     cache = {}
 
-    def get(p, N=2, **kw):
-        key = (p, N, tuple(sorted(kw.items())))
-        if key not in cache:
-            cache[key] = solve_nodal(p, N=N, **kw)
-        return cache[key]
+    def get(p, N=2):
+        if (p, N) not in cache:
+            cache[p, N] = solve_nodal(p, N=N)
+        return cache[p, N]
 
     return get

@@ -25,10 +25,10 @@ from lanemorse.errors import ConfigError, SolverError
 
 
 def test_parse_args_roundtrip():
-    cfg = parse_args(["morse", "--p", "5", "--N", "2", "--grid-M", "512"])
+    cfg = parse_args(["morse", "--p", "5", "--N", "3"])
     assert cfg.command == "morse"
     assert cfg.p_list == [5.0]
-    assert cfg.grid_M == 512
+    assert cfg.N == 3
     cfg = parse_args(["sweep", "--p", "3,5,10", "--format", "csv"])
     assert cfg.p_list == [3.0, 5.0, 10.0]
     assert cfg.fmt == "csv"
@@ -50,12 +50,13 @@ def test_bad_config_rejected(tmp_path):
                  ["limit-check", "--tol-shoot", "1e-9"],
                  ["limit-check", "--ell", "7"],
                  ["morse", "--p", "5", "--format", "json"],
+                 # the annulus, the grid and the shooting tolerances follow
+                 # from p and N: no command has a flag for them, so these are
+                 # unknown flags (the library names their limits, see
+                 # test_spectral)
                  ["spectrum", "--p", "5", "--grid-M", "0"],
-                 # the ladder takes three eigenvalues from the coarsest grid
                  ["sweep", "--p", "8", "--grid-M", "2"],
                  ["sweep", "--p", "5", "--inner-rule", "abc"],
-                 # morse re-verifies on the deep annulus (inner/2, 1), whose
-                 # inner radius underflows to 0 from the smallest subnormal
                  ["morse", "--p", "5", "--inner-rule", "5e-324"],
                  ["sweep", "--p", "5", "--inner-rule", "5e-324"],
                  # non-finite numbers and dimensions below 2, on every command
@@ -66,19 +67,13 @@ def test_bad_config_rejected(tmp_path):
                  ["limit-check", "--N", "1"],
                  ["limit-check", "--N", "0"],
                  ["morse", "--p", "5", "--N", "1"],
+                 # an unknown flag as well
                  ["solve", "--p", "5", "--tol-shoot", "nan"],
                  # past the float64 range of the arithmetic, and unwritable output
                  ["solve", "--p", "1.001"],
                  ["limit-check", "--N", "140"],
                  ["solve", "--p", "5", "--out", str(tmp_path / "missing" / "x.json")]):
         assert main(argv) == EXIT_CONFIG, argv
-
-
-def test_the_smallest_inner_radii_keep_working():
-    # spectrum has no deep annulus; the smallest inner radius whose half is
-    # still a positive float serves morse
-    assert main(["spectrum", "--p", "5", "--inner-rule", "5e-324", "--out", os.devnull]) == EXIT_OK
-    assert main(["morse", "--p", "5", "--inner-rule", "1e-323", "--out", os.devnull]) == EXIT_OK
 
 
 def test_dumps_deterministic_floats():
@@ -224,13 +219,13 @@ def test_ledger_detail_flags_the_tie():
 
 
 def test_commands_share_the_spectral_pipeline():
-    # spectrum, morse and sweep resolve the annulus from the same flags and
+    # spectrum, morse and sweep resolve the same annulus from p and N and
     # report the same extrapolated betas, digit for digit
-    args = ("--p", "5", "--inner-rule", "1e-3")
+    args = ("--p", "5")
     (morse,) = _records("morse", *args)
     (sweep,) = _records("sweep", *args)
     (spectrum,) = _records("spectrum", *args)
-    assert morse["inner"] == spectrum["inner"] == 1e-3
+    assert (morse["inner"], morse["M"]) == (spectrum["inner"], spectrum["M"])
     assert [sweep["beta1"], sweep["beta2"]] == [morse["beta1"], morse["beta2"]]
     assert spectrum["betas"] == [morse["beta1"], morse["beta2"], morse["beta3"]]
 
@@ -275,7 +270,7 @@ def test_cli_import_leaves_the_limit_modules_unloaded():
 def test_exit_codes_via_entry_point():
     proc = _run_cli("limit-check", "--N", "2")
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert '"schema_version": 5' in proc.stdout, proc.stderr
+    assert '"schema_version": 6' in proc.stdout, proc.stderr
     proc = _run_cli("solve", "--p", "0.5")
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     proc = _run_cli("bogus")
@@ -294,7 +289,9 @@ def test_exit_codes_via_entry_point():
 
 def test_schema_shape():
     _, text = run(parse_args(["solve", "--p", "3"]))
-    assert text.startswith('{\n  "schema_version": 5')
+    assert text.startswith('{\n  "schema_version": 6')
     for key in ('"command"', '"config"', '"results"', '"checks"'):
         assert key in text
     assert text.endswith("}\n")
+    # the config block echoes the flags the command read: p and N only
+    assert json.loads(text)["config"] == {"p": [3.0], "N": 2}

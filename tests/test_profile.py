@@ -25,6 +25,16 @@ def test_scales_against_direct_formula(nodal):
     assert sc.ell_hat == pytest.approx(sol.s_p / sc.eps_minus, rel=1e-14)
 
 
+def test_an_underflowing_blowup_scale_is_named(nodal):
+    # eps = exp(-(ln p + (p-1) ln|u|) / 2) underflows to 0 for |u| = 1e20 at
+    # p = 50; the ratios r_p/eps_plus and s_p/eps_minus would divide by it
+    sol = nodal(50.0)
+    for field, name in (("u0", "eps_plus"), ("u_min", "eps_minus")):
+        bad = dataclasses.replace(sol, **{field: math.copysign(1e20, getattr(sol, field))})
+        with pytest.raises(ConfigError, match=f"{name} = exp\\(-1130.*p=50.0, N=2"):
+            scales(bad)
+
+
 def test_eps_ordering(nodal):
     for p in (2.0, 5.0, 50.0):
         sc = scales(nodal(p))

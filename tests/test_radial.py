@@ -149,9 +149,10 @@ def test_nodal_residual_invariant(nodal):
         assert nodal(p).residual_sup() < 1e-7
 
 
-def test_nodal_self_consistency(nodal):
+def test_nodal_self_consistency(nodal, monkeypatch):
     sol = nodal(3.0)
-    tight = solve_nodal(3.0, rel_tol=5e-13)
+    monkeypatch.setattr(radial, "_SHOOT_RTOL", 5e-13)
+    tight = solve_nodal(3.0)
     assert abs(sol.r_p - tight.r_p) / sol.r_p < 1e-8
 
 

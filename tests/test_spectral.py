@@ -292,6 +292,27 @@ def test_annulus_rejects_an_inner_radius_outside_the_unit_interval(nodal):
             annulus(sol, inner=inner)
 
 
+def test_the_library_names_the_spectral_limits(nodal):
+    sol = nodal(5.0)
+    # the ladder takes beta_1..beta_3 from the coarsest grid
+    with pytest.raises(ConfigError):
+        morse_index(sol, M=2)
+    # morse re-verifies on the deep annulus (inner/2, 1), whose inner radius
+    # underflows to 0 from the smallest subnormal
+    with pytest.raises(ConfigError, match="deep annulus"):
+        morse_index(sol, inner=5e-324)
+
+
+def test_the_smallest_inner_radii_keep_working(nodal):
+    # annulus_betas has no deep annulus; the smallest inner radius whose
+    # half is still a positive float serves morse_index
+    sol = nodal(5.0)
+    raw, neg = annulus_betas(sol, *annulus(sol, 5e-324))
+    assert neg == 2 and np.all(np.isfinite(raw))
+    rep = morse_index(sol, inner=1e-323)
+    assert rep.inner == 1e-323 and rep.m_rad == 2
+
+
 # ---------------------------------------------------------------------------
 # bisection seeded by the coarser grid
 
