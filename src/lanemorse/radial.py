@@ -248,7 +248,7 @@ def _residual_sup_log(data, p: float, N: int) -> float:
     if len(j) == 0:
         return 0.0
     h = rho[j + 1] - rho[j]
-    worst = 0.0
+    worst = []
     for th in _RESIDUAL_THETAS:
         Pu, Pw, dPw = _hermite(data, j, th)
         r = np.exp(rho[j] + th * h)
@@ -261,8 +261,8 @@ def _residual_sup_log(data, p: float, N: int) -> float:
             1.0,
             np.maximum(np.abs(term_dd), np.maximum(np.abs(term_d), np.abs(term_u))),
         )
-        worst = max(worst, float(np.max(res / scale)))
-    return worst
+        worst.append(np.max(res / scale))
+    return float(np.max(worst))  # nan, unlike max(), propagates
 
 
 def _ddw(rho, u, w, dw, p, N):
@@ -684,14 +684,30 @@ class RadialSolution:
         au = np.abs(u)
         return np.log(au, out=np.full(np.shape(au), -np.inf), where=au != 0), np.sign(u)
 
+    def fp_cells(self, *splits: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """f_p on the shooting steps, each cut into `split` equal cells.
+
+        Per split, (cell widths in t = ln r, f_p at the cell midpoints); f_p
+        is rescale invariant, so it is read off the unscaled reconstruction.
+        """
+        data = self._traj._hermite_data()
+        rho, steps = data[0], np.diff(data[0])
+        cells = []
+        for split in splits:
+            j = np.repeat(np.arange(len(steps)), split)
+            th = np.tile((np.arange(split) + 0.5) / split, len(steps))
+            with np.errstate(divide="ignore"):
+                ln_u = np.log(np.abs(_hermite(data, j, th)[0]))
+            ln_f = math.log(self.p) + (self.p - 1.0) * ln_u + 2.0 * (rho[j] + th * steps[j])
+            cells.append((steps[j] / split, _exp(ln_f)))
+        return cells
+
     def residual_sup(self) -> float:
         """Normalized interpolated residual over the trajectory up to r = 1.
 
-        The trajectory ends at the terminal zero R2, i.e. at r = 1 after the
-        rescale, and the normalization makes the figure invariant under the
-        rescale, so this bounds the defect of the scaled solution as well.
-        solve_nodal computes it once and rejects a solution where it
-        reaches 1e-7.
+        The normalization makes the figure invariant under the rescale, so it
+        bounds the defect of the scaled solution as well. solve_nodal computes
+        it once and rejects a solution where it reaches 1e-7 or is nan.
         """
         return self._residual_sup
 
@@ -715,8 +731,9 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
     critical point on each nodal interval (else UnimodalityError).
 
     The shooting contract is fixed: the integrator runs at relative
-    tolerance 1e-12 (_SHOOT_RTOL), and a solution with |u(1)| >= 1e-9
-    (_U1_BOUND) or residual_sup >= 1e-7 (_RESIDUAL_BOUND) raises SolverError.
+    tolerance 1e-12 (_SHOOT_RTOL); |u(1)| >= 1e-9 (_U1_BOUND) or
+    residual_sup >= 1e-7 (_RESIDUAL_BOUND), or nan, raises SolverError, or
+    ConfigError where the float floor of |u(1)| exceeds 1e-9 (p near 1).
     """
     if p <= 1:
         raise ConfigError(f"nodal solving requires p > 1, got {p}")
@@ -759,11 +776,19 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
     j = _unique_event(critical, negative, "u", SolverError)
     u_min = kappa * float(traj.event_states[1][j, 0])
 
-    keep = traj.nodes <= r2 * (1.0 + 1e-15)
-    grid = np.concatenate(([0.0], traj.nodes[keep] / lam))
+    grid = np.concatenate(([0.0], traj.nodes / lam))
     grid[-1] = 1.0
-    u = np.concatenate(([kappa], kappa * traj.u[keep]))
-    du = np.concatenate(([0.0], kappa * lam * traj.du[keep]))
+    u = np.concatenate(([kappa], kappa * traj.u))
+    du = np.concatenate(([0.0], kappa * lam * traj.du))
+    if not abs(u[-1]) < _U1_BOUND:
+        # the terminal zero is the float ln R2, whose rounding alone leaves
+        # |u(1)| up to |u'(1)| ulp(ln R2) / 2
+        floor = abs(du[-1]) * math.ulp(math.log(lam)) / 2.0
+        message = f"|u(1)|={abs(u[-1]):.3e} exceeds shooting tolerance {_U1_BOUND}"
+        if floor > _U1_BOUND:
+            raise ConfigError(f"{message}: at p={p}, N={N} (too close to 1) its "
+                              f"float floor |u'(1)| ulp(ln R2)/2 is {floor:.3e}")
+        raise SolverError(message)
     _validate_nodal(grid, u, r_p, u_min, 100.0 * _SHOOT_RTOL * kappa)
 
     # f_p vanishes at both ends of each nodal interval, so its one critical
@@ -780,7 +805,7 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
     c_p, d_p = fp_radii[idx].tolist()
 
     residual = traj.residual_sup()
-    if residual >= _RESIDUAL_BOUND:
+    if not residual < _RESIDUAL_BOUND:  # negated, so that nan fails it
         raise SolverError(
             f"interpolated ODE residual {residual:.3e} exceeds the bound "
             f"{_RESIDUAL_BOUND:g} at p={p}, N={N}"
@@ -813,8 +838,6 @@ def _unique_event(radii: np.ndarray, interval, what: str, error) -> int:
 def _validate_nodal(g, u, r_p: float, u_min: float, noise: float) -> None:
     # near the origin the true decrement of u between steps sits below the
     # integration error (noise), so monotonicity is asserted up to that floor
-    if abs(u[-1]) >= _U1_BOUND:
-        raise SolverError(f"|u(1)|={abs(u[-1]):.3e} exceeds shooting tolerance {_U1_BOUND}")
     if u_min >= 0:
         raise SolverError("interior minimum is not negative")
     pos = (g > 0) & (g < r_p)

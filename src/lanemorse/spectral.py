@@ -30,27 +30,22 @@ second-order scheme, symmetrized by the mass weights m_i, is the tridiagonal
 
 which for a constant phi' is the plain second difference on a uniform grid.
 
-Refinement M -> 2M+1 -> 4M+3 halves k exactly and keeps every node, so f_p is
-sampled once, on the finest grid of an annulus, and the coarser problems
-take every second node (`AnnulusEigenProblem.coarsened`). Eigenvalues come
-from LAPACK bisection (stebz) through SciPy on the (M, 2M+1) pair, combined by
-Richardson extrapolation (`richardson`); every command bisects that pair the
-same way (`annulus_betas` for spectrum, `morse_index` for morse and sweep).
-The coarsest grid of an annulus is bisected from the whole spectrum (an index
-range); the 2M+1 grid only in value brackets around the coarser grid's
-eigenvalues, of half-width max(1e-3 |beta|, 1e-6), which saves most of the
-halvings. `weighted_radial_eigs` certifies such a result (disjoint brackets,
-one eigenvalue in each, and a Sturm count that finds no other eigenvalue
-below the top bracket) and otherwise falls back to the index range, so the
-seeds can only cost time, never change the values beyond the bisection
-tolerance. Every eigenvalue count is the one Sturm count `_count_below`,
-LAPACK's own (stebz with a tolerance as wide as its interval): the
-certificate of the seeds, the negative count (`count_negative`), taken once
-per annulus on its coarsest grid, and the ledger decisions of the two
-re-verification pairs of `morse_index` (`_counted_total`), taken on the
-4M+3 grid and on the 2M'+1 grid of the deep annulus, which are counted and
-never bisected. The check that does not read the matrix is the zero count of
-u' (`morse_index`).
+Refinement M -> 2M+1 halves k exactly and keeps every node, so f_p is
+sampled once, on the 2M+1 grid (`AnnulusEigenProblem.coarsened`). Every
+command bisects that pair by LAPACK (stebz, through SciPy) and combines it by
+Richardson extrapolation (`annulus_betas`, `richardson`): the M grid from the
+whole spectrum, the 2M+1 grid only in brackets of half-width
+max(1e-3 |beta|, 1e-6) around the M grid's values. `weighted_radial_eigs`
+certifies those (disjoint brackets, one eigenvalue in each, no other one
+below the top bracket) or falls back to the whole spectrum, so the seeds
+never change a value beyond the bisection tolerance. Every eigenvalue count
+is the Sturm count `_count_below` (stebz with a tolerance as wide as its
+interval): the certificate and the negative count m_rad of the M grid.
+
+The ledger total is confirmed without a matrix (`prufer_counts`): sphere
+mode k has as many negative eigenvalues as its regular solution of
+y'' + (f - (alpha+k)^2) y = 0 has zeros in (0, 1), counted by the Pruefer
+angle on the shooting steps; k = 1 takes the zeros of u'.
 """
 
 from __future__ import annotations
@@ -80,6 +75,7 @@ __all__ = [
     "sphere_spectrum",
     "sphere_mode_multiplicity",
     "morse_index",
+    "prufer_counts",
     "auto_inner_radius",
     "auto_grid_size",
 ]
@@ -419,7 +415,6 @@ def annulus(sol: RadialSolution, inner: float | None = None,
 
 
 N_BETAS = 3  # beta_1, beta_2 enter the ledger; beta_3 >= 0 is checked
-N_LEDGER = 2  # beta_1, beta_2
 
 
 def richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
@@ -432,39 +427,18 @@ def richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
     return (4.0 * fine - coarse) / 3.0
 
 
-def _nested_problems(sol: RadialSolution, inner: float, M: int,
-                     levels: int) -> list[AnnulusEigenProblem]:
-    """The annulus problems on the nested (M, 2M+1, ...) grids, coarsest first.
-
-    f_p is sampled once, on the finest grid; each coarser grid takes every
-    second node of the next finer one.
-    """
-    probs = [build_problem(sol, inner, (M + 1) * 2 ** (levels - 1) - 1)]
-    while len(probs) < levels:
-        probs.append(probs[-1].coarsened())
-    return probs[::-1]
-
-
-def _pair_betas(coarse: AnnulusEigenProblem, fine: AnnulusEigenProblem
-                ) -> tuple[list[np.ndarray], int]:
-    """Raw beta_1..beta_3 of a nested grid pair, and the coarse negative count.
-
-    The fine grid bisects around the coarse values.
-    """
-    raw = weighted_radial_eigs(coarse, N_BETAS)
-    return [raw, weighted_radial_eigs(fine, N_BETAS, near=raw)], count_negative(coarse)
-
-
 def annulus_betas(sol: RadialSolution, inner: float,
                   M: int) -> tuple[list[np.ndarray], int]:
     """Raw beta_1..beta_3 on the nested (M, 2M+1) grids, and the count.
 
-    Returns the eigenvalues of both grids, coarsest first (f_p sampled once,
-    on the finer), and the negative-eigenvalue count of the (inner, M) grid:
-    one Sturm count (`count_negative`). The count that is independent of the
-    matrix is the zeros of u' (see `morse_index`).
+    Returns both grids' eigenvalues, coarser first (f_p sampled once, on the
+    finer, which bisects around the coarser values), and the Sturm count
+    (`count_negative`) of negative eigenvalues on the M grid.
     """
-    return _pair_betas(*_nested_problems(sol, inner, M, 2))
+    fine = build_problem(sol, inner, 2 * M + 1)
+    coarse = fine.coarsened()
+    raw = weighted_radial_eigs(coarse, N_BETAS)
+    return [raw, weighted_radial_eigs(fine, N_BETAS, near=raw)], count_negative(coarse)
 
 
 def _assemble_ledger(N: int, betas_neg: list[tuple[int, float]]
@@ -497,98 +471,101 @@ def _assemble_ledger(N: int, betas_neg: list[tuple[int, float]]
     return entries, total
 
 
-def _counted_total(N: int, fine: AnnulusEigenProblem, coarse: np.ndarray,
-                   start: list[int]) -> int:
-    """Ledger total of the Richardson pair (coarse values, fine grid), by counts.
+def _prufer_angle(z: float, h: np.ndarray, c: np.ndarray) -> float:
+    """theta / pi at the end of y'' + c y = 0, c constant on cells of width h.
 
-    The pair's entry (i, k) contributes when (4 f_i - c_i)/3 + lambda_k <
-    -LEDGER_TIE_EPS, f_i the i-th eigenvalue of `fine` and c_i = coarse[i-1]:
-    when f_i < tau = (c_i - 3 (lambda_k + LEDGER_TIE_EPS)) / 4, that is when
-    the Sturm count `_count_below(fine, tau)` is at least i; no eigenvalue of
-    `fine` is bisected. tau falls as k grows, so beta_i contributes for
-    k < K_i. The walk starts at K_i = start[i-1] and checks that K_i - 1
-    contributes and K_i does not (two counts), moving on where a check fails.
+    theta is the Pruefer angle, (y, y') = rho (sin theta, cos theta), which
+    passes a multiple of pi at each zero of y; the walk starts at y'/y = z.
+    Each cell maps z = y'/y in closed form, z -> (c' + a z) / (a + b z) with
+    denominator y(end) / y(start) (divided by cosh where c <= 0, so nothing
+    overflows). A negative one is one zero, once cells with sqrt(c) h >= pi
+    are cut into equal pieces below pi.
     """
-    d, e = fine.diagonal(), fine.offdiagonal()
+    w = np.sqrt(np.abs(c))
+    pieces = np.where(c > 0, w * h // np.pi + 1, 1).astype(int)
+    h, c, w = (np.repeat(x, pieces) for x in (h / pieces, c, w))
+    osc = c > 0
+    a = np.where(osc, np.cos(w * h), 1.0)
+    s = np.where(osc, np.sin(w * h), np.tanh(w * h))
+    b = np.divide(s, w, out=h.copy(), where=w > 0)  # -> h as omega -> 0
+    cz = np.where(osc, -w * s, w * s)
+    zeros = 0
+    for ai, bi, ci in zip(a.tolist(), b.tolist(), cz.tolist()):
+        # a zero exactly on a cell end is counted in the next cell
+        den = ai + bi * z or 1e-300
+        if den < 0:
+            zeros += 1
+        z = (ci + ai * z) / den
+    return zeros + math.atan2(1.0, z) / math.pi
 
-    def contributes(i: int, k: int) -> bool:
-        tau = (coarse[i - 1] - 3.0 * (_sphere_eigenvalue(N, k) + LEDGER_TIE_EPS)) / 4.0
-        return _count_below(fine, d, e, tau) >= i
 
-    total = 0
-    for i, K in enumerate(start, start=1):
-        while K > 0 and not contributes(i, K - 1):
-            K -= 1
-        while contributes(i, K):
-            K += 1
-        total += sum(sphere_mode_multiplicity(N, k) for k in range(K))
-    return total
+def prufer_counts(sol: RadialSolution) -> list[int]:
+    """[Z_0, Z_1, ...]: negative eigenvalues of each sphere mode, to the first 0.
+
+    By Sturm oscillation Z_k is the number of zeros in (0, 1) of the regular
+    solution (y'/y = alpha + k at r = 0) of y'' + (f_p - (alpha+k)^2) y = 0,
+    with f_p held at its midpoint value on the shooting steps; none where
+    (alpha+k)^2 >= max f_p. Z_1 is the zero count of u', which the forward
+    walk loses between the bubbles, where it decays. A margin (theta_k(1)/pi
+    to the nearest integer) not above its change under a 2-fold cell split
+    raises SolverError.
+    """
+    cells = sol.fp_cells(1, 2)
+    counts: list[int] = []
+    while not counts or counts[-1] > 0:
+        k = len(counts)
+        s = 0.5 * (sol.N - 2) + k  # alpha + k
+        if k == 1:
+            counts.append(sol.du_zeros)
+        elif s * s >= max(sol.max_plus, sol.max_minus):
+            counts.append(0)
+        else:
+            theta, split = (_prufer_angle(s, h, f - s * s) for h, f in cells)
+            n = math.floor(theta)
+            margin, change = min(theta - n, n + 1 - theta), abs(split - theta)
+            if not margin > change:
+                raise SolverError(
+                    f"Pruefer margin {margin:.3e} of sphere mode k={k} (theta/pi = "
+                    f"{theta:.6f}) is within its change {change:.3e} under a 2-fold split")
+            counts.append(n)
+    return counts
 
 
 def morse_index(sol: RadialSolution, inner: float | None = None,
                 M: int | None = None) -> MorseReport:
     """Morse index of the solution via the weighted annulus decomposition.
 
-    Computes the first radial eigenvalues beta_i of the weighted operator on
-    the annulus, checks that only two of them are negative (m_rad, the
-    Sturm count of the coarsest grid), and sums the multiplicities of the
-    spherical modes k with beta_i + lambda_k < 0. The annulus and grid
-    follow `annulus(sol, inner, M)`: beta_1..beta_3 are bisected on the
-    (M, 2M+1) pair. The total is re-verified on the refined (2M+1, 4M+3)
-    pair and on the annulus deepened (inner halved, grids M', 2M'+1; an
-    inner radius whose half underflows to 0 is a ConfigError), by
-    Sturm counts on the finer grid of each pair (`_counted_total`): of
-    these grids only M' is bisected, for beta_1 and beta_2. A changed
-    ledger total, or a deep annulus whose Sturm count differs from m_rad, is
-    reported (stable=False) rather than silently resolved. f_p is sampled
-    once per annulus, on its finest grid. The k = 1 row of the ledger must
-    match the zero count of u' in (0, 1), a Sturm count that does not read
-    the matrix, else SolverError.
+    Bisects beta_1..beta_3 on the (M, 2M+1) pair of `annulus(sol, inner, M)`
+    (`annulus_betas`), checks that only two are negative (m_rad, the Sturm
+    count of the M grid) and sums the multiplicities of the spherical modes
+    k with beta_i + lambda_k < 0; the k = 1 row must match the zeros of u',
+    else SolverError. A Pruefer total (`prufer_counts`) other than the
+    ledger total, or Z_0 other than m_rad, is reported (stable=False).
     """
-    grid_M = M
     inner, M = annulus(sol, inner, M)
-    if inner / 2.0 == 0.0:
-        raise ConfigError(
-            f"inner radius {inner:.3e} is too small for the deep annulus "
-            f"(inner/2 underflows to 0)")
-    coarse, mid, fine = _nested_problems(sol, inner, M, 3)
-    raw, m_rad = _pair_betas(coarse, mid)
+    raw, m_rad = annulus_betas(sol, inner, M)
     betas = richardson(*raw)
+    counts = prufer_counts(sol)
     if m_rad != 2:
         raise SolverError(
-            f"expected exactly two negative radial eigenvalues, found {m_rad} "
-            f"(inner={inner:.3e}, M={M}); annulus rule violated?"
-        )
+            f"expected exactly two negative radial eigenvalues, found {m_rad} on the "
+            f"annulus (inner={inner:.3e}, M={M}) and {counts[0]} by Pruefer count")
     if betas[2] < -LEDGER_TIE_EPS:
         raise SolverError(f"third radial eigenvalue is negative: {betas[2]:.3e}")
 
     ledger, total = _assemble_ledger(sol.N, [(1, float(betas[0])), (2, float(betas[1]))])
-    # u' solves the k = 1 mode equation and is regular at 0, so by Sturm
-    # oscillation the k = 1 operator has one negative eigenvalue per zero of
-    # u' in (0, 1): an exact count for the beta_2 + (N-1) tie
+    # u' is the regular k = 1 solution, so by Sturm oscillation its zeros in
+    # (0, 1) count the k = 1 negative eigenvalues: exact at the beta_2 + (N-1) tie
     k1 = sum(e.contributes for e in ledger if e.k == 1)
     if k1 != sol.du_zeros:
-        raise SolverError(
-            f"ledger has {k1} contributing k=1 entries but u' has {sol.du_zeros} "
-            f"zeros in (0, 1) (Sturm count)"
-        )
-
-    K = [sum(e.contributes for e in ledger if e.i == i) for i in range(1, N_LEDGER + 1)]
-    deep_coarse, deep_fine = _nested_problems(
-        sol, *annulus(sol, inner / 2.0, grid_M), 2)
-    deep_neg = count_negative(deep_coarse)
-    totals = [
-        total,
-        _counted_total(sol.N, deep_fine, weighted_radial_eigs(deep_coarse, N_LEDGER), K),
-        _counted_total(sol.N, fine, raw[1][:N_LEDGER], K),
-    ]
-    # the deep count catches a radial eigenvalue lost or gained under
-    # deepening, which the ledger totals alone can miss
-    stable = len(set(totals)) == 1 and deep_neg == m_rad
+        raise SolverError(f"ledger has {k1} contributing k=1 entries but u' has "
+                          f"{sol.du_zeros} zeros in (0, 1) (Sturm count)")
+    prufer_total = sum(sphere_mode_multiplicity(sol.N, k) * z for k, z in enumerate(counts))
 
     return MorseReport(
         p=sol.p, N=sol.N,
         beta1=float(betas[0]), beta2=float(betas[1]), beta3=float(betas[2]),
-        m_rad=m_rad, ledger=ledger, total=total,
-        inner=inner, M=M, stable=stable, stability_totals=tuple(totals),
+        m_rad=m_rad, ledger=ledger, total=total, inner=inner, M=M,
+        stable=prufer_total == total and counts[0] == m_rad,
+        stability_totals=(total, prufer_total),
     )

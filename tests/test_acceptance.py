@@ -208,7 +208,7 @@ def test_criterion_morse_index_12(nodal):
         ok &= good
         details.append(f"p={p:g}: total={rep.total} ledger={rep.contributions} "
                        f"stable={rep.stable} ({time.time() - t0:.1f}s)")
-    _report("morse-index-12 (total = 1+1+2*5, stable under n and M doubling)",
+    _report("morse-index-12 (total = 1+1+2*5, stable: the Pruefer total agrees)",
             ok, "; ".join(details))
 
 

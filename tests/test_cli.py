@@ -22,6 +22,7 @@ from lanemorse.cli import (
     run,
 )
 from lanemorse.errors import ConfigError, SolverError
+from lanemorse.radial import RadialSolution
 
 
 def test_parse_args_roundtrip():
@@ -203,6 +204,20 @@ def test_morse_command_small_p():
     assert '"anchors"' in text
 
 
+def test_morse_reports_the_ledger_and_pruefer_totals():
+    # stability_totals is [ledger total, Pruefer total] (schema 7)
+    (rec,) = _records("morse", "--p", "5")
+    assert rec["stability_totals"] == [rec["total"], rec["total"]] == [10, 10]
+
+
+def test_solve_builds_no_pruefer_cells(monkeypatch):
+    def refuse(*splits):
+        raise AssertionError("solve built Pruefer cells")
+
+    monkeypatch.setattr(RadialSolution, "fp_cells", refuse)
+    assert run(parse_args(["solve", "--p", "5"]))[0] == EXIT_OK
+
+
 def _records(command, *args):
     code, text = run(parse_args([command, *args]))
     assert code == EXIT_OK
@@ -270,7 +285,7 @@ def test_cli_import_leaves_the_limit_modules_unloaded():
 def test_exit_codes_via_entry_point():
     proc = _run_cli("limit-check", "--N", "2")
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert '"schema_version": 6' in proc.stdout, proc.stderr
+    assert '"schema_version": 7' in proc.stdout, proc.stderr
     proc = _run_cli("solve", "--p", "0.5")
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     proc = _run_cli("bogus")
@@ -289,7 +304,7 @@ def test_exit_codes_via_entry_point():
 
 def test_schema_shape():
     _, text = run(parse_args(["solve", "--p", "3"]))
-    assert text.startswith('{\n  "schema_version": 6')
+    assert text.startswith('{\n  "schema_version": 7')
     for key in ('"command"', '"config"', '"results"', '"checks"'):
         assert key in text
     assert text.endswith("}\n")

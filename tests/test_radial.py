@@ -407,6 +407,33 @@ def test_solve_computes_the_residual_once(monkeypatch):
     assert calls == [sol._traj]
 
 
+def test_a_nan_residual_fails_the_contract(nodal, monkeypatch):
+    # an overflowing step sample makes its defect nan: the sup keeps it
+    # (max(worst, nan) would drop it), and the shooting check rejects it
+    data = list(nodal(3.0)._traj._hermite_data())
+    data[1] = data[1].copy()
+    data[1][len(data[1]) // 2] = math.inf
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(radial._residual_sup_log(tuple(data), 3.0, 2))
+    monkeypatch.setattr(Trajectory, "residual_sup", lambda traj: math.nan)
+    with pytest.raises(SolverError, match=r"residual nan exceeds the bound 1e-07"):
+        solve_nodal(3.0)
+
+
+@pytest.mark.parametrize("p, N, u1", [(1.2, 3, "1.450e-07"), (1.2, 2, "7.161e-09")])
+def test_the_float_floor_of_u1_is_named(p, N, u1):
+    # the terminal zero is the float ln R2, whose half ulp alone leaves
+    # |u(1)| above 1e-9 here, so p is too close to 1 for the contract
+    message = rf"\|u\(1\)\|={u1} exceeds .* at p={p}, N={N} .* float floor .* is [0-9.]+e-08"
+    with pytest.raises(ConfigError, match=message):
+        solve_nodal(p, N)
+
+
+@pytest.mark.parametrize("p, N", [(1.25, 2), (1.3, 3)])
+def test_the_lowest_exponents_still_solve(nodal, p, N):
+    assert abs(nodal(p, N).u[-1]) < 1e-9
+
+
 def test_no_second_zero_before_the_last_horizon_is_a_horizon_error():
     with pytest.raises(HorizonError, match=r"second zero not found before r=exp\(345\)"):
         solve_nodal(800.0)

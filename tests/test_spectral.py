@@ -26,11 +26,13 @@ from lanemorse.spectral import (
     AnnulusEigenProblem,
     LogGridMap,
     _assemble_ledger,
-    _counted_total,
+    _count_below,
+    _prufer_angle,
     annulus,
     auto_grid_size,
     auto_inner_radius,
     mapped_problem,
+    prufer_counts,
 )
 
 # a graded map with two bumps, as the solution annuli have at large p
@@ -294,23 +296,21 @@ def test_annulus_rejects_an_inner_radius_outside_the_unit_interval(nodal):
 
 def test_the_library_names_the_spectral_limits(nodal):
     sol = nodal(5.0)
-    # the ladder takes beta_1..beta_3 from the coarsest grid
+    # the pair takes beta_1..beta_3 from the coarser grid
     with pytest.raises(ConfigError):
         morse_index(sol, M=2)
-    # morse re-verifies on the deep annulus (inner/2, 1), whose inner radius
-    # underflows to 0 from the smallest subnormal
-    with pytest.raises(ConfigError, match="deep annulus"):
-        morse_index(sol, inner=5e-324)
+    # the annulus must hold the whole negative nodal region
+    with pytest.raises(ConfigError, match="must lie in \\(0, r_p="):
+        morse_index(sol, inner=(sol.r_p + 1.0) / 2.0)
 
 
 def test_the_smallest_inner_radii_keep_working(nodal):
-    # annulus_betas has no deep annulus; the smallest inner radius whose
-    # half is still a positive float serves morse_index
+    # no annulus is deepened, so the smallest subnormal serves morse_index too
     sol = nodal(5.0)
     raw, neg = annulus_betas(sol, *annulus(sol, 5e-324))
     assert neg == 2 and np.all(np.isfinite(raw))
-    rep = morse_index(sol, inner=1e-323)
-    assert rep.inner == 1e-323 and rep.m_rad == 2
+    rep = morse_index(sol, inner=5e-324)
+    assert rep.inner == 5e-324 and rep.m_rad == 2 and rep.stable
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +463,12 @@ def test_morse_report_moderate_p(nodal):
 
 
 def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
-    # (inner, M), (inner, 2M+1), (inner, 4M+3), (inner/2, M') and
-    # (inner/2, 2M'+1): f_p sampled once per annulus, on its finest grid,
-    # one negative count per annulus, on its coarsest grid; bisected are only
-    # beta_1..beta_3 on M and 2M+1 and beta_1, beta_2 on M' (the 4M+3 and
-    # 2M'+1 grids are only counted)
+    # one annulus problem, on the 2M+1 grid: f_p sampled once there, beta_1..
+    # beta_3 bisected on M and 2M+1, one negative count on M, and six stebz
+    # calls in all (index range on M; three brackets and their certificate
+    # on 2M+1; the count)
     sol = nodal(5.0)
-    grids, samples, scans = [], [], []
+    grids, samples, scans, problems = [], [], [], []
 
     def counted(calls, fn, key=lambda *a, **kw: None):
         def wrapper(*args, **kwargs):
@@ -484,37 +483,81 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
         samples, spectral.fp_values, lambda sol, r: np.size(r)))
     monkeypatch.setattr(spectral, "count_negative", counted(
         scans, spectral.count_negative, lambda prob: (prob.inner, prob.M)))
+    monkeypatch.setattr(spectral, "build_problem", counted(
+        problems, spectral.build_problem, lambda sol, inner, M: M))
+    calls = record_bisections(monkeypatch)
     rep = morse_index(sol)
     assert rep.stable
-    M, deep = rep.M, rep.inner / 2.0
-    M_deep = auto_grid_size(sol, deep)
-    assert grids == [(rep.inner, M, 3), (rep.inner, 2 * M + 1, 3), (deep, M_deep, 2)]
-    assert samples == [4 * M + 3, 2 * M_deep + 1]
-    assert scans == [(rep.inner, M), (deep, M_deep)]
+    M = rep.M
+    assert problems == [2 * M + 1] and samples == [2 * M + 1]
+    assert grids == [(rep.inner, M, 3), (rep.inner, 2 * M + 1, 3)]
+    assert scans == [(rep.inner, M)]
+    assert calls == [("i", 3)] + [("v", 1)] * 3 + [("v", 3), ("v", 2)]
 
 
-def test_deep_annulus_count_decides_stability(nodal, monkeypatch):
-    # a radial eigenvalue gained under deepening leaves every ledger total
-    # as it was, but the deep Sturm count differs from m_rad
+def test_a_prufer_disagreement_is_reported(nodal, monkeypatch):
+    # a Pruefer count that differs from the ledger, in the total or in Z_0
+    # alone (Z_0 + 2, Z_1 - 1 keeps the planar total), makes the report
+    # unstable (exit 2); it is not resolved
     sol = nodal(5.0)
-    honest = morse_index(sol)
-    original = spectral.count_negative
-
-    def deep_gains_one(prob, shift=0.0):
-        neg = original(prob, shift)
-        return neg + 1 if prob.inner < honest.inner else neg
-
-    monkeypatch.setattr(spectral, "count_negative", deep_gains_one)
-    rep = morse_index(sol)
-    assert rep.stable is False
-    assert rep.stability_totals == honest.stability_totals
-    assert len(set(rep.stability_totals)) == 1
-    assert main(["morse", "--p", "5", "--out", os.devnull]) == EXIT_CHECK
+    honest = prufer_counts(sol)
+    for doctored, totals in (([honest[0], honest[1] + 1] + honest[2:], (10, 12)),
+                             ([honest[0] + 2, honest[1] - 1] + honest[2:], (10, 10))):
+        monkeypatch.setattr(spectral, "prufer_counts", lambda sol, d=doctored: d)
+        rep = morse_index(sol)
+        assert rep.stable is False and rep.stability_totals == totals
+        assert main(["morse", "--p", "5", "--out", os.devnull]) == EXIT_CHECK
 
 
-# the re-verification pairs decide the ledger by Sturm counts on the finer
-# grid; the reference bisects both grids and assembles the ledger of the
-# Richardson values
+def test_a_thin_prufer_margin_is_an_error(nodal, monkeypatch):
+    # theta_0(1)/pi moved to 1e-9 above an integer on the unsplit cells: the
+    # 2-fold split moves it by far more, so the count is not trusted
+    sol = nodal(5.0)
+    unsplit = len(sol.fp_cells(1)[0][0])
+    real = spectral._prufer_angle
+
+    def doctored(z, h, c):
+        theta = real(z, h, c)
+        return math.floor(theta) + 1e-9 if len(h) == unsplit else theta
+
+    monkeypatch.setattr(spectral, "_prufer_angle", doctored)
+    with pytest.raises(SolverError, match=r"Pruefer margin 1\.000e-09 of sphere mode k=0"):
+        morse_index(sol)
+
+
+def test_a_lost_radial_eigenvalue_names_both_counts(nodal):
+    # at p = 1.25 the rule's annulus (inner 0.0216) misses the second radial
+    # eigenvalue; the Pruefer count on the whole ball finds both
+    with pytest.raises(SolverError, match="found 1 on the annulus .* and 2 by Pruefer count"):
+        morse_index(nodal(1.25))
+    assert prufer_counts(nodal(1.25)) == [2, 1, 1, 0]
+
+
+def test_prufer_angle_is_exact_for_a_constant_coefficient():
+    # y'' + c y = 0 from y'/y = z over length L has the closed form, whatever
+    # the cells: one cell of omega L = 10.3 is cut into pieces below pi
+    L, z = 3.0, 0.7
+    for c in (10.3**2 / L**2, 0.0, -4.0):
+        w = math.sqrt(abs(c))
+        if c > 0:  # y = cos(w t) + (z / w) sin(w t); zeros by the scaled angle
+            y = math.cos(w * L) + z / w * math.sin(w * L)
+            dy = z * math.cos(w * L) - w * math.sin(w * L)
+            zeros = math.floor((math.atan2(1.0, z / w) + w * L) / math.pi)
+            theta = zeros + math.atan2(1.0, dy / y) / math.pi
+        elif c == 0:  # y = 1 + z t, no zero
+            theta = math.atan2(1.0, z / (1.0 + z * L)) / math.pi
+        else:  # y = cosh(w t) + (z / w) sinh(w t), no zero
+            zL = w * (w * math.tanh(w * L) + z) / (w + z * math.tanh(w * L))
+            theta = math.atan2(1.0, zL) / math.pi
+        for n in (1, 7, 100):
+            got = _prufer_angle(z, np.full(n, L / n), np.full(n, c))
+            assert got == pytest.approx(theta, abs=1e-12), (c, n)
+
+
+# the Sturm count `_count_below`, which certifies the seeds and takes m_rad,
+# against bisected values: on nested (M, 2M+1) pairs it decides every ledger
+# entry (i, k) by one count on the finer grid, and the total must be the
+# value ledger's
 COUNT_CASES = [(2.0, 2), (5.0, 2), (50.0, 2), (400.0, 2), (2.5, 3), (2.9, 4), (1.5, 3)]
 COUNT_GRIDS = [3, 5, 8, 12, 20, 40, 80, 200]
 
@@ -536,13 +579,37 @@ def main_reports(nodal):
     return get
 
 
+def counted_total(N, fine, coarse, start):
+    """Ledger total of the pair (coarse values, fine grid), by Sturm counts.
+
+    Entry (i, k) contributes when (4 f_i - c_i)/3 + lambda_k < -1e-7, f_i the
+    i-th eigenvalue of `fine`: when `fine` has at least i eigenvalues below
+    tau = (c_i - 3 (lambda_k + 1e-7)) / 4. tau falls as k grows, so beta_i
+    contributes for k < K_i; the walk starts at K_i = start[i-1].
+    """
+    d, e = fine.diagonal(), fine.offdiagonal()
+
+    def contributes(i, k):
+        tau = (coarse[i - 1] - 3.0 * (k * (k + N - 2) + spectral.LEDGER_TIE_EPS)) / 4.0
+        return _count_below(fine, d, e, tau) >= i
+
+    total = 0
+    for i, K in enumerate(start, start=1):
+        while K > 0 and not contributes(i, K - 1):
+            K -= 1
+        while contributes(i, K):
+            K += 1
+        total += sum(spectral.sphere_mode_multiplicity(N, k) for k in range(K))
+    return total
+
+
 def counted_and_reference(sol, inner, M, start):
     """(counted total, value-based total) of the nested (M, 2M+1) pair."""
     fine = build_problem(sol, inner, 2 * M + 1)
     coarse = weighted_radial_eigs(fine.coarsened(), 2)
     betas = richardson(coarse, weighted_radial_eigs(fine, 2))
     _, reference = _assemble_ledger(sol.N, [(1, float(betas[0])), (2, float(betas[1]))])
-    return _counted_total(sol.N, fine, coarse, start), reference
+    return counted_total(sol.N, fine, coarse, start), reference
 
 
 @pytest.mark.parametrize("start", ["ledger", "zero", "nine"])
@@ -564,22 +631,21 @@ def test_counted_total_follows_a_moved_ledger(nodal, main_reports):
     assert counted == reference == 16 != rep.total
 
 
-def test_a_stable_pair_costs_two_counts_per_beta(nodal, main_reports, monkeypatch):
-    # the refined (2M+1, 4M+3) pair of p = 400 keeps the main ledger: one
-    # count confirms that K_i - 1 contributes, one that K_i does not
-    sol, rep = nodal(400.0), main_reports(400.0, 2)
-    fine = build_problem(sol, rep.inner, 4 * rep.M + 3)
-    coarse = weighted_radial_eigs(fine.coarsened(), 2)
-    calls = []
-    original = spectral._count_below
+# the Pruefer counts against the ledger: COUNT_CASES, points across both
+# sweep bands (N = 2, p in [4, 14]; N = 3, p in [1.5, 3.3]) and the morse
+# band (N = 2, p in [380, 420])
+PRUFER_CASES = [(4.0, 2), (9.0, 2), (14.0, 2), (1.8, 3), (3.3, 3), (380.0, 2), (420.0, 2)]
 
-    def counted(prob, d, e, x):
-        calls.append(x)
-        return original(prob, d, e, x)
 
-    monkeypatch.setattr(spectral, "_count_below", counted)
-    assert _counted_total(2, fine, coarse, ledger_K(rep)) == rep.total == 12
-    assert len(calls) == 4
+@pytest.mark.parametrize("p, N", COUNT_CASES + PRUFER_CASES)
+def test_prufer_total_is_the_ledger_total(nodal, main_reports, p, N):
+    rep = main_reports(p, N)
+    counts = prufer_counts(nodal(p, N))
+    assert counts[0] == rep.m_rad == 2 and counts[-1] == 0
+    assert rep.stability_totals == (rep.total, rep.total) and rep.stable
+    ledger_counts = [sum(e.contributes for e in rep.ledger if e.k == k)
+                     for k in range(len(counts))]
+    assert counts == ledger_counts
 
 
 def test_morse_report_three_dimensional(nodal):
@@ -598,7 +664,7 @@ def test_morse_report_p400(nodal):
     assert rep.m_rad == 2
     assert -36.0 < rep.beta1 < -25.0
     assert rep.stable
-    assert rep.stability_totals == (12, 12, 12)
+    assert rep.stability_totals == (12, 12)
 
 
 def test_morse_index_p400_matches_anchors(nodal):
@@ -607,15 +673,14 @@ def test_morse_index_p400_matches_anchors(nodal):
     for value, anchor, tol in zip(got, P400_BETAS, (5e-8, 5e-9, 5e-8)):
         assert abs(value - anchor) <= tol, (value, anchor)
     assert rep.total == 12
-    assert rep.stability_totals == (12, 12, 12)
+    assert rep.stability_totals == (12, 12)
 
 
 def test_morse_index_p400_bisects_few_rows(nodal, monkeypatch):
-    # the graded grids: the five grids have fewer than 50k rows in all (the
-    # uniform grids of 116811 nodes passed about 1.17M); the two coarsest,
-    # M and M', are bisected by index range and take the negative count (a
-    # value range), and the three finer ones, (2M+1, 4M+3) and (2M'+1),
-    # bisect in value brackets only
+    # the graded (M, 2M+1) pair has fewer than 13k rows (the uniform grids
+    # of 116811 nodes passed about 1.17M); M is bisected by index range and
+    # takes the negative count (a value range), 2M+1 bisects in value
+    # brackets only
     selects = {}
 
     def counted(d, e, **kw):
@@ -625,11 +690,8 @@ def test_morse_index_p400_bisects_few_rows(nodal, monkeypatch):
     monkeypatch.setattr(spectral, "eigvalsh_tridiagonal", counted)
     rep = morse_index(nodal(400.0))
     assert rep.total == 12
-    sizes = sorted(selects)  # M < M' < 2M+1 < 2M'+1 < 4M+3
-    assert len(sizes) == 5 and sum(sizes) < 50_000, selects
-    assert sizes[0] == rep.M
-    assert [selects[rows] for rows in sizes] == [
-        {"i", "v"}, {"i", "v"}, {"v"}, {"v"}, {"v"}]
+    assert sorted(selects) == [rep.M, 2 * rep.M + 1] and rep.M < 4_300, selects
+    assert [selects[rows] for rows in sorted(selects)] == [{"i", "v"}, {"v"}]
 
 
 @pytest.mark.parametrize("p, N", [(1.5, 2), (8.0, 2), (400.0, 2), (4.9, 3), (2.9, 4)])
