@@ -75,7 +75,7 @@ ANCHORS = {
     "morse_total": "Morse index (12 for large p, N=2)",
     "residual_sup": "normalized interpolated ODE residual",
     "betas": "ascending weighted radial eigenvalues",
-    "neg_count": "negative count by matrix inertia",
+    "neg_count": "negative count by Sturm count (LAPACK stebz)",
     "ledger": "per-mode contributions beta_i + lambda_k < 0",
 }
 

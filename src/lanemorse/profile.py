@@ -1,9 +1,10 @@
 """Blow-up scales, rescaled profiles and the weighted potential f_p.
 
-Everything here is a pure function of a computed RadialSolution. Quantities
-involving |u|^(p-1) are evaluated as exp((p-1) ln|u|) throughout; naive
-powering would overflow well before p ~ 10^3. The maximizers and maxima of
-f_p are fields of the solution, read off the shooting events by
+Everything here is a pure function of a computed RadialSolution, and reads
+u and f_p through its one evaluator, eval() and ln_fp(). Quantities
+involving |u|^(p-1) are evaluated as exp((p-1) ln|u|) throughout, unclamped;
+naive powering would overflow well before p ~ 10^3. The maximizers and
+maxima of f_p are fields of the solution, read off the shooting events by
 radial.solve_nodal.
 """
 
@@ -65,14 +66,17 @@ def scales(sol: RadialSolution) -> Scales:
     )
 
 
-def _amplitude(sol: RadialSolution, sign: str) -> tuple[float, float]:
-    """(eps, reference amplitude) for the requested nodal region."""
+def _region(sol: RadialSolution, sign: str, x):
+    """(u(eps x), reference amplitude) in the requested nodal region."""
     sc = scales(sol)
-    if sign == "+":
-        return sc.eps_plus, sol.u0
-    if sign == "-":
-        return sc.eps_minus, sol.u_min
-    raise ConfigError(f"sign must be '+' or '-', got {sign!r}")
+    regions = {"+": (sc.eps_plus, sol.u0), "-": (sc.eps_minus, sol.u_min)}
+    if sign not in regions:
+        raise ConfigError(f"sign must be '+' or '-', got {sign!r}")
+    eps, amp = regions[sign]
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0) or np.any(eps * x > 1.0):
+        raise ConfigError("rescaled radius outside the unit ball")
+    return sol.eval(eps * x)[0], amp
 
 
 def rescaled_profile(sol: RadialSolution, sign: str, x):
@@ -80,33 +84,19 @@ def rescaled_profile(sol: RadialSolution, sign: str, x):
 
     u_ref is u(0) for '+' and u(s_p) for '-'; requires eps * x <= 1.
     """
-    eps, amp = _amplitude(sol, sign)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or np.any(eps * x > 1.0):
-        raise ConfigError("rescaled radius outside the unit ball")
-    u, _ = sol.eval(eps * np.atleast_1d(x))
-    z = sol.p * (u - amp) / amp
-    return float(z[0]) if x.ndim == 0 else z
+    u, amp = _region(sol, sign, x)
+    return sol.p * (u - amp) / amp
 
 
 def rescaled_potential(sol: RadialSolution, sign: str, x):
     """V_p(x) = |u(eps x) / u_ref|^(p-1), evaluated in log space."""
-    eps, amp = _amplitude(sol, sign)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or np.any(eps * x > 1.0):
-        raise ConfigError("rescaled radius outside the unit ball")
-    ln_u, _ = sol.ln_abs_u(eps * np.atleast_1d(x))
-    with np.errstate(under="ignore"):
-        v = np.exp((sol.p - 1.0) * (ln_u - math.log(abs(amp))))
-    return float(v[0]) if x.ndim == 0 else v
+    u, amp = _region(sol, sign, x)
+    with np.errstate(divide="ignore", under="ignore"):
+        v = np.exp((sol.p - 1.0) * (np.log(np.abs(u)) - math.log(abs(amp))))
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def fp_values(sol: RadialSolution, r):
     """f_p(r) = p |u(r)|^(p-1) r^2 for scaled radii r (vectorized)."""
-    r = np.asarray(r, dtype=float)
-    ln_u, _ = sol.ln_abs_u(np.atleast_1d(r))
-    with np.errstate(divide="ignore", under="ignore"):
-        lg = math.log(sol.p) + (sol.p - 1.0) * ln_u + 2.0 * np.log(np.atleast_1d(r))
-        out = np.where(np.isfinite(lg), np.exp(np.minimum(lg, 700.0)), 0.0)
-    out[np.atleast_1d(r) == 0.0] = 0.0
-    return float(out[0]) if r.ndim == 0 else out
+    f = np.exp(sol.ln_fp(r))
+    return float(f) if np.ndim(f) == 0 else f

@@ -28,8 +28,10 @@ two bubbles at large p, the equation is w' = -(N-2) w to working precision,
 which the step and the reconstruction both reproduce, and the error control
 alone sizes the steps. Its events (zeros of u, of u' and of
 d ln f_p / d ln r) are located by Brent's method on each step's quartic
-interpolant; only the step states are kept, and the trajectory between them
-is the quintic Hermite reconstruction.
+interpolant; only the step states are kept. Every u off the steps comes from
+one evaluator (Trajectory._state): the quintic Hermite reconstruction, built
+once, and below the first step the seed model the integration starts from.
+f_p = p |u|^(p-1) r^2 has one log form, _ln_fp.
 
 Powers |u|^(p-1) u are evaluated through logarithms, as sign(u) exp(p ln|u|),
 which keeps the sign and underflows gracefully; past the float64 range the
@@ -39,6 +41,7 @@ OverflowError, which rejects the step.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -100,6 +103,18 @@ def _signed_power_scalar(u: float, p: float) -> float:
     return math.copysign(math.exp(p * math.log(au)), u)
 
 
+def _ln_fp(p: float, u, rho):
+    """ln f_p, f_p = p |u|^(p-1) r^2 at r = e^rho; -inf where u or r is 0."""
+    with np.errstate(divide="ignore"):
+        return math.log(p) + (p - 1.0) * np.log(np.abs(u)) + 2.0 * rho
+
+
+def _seed(cfg: IvpConfig, r2):
+    """Origin Taylor model (u, r u') = (a - c r2, -2 c r2), c = |a|^(p-1) a / (2N)."""
+    c = _signed_power_scalar(cfg.a, cfg.p) / (2.0 * cfg.N)
+    return cfg.a - c * r2, -2.0 * c * r2
+
+
 @dataclass
 class IvpConfig:
     """Parameters of one radial initial value problem.
@@ -149,8 +164,9 @@ class Trajectory:
     integration). event_states holds the states (u, r u') at those three
     kinds of event, one (n, 2) array per kind in the same order. Between the
     nodes the trajectory is the quintic Hermite reconstruction in rho from
-    the node states and their first two rho-derivatives, taken from the ODE:
-    eval() evaluates it and residual_sup() certifies it.
+    the node states and their first two rho-derivatives, taken from the ODE
+    and built once, and below the first node the seed model: _state()
+    evaluates both, eval() reads it in r and residual_sup() certifies it.
     """
 
     config: IvpConfig
@@ -164,22 +180,35 @@ class Trajectory:
     rejected: int = 0
     rhs_evals: int = 0
 
+    @functools.cached_property
     def _hermite_data(self):
-        """(rho, u, w, dw, ddw) at the nodes, w = r u', d = d/drho."""
+        """(rho, u, w, dw, ddw) at the nodes, w = r u', d = d/drho; built once."""
         p, N = self.config.p, self.config.N
         rho = np.log(self.nodes)
         w = self.du * self.nodes
         dw = -(N - 2.0) * w - np.exp(2.0 * rho) * signed_power(self.u, p)
         return rho, self.u, w, dw, _ddw(rho, self.u, w, dw, p, N)
 
+    def _state(self, rho):
+        """(u, w) at log radii rho up to the last node; the seed model below the first."""
+        data = self._hermite_data
+        knots = data[0]
+        rho = np.asarray(rho, dtype=float)
+        u, w = np.empty_like(rho), np.empty_like(rho)
+        seed = rho < knots[0]
+        u[seed], w[seed] = _seed(self.config, np.exp(2.0 * rho[seed]))
+        x = rho[~seed]
+        j = np.clip(np.searchsorted(knots, x, side="left") - 1, 0, len(knots) - 2)
+        th = (x - knots[j]) / (knots[j + 1] - knots[j])
+        u[~seed], w[~seed], _ = _hermite(data, j, th)
+        return u, w
+
     def eval(self, r):
-        """(u, du) at radii r in [r_start, nodes[-1]], vectorized."""
+        """(u, du) at radii r in [0, nodes[-1]], vectorized."""
         r = np.asarray(r, dtype=float)
-        data = self._hermite_data()
-        rho, x = data[0], np.log(r)
-        j = np.clip(np.searchsorted(rho, x, side="left") - 1, 0, len(rho) - 2)
-        u, w, _ = _hermite(data, j, (x - rho[j]) / (rho[j + 1] - rho[j]))
-        return u, w / r
+        with np.errstate(divide="ignore"):
+            u, w = self._state(np.log(r))
+        return u, np.divide(w, r, out=np.zeros_like(w), where=r != 0.0)  # u'(0) = 0
 
     def residual_sup(self) -> float:
         """Sup over the trajectory of the normalized interpolated ODE residual.
@@ -188,7 +217,7 @@ class Trajectory:
         normalized by the largest of its three terms (floored at one), so the
         figure is meaningful across the full dynamic range of r and u.
         """
-        return _residual_sup_log(self._hermite_data(), self.config.p, self.config.N)
+        return _residual_sup_log(self._hermite_data, self.config.p, self.config.N)
 
 
 def _quintic_coeffs(th: float):
@@ -276,8 +305,8 @@ def _ddw(rho, u, w, dw, p, N):
 def integrate_ivp(cfg: IvpConfig) -> Trajectory:
     """Integrate the radial IVP from r_start with zero-crossing detection.
 
-    Start values at r_start come from the Taylor seed
-    u = a - (|a|^(p-1) a / (2N)) r^2 (regularity at the origin forces
+    Start values at r_start come from the seed model _seed, the origin Taylor
+    model u = a - (|a|^(p-1) a / (2N)) r^2 (regularity at the origin forces
     u'(0) = 0; the seed error is O(r_start^4)). Integration stops at r_max or
     after cfg.max_zeros zero crossings, whichever comes first. A seed or
     start derivative outside the float64 range raises ConfigError; a step
@@ -293,8 +322,7 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
         return Trajectory(cfg, nodes, zero, zero.copy(), [], [], [])
 
     try:
-        c2 = _signed_power_scalar(a, p) / (2.0 * N)
-        u0, w0 = a - c2 * cfg.r_start**2, -2.0 * c2 * cfg.r_start**2
+        u0, w0 = _seed(cfg, cfg.r_start**2)
         f0 = _accel(rho0, u0, w0, p, N)
         finite = all(map(math.isfinite, (u0, w0, f0)))
     except OverflowError:
@@ -623,8 +651,8 @@ class RadialSolution:
     c_p < r_p < d_p are the maximizers of f_p = p |u|^(p-1) r^2 on the two
     nodal intervals and max_plus, max_minus its maxima there; du_zeros is the
     number of zeros of u' in (0, 1). All are read off the shooting events.
-    eval() evaluates the trajectory's Hermite reconstruction off the grid,
-    with the origin Taylor model below the integration start.
+    eval() and ln_fp() rescale the trajectory's one evaluator, which covers
+    [0, 1]: below the integration start it is the seed model.
     """
 
     p: float
@@ -646,60 +674,43 @@ class RadialSolution:
     _traj: Trajectory = field(repr=False, default=None)
     _residual_sup: float = field(repr=False, default=math.nan)
 
-    def eval(self, r):
-        """Evaluate (u(r), u'(r)) for scaled radii r in [0, 1] (vectorized)."""
+    def _unscaled(self, r):
+        """The unscaled radii lam r of scaled radii r in [0, 1]."""
         r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
         if np.any(r < 0) or np.any(r > 1.0 + 1e-12):
             raise ConfigError("radius outside [0, 1]")
-        r_lo = self._traj.config.r_start / self.lam
-        u = np.empty_like(r)
-        du = np.empty_like(r)
-        inner = r < r_lo
-        if np.any(inner):
-            # origin Taylor model u = u0 (1 - u0^(p-1) r^2 / (2N)), in log form
-            lnu0 = math.log(self.u0)
-            quad_term = np.exp(
-                (self.p - 1.0) * lnu0 + 2.0 * np.log(np.maximum(r[inner], 1e-320))
-            ) / (2.0 * self.N)
-            u[inner] = self.u0 * (1.0 - quad_term)
-            du[inner] = -self.u0 * np.exp(
-                (self.p - 1.0) * lnu0 + np.log(np.maximum(r[inner], 1e-320))
-            ) / self.N
-            u[inner & (r == 0.0)] = self.u0
-            du[inner & (r == 0.0)] = 0.0
-        outer = ~inner
-        if np.any(outer):
-            ur, dur = self._traj.eval(r[outer] * self.lam)
-            u[outer] = self.kappa * ur
-            du[outer] = self.kappa * self.lam * dur
-        if scalar:
-            return float(u[0]), float(du[0])
-        return u, du
+        return r * self.lam
 
-    def ln_abs_u(self, r):
-        """(ln|u(r)|, sign(u(r))) for scaled radii; -inf where u vanishes."""
-        u, _ = self.eval(r)
-        au = np.abs(u)
-        return np.log(au, out=np.full(np.shape(au), -np.inf), where=au != 0), np.sign(u)
+    def eval(self, r):
+        """Evaluate (u(r), u'(r)) for scaled radii r in [0, 1] (vectorized)."""
+        u, du = self._traj.eval(self._unscaled(r))
+        if np.ndim(u) == 0:
+            u, du = float(u), float(du)
+        return self.kappa * u, self.kappa * self.lam * du
+
+    def ln_fp(self, r):
+        """ln f_p(r) for scaled radii r in [0, 1] (vectorized); -inf at r = 0.
+
+        f_p is rescale invariant, so it is read off the unscaled trajectory.
+        """
+        with np.errstate(divide="ignore"):
+            rho = np.log(self._unscaled(r))
+        return _ln_fp(self.p, self._traj._state(rho)[0], rho)
 
     def fp_cells(self, *splits: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """f_p on the shooting steps, each cut into `split` equal cells.
 
-        Per split, (cell widths in t = ln r, f_p at the cell midpoints); f_p
-        is rescale invariant, so it is read off the unscaled reconstruction.
+        Per split, (cell widths in t = ln r, f_p at the cell midpoints), read
+        off the unscaled trajectory like ln_fp.
         """
-        data = self._traj._hermite_data()
-        rho, steps = data[0], np.diff(data[0])
+        rho = self._traj._hermite_data[0]
+        steps = np.diff(rho)
         cells = []
         for split in splits:
             j = np.repeat(np.arange(len(steps)), split)
-            th = np.tile((np.arange(split) + 0.5) / split, len(steps))
-            with np.errstate(divide="ignore"):
-                ln_u = np.log(np.abs(_hermite(data, j, th)[0]))
-            ln_f = math.log(self.p) + (self.p - 1.0) * ln_u + 2.0 * (rho[j] + th * steps[j])
-            cells.append((steps[j] / split, _exp(ln_f)))
+            mid = rho[j] + np.tile((np.arange(split) + 0.5) / split, len(steps)) * steps[j]
+            u, _ = self._traj._state(mid)
+            cells.append((steps[j] / split, _exp(_ln_fp(self.p, u, mid))))
         return cells
 
     def residual_sup(self) -> float:
@@ -799,9 +810,7 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
     idx = [_unique_event(fp_radii, interval, "f_p", UnimodalityError)
            for interval in (positive, negative)]
     r_raw, u_raw = fp_raw[idx], traj.event_states[2][idx, 0]
-    max_plus, max_minus = np.exp(
-        math.log(p) + (p - 1.0) * np.log(np.abs(u_raw)) + 2.0 * np.log(r_raw)
-    ).tolist()
+    max_plus, max_minus = np.exp(_ln_fp(p, u_raw, np.log(r_raw))).tolist()
     c_p, d_p = fp_radii[idx].tolist()
 
     residual = traj.residual_sup()

@@ -224,6 +224,14 @@ def _records(command, *args):
     return json.loads(text)["results"][command]
 
 
+def test_spectrum_anchors_name_the_sturm_count():
+    (rec,) = _records("spectrum", "--p", "5")
+    assert rec["anchors"] == {
+        "betas": "ascending weighted radial eigenvalues",
+        "neg_count": "negative count by Sturm count (LAPACK stebz)",
+    }
+
+
 def test_ledger_detail_flags_the_tie():
     # at p = 50 the sum beta_2 + lambda_1 is about -1.7e-11, inside the tie window
     (rec,) = _records("morse", "--p", "50")

@@ -109,6 +109,21 @@ def test_fp_vanishes_at_interval_ends(nodal):
     assert fp_values(sol, 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("p", [8.0, 400.0, 760.0])
+def test_fp_values_is_p_u_to_the_p_minus_1_r_squared(nodal, p):
+    # from below the integration start (the seed model) to r = 1, against
+    # p (|u|^((p-1)/2) r)^2 from eval, which keeps |u|^(p-1) in range; the
+    # 1e-300 floor only spares the subnormal values, where no float has
+    # 12 digits
+    sol = nodal(p)
+    r = np.concatenate(([0.0], np.geomspace(1e-3 * sol.grid[1], 1.0, 2000)))
+    u, _ = sol.eval(r)
+    direct = p * (np.abs(u) ** ((p - 1.0) / 2.0) * r) ** 2
+    f = fp_values(sol, r)
+    assert f[0] == 0.0 and fp_values(sol, 0.0) == 0.0
+    assert np.allclose(f, direct, rtol=1e-12, atol=1e-300)
+
+
 def test_fp_maxima_near_limits(nodal):
     sol = nodal(400.0)
     ell = REFERENCE_ELL

@@ -53,6 +53,30 @@ def test_zero_initial_data():
     assert np.all(u == 0.0) and np.all(du == 0.0)
 
 
+def test_trajectory_eval_at_the_origin_is_the_start_value():
+    # r = 0 is the seed model's (a, 0), with no log(0) on the way
+    traj = integrate_ivp(IvpConfig(p=3.0, N=2, a=2.0, r_max=10.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, du = traj.eval(0.0)
+        u_v, du_v = traj.eval(np.array([0.0, 0.5]))
+    assert (u, du) == (2.0, 0.0)
+    assert (u_v[0], du_v[0]) == (2.0, 0.0) and 0.0 < u_v[1] < 2.0
+
+
+def test_trajectory_follows_the_seed_model_below_the_first_node():
+    # p = 1 (Bessel J0): below r_start the seed model u = 1 - r^2/4,
+    # u' = -r/2 holds, and it joins the first node continuously
+    traj = integrate_ivp(IvpConfig(p=1.0, N=2, a=1.0, r_max=10.0))
+    r = traj.config.r_start * np.array([1e-3, 0.1, 0.5, 0.9])
+    u, du = traj.eval(r)
+    assert np.allclose(u, 1.0 - r * r / 4.0, rtol=1e-15, atol=0.0)
+    assert np.allclose(du, -r / 2.0, rtol=1e-12, atol=0.0)
+    u_j, du_j = traj.eval(traj.nodes[0] * (1.0 - 1e-12))
+    assert u_j == pytest.approx(traj.u[0], rel=1e-12)
+    assert du_j == pytest.approx(traj.du[0], rel=1e-12)
+
+
 def test_trajectory_residual_small():
     traj = integrate_ivp(IvpConfig(p=3.0, N=2, a=1.0, r_max=30.0))
     assert traj.residual_sup() < 1e-8
@@ -410,7 +434,7 @@ def test_solve_computes_the_residual_once(monkeypatch):
 def test_a_nan_residual_fails_the_contract(nodal, monkeypatch):
     # an overflowing step sample makes its defect nan: the sup keeps it
     # (max(worst, nan) would drop it), and the shooting check rejects it
-    data = list(nodal(3.0)._traj._hermite_data())
+    data = list(nodal(3.0)._traj._hermite_data)
     data[1] = data[1].copy()
     data[1][len(data[1]) // 2] = math.inf
     with np.errstate(invalid="ignore"):

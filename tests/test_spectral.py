@@ -17,10 +17,11 @@ from lanemorse import (
     morse_index,
     richardson,
     scales,
+    solve_nodal,
     sphere_spectrum,
     weighted_radial_eigs,
 )
-from lanemorse import spectral
+from lanemorse import radial, spectral
 from lanemorse.cli import EXIT_CHECK, main
 from lanemorse.spectral import (
     AnnulusEigenProblem,
@@ -493,6 +494,16 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     assert grids == [(rep.inner, M, 3), (rep.inner, 2 * M + 1, 3)]
     assert scans == [(rep.inner, M)]
     assert calls == [("i", 3)] + [("v", 1)] * 3 + [("v", 3), ("v", 2)]
+
+
+def test_a_morse_request_builds_the_hermite_data_once(monkeypatch):
+    # the residual check, the annulus sampling and the Pruefer cells all
+    # read the one node data of the trajectory
+    builds = []
+    real = radial._ddw
+    monkeypatch.setattr(radial, "_ddw", lambda *a: builds.append(1) or real(*a))
+    rep = morse_index(solve_nodal(400.0))
+    assert rep.total == 12 and builds == [1]
 
 
 def test_a_prufer_disagreement_is_reported(nodal, monkeypatch):
