@@ -189,19 +189,26 @@ class Trajectory:
         dw = -(N - 2.0) * w - np.exp(2.0 * rho) * signed_power(self.u, p)
         return rho, self.u, w, dw, _ddw(rho, self.u, w, dw, p, N)
 
-    def _state(self, rho):
-        """(u, w) at log radii rho up to the last node; the seed model below the first."""
+    def _state(self, rho, rows=2):
+        """The first `rows` of (u, w) at log radii rho up to the last node.
+
+        The seed model below the first node, the Hermite reconstruction from
+        it on; rows=1 evaluates u alone.
+        """
         data = self._hermite_data
         knots = data[0]
         rho = np.asarray(rho, dtype=float)
-        u, w = np.empty_like(rho), np.empty_like(rho)
+        out = [np.empty_like(rho) for _ in range(rows)]
         seed = rho < knots[0]
-        u[seed], w[seed] = _seed(self.config, np.exp(2.0 * rho[seed]))
-        x = rho[~seed]
+        for o, v in zip(out, _seed(self.config, np.exp(2.0 * rho[seed]))):
+            o[seed] = v
+        step = ~seed
+        x = rho[step]
         j = np.clip(np.searchsorted(knots, x, side="left") - 1, 0, len(knots) - 2)
         th = (x - knots[j]) / (knots[j + 1] - knots[j])
-        u[~seed], w[~seed], _ = _hermite(data, j, th)
-        return u, w
+        for o, v in zip(out, _hermite(data, j, th, rows)):
+            o[step] = v
+        return out
 
     def eval(self, r):
         """(u, du) at radii r in [0, nodes[-1]], vectorized."""
@@ -223,7 +230,7 @@ class Trajectory:
 def _quintic_coeffs(th: float):
     # each power once: th may be an array of some 10^4 evaluation points
     th2, th3, th4, th5 = th**2, th**3, th**4, th**5
-    H = (
+    return (
         1 - 10 * th3 + 15 * th4 - 6 * th5,
         th - 6 * th3 + 8 * th4 - 3 * th5,
         (th2 - 3 * th3 + 3 * th4 - th5) / 2,
@@ -231,7 +238,12 @@ def _quintic_coeffs(th: float):
         -4 * th3 + 7 * th4 - 3 * th5,
         (th3 - 2 * th4 + th5) / 2,
     )
-    dH = (
+
+
+def _quintic_slopes(th: float):
+    # d/dth of _quintic_coeffs
+    th2, th3, th4 = th**2, th**3, th**4
+    return (
         -30 * th2 + 60 * th3 - 30 * th4,
         1 - 18 * th2 + 32 * th3 - 15 * th4,
         (2 * th - 9 * th2 + 12 * th3 - 5 * th4) / 2,
@@ -239,29 +251,31 @@ def _quintic_coeffs(th: float):
         -12 * th2 + 28 * th3 - 15 * th4,
         (3 * th2 - 8 * th3 + 5 * th4) / 2,
     )
-    return H, dH
 
 
-def _hermite(data, j, th):
-    """Quintic Hermite (u, w, dw/drho) at fraction th of steps j.
+def _hermite(data, j, th, rows=3):
+    """Quintic Hermite [u, w, dw/drho][:rows] at fraction th of steps j.
 
     Values and first and second rho-derivatives match the node data at both
-    step ends; w is interpolated from its own data (w, dw, ddw).
+    step ends; w is interpolated from its own data (w, dw, ddw). Only the
+    rows asked for are formed: f_p reads u, eval (u, w), the residual all three.
     """
     rho, u, w, dw, ddw = data
     h = rho[j + 1] - rho[j]
-    u0, u1 = u[j], u[j + 1]
     w0, w1 = w[j], w[j + 1]
     a0, a1 = dw[j], dw[j + 1]
-    b0, b1 = ddw[j], ddw[j + 1]
-    H, dH = _quintic_coeffs(th)
-    Pu = (H[0] * u0 + H[1] * h * w0 + H[2] * h * h * a0
-          + H[3] * u1 + H[4] * h * w1 + H[5] * h * h * a1)
-    Pw = (H[0] * w0 + H[1] * h * a0 + H[2] * h * h * b0
-          + H[3] * w1 + H[4] * h * a1 + H[5] * h * h * b1)
-    dPw = (dH[0] * w0 + dH[1] * h * a0 + dH[2] * h * h * b0
-           + dH[3] * w1 + dH[4] * h * a1 + dH[5] * h * h * b1) / h
-    return Pu, Pw, dPw
+    H = _quintic_coeffs(th)
+    out = [H[0] * u[j] + H[1] * h * w0 + H[2] * h * h * a0
+           + H[3] * u[j + 1] + H[4] * h * w1 + H[5] * h * h * a1]
+    if rows > 1:
+        b0, b1 = ddw[j], ddw[j + 1]
+        out.append(H[0] * w0 + H[1] * h * a0 + H[2] * h * h * b0
+                   + H[3] * w1 + H[4] * h * a1 + H[5] * h * h * b1)
+    if rows > 2:
+        dH = _quintic_slopes(th)
+        out.append((dH[0] * w0 + dH[1] * h * a0 + dH[2] * h * h * b0
+                    + dH[3] * w1 + dH[4] * h * a1 + dH[5] * h * h * b1) / h)
+    return out
 
 
 def _residual_sup_log(data, p: float, N: int) -> float:
@@ -695,7 +709,7 @@ class RadialSolution:
         """
         with np.errstate(divide="ignore"):
             rho = np.log(self._unscaled(r))
-        return _ln_fp(self.p, self._traj._state(rho)[0], rho)
+        return _ln_fp(self.p, self._traj._state(rho, rows=1)[0], rho)
 
     def fp_cells(self, *splits: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """f_p on the shooting steps, each cut into `split` equal cells.
@@ -709,7 +723,7 @@ class RadialSolution:
         for split in splits:
             j = np.repeat(np.arange(len(steps)), split)
             mid = rho[j] + np.tile((np.arange(split) + 0.5) / split, len(steps)) * steps[j]
-            u, _ = self._traj._state(mid)
+            u, = self._traj._state(mid, rows=1)
             cells.append((steps[j] / split, _exp(_ln_fp(self.p, u, mid))))
         return cells
 

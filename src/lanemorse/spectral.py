@@ -32,15 +32,20 @@ which for a constant phi' is the plain second difference on a uniform grid.
 
 Refinement M -> 2M+1 halves k exactly and keeps every node, so f_p is
 sampled once, on the 2M+1 grid (`AnnulusEigenProblem.coarsened`). Every
-command bisects that pair by LAPACK (stebz, through SciPy) and combines it by
-Richardson extrapolation (`annulus_betas`, `richardson`): the M grid from the
-whole spectrum, the 2M+1 grid only in brackets of half-width
-max(1e-3 |beta|, 1e-6) around the M grid's values. `weighted_radial_eigs`
-certifies those (disjoint brackets, one eigenvalue in each, no other one
-below the top bracket) or falls back to the whole spectrum, so the seeds
-never change a value beyond the bisection tolerance. Every eigenvalue count
-is the Sturm count `_count_below` (stebz with a tolerance as wide as its
-interval): the certificate and the negative count m_rad of the M grid.
+command solves that pair and combines it by Richardson extrapolation
+(`annulus_betas`, `richardson`). The M grid is bisected by LAPACK (stebz,
+through SciPy) from the whole spectrum. The 2M+1 grid takes each eigenvalue
+by shifted inverse iteration from the M grid's value sigma: three solves of
+(T - sigma I) x = x_prev (LAPACK gtsv), then the Rayleigh quotient
+rho = x^T T x, which lies within delta = |T x - rho x| + 4 eps |T| of an
+eigenvalue (about 2e-9 on the default grids, nearly all of it the rounding
+term). `weighted_radial_eigs` certifies the results (each interval
+rho +- delta inside the bracket max(1e-3 |beta|, 1e-6) around its seed, the
+intervals disjoint, no other eigenvalue below the top one) or falls back to
+bisecting the whole spectrum, so every fine-grid value comes with its radius.
+Every eigenvalue count is the Sturm count `_count_below` (stebz with a
+tolerance as wide as its interval): the certificate and the negative count
+m_rad of the M grid.
 
 The ledger total is confirmed without a matrix (`prufer_counts`): sphere
 mode k has as many negative eigenvalues as its regular solution of
@@ -55,6 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 
 from .errors import BisectionError, ConfigError, SolverError
 from .profile import fp_values, scales
@@ -99,12 +105,17 @@ LEDGER_TIE_EPS = 1e-7
 # absolute tolerance of the LAPACK bisection
 BISECT_TOL = 1e-14
 # half-width max(SEED_REL |b|, SEED_ABS) of the bracket around a coarser
-# grid's eigenvalue b in which the finer grid bisects. One refinement of the
-# default grids moves beta_1..beta_3 by at most 0.21 half-widths (p from 1.5
-# to 760, N = 2..4; 5.1e-4 in beta_1 at p = 760), and the floor stays well
-# below the closest pair, beta_4 - beta_3 ~ 5e-5 at p = 760
+# grid's eigenvalue b that must hold the finer grid's certified interval. One
+# refinement of the default grids moves beta_1..beta_3 by at most 0.21
+# half-widths (p from 1.5 to 760, N = 2..4; 5.1e-4 in beta_1 at p = 760), and
+# the floor stays well below the closest pair, beta_4 - beta_3 ~ 5e-5 at p = 760
 SEED_REL = 1e-3
 SEED_ABS = 1e-6
+# shifted solves per seed in the inverse iteration. On the default grids (p
+# from 1.3 to 760, N = 2..6) a seed lies at most 1.3e-3 times as far from its
+# eigenvalue as from any other; the residual is at most 5e-8 after the second
+# solve and 2.1e-10 after the third, below the 4 eps |T| term (6e-10 to 2.3e-9)
+_INVERSE_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -249,13 +260,13 @@ def count_negative(prob: AnnulusEigenProblem, shift: float = 0.0) -> int:
 
 def weighted_radial_eigs(prob: AnnulusEigenProblem, k: int,
                          near: np.ndarray | None = None) -> np.ndarray:
-    """k smallest eigenvalues of the weighted problem by Sturm bisection.
+    """k smallest eigenvalues of the weighted problem.
 
-    Without `near` the bisection starts from the whole spectrum (LAPACK's
-    index range). `near`, the same k eigenvalues on a coarser grid of the
-    annulus, seeds it: each is bisected only in the value bracket
-    near[i] +- max(SEED_REL |near[i]|, SEED_ABS) (see `_seeded_eigs`). Where
-    the brackets do not certify the k smallest eigenvalues, the index-range
+    Without `near` they are bisected from the whole spectrum (LAPACK's index
+    range). `near`, the same k eigenvalues on a coarser grid of the annulus,
+    seeds shifted inverse iteration (see `_seeded_eigs`): each value is a
+    Rayleigh quotient within its certified radius of an eigenvalue. Where
+    the radii do not certify the k smallest eigenvalues, the index-range
     result is returned instead.
     """
     if k < 1 or k > prob.M:
@@ -283,27 +294,65 @@ def _stebz(d: np.ndarray, e: np.ndarray, select: str, select_range,
 
 def _seeded_eigs(prob: AnnulusEigenProblem, d: np.ndarray, e: np.ndarray,
                  near: np.ndarray) -> np.ndarray | None:
-    """The len(near) smallest eigenvalues, bisected in brackets around near.
+    """The len(near) smallest eigenvalues, by inverse iteration from near.
 
-    Returns None unless the brackets (near - w, near + w], w = max(SEED_REL
-    |near|, SEED_ABS), certify the result: they are disjoint, each holds
-    exactly one eigenvalue, and the Sturm count `_count_below` finds exactly
-    len(near) eigenvalues up to the top bracket end, so no eigenvalue was
-    missed.
+    Returns None unless the intervals rho +- delta of `_rayleigh_intervals`
+    certify the result: each lies inside its seed's bracket near +-
+    max(SEED_REL |near|, SEED_ABS), they are disjoint, and the Sturm count
+    `_count_below` finds exactly len(near) eigenvalues up to the top one, so
+    each interval holds one of the smallest and none was missed. Comparisons
+    are negated, so that a value that is not finite fails them.
     """
-    half = np.maximum(SEED_REL * np.abs(near), SEED_ABS)
-    lo, hi = near - half, near + half
-    if not (np.all(np.isfinite(near)) and np.all(hi[:-1] <= lo[1:])):
+    found = _rayleigh_intervals(d, e, near)
+    if found is None:
         return None
-    betas = []
-    for a, b in zip(lo, hi):
-        found = _stebz(d, e, "v", (a, b))
-        if len(found) != 1:
-            return None
-        betas.append(found[0])
+    rho, delta = found
+    half = np.maximum(SEED_REL * np.abs(near), SEED_ABS)
+    lo, hi = rho - delta, rho + delta
+    if not (np.all(near - half <= lo) and np.all(hi <= near + half)
+            and np.all(hi[:-1] < lo[1:])):
+        return None
     if _count_below(prob, d, e, hi[-1]) != len(near):
         return None
-    return np.array(betas)
+    return rho
+
+
+def _rayleigh_intervals(d: np.ndarray, e: np.ndarray, sigmas: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray] | None:
+    """(rho, delta) per shift sigma: some eigenvalue of T lies within delta of rho.
+
+    _INVERSE_STEPS solves of (T - sigma I) x = x_prev (LAPACK gtsv) from
+    x = ones, normalizing x after each, give the Rayleigh quotient
+    rho = x^T T x and the radius delta = |T x - rho x| + 4 eps |T|,
+    |T| = max |d| + 2 max |e|. None where a solve is singular (gtsv
+    info != 0); nan or inf pass through without a warning.
+    """
+    # The residual bound (Parlett, The Symmetric Eigenvalue Problem, ch. 4)
+    # holds for unit x and any rho; the rest of delta covers rounding, with u
+    # the unit roundoff (eps = 2u). Each row of the computed T x sums three
+    # products, so it is off by at most gamma_3 (|T| |x|)_i ~ 3u (|T| |x|)_i,
+    # of 2-norm at most 3u || |T| ||_2 <= 3u || |T| ||_inf <= 3u |T|; rho x
+    # is off by u |rho| <= u |T| in norm. So 4 eps |T| covers both twice
+    # over. The subtraction, the norms and the normalization of x change the
+    # residual only relatively, by O(n u); where it certifies, the residual
+    # is below the bracket half-width, about 1e-3 |beta| with |beta| far
+    # below |T| (27 against 6.6e5 at p = 400), so that is far below 4 eps |T|.
+    slack = 4.0 * np.finfo(float).eps * (np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+    rho, delta = np.empty_like(sigmas), np.empty_like(sigmas)
+    with np.errstate(all="ignore"):
+        for i, sigma in enumerate(sigmas):
+            x = np.ones_like(d)
+            for _ in range(_INVERSE_STEPS):
+                _, _, _, x, info = dgtsv(e, d - sigma, e, x)
+                if info != 0:
+                    return None
+                x /= np.linalg.norm(x)
+            tx = d * x
+            tx[:-1] += e * x[1:]
+            tx[1:] += e * x[:-1]
+            rho[i] = x @ tx
+            delta[i] = np.linalg.norm(tx - rho[i] * x) + slack
+    return rho, delta
 
 
 def _count_below(prob: AnnulusEigenProblem, d: np.ndarray, e: np.ndarray,
@@ -432,8 +481,9 @@ def annulus_betas(sol: RadialSolution, inner: float,
     """Raw beta_1..beta_3 on the nested (M, 2M+1) grids, and the count.
 
     Returns both grids' eigenvalues, coarser first (f_p sampled once, on the
-    finer, which bisects around the coarser values), and the Sturm count
-    (`count_negative`) of negative eigenvalues on the M grid.
+    finer; the coarser bisected, the finer by inverse iteration from the
+    coarser values and certified, see `weighted_radial_eigs`), and the Sturm
+    count (`count_negative`) of negative eigenvalues on the M grid.
     """
     fine = build_problem(sol, inner, 2 * M + 1)
     coarse = fine.coarsened()
@@ -535,7 +585,7 @@ def morse_index(sol: RadialSolution, inner: float | None = None,
                 M: int | None = None) -> MorseReport:
     """Morse index of the solution via the weighted annulus decomposition.
 
-    Bisects beta_1..beta_3 on the (M, 2M+1) pair of `annulus(sol, inner, M)`
+    Computes beta_1..beta_3 on the (M, 2M+1) pair of `annulus(sol, inner, M)`
     (`annulus_betas`), checks that only two are negative (m_rad, the Sturm
     count of the M grid) and sums the multiplicities of the spherical modes
     k with beta_i + lambda_k < 0; the k = 1 row must match the zeros of u',

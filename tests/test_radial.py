@@ -285,6 +285,26 @@ def _rk45_reference(cfg):
                          events=(zero_ev, crit_ev, fp_crit_ev))
 
 
+@pytest.mark.parametrize("p, N", [(400.0, 2), (2.5, 3)])
+def test_ln_fp_is_the_u_row_of_the_full_reconstruction(nodal, p, N):
+    # ln_fp forms u alone; bit for bit it is ln f_p of the u row of the
+    # three-row reconstruction that residual_sup certifies, and of the seed
+    # model below the first step node
+    sol = nodal(p, N)
+    traj = sol._traj
+    data = traj._hermite_data
+    r = np.geomspace(1e-3 * traj.nodes[0] / sol.lam, 1.0, 6001)
+    rho = np.log(r * sol.lam)
+    seed = rho < data[0][0]
+    assert 0 < np.count_nonzero(seed) < len(r)
+    u = np.empty_like(rho)
+    u[seed] = radial._seed(traj.config, np.exp(2.0 * rho[seed]))[0]
+    j = np.clip(np.searchsorted(data[0], rho[~seed]) - 1, 0, len(data[0]) - 2)
+    th = (rho[~seed] - data[0][j]) / (data[0][j + 1] - data[0][j])
+    u[~seed] = radial._hermite(data, j, th, rows=3)[0]
+    assert np.array_equal(sol.ln_fp(r), radial._ln_fp(p, u, rho))
+
+
 # the nonlinear term stays above the rounding of the state all the way, so
 # the step cap binds throughout and the stepper takes SciPy's steps
 CAPPED_THROUGHOUT = [(2.0, 2), (2.5, 3)]

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -341,44 +342,91 @@ def record_bisections(monkeypatch):
 
 @pytest.mark.parametrize("p, N", [(8.0, 2), (400.0, 2), (2.5, 3), (1.5, 3)])
 def test_seeded_bisection_matches_the_index_range(nodal, monkeypatch, p, N):
-    # three brackets of one value each and the count: the seeded values are
-    # the index-range ones up to the bisection tolerance
+    # inverse iteration and one certifying count: each seeded value lies
+    # within its certified radius of the bisected one, and within 2e-10
     fine, near = seeded_pair(nodal(p, N))
     calls = record_bisections(monkeypatch)
     seeded = weighted_radial_eigs(fine, 3, near=near)
-    assert calls == [("v", 1)] * 3 + [("v", 3)]
-    assert np.max(np.abs(seeded - weighted_radial_eigs(fine, 3))) <= 2e-14
+    assert calls == [("v", 3)]
+    _, radius = spectral._rayleigh_intervals(fine.diagonal(), fine.offdiagonal(), near)
+    error = np.abs(seeded - weighted_radial_eigs(fine, 3))
+    assert np.all(error <= radius) and np.all(error <= 2e-10), (error, radius)
 
 
 @pytest.mark.parametrize("seeds", ["shifted", "beta_2 to beta_4"])
 def test_uncertified_seeds_fall_back_to_the_index_range(nodal, monkeypatch, seeds):
-    # brackets 10 half-widths off hold no eigenvalue; seeds that skip beta_1
-    # give three brackets of one value each, but the count finds four
+    # seeds 10 half-widths off converge outside their brackets, so nothing
+    # is counted; seeds that skip beta_1 give three certified intervals, but
+    # the count finds four
     fine, near = seeded_pair(nodal(8.0), k=4)
     if seeds == "shifted":
         near = near[:3] + 10.0 * np.maximum(spectral.SEED_REL * np.abs(near[:3]),
                                             spectral.SEED_ABS)
-        expected = [("v", 0)]
+        expected = []
     else:
         near = near[1:]
-        expected = [("v", 1)] * 3 + [("v", 4)]
+        expected = [("v", 4)]
     calls = record_bisections(monkeypatch)
     got = weighted_radial_eigs(fine, 3, near=near)
     assert calls == expected + [("i", 3)]
     assert np.array_equal(got, weighted_radial_eigs(fine, 3))
 
 
-def test_a_bracket_holding_two_eigenvalues_is_rejected(nodal, monkeypatch):
+def test_a_bracket_holding_two_eigenvalues_still_certifies(nodal, monkeypatch):
     # at p = 760 beta_4 - beta_3 is about 5e-5; with a 6e-5 floor on the
-    # half-width the beta_3 bracket holds beta_4 as well
+    # half-width the beta_3 bracket holds beta_4 as well, but the certified
+    # interval around the Rayleigh quotient is some 2e-9 wide and holds beta_3
+    # alone
     fine, near = seeded_pair(nodal(760.0))
     betas = weighted_radial_eigs(fine, 4)
     assert 4e-5 < betas[3] - betas[2] < 6e-5
     monkeypatch.setattr(spectral, "SEED_ABS", 6e-5)
     calls = record_bisections(monkeypatch)
     got = weighted_radial_eigs(fine, 3, near=near)
-    assert calls == [("v", 1), ("v", 1), ("v", 2), ("i", 3)]
+    assert calls == [("v", 3)]
+    assert np.max(np.abs(got - betas[:3])) <= 2e-10
+
+
+@pytest.mark.parametrize("fault", ["singular solve", "non-finite residual"])
+def test_a_failed_inverse_iteration_falls_back_quietly(nodal, monkeypatch, fault):
+    # a gtsv that reports a zero pivot, or a solve that leaves inf in x (nan
+    # in rho and delta), gives the index-range values and no warning
+    fine, near = seeded_pair(nodal(8.0))
+    real = spectral.dgtsv
+
+    def solve(*args):
+        *factors, x, info = real(*args)
+        if fault == "singular solve":
+            return (*factors, x, 1)
+        return (*factors, np.where(x > 0, np.inf, x), info)
+
+    monkeypatch.setattr(spectral, "dgtsv", solve)
+    calls = record_bisections(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = weighted_radial_eigs(fine, 3, near=near)
+    assert calls == [("i", 3)]
     assert np.array_equal(got, weighted_radial_eigs(fine, 3))
+
+
+# the ends of the benchmark bands: morse N = 2, p in [380, 420]; sweep N = 2,
+# p in [4, 14] and N = 3, p in [1.5, 3.3]
+BAND_ENDS = [(380.0, 2), (420.0, 2), (4.0, 2), (14.0, 2), (1.5, 3), (3.3, 3)]
+
+
+@pytest.mark.parametrize("p, N", BAND_ENDS)
+def test_the_fine_grid_is_certified_at_the_band_ends(nodal, monkeypatch, p, N):
+    # a fallback would bisect the 2M+1 grid by index range
+    selects = {}
+
+    def counted(d, e, **kw):
+        selects.setdefault(len(d), []).append(kw["select"])
+        return eigvalsh_tridiagonal(d, e, **kw)
+
+    monkeypatch.setattr(spectral, "eigvalsh_tridiagonal", counted)
+    rep = morse_index(nodal(p, N))
+    assert rep.stable
+    assert selects == {rep.M: ["i", "v"], 2 * rep.M + 1: ["v"]}
 
 
 def test_seeds_must_match_the_requested_count(nodal):
@@ -465,9 +513,9 @@ def test_morse_report_moderate_p(nodal):
 
 def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     # one annulus problem, on the 2M+1 grid: f_p sampled once there, beta_1..
-    # beta_3 bisected on M and 2M+1, one negative count on M, and six stebz
-    # calls in all (index range on M; three brackets and their certificate
-    # on 2M+1; the count)
+    # beta_3 on M and 2M+1, one negative count on M, and three stebz calls in
+    # all (index range on M; the certificate of the inverse iteration on
+    # 2M+1; the count)
     sol = nodal(5.0)
     grids, samples, scans, problems = [], [], [], []
 
@@ -493,7 +541,7 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     assert problems == [2 * M + 1] and samples == [2 * M + 1]
     assert grids == [(rep.inner, M, 3), (rep.inner, 2 * M + 1, 3)]
     assert scans == [(rep.inner, M)]
-    assert calls == [("i", 3)] + [("v", 1)] * 3 + [("v", 3), ("v", 2)]
+    assert calls == [("i", 3), ("v", 3), ("v", 2)]
 
 
 def test_a_morse_request_builds_the_hermite_data_once(monkeypatch):
