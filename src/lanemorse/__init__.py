@@ -26,8 +26,8 @@ __version__ = "0.1.0"
 # which take most of the package's import time; solve needs neither, and
 # limit-check only limits, so their names load them on first access
 _SPECTRAL_NAMES = (
-    "AnnulusEigenProblem", "MorseReport", "LedgerEntry", "build_problem",
-    "count_negative", "weighted_radial_eigs", "annulus_betas", "richardson",
+    "AnnulusEigenProblem", "AnnulusBetas", "MorseReport", "LedgerEntry",
+    "build_problem", "count_negative", "weighted_radial_eigs", "annulus_betas",
     "sphere_spectrum", "morse_index",
 )
 _LIMITS_NAMES = (

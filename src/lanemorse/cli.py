@@ -164,16 +164,15 @@ def _solution_record(sol) -> dict:
 
 
 def _spectrum_record(sol) -> dict:
-    from .spectral import annulus, annulus_betas, richardson
+    from .spectral import annulus_betas
 
-    inner, M = annulus(sol)
-    (coarse, fine), neg_count = annulus_betas(sol, inner, M)
+    ann = annulus_betas(sol)
     return {
-        "p": sol.p, "N": sol.N, "inner": inner, "M": M,
-        "betas": [float(b) for b in richardson(coarse, fine)],
-        "betas_raw": [float(b) for b in coarse],
-        "refinement_delta": [float(b2 - b1) for b1, b2 in zip(coarse, fine)],
-        "neg_count": neg_count,
+        "p": sol.p, "N": sol.N, "inner": ann.inner, "M": ann.M,
+        "betas": [float(b) for b in ann.betas],
+        "betas_raw": [float(b) for b in ann.coarse],
+        "refinement_delta": [float(b2 - b1) for b1, b2 in zip(ann.coarse, ann.fine)],
+        "neg_count": ann.m_rad,
         "anchors": {k: ANCHORS[k] for k in ("betas", "neg_count")},
     }
 

@@ -73,7 +73,6 @@ _ABS_TOL = 1e-14        # absolute integrator tolerance on (u, w)
 _MAX_LOG_STEP = 0.075   # largest step in rho = ln r where the ODE is nonlinear
 _MAX_DECAY_STEP = 0.2   # largest (N-2) h: w decays like e^(-(N-2) rho)
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
-_MIN_REL_TOL = 100 * sys.float_info.epsilon
 
 
 def signed_power(u, p: float):
@@ -127,7 +126,6 @@ class IvpConfig:
     N: int
     a: float
     r_start: float = 1e-6
-    rel_tol: float = 1e-12
     r_max: float = 100.0
     max_zeros: int | None = 2
 
@@ -139,11 +137,6 @@ class IvpConfig:
             raise ConfigError(f"dimension N must be an integer >= 2, got {self.N}")
         if not self.r_start > 0:
             raise ConfigError("r_start must be positive")
-        if not self.rel_tol >= _MIN_REL_TOL:
-            # below this the rounding of a step outweighs its error estimate
-            raise ConfigError(
-                f"integrator tolerance rel_tol must be >= 100 eps = {_MIN_REL_TOL:.3g}, "
-                f"got {self.rel_tol}")
         if not (math.isfinite(self.r_max) and self.r_max > self.r_start):
             raise ConfigError("r_max must be finite and exceed r_start")
         if self.max_zeros is not None and self.max_zeros < 1:
@@ -350,7 +343,7 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
     # events: u (the zeros), w = r u' (the critical points) and
     # u * d ln f_p / d rho = (p-1) w + 2u (the critical points of f_p)
     ts, us, ws, t_events, y_events, rejected, rhs_evals = _dormand_prince(
-        p, N, rho0, rho1, u0, w0, f0, cfg.rel_tol,
+        p, N, rho0, rho1, u0, w0, f0,
         events=((1.0, 0.0), (0.0, 1.0), (2.0, p - 1.0)),
         max_events=(cfg.max_zeros or math.inf, math.inf, math.inf),
     )
@@ -418,13 +411,14 @@ def _accel(rho: float, u: float, w: float, p: float, N: int) -> float:
     return -(N - 2.0) * w - math.exp(2.0 * rho) * _signed_power_scalar(u, p)
 
 
-def _dormand_prince(p, N, t, t_end, u, w, f, rtol, events, max_events):
+def _dormand_prince(p, N, t, t_end, u, w, f, events, max_events):
     """Integrate u' = w, w' = _accel(t, u, w, p, N) from t to t_end by DP5(4).
 
     f = _accel(t, u, w, p, N) at the start. The step control is SciPy's RK45
-    one: the RMS error norm over _ABS_TOL + max(|y|, |y_new|) rtol, safety
-    0.9, step factors in [0.2, 10] with no growth right after a rejection,
-    steps of at least 10 ulp(t) and the same initial-step rule. A step is at
+    one: the RMS error norm over _ABS_TOL + max(|y|, |y_new|) _SHOOT_RTOL,
+    safety 0.9, step factors in [0.2, 10] with no growth right after a
+    rejection, steps of at least 10 ulp(t) and the same initial-step rule.
+    A step is at
     most _MAX_LOG_STEP, and at most _MAX_DECAY_STEP / (N-2), unless the
     nonlinear term e^(2 t) |u|^(p-1) u at its start is at most
     eps (|u| + |w|): there the equation is linear to working precision and
@@ -440,7 +434,7 @@ def _dormand_prince(p, N, t, t_end, u, w, f, rtol, events, max_events):
     its roots and of the interpolated states (u, w) there, the number of
     rejected attempts and the number of evaluations of w'.
     """
-    atol = _ABS_TOL
+    atol, rtol = _ABS_TOL, _SHOOT_RTOL
     span = t_end - t
     # initial step (Hairer-Norsett-Wanner II.4), with SciPy's constants
     su, sw = atol + abs(u) * rtol, atol + abs(w) * rtol
@@ -771,7 +765,7 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
     ln_rmax = min(0.5 * p + 30.0, _LN_RMAX_CAP)
     while True:
         cfg = IvpConfig(
-            p=p, N=N, a=1.0, rel_tol=_SHOOT_RTOL, r_max=math.exp(ln_rmax), max_zeros=2,
+            p=p, N=N, a=1.0, r_max=math.exp(ln_rmax), max_zeros=2,
         )
         traj = integrate_ivp(cfg)
         if len(traj.zeros) >= 2:

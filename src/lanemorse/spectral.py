@@ -32,17 +32,18 @@ which for a constant phi' is the plain second difference on a uniform grid.
 
 Refinement M -> 2M+1 halves k exactly and keeps every node, so f_p is
 sampled once, on the 2M+1 grid (`AnnulusEigenProblem.coarsened`). Every
-command solves that pair and combines it by Richardson extrapolation
-(`annulus_betas`, `richardson`). The M grid is bisected by LAPACK (stebz,
-through SciPy) from the whole spectrum. The 2M+1 grid takes each eigenvalue
-by shifted inverse iteration from the M grid's value sigma: three solves of
+command solves that pair by one call, `annulus_betas`, which also applies
+the inner-radius and grid rules, checks their limits and takes the
+Richardson combination. The M grid is bisected by LAPACK (stebz, through
+SciPy) from the whole spectrum. The 2M+1 grid takes each eigenvalue by
+shifted inverse iteration from the M grid's value sigma: three solves of
 (T - sigma I) x = x_prev (LAPACK gtsv), then the Rayleigh quotient
 rho = x^T T x, which lies within delta = |T x - rho x| + 4 eps |T| of an
-eigenvalue (about 2e-9 on the default grids, nearly all of it the rounding
-term). `weighted_radial_eigs` certifies the results (each interval
-rho +- delta inside the bracket max(1e-3 |beta|, 1e-6) around its seed, the
-intervals disjoint, no other eigenvalue below the top one) or falls back to
-bisecting the whole spectrum, so every fine-grid value comes with its radius.
+eigenvalue (at most 2.4e-9 on the default grids, nearly all of it the
+rounding term). `weighted_radial_eigs` certifies the results (each delta
+at most RADIUS_BOUND, the intervals rho +- delta disjoint, no other
+eigenvalue below the top one) or falls back to bisecting the whole
+spectrum, so every fine-grid value comes with its radius.
 Every eigenvalue count is the Sturm count `_count_below` (stebz with a
 tolerance as wide as its interval): the certificate and the negative count
 m_rad of the M grid.
@@ -75,8 +76,7 @@ __all__ = [
     "build_problem",
     "count_negative",
     "weighted_radial_eigs",
-    "richardson",
-    "annulus",
+    "AnnulusBetas",
     "annulus_betas",
     "sphere_spectrum",
     "sphere_mode_multiplicity",
@@ -104,13 +104,10 @@ LEDGER_TIE_EPS = 1e-7
 
 # absolute tolerance of the LAPACK bisection
 BISECT_TOL = 1e-14
-# half-width max(SEED_REL |b|, SEED_ABS) of the bracket around a coarser
-# grid's eigenvalue b that must hold the finer grid's certified interval. One
-# refinement of the default grids moves beta_1..beta_3 by at most 0.21
-# half-widths (p from 1.5 to 760, N = 2..4; 5.1e-4 in beta_1 at p = 760), and
-# the floor stays well below the closest pair, beta_4 - beta_3 ~ 5e-5 at p = 760
-SEED_REL = 1e-3
-SEED_ABS = 1e-6
+# largest certified radius of a fine-grid value: Richardson moves beta by at
+# most 4/3 of it (1.3e-8), under LEDGER_TIE_EPS. The default grids give at
+# most 2.4e-9 (p from 1.3 to 760, N = 2..6), nearly all of it rounding
+RADIUS_BOUND = 1e-8
 # shifted solves per seed in the inverse iteration. On the default grids (p
 # from 1.3 to 760, N = 2..6) a seed lies at most 1.3e-3 times as far from its
 # eigenvalue as from any other; the residual is at most 5e-8 after the second
@@ -297,20 +294,18 @@ def _seeded_eigs(prob: AnnulusEigenProblem, d: np.ndarray, e: np.ndarray,
     """The len(near) smallest eigenvalues, by inverse iteration from near.
 
     Returns None unless the intervals rho +- delta of `_rayleigh_intervals`
-    certify the result: each lies inside its seed's bracket near +-
-    max(SEED_REL |near|, SEED_ABS), they are disjoint, and the Sturm count
-    `_count_below` finds exactly len(near) eigenvalues up to the top one, so
-    each interval holds one of the smallest and none was missed. Comparisons
-    are negated, so that a value that is not finite fails them.
+    certify the result: each radius delta is at most RADIUS_BOUND, the
+    intervals are disjoint (so each holds its own eigenvalue), and the Sturm
+    count `_count_below` finds exactly len(near) eigenvalues up to the top
+    one, so they are the smallest and none was missed. Comparisons are
+    negated, so that a value that is not finite fails them.
     """
     found = _rayleigh_intervals(d, e, near)
     if found is None:
         return None
     rho, delta = found
-    half = np.maximum(SEED_REL * np.abs(near), SEED_ABS)
     lo, hi = rho - delta, rho + delta
-    if not (np.all(near - half <= lo) and np.all(hi <= near + half)
-            and np.all(hi[:-1] < lo[1:])):
+    if not (np.all(delta <= RADIUS_BOUND) and np.all(hi[:-1] < lo[1:])):
         return None
     if _count_below(prob, d, e, hi[-1]) != len(near):
         return None
@@ -335,8 +330,8 @@ def _rayleigh_intervals(d: np.ndarray, e: np.ndarray, sigmas: np.ndarray
     # is off by u |rho| <= u |T| in norm. So 4 eps |T| covers both twice
     # over. The subtraction, the norms and the normalization of x change the
     # residual only relatively, by O(n u); where it certifies, the residual
-    # is below the bracket half-width, about 1e-3 |beta| with |beta| far
-    # below |T| (27 against 6.6e5 at p = 400), so that is far below 4 eps |T|.
+    # is below RADIUS_BOUND, far below |T| (6.6e5 at p = 400), so that is far
+    # below 4 eps |T|.
     slack = 4.0 * np.finfo(float).eps * (np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
     rho, delta = np.empty_like(sigmas), np.empty_like(sigmas)
     with np.errstate(all="ignore"):
@@ -445,50 +440,55 @@ def auto_inner_radius(sol: RadialSolution) -> float:
 
 def auto_grid_size(sol: RadialSolution, inner: float) -> int:
     """M = ceil(int g dt): about one node per unit of the grid density."""
-    return max(2, math.ceil(_grid_map(sol, inner).total))
-
-
-def annulus(sol: RadialSolution, inner: float | None = None,
-            M: int | None = None) -> tuple[float, int]:
-    """(inner radius, grid size) of the annulus; None selects the default.
-
-    The default inner radius is the rule min(eps_plus^2, r_p/10), the
-    default M the density-based size of the coarsest grid. An inner radius
-    outside (0, 1) is a ConfigError before any grid is sized.
-    """
-    inner = inner if inner is not None else auto_inner_radius(sol)
-    if not (0.0 < inner < 1.0):
-        raise ConfigError(f"inner radius {inner:.3e} must lie in (0, 1)")
-    M = M if M is not None else auto_grid_size(sol, inner)
-    return inner, M
+    return math.ceil(_grid_map(sol, inner).total)
 
 
 N_BETAS = 3  # beta_1, beta_2 enter the ledger; beta_3 >= 0 is checked
 
 
-def richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
-    """Richardson combination (4 fine - coarse) / 3 of a nested grid pair.
+@dataclass(frozen=True)
+class AnnulusBetas:
+    """Raw beta_1..beta_3 of the annulus (inner, 1) on the nested (M, 2M+1)
+    grids, and m_rad, the Sturm count of negative eigenvalues on the M grid."""
 
-    The scheme has a k^2 eigenvalue bias which matters around the
-    beta_2 ~ -(N-1) threshold; the fine grid has exactly half the step k,
-    so this combination removes it.
+    inner: float
+    M: int
+    coarse: np.ndarray
+    fine: np.ndarray
+    m_rad: int
+
+    @property
+    def betas(self) -> np.ndarray:
+        """(4 fine - coarse) / 3: the fine grid has exactly half the step k,
+        so this Richardson combination removes the scheme's k^2 bias, which
+        matters around the beta_2 ~ -(N-1) threshold."""
+        return (4.0 * self.fine - self.coarse) / 3.0
+
+
+def annulus_betas(sol: RadialSolution, inner: float | None = None,
+                  M: int | None = None) -> AnnulusBetas:
+    """The annulus of sol, solved on the nested (M, 2M+1) grids.
+
+    None selects the rule (`auto_inner_radius`, `auto_grid_size`). Before any
+    grid is sized, each limit is one ConfigError that names it: 0 < inner <
+    r_p (the annulus holds the negative nodal region) and M >= 3 (the coarser
+    grid holds beta_1..beta_3). f_p is sampled once, on the finer grid, which
+    is solved from the coarser values (see `weighted_radial_eigs`).
     """
-    return (4.0 * fine - coarse) / 3.0
-
-
-def annulus_betas(sol: RadialSolution, inner: float,
-                  M: int) -> tuple[list[np.ndarray], int]:
-    """Raw beta_1..beta_3 on the nested (M, 2M+1) grids, and the count.
-
-    Returns both grids' eigenvalues, coarser first (f_p sampled once, on the
-    finer; the coarser bisected, the finer by inverse iteration from the
-    coarser values and certified, see `weighted_radial_eigs`), and the Sturm
-    count (`count_negative`) of negative eigenvalues on the M grid.
-    """
+    inner = auto_inner_radius(sol) if inner is None else inner
+    if not (0.0 < inner < sol.r_p):
+        raise ConfigError(f"inner radius {inner:.3e} must lie in (0, r_p={sol.r_p:.3e})")
+    M = auto_grid_size(sol, inner) if M is None else M
+    if not M >= N_BETAS:
+        raise ConfigError(
+            f"grid size M={M} must be at least {N_BETAS}: the coarser grid of "
+            f"the pair holds beta_1..beta_{N_BETAS}")
     fine = build_problem(sol, inner, 2 * M + 1)
     coarse = fine.coarsened()
     raw = weighted_radial_eigs(coarse, N_BETAS)
-    return [raw, weighted_radial_eigs(fine, N_BETAS, near=raw)], count_negative(coarse)
+    return AnnulusBetas(inner=inner, M=M, coarse=raw,
+                        fine=weighted_radial_eigs(fine, N_BETAS, near=raw),
+                        m_rad=count_negative(coarse))
 
 
 def _assemble_ledger(N: int, betas_neg: list[tuple[int, float]]
@@ -585,21 +585,21 @@ def morse_index(sol: RadialSolution, inner: float | None = None,
                 M: int | None = None) -> MorseReport:
     """Morse index of the solution via the weighted annulus decomposition.
 
-    Computes beta_1..beta_3 on the (M, 2M+1) pair of `annulus(sol, inner, M)`
-    (`annulus_betas`), checks that only two are negative (m_rad, the Sturm
-    count of the M grid) and sums the multiplicities of the spherical modes
-    k with beta_i + lambda_k < 0; the k = 1 row must match the zeros of u',
-    else SolverError. A Pruefer total (`prufer_counts`) other than the
-    ledger total, or Z_0 other than m_rad, is reported (stable=False).
+    Takes beta_1..beta_3 from one `annulus_betas(sol, inner, M)` call,
+    checks that only two are negative (m_rad, the Sturm count of the M grid)
+    and sums the multiplicities of the spherical modes k with
+    beta_i + lambda_k < 0; the k = 1 row must match the zeros of u', else
+    SolverError. A Pruefer total (`prufer_counts`) other than the ledger
+    total, or Z_0 other than m_rad, is reported (stable=False).
     """
-    inner, M = annulus(sol, inner, M)
-    raw, m_rad = annulus_betas(sol, inner, M)
-    betas = richardson(*raw)
+    ann = annulus_betas(sol, inner, M)
+    betas = ann.betas
     counts = prufer_counts(sol)
-    if m_rad != 2:
+    if ann.m_rad != 2:
         raise SolverError(
-            f"expected exactly two negative radial eigenvalues, found {m_rad} on the "
-            f"annulus (inner={inner:.3e}, M={M}) and {counts[0]} by Pruefer count")
+            f"expected exactly two negative radial eigenvalues, found {ann.m_rad} on "
+            f"the annulus (inner={ann.inner:.3e}, M={ann.M}) and {counts[0]} by "
+            "Pruefer count")
     if betas[2] < -LEDGER_TIE_EPS:
         raise SolverError(f"third radial eigenvalue is negative: {betas[2]:.3e}")
 
@@ -615,7 +615,7 @@ def morse_index(sol: RadialSolution, inner: float | None = None,
     return MorseReport(
         p=sol.p, N=sol.N,
         beta1=float(betas[0]), beta2=float(betas[1]), beta3=float(betas[2]),
-        m_rad=m_rad, ledger=ledger, total=total, inner=inner, M=M,
-        stable=prufer_total == total and counts[0] == m_rad,
+        m_rad=ann.m_rad, ledger=ledger, total=total, inner=ann.inner, M=ann.M,
+        stable=prufer_total == total and counts[0] == ann.m_rad,
         stability_totals=(total, prufer_total),
     )

@@ -25,7 +25,6 @@ from lanemorse import (
     quotient_closed_forms,
     rayleigh_eta1,
     scales,
-    richardson,
     sphere_spectrum,
     test_function_quotient,
     weighted_radial_eigs,
@@ -156,9 +155,7 @@ def test_criterion_beta2_above_minus_one(nodal):
     rows = []
     ok = True
     for p in SWEEP:
-        sol = nodal(p)
-        inner = auto_inner_radius(sol)
-        betas = richardson(*annulus_betas(sol, inner, auto_grid_size(sol, inner))[0])
+        betas = annulus_betas(nodal(p)).betas
         ok &= betas[1] > -1.0 - BETA2_DISC_TOL and betas[1] < 0.0
         rows.append(f"p={p:g}:{betas[1] + 1.0:+.1e}")
     _report(
@@ -184,10 +181,7 @@ def test_criterion_ell_constant(nodal):
 def test_criterion_beta1_window_and_trend(nodal):
     betas = {}
     for p in LADDER:
-        sol = nodal(p)
-        inner = auto_inner_radius(sol)
-        b = richardson(*annulus_betas(sol, inner, auto_grid_size(sol, inner))[0])
-        betas[p] = float(b[0])
+        betas[p] = float(annulus_betas(nodal(p)).betas[0])
     ok = all(-36.0 < betas[p] < -25.0 for p in (200.0, 400.0))
     gaps = [abs(betas[p] + 26.9) for p in LADDER]
     ok &= all(a > b for a, b in zip(gaps, gaps[1:]))

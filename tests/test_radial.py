@@ -116,12 +116,12 @@ def test_signed_power_monotone(a, b, p):
         dict(p=3.0, N=float("nan"), a=1.0),
         dict(p=3.0, N=2, a=1.0, r_max=float("nan")),
         dict(p=3.0, N=2, a=1.0, r_max=float("inf")),
-        dict(p=3.0, N=2, a=1.0, rel_tol=float("nan")),
+        dict(p=3.0, N=2.5, a=1.0),
         dict(p=3.0, N=1, a=1.0),
         dict(p=3.0, N=2, a=1.0, r_start=-1.0),
         dict(p=3.0, N=2, a=1.0, r_max=1e-7),
-        dict(p=3.0, N=2, a=1.0, rel_tol=0.0),
-        dict(p=3.0, N=2, a=1.0, rel_tol=1e-15),
+        dict(p=3.0, N=2, a=1.0, r_start=float("nan")),
+        dict(p=3.0, N=2, a=1.0, max_zeros=0),
     ],
 )
 def test_config_validation(kw):
@@ -281,7 +281,7 @@ def _rk45_reference(cfg):
     y0 = (a - c2 * cfg.r_start**2, -2.0 * c2 * cfg.r_start**2)
     with np.errstate(over="ignore"):  # the initial-step probe at large p
         return solve_ivp(rhs, (math.log(cfg.r_start), math.log(cfg.r_max)), y0,
-                         rtol=cfg.rel_tol, atol=_ABS_TOL, max_step=_MAX_LOG_STEP,
+                         rtol=radial._SHOOT_RTOL, atol=_ABS_TOL, max_step=_MAX_LOG_STEP,
                          events=(zero_ev, crit_ev, fp_crit_ev))
 
 

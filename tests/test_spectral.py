@@ -16,7 +16,6 @@ from lanemorse import (
     build_problem,
     count_negative,
     morse_index,
-    richardson,
     scales,
     solve_nodal,
     sphere_spectrum,
@@ -30,7 +29,6 @@ from lanemorse.spectral import (
     _assemble_ledger,
     _count_below,
     _prufer_angle,
-    annulus,
     auto_grid_size,
     auto_inner_radius,
     mapped_problem,
@@ -231,17 +229,13 @@ def test_radial_counts_are_two(nodal):
 def test_beta2_strictly_above_threshold_small_p(nodal):
     # at moderate p the margin over -(N-1) is genuinely resolvable
     for p, margin in ((2.0, 0.3), (3.0, 0.05), (5.0, 0.005), (10.0, 5e-5)):
-        sol = nodal(p)
-        inner = auto_inner_radius(sol)
-        betas = richardson(*annulus_betas(sol, inner, auto_grid_size(sol, inner))[0])
+        betas = annulus_betas(nodal(p)).betas
         assert betas[1] > -1.0 + margin / 2.0
         assert betas[1] < 0.0
 
 
 def test_beta1_window_p400(nodal):
-    sol = nodal(400.0)
-    inner = auto_inner_radius(sol)
-    betas = richardson(*annulus_betas(sol, inner, auto_grid_size(sol, inner))[0])
+    betas = annulus_betas(nodal(400.0)).betas
     assert -36.0 < betas[0] < -25.0
     assert betas[2] > 0.0
 
@@ -288,29 +282,44 @@ def test_grid_convergence(nodal):
     assert abs(b2 - b1) / abs(b1) < 1e-4
 
 
-def test_annulus_rejects_an_inner_radius_outside_the_unit_interval(nodal):
-    # before any grid is sized: math.log(0) would raise a bare ValueError
-    sol = nodal(5.0)
-    for inner in (0.0, -1e-3, 1.0, math.nan):
-        with pytest.raises(ConfigError, match="must lie in"):
-            annulus(sol, inner=inner)
+ANNULUS_LIMITS = [("M", 0), ("M", 1), ("M", 2), ("inner", 0.0), ("inner", 1.5),
+                  ("inner", "between r_p and 1"), ("inner", math.nan)]
 
 
-def test_the_library_names_the_spectral_limits(nodal):
+@pytest.mark.parametrize("limit, value", ANNULUS_LIMITS,
+                         ids=[f"{k}={v}" for k, v in ANNULUS_LIMITS])
+def test_each_annulus_limit_is_one_named_error(nodal, limit, value):
+    # checked once, before any grid is sized, whichever layer would have
+    # failed first: the problem (M = 0), the coarsening (M = 1), the
+    # bisection (M = 2), math.log (inner = 0) or build_problem
+    sol = nodal(8.0)
+    if value == "between r_p and 1":
+        value = (sol.r_p + 1.0) / 2.0
+    match = ("grid size M=.* must be at least 3" if limit == "M"
+             else "inner radius .* must lie in \\(0, r_p=")
+    for solve in (annulus_betas, morse_index):
+        with pytest.raises(ConfigError, match=match):
+            solve(sol, **{limit: value})
+
+
+def test_the_library_names_the_spectral_limits(nodal, monkeypatch):
+    # the rules' own values pass the same checks: an inner radius that
+    # underflows to 0, or a grid density too thin for three eigenvalues
     sol = nodal(5.0)
-    # the pair takes beta_1..beta_3 from the coarser grid
-    with pytest.raises(ConfigError):
-        morse_index(sol, M=2)
-    # the annulus must hold the whole negative nodal region
-    with pytest.raises(ConfigError, match="must lie in \\(0, r_p="):
-        morse_index(sol, inner=(sol.r_p + 1.0) / 2.0)
+    monkeypatch.setattr(spectral, "auto_inner_radius", lambda sol: 0.0)
+    with pytest.raises(ConfigError, match="inner radius 0.000e\\+00 must lie in"):
+        morse_index(sol)
+    monkeypatch.undo()
+    monkeypatch.setattr(spectral, "auto_grid_size", lambda sol, inner: 2)
+    with pytest.raises(ConfigError, match="grid size M=2 must be at least 3"):
+        morse_index(sol)
 
 
 def test_the_smallest_inner_radii_keep_working(nodal):
     # no annulus is deepened, so the smallest subnormal serves morse_index too
     sol = nodal(5.0)
-    raw, neg = annulus_betas(sol, *annulus(sol, 5e-324))
-    assert neg == 2 and np.all(np.isfinite(raw))
+    ann = annulus_betas(sol, 5e-324)
+    assert ann.m_rad == 2 and np.all(np.isfinite(ann.betas))
     rep = morse_index(sol, inner=5e-324)
     assert rep.inner == 5e-324 and rep.m_rad == 2 and rep.stable
 
@@ -322,8 +331,8 @@ def test_the_smallest_inner_radii_keep_working(nodal):
 def seeded_pair(sol, k=3):
     """The (2M+1)-node grid of the default annulus and the k smallest
     eigenvalues of its M-node coarsening, the seeds annulus_betas passes."""
-    inner, M = annulus(sol)
-    fine = build_problem(sol, inner, 2 * M + 1)
+    inner = auto_inner_radius(sol)
+    fine = build_problem(sol, inner, 2 * auto_grid_size(sol, inner) + 1)
     return fine, weighted_radial_eigs(fine.coarsened(), k)
 
 
@@ -355,13 +364,12 @@ def test_seeded_bisection_matches_the_index_range(nodal, monkeypatch, p, N):
 
 @pytest.mark.parametrize("seeds", ["shifted", "beta_2 to beta_4"])
 def test_uncertified_seeds_fall_back_to_the_index_range(nodal, monkeypatch, seeds):
-    # seeds 10 half-widths off converge outside their brackets, so nothing
-    # is counted; seeds that skip beta_1 give three certified intervals, but
-    # the count finds four
+    # seeds 1% (at least 1e-5) off leave radii of 7e-8 to 6e-5 after three
+    # solves, above the bound, so nothing is counted; seeds that skip beta_1
+    # give three certified intervals, but the count finds four
     fine, near = seeded_pair(nodal(8.0), k=4)
     if seeds == "shifted":
-        near = near[:3] + 10.0 * np.maximum(spectral.SEED_REL * np.abs(near[:3]),
-                                            spectral.SEED_ABS)
+        near = near[:3] + np.maximum(1e-2 * np.abs(near[:3]), 1e-5)
         expected = []
     else:
         near = near[1:]
@@ -372,15 +380,25 @@ def test_uncertified_seeds_fall_back_to_the_index_range(nodal, monkeypatch, seed
     assert np.array_equal(got, weighted_radial_eigs(fine, 3))
 
 
-def test_a_bracket_holding_two_eigenvalues_still_certifies(nodal, monkeypatch):
-    # at p = 760 beta_4 - beta_3 is about 5e-5; with a 6e-5 floor on the
-    # half-width the beta_3 bracket holds beta_4 as well, but the certified
-    # interval around the Rayleigh quotient is some 2e-9 wide and holds beta_3
-    # alone
+def test_a_radius_above_the_bound_falls_back(nodal, monkeypatch):
+    # one solve per seed leaves beta_1 a radius of 3.7e-4 at p = 8, which
+    # the seeds' neighbourhood would have admitted; the bound does not
+    fine, near = seeded_pair(nodal(8.0))
+    monkeypatch.setattr(spectral, "_INVERSE_STEPS", 1)
+    _, radius = spectral._rayleigh_intervals(fine.diagonal(), fine.offdiagonal(), near)
+    assert radius[0] > 1e-4
+    calls = record_bisections(monkeypatch)
+    got = weighted_radial_eigs(fine, 3, near=near)
+    assert calls[-1] == ("i", 3)
+    assert np.array_equal(got, weighted_radial_eigs(fine, 3))
+
+
+def test_a_close_fourth_eigenvalue_does_not_stop_the_certificate(nodal, monkeypatch):
+    # at p = 760 beta_4 - beta_3 is about 5e-5, but the certified interval
+    # around the Rayleigh quotient is some 1e-9 wide and holds beta_3 alone
     fine, near = seeded_pair(nodal(760.0))
     betas = weighted_radial_eigs(fine, 4)
     assert 4e-5 < betas[3] - betas[2] < 6e-5
-    monkeypatch.setattr(spectral, "SEED_ABS", 6e-5)
     calls = record_bisections(monkeypatch)
     got = weighted_radial_eigs(fine, 3, near=near)
     assert calls == [("v", 3)]
@@ -666,7 +684,7 @@ def counted_and_reference(sol, inner, M, start):
     """(counted total, value-based total) of the nested (M, 2M+1) pair."""
     fine = build_problem(sol, inner, 2 * M + 1)
     coarse = weighted_radial_eigs(fine.coarsened(), 2)
-    betas = richardson(coarse, weighted_radial_eigs(fine, 2))
+    betas = (4.0 * weighted_radial_eigs(fine, 2) - coarse) / 3.0
     _, reference = _assemble_ledger(sol.N, [(1, float(betas[0])), (2, float(betas[1]))])
     return counted_total(sol.N, fine, coarse, start), reference
 
