@@ -83,8 +83,8 @@ def signed_power(u, p: float):
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
     nz = u != 0.0
-    lg = (p - 1.0) * np.log(np.abs(u[nz]))
-    out[nz] = np.sign(u[nz]) * _exp(lg + np.log(np.abs(u[nz])))
+    ln = np.log(np.abs(u[nz]))
+    out[nz] = np.sign(u[nz]) * _exp((p - 1.0) * ln + ln)
     if out.ndim == 0:
         return float(out)
     return out
@@ -179,8 +179,9 @@ class Trajectory:
         p, N = self.config.p, self.config.N
         rho = np.log(self.nodes)
         w = self.du * self.nodes
-        dw = -(N - 2.0) * w - np.exp(2.0 * rho) * signed_power(self.u, p)
-        return rho, self.u, w, dw, _ddw(rho, self.u, w, dw, p, N)
+        e2, power = np.exp(2.0 * rho), signed_power(self.u, p)
+        dw = -(N - 2.0) * w - e2 * power
+        return rho, self.u, w, dw, _ddw(self.u, w, dw, e2, power, p, N)
 
     def _state(self, rho, rows=2):
         """The first `rows` of (u, w) at log radii rho up to the last node.
@@ -301,12 +302,11 @@ def _residual_sup_log(data, p: float, N: int) -> float:
     return float(np.max(worst))  # nan, unlike max(), propagates
 
 
-def _ddw(rho, u, w, dw, p, N):
-    # d/drho of dw = -(N-2) w - e^(2 rho) |u|^(p-1) u
-    e2 = np.exp(2.0 * rho)
+def _ddw(u, w, dw, e2, power, p, N):
+    # d/drho of dw = -(N-2) w - e2 power, e2 = e^(2 rho), power = |u|^(p-1) u
     dpow = p * _exp((p - 1.0) * np.log(np.where(u != 0.0, np.abs(u), 1.0)))
     dpow = np.where(u != 0.0, dpow, 0.0 if p > 1 else p)
-    return -(N - 2.0) * dw - e2 * (2.0 * signed_power(u, p) + dpow * w)
+    return -(N - 2.0) * dw - e2 * (2.0 * power + dpow * w)
 
 
 def integrate_ivp(cfg: IvpConfig) -> Trajectory:
@@ -659,15 +659,14 @@ class RadialSolution:
     c_p < r_p < d_p are the maximizers of f_p = p |u|^(p-1) r^2 on the two
     nodal intervals and max_plus, max_minus its maxima there; du_zeros is the
     number of zeros of u' in (0, 1). All are read off the shooting events.
-    eval() and ln_fp() rescale the trajectory's one evaluator, which covers
-    [0, 1]: below the integration start it is the seed model.
+    grid holds 0 and the shooting steps, scaled. eval() (u and u') and ln_fp()
+    rescale the trajectory's one evaluator, which covers [0, 1]: below the
+    integration start it is the seed model.
     """
 
     p: float
     N: int
     grid: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
     u0: float
     r_p: float
     s_p: float
@@ -746,8 +745,9 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
     problem with u(0) = R2^(2/(p-1)) > 0. Raises ConfigError for supercritical
     exponents (N >= 3, p >= (N+2)/(N-2)) and HorizonError if no second zero
     exists before the largest representable horizon. The shooting events are
-    read here, once: u' must vanish once on (r_p, 1) and f_p must have one
-    critical point on each nodal interval (else UnimodalityError).
+    read here, once. They fix the nodal shape: u' has no zero on (0, r_p) and
+    one on (r_p, 1), at s_p, and 0 < -u(s_p) <= u(0) (else SolverError); f_p
+    has one critical point on each nodal interval (else UnimodalityError).
 
     The shooting contract is fixed: the integrator runs at relative
     tolerance 1e-12 (_SHOOT_RTOL); |u(1)| >= 1e-9 (_U1_BOUND) or
@@ -795,20 +795,25 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
     j = _unique_event(critical, negative, "u", SolverError)
     u_min = kappa * float(traj.event_states[1][j, 0])
 
-    grid = np.concatenate(([0.0], traj.nodes / lam))
-    grid[-1] = 1.0
-    u = np.concatenate(([kappa], kappa * traj.u))
-    du = np.concatenate(([0.0], kappa * lam * traj.du))
-    if not abs(u[-1]) < _U1_BOUND:
+    u1 = kappa * float(traj.u[-1])
+    if not abs(u1) < _U1_BOUND:
         # the terminal zero is the float ln R2, whose rounding alone leaves
         # |u(1)| up to |u'(1)| ulp(ln R2) / 2
-        floor = abs(du[-1]) * math.ulp(math.log(lam)) / 2.0
-        message = f"|u(1)|={abs(u[-1]):.3e} exceeds shooting tolerance {_U1_BOUND}"
+        floor = abs(kappa * lam * float(traj.du[-1])) * math.ulp(math.log(lam)) / 2.0
+        message = f"|u(1)|={abs(u1):.3e} exceeds shooting tolerance {_U1_BOUND}"
         if floor > _U1_BOUND:
             raise ConfigError(f"{message}: at p={p}, N={N} (too close to 1) its "
                               f"float floor |u'(1)| ulp(ln R2)/2 is {floor:.3e}")
         raise SolverError(message)
-    _validate_nodal(grid, u, r_p, u_min, 100.0 * _SHOOT_RTOL * kappa)
+
+    # u falls from u(0) = kappa on (0, r_p); on (r_p, 1), which the terminal
+    # second zero ends, it has the one critical point s_p, so u is in [u_min, 0)
+    if np.any(critical < r_p):
+        raise SolverError(f"u' vanishes at r={critical[0]:.6e} on (0, r_p={r_p:.6e}): "
+                          "u is not decreasing there")
+    if not 0.0 < -u_min <= kappa:  # negated, so that nan fails it
+        raise SolverError(f"u(0)={kappa:.6e} is not the sup norm of a sign-changing "
+                          f"u: the minimum u(s_p)={u_min:.6e} is not in [-u(0), 0)")
 
     # f_p vanishes at both ends of each nodal interval, so its one critical
     # point there is the maximizer. f_p is invariant under the rescale: its
@@ -827,8 +832,10 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
             f"interpolated ODE residual {residual:.3e} exceeds the bound "
             f"{_RESIDUAL_BOUND:g} at p={p}, N={N}"
         )
+    grid = np.concatenate(([0.0], traj.nodes / lam))
+    grid[-1] = 1.0
     return RadialSolution(
-        p=p, N=N, grid=grid, u=u, du=du,
+        p=p, N=N, grid=grid,
         u0=kappa, r_p=r_p, s_p=float(critical[j]), u_min=u_min,
         c_p=c_p, d_p=d_p, max_plus=max_plus, max_minus=max_minus,
         du_zeros=int(np.count_nonzero(critical < 1.0)),
@@ -850,18 +857,3 @@ def _unique_event(radii: np.ndarray, interval, what: str, error) -> int:
             f"interval ({lo:.6e}, {hi:.6e}), expected exactly one"
         )
     return int(inside[0])
-
-
-def _validate_nodal(g, u, r_p: float, u_min: float, noise: float) -> None:
-    # near the origin the true decrement of u between steps sits below the
-    # integration error (noise), so monotonicity is asserted up to that floor
-    if u_min >= 0:
-        raise SolverError("interior minimum is not negative")
-    pos = (g > 0) & (g < r_p)
-    if np.any(np.diff(u[pos]) >= noise):
-        raise SolverError("u is not decreasing on (0, r_p)")
-    neg = (g > r_p) & (g < 1.0)
-    if np.any(u[neg] >= noise):
-        raise SolverError("u does not stay negative on (r_p, 1)")
-    if not math.isclose(u[0], float(np.max(np.abs(u))), rel_tol=1e-9):
-        raise SolverError("u(0) is not the sup norm")

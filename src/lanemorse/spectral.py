@@ -56,6 +56,7 @@ angle on the shooting steps; k = 1 takes the zeros of u'.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -204,6 +205,12 @@ class AnnulusEigenProblem:
         a = 1.0 / self.dt_ds_half
         return -a[1:-1] / (self.k**2 * np.sqrt(self.dt_ds[:-1] * self.dt_ds[1:]))
 
+    @functools.cached_property
+    def _tridiagonal(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(diagonal, off-diagonal, Sturm floor of `_count_below`); built once."""
+        floor = self.alpha**2 - float(np.max(self.q)) - 1.0
+        return self.diagonal(), self.offdiagonal(), floor
+
     def coarsened(self) -> AnnulusEigenProblem:
         """The same problem on every second node: M = 2 M_c + 1 -> M_c.
 
@@ -252,7 +259,7 @@ def count_negative(prob: AnnulusEigenProblem, shift: float = 0.0) -> int:
 
     No eigenvalue extraction: see `_count_below`.
     """
-    return _count_below(prob, prob.diagonal(), prob.offdiagonal(), shift)
+    return _count_below(prob, shift)
 
 
 def weighted_radial_eigs(prob: AnnulusEigenProblem, k: int,
@@ -270,9 +277,9 @@ def weighted_radial_eigs(prob: AnnulusEigenProblem, k: int,
         raise ConfigError(f"requested {k} eigenvalues from an {prob.M}-point grid")
     if near is not None and np.shape(near) != (k,):
         raise ConfigError(f"{k} eigenvalues need {k} seeds, got shape {np.shape(near)}")
-    d, e = prob.diagonal(), prob.offdiagonal()
-    betas = None if near is None else _seeded_eigs(prob, d, e, np.asarray(near, float))
+    betas = None if near is None else _seeded_eigs(prob, np.asarray(near, float))
     if betas is None:
+        d, e, _ = prob._tridiagonal
         betas = _stebz(d, e, "i", (0, k - 1))
     if np.any(np.diff(betas) < 0):
         raise SolverError("eigenvalues not returned in ascending order")
@@ -289,8 +296,7 @@ def _stebz(d: np.ndarray, e: np.ndarray, select: str, select_range,
         raise BisectionError(f"tridiagonal bisection failed: {exc}") from exc
 
 
-def _seeded_eigs(prob: AnnulusEigenProblem, d: np.ndarray, e: np.ndarray,
-                 near: np.ndarray) -> np.ndarray | None:
+def _seeded_eigs(prob: AnnulusEigenProblem, near: np.ndarray) -> np.ndarray | None:
     """The len(near) smallest eigenvalues, by inverse iteration from near.
 
     Returns None unless the intervals rho +- delta of `_rayleigh_intervals`
@@ -300,6 +306,7 @@ def _seeded_eigs(prob: AnnulusEigenProblem, d: np.ndarray, e: np.ndarray,
     one, so they are the smallest and none was missed. Comparisons are
     negated, so that a value that is not finite fails them.
     """
+    d, e, _ = prob._tridiagonal
     found = _rayleigh_intervals(d, e, near)
     if found is None:
         return None
@@ -307,7 +314,7 @@ def _seeded_eigs(prob: AnnulusEigenProblem, d: np.ndarray, e: np.ndarray,
     lo, hi = rho - delta, rho + delta
     if not (np.all(delta <= RADIUS_BOUND) and np.all(hi[:-1] < lo[1:])):
         return None
-    if _count_below(prob, d, e, hi[-1]) != len(near):
+    if _count_below(prob, hi[-1]) != len(near):
         return None
     return rho
 
@@ -350,9 +357,8 @@ def _rayleigh_intervals(d: np.ndarray, e: np.ndarray, sigmas: np.ndarray
     return rho, delta
 
 
-def _count_below(prob: AnnulusEigenProblem, d: np.ndarray, e: np.ndarray,
-                 x: float) -> int:
-    """Number of eigenvalues of the tridiagonal (d, e) of prob up to x.
+def _count_below(prob: AnnulusEigenProblem, x: float) -> int:
+    """Number of eigenvalues of prob's tridiagonal up to x.
 
     The Sturm count of LAPACK's bisection (Kahan's, in stebz) on the interval
     (alpha^2 - max q - 1, x]: that floor lies below the spectrum, because the
@@ -360,7 +366,7 @@ def _count_below(prob: AnnulusEigenProblem, d: np.ndarray, e: np.ndarray,
     the whole interval, so stebz counts and does not bisect. Nothing lies
     below the floor, and stebz rejects an empty interval, hence the guard.
     """
-    floor = prob.alpha**2 - float(np.max(prob.q)) - 1.0
+    d, e, floor = prob._tridiagonal
     if x <= floor:
         return 0
     return len(_stebz(d, e, "v", (floor, x), tol=x - floor))

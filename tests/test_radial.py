@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -158,14 +159,41 @@ def test_zeros_ordered_and_simple():
 
 def test_nodal_construction(nodal):
     sol = nodal(3.0)
-    assert abs(sol.u[-1]) < 1e-9
+    assert abs(sol.eval(1.0)[0]) < 1e-9
     assert 0 < sol.r_p < sol.s_p < 1
     assert sol.u_min < 0 < sol.u0
     assert sol.u0 == pytest.approx(sol.lam ** (2.0 / (sol.p - 1.0)), rel=1e-14)
     # exactly one interior sign change on the grid
-    signs = np.sign(sol.u[(sol.grid > 0) & (sol.grid < 1)])
+    signs = np.sign(sol.eval(sol.grid[(sol.grid > 0) & (sol.grid < 1)])[0])
     changes = np.sum(signs[:-1] * signs[1:] < 0)
     assert changes == 1
+
+
+def test_a_zero_of_u_prime_before_r_p_is_named(nodal, monkeypatch):
+    # solve_nodal reads the nodal shape off the events of the integration it
+    # ran: a critical point on (0, r_p) means u does not decrease there
+    traj = nodal(10.0)._traj
+    zeros, critical, fp_critical = traj.event_states
+    bad = dataclasses.replace(
+        traj, critical=[0.5 * traj.zeros[0][0], *traj.critical],
+        event_states=(zeros, np.vstack(([0.5, -0.1], critical)), fp_critical))
+    monkeypatch.setattr(radial, "integrate_ivp", lambda cfg: bad)
+    with pytest.raises(SolverError, match=r"u' vanishes at r=.* on \(0, r_p=.*\): u is not decreasing"):
+        solve_nodal(10.0)
+
+
+@pytest.mark.parametrize("u_min", [-1.5, 0.0])
+def test_a_minimum_outside_minus_u0_to_0_is_named(nodal, monkeypatch, u_min):
+    # the unscaled u(0) is 1: a minimum below -1 would be the sup norm, one
+    # at 0 leaves no negative nodal region
+    traj = nodal(10.0)._traj
+    zeros, critical, fp_critical = traj.event_states
+    critical = critical.copy()
+    critical[:, 0] = u_min
+    bad = dataclasses.replace(traj, event_states=(zeros, critical, fp_critical))
+    monkeypatch.setattr(radial, "integrate_ivp", lambda cfg: bad)
+    with pytest.raises(SolverError, match=r"u\(0\)=.* is not the sup norm of a sign-changing u"):
+        solve_nodal(10.0)
 
 
 def test_nodal_residual_invariant(nodal):
@@ -181,11 +209,12 @@ def test_nodal_self_consistency(nodal, monkeypatch):
 
 
 def test_eval_consistent_with_grid(nodal):
+    # the grid past 0 is the shooting steps, scaled: eval returns their states
     sol = nodal(5.0)
-    sub = slice(1, None, 25)
-    u, du = sol.eval(sol.grid[sub])
-    assert np.allclose(u, sol.u[sub], rtol=1e-10, atol=1e-12)
-    assert np.allclose(du, sol.du[sub], rtol=1e-10, atol=1e-12)
+    traj = sol._traj
+    u, du = sol.eval(sol.grid[1::25])
+    assert np.allclose(u, sol.kappa * traj.u[::25], rtol=1e-10, atol=1e-12)
+    assert np.allclose(du, sol.kappa * sol.lam * traj.du[::25], rtol=1e-10, atol=1e-12)
 
 
 def test_eval_taylor_region(nodal):
@@ -216,7 +245,7 @@ def test_near_one_exponent_names_the_overflow_limit(p, N):
 
 def test_nodal_N3():
     sol = solve_nodal(3.0, N=3)
-    assert abs(sol.u[-1]) < 1e-9
+    assert abs(sol.eval(1.0)[0]) < 1e-9
     assert sol.u_min < 0 < sol.u0
     assert sol.residual_sup() < 1e-7
 
@@ -226,7 +255,7 @@ def test_large_p_solve_emits_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sol = solve_nodal(400.0)
-    assert abs(sol.u[-1]) < 1e-9
+    assert abs(sol.eval(1.0)[0]) < 1e-9
 
 
 @pytest.mark.parametrize("p", [2.5, 400.0])
@@ -475,7 +504,7 @@ def test_the_float_floor_of_u1_is_named(p, N, u1):
 
 @pytest.mark.parametrize("p, N", [(1.25, 2), (1.3, 3)])
 def test_the_lowest_exponents_still_solve(nodal, p, N):
-    assert abs(nodal(p, N).u[-1]) < 1e-9
+    assert abs(nodal(p, N).eval(1.0)[0]) < 1e-9
 
 
 def test_no_second_zero_before_the_last_horizon_is_a_horizon_error():

@@ -531,11 +531,11 @@ def test_morse_report_moderate_p(nodal):
 
 def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     # one annulus problem, on the 2M+1 grid: f_p sampled once there, beta_1..
-    # beta_3 on M and 2M+1, one negative count on M, and three stebz calls in
+    # beta_3 on M and 2M+1, one negative count on M, three stebz calls in
     # all (index range on M; the certificate of the inverse iteration on
-    # 2M+1; the count)
+    # 2M+1; the count) and one tridiagonal assembly per grid
     sol = nodal(5.0)
-    grids, samples, scans, problems = [], [], [], []
+    grids, samples, scans, problems, diagonals, offdiagonals = [], [], [], [], [], []
 
     def counted(calls, fn, key=lambda *a, **kw: None):
         def wrapper(*args, **kwargs):
@@ -552,6 +552,9 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
         scans, spectral.count_negative, lambda prob: (prob.inner, prob.M)))
     monkeypatch.setattr(spectral, "build_problem", counted(
         problems, spectral.build_problem, lambda sol, inner, M: M))
+    for log, name in ((diagonals, "diagonal"), (offdiagonals, "offdiagonal")):
+        monkeypatch.setattr(AnnulusEigenProblem, name, counted(
+            log, getattr(AnnulusEigenProblem, name), lambda prob: prob.M))
     calls = record_bisections(monkeypatch)
     rep = morse_index(sol)
     assert rep.stable
@@ -560,6 +563,7 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     assert grids == [(rep.inner, M, 3), (rep.inner, 2 * M + 1, 3)]
     assert scans == [(rep.inner, M)]
     assert calls == [("i", 3), ("v", 3), ("v", 2)]
+    assert diagonals == offdiagonals == [M, 2 * M + 1]
 
 
 def test_a_morse_request_builds_the_hermite_data_once(monkeypatch):
@@ -664,11 +668,9 @@ def counted_total(N, fine, coarse, start):
     tau = (c_i - 3 (lambda_k + 1e-7)) / 4. tau falls as k grows, so beta_i
     contributes for k < K_i; the walk starts at K_i = start[i-1].
     """
-    d, e = fine.diagonal(), fine.offdiagonal()
-
     def contributes(i, k):
         tau = (coarse[i - 1] - 3.0 * (k * (k + N - 2) + spectral.LEDGER_TIE_EPS)) / 4.0
-        return _count_below(fine, d, e, tau) >= i
+        return _count_below(fine, tau) >= i
 
     total = 0
     for i, K in enumerate(start, start=1):
