@@ -15,8 +15,8 @@ Internally the integration runs in the log radius rho = ln r with state
 
 A step in rho is a relative step in r, so the tens of decades in r that the
 trajectory spans at large p need no step with h/r >> 1, and the (N-1)/r
-origin singularity disappears. Reported trajectories are always in the r
-variables.
+origin singularity disappears. The Trajectory keeps these variables;
+solve_nodal forms the radii it reports, and eval() reads u and u' at radii.
 
 The integrator is a scalar Dormand-Prince 5(4) loop (_dormand_prince) with
 the step control of SciPy's RK45: same tableau, error norm, step factors,
@@ -28,9 +28,10 @@ two bubbles at large p, the equation is w' = -(N-2) w to working precision,
 which the step and the reconstruction both reproduce, and the error control
 alone sizes the steps. Its events (zeros of u, of u' and of
 d ln f_p / d ln r) are located by Brent's method on each step's quartic
-interpolant; only the step states are kept. Every u off the steps comes from
-one evaluator (Trajectory._state): the quintic Hermite reconstruction, built
-once, and below the first step the seed model the integration starts from.
+interpolant; only the step states (rho, u, w) and the event roots in rho are
+kept, as integrated. Every u off the steps comes from one evaluator
+(Trajectory._state): the quintic Hermite reconstruction, built once, and
+below the first step the seed model the integration starts from.
 f_p = p |u|^(p-1) r^2 has one log form, _ln_fp.
 
 Powers |u|^(p-1) u are evaluated through logarithms, as sign(u) exp(p ln|u|),
@@ -145,27 +146,27 @@ class IvpConfig:
 
 @dataclass
 class Trajectory:
-    """Integrated radial trajectory with event data.
+    """Integrated radial trajectory with event data, in the integrator's variables.
 
-    nodes/u/du are the accepted integration steps mapped back to the r
-    variable, rejected counts the rejected step attempts and rhs_evals the
+    rho/u/w are the accepted steps (rho = ln r, w = r u') as integrated,
+    rejected counts the rejected step attempts and rhs_evals the
     evaluations of dw/drho (2 at the start, 6 per attempt that raised no
-    overflow); zeros holds (radius, direction) for each simple zero crossing
-    of u, critical the radii of all zeros of u', and fp_critical the radii
-    where d ln f_p / d ln r = (p-1) r u'/u + 2 vanishes, i.e. the critical
-    points of f_p = p |u|^(p-1) r^2 (all located as events of the one
-    integration). event_states holds the states (u, r u') at those three
+    overflow). The events are roots in rho: zeros holds (rho, direction)
+    for each simple zero crossing of u, critical all zeros of w, and
+    fp_critical the zeros of d ln f_p / d rho = (p-1) w/u + 2, i.e. the
+    critical points of f_p = p |u|^(p-1) r^2 (all located as events of the
+    one integration). event_states holds the states (u, w) at those three
     kinds of event, one (n, 2) array per kind in the same order. Between the
-    nodes the trajectory is the quintic Hermite reconstruction in rho from
-    the node states and their first two rho-derivatives, taken from the ODE
-    and built once, and below the first node the seed model: _state()
+    steps the trajectory is the quintic Hermite reconstruction in rho from
+    the step states and their first two rho-derivatives, taken from the ODE
+    and built once, and below the first step the seed model: _state()
     evaluates both, eval() reads it in r and residual_sup() certifies it.
     """
 
     config: IvpConfig
-    nodes: np.ndarray
+    rho: np.ndarray
     u: np.ndarray
-    du: np.ndarray
+    w: np.ndarray
     zeros: list[tuple[float, int]]
     critical: list[float]
     fp_critical: list[float]
@@ -175,13 +176,12 @@ class Trajectory:
 
     @functools.cached_property
     def _hermite_data(self):
-        """(rho, u, w, dw, ddw) at the nodes, w = r u', d = d/drho; built once."""
+        """(rho, u, w, dw, ddw) at the steps, d = d/drho; built once."""
         p, N = self.config.p, self.config.N
-        rho = np.log(self.nodes)
-        w = self.du * self.nodes
-        e2, power = np.exp(2.0 * rho), signed_power(self.u, p)
+        rho, u, w = self.rho, self.u, self.w
+        e2, power = np.exp(2.0 * rho), signed_power(u, p)
         dw = -(N - 2.0) * w - e2 * power
-        return rho, self.u, w, dw, _ddw(self.u, w, dw, e2, power, p, N)
+        return rho, u, w, dw, _ddw(u, w, dw, e2, power, p, N)
 
     def _state(self, rho, rows=2):
         """The first `rows` of (u, w) at log radii rho up to the last node.
@@ -205,7 +205,7 @@ class Trajectory:
         return out
 
     def eval(self, r):
-        """(u, du) at radii r in [0, nodes[-1]], vectorized."""
+        """(u, du) at radii r in [0, e^rho[-1]], vectorized."""
         r = np.asarray(r, dtype=float)
         with np.errstate(divide="ignore"):
             u, w = self._state(np.log(r))
@@ -318,15 +318,15 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
     after cfg.max_zeros zero crossings, whichever comes first. A seed or
     start derivative outside the float64 range raises ConfigError; a step
     that cannot be taken (an overflow in every stage down to the smallest
-    step) raises StiffnessError.
+    step) raises StiffnessError. The Trajectory holds what the integrator
+    produced: the steps (rho, u, w) and the event roots in rho.
     """
     p, N, a = cfg.p, cfg.N, cfg.a
     rho0, rho1 = math.log(cfg.r_start), math.log(cfg.r_max)
     if a == 0.0:
         # zero data propagates to the zero solution; nothing to integrate
-        nodes = np.array([cfg.r_start, cfg.r_max])
         zero = np.zeros(2)
-        return Trajectory(cfg, nodes, zero, zero.copy(), [], [], [])
+        return Trajectory(cfg, np.array([rho0, rho1]), zero, zero.copy(), [], [], [])
 
     try:
         u0, w0 = _seed(cfg, cfg.r_start**2)
@@ -347,22 +347,16 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
         events=((1.0, 0.0), (0.0, 1.0), (2.0, p - 1.0)),
         max_events=(cfg.max_zeros or math.inf, math.inf, math.inf),
     )
-    nodes = np.exp(ts)
-    u = np.array(us)
-    du = np.array(ws) / nodes
     zeros = []
     for rho_z, (_, w_z) in zip(t_events[0], y_events[0]):
-        r_z = math.exp(rho_z)
         if abs(w_z) < 1e3 * _ABS_TOL:
-            raise TangentialZeroError(
-                f"degenerate zero at r={r_z:.6e}: |u| and |u'| both below tolerance"
-            )
-        zeros.append((r_z, 1 if w_z > 0 else -1))
-    critical = [math.exp(rho_c) for rho_c in t_events[1]]
-    fp_critical = [math.exp(rho_c) for rho_c in t_events[2]]
+            raise TangentialZeroError(f"degenerate zero at r={math.exp(rho_z):.6e}: "
+                                      "|u| and |u'| both below tolerance")
+        zeros.append((rho_z, 1 if w_z > 0 else -1))
     states = tuple(np.array(y, dtype=float).reshape(-1, 2) for y in y_events)
-    return Trajectory(cfg, nodes, u, du, zeros, critical, fp_critical,
-                      event_states=states, rejected=rejected, rhs_evals=rhs_evals)
+    return Trajectory(cfg, np.array(ts), np.array(us), np.array(ws), zeros,
+                      t_events[1], t_events[2], event_states=states,
+                      rejected=rejected, rhs_evals=rhs_evals)
 
 
 # Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6 (1980)):
@@ -677,7 +671,6 @@ class RadialSolution:
     max_minus: float
     du_zeros: int
     lam: float = field(repr=False, default=1.0)     # shooting rescale factor R2
-    kappa: float = field(repr=False, default=1.0)   # amplitude factor R2^(2/(p-1))
     _traj: Trajectory = field(repr=False, default=None)
     _residual_sup: float = field(repr=False, default=math.nan)
 
@@ -693,7 +686,7 @@ class RadialSolution:
         u, du = self._traj.eval(self._unscaled(r))
         if np.ndim(u) == 0:
             u, du = float(u), float(du)
-        return self.kappa * u, self.kappa * self.lam * du
+        return self.u0 * u, self.u0 * self.lam * du
 
     def ln_fp(self, r):
         """ln f_p(r) for scaled radii r in [0, 1] (vectorized); -inf at r = 0.
@@ -710,7 +703,7 @@ class RadialSolution:
         Per split, (cell widths in t = ln r, f_p at the cell midpoints), read
         off the unscaled trajectory like ln_fp.
         """
-        rho = self._traj._hermite_data[0]
+        rho = self._traj.rho
         steps = np.diff(rho)
         cells = []
         for split in splits:
@@ -776,10 +769,11 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
             )
         ln_rmax = min(1.5 * ln_rmax, _LN_RMAX_CAP)
 
-    (r1, d1), (r2, d2) = traj.zeros[0], traj.zeros[1]
+    (rho1, d1), (rho2, d2) = traj.zeros[0], traj.zeros[1]
     if not (d1 < 0 < d2):
-        raise SolverError(f"unexpected crossing directions at p={p}: {traj.zeros}")
-    lam = r2
+        raise SolverError(f"unexpected crossing directions at p={p}: {traj.zeros} "
+                          "(ln r, direction)")
+    lam = math.exp(rho2)
     ln_kappa = 2.0 / (p - 1.0) * math.log(lam)
     if ln_kappa > _LN_FLOAT_MAX:
         raise ConfigError(
@@ -789,17 +783,20 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
         )
     kappa = math.exp(ln_kappa)
 
-    r_p = r1 / lam
+    def scaled(rhos):  # the event radii over lam, each formed once
+        return np.array([math.exp(x) for x in rhos]) / lam
+
+    r_p = math.exp(rho1) / lam
     positive, negative = ("positive", 0.0, r_p), ("negative", r_p, 1.0)
-    critical = np.asarray(traj.critical) / lam
+    critical = scaled(traj.critical)
     j = _unique_event(critical, negative, "u", SolverError)
     u_min = kappa * float(traj.event_states[1][j, 0])
 
     u1 = kappa * float(traj.u[-1])
     if not abs(u1) < _U1_BOUND:
         # the terminal zero is the float ln R2, whose rounding alone leaves
-        # |u(1)| up to |u'(1)| ulp(ln R2) / 2
-        floor = abs(kappa * lam * float(traj.du[-1])) * math.ulp(math.log(lam)) / 2.0
+        # |u(1)| up to |u'(1)| ulp(ln R2) / 2, and u'(1) = kappa w at R2
+        floor = kappa * abs(float(traj.w[-1])) * math.ulp(rho2) / 2.0
         message = f"|u(1)|={abs(u1):.3e} exceeds shooting tolerance {_U1_BOUND}"
         if floor > _U1_BOUND:
             raise ConfigError(f"{message}: at p={p}, N={N} (too close to 1) its "
@@ -818,12 +815,11 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
     # f_p vanishes at both ends of each nodal interval, so its one critical
     # point there is the maximizer. f_p is invariant under the rescale: its
     # maxima are p |u|^(p-1) r^2 of the unscaled event states, in log form
-    fp_raw = np.asarray(traj.fp_critical)
-    fp_radii = fp_raw / lam
+    fp_radii = scaled(traj.fp_critical)
     idx = [_unique_event(fp_radii, interval, "f_p", UnimodalityError)
            for interval in (positive, negative)]
-    r_raw, u_raw = fp_raw[idx], traj.event_states[2][idx, 0]
-    max_plus, max_minus = np.exp(_ln_fp(p, u_raw, np.log(r_raw))).tolist()
+    rho_fp, u_fp = np.asarray(traj.fp_critical)[idx], traj.event_states[2][idx, 0]
+    max_plus, max_minus = np.exp(_ln_fp(p, u_fp, rho_fp)).tolist()
     c_p, d_p = fp_radii[idx].tolist()
 
     residual = traj.residual_sup()
@@ -832,14 +828,14 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
             f"interpolated ODE residual {residual:.3e} exceeds the bound "
             f"{_RESIDUAL_BOUND:g} at p={p}, N={N}"
         )
-    grid = np.concatenate(([0.0], traj.nodes / lam))
+    grid = np.concatenate(([0.0], np.exp(traj.rho) / lam))
     grid[-1] = 1.0
     return RadialSolution(
         p=p, N=N, grid=grid,
         u0=kappa, r_p=r_p, s_p=float(critical[j]), u_min=u_min,
         c_p=c_p, d_p=d_p, max_plus=max_plus, max_minus=max_minus,
         du_zeros=int(np.count_nonzero(critical < 1.0)),
-        lam=lam, kappa=kappa, _traj=traj, _residual_sup=residual,
+        lam=lam, _traj=traj, _residual_sup=residual,
     )
 
 

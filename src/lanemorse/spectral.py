@@ -44,8 +44,8 @@ rounding term). `weighted_radial_eigs` certifies the results (each delta
 at most RADIUS_BOUND, the intervals rho +- delta disjoint, no other
 eigenvalue below the top one) or falls back to bisecting the whole
 spectrum, so every fine-grid value comes with its radius.
-Every eigenvalue count is the Sturm count `_count_below` (stebz with a
-tolerance as wide as its interval): the certificate and the negative count
+Every eigenvalue count is the one Sturm count `count_negative` (stebz with
+a tolerance as wide as its interval): the certificate and the negative count
 m_rad of the M grid.
 
 The ledger total is confirmed without a matrix (`prufer_counts`): sphere
@@ -207,7 +207,7 @@ class AnnulusEigenProblem:
 
     @functools.cached_property
     def _tridiagonal(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(diagonal, off-diagonal, Sturm floor of `_count_below`); built once."""
+        """(diagonal, off-diagonal, Sturm floor of `count_negative`); built once."""
         floor = self.alpha**2 - float(np.max(self.q)) - 1.0
         return self.diagonal(), self.offdiagonal(), floor
 
@@ -254,14 +254,6 @@ def build_problem(sol: RadialSolution, inner: float, M: int) -> AnnulusEigenProb
                           lambda t: fp_values(sol, np.exp(t)))
 
 
-def count_negative(prob: AnnulusEigenProblem, shift: float = 0.0) -> int:
-    """Number of eigenvalues below `shift`, by a LAPACK Sturm count.
-
-    No eigenvalue extraction: see `_count_below`.
-    """
-    return _count_below(prob, shift)
-
-
 def weighted_radial_eigs(prob: AnnulusEigenProblem, k: int,
                          near: np.ndarray | None = None) -> np.ndarray:
     """k smallest eigenvalues of the weighted problem.
@@ -302,7 +294,7 @@ def _seeded_eigs(prob: AnnulusEigenProblem, near: np.ndarray) -> np.ndarray | No
     Returns None unless the intervals rho +- delta of `_rayleigh_intervals`
     certify the result: each radius delta is at most RADIUS_BOUND, the
     intervals are disjoint (so each holds its own eigenvalue), and the Sturm
-    count `_count_below` finds exactly len(near) eigenvalues up to the top
+    count `count_negative` finds exactly len(near) eigenvalues up to the top
     one, so they are the smallest and none was missed. Comparisons are
     negated, so that a value that is not finite fails them.
     """
@@ -314,7 +306,7 @@ def _seeded_eigs(prob: AnnulusEigenProblem, near: np.ndarray) -> np.ndarray | No
     lo, hi = rho - delta, rho + delta
     if not (np.all(delta <= RADIUS_BOUND) and np.all(hi[:-1] < lo[1:])):
         return None
-    if _count_below(prob, hi[-1]) != len(near):
+    if count_negative(prob, hi[-1]) != len(near):
         return None
     return rho
 
@@ -357,19 +349,20 @@ def _rayleigh_intervals(d: np.ndarray, e: np.ndarray, sigmas: np.ndarray
     return rho, delta
 
 
-def _count_below(prob: AnnulusEigenProblem, x: float) -> int:
-    """Number of eigenvalues of prob's tridiagonal up to x.
+def count_negative(prob: AnnulusEigenProblem, shift: float = 0.0) -> int:
+    """Number of eigenvalues of prob's tridiagonal up to shift.
 
     The Sturm count of LAPACK's bisection (Kahan's, in stebz) on the interval
-    (alpha^2 - max q - 1, x]: that floor lies below the spectrum, because the
-    difference part of the matrix is positive semidefinite. The tolerance is
-    the whole interval, so stebz counts and does not bisect. Nothing lies
-    below the floor, and stebz rejects an empty interval, hence the guard.
+    (alpha^2 - max q - 1, shift]: that floor lies below the spectrum, because
+    the difference part of the matrix is positive semidefinite. The tolerance
+    is the whole interval, so stebz counts and does not bisect: no eigenvalue
+    is extracted. Nothing lies below the floor, and stebz rejects an empty
+    interval, hence the guard.
     """
     d, e, floor = prob._tridiagonal
-    if x <= floor:
+    if shift <= floor:
         return 0
-    return len(_stebz(d, e, "v", (floor, x), tol=x - floor))
+    return len(_stebz(d, e, "v", (floor, shift), tol=shift - floor))
 
 
 def _homogeneous_dim(N: int, h: int) -> int:

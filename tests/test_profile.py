@@ -187,16 +187,16 @@ def test_analyze_fp_reads_maxima_off_the_events(monkeypatch):
 @pytest.mark.parametrize("where", ["positive", "negative"])
 @pytest.mark.parametrize("count", [0, 2])
 def test_analyze_fp_requires_one_critical_point(nodal, monkeypatch, where, count):
-    # solve_nodal reads the f_p events of the integration it ran
+    # solve_nodal reads the f_p events (roots in ln r) of the integration it ran
     sol = nodal(10.0)
     traj = sol._traj
-    r_p = traj.zeros[0][0]
-    (c,) = [r for r in traj.fp_critical if r < r_p]
-    (d,) = [r for r in traj.fp_critical if r > r_p]
+    (rho_p, _), (rho_2, _) = traj.zeros
+    (c,) = [rho for rho in traj.fp_critical if rho < rho_p]
+    (d,) = [rho for rho in traj.fp_critical if rho > rho_p]
     if where == "positive":
-        edited = [d] if count == 0 else [0.5 * c, c, d]
+        edited = [d] if count == 0 else [c - math.log(2.0), c, d]
     else:
-        edited = [c] if count == 0 else [c, d, 0.5 * (d + sol.lam)]
+        edited = [c] if count == 0 else [c, d, 0.5 * (d + rho_2)]
     bad = dataclasses.replace(traj, fp_critical=edited)
     monkeypatch.setattr(radial, "integrate_ivp", lambda cfg: bad)
     with pytest.raises(UnimodalityError, match=f"f_p has {count} critical points on the {where}"):

@@ -43,7 +43,7 @@ def test_bessel_first_zero():
     # p = 1 turns the radial equation into Bessel's equation of order zero
     traj = integrate_ivp(IvpConfig(p=1.0, N=2, a=1.0, r_max=10.0))
     oracle = bessel_j0_first_zero()
-    assert abs(traj.zeros[0][0] - oracle) < 1e-8
+    assert abs(math.exp(traj.zeros[0][0]) - oracle) < 1e-8
 
 
 def test_zero_initial_data():
@@ -73,9 +73,10 @@ def test_trajectory_follows_the_seed_model_below_the_first_node():
     u, du = traj.eval(r)
     assert np.allclose(u, 1.0 - r * r / 4.0, rtol=1e-15, atol=0.0)
     assert np.allclose(du, -r / 2.0, rtol=1e-12, atol=0.0)
-    u_j, du_j = traj.eval(traj.nodes[0] * (1.0 - 1e-12))
+    r0 = math.exp(traj.rho[0])
+    u_j, du_j = traj.eval(r0 * (1.0 - 1e-12))
     assert u_j == pytest.approx(traj.u[0], rel=1e-12)
-    assert du_j == pytest.approx(traj.du[0], rel=1e-12)
+    assert du_j == pytest.approx(traj.w[0] / r0, rel=1e-12)
 
 
 def test_trajectory_residual_small():
@@ -147,13 +148,13 @@ def test_scaling_identity(lam):
 
 def test_zeros_ordered_and_simple():
     traj = integrate_ivp(IvpConfig(p=3.0, N=2, a=1.0, r_max=1e4, max_zeros=6))
-    radii = [z for z, _ in traj.zeros]
-    assert len(radii) == 6
-    assert all(a < b for a, b in zip(radii, radii[1:]))
+    rhos = [z for z, _ in traj.zeros]
+    assert len(rhos) == 6
+    assert all(a < b for a, b in zip(rhos, rhos[1:]))
     directions = [d for _, d in traj.zeros]
     assert directions == [-1, 1, -1, 1, -1, 1]
-    for r_z, _ in traj.zeros:
-        _, du = traj.eval(r_z)
+    for rho_z in rhos:
+        _, du = traj.eval(math.exp(rho_z))
         assert abs(du) > 1e-6  # Hopf-type simplicity
 
 
@@ -171,11 +172,12 @@ def test_nodal_construction(nodal):
 
 def test_a_zero_of_u_prime_before_r_p_is_named(nodal, monkeypatch):
     # solve_nodal reads the nodal shape off the events of the integration it
-    # ran: a critical point on (0, r_p) means u does not decrease there
+    # ran: a critical point on (0, r_p) means u does not decrease there; the
+    # one added here lies at half the first zero's radius
     traj = nodal(10.0)._traj
     zeros, critical, fp_critical = traj.event_states
     bad = dataclasses.replace(
-        traj, critical=[0.5 * traj.zeros[0][0], *traj.critical],
+        traj, critical=[traj.zeros[0][0] - math.log(2.0), *traj.critical],
         event_states=(zeros, np.vstack(([0.5, -0.1], critical)), fp_critical))
     monkeypatch.setattr(radial, "integrate_ivp", lambda cfg: bad)
     with pytest.raises(SolverError, match=r"u' vanishes at r=.* on \(0, r_p=.*\): u is not decreasing"):
@@ -209,12 +211,14 @@ def test_nodal_self_consistency(nodal, monkeypatch):
 
 
 def test_eval_consistent_with_grid(nodal):
-    # the grid past 0 is the shooting steps, scaled: eval returns their states
+    # the grid past 0 is the shooting steps, scaled: eval returns their
+    # states, u' = u0 w / r of the unscaled w at the scaled radius r
     sol = nodal(5.0)
     traj = sol._traj
-    u, du = sol.eval(sol.grid[1::25])
-    assert np.allclose(u, sol.kappa * traj.u[::25], rtol=1e-10, atol=1e-12)
-    assert np.allclose(du, sol.kappa * sol.lam * traj.du[::25], rtol=1e-10, atol=1e-12)
+    r = sol.grid[1::25]
+    u, du = sol.eval(r)
+    assert np.allclose(u, sol.u0 * traj.u[::25], rtol=1e-10, atol=1e-12)
+    assert np.allclose(du, sol.u0 * traj.w[::25] / r, rtol=1e-10, atol=1e-12)
 
 
 def test_eval_taylor_region(nodal):
@@ -265,14 +269,14 @@ def test_dense_eval_matches_ode_solution(nodal, p):
     # step node and at both ends; at the nodes it returns the node states
     traj = nodal(p)._traj
     N = traj.config.N
-    ts = np.log(traj.nodes)
+    ts = traj.rho
     rng = np.random.default_rng(7)
     rho = np.sort(np.concatenate([rng.uniform(ts[0], ts[-1], 4000), ts]))
 
     def rhs(t, y):
         return (y[1], -(N - 2.0) * y[1] - math.exp(2.0 * t) * signed_power(y[0], p))
 
-    y0 = (traj.u[0], traj.du[0] * traj.nodes[0])
+    y0 = (traj.u[0], traj.w[0])
     with np.errstate(over="ignore"):  # the initial-step probe at large p
         ref = solve_ivp(rhs, (ts[0], ts[-1]), y0, method="DOP853", rtol=2.3e-14,
                         atol=1e-16, max_step=_MAX_LOG_STEP, t_eval=rho)
@@ -281,8 +285,26 @@ def test_dense_eval_matches_ode_solution(nodal, p):
     u, du = traj.eval(r)
     assert np.max(np.abs(u - ref.y[0])) <= 1e-11
     assert np.max(np.abs(r * du - ref.y[1])) <= 2e-11
-    u_n, du_n = traj.eval(traj.nodes)
-    assert np.array_equal(u_n, traj.u) and np.array_equal(du_n, traj.du)
+    u_n, w_n = traj._state(ts)
+    assert np.array_equal(u_n, traj.u) and np.array_equal(w_n, traj.w)
+
+
+@pytest.mark.parametrize("p, N", [(400.0, 2), (4.9999, 3)])
+def test_the_trajectory_keeps_the_integrators_variables(monkeypatch, p, N):
+    # the steps (rho, w) and the event roots are stored as _dormand_prince
+    # returned them, and the Hermite data reads the stored arrays; at
+    # p = 4.9999, N = 3 the second of two integrations is the one kept
+    runs = []
+    real = radial._dormand_prince
+    monkeypatch.setattr(radial, "_dormand_prince",
+                        lambda *args, **kwargs: runs.append(real(*args, **kwargs)) or runs[-1])
+    traj = solve_nodal(p, N)._traj
+    ts, _, ws, t_events, *_ = runs[-1]
+    assert np.array_equal(traj.rho, ts) and np.array_equal(traj.w, ws)
+    assert [rho for rho, _ in traj.zeros] == t_events[0]
+    assert (traj.critical, traj.fp_critical) == (t_events[1], t_events[2])
+    data = traj._hermite_data
+    assert data[0] is traj.rho and data[2] is traj.w
 
 
 def _rk45_reference(cfg):
@@ -322,7 +344,7 @@ def test_ln_fp_is_the_u_row_of_the_full_reconstruction(nodal, p, N):
     sol = nodal(p, N)
     traj = sol._traj
     data = traj._hermite_data
-    r = np.geomspace(1e-3 * traj.nodes[0] / sol.lam, 1.0, 6001)
+    r = np.geomspace(1e-3 * math.exp(traj.rho[0]) / sol.lam, 1.0, 6001)
     rho = np.log(r * sol.lam)
     seed = rho < data[0][0]
     assert 0 < np.count_nonzero(seed) < len(r)
@@ -350,16 +372,16 @@ def test_stepper_matches_scipy_rk45(p, N):
     traj = integrate_ivp(cfg)
     ref = _rk45_reference(cfg)
     assert ref.status == 1
-    rho = np.log(traj.nodes)
+    rho = traj.rho
     if (p, N) in CAPPED_THROUGHOUT:
-        assert len(traj.nodes) == len(ref.t)
+        assert len(rho) == len(ref.t)
         # the error estimate cancels to ~1e-12 of the stage sums, so rounding
         # (fused multiply-adds in SciPy's BLAS dot, scalar sums here) moves
         # each step size by ~1e-5 relative: the step ends drift while the
         # solution through them agrees to the tolerances below
         assert np.max(np.abs(rho - ref.t)) < 1e-4
     else:
-        assert len(traj.nodes) <= len(ref.t)
+        assert len(rho) <= len(ref.t)
     assert rho[-1] == pytest.approx(ref.t[-1], rel=1e-11)
     u, du = traj.eval(np.exp(ref.t))
     assert np.max(np.abs(u - ref.y[0])) <= 1e-11 * np.max(np.abs(ref.y[0]))
@@ -370,7 +392,8 @@ def test_stepper_matches_scipy_rk45(p, N):
     for mine, theirs, states, ref_states in zip(events, ref.t_events,
                                                 traj.event_states, ref.y_events):
         assert len(mine) == len(theirs) == len(states)
-        assert np.allclose(mine, np.exp(theirs), rtol=1e-11, atol=0.0)
+        # roots in ln r to 1e-11: the radii to 1e-11 relative
+        assert np.allclose(mine, theirs, rtol=0.0, atol=1e-11)
         if len(states):
             assert np.allclose(states, ref_states, rtol=0.0,
                                atol=1e-11 * np.max(np.abs(w_ref)))
@@ -422,9 +445,9 @@ def test_stepper_is_pinned_bit_for_bit(nodal, p, N):
     traj = sol._traj
     scalars, steps, *radii = STEPPER_PINS[p, N]
     assert tuple(x.hex() for x in (sol.r_p, sol.s_p, sol.u0, sol.u_min)) == scalars
-    assert len(traj.nodes) == steps
-    got = ([r for r, _ in traj.zeros], traj.critical, traj.fp_critical)
-    assert [[r.hex() for r in rs] for rs in got] == radii
+    assert len(traj.rho) == steps
+    got = ([rho for rho, _ in traj.zeros], traj.critical, traj.fp_critical)
+    assert [[math.exp(rho).hex() for rho in rhos] for rhos in got] == radii
 
 
 @pytest.mark.parametrize("p, counts", [(3.0, (806, 0, 4832)), (1.25, (745, 21, 4592))])
@@ -432,8 +455,8 @@ def test_integrator_counts_its_work(nodal, p, counts):
     # nodes, rejected attempts and evaluations of dw/drho: 2 at the start and
     # 6 per attempt (no stage overflows here), as with the cap on every step
     traj = nodal(p)._traj
-    assert (len(traj.nodes), traj.rejected, traj.rhs_evals) == counts
-    assert traj.rhs_evals == 2 + 6 * (len(traj.nodes) - 1 + traj.rejected)
+    assert (len(traj.rho), traj.rejected, traj.rhs_evals) == counts
+    assert traj.rhs_evals == 2 + 6 * (len(traj.rho) - 1 + traj.rejected)
 
 
 # (nodes, evaluations of dw/drho) with the 0.075 cap on every step
@@ -456,10 +479,10 @@ def test_shooting_ladder_meets_the_contract(nodal, p, N):
     assert sol.residual_sup() < 1e-7
     if (p, N) in CAPPED_COUNTS:
         nodes, rhs_evals = CAPPED_COUNTS[p, N]
-        assert len(traj.nodes) <= nodes and traj.rhs_evals <= rhs_evals
+        assert len(traj.rho) <= nodes and traj.rhs_evals <= rhs_evals
     if p >= 100:
         # u is harmonic between the two bubbles, which no cap slices up
-        assert len(traj.nodes) <= 1000
+        assert len(traj.rho) <= 1000
 
 
 def test_solve_rejects_a_residual_past_the_contract(monkeypatch):

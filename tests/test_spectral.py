@@ -27,7 +27,6 @@ from lanemorse.spectral import (
     AnnulusEigenProblem,
     LogGridMap,
     _assemble_ledger,
-    _count_below,
     _prufer_angle,
     auto_grid_size,
     auto_inner_radius,
@@ -531,9 +530,10 @@ def test_morse_report_moderate_p(nodal):
 
 def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     # one annulus problem, on the 2M+1 grid: f_p sampled once there, beta_1..
-    # beta_3 on M and 2M+1, one negative count on M, three stebz calls in
-    # all (index range on M; the certificate of the inverse iteration on
-    # 2M+1; the count) and one tridiagonal assembly per grid
+    # beta_3 on M and 2M+1, two Sturm counts (the certificate of the inverse
+    # iteration on 2M+1; the negative count on M), three stebz calls in all
+    # (index range on M and the two counts) and one tridiagonal assembly per
+    # grid
     sol = nodal(5.0)
     grids, samples, scans, problems, diagonals, offdiagonals = [], [], [], [], [], []
 
@@ -549,7 +549,7 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     monkeypatch.setattr(spectral, "fp_values", counted(
         samples, spectral.fp_values, lambda sol, r: np.size(r)))
     monkeypatch.setattr(spectral, "count_negative", counted(
-        scans, spectral.count_negative, lambda prob: (prob.inner, prob.M)))
+        scans, spectral.count_negative, lambda prob, shift=0.0: (prob.inner, prob.M)))
     monkeypatch.setattr(spectral, "build_problem", counted(
         problems, spectral.build_problem, lambda sol, inner, M: M))
     for log, name in ((diagonals, "diagonal"), (offdiagonals, "offdiagonal")):
@@ -561,7 +561,7 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     M = rep.M
     assert problems == [2 * M + 1] and samples == [2 * M + 1]
     assert grids == [(rep.inner, M, 3), (rep.inner, 2 * M + 1, 3)]
-    assert scans == [(rep.inner, M)]
+    assert scans == [(rep.inner, 2 * M + 1), (rep.inner, M)]
     assert calls == [("i", 3), ("v", 3), ("v", 2)]
     assert diagonals == offdiagonals == [M, 2 * M + 1]
 
@@ -635,7 +635,7 @@ def test_prufer_angle_is_exact_for_a_constant_coefficient():
             assert got == pytest.approx(theta, abs=1e-12), (c, n)
 
 
-# the Sturm count `_count_below`, which certifies the seeds and takes m_rad,
+# the Sturm count `count_negative`, which certifies the seeds and takes m_rad,
 # against bisected values: on nested (M, 2M+1) pairs it decides every ledger
 # entry (i, k) by one count on the finer grid, and the total must be the
 # value ledger's
@@ -670,7 +670,7 @@ def counted_total(N, fine, coarse, start):
     """
     def contributes(i, k):
         tau = (coarse[i - 1] - 3.0 * (k * (k + N - 2) + spectral.LEDGER_TIE_EPS)) / 4.0
-        return _count_below(fine, tau) >= i
+        return count_negative(fine, tau) >= i
 
     total = 0
     for i, K in enumerate(start, start=1):
@@ -778,7 +778,8 @@ def test_k1_ledger_row_is_the_sturm_count(nodal, p, N):
     # u' vanishes once in (0, 1), at s_p, so exactly one k = 1 pair
     # contributes, whichever side of the tie window beta_2 + (N-1) falls
     sol = nodal(p, N)
-    assert [r / sol.lam for r in sol._traj.critical] == pytest.approx([sol.s_p], rel=1e-15)
+    assert [math.exp(rho) / sol.lam for rho in sol._traj.critical] == pytest.approx(
+        [sol.s_p], rel=1e-15)
     rep = morse_index(sol)
     assert [e.i for e in rep.ledger if e.k == 1 and e.contributes] == [1]
 
