@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -279,7 +280,9 @@ def _render_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def parse_args(argv: list[str]) -> RunConfig:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call and reused: each parse fills a new namespace
     parser = argparse.ArgumentParser(
         prog="lanemorse",
         description="Nodal radial Lane-Emden solutions and their Morse index",
@@ -290,7 +293,11 @@ def parse_args(argv: list[str]) -> RunConfig:
         for key in keys:
             sp.add_argument("--" + key.replace("_", "-"), **_FLAG_ARGS[key])
         sp.add_argument("--out", default=None)
-    opts = vars(parser.parse_args(argv))
+    return parser
+
+
+def parse_args(argv: list[str]) -> RunConfig:
+    opts = vars(_parser().parse_args(argv))
     p = opts.pop("p", None)
     p_list = []
     if p:

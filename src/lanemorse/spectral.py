@@ -51,7 +51,9 @@ m_rad of the M grid.
 The ledger total is confirmed without a matrix (`prufer_counts`): sphere
 mode k has as many negative eigenvalues as its regular solution of
 y'' + (f - (alpha+k)^2) y = 0 has zeros in (0, 1), counted by the Pruefer
-angle on the shooting steps; k = 1 takes the zeros of u'.
+angle on the shooting steps; k = 1 takes the zeros of u'. Each cell maps
+(y', y) linearly, so one mode's walks over the steps and over their 2-fold
+split are one lower-banded forward substitution (BLAS tbsv).
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgtsv
 
 from .errors import BisectionError, ConfigError, SolverError
@@ -520,32 +523,60 @@ def _assemble_ledger(N: int, betas_neg: list[tuple[int, float]]
     return entries, total
 
 
-def _prufer_angle(z: float, h: np.ndarray, c: np.ndarray) -> float:
-    """theta / pi at the end of y'' + c y = 0, c constant on cells of width h.
+def _cell_maps(h: np.ndarray, c: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, g) per cell of y'' + c y = 0, c constant on cells of width h.
 
-    theta is the Pruefer angle, (y, y') = rho (sin theta, cos theta), which
-    passes a multiple of pi at each zero of y; the walk starts at y'/y = z.
-    Each cell maps z = y'/y in closed form, z -> (c' + a z) / (a + b z) with
-    denominator y(end) / y(start) (divided by cosh where c <= 0, so nothing
-    overflows). A negative one is one zero, once cells with sqrt(c) h >= pi
-    are cut into equal pieces below pi.
+    Each cell maps (y', y) linearly: y' -> a y' + g y, y -> b y' + a y, by
+    cos/sin where c > 0, once cells with sqrt(c) h >= pi are cut into equal
+    pieces below pi, so that y changes sign at most once per cell, and by
+    cosh/sinh where c <= 0, scaled by 1/(1 + tanh(sqrt(-c) h)), the inverse
+    of the map's dominant eigenvalue, so that nothing overflows.
     """
     w = np.sqrt(np.abs(c))
     pieces = np.where(c > 0, w * h // np.pi + 1, 1).astype(int)
     h, c, w = (np.repeat(x, pieces) for x in (h / pieces, c, w))
-    osc = c > 0
-    a = np.where(osc, np.cos(w * h), 1.0)
-    s = np.where(osc, np.sin(w * h), np.tanh(w * h))
-    b = np.divide(s, w, out=h.copy(), where=w > 0)  # -> h as omega -> 0
-    cz = np.where(osc, -w * s, w * s)
-    zeros = 0
-    for ai, bi, ci in zip(a.tolist(), b.tolist(), cz.tolist()):
-        # a zero exactly on a cell end is counted in the next cell
-        den = ai + bi * z or 1e-300
-        if den < 0:
-            zeros += 1
-        z = (ci + ai * z) / den
-    return zeros + math.atan2(1.0, z) / math.pi
+    osc, wh = c > 0, w * h
+    t = np.tanh(wh)
+    scale = np.where(osc, 1.0, 1.0 / (1.0 + t))
+    s = np.where(osc, np.sin(wh), t) * scale
+    b = np.divide(s, w, out=h * scale, where=w > 0)  # -> h as omega -> 0
+    return np.where(osc, np.cos(wh), scale), b, np.where(osc, -w, w) * s
+
+
+def _prufer_angles(z: float, cells: list[tuple[np.ndarray, np.ndarray]]
+                   ) -> list[float]:
+    """theta / pi at the end of y'' + c y = 0 from y'/y = z, per (h, c) in cells.
+
+    theta is the Pruefer angle, (y, y') = rho (sin theta, cos theta), which
+    passes a multiple of pi at each zero of y. The cell maps of `_cell_maps`
+    chain into one lower-banded system in the cell-end states (y', y), each
+    walk starting from (z, 1); its forward substitution (BLAS tbsv, bandwidth
+    3) walks every cell set at once. A zero is a sign change of y between
+    consecutive cell ends, a y of exactly 0 taking the sign before it.
+    """
+    maps = [_cell_maps(h, c) for h, c in cells]
+    # one state per cell end; the map out of each walk's last state is 0, so
+    # the next walk starts from its right-hand side alone
+    a, b, g = (np.concatenate([np.append(m[i], 0.0) for m in maps]) for i in range(3))
+    band = np.zeros((4, 2 * len(a)))
+    band[1, 1::2] = -g
+    band[2, 0::2] = band[2, 1::2] = -a
+    band[3, 0::2] = -b
+    bounds = np.cumsum([0] + [len(m[0]) + 1 for m in maps]).tolist()
+    rhs = np.zeros(2 * len(a))
+    for lo in bounds[:-1]:
+        rhs[2 * lo], rhs[2 * lo + 1] = z, 1.0
+    dy, y = np.reshape(dtbsv(3, band, rhs, lower=1, diag=1), (-1, 2)).T
+    sign = np.sign(y)
+    # a y of exactly 0 takes the sign before it (each walk starts at y = 1)
+    sign = sign[np.maximum.accumulate(np.where(sign != 0, np.arange(len(y)), 0))]
+    thetas = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        zeros = int(np.count_nonzero(sign[lo + 1:hi] != sign[lo:hi - 1]))
+        end = math.atan2(abs(y[hi - 1]), sign[hi - 1] * dy[hi - 1])
+        thetas.append(zeros + end / math.pi)
+    return thetas
 
 
 def prufer_counts(sol: RadialSolution) -> list[int]:
@@ -555,9 +586,10 @@ def prufer_counts(sol: RadialSolution) -> list[int]:
     solution (y'/y = alpha + k at r = 0) of y'' + (f_p - (alpha+k)^2) y = 0,
     with f_p held at its midpoint value on the shooting steps; none where
     (alpha+k)^2 >= max f_p. Z_1 is the zero count of u', which the forward
-    walk loses between the bubbles, where it decays. A margin (theta_k(1)/pi
-    to the nearest integer) not above its change under a 2-fold cell split
-    raises SolverError.
+    walk loses between the bubbles, where it decays. Each walked mode takes
+    one banded solve for both cell sets (`_prufer_angles`). A theta_k(1)
+    that is not finite, or a margin (theta_k(1)/pi to the nearest integer)
+    not above its change under a 2-fold cell split, raises SolverError.
     """
     cells = sol.fp_cells(1, 2)
     counts: list[int] = []
@@ -569,7 +601,11 @@ def prufer_counts(sol: RadialSolution) -> list[int]:
         elif s * s >= max(sol.max_plus, sol.max_minus):
             counts.append(0)
         else:
-            theta, split = (_prufer_angle(s, h, f - s * s) for h, f in cells)
+            theta, split = _prufer_angles(s, [(h, f - s * s) for h, f in cells])
+            if not (math.isfinite(theta) and math.isfinite(split)):
+                raise SolverError(
+                    f"Pruefer angle of sphere mode k={k} is not finite "
+                    f"(theta/pi = {theta}, {split} under a 2-fold split)")
             n = math.floor(theta)
             margin, change = min(theta - n, n + 1 - theta), abs(split - theta)
             if not margin > change:

@@ -35,6 +35,18 @@ def test_parse_args_roundtrip():
     assert cfg.fmt == "csv"
 
 
+def test_the_reused_parser_carries_no_flag_over(capsys):
+    # one parser serves every call: each config holds its own flags and
+    # defaults, and a bad call after a good one is still a config error
+    assert parse_args(["sweep", "--p", "3", "--N", "4", "--format", "csv", "--out", "x.csv"]) \
+        == RunConfig(command="sweep", p_list=[3.0], N=4, fmt="csv", out="x.csv")
+    assert parse_args(["solve", "--p", "5"]) == RunConfig(command="solve", p_list=[5.0])
+    assert parse_args(["limit-check"]) == RunConfig(command="limit-check")
+    assert main(["sweep", "--p", "abc"]) == EXIT_CONFIG
+    assert main(["bogus"]) == EXIT_CONFIG
+    assert "bad --p value 'abc'" in capsys.readouterr().err
+
+
 def test_bad_config_rejected(tmp_path):
     with pytest.raises(ConfigError):
         parse_args(["sweep", "--p", "abc"])

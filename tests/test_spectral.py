@@ -27,7 +27,7 @@ from lanemorse.spectral import (
     AnnulusEigenProblem,
     LogGridMap,
     _assemble_ledger,
-    _prufer_angle,
+    _prufer_angles,
     auto_grid_size,
     auto_inner_radius,
     mapped_problem,
@@ -594,16 +594,33 @@ def test_a_thin_prufer_margin_is_an_error(nodal, monkeypatch):
     # theta_0(1)/pi moved to 1e-9 above an integer on the unsplit cells: the
     # 2-fold split moves it by far more, so the count is not trusted
     sol = nodal(5.0)
-    unsplit = len(sol.fp_cells(1)[0][0])
-    real = spectral._prufer_angle
+    real = spectral._prufer_angles
 
-    def doctored(z, h, c):
-        theta = real(z, h, c)
-        return math.floor(theta) + 1e-9 if len(h) == unsplit else theta
+    def doctored(z, cells):
+        theta, split = real(z, cells)
+        # N = 2: the k = 0 walk starts from y'/y = alpha = 0
+        return [math.floor(theta) + 1e-9, split] if z == 0.0 else [theta, split]
 
-    monkeypatch.setattr(spectral, "_prufer_angle", doctored)
+    monkeypatch.setattr(spectral, "_prufer_angles", doctored)
     with pytest.raises(SolverError, match=r"Pruefer margin 1\.000e-09 of sphere mode k=0"):
         morse_index(sol)
+
+
+def test_a_non_finite_prufer_angle_names_the_mode(nodal, monkeypatch):
+    # one nan in f_p reaches the angle of every walked mode; the first, k = 0,
+    # is named before its integer part is taken
+    sol = nodal(5.0)
+    real = radial.RadialSolution.fp_cells
+
+    def poisoned(self, *splits):
+        (h, f), *rest = real(self, *splits)
+        f = f.copy()
+        f[len(f) // 2] = np.nan
+        return [(h, f), *rest]
+
+    monkeypatch.setattr(radial.RadialSolution, "fp_cells", poisoned)
+    with pytest.raises(SolverError, match="Pruefer angle of sphere mode k=0 is not finite"):
+        prufer_counts(sol)
 
 
 def test_a_lost_radial_eigenvalue_names_both_counts(nodal):
@@ -616,7 +633,8 @@ def test_a_lost_radial_eigenvalue_names_both_counts(nodal):
 
 def test_prufer_angle_is_exact_for_a_constant_coefficient():
     # y'' + c y = 0 from y'/y = z over length L has the closed form, whatever
-    # the cells: one cell of omega L = 10.3 is cut into pieces below pi
+    # the cells: one cell of omega L = 10.3 is cut into pieces below pi. The
+    # three cell sets are walked by one solve
     L, z = 3.0, 0.7
     for c in (10.3**2 / L**2, 0.0, -4.0):
         w = math.sqrt(abs(c))
@@ -630,9 +648,68 @@ def test_prufer_angle_is_exact_for_a_constant_coefficient():
         else:  # y = cosh(w t) + (z / w) sinh(w t), no zero
             zL = w * (w * math.tanh(w * L) + z) / (w + z * math.tanh(w * L))
             theta = math.atan2(1.0, zL) / math.pi
-        for n in (1, 7, 100):
-            got = _prufer_angle(z, np.full(n, L / n), np.full(n, c))
-            assert got == pytest.approx(theta, abs=1e-12), (c, n)
+        got = _prufer_angles(z, [(np.full(n, L / n), np.full(n, c)) for n in (1, 7, 100)])
+        assert got == pytest.approx([theta] * 3, abs=1e-12), c
+
+
+@pytest.mark.parametrize("z, widths, theta", [
+    # y = 1 - 2t is 0 on the cell end t = 1/2 and -1 at t = 1: one zero. A
+    # bare y[i] y[i-1] < 0 count sees none and gives 0.1476
+    (-2.0, [0.5, 0.5], 1.1475836176504333),
+    # y = 1 - t is 0 at the end t = 1: no zero inside, theta = pi
+    (-1.0, [1.0], 1.0),
+    (-1.0, [0.5, 0.5], 1.0),
+])
+def test_a_zero_on_a_cell_end_takes_the_sign_before_it(z, widths, theta):
+    h = np.array(widths)
+    assert _prufer_angles(z, [(h, np.zeros_like(h))]) == [theta]
+    assert loop_prufer_angle(z, h, np.zeros_like(h)) == theta
+
+
+def loop_prufer_angle(z, h, c):
+    """theta / pi at the end of y'' + c y = 0 from y'/y = z: the per-cell
+    reference walk of z = y'/y.
+
+    Each cell maps z in closed form, z -> (g + a z) / (a + b z) with
+    denominator y(end) / y(start) (divided by cosh where c <= 0); a negative
+    one is one zero, once cells with sqrt(c) h >= pi are cut below pi.
+    """
+    w = np.sqrt(np.abs(c))
+    pieces = np.where(c > 0, w * h // np.pi + 1, 1).astype(int)
+    h, c, w = (np.repeat(x, pieces) for x in (h / pieces, c, w))
+    osc = c > 0
+    a = np.where(osc, np.cos(w * h), 1.0)
+    s = np.where(osc, np.sin(w * h), np.tanh(w * h))
+    b = np.divide(s, w, out=h.copy(), where=w > 0)
+    g = np.where(osc, -w * s, w * s)
+    zeros = 0
+    for ai, bi, gi in zip(a.tolist(), b.tolist(), g.tolist()):
+        # a zero exactly on a cell end is counted in the next cell
+        den = ai + bi * z or 1e-300
+        if den < 0:
+            zeros += 1
+        z = (gi + ai * z) / den
+    return zeros + math.atan2(1.0, z) / math.pi
+
+
+@pytest.mark.parametrize("p, N", [(1.3, 2), (8.0, 2), (14.0, 2), (400.0, 2), (760.0, 2),
+                                  (1.5, 3), (3.3, 3), (4.9999, 3), (2.9, 4), (1.5, 6)])
+def test_the_banded_walk_is_the_per_cell_walk(nodal, p, N):
+    # every (mode, split) that prufer_counts walks: the same zero count and
+    # end angle as the per-cell reference, up to the order of the rounding
+    sol = nodal(p, N)
+    cells = sol.fp_cells(1, 2)
+    walked = 0
+    for k in range(len(prufer_counts(sol))):
+        s = 0.5 * (N - 2) + k
+        if k == 1 or s * s >= max(sol.max_plus, sol.max_minus):
+            continue
+        walked += 1
+        got = _prufer_angles(s, [(h, f - s * s) for h, f in cells])
+        want = [loop_prufer_angle(s, h, f - s * s) for h, f in cells]
+        assert [math.floor(x) for x in got] == [math.floor(x) for x in want], k
+        assert got == pytest.approx(want, rel=0, abs=1e-11), k
+    assert walked
 
 
 # the Sturm count `count_negative`, which certifies the seeds and takes m_rad,
