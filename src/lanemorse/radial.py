@@ -464,7 +464,6 @@ def _dormand_prince(p, N, t, t_end, u, w, f, events, max_events):
     ts, us, ws = [t], [u], [w]
     t_events = tuple([] for _ in events)
     y_events = tuple([] for _ in events)
-    counts = [0] * len(events)
     g = _event_values(events, u, w)
     g_pos = [x > 0 for x in g]
     while True:
@@ -532,7 +531,7 @@ def _dormand_prince(p, N, t, t_end, u, w, f, events, max_events):
         if active:
             state = _quartic(t, h, u, w, (w, w2, w3, w4, w5, w_new),
                              (f, a2, a3, a4, a5, f_new))
-            roots = []
+            hits = []
             for i in active:
                 a, b = events[i]
 
@@ -540,21 +539,17 @@ def _dormand_prince(p, N, t, t_end, u, w, f, events, max_events):
                     u_s, w_s = state(s)
                     return a * u_s + b * w_s
 
-                roots.append(_brentq(event, t, t_new))
-                counts[i] += 1
-            hits = sorted(zip(roots, active))
-            ends = [j for j, (_, i) in enumerate(hits) if counts[i] >= max_events[i]]
-            if ends:
-                hits = hits[:ends[0] + 1]
-                stop = True
-            else:
-                hits = zip(roots, active)
-            for root, i in hits:
+                hits.append((_brentq(event, t, t_new), i))
+            # an event has at most one root per step, so root order keeps
+            # each event's list in order
+            for root, i in sorted(hits):
                 t_events[i].append(root)
                 y_events[i].append(state(root))
-            if stop:
-                t_new = root
-                u_new, w_new = state(root)
+                if len(t_events[i]) >= max_events[i]:
+                    stop = True
+                    t_new = root
+                    u_new, w_new = y_events[i][-1]
+                    break
         g, g_pos = g_new, g_new_pos
         ts.append(t_new)
         us.append(u_new)

@@ -276,8 +276,6 @@ def weighted_radial_eigs(prob: AnnulusEigenProblem, k: int,
     if betas is None:
         d, e, _ = prob._tridiagonal
         betas = _stebz(d, e, "i", (0, k - 1))
-    if np.any(np.diff(betas) < 0):
-        raise SolverError("eigenvalues not returned in ascending order")
     return betas
 
 

@@ -305,7 +305,7 @@ def test_cli_import_leaves_the_limit_modules_unloaded():
 def test_exit_codes_via_entry_point():
     proc = _run_cli("limit-check", "--N", "2")
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert '"schema_version": 7' in proc.stdout, proc.stderr
+    assert '"schema_version": 8' in proc.stdout, proc.stderr
     proc = _run_cli("solve", "--p", "0.5")
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     proc = _run_cli("bogus")
@@ -324,7 +324,7 @@ def test_exit_codes_via_entry_point():
 
 def test_schema_shape():
     _, text = run(parse_args(["solve", "--p", "3"]))
-    assert text.startswith('{\n  "schema_version": 7')
+    assert text.startswith('{\n  "schema_version": 8')
     for key in ('"command"', '"config"', '"results"', '"checks"'):
         assert key in text
     assert text.endswith("}\n")

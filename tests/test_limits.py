@@ -30,7 +30,6 @@ from lanemorse.limits import (
     eta1,
     eta1_d1,
     limit_potential,
-    mass_tail_bound,
     power_tail_integral,
     psi_core,
     rayleigh_quotient_suite,
@@ -118,14 +117,6 @@ def test_profiles_positive():
 
 def test_liouville_mass_8pi():
     assert liouville_mass() == pytest.approx(8.0 * math.pi, rel=1e-6)
-
-
-def test_mass_tail_bound_at_1e3():
-    # closed-form tail bound far below the requested truncation error
-    assert mass_tail_bound(1e3) < 1e-4 * 8.0 * math.pi
-    # and it really bounds the tail: exact remainder is 4/(1+T^2/8)
-    exact_tail = power_tail_integral(1.0, 2.0, 8.0, 1e3)
-    assert exact_tail <= mass_tail_bound(1e3)
 
 
 def test_singular_profile_mass_finite():
@@ -255,6 +246,32 @@ def test_verification_battery_passes():
         checks = verification_battery(N=N)
         failed = [c.name for c in checks if not c.passed]
         assert failed == []
+
+
+BATTERY_NAMES = [
+    "z_ell_root", "h_at_delta", "g_at_sqrt8", "H_quadrature", "liouville_mass",
+    "singular_mass_finite", "rayleigh_eta1", "limit_residual",
+    "residual_wrong_eigenvalue", "eta1_decay_origin", "eta1_decay_infinity",
+]
+PLANAR_NAMES = ["cutoff_quotient", "cutoff_parts", "core_profile_identity"]
+
+
+@pytest.mark.parametrize("N, names", [
+    (2, BATTERY_NAMES + PLANAR_NAMES),
+    (3, BATTERY_NAMES),
+    (MAX_LIMIT_N, BATTERY_NAMES),
+])
+def test_battery_check_names(N, names):
+    # no check restates a definition: the gamma and morse_Z formulas are
+    # guarded by test_algebraic_identities and test_constants_from_reference_ell
+    checks = verification_battery(N=N)
+    assert [c.name for c in checks] == names
+    # the lambda = 0 residual is (N-1) eta_1/r^2 at r = 1e-3, about (N-1) 1e3,
+    # and its record obeys the same |value - expected| < tol rule as the rest
+    wrong = checks[names.index("residual_wrong_eigenvalue")]
+    assert wrong.passed
+    assert abs(wrong.value - wrong.expected) < wrong.tol * abs(wrong.expected)
+    assert wrong.expected == pytest.approx((N - 1) * 1e3, rel=1e-5)
 
 
 @pytest.mark.parametrize("N", [0, 1])
