@@ -11,7 +11,8 @@ Floats are always rendered with 15 significant digits in insertion order, so
 identical configurations produce byte-identical files. Every emitted record
 carries an `anchor` string naming the quantity it reports.
 
-Exit codes: 0 success, 1 solver failure, 2 check failure, 3 bad config.
+Exit codes: 0 success, 1 solver failure, 2 failed check or unstable count,
+3 bad config. A sweep exits 1 if any row failed, else 2 if any is unstable.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ ANCHORS = {
     "u0": "central value u(0) (sup norm)",
     "r_p": "interior nodal radius",
     "s_p": "negative minimum radius",
-    "u_min": "negative extremum value",
     "eps_plus": "blow-up scale of the positive region",
     "eps_minus": "blow-up scale of the negative region",
     "ell_hat": "scale ratio s_p/eps_minus (reference 7.1979)",
@@ -157,7 +157,7 @@ def _solution_record(sol) -> dict:
         "ratio_plus": sc.ratio_plus, "ratio_minus": sc.ratio_minus,
         "max_plus": sol.max_plus, "max_minus": sol.max_minus,
         "sup_f": max(sol.max_plus, sol.max_minus),
-        "residual_sup": sol.residual_sup(),
+        "residual_sup": sol.residual_sup,
         "anchors": {k: ANCHORS[k] for k in
                     ("u0", "r_p", "s_p", "eps_plus", "eps_minus", "ell_hat",
                      "max_plus", "max_minus", "residual_sup")},
@@ -245,6 +245,8 @@ def run(config: RunConfig) -> tuple[int, str]:
         payload["results"]["sweep"] = rows
         if any(row["status"].startswith("error") for row in rows):
             code = EXIT_SOLVER
+        elif any(row["status"] == "unstable" for row in rows):
+            code = EXIT_CHECK
         if config.fmt == "csv":
             return code, _render_csv(rows)
     else:  # limit-check

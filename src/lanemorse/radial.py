@@ -28,8 +28,8 @@ two bubbles at large p, the equation is w' = -(N-2) w to working precision,
 which the step and the reconstruction both reproduce, and the error control
 alone sizes the steps. Its events (zeros of u, of u' and of
 d ln f_p / d ln r) are located by Brent's method on each step's quartic
-interpolant; only the step states (rho, u, w) and the event roots in rho are
-kept, as integrated. Every u off the steps comes from one evaluator
+interpolant; only the step states (rho, u, w) and one (rho, u, w) row per
+event are kept, as integrated. Every u off the steps comes from one evaluator
 (Trajectory._state): the quintic Hermite reconstruction, built once, and
 below the first step the seed model the integration starts from.
 f_p = p |u|^(p-1) r^2 has one log form, _ln_fp.
@@ -151,26 +151,25 @@ class Trajectory:
     rho/u/w are the accepted steps (rho = ln r, w = r u') as integrated,
     rejected counts the rejected step attempts and rhs_evals the
     evaluations of dw/drho (2 at the start, 6 per attempt that raised no
-    overflow). The events are roots in rho: zeros holds (rho, direction)
-    for each simple zero crossing of u, critical all zeros of w, and
-    fp_critical the zeros of d ln f_p / d rho = (p-1) w/u + 2, i.e. the
-    critical points of f_p = p |u|^(p-1) r^2 (all located as events of the
-    one integration). event_states holds the states (u, w) at those three
-    kinds of event, one (n, 2) array per kind in the same order. Between the
-    steps the trajectory is the quintic Hermite reconstruction in rho from
-    the step states and their first two rho-derivatives, taken from the ODE
-    and built once, and below the first step the seed model: _state()
-    evaluates both, eval() reads it in r and residual_sup() certifies it.
+    overflow). The events of the one integration are (n, 3) tables with
+    columns (rho, u, w), one row per event in root order: zeros for the
+    simple zero crossings of u (the sign of w is the direction), critical
+    for the zeros of w, and fp_critical for the zeros of
+    d ln f_p / d rho = (p-1) w/u + 2, i.e. the critical points of
+    f_p = p |u|^(p-1) r^2. Between the steps the trajectory is the quintic
+    Hermite reconstruction in rho from the step states and their first two
+    rho-derivatives, taken from the ODE and built once, and below the first
+    step the seed model: _state() evaluates both, eval() reads it in r and
+    residual_sup() certifies it.
     """
 
     config: IvpConfig
     rho: np.ndarray
     u: np.ndarray
     w: np.ndarray
-    zeros: list[tuple[float, int]]
-    critical: list[float]
-    fp_critical: list[float]
-    event_states: tuple[np.ndarray, ...] = ()
+    zeros: np.ndarray
+    critical: np.ndarray
+    fp_critical: np.ndarray
     rejected: int = 0
     rhs_evals: int = 0
 
@@ -318,15 +317,17 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
     after cfg.max_zeros zero crossings, whichever comes first. A seed or
     start derivative outside the float64 range raises ConfigError; a step
     that cannot be taken (an overflow in every stage down to the smallest
-    step) raises StiffnessError. The Trajectory holds what the integrator
-    produced: the steps (rho, u, w) and the event roots in rho.
+    step) raises StiffnessError, a zero of u with |w| below 1e3 _ABS_TOL
+    TangentialZeroError. The Trajectory holds what the integrator produced:
+    the steps (rho, u, w) and one (rho, u, w) row per located event.
     """
     p, N, a = cfg.p, cfg.N, cfg.a
     rho0, rho1 = math.log(cfg.r_start), math.log(cfg.r_max)
     if a == 0.0:
         # zero data propagates to the zero solution; nothing to integrate
         zero = np.zeros(2)
-        return Trajectory(cfg, np.array([rho0, rho1]), zero, zero.copy(), [], [], [])
+        return Trajectory(cfg, np.array([rho0, rho1]), zero, zero.copy(),
+                          *np.zeros((3, 0, 3)))  # three empty event tables
 
     try:
         u0, w0 = _seed(cfg, cfg.r_start**2)
@@ -340,23 +341,16 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
             f"p={p:g}, N={N}: |a|^(p-1) a r_start^2 / (2N) or the start "
             "derivative leaves the float64 range"
         )
-    # events: u (the zeros), w = r u' (the critical points) and
-    # u * d ln f_p / d rho = (p-1) w + 2u (the critical points of f_p)
-    ts, us, ws, t_events, y_events, rejected, rhs_evals = _dormand_prince(
-        p, N, rho0, rho1, u0, w0, f0,
-        events=((1.0, 0.0), (0.0, 1.0), (2.0, p - 1.0)),
-        max_events=(cfg.max_zeros or math.inf, math.inf, math.inf),
-    )
-    zeros = []
-    for rho_z, (_, w_z) in zip(t_events[0], y_events[0]):
+    ts, us, ws, tables, rejected, rhs_evals = _dormand_prince(
+        p, N, rho0, rho1, u0, w0, f0, cfg.max_zeros)
+    zeros, critical, fp_critical = (np.array(rows, dtype=float).reshape(-1, 3)
+                                    for rows in tables)
+    for rho_z, _, w_z in zeros:
         if abs(w_z) < 1e3 * _ABS_TOL:
             raise TangentialZeroError(f"degenerate zero at r={math.exp(rho_z):.6e}: "
                                       "|u| and |u'| both below tolerance")
-        zeros.append((rho_z, 1 if w_z > 0 else -1))
-    states = tuple(np.array(y, dtype=float).reshape(-1, 2) for y in y_events)
     return Trajectory(cfg, np.array(ts), np.array(us), np.array(ws), zeros,
-                      t_events[1], t_events[2], event_states=states,
-                      rejected=rejected, rhs_evals=rhs_evals)
+                      critical, fp_critical, rejected=rejected, rhs_evals=rhs_evals)
 
 
 # Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6 (1980)):
@@ -405,7 +399,7 @@ def _accel(rho: float, u: float, w: float, p: float, N: int) -> float:
     return -(N - 2.0) * w - math.exp(2.0 * rho) * _signed_power_scalar(u, p)
 
 
-def _dormand_prince(p, N, t, t_end, u, w, f, events, max_events):
+def _dormand_prince(p, N, t, t_end, u, w, f, max_zeros):
     """Integrate u' = w, w' = _accel(t, u, w, p, N) from t to t_end by DP5(4).
 
     f = _accel(t, u, w, p, N) at the start. The step control is SciPy's RK45
@@ -421,12 +415,13 @@ def _dormand_prince(p, N, t, t_end, u, w, f, events, max_events):
     that max_step. An overflow in a stage makes the error norm infinite, so
     the step is rejected; a step below 10 ulp(t) raises StiffnessError.
 
-    events holds (a, b) for each event function a u + b w. A sign change over
-    a step is located on that step's quartic interpolant by _brentq, and the
-    max_events[i]-th occurrence of event i ends the integration at its root,
-    as in solve_ivp. Returns the nodes (ts, us, ws), per event the lists of
-    its roots and of the interpolated states (u, w) there, the number of
-    rejected attempts and the number of evaluations of w'.
+    The events are the zeros of u, of w and of (p-1) w + 2u, tested for a
+    change or touch of sign on each step's end state. Each is located on the
+    step's quartic interpolant by _brentq, and the max_zeros-th zero of u
+    (None: no limit) ends the integration at its root, as in solve_ivp.
+    Returns the nodes (ts, us, ws), the three event tables (zeros of u, of w,
+    of (p-1) w + 2u), each a list of (root, u, w) rows in root order, the
+    number of rejected attempts and the number of evaluations of w'.
     """
     atol, rtol = _ABS_TOL, _SHOOT_RTOL
     span = t_end - t
@@ -453,7 +448,7 @@ def _dormand_prince(p, N, t, t_end, u, w, f, events, max_events):
     # the stage loop runs some 10^4 times per solve: locals, and _accel
     # written out, save the global lookups and the calls
     exp, log, copysign, sqrt = math.exp, math.log, math.copysign, math.sqrt
-    shift = -(N - 2.0)
+    shift, pm1 = -(N - 2.0), p - 1.0
     C1, C2, C3, C4 = _C1, _C2, _C3, _C4
     A10, A20, A21, A30, A31, A32 = _A10, _A20, _A21, _A30, _A31, _A32
     A40, A41, A42, A43 = _A40, _A41, _A42, _A43
@@ -462,10 +457,7 @@ def _dormand_prince(p, N, t, t_end, u, w, f, events, max_events):
     E0, E2, E3, E4, E5, E6 = _E0, _E2, _E3, _E4, _E5, _E6
 
     ts, us, ws = [t], [u], [w]
-    t_events = tuple([] for _ in events)
-    y_events = tuple([] for _ in events)
-    g = _event_values(events, u, w)
-    g_pos = [x > 0 for x in g]
+    tables = ([], [], [])  # the zeros of u, of w and of (p-1) w + 2u
     while True:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = min(max(h_abs, min_step), cap)
@@ -521,58 +513,50 @@ def _dormand_prince(p, N, t, t_end, u, w, f, events, max_events):
             rejected = True
             n_rejected += 1
 
-        g_new = _event_values(events, u_new, w_new)
-        g_new_pos = [x > 0 for x in g_new]
-        # a step on which every event keeps one strict sign needs no search
-        crossed = g_new_pos != g_pos or 0.0 in g or 0.0 in g_new
-        active = [i for i, (g0, g1) in enumerate(zip(g, g_new))
-                  if (g0 <= 0 and g1 >= 0) or (g0 >= 0 and g1 <= 0)] if crossed else ()
+        # the events that change sign or touch zero over the step, of
+        # u, w and g = (p-1) w + 2u = u d ln f_p / d rho
+        g, g_new = pm1 * w + 2.0 * u, pm1 * w_new + 2.0 * u_new
+        kinds = []
+        if u <= 0 <= u_new or u >= 0 >= u_new:
+            kinds.append(0)
+        if w <= 0 <= w_new or w >= 0 >= w_new:
+            kinds.append(1)
+        if g <= 0 <= g_new or g >= 0 >= g_new:
+            kinds.append(2)
         stop = False
-        if active:
+        if kinds:
             state = _quartic(t, h, u, w, (w, w2, w3, w4, w5, w_new),
-                             (f, a2, a3, a4, a5, f_new))
+                             (f, a2, a3, a4, a5, f_new), pm1)
+            # a loop, not a comprehension: up to Python 3.11 one would make
+            # t a closure cell, which every stage then reads more slowly
             hits = []
-            for i in active:
-                a, b = events[i]
-
-                def event(s, a=a, b=b):
-                    u_s, w_s = state(s)
-                    return a * u_s + b * w_s
-
-                hits.append((_brentq(event, t, t_new), i))
+            for i in kinds:
+                hits.append((_brentq(lambda s, i=i: state(s)[i], t, t_new), i))
             # an event has at most one root per step, so root order keeps
-            # each event's list in order
+            # each table in order
             for root, i in sorted(hits):
-                t_events[i].append(root)
-                y_events[i].append(state(root))
-                if len(t_events[i]) >= max_events[i]:
+                u_r, w_r, _ = state(root)
+                tables[i].append((root, u_r, w_r))
+                if i == 0 and len(tables[0]) == max_zeros:
                     stop = True
-                    t_new = root
-                    u_new, w_new = y_events[i][-1]
+                    t_new, u_new, w_new = root, u_r, w_r
                     break
-        g, g_pos = g_new, g_new_pos
         ts.append(t_new)
         us.append(u_new)
         ws.append(w_new)
         if stop or t_new >= t_end:
-            return ts, us, ws, t_events, y_events, n_rejected, rhs_evals
+            return ts, us, ws, tables, n_rejected, rhs_evals
         # below the rounding of the state the nonlinear term drops out
         cap = max_step if abs(nonlin) > eps * (abs(u_new) + abs(w_new)) else math.inf
         t, u, w, f = t_new, u_new, w_new, f_new
 
 
-def _event_values(events, u: float, w: float) -> list[float]:
-    # a helper, not a comprehension in the loop: up to Python 3.11 a
-    # comprehension there makes u_new and w_new closure cells, which every
-    # stage then reads more slowly
-    return [a * u + b * w for a, b in events]
+def _quartic(t, h, u, w, ku, kw, pm1):
+    """s -> (u, w, (p-1) w + 2u) on the step's quartic interpolant, pm1 = p - 1.
 
-
-def _quartic(t, h, u, w, ku, kw):
-    """s -> (u, w) on the quartic interpolant of the step from t to t + h.
-
-    ku, kw are the stage derivatives of u and w (stages 0, 2..6):
-    y(t + x h) = y + h sum_k Q_k x^k with Q = k _P.
+    The step runs from t to t + h, and ku, kw are the stage derivatives of u
+    and w (stages 0, 2..6): y(t + x h) = y + h sum_k Q_k x^k with Q = k _P.
+    The three values are the three event functions.
     """
     qu = [sum(k * row[m] for k, row in zip(ku, _P)) for m in range(4)]
     qw = [sum(k * row[m] for k, row in zip(kw, _P)) for m in range(4)]
@@ -582,8 +566,9 @@ def _quartic(t, h, u, w, ku, kw):
         x2 = x * x
         x3 = x2 * x
         x4 = x3 * x
-        return (h * (qu[0] * x + qu[1] * x2 + qu[2] * x3 + qu[3] * x4) + u,
-                h * (qw[0] * x + qw[1] * x2 + qw[2] * x3 + qw[3] * x4) + w)
+        u_s = h * (qu[0] * x + qu[1] * x2 + qu[2] * x3 + qu[3] * x4) + u
+        w_s = h * (qw[0] * x + qw[1] * x2 + qw[2] * x3 + qw[3] * x4) + w
+        return u_s, w_s, pm1 * w_s + 2.0 * u_s
 
     return state
 
@@ -648,14 +633,16 @@ class RadialSolution:
     c_p < r_p < d_p are the maximizers of f_p = p |u|^(p-1) r^2 on the two
     nodal intervals and max_plus, max_minus its maxima there; du_zeros is the
     number of zeros of u' in (0, 1). All are read off the shooting events.
-    grid holds 0 and the shooting steps, scaled. eval() (u and u') and ln_fp()
+    residual_sup is the trajectory's normalized interpolated residual up to
+    r = 1; the normalization makes it invariant under the rescale, so it
+    bounds the defect of the scaled solution as well (solve_nodal rejects a
+    solution where it reaches 1e-7 or is nan). eval() (u and u') and ln_fp()
     rescale the trajectory's one evaluator, which covers [0, 1]: below the
     integration start it is the seed model.
     """
 
     p: float
     N: int
-    grid: np.ndarray
     u0: float
     r_p: float
     s_p: float
@@ -665,9 +652,16 @@ class RadialSolution:
     max_plus: float
     max_minus: float
     du_zeros: int
+    residual_sup: float
     lam: float = field(repr=False, default=1.0)     # shooting rescale factor R2
     _traj: Trajectory = field(repr=False, default=None)
-    _residual_sup: float = field(repr=False, default=math.nan)
+
+    @functools.cached_property
+    def grid(self) -> np.ndarray:
+        """0 and the shooting steps, scaled; the last step is r = 1."""
+        grid = np.concatenate(([0.0], np.exp(self._traj.rho) / self.lam))
+        grid[-1] = 1.0
+        return grid
 
     def _unscaled(self, r):
         """The unscaled radii lam r of scaled radii r in [0, 1]."""
@@ -707,15 +701,6 @@ class RadialSolution:
             u, = self._traj._state(mid, rows=1)
             cells.append((steps[j] / split, _exp(_ln_fp(self.p, u, mid))))
         return cells
-
-    def residual_sup(self) -> float:
-        """Normalized interpolated residual over the trajectory up to r = 1.
-
-        The normalization makes the figure invariant under the rescale, so it
-        bounds the defect of the scaled solution as well. solve_nodal computes
-        it once and rejects a solution where it reaches 1e-7 or is nan.
-        """
-        return self._residual_sup
 
 
 _LN_RMAX_CAP = 345.0  # keep r^2 representable in float64
@@ -764,10 +749,10 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
             )
         ln_rmax = min(1.5 * ln_rmax, _LN_RMAX_CAP)
 
-    (rho1, d1), (rho2, d2) = traj.zeros[0], traj.zeros[1]
-    if not (d1 < 0 < d2):
-        raise SolverError(f"unexpected crossing directions at p={p}: {traj.zeros} "
-                          "(ln r, direction)")
+    (rho1, _, w1), (rho2, _, w2) = traj.zeros
+    if not (w1 < 0 < w2):
+        raise SolverError(f"unexpected crossing directions at p={p}: r u' = "
+                          f"{w1:.6e}, {w2:.6e} at the two zeros")
     lam = math.exp(rho2)
     ln_kappa = 2.0 / (p - 1.0) * math.log(lam)
     if ln_kappa > _LN_FLOAT_MAX:
@@ -783,9 +768,9 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
 
     r_p = math.exp(rho1) / lam
     positive, negative = ("positive", 0.0, r_p), ("negative", r_p, 1.0)
-    critical = scaled(traj.critical)
+    critical = scaled(traj.critical[:, 0])
     j = _unique_event(critical, negative, "u", SolverError)
-    u_min = kappa * float(traj.event_states[1][j, 0])
+    u_min = kappa * float(traj.critical[j, 1])
 
     u1 = kappa * float(traj.u[-1])
     if not abs(u1) < _U1_BOUND:
@@ -810,10 +795,10 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
     # f_p vanishes at both ends of each nodal interval, so its one critical
     # point there is the maximizer. f_p is invariant under the rescale: its
     # maxima are p |u|^(p-1) r^2 of the unscaled event states, in log form
-    fp_radii = scaled(traj.fp_critical)
+    fp_radii = scaled(traj.fp_critical[:, 0])
     idx = [_unique_event(fp_radii, interval, "f_p", UnimodalityError)
            for interval in (positive, negative)]
-    rho_fp, u_fp = np.asarray(traj.fp_critical)[idx], traj.event_states[2][idx, 0]
+    rho_fp, u_fp, _ = traj.fp_critical[idx].T
     max_plus, max_minus = np.exp(_ln_fp(p, u_fp, rho_fp)).tolist()
     c_p, d_p = fp_radii[idx].tolist()
 
@@ -823,14 +808,12 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
             f"interpolated ODE residual {residual:.3e} exceeds the bound "
             f"{_RESIDUAL_BOUND:g} at p={p}, N={N}"
         )
-    grid = np.concatenate(([0.0], np.exp(traj.rho) / lam))
-    grid[-1] = 1.0
     return RadialSolution(
-        p=p, N=N, grid=grid,
+        p=p, N=N,
         u0=kappa, r_p=r_p, s_p=float(critical[j]), u_min=u_min,
         c_p=c_p, d_p=d_p, max_plus=max_plus, max_minus=max_minus,
-        du_zeros=int(np.count_nonzero(critical < 1.0)),
-        lam=lam, _traj=traj, _residual_sup=residual,
+        du_zeros=int(np.count_nonzero(critical < 1.0)), residual_sup=residual,
+        lam=lam, _traj=traj,
     )
 
 

@@ -69,7 +69,7 @@ def test_criterion_shooting_contract(nodal):
     for p in (2.0, 3.0, 5.0, 10.0, 50.0, 100.0, 400.0):
         sol = nodal(p)
         worst_bc = max(worst_bc, abs(sol.eval(1.0)[0]))
-        worst_res = max(worst_res, sol.residual_sup())
+        worst_res = max(worst_res, sol.residual_sup)
         signs = np.sign(sol.eval(sol.grid[(sol.grid > 0) & (sol.grid < 1)])[0])
         ok &= int(np.sum(signs[:-1] * signs[1:] < 0)) == 1
     _report(

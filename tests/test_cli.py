@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import lanemorse
-from lanemorse import cli
+from lanemorse import cli, spectral
 from lanemorse.cli import (
+    EXIT_CHECK,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SOLVER,
@@ -128,6 +130,23 @@ def test_sweep_keeps_rows_after_an_error():
     assert [row["p"] for row in rows] == [1.001, 5.0]
     assert rows[0]["status"].startswith("error: p=1.001 is too close to 1")
     assert rows[1]["status"] == "ok" and rows[1]["morse_total"] == 10
+
+
+@pytest.mark.parametrize("p_list, code", [("3,5", EXIT_CHECK), ("1.001,3", EXIT_SOLVER)])
+def test_sweep_exit_code_names_an_unstable_row(monkeypatch, p_list, code):
+    # an unstable report at p = 3 exits 2, as morse does, unless another
+    # row failed to solve (p = 1.001 is past the float64 range of u(0))
+    real = spectral.morse_index
+
+    def unstable_at_3(sol):
+        rep = real(sol)
+        return dataclasses.replace(rep, stable=False) if sol.p == 3.0 else rep
+
+    monkeypatch.setattr(spectral, "morse_index", unstable_at_3)
+    got, text = run(parse_args(["sweep", "--p", p_list]))
+    assert got == code
+    rows = json.loads(text)["results"]["sweep"]
+    assert [row["status"] for row in rows if row["p"] == 3.0] == ["unstable"]
 
 
 def test_sweep_csv_format(tmp_path):

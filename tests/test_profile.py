@@ -187,17 +187,17 @@ def test_analyze_fp_reads_maxima_off_the_events(monkeypatch):
 @pytest.mark.parametrize("where", ["positive", "negative"])
 @pytest.mark.parametrize("count", [0, 2])
 def test_analyze_fp_requires_one_critical_point(nodal, monkeypatch, where, count):
-    # solve_nodal reads the f_p events (roots in ln r) of the integration it ran
+    # solve_nodal reads the f_p events ((ln r, u, w) rows) of the integration it ran
     sol = nodal(10.0)
     traj = sol._traj
-    (rho_p, _), (rho_2, _) = traj.zeros
-    (c,) = [rho for rho in traj.fp_critical if rho < rho_p]
-    (d,) = [rho for rho in traj.fp_critical if rho > rho_p]
+    rho_p, rho_2 = traj.zeros[:, 0]
+    (c,) = [row for row in traj.fp_critical if row[0] < rho_p]
+    (d,) = [row for row in traj.fp_critical if row[0] > rho_p]
     if where == "positive":
-        edited = [d] if count == 0 else [c - math.log(2.0), c, d]
+        edited = [d] if count == 0 else [c - [math.log(2.0), 0.0, 0.0], c, d]
     else:
-        edited = [c] if count == 0 else [c, d, 0.5 * (d + rho_2)]
-    bad = dataclasses.replace(traj, fp_critical=edited)
+        edited = [c] if count == 0 else [c, d, [0.5 * (d[0] + rho_2), *d[1:]]]
+    bad = dataclasses.replace(traj, fp_critical=np.array(edited))
     monkeypatch.setattr(radial, "integrate_ivp", lambda cfg: bad)
     with pytest.raises(UnimodalityError, match=f"f_p has {count} critical points on the {where}"):
         solve_nodal(10.0)

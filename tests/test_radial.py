@@ -48,7 +48,7 @@ def test_bessel_first_zero():
 
 def test_zero_initial_data():
     traj = integrate_ivp(IvpConfig(p=3.0, N=2, a=0.0, r_max=10.0))
-    assert traj.zeros == []
+    assert traj.zeros.shape == (0, 3)
     assert np.all(traj.u == 0.0)
     u, du = traj.eval(np.array([0.5, 2.0]))
     assert np.all(u == 0.0) and np.all(du == 0.0)
@@ -148,10 +148,10 @@ def test_scaling_identity(lam):
 
 def test_zeros_ordered_and_simple():
     traj = integrate_ivp(IvpConfig(p=3.0, N=2, a=1.0, r_max=1e4, max_zeros=6))
-    rhos = [z for z, _ in traj.zeros]
+    rhos = traj.zeros[:, 0].tolist()
     assert len(rhos) == 6
     assert all(a < b for a, b in zip(rhos, rhos[1:]))
-    directions = [d for _, d in traj.zeros]
+    directions = np.sign(traj.zeros[:, 2]).tolist()
     assert directions == [-1, 1, -1, 1, -1, 1]
     for rho_z in rhos:
         _, du = traj.eval(math.exp(rho_z))
@@ -175,10 +175,8 @@ def test_a_zero_of_u_prime_before_r_p_is_named(nodal, monkeypatch):
     # ran: a critical point on (0, r_p) means u does not decrease there; the
     # one added here lies at half the first zero's radius
     traj = nodal(10.0)._traj
-    zeros, critical, fp_critical = traj.event_states
-    bad = dataclasses.replace(
-        traj, critical=[traj.zeros[0][0] - math.log(2.0), *traj.critical],
-        event_states=(zeros, np.vstack(([0.5, -0.1], critical)), fp_critical))
+    added = [traj.zeros[0, 0] - math.log(2.0), 0.5, -0.1]
+    bad = dataclasses.replace(traj, critical=np.vstack((added, traj.critical)))
     monkeypatch.setattr(radial, "integrate_ivp", lambda cfg: bad)
     with pytest.raises(SolverError, match=r"u' vanishes at r=.* on \(0, r_p=.*\): u is not decreasing"):
         solve_nodal(10.0)
@@ -189,10 +187,9 @@ def test_a_minimum_outside_minus_u0_to_0_is_named(nodal, monkeypatch, u_min):
     # the unscaled u(0) is 1: a minimum below -1 would be the sup norm, one
     # at 0 leaves no negative nodal region
     traj = nodal(10.0)._traj
-    zeros, critical, fp_critical = traj.event_states
-    critical = critical.copy()
-    critical[:, 0] = u_min
-    bad = dataclasses.replace(traj, event_states=(zeros, critical, fp_critical))
+    critical = traj.critical.copy()
+    critical[:, 1] = u_min
+    bad = dataclasses.replace(traj, critical=critical)
     monkeypatch.setattr(radial, "integrate_ivp", lambda cfg: bad)
     with pytest.raises(SolverError, match=r"u\(0\)=.* is not the sup norm of a sign-changing u"):
         solve_nodal(10.0)
@@ -200,7 +197,7 @@ def test_a_minimum_outside_minus_u0_to_0_is_named(nodal, monkeypatch, u_min):
 
 def test_nodal_residual_invariant(nodal):
     for p in (3.0, 7.5):
-        assert nodal(p).residual_sup() < 1e-7
+        assert nodal(p).residual_sup < 1e-7
 
 
 def test_nodal_self_consistency(nodal, monkeypatch):
@@ -251,7 +248,7 @@ def test_nodal_N3():
     sol = solve_nodal(3.0, N=3)
     assert abs(sol.eval(1.0)[0]) < 1e-9
     assert sol.u_min < 0 < sol.u0
-    assert sol.residual_sup() < 1e-7
+    assert sol.residual_sup < 1e-7
 
 
 def test_large_p_solve_emits_no_warning():
@@ -291,18 +288,20 @@ def test_dense_eval_matches_ode_solution(nodal, p):
 
 @pytest.mark.parametrize("p, N", [(400.0, 2), (4.9999, 3)])
 def test_the_trajectory_keeps_the_integrators_variables(monkeypatch, p, N):
-    # the steps (rho, w) and the event roots are stored as _dormand_prince
-    # returned them, and the Hermite data reads the stored arrays; at
-    # p = 4.9999, N = 3 the second of two integrations is the one kept
+    # the steps (rho, w) and the (root, u, w) event rows are stored as
+    # _dormand_prince returned them, and the Hermite data reads the stored
+    # arrays; at p = 4.9999, N = 3 the second of two integrations is the
+    # one kept
     runs = []
     real = radial._dormand_prince
     monkeypatch.setattr(radial, "_dormand_prince",
                         lambda *args, **kwargs: runs.append(real(*args, **kwargs)) or runs[-1])
     traj = solve_nodal(p, N)._traj
-    ts, _, ws, t_events, *_ = runs[-1]
+    ts, _, ws, tables, *_ = runs[-1]
     assert np.array_equal(traj.rho, ts) and np.array_equal(traj.w, ws)
-    assert [rho for rho, _ in traj.zeros] == t_events[0]
-    assert (traj.critical, traj.fp_critical) == (t_events[1], t_events[2])
+    for table, rows in zip((traj.zeros, traj.critical, traj.fp_critical), tables):
+        assert rows and all(len(row) == 3 for row in rows)
+        assert [tuple(row) for row in table.tolist()] == rows
     data = traj._hermite_data
     assert data[0] is traj.rho and data[2] is traj.w
 
@@ -388,14 +387,13 @@ def test_stepper_matches_scipy_rk45(p, N):
     # r u' at p = 760 differs by 1.9e-11 of its peak, after the first zero
     w_ref = ref.y[1]
     assert np.max(np.abs(np.exp(ref.t) * du - w_ref)) <= 3e-11 * np.max(np.abs(w_ref))
-    events = ([z for z, _ in traj.zeros], traj.critical, traj.fp_critical)
-    for mine, theirs, states, ref_states in zip(events, ref.t_events,
-                                                traj.event_states, ref.y_events):
-        assert len(mine) == len(theirs) == len(states)
+    events = (traj.zeros, traj.critical, traj.fp_critical)
+    for table, theirs, ref_states in zip(events, ref.t_events, ref.y_events):
+        assert len(table) == len(theirs)
         # roots in ln r to 1e-11: the radii to 1e-11 relative
-        assert np.allclose(mine, theirs, rtol=0.0, atol=1e-11)
-        if len(states):
-            assert np.allclose(states, ref_states, rtol=0.0,
+        assert np.allclose(table[:, 0], theirs, rtol=0.0, atol=1e-11)
+        if len(table):
+            assert np.allclose(table[:, 1:], ref_states, rtol=0.0,
                                atol=1e-11 * np.max(np.abs(w_ref)))
 
 
@@ -446,7 +444,7 @@ def test_stepper_is_pinned_bit_for_bit(nodal, p, N):
     scalars, steps, *radii = STEPPER_PINS[p, N]
     assert tuple(x.hex() for x in (sol.r_p, sol.s_p, sol.u0, sol.u_min)) == scalars
     assert len(traj.rho) == steps
-    got = ([rho for rho, _ in traj.zeros], traj.critical, traj.fp_critical)
+    got = (traj.zeros[:, 0], traj.critical[:, 0], traj.fp_critical[:, 0])
     assert [[math.exp(rho).hex() for rho in rhos] for rhos in got] == radii
 
 
@@ -476,7 +474,7 @@ HIGH_DIMENSION = [(2.0, 5), (1.5, 6), (1.5, 7), (1.3, 8)]
 def test_shooting_ladder_meets_the_contract(nodal, p, N):
     sol = nodal(p, N)
     traj = sol._traj
-    assert sol.residual_sup() < 1e-7
+    assert sol.residual_sup < 1e-7
     if (p, N) in CAPPED_COUNTS:
         nodes, rhs_evals = CAPPED_COUNTS[p, N]
         assert len(traj.rho) <= nodes and traj.rhs_evals <= rhs_evals
@@ -499,7 +497,7 @@ def test_solve_computes_the_residual_once(monkeypatch):
     monkeypatch.setattr(Trajectory, "residual_sup",
                         lambda traj: calls.append(traj) or real(traj))
     sol = solve_nodal(3.0)
-    assert sol.residual_sup() == sol.residual_sup() < 1e-7
+    assert sol.residual_sup < 1e-7
     assert calls == [sol._traj]
 
 

@@ -855,7 +855,7 @@ def test_k1_ledger_row_is_the_sturm_count(nodal, p, N):
     # u' vanishes once in (0, 1), at s_p, so exactly one k = 1 pair
     # contributes, whichever side of the tie window beta_2 + (N-1) falls
     sol = nodal(p, N)
-    assert [math.exp(rho) / sol.lam for rho in sol._traj.critical] == pytest.approx(
+    assert [math.exp(rho) / sol.lam for rho in sol._traj.critical[:, 0]] == pytest.approx(
         [sol.s_p], rel=1e-15)
     rep = morse_index(sol)
     assert [e.i for e in rep.ledger if e.k == 1 and e.contributes] == [1]
