@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 _SPECTRAL_NAMES = (
     "AnnulusEigenProblem", "AnnulusBetas", "MorseReport", "LedgerEntry",
     "build_problem", "count_negative", "weighted_radial_eigs", "annulus_betas",
-    "sphere_spectrum", "morse_index",
+    "sphere_spectrum", "morse_index", "prufer_counts",
 )
 _LIMITS_NAMES = (
     "REFERENCE_ELL", "LimitConstants", "TestFunctionSpec", "QuotientParts",

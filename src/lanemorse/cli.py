@@ -182,10 +182,12 @@ def _morse_record(sol) -> dict:
     from .spectral import morse_index
 
     rep = morse_index(sol)
+    ann = rep.annulus
+    beta1, beta2, beta3 = (float(b) for b in ann.betas)
     return {
         "p": rep.p, "N": rep.N,
-        "beta1": rep.beta1, "beta2": rep.beta2, "beta3": rep.beta3,
-        "m_rad": rep.m_rad,
+        "beta1": beta1, "beta2": beta2, "beta3": beta3,
+        "m_rad": ann.m_rad,
         "total": rep.total,
         "ledger": rep.contributions,
         "ledger_detail": [
@@ -194,7 +196,7 @@ def _morse_record(sol) -> dict:
              "boundary": e.boundary}
             for e in rep.ledger
         ],
-        "inner": rep.inner, "M": rep.M,
+        "inner": ann.inner, "M": ann.M,
         "stable": rep.stable,
         "stability_totals": list(rep.stability_totals),
         "anchors": {k: ANCHORS[k] for k in

@@ -686,21 +686,22 @@ class RadialSolution:
             rho = np.log(self._unscaled(r))
         return _ln_fp(self.p, self._traj._state(rho, rows=1)[0], rho)
 
-    def fp_cells(self, *splits: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """f_p on the shooting steps, each cut into `split` equal cells.
+    def fp_cells(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """f_p on the shooting steps and on their 2-fold split.
 
-        Per split, (cell widths in t = ln r, f_p at the cell midpoints), read
-        off the unscaled trajectory like ln_fp.
+        Per cell set, (cell widths in t = ln r, f_p at the cell midpoints),
+        read off the unscaled trajectory like ln_fp. The split gives each
+        Pruefer count its margin check (`spectral.prufer_counts`).
         """
         rho = self._traj.rho
         steps = np.diff(rho)
         cells = []
-        for split in splits:
+        for split in (1, 2):
             j = np.repeat(np.arange(len(steps)), split)
             mid = rho[j] + np.tile((np.arange(split) + 0.5) / split, len(steps)) * steps[j]
             u, = self._traj._state(mid, rows=1)
             cells.append((steps[j] / split, _exp(_ln_fp(self.p, u, mid))))
-        return cells
+        return tuple(cells)
 
 
 _LN_RMAX_CAP = 345.0  # keep r^2 representable in float64

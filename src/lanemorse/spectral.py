@@ -48,10 +48,11 @@ Every eigenvalue count is the one Sturm count `count_negative` (stebz with
 a tolerance as wide as its interval): the certificate and the negative count
 m_rad of the M grid.
 
-The ledger total is confirmed without a matrix (`prufer_counts`): sphere
-mode k has as many negative eigenvalues as its regular solution of
+The ledger is confirmed mode by mode without a matrix (`prufer_counts`):
+sphere mode k has as many negative eigenvalues as its regular solution of
 y'' + (f - (alpha+k)^2) y = 0 has zeros in (0, 1), counted by the Pruefer
-angle on the shooting steps; k = 1 takes the zeros of u'. Each cell maps
+angle on the shooting steps; k = 1 takes the zeros of u'. The report is
+stable when these per-mode counts equal the ledger's. Each cell maps
 (y', y) linearly, so one mode's walks over the steps and over their 2-fold
 split are one lower-banded forward substitution (BLAS tbsv).
 """
@@ -177,7 +178,6 @@ class AnnulusEigenProblem:
     nodes (i + 1/2) k, i = 0..M. alpha = (N-2)/2 is the symmetrization shift.
     """
 
-    N: int
     inner: float
     M: int
     t_nodes: np.ndarray
@@ -223,7 +223,7 @@ class AnnulusEigenProblem:
         if self.M % 2 == 0 or self.M < 5:
             raise ConfigError(f"an {self.M}-node grid has no nested coarse grid")
         return AnnulusEigenProblem(
-            N=self.N, inner=self.inner, M=(self.M - 1) // 2,
+            inner=self.inner, M=(self.M - 1) // 2,
             t_nodes=self.t_nodes[1::2], q=self.q[1::2], alpha=self.alpha,
             dt_ds=self.dt_ds[1::2], dt_ds_half=self.dt_ds[0::2],
         )
@@ -238,7 +238,7 @@ def mapped_problem(gmap: LogGridMap, N: int, M: int, potential) -> AnnulusEigenP
     t, dt_ds = gmap(np.arange(1, 2 * M + 2) / (2.0 * (M + 1)))
     t_nodes = t[1::2]
     return AnnulusEigenProblem(
-        N=N, inner=gmap.inner, M=M, t_nodes=t_nodes, q=potential(t_nodes),
+        inner=gmap.inner, M=M, t_nodes=t_nodes, q=potential(t_nodes),
         alpha=0.5 * (N - 2), dt_ds=dt_ds[1::2], dt_ds_half=dt_ds[0::2],
     )
 
@@ -412,20 +412,19 @@ class LedgerEntry:
 
 @dataclass
 class MorseReport:
-    """Radial eigenvalues, per-mode contributions and the total Morse index."""
+    """The ledger of one solution's annulus and its Morse index.
+
+    stability_totals is (ledger total, Pruefer total); stable is whether the
+    two counts agree on every sphere mode.
+    """
 
     p: float
     N: int
-    beta1: float
-    beta2: float
-    beta3: float
-    m_rad: int
+    annulus: AnnulusBetas
     ledger: list[LedgerEntry]
     total: int
-    inner: float
-    M: int
-    stable: bool = True
-    stability_totals: tuple[int, ...] = ()
+    stable: bool
+    stability_totals: tuple[int, int]
 
     @property
     def contributions(self) -> list[int]:
@@ -491,8 +490,7 @@ def annulus_betas(sol: RadialSolution, inner: float | None = None,
                         m_rad=count_negative(coarse))
 
 
-def _assemble_ledger(N: int, betas_neg: list[tuple[int, float]]
-                     ) -> tuple[list[LedgerEntry], int]:
+def _assemble_ledger(N: int, betas_neg: list[tuple[int, float]]) -> list[LedgerEntry]:
     """Combine negative radial eigenvalues with the sphere spectrum.
 
     betas_neg is [(i, beta_i)] for the negative radial eigenvalues. For each,
@@ -502,7 +500,6 @@ def _assemble_ledger(N: int, betas_neg: list[tuple[int, float]]
     flagged.
     """
     entries: list[LedgerEntry] = []
-    total = 0
     for i, beta in sorted(betas_neg, key=lambda t: -t[1]):
         k = 0
         while True:
@@ -516,9 +513,8 @@ def _assemble_ledger(N: int, betas_neg: list[tuple[int, float]]
             ))
             if not contributes:
                 break
-            total += mult
             k += 1
-    return entries, total
+    return entries
 
 
 def _cell_maps(h: np.ndarray, c: np.ndarray
@@ -588,8 +584,9 @@ def prufer_counts(sol: RadialSolution) -> list[int]:
     one banded solve for both cell sets (`_prufer_angles`). A theta_k(1)
     that is not finite, or a margin (theta_k(1)/pi to the nearest integer)
     not above its change under a 2-fold cell split, raises SolverError.
+    `morse_index` compares the list with the ledger's, mode by mode.
     """
-    cells = sol.fp_cells(1, 2)
+    cells = sol.fp_cells()
     counts: list[int] = []
     while not counts or counts[-1] > 0:
         k = len(counts)
@@ -620,10 +617,10 @@ def morse_index(sol: RadialSolution, inner: float | None = None,
 
     Takes beta_1..beta_3 from one `annulus_betas(sol, inner, M)` call,
     checks that only two are negative (m_rad, the Sturm count of the M grid)
-    and sums the multiplicities of the spherical modes k with
-    beta_i + lambda_k < 0; the k = 1 row must match the zeros of u', else
-    SolverError. A Pruefer total (`prufer_counts`) other than the ledger
-    total, or Z_0 other than m_rad, is reported (stable=False).
+    and ledgers the spherical modes k with beta_i + lambda_k < 0. The
+    report is stable when the ledger's count of contributing beta_i per mode
+    k, to the first mode with none, equals the Pruefer counts Z_k
+    (`prufer_counts`); each total is sum_k mult(lambda_k) Z_k over its counts.
     """
     ann = annulus_betas(sol, inner, M)
     betas = ann.betas
@@ -636,19 +633,11 @@ def morse_index(sol: RadialSolution, inner: float | None = None,
     if betas[2] < -LEDGER_TIE_EPS:
         raise SolverError(f"third radial eigenvalue is negative: {betas[2]:.3e}")
 
-    ledger, total = _assemble_ledger(sol.N, [(1, float(betas[0])), (2, float(betas[1]))])
-    # u' is the regular k = 1 solution, so by Sturm oscillation its zeros in
-    # (0, 1) count the k = 1 negative eigenvalues: exact at the beta_2 + (N-1) tie
-    k1 = sum(e.contributes for e in ledger if e.k == 1)
-    if k1 != sol.du_zeros:
-        raise SolverError(f"ledger has {k1} contributing k=1 entries but u' has "
-                          f"{sol.du_zeros} zeros in (0, 1) (Sturm count)")
-    prufer_total = sum(sphere_mode_multiplicity(sol.N, k) * z for k, z in enumerate(counts))
-
-    return MorseReport(
-        p=sol.p, N=sol.N,
-        beta1=float(betas[0]), beta2=float(betas[1]), beta3=float(betas[2]),
-        m_rad=ann.m_rad, ledger=ledger, total=total, inner=ann.inner, M=ann.M,
-        stable=prufer_total == total and counts[0] == ann.m_rad,
-        stability_totals=(total, prufer_total),
-    )
+    ledger = _assemble_ledger(sol.N, [(1, float(betas[0])), (2, float(betas[1]))])
+    # beta_1 has the most modes, and its last entry is the first mode with none
+    ledger_counts = [sum(e.contributes for e in ledger if e.k == k)
+                     for k in range(max(e.k for e in ledger) + 1)]
+    totals = tuple(sum(sphere_mode_multiplicity(sol.N, k) * z for k, z in enumerate(c))
+                   for c in (ledger_counts, counts))
+    return MorseReport(p=sol.p, N=sol.N, annulus=ann, ledger=ledger, total=totals[0],
+                       stable=ledger_counts == counts, stability_totals=totals)

@@ -242,7 +242,7 @@ def test_morse_reports_the_ledger_and_pruefer_totals():
 
 
 def test_solve_builds_no_pruefer_cells(monkeypatch):
-    def refuse(*splits):
+    def refuse(self):
         raise AssertionError("solve built Pruefer cells")
 
     monkeypatch.setattr(RadialSolution, "fp_cells", refuse)
@@ -319,6 +319,16 @@ def test_cli_import_leaves_the_limit_modules_unloaded():
     ))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "11 True", "[(0, 1), (1, 2)] True"]
+
+
+def test_every_exported_name_resolves():
+    # each name in __all__ is an attribute of the package, lazy ones included,
+    # and prufer_counts, the route that confirms the ledger, is one of them
+    from lanemorse import spectral
+
+    missing = [name for name in lanemorse.__all__ if not hasattr(lanemorse, name)]
+    assert missing == []
+    assert lanemorse.prufer_counts is spectral.prufer_counts
 
 
 def test_exit_codes_via_entry_point():

@@ -21,7 +21,7 @@ from lanemorse import (
     sphere_spectrum,
     weighted_radial_eigs,
 )
-from lanemorse import radial, spectral
+from lanemorse import cli, radial, spectral
 from lanemorse.cli import EXIT_CHECK, main
 from lanemorse.spectral import (
     AnnulusEigenProblem,
@@ -47,7 +47,7 @@ def free_problem(N, inner, M, q=None):
     L = -math.log(inner)
     t = -L + L / (M + 1) * np.arange(1, M + 1)
     qq = np.zeros(M) if q is None else np.asarray(q, dtype=float)
-    return AnnulusEigenProblem(N=N, inner=inner, M=M, t_nodes=t, q=qq,
+    return AnnulusEigenProblem(inner=inner, M=M, t_nodes=t, q=qq,
                                alpha=0.5 * (N - 2), dt_ds=np.full(M, L),
                                dt_ds_half=np.full(M + 1, L))
 
@@ -169,7 +169,7 @@ def test_inner_rule_is_not_clamped(nodal):
     sol = nodal(765.0)
     assert auto_inner_radius(sol) == scales(sol).eps_plus ** 2 < 1e-300
     rep = morse_index(sol)
-    assert rep.inner == auto_inner_radius(sol)
+    assert rep.annulus.inner == auto_inner_radius(sol)
     assert rep.total == 12 and rep.stable
 
 
@@ -320,7 +320,7 @@ def test_the_smallest_inner_radii_keep_working(nodal):
     ann = annulus_betas(sol, 5e-324)
     assert ann.m_rad == 2 and np.all(np.isfinite(ann.betas))
     rep = morse_index(sol, inner=5e-324)
-    assert rep.inner == 5e-324 and rep.m_rad == 2 and rep.stable
+    assert rep.annulus.inner == 5e-324 and rep.annulus.m_rad == 2 and rep.stable
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +443,8 @@ def test_the_fine_grid_is_certified_at_the_band_ends(nodal, monkeypatch, p, N):
     monkeypatch.setattr(spectral, "eigvalsh_tridiagonal", counted)
     rep = morse_index(nodal(p, N))
     assert rep.stable
-    assert selects == {rep.M: ["i", "v"], 2 * rep.M + 1: ["v"]}
+    M = rep.annulus.M
+    assert selects == {M: ["i", "v"], 2 * M + 1: ["v"]}
 
 
 def test_seeds_must_match_the_requested_count(nodal):
@@ -508,22 +509,22 @@ def test_sphere_multiplicity_recursion(N, k):
 def test_ledger_arithmetic_window(b1, b2):
     # whenever beta_1 is in (-36, -25) and beta_2 in (-1, 0) the planar
     # ledger must read 1 + 1 + 2*5 = 12
-    ledger, total = _assemble_ledger(2, [(1, b1), (2, b2)])
-    assert total == 12
+    ledger = _assemble_ledger(2, [(1, b1), (2, b2)])
+    assert sum(e.mult for e in ledger if e.contributes) == 12
     assert [e.mult for e in ledger if e.contributes] == [1, 1, 2, 2, 2, 2, 2]
 
 
 def test_ledger_tie_handling():
     # a sum inside the tie window counts as nonnegative and is flagged
-    ledger, total = _assemble_ledger(2, [(1, -26.0), (2, -1.0 + 1e-12)])
-    assert total == 12
+    ledger = _assemble_ledger(2, [(1, -26.0), (2, -1.0 + 1e-12)])
+    assert sum(e.mult for e in ledger if e.contributes) == 12
     boundary = [e for e in ledger if e.boundary]
     assert len(boundary) == 1 and boundary[0].i == 2 and boundary[0].k == 1
 
 
 def test_morse_report_moderate_p(nodal):
     rep = morse_index(nodal(5.0))
-    assert rep.m_rad == 2
+    assert rep.annulus.m_rad == 2
     assert rep.total >= rep.N + 2
     assert rep.stable
 
@@ -558,10 +559,10 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     calls = record_bisections(monkeypatch)
     rep = morse_index(sol)
     assert rep.stable
-    M = rep.M
+    inner, M = rep.annulus.inner, rep.annulus.M
     assert problems == [2 * M + 1] and samples == [2 * M + 1]
-    assert grids == [(rep.inner, M, 3), (rep.inner, 2 * M + 1, 3)]
-    assert scans == [(rep.inner, 2 * M + 1), (rep.inner, M)]
+    assert grids == [(inner, M, 3), (inner, 2 * M + 1, 3)]
+    assert scans == [(inner, 2 * M + 1), (inner, M)]
     assert calls == [("i", 3), ("v", 3), ("v", 2)]
     assert diagonals == offdiagonals == [M, 2 * M + 1]
 
@@ -590,6 +591,16 @@ def test_a_prufer_disagreement_is_reported(nodal, monkeypatch):
         assert main(["morse", "--p", "5", "--out", os.devnull]) == EXIT_CHECK
 
 
+def test_a_per_mode_disagreement_with_equal_totals_is_unstable(nodal, monkeypatch):
+    # the ledger counts [2, 1, 1, 1, 1, 0] per mode at p = 5; a Pruefer vector
+    # with the same total and the same Z_0 still disagrees on modes 3 and 4
+    sol = nodal(5.0)
+    monkeypatch.setattr(spectral, "prufer_counts", lambda sol: [2, 1, 1, 2, 0])
+    rep = morse_index(sol)
+    assert rep.stable is False and rep.stability_totals == (10, 10)
+    assert main(["morse", "--p", "5", "--out", os.devnull]) == EXIT_CHECK
+
+
 def test_a_thin_prufer_margin_is_an_error(nodal, monkeypatch):
     # theta_0(1)/pi moved to 1e-9 above an integer on the unsplit cells: the
     # 2-fold split moves it by far more, so the count is not trusted
@@ -612,8 +623,8 @@ def test_a_non_finite_prufer_angle_names_the_mode(nodal, monkeypatch):
     sol = nodal(5.0)
     real = radial.RadialSolution.fp_cells
 
-    def poisoned(self, *splits):
-        (h, f), *rest = real(self, *splits)
+    def poisoned(self):
+        (h, f), *rest = real(self)
         f = f.copy()
         f[len(f) // 2] = np.nan
         return [(h, f), *rest]
@@ -698,7 +709,7 @@ def test_the_banded_walk_is_the_per_cell_walk(nodal, p, N):
     # every (mode, split) that prufer_counts walks: the same zero count and
     # end angle as the per-cell reference, up to the order of the rounding
     sol = nodal(p, N)
-    cells = sol.fp_cells(1, 2)
+    cells = sol.fp_cells()
     walked = 0
     for k in range(len(prufer_counts(sol))):
         s = 0.5 * (N - 2) + k
@@ -764,7 +775,8 @@ def counted_and_reference(sol, inner, M, start):
     fine = build_problem(sol, inner, 2 * M + 1)
     coarse = weighted_radial_eigs(fine.coarsened(), 2)
     betas = (4.0 * weighted_radial_eigs(fine, 2) - coarse) / 3.0
-    _, reference = _assemble_ledger(sol.N, [(1, float(betas[0])), (2, float(betas[1]))])
+    ledger = _assemble_ledger(sol.N, [(1, float(betas[0])), (2, float(betas[1]))])
+    reference = sum(e.mult for e in ledger if e.contributes)
     return counted_total(sol.N, fine, coarse, start), reference
 
 
@@ -776,14 +788,15 @@ def test_counted_total_matches_the_value_ledger(nodal, main_reports, p, N, M, st
     # totals above and below the main one, from starts near and far
     rep = main_reports(p, N)
     K = {"ledger": ledger_K(rep), "zero": [0, 0], "nine": [9, 9]}[start]
-    counted, reference = counted_and_reference(nodal(p, N), rep.inner, M, K)
+    counted, reference = counted_and_reference(nodal(p, N), rep.annulus.inner, M, K)
     assert counted == reference
 
 
 def test_counted_total_follows_a_moved_ledger(nodal, main_reports):
     # at p = 400 the M = 20 pair moves beta_1 to about -42: total 16, not 12
     rep = main_reports(400.0, 2)
-    counted, reference = counted_and_reference(nodal(400.0), rep.inner, 20, ledger_K(rep))
+    counted, reference = counted_and_reference(nodal(400.0), rep.annulus.inner, 20,
+                                               ledger_K(rep))
     assert counted == reference == 16 != rep.total
 
 
@@ -797,7 +810,7 @@ PRUFER_CASES = [(4.0, 2), (9.0, 2), (14.0, 2), (1.8, 3), (3.3, 3), (380.0, 2), (
 def test_prufer_total_is_the_ledger_total(nodal, main_reports, p, N):
     rep = main_reports(p, N)
     counts = prufer_counts(nodal(p, N))
-    assert counts[0] == rep.m_rad == 2 and counts[-1] == 0
+    assert counts[0] == rep.annulus.m_rad == 2 and counts[-1] == 0
     assert rep.stability_totals == (rep.total, rep.total) and rep.stable
     ledger_counts = [sum(e.contributes for e in rep.ledger if e.k == k)
                      for k in range(len(counts))]
@@ -808,7 +821,7 @@ def test_morse_report_three_dimensional(nodal):
     # the decomposition machinery is dimension-generic: lambda_k = k(k+1)
     # with multiplicities 2k+1 on the two-sphere
     rep = morse_index(nodal(3.0, N=3))
-    assert rep.m_rad == 2
+    assert rep.annulus.m_rad == 2
     assert rep.total >= 5  # N + 2
     assert all(e.mult == 2 * e.k + 1 for e in rep.ledger)
 
@@ -817,15 +830,15 @@ def test_morse_report_p400(nodal):
     rep = morse_index(nodal(400.0))
     assert rep.total == 12
     assert rep.contributions == [1, 1, 2, 2, 2, 2, 2]
-    assert rep.m_rad == 2
-    assert -36.0 < rep.beta1 < -25.0
+    assert rep.annulus.m_rad == 2
+    assert -36.0 < rep.annulus.betas[0] < -25.0
     assert rep.stable
     assert rep.stability_totals == (12, 12)
 
 
 def test_morse_index_p400_matches_anchors(nodal):
     rep = morse_index(nodal(400.0))
-    got = (rep.beta1, rep.beta2, rep.beta3)
+    got = tuple(float(b) for b in rep.annulus.betas)
     for value, anchor, tol in zip(got, P400_BETAS, (5e-8, 5e-9, 5e-8)):
         assert abs(value - anchor) <= tol, (value, anchor)
     assert rep.total == 12
@@ -846,7 +859,8 @@ def test_morse_index_p400_bisects_few_rows(nodal, monkeypatch):
     monkeypatch.setattr(spectral, "eigvalsh_tridiagonal", counted)
     rep = morse_index(nodal(400.0))
     assert rep.total == 12
-    assert sorted(selects) == [rep.M, 2 * rep.M + 1] and rep.M < 4_300, selects
+    M = rep.annulus.M
+    assert sorted(selects) == [M, 2 * M + 1] and M < 4_300, selects
     assert [selects[rows] for rows in sorted(selects)] == [{"i", "v"}, {"v"}]
 
 
@@ -862,8 +876,12 @@ def test_k1_ledger_row_is_the_sturm_count(nodal, p, N):
 
 
 @pytest.mark.parametrize("edit", ["extra", "missing"])
-def test_morse_index_rejects_a_wrong_sturm_count(nodal, edit):
-    count = 2 if edit == "extra" else 0
+def test_morse_index_rejects_a_wrong_sturm_count(nodal, monkeypatch, edit):
+    # Z_1 is the zero count of u': one other than the ledger's k = 1 row is a
+    # per-mode disagreement like any other, reported unstable (exit 2)
+    count, prufer_total = (2, 14) if edit == "extra" else (0, 2)
     bad = dataclasses.replace(nodal(50.0), du_zeros=count)
-    with pytest.raises(SolverError, match=f"1 contributing k=1 entries but u' has {count} zeros"):
-        morse_index(bad)
+    rep = morse_index(bad)
+    assert rep.stable is False and rep.stability_totals == (12, prufer_total)
+    monkeypatch.setattr(cli, "solve_nodal", lambda p, N: bad)
+    assert main(["morse", "--p", "50", "--out", os.devnull]) == EXIT_CHECK
