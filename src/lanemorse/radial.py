@@ -18,11 +18,15 @@ trajectory spans at large p need no step with h/r >> 1, and the (N-1)/r
 origin singularity disappears. The Trajectory keeps these variables;
 solve_nodal forms the radii it reports, and eval() reads u and u' at radii.
 
-The integrator is a scalar Dormand-Prince 5(4) loop (_dormand_prince) with
-the step control of SciPy's RK45: same tableau, error norm, step factors,
-minimum step and initial-step rule. Where the equation is nonlinear it also
-caps the step in rho (_MAX_LOG_STEP), which the residual bound of the
-Hermite reconstruction requires. Where the nonlinear term
+Near the origin u is the Lane-Emden power series (_origin_series, with
+J.C.P. Miller's recurrence for the coefficients of u^p), exact to rounding
+up to a radius r_s of 0.03 (p = 760) to 2.3 (p = 1.3, N = 8); solve_nodal
+starts the steps there. Past it the integrator is a scalar Dormand-Prince
+5(4) loop (_dormand_prince) with the step control of SciPy's RK45: same
+tableau, error norm, step factors, minimum step and initial-step rule.
+Where the equation is nonlinear it also caps the step in rho
+(_MAX_LOG_STEP), which the residual bound of the Hermite reconstruction
+requires. Where the nonlinear term
 e^(2 rho) |u|^(p-1) u falls below the rounding of the state, as between the
 two bubbles at large p, the equation is w' = -(N-2) w to working precision,
 which the step and the reconstruction both reproduce, and the error control
@@ -31,7 +35,7 @@ d ln f_p / d ln r) are located by Brent's method on each step's quartic
 interpolant; only the step states (rho, u, w) and one (rho, u, w) row per
 event are kept, as integrated. Every u off the steps comes from one evaluator
 (Trajectory._state): the quintic Hermite reconstruction, built once, and
-below the first step the seed model the integration starts from.
+below the first step the origin series the integration starts from (_seed).
 f_p = p |u|^(p-1) r^2 has one log form, _ln_fp.
 
 Powers |u|^(p-1) u are evaluated through logarithms, as sign(u) exp(p ln|u|),
@@ -74,6 +78,7 @@ _ABS_TOL = 1e-14        # absolute integrator tolerance on (u, w)
 _MAX_LOG_STEP = 0.075   # largest step in rho = ln r where the ODE is nonlinear
 _MAX_DECAY_STEP = 0.2   # largest (N-2) h: w decays like e^(-(N-2) rho)
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
+_CELL_DEFECT = 1e-4     # bound on h^2 f_p of a Pruefer cell below the first node
 
 
 def signed_power(u, p: float):
@@ -109,10 +114,69 @@ def _ln_fp(p: float, u, rho):
         return math.log(p) + (p - 1.0) * np.log(np.abs(u)) + 2.0 * rho
 
 
+_SERIES_TERMS = 16  # K: the origin series keeps the powers x^0 .. x^(2K)
+
+
+@functools.lru_cache(maxsize=16)
+def _origin_series(p: float, N: int):
+    """(c, d, x_s): U(x) = sum_k c_k x^(2k), x U'(x) = sum_k d_k x^(2k), k <= K.
+
+    U is the regular solution of U'' + (N-1) U'/x + U^p = 0, U(0) = 1 (the
+    Lane-Emden origin series): c_0 = 1, c_(k+1) = -b_k / (2(k+1)(2k+N)),
+    with b the coefficients of U^p, the Cauchy product of U and U^(p-1).
+    Those of U^(p-1) come from J.C.P. Miller's power recurrence
+    e_m = (1/m) sum_(j=1..m) (p j - m) c_j e_(m-j) (Knuth, TAOCP vol. 2,
+    4.7); applied to U^p directly it cancels catastrophically near p = 1.
+
+    x_s is where the last kept term, which bounds the tail (the terms fall
+    by about 1/10 each there), reaches eps relative to U or to x U': the
+    fixed point of y = x^2 = (eps min(|U|, |x U'| / 2K) / |c_K|)^(1/K), a
+    contraction by about 1/K. It is then halved until U > 0, U' < 0 and
+    (p-1) x U' + 2U > 0 at 64 points up to it, so that no shooting event
+    lies below it (at p = 1 the series reaches past the first zero of J_0).
+    Coefficients past the float64 range (p of order 1e30) raise ConfigError.
+    """
+    K = _SERIES_TERMS
+    c, e = [1.0], [1.0]
+    for m in range(K):
+        if m:
+            e.append(sum((p * j - m) * c[j] * e[m - j] for j in range(1, m + 1)) / m)
+        b = sum(e[j] * c[m - j] for j in range(m + 1))
+        c.append(-b / (2.0 * (m + 1) * (2 * m + N)))
+    d = [2.0 * k * ck for k, ck in enumerate(c)]
+    eps, c_K = sys.float_info.epsilon, abs(c[K])
+    # start where x U' = -x^2 / N, its leading term, meets the bound
+    y = (eps / (2 * K * N * c_K)) ** (1.0 / (K - 1))
+    for _ in range(6):
+        y = (eps * min(abs(_horner(c, y)), abs(_horner(d, y)) / (2 * K)) / c_K) ** (1.0 / K)
+    ys = y * np.linspace(1.0 / 64, 1.0, 64)
+    for _ in range(64):
+        U, W = _horner(c, ys), _horner(d, ys)
+        if np.all((U > 0) & (W < 0) & ((p - 1.0) * W + 2.0 * U > 0)):
+            return tuple(c), tuple(d), math.sqrt(ys[-1])
+        ys /= 2.0
+    raise ConfigError(f"the origin series has no event-free radius at p={p:g}, N={N}: "
+                      "its coefficients leave the float64 range")
+
+
+def _horner(coeffs, y):
+    """sum_k coeffs[k] y^k, for a float or an array y."""
+    total = coeffs[-1] * y
+    for ck in coeffs[-2:0:-1]:
+        total = (total + ck) * y
+    return total + coeffs[0]
+
+
 def _seed(cfg: IvpConfig, r2):
-    """Origin Taylor model (u, r u') = (a - c r2, -2 c r2), c = |a|^(p-1) a / (2N)."""
-    c = _signed_power_scalar(cfg.a, cfg.p) / (2.0 * cfg.N)
-    return cfg.a - c * r2, -2.0 * c * r2
+    """The origin series (u, w = r u') = a (U(x), x U'(x)) at r^2 = r2.
+
+    x = |a|^((p-1)/2) r, by the scaling u(r) = a U(|a|^((p-1)/2) r); exact to
+    rounding up to x_s (_origin_series). |a|^(p-1) past the float64 range
+    raises OverflowError.
+    """
+    c, d, _ = _origin_series(cfg.p, cfg.N)
+    y = abs(cfg.a) ** (cfg.p - 1.0) * r2
+    return cfg.a * _horner(c, y), cfg.a * _horner(d, y)
 
 
 @dataclass
@@ -159,8 +223,9 @@ class Trajectory:
     f_p = p |u|^(p-1) r^2. Between the steps the trajectory is the quintic
     Hermite reconstruction in rho from the step states and their first two
     rho-derivatives, taken from the ODE and built once, and below the first
-    step the seed model: _state() evaluates both, eval() reads it in r and
-    residual_sup() certifies it.
+    step the origin series: _state() evaluates both, eval() reads it in r.
+    residual_sup() certifies the reconstruction; the series is exact to
+    rounding below the start radius it accepts (_origin_series).
     """
 
     config: IvpConfig
@@ -185,8 +250,8 @@ class Trajectory:
     def _state(self, rho, rows=2):
         """The first `rows` of (u, w) at log radii rho up to the last node.
 
-        The seed model below the first node, the Hermite reconstruction from
-        it on; rows=1 evaluates u alone.
+        The origin series below the first node, the Hermite reconstruction
+        from it on; rows=1 evaluates u alone.
         """
         data = self._hermite_data
         knots = data[0]
@@ -311,11 +376,12 @@ def _ddw(u, w, dw, e2, power, p, N):
 def integrate_ivp(cfg: IvpConfig) -> Trajectory:
     """Integrate the radial IVP from r_start with zero-crossing detection.
 
-    Start values at r_start come from the seed model _seed, the origin Taylor
-    model u = a - (|a|^(p-1) a / (2N)) r^2 (regularity at the origin forces
-    u'(0) = 0; the seed error is O(r_start^4)). Integration stops at r_max or
+    Start values at r_start come from _seed, the origin power series of the
+    regular solution (u'(0) = 0), exact to rounding up to its radius x_s
+    (_origin_series, in x = |a|^((p-1)/2) r). Integration stops at r_max or
     after cfg.max_zeros zero crossings, whichever comes first. A seed or
-    start derivative outside the float64 range raises ConfigError; a step
+    start derivative outside the float64 range raises ConfigError, and so
+    does an r_start past the series radius, naming it; a step
     that cannot be taken (an overflow in every stage down to the smallest
     step) raises StiffnessError, a zero of u with |w| below 1e3 _ABS_TOL
     TangentialZeroError. The Trajectory holds what the integrator produced:
@@ -338,8 +404,16 @@ def integrate_ivp(cfg: IvpConfig) -> Trajectory:
     if not finite:
         raise ConfigError(
             f"Taylor seed at r_start={cfg.r_start:g} is not finite for a={a:g}, "
-            f"p={p:g}, N={N}: |a|^(p-1) a r_start^2 / (2N) or the start "
-            "derivative leaves the float64 range"
+            f"p={p:g}, N={N}: |a|^(p-1) r_start^2, the origin series or the "
+            "start derivative leaves the float64 range"
+        )
+    x_s = _origin_series(p, N)[2]
+    scale = abs(a) ** (0.5 * (p - 1.0))
+    if not scale * cfg.r_start <= x_s:
+        raise ConfigError(
+            f"r_start={cfg.r_start:g} lies past r={x_s / scale:.6g}, the largest "
+            f"radius at which the origin series is exact to rounding for a={a:g}, "
+            f"p={p:g}, N={N}"
         )
     ts, us, ws, tables, rejected, rhs_evals = _dormand_prince(
         p, N, rho0, rho1, u0, w0, f0, cfg.max_zeros)
@@ -574,16 +648,17 @@ def _quartic(t, h, u, w, ku, kw, pm1):
 
 
 def _brentq(fun, xa: float, xb: float) -> float:
-    """Root of fun in [xa, xb] by Brent's method, to 4 eps in x.
+    """Root of fun in [xa, xb] by Brent's method, to the nearest float.
 
     The iteration of scipy.optimize.brentq (Brent 1973, as in SciPy's C
     brentq) with xtol = rtol = 4 eps, the tolerance solve_ivp uses for
-    events. Without a sign change at the ends (the interpolant's end value
-    rounds to the other side of zero) the end nearer a root is returned.
-    The last interpolation step usually lands well inside the bracket, which
-    the terminal zero needs: the rescale by R2^(2/(p-1)) amplifies its
-    residual u, and bisection to the same bracket leaves |u(1)| = 2.2e-9 at
-    p = 1.25, past the 1e-9 shooting check.
+    events; bisection then narrows its last bracket to two adjacent floats
+    and returns the one where |fun| is smaller. Without a sign change at
+    the ends (the interpolant's end value rounds to the other side of zero)
+    the end nearer a root is returned. The terminal zero needs the last
+    float: the rescale by R2^(2/(p-1)) amplifies its residual u, and a root
+    elsewhere in the 4 eps bracket left |u(1)| = 1.8e-9 at p = 1.25, past
+    the 1e-9 shooting check, where the nearest float leaves 3.3e-10.
     """
     xpre, xcur = xa, xb
     fpre, fcur = fun(xpre), fun(xcur)
@@ -603,8 +678,21 @@ def _brentq(fun, xa: float, xb: float) -> float:
             fpre, fcur, fblk = fcur, fblk, fcur
         delta = (_EVENT_TOL + _EVENT_TOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
+        if fcur == 0:
             return xcur
+        if abs(sbis) < delta:
+            # bisect the last bracket down to adjacent floats
+            while True:
+                mid = xcur + (xblk - xcur) / 2
+                if mid == xcur or mid == xblk:
+                    return xcur if abs(fcur) <= abs(fblk) else xblk
+                fmid = fun(mid)
+                if fmid == 0:
+                    return mid
+                if (fmid < 0) == (fcur < 0):
+                    xcur, fcur = mid, fmid
+                else:
+                    xblk, fblk = mid, fmid
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # secant
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -638,7 +726,7 @@ class RadialSolution:
     bounds the defect of the scaled solution as well (solve_nodal rejects a
     solution where it reaches 1e-7 or is nan). eval() (u and u') and ln_fp()
     rescale the trajectory's one evaluator, which covers [0, 1]: below the
-    integration start it is the seed model.
+    integration start it is the origin series.
     """
 
     p: float
@@ -687,13 +775,27 @@ class RadialSolution:
         return _ln_fp(self.p, self._traj._state(rho, rows=1)[0], rho)
 
     def fp_cells(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """f_p on the shooting steps and on their 2-fold split.
+        """f_p on the Pruefer cells and on their 2-fold split.
 
-        Per cell set, (cell widths in t = ln r, f_p at the cell midpoints),
-        read off the unscaled trajectory like ln_fp. The split gives each
-        Pruefer count its margin check (`spectral.prufer_counts`).
+        The cells are the shooting steps and, below the first node, cells of
+        the series region from where f_p falls to eps. There 0 < u <= 1, so
+        f_p <= p r^2, and a cell from r to r + dr has width h <= dr / r in
+        t = ln r: with dr = sqrt(_CELL_DEFECT / p), h^2 f_p at its midpoint
+        is at most _CELL_DEFECT e^h. The cells are evenly spaced in r by
+        that dr near the first node, and evenly spaced in t, no wider than
+        _MAX_LOG_STEP, below. Per cell set, (cell widths in t, f_p at the
+        cell midpoints), read off the unscaled trajectory like ln_fp. The
+        split gives each Pruefer count its margin check
+        (`spectral.prufer_counts`).
         """
-        rho = self._traj.rho
+        first = self._traj.rho[0]
+        lo = 0.5 * math.log(sys.float_info.epsilon / self.p)
+        dr = math.sqrt(_CELL_DEFECT / self.p)
+        mid = min(math.log(dr / _MAX_LOG_STEP), first)
+        wide = np.linspace(lo, mid, math.ceil((mid - lo) / _MAX_LOG_STEP) + 1)
+        r_mid, r_first = math.exp(mid), math.exp(first)
+        narrow = np.log(np.linspace(r_mid, r_first, math.ceil((r_first - r_mid) / dr) + 1))
+        rho = np.concatenate((wide[:-1], narrow[:-1], self._traj.rho))
         steps = np.diff(rho)
         cells = []
         for split in (1, 2):
@@ -714,9 +816,11 @@ _SHOOT_RTOL = 1e-12  # the integrator's relative tolerance
 def solve_nodal(p: float, N: int = 2) -> RadialSolution:
     """Construct the least-energy sign-changing radial solution on the ball.
 
-    Shoots from a = 1, locates the second zero R2, and rescales so that it
-    lands at r = 1; by the scaling invariance the result solves the Dirichlet
-    problem with u(0) = R2^(2/(p-1)) > 0. Raises ConfigError for supercritical
+    Shoots from a = 1, starting the steps at the radius x_s up to which the
+    origin series is exact to rounding (_origin_series), locates the second
+    zero R2, and rescales so that it lands at r = 1; by the scaling
+    invariance the result solves the Dirichlet problem with
+    u(0) = R2^(2/(p-1)) > 0. Raises ConfigError for supercritical
     exponents (N >= 3, p >= (N+2)/(N-2)) and HorizonError if no second zero
     exists before the largest representable horizon. The shooting events are
     read here, once. They fix the nodal shape: u' has no zero on (0, r_p) and
@@ -735,11 +839,13 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
             f"supercritical exponent: p={p} >= (N+2)/(N-2)={(N+2)/(N-2):.4f} for N={N}"
         )
 
+    # the origin series is exact to rounding up to x_s: start the steps there
+    r_start = _origin_series(p, N)[2]
     # ln R2 grows like ~0.45 p in 2-d; start generous and extend on a miss
     ln_rmax = min(0.5 * p + 30.0, _LN_RMAX_CAP)
     while True:
         cfg = IvpConfig(
-            p=p, N=N, a=1.0, r_max=math.exp(ln_rmax), max_zeros=2,
+            p=p, N=N, a=1.0, r_start=r_start, r_max=math.exp(ln_rmax), max_zeros=2,
         )
         traj = integrate_ivp(cfg)
         if len(traj.zeros) >= 2:

@@ -642,6 +642,27 @@ def test_a_lost_radial_eigenvalue_names_both_counts(nodal):
     assert prufer_counts(nodal(1.25)) == [2, 1, 1, 0]
 
 
+def test_the_series_region_cells_carry_theta0_at_p_1_25(nodal):
+    # the shooting steps start at the series radius 1.09 (before the rescale),
+    # below which f_p still reaches about 1.3 at p = 1.25: the cells there
+    # keep theta_0(1)/pi at 2.0396, and without them it falls to 1.993, one
+    # zero short of m_rad = 2
+    sol = nodal(1.25)
+    cells = sol.fp_cells()
+    assert _prufer_angles(0.0, cells) == pytest.approx([2.039583] * 2, abs=5e-6)
+    # below the first node the cells are no wider than the step cap, a cell
+    # of width h has h^2 f_p <= 1e-4 e^h, and they start where f_p <= eps
+    n = len(sol._traj.rho) - 1
+    for (h, f), split in zip(cells, (1, 2)):
+        below = slice(0, len(h) - n * split)
+        assert np.all(h[below] <= radial._MAX_LOG_STEP / split * (1 + 1e-12))
+        assert np.sum(h) == pytest.approx(sol._traj.rho[-1] - 0.5 * math.log(2.0**-52 / 1.25))
+    h, f = cells[0]
+    assert np.all(h[:-n] ** 2 * f[:-n] <= 1e-4 * np.exp(h[:-n]))
+    steps = [(h[len(h) - n * split:], f[len(f) - n * split:]) for (h, f), split in zip(cells, (1, 2))]
+    assert _prufer_angles(0.0, steps) == pytest.approx([1.99283] * 2, abs=1e-5)
+
+
 def test_prufer_angle_is_exact_for_a_constant_coefficient():
     # y'' + c y = 0 from y'/y = z over length L has the closed form, whatever
     # the cells: one cell of omega L = 10.3 is cut into pieces below pi. The
