@@ -197,6 +197,9 @@ class IvpConfig:
     def __post_init__(self):
         if not (math.isfinite(self.p) and self.p > 0):
             raise ConfigError(f"exponent p must be finite and positive, got {self.p}")
+        # a NumPy p would make the steps NumPy scalars, which warn on overflow
+        # where Python floats raise the OverflowError that rejects the step
+        self.p = float(self.p)
         # negated comparisons, so that nan fails them
         if not (self.N >= 2 and float(self.N).is_integer()):
             raise ConfigError(f"dimension N must be an integer >= 2, got {self.N}")
@@ -832,6 +835,7 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
     residual_sup >= 1e-7 (_RESIDUAL_BOUND), or nan, raises SolverError, or
     ConfigError where the float floor of |u(1)| exceeds 1e-9 (p near 1).
     """
+    p = float(p)  # see IvpConfig: the steps must run on Python floats
     if p <= 1:
         raise ConfigError(f"nodal solving requires p > 1, got {p}")
     if N >= 3 and p >= (N + 2) / (N - 2):

@@ -31,22 +31,24 @@ second-order scheme, symmetrized by the mass weights m_i, is the tridiagonal
 which for a constant phi' is the plain second difference on a uniform grid.
 
 Refinement M -> 2M+1 halves k exactly and keeps every node, so f_p is
-sampled once, on the 2M+1 grid (`AnnulusEigenProblem.coarsened`). Every
-command solves that pair by one call, `annulus_betas`, which also applies
-the inner-radius and grid rules, checks their limits and takes the
-Richardson combination. The M grid is bisected by LAPACK (stebz, through
-SciPy) from the whole spectrum. The 2M+1 grid takes each eigenvalue by
-shifted inverse iteration from the M grid's value sigma: three solves of
-(T - sigma I) x = x_prev (LAPACK gtsv), then the Rayleigh quotient
-rho = x^T T x, which lies within delta = |T x - rho x| + 4 eps |T| of an
-eigenvalue (at most 2.4e-9 on the default grids, nearly all of it the
-rounding term). `weighted_radial_eigs` certifies the results (each delta
-at most RADIUS_BOUND, the intervals rho +- delta disjoint, no other
-eigenvalue below the top one) or falls back to bisecting the whole
-spectrum, so every fine-grid value comes with its radius.
-Every eigenvalue count is the one Sturm count `count_negative` (stebz with
-a tolerance as wide as its interval): the certificate and the negative count
-m_rad of the M grid.
+sampled once for the pair, on the 2M+1 grid (`AnnulusEigenProblem.coarsened`).
+Every command solves the annulus by one call, `annulus_betas`, which also
+applies the inner-radius and grid rules, checks their limits and takes the
+Richardson combination. It climbs a ladder of three grids of the same map.
+A seed grid of max(3, M // 4) nodes, sampled on its own, is bisected by
+LAPACK (stebz, through SciPy) from the whole spectrum; no larger grid is.
+The M grid takes each eigenvalue by shifted inverse iteration from the seed
+grid's value sigma, and the 2M+1 grid from the M grid's: T - sigma I is
+factored once (LAPACK gttrf) and solved four times, (T - sigma I) x = x_prev
+(gttrs), then the Rayleigh quotient rho = x^T T x lies within
+delta = |T x - rho x| + 4 eps |T| of an eigenvalue (at most 2.5e-9 on the
+default grids, nearly all of it the rounding term). `weighted_radial_eigs`
+certifies the results (each delta at most RADIUS_BOUND, the intervals
+rho +- delta disjoint, no other eigenvalue below the top one) or falls back
+to bisecting the whole spectrum, so every M and 2M+1 value comes with its
+radius. Every eigenvalue count is the one Sturm count `count_negative`
+(stebz with a tolerance as wide as its interval): the two certificates and
+the negative count m_rad of the M grid.
 
 The ledger is confirmed mode by mode without a matrix (`prufer_counts`):
 sphere mode k has as many negative eigenvalues as its regular solution of
@@ -66,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import BisectionError, ConfigError, SolverError
 from .profile import fp_values, scales
@@ -99,7 +101,11 @@ __all__ = [
 G_FREE = 3.0
 G_BUMP = 200.0
 BUMP_WIDTH = 4.0
-_NEWTON_STEPS = 3
+# Newton steps on S(t) = target from the table lookup: the lookup leaves t
+# about 2e-4 off, the first step 9e-9, and the second leaves only the
+# rounding of S (at most 2.9e-13 in t for p up to 760), which a third step
+# does not reduce
+_NEWTON_STEPS = 2
 _TABLE_STEP = 1.0 / 16.0   # t spacing of the lookup table seeding Newton
 
 # |beta_i + lambda_k| below this is sub-discretization noise; such sums are
@@ -109,15 +115,19 @@ LEDGER_TIE_EPS = 1e-7
 
 # absolute tolerance of the LAPACK bisection
 BISECT_TOL = 1e-14
-# largest certified radius of a fine-grid value: Richardson moves beta by at
-# most 4/3 of it (1.3e-8), under LEDGER_TIE_EPS. The default grids give at
-# most 2.4e-9 (p from 1.3 to 760, N = 2..6), nearly all of it rounding
+# largest certified radius of an M or 2M+1 value: Richardson moves beta by
+# at most 4/3 of it (1.3e-8), under LEDGER_TIE_EPS. The default grids give at
+# most 1.0e-9 on M and 2.5e-9 on 2M+1 (p from 1.25 to 760, N = 2..6), nearly
+# all of it rounding
 RADIUS_BOUND = 1e-8
-# shifted solves per seed in the inverse iteration. On the default grids (p
-# from 1.3 to 760, N = 2..6) a seed lies at most 1.3e-3 times as far from its
-# eigenvalue as from any other; the residual is at most 5e-8 after the second
-# solve and 2.1e-10 after the third, below the 4 eps |T| term (6e-10 to 2.3e-9)
-_INVERSE_STEPS = 3
+# shifted solves per seed in the inverse iteration, on every grid. On the
+# default grids (p from 1.25 to 760, N = 2..6) a seed from the M // 4 grid
+# lies at most 3.3e-2 times as far from its M-grid eigenvalue as from any
+# other, and an M value at most 1.3e-3 times from its 2M+1 one. The third
+# solve leaves a residual of up to 2.7e-8 on M, above RADIUS_BOUND; the
+# fourth at most 8.9e-10 on M and 2.2e-10 on 2M+1, against a 4 eps |T| term
+# of 1.5e-10 to 2.3e-9
+_INVERSE_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -134,32 +144,33 @@ class LogGridMap:
     def t0(self) -> float:
         return math.log(self.inner)
 
+    def _primitive_density(self, t):
+        """(S(t), g(t)), S an antiderivative of g, from one tanh per centre:
+        sech^2 = 1 - tanh^2."""
+        t = np.asarray(t, dtype=float)
+        th = [np.tanh((t - c) / BUMP_WIDTH) for c in self.centres]
+        return (G_FREE * t + G_BUMP * BUMP_WIDTH * sum(th),
+                G_FREE + G_BUMP * sum(1.0 - x * x for x in th))
+
     def density(self, t):
         """g(t), nodes per unit of t."""
-        t = np.asarray(t, dtype=float)
-        return G_FREE + G_BUMP * sum(
-            1.0 / np.cosh((t - c) / BUMP_WIDTH) ** 2 for c in self.centres)
-
-    def _primitive(self, t):
-        # an antiderivative of g
-        t = np.asarray(t, dtype=float)
-        return G_FREE * t + G_BUMP * BUMP_WIDTH * sum(
-            np.tanh((t - c) / BUMP_WIDTH) for c in self.centres)
+        return self._primitive_density(t)[1]
 
     @property
     def total(self) -> float:
-        return float(self._primitive(0.0) - self._primitive(self.t0))
+        return float(self._primitive_density(0.0)[0] - self._primitive_density(self.t0)[0])
 
     def __call__(self, s) -> tuple[np.ndarray, np.ndarray]:
         """(phi(s), phi'(s)) for s in [0, 1]."""
         s = np.asarray(s, dtype=float)
         t0 = self.t0
         table = np.linspace(t0, 0.0, max(2, math.ceil(-t0 / _TABLE_STEP) + 1))
-        G = self._primitive(table)
+        G = self._primitive_density(table)[0]
         target = G[0] + s * (G[-1] - G[0])
         t = np.interp(target, G, table)
         for _ in range(_NEWTON_STEPS):
-            t = np.clip(t - (self._primitive(t) - target) / self.density(t), t0, 0.0)
+            S, g = self._primitive_density(t)
+            t = np.clip(t - (S - target) / g, t0, 0.0)
         return t, (G[-1] - G[0]) / self.density(t)
 
 
@@ -262,11 +273,11 @@ def weighted_radial_eigs(prob: AnnulusEigenProblem, k: int,
     """k smallest eigenvalues of the weighted problem.
 
     Without `near` they are bisected from the whole spectrum (LAPACK's index
-    range). `near`, the same k eigenvalues on a coarser grid of the annulus,
-    seeds shifted inverse iteration (see `_seeded_eigs`): each value is a
-    Rayleigh quotient within its certified radius of an eigenvalue. Where
-    the radii do not certify the k smallest eigenvalues, the index-range
-    result is returned instead.
+    range). `near`, the same k eigenvalues on a coarser grid of the annulus
+    (the M // 4 seed grid for M, M for 2M+1), seeds shifted inverse
+    iteration (see `_seeded_eigs`): each value is a Rayleigh quotient within
+    its certified radius of an eigenvalue. Where the radii do not certify
+    the k smallest eigenvalues, the index-range result is returned instead.
     """
     if k < 1 or k > prob.M:
         raise ConfigError(f"requested {k} eigenvalues from an {prob.M}-point grid")
@@ -316,11 +327,13 @@ def _rayleigh_intervals(d: np.ndarray, e: np.ndarray, sigmas: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray] | None:
     """(rho, delta) per shift sigma: some eigenvalue of T lies within delta of rho.
 
-    _INVERSE_STEPS solves of (T - sigma I) x = x_prev (LAPACK gtsv) from
-    x = ones, normalizing x after each, give the Rayleigh quotient
-    rho = x^T T x and the radius delta = |T x - rho x| + 4 eps |T|,
-    |T| = max |d| + 2 max |e|. None where a solve is singular (gtsv
-    info != 0); nan or inf pass through without a warning.
+    T - sigma I is factored once (LAPACK gttrf, partial pivoting) and its
+    factors give _INVERSE_STEPS solves of (T - sigma I) x = x_prev (gttrs)
+    from x = ones, normalizing x after each: gtsv's arithmetic, without
+    factoring again per step. The Rayleigh quotient rho = x^T T x lies
+    within delta = |T x - rho x| + 4 eps |T|, |T| = max |d| + 2 max |e|, of
+    an eigenvalue. None where the factor is singular (gttrf info != 0); nan
+    or inf pass through without a warning.
     """
     # The residual bound (Parlett, The Symmetric Eigenvalue Problem, ch. 4)
     # holds for unit x and any rho; the rest of delta covers rounding, with u
@@ -336,9 +349,12 @@ def _rayleigh_intervals(d: np.ndarray, e: np.ndarray, sigmas: np.ndarray
     rho, delta = np.empty_like(sigmas), np.empty_like(sigmas)
     with np.errstate(all="ignore"):
         for i, sigma in enumerate(sigmas):
+            *lu, info = dgttrf(e, d - sigma, e)
+            if info != 0:
+                return None
             x = np.ones_like(d)
             for _ in range(_INVERSE_STEPS):
-                _, _, _, x, info = dgtsv(e, d - sigma, e, x)
+                x, info = dgttrs(*lu, x)
                 if info != 0:
                     return None
                 x /= np.linalg.norm(x)
@@ -471,8 +487,11 @@ def annulus_betas(sol: RadialSolution, inner: float | None = None,
     None selects the rule (`auto_inner_radius`, `auto_grid_size`). Before any
     grid is sized, each limit is one ConfigError that names it: 0 < inner <
     r_p (the annulus holds the negative nodal region) and M >= 3 (the coarser
-    grid holds beta_1..beta_3). f_p is sampled once, on the finer grid, which
-    is solved from the coarser values (see `weighted_radial_eigs`).
+    grid holds beta_1..beta_3). The values climb a ladder of one map: a seed
+    grid of max(3, M // 4) nodes is bisected by index range, its values seed
+    the M grid and the M values the 2M+1 grid (see `weighted_radial_eigs`).
+    f_p is sampled once on the seed grid and once on the 2M+1 grid, which M
+    shares.
     """
     inner = auto_inner_radius(sol) if inner is None else inner
     if not (0.0 < inner < sol.r_p):
@@ -482,9 +501,10 @@ def annulus_betas(sol: RadialSolution, inner: float | None = None,
         raise ConfigError(
             f"grid size M={M} must be at least {N_BETAS}: the coarser grid of "
             f"the pair holds beta_1..beta_{N_BETAS}")
+    seed = weighted_radial_eigs(build_problem(sol, inner, max(N_BETAS, M // 4)), N_BETAS)
     fine = build_problem(sol, inner, 2 * M + 1)
     coarse = fine.coarsened()
-    raw = weighted_radial_eigs(coarse, N_BETAS)
+    raw = weighted_radial_eigs(coarse, N_BETAS, near=seed)
     return AnnulusBetas(inner=inner, M=M, coarse=raw,
                         fine=weighted_radial_eigs(fine, N_BETAS, near=raw),
                         m_rad=count_negative(coarse))

@@ -131,6 +131,25 @@ def test_config_validation(kw):
         IvpConfig(**kw)
 
 
+@pytest.mark.parametrize("p", [380.0, 383.0, 402.0])
+def test_a_numpy_exponent_shoots_as_a_float(p):
+    # a np.float64 p once made the stage arithmetic NumPy scalars, which warn
+    # ("overflow" at the error norm, "invalid" at a5) where Python floats
+    # raise the OverflowError that rejects the step
+    assert type(IvpConfig(p=np.float64(p), N=2, a=1.0).p) is float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solve_nodal(np.float64(p))
+    want = solve_nodal(p)
+    for f in dataclasses.fields(want):
+        if f.name != "_traj":
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert type(got.p) is float
+    for f in dataclasses.fields(want._traj):
+        a, b = getattr(got._traj, f.name), getattr(want._traj, f.name)
+        assert (np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b), f.name
+
+
 @pytest.mark.parametrize("lam", [0.5, 2.0])
 def test_scaling_identity(lam):
     # u_lam(r) = lam^(2/(p-1)) u(lam r) solves the same equation

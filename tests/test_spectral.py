@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 
 from lanemorse import (
     ConfigError,
@@ -129,6 +130,29 @@ def test_coarsened_grid_is_the_direct_grid():
                            rtol=1e-13, atol=1e-13), name
     with pytest.raises(ConfigError):
         direct.coarsened()  # an even node count has no nested coarse grid
+
+
+@pytest.mark.parametrize("p", [None, 8.0, 400.0, 760.0])
+def test_the_map_inverts_its_primitive_to_rounding(nodal, p):
+    # phi(s) solves S(t) = S(t0) + s (S(0) - S(t0)) and phi' = (S(0) - S(t0)) / g
+    # as closely as Newton run to convergence in extended precision: the
+    # map's Newton steps leave only the rounding of S (at most 2.9e-13 in t)
+    gmap = GRADED if p is None else spectral._grid_map(
+        nodal(p), auto_inner_radius(nodal(p)))
+    s = np.linspace(0.0, 1.0, 4001)
+    t, dt_ds = gmap(s)
+    L = np.longdouble
+    th = lambda x: [np.tanh((x - L(c)) / L(spectral.BUMP_WIDTH)) for c in gmap.centres]
+    S = lambda x: L(spectral.G_FREE) * x + L(spectral.G_BUMP * spectral.BUMP_WIDTH) * sum(th(x))
+    g = lambda x: L(spectral.G_FREE) + L(spectral.G_BUMP) * sum(1 - y * y for y in th(x))
+    t0 = L(gmap.t0)
+    total = S(L(0.0)) - S(t0)
+    target = S(t0) + s.astype(L) * total
+    ref = t.astype(L)
+    for _ in range(6):
+        ref = np.clip(ref - (S(ref) - target) / g(ref), t0, L(0.0))
+    assert np.max(np.abs(t - ref.astype(float))) <= 1e-12
+    assert np.max(np.abs(dt_ds / (total / g(ref)).astype(float) - 1.0)) <= 1e-13
 
 
 def test_richardson_ratio_on_graded_map():
@@ -348,6 +372,18 @@ def record_bisections(monkeypatch):
     return calls
 
 
+def record_selects(monkeypatch):
+    """{rows: [select of each stebz call on a matrix of that many rows]}."""
+    selects = {}
+
+    def counted(d, e, **kw):
+        selects.setdefault(len(d), []).append(kw["select"])
+        return eigvalsh_tridiagonal(d, e, **kw)
+
+    monkeypatch.setattr(spectral, "eigvalsh_tridiagonal", counted)
+    return selects
+
+
 @pytest.mark.parametrize("p, N", [(8.0, 2), (400.0, 2), (2.5, 3), (1.5, 3)])
 def test_seeded_bisection_matches_the_index_range(nodal, monkeypatch, p, N):
     # inverse iteration and one certifying count: each seeded value lies
@@ -363,7 +399,7 @@ def test_seeded_bisection_matches_the_index_range(nodal, monkeypatch, p, N):
 
 @pytest.mark.parametrize("seeds", ["shifted", "beta_2 to beta_4"])
 def test_uncertified_seeds_fall_back_to_the_index_range(nodal, monkeypatch, seeds):
-    # seeds 1% (at least 1e-5) off leave radii of 7e-8 to 6e-5 after three
+    # seeds 1% (at least 1e-5) off leave beta_1 a radius of 5.9e-7 after four
     # solves, above the bound, so nothing is counted; seeds that skip beta_1
     # give three certified intervals, but the count finds four
     fine, near = seeded_pair(nodal(8.0), k=4)
@@ -406,18 +442,20 @@ def test_a_close_fourth_eigenvalue_does_not_stop_the_certificate(nodal, monkeypa
 
 @pytest.mark.parametrize("fault", ["singular solve", "non-finite residual"])
 def test_a_failed_inverse_iteration_falls_back_quietly(nodal, monkeypatch, fault):
-    # a gtsv that reports a zero pivot, or a solve that leaves inf in x (nan
+    # a gttrf that reports a zero pivot, or a solve that leaves inf in x (nan
     # in rho and delta), gives the index-range values and no warning
     fine, near = seeded_pair(nodal(8.0))
-    real = spectral.dgtsv
+    if fault == "singular solve":
+        factor = spectral.dgttrf
+        monkeypatch.setattr(spectral, "dgttrf", lambda *a: (*factor(*a)[:-1], 1))
+    else:
+        solve = spectral.dgttrs
 
-    def solve(*args):
-        *factors, x, info = real(*args)
-        if fault == "singular solve":
-            return (*factors, x, 1)
-        return (*factors, np.where(x > 0, np.inf, x), info)
+        def overflowing(*args):
+            x, info = solve(*args)
+            return np.where(x > 0, np.inf, x), info
 
-    monkeypatch.setattr(spectral, "dgtsv", solve)
+        monkeypatch.setattr(spectral, "dgttrs", overflowing)
     calls = record_bisections(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -433,18 +471,77 @@ BAND_ENDS = [(380.0, 2), (420.0, 2), (4.0, 2), (14.0, 2), (1.5, 3), (3.3, 3)]
 
 @pytest.mark.parametrize("p, N", BAND_ENDS)
 def test_the_fine_grid_is_certified_at_the_band_ends(nodal, monkeypatch, p, N):
-    # a fallback would bisect the 2M+1 grid by index range
-    selects = {}
-
-    def counted(d, e, **kw):
-        selects.setdefault(len(d), []).append(kw["select"])
-        return eigvalsh_tridiagonal(d, e, **kw)
-
-    monkeypatch.setattr(spectral, "eigvalsh_tridiagonal", counted)
+    # only the quarter-size seed grid is bisected by index range: a fallback
+    # would bisect the M or the 2M+1 grid so too
+    selects = record_selects(monkeypatch)
     rep = morse_index(nodal(p, N))
     assert rep.stable
     M = rep.annulus.M
-    assert selects == {M: ["i", "v"], 2 * M + 1: ["v"]}
+    assert selects == {M // 4: ["i"], M: ["v", "v"], 2 * M + 1: ["v"]}
+
+
+@pytest.mark.parametrize("p, N", BAND_ENDS + [
+    (400.0, 2), (8.0, 2), (2.5, 3), (20.0, 2), (760.0, 2),
+    (1.5, 4), (2.9, 4), (1.5, 5), (2.2, 5), (1.3, 6), (1.7, 6)])
+def test_the_quarter_grid_seeds_certify_the_M_grid(nodal, monkeypatch, p, N):
+    # the ladder of annulus_betas: the M // 4 grid, bisected, seeds the M
+    # grid, whose values seed the 2M+1 grid. Each M value lies within its
+    # certified radius of the bisected one, and within 2e-10; neither grid
+    # falls back to the index range
+    sol = nodal(p, N)
+    inner = auto_inner_radius(sol)
+    M = auto_grid_size(sol, inner)
+    seeds = weighted_radial_eigs(build_problem(sol, inner, M // 4), 3)
+    fine = build_problem(sol, inner, 2 * M + 1)
+    coarse = fine.coarsened()
+    calls = record_bisections(monkeypatch)
+    got = weighted_radial_eigs(coarse, 3, near=seeds)
+    weighted_radial_eigs(fine, 3, near=got)
+    assert calls == [("v", 3), ("v", 3)]
+    _, radius = spectral._rayleigh_intervals(coarse.diagonal(), coarse.offdiagonal(), seeds)
+    error = np.abs(got - weighted_radial_eigs(coarse, 3))
+    assert np.all(error <= radius) and np.all(error <= 2e-10), (error, radius)
+
+
+def test_an_unresolved_seed_grid_falls_back_quietly(nodal, monkeypatch):
+    # at p = 4.9999, N = 3 the quarter grid does not resolve the bubble
+    # tower: its seeds leave radii of 2e-7 to 4e-6 on the M grid, which is
+    # then bisected by index range, with no warning and the same count
+    selects = record_selects(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = morse_index(nodal(4.9999, 3))
+    assert rep.total == 5 and rep.stable
+    M = rep.annulus.M
+    assert selects == {M // 4: ["i"], M: ["i", "v"], 2 * M + 1: ["v"]}
+
+
+def gtsv_intervals(d, e, sigmas):
+    """`_rayleigh_intervals` as it was with one LAPACK gtsv (factor and
+    solve) per step: the reference of the factor-once version."""
+    slack = 4.0 * np.finfo(float).eps * (np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+    rho, delta = np.empty_like(sigmas), np.empty_like(sigmas)
+    for i, sigma in enumerate(sigmas):
+        x = np.ones_like(d)
+        for _ in range(spectral._INVERSE_STEPS):
+            _, _, _, x, info = dgtsv(e, d - sigma, e, x)
+            assert info == 0
+            x /= np.linalg.norm(x)
+        tx = d * x
+        tx[:-1] += e * x[1:]
+        tx[1:] += e * x[:-1]
+        rho[i] = x @ tx
+        delta[i] = np.linalg.norm(tx - rho[i] * x) + slack
+    return rho, delta
+
+
+@pytest.mark.parametrize("p", [8.0, 400.0])
+def test_one_factorization_per_shift_solves_as_gtsv(nodal, p):
+    # gttrf once and gttrs per step do gtsv's arithmetic: bit for bit
+    fine, near = seeded_pair(nodal(p))
+    d, e = fine.diagonal(), fine.offdiagonal()
+    got, want = spectral._rayleigh_intervals(d, e, near), gtsv_intervals(d, e, near)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_seeds_must_match_the_requested_count(nodal):
@@ -530,11 +627,11 @@ def test_morse_report_moderate_p(nodal):
 
 
 def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
-    # one annulus problem, on the 2M+1 grid: f_p sampled once there, beta_1..
-    # beta_3 on M and 2M+1, two Sturm counts (the certificate of the inverse
-    # iteration on 2M+1; the negative count on M), three stebz calls in all
-    # (index range on M and the two counts) and one tridiagonal assembly per
-    # grid
+    # two annulus problems, the M // 4 seed grid and the 2M+1 grid: f_p
+    # sampled once on each, beta_1..beta_3 on M // 4, M and 2M+1, three Sturm
+    # counts (the certificates of the inverse iteration on M and 2M+1; the
+    # negative count on M), four stebz calls in all (index range on M // 4
+    # and the three counts) and one tridiagonal assembly per grid
     sol = nodal(5.0)
     grids, samples, scans, problems, diagonals, offdiagonals = [], [], [], [], [], []
 
@@ -560,11 +657,11 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     rep = morse_index(sol)
     assert rep.stable
     inner, M = rep.annulus.inner, rep.annulus.M
-    assert problems == [2 * M + 1] and samples == [2 * M + 1]
-    assert grids == [(inner, M, 3), (inner, 2 * M + 1, 3)]
-    assert scans == [(inner, 2 * M + 1), (inner, M)]
-    assert calls == [("i", 3), ("v", 3), ("v", 2)]
-    assert diagonals == offdiagonals == [M, 2 * M + 1]
+    assert problems == samples == [M // 4, 2 * M + 1]
+    assert grids == [(inner, M // 4, 3), (inner, M, 3), (inner, 2 * M + 1, 3)]
+    assert scans == [(inner, M), (inner, 2 * M + 1), (inner, M)]
+    assert calls == [("i", 3), ("v", 3), ("v", 3), ("v", 2)]
+    assert diagonals == offdiagonals == [M // 4, M, 2 * M + 1]
 
 
 def test_a_morse_request_builds_the_hermite_data_once(monkeypatch):
@@ -868,21 +965,15 @@ def test_morse_index_p400_matches_anchors(nodal):
 
 def test_morse_index_p400_bisects_few_rows(nodal, monkeypatch):
     # the graded (M, 2M+1) pair has fewer than 13k rows (the uniform grids
-    # of 116811 nodes passed about 1.17M); M is bisected by index range and
-    # takes the negative count (a value range), 2M+1 bisects in value
-    # brackets only
-    selects = {}
-
-    def counted(d, e, **kw):
-        selects.setdefault(len(d), set()).add(kw["select"])
-        return eigvalsh_tridiagonal(d, e, **kw)
-
-    monkeypatch.setattr(spectral, "eigvalsh_tridiagonal", counted)
+    # of 116811 nodes passed about 1.17M); only the M // 4 seed grid is
+    # bisected by index range, M and 2M+1 in value brackets only (their
+    # certificates and the negative count)
+    selects = record_selects(monkeypatch)
     rep = morse_index(nodal(400.0))
     assert rep.total == 12
     M = rep.annulus.M
-    assert sorted(selects) == [M, 2 * M + 1] and M < 4_300, selects
-    assert [selects[rows] for rows in sorted(selects)] == [{"i", "v"}, {"v"}]
+    assert sorted(selects) == [M // 4, M, 2 * M + 1] and M < 4_300, selects
+    assert [set(selects[rows]) for rows in sorted(selects)] == [{"i"}, {"v"}, {"v"}]
 
 
 @pytest.mark.parametrize("p, N", [(1.5, 2), (8.0, 2), (400.0, 2), (4.9, 3), (2.9, 4)])
