@@ -18,7 +18,7 @@ from .errors import (
     UnimodalityError,
 )
 from .profile import Scales, fp_values, rescaled_potential, rescaled_profile, scales
-from .radial import IvpConfig, RadialSolution, Trajectory, integrate_ivp, solve_nodal
+from .radial import RadialSolution, Trajectory, integrate_ivp, solve_nodal
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,7 @@ def __getattr__(name):
 __all__ = [
     "__version__",
     # radial
-    "IvpConfig", "Trajectory", "RadialSolution", "integrate_ivp", "solve_nodal",
+    "Trajectory", "RadialSolution", "integrate_ivp", "solve_nodal",
     # profile
     "Scales", "scales", "rescaled_profile", "rescaled_potential", "fp_values",
     # spectral

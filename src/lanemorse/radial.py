@@ -7,6 +7,9 @@ In radial coordinates the equation reads
 and the sign-changing solution with exactly two nodal regions is obtained by
 shooting from u(0) = 1, locating the second zero R2 of the trajectory and
 rescaling with the homogeneity u_lam(r) = lam^(2/(p-1)) u(lam r), lam = R2.
+That is the one initial value problem here (integrate_ivp). At p = 1 it is
+Bessel's equation, u = J_0 for N = 2, which the tests use as an oracle; the
+nodal construction itself requires p > 1.
 
 Internally the integration runs in the log radius rho = ln r with state
 (u, w), w = r u':
@@ -20,7 +23,7 @@ solve_nodal forms the radii it reports, and eval() reads u and u' at radii.
 
 Near the origin u is the Lane-Emden power series (_origin_series, with
 J.C.P. Miller's recurrence for the coefficients of u^p), exact to rounding
-up to a radius r_s of 0.03 (p = 760) to 2.3 (p = 1.3, N = 8); solve_nodal
+up to a radius r_s of 0.03 (p = 760) to 2.3 (p = 1.3, N = 8); integrate_ivp
 starts the steps there. Past it the integrator is a scalar Dormand-Prince
 5(4) loop (_dormand_prince) with the step control of SciPy's RK45: same
 tableau, error norm, step factors, minimum step and initial-step rule.
@@ -63,7 +66,6 @@ from .errors import (
 )
 
 __all__ = [
-    "IvpConfig",
     "Trajectory",
     "RadialSolution",
     "integrate_ivp",
@@ -167,48 +169,13 @@ def _horner(coeffs, y):
     return total + coeffs[0]
 
 
-def _seed(cfg: IvpConfig, r2):
-    """The origin series (u, w = r u') = a (U(x), x U'(x)) at r^2 = r2.
+def _seed(p: float, N: int, r2):
+    """The origin series (u, w = r u') = (U(r), r U'(r)) at r^2 = r2.
 
-    x = |a|^((p-1)/2) r, by the scaling u(r) = a U(|a|^((p-1)/2) r); exact to
-    rounding up to x_s (_origin_series). |a|^(p-1) past the float64 range
-    raises OverflowError.
+    Exact to rounding up to x_s (_origin_series).
     """
-    c, d, _ = _origin_series(cfg.p, cfg.N)
-    y = abs(cfg.a) ** (cfg.p - 1.0) * r2
-    return cfg.a * _horner(c, y), cfg.a * _horner(d, y)
-
-
-@dataclass
-class IvpConfig:
-    """Parameters of one radial initial value problem.
-
-    p > 0 is accepted (p = 1 gives the Bessel equation, useful as an oracle);
-    the nodal construction itself requires p > 1.
-    """
-
-    p: float
-    N: int
-    a: float
-    r_start: float = 1e-6
-    r_max: float = 100.0
-    max_zeros: int | None = 2
-
-    def __post_init__(self):
-        if not (math.isfinite(self.p) and self.p > 0):
-            raise ConfigError(f"exponent p must be finite and positive, got {self.p}")
-        # a NumPy p would make the steps NumPy scalars, which warn on overflow
-        # where Python floats raise the OverflowError that rejects the step
-        self.p = float(self.p)
-        # negated comparisons, so that nan fails them
-        if not (self.N >= 2 and float(self.N).is_integer()):
-            raise ConfigError(f"dimension N must be an integer >= 2, got {self.N}")
-        if not self.r_start > 0:
-            raise ConfigError("r_start must be positive")
-        if not (math.isfinite(self.r_max) and self.r_max > self.r_start):
-            raise ConfigError("r_max must be finite and exceed r_start")
-        if self.max_zeros is not None and self.max_zeros < 1:
-            raise ConfigError("max_zeros must be None or >= 1")
+    c, d, _ = _origin_series(p, N)
+    return _horner(c, r2), _horner(d, r2)
 
 
 @dataclass
@@ -231,7 +198,8 @@ class Trajectory:
     rounding below the start radius it accepts (_origin_series).
     """
 
-    config: IvpConfig
+    p: float
+    N: int
     rho: np.ndarray
     u: np.ndarray
     w: np.ndarray
@@ -244,7 +212,7 @@ class Trajectory:
     @functools.cached_property
     def _hermite_data(self):
         """(rho, u, w, dw, ddw) at the steps, d = d/drho; built once."""
-        p, N = self.config.p, self.config.N
+        p, N = self.p, self.N
         rho, u, w = self.rho, self.u, self.w
         e2, power = np.exp(2.0 * rho), signed_power(u, p)
         dw = -(N - 2.0) * w - e2 * power
@@ -261,7 +229,7 @@ class Trajectory:
         rho = np.asarray(rho, dtype=float)
         out = [np.empty_like(rho) for _ in range(rows)]
         seed = rho < knots[0]
-        for o, v in zip(out, _seed(self.config, np.exp(2.0 * rho[seed]))):
+        for o, v in zip(out, _seed(self.p, self.N, np.exp(2.0 * rho[seed]))):
             o[seed] = v
         step = ~seed
         x = rho[step]
@@ -285,7 +253,7 @@ class Trajectory:
         normalized by the largest of its three terms (floored at one), so the
         figure is meaningful across the full dynamic range of r and u.
         """
-        return _residual_sup_log(self._hermite_data, self.config.p, self.config.N)
+        return _residual_sup_log(self._hermite_data, self.p, self.N)
 
 
 def _quintic_coeffs(th: float):
@@ -376,57 +344,48 @@ def _ddw(u, w, dw, e2, power, p, N):
     return -(N - 2.0) * dw - e2 * (2.0 * power + dpow * w)
 
 
-def integrate_ivp(cfg: IvpConfig) -> Trajectory:
-    """Integrate the radial IVP from r_start with zero-crossing detection.
+def _checked(p: float, N: int) -> tuple[float, int]:
+    """(float(p), int(N)) for p > 0 finite and N >= 2 an integer, else ConfigError.
 
-    Start values at r_start come from _seed, the origin power series of the
-    regular solution (u'(0) = 0), exact to rounding up to its radius x_s
-    (_origin_series, in x = |a|^((p-1)/2) r). Integration stops at r_max or
-    after cfg.max_zeros zero crossings, whichever comes first. A seed or
-    start derivative outside the float64 range raises ConfigError, and so
-    does an r_start past the series radius, naming it; a step
-    that cannot be taken (an overflow in every stage down to the smallest
-    step) raises StiffnessError, a zero of u with |w| below 1e3 _ABS_TOL
+    A NumPy p would make the steps NumPy scalars, which warn on overflow
+    where Python floats raise the OverflowError that rejects the step. The
+    comparisons are negated, so that nan fails them.
+    """
+    if not (math.isfinite(p) and p > 0):
+        raise ConfigError(f"exponent p must be finite and positive, got {p}")
+    if not (N >= 2 and float(N).is_integer()):
+        raise ConfigError(f"dimension N must be an integer >= 2, got {N}")
+    return float(p), int(N)
+
+
+def integrate_ivp(p: float, N: int, r_max: float) -> Trajectory:
+    """Integrate u(0) = 1 to the second zero of u, or to r_max if it comes first.
+
+    p > 0 (p = 1 is the Bessel oracle) and N >= 2 an integer (_checked). The
+    steps start at x_s, up to which the origin series (_seed) is exact to
+    rounding and holds no event (_origin_series); r_max must be finite and
+    past it. Each limit is a ConfigError naming it. A step that cannot be
+    taken (an overflow in every stage down to the smallest step) raises
+    StiffnessError, a zero of u with |w| below 1e3 _ABS_TOL
     TangentialZeroError. The Trajectory holds what the integrator produced:
     the steps (rho, u, w) and one (rho, u, w) row per located event.
     """
-    p, N, a = cfg.p, cfg.N, cfg.a
-    rho0, rho1 = math.log(cfg.r_start), math.log(cfg.r_max)
-    if a == 0.0:
-        # zero data propagates to the zero solution; nothing to integrate
-        zero = np.zeros(2)
-        return Trajectory(cfg, np.array([rho0, rho1]), zero, zero.copy(),
-                          *np.zeros((3, 0, 3)))  # three empty event tables
-
-    try:
-        u0, w0 = _seed(cfg, cfg.r_start**2)
-        f0 = _accel(rho0, u0, w0, p, N)
-        finite = all(map(math.isfinite, (u0, w0, f0)))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ConfigError(
-            f"Taylor seed at r_start={cfg.r_start:g} is not finite for a={a:g}, "
-            f"p={p:g}, N={N}: |a|^(p-1) r_start^2, the origin series or the "
-            "start derivative leaves the float64 range"
-        )
+    p, N = _checked(p, N)
     x_s = _origin_series(p, N)[2]
-    scale = abs(a) ** (0.5 * (p - 1.0))
-    if not scale * cfg.r_start <= x_s:
-        raise ConfigError(
-            f"r_start={cfg.r_start:g} lies past r={x_s / scale:.6g}, the largest "
-            f"radius at which the origin series is exact to rounding for a={a:g}, "
-            f"p={p:g}, N={N}"
-        )
+    if not (math.isfinite(r_max) and r_max > x_s):
+        raise ConfigError(f"r_max={r_max} must be finite and exceed the start radius "
+                          f"{x_s:.6g} at p={p:g}, N={N}")
+    rho0 = math.log(x_s)
+    u0, w0 = _seed(p, N, x_s**2)
     ts, us, ws, tables, rejected, rhs_evals = _dormand_prince(
-        p, N, rho0, rho1, u0, w0, f0, cfg.max_zeros)
+        p, N, rho0, math.log(r_max), u0, w0, _accel(rho0, u0, w0, p, N))
     zeros, critical, fp_critical = (np.array(rows, dtype=float).reshape(-1, 3)
                                     for rows in tables)
     for rho_z, _, w_z in zeros:
         if abs(w_z) < 1e3 * _ABS_TOL:
             raise TangentialZeroError(f"degenerate zero at r={math.exp(rho_z):.6e}: "
                                       "|u| and |u'| both below tolerance")
-    return Trajectory(cfg, np.array(ts), np.array(us), np.array(ws), zeros,
+    return Trajectory(p, N, np.array(ts), np.array(us), np.array(ws), zeros,
                       critical, fp_critical, rejected=rejected, rhs_evals=rhs_evals)
 
 
@@ -476,7 +435,7 @@ def _accel(rho: float, u: float, w: float, p: float, N: int) -> float:
     return -(N - 2.0) * w - math.exp(2.0 * rho) * _signed_power_scalar(u, p)
 
 
-def _dormand_prince(p, N, t, t_end, u, w, f, max_zeros):
+def _dormand_prince(p, N, t, t_end, u, w, f):
     """Integrate u' = w, w' = _accel(t, u, w, p, N) from t to t_end by DP5(4).
 
     f = _accel(t, u, w, p, N) at the start. The step control is SciPy's RK45
@@ -494,8 +453,8 @@ def _dormand_prince(p, N, t, t_end, u, w, f, max_zeros):
 
     The events are the zeros of u, of w and of (p-1) w + 2u, tested for a
     change or touch of sign on each step's end state. Each is located on the
-    step's quartic interpolant by _brentq, and the max_zeros-th zero of u
-    (None: no limit) ends the integration at its root, as in solve_ivp.
+    step's quartic interpolant by _brentq, and the second zero of u ends
+    the integration at its root, as a terminal event does in solve_ivp.
     Returns the nodes (ts, us, ws), the three event tables (zeros of u, of w,
     of (p-1) w + 2u), each a list of (root, u, w) rows in root order, the
     number of rejected attempts and the number of evaluations of w'.
@@ -614,7 +573,7 @@ def _dormand_prince(p, N, t, t_end, u, w, f, max_zeros):
             for root, i in sorted(hits):
                 u_r, w_r, _ = state(root)
                 tables[i].append((root, u_r, w_r))
-                if i == 0 and len(tables[0]) == max_zeros:
+                if i == 0 and len(tables[0]) == 2:
                     stop = True
                     t_new, u_new, w_new = root, u_r, w_r
                     break
@@ -819,13 +778,11 @@ _SHOOT_RTOL = 1e-12  # the integrator's relative tolerance
 def solve_nodal(p: float, N: int = 2) -> RadialSolution:
     """Construct the least-energy sign-changing radial solution on the ball.
 
-    Shoots from a = 1, starting the steps at the radius x_s up to which the
-    origin series is exact to rounding (_origin_series), locates the second
-    zero R2, and rescales so that it lands at r = 1; by the scaling
-    invariance the result solves the Dirichlet problem with
-    u(0) = R2^(2/(p-1)) > 0. Raises ConfigError for supercritical
-    exponents (N >= 3, p >= (N+2)/(N-2)) and HorizonError if no second zero
-    exists before the largest representable horizon. The shooting events are
+    Shoots from u(0) = 1 (integrate_ivp) to the second zero R2 and rescales
+    it to r = 1; by the scaling invariance the result solves the Dirichlet
+    problem with u(0) = R2^(2/(p-1)) > 0. Raises ConfigError for p <= 1 and
+    for supercritical exponents (N >= 3, p >= (N+2)/(N-2)), and HorizonError
+    if no second zero exists before the largest representable horizon. The shooting events are
     read here, once. They fix the nodal shape: u' has no zero on (0, r_p) and
     one on (r_p, 1), at s_p, and 0 < -u(s_p) <= u(0) (else SolverError); f_p
     has one critical point on each nodal interval (else UnimodalityError).
@@ -835,7 +792,7 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
     residual_sup >= 1e-7 (_RESIDUAL_BOUND), or nan, raises SolverError, or
     ConfigError where the float floor of |u(1)| exceeds 1e-9 (p near 1).
     """
-    p = float(p)  # see IvpConfig: the steps must run on Python floats
+    p, N = _checked(p, N)
     if p <= 1:
         raise ConfigError(f"nodal solving requires p > 1, got {p}")
     if N >= 3 and p >= (N + 2) / (N - 2):
@@ -843,15 +800,10 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
             f"supercritical exponent: p={p} >= (N+2)/(N-2)={(N+2)/(N-2):.4f} for N={N}"
         )
 
-    # the origin series is exact to rounding up to x_s: start the steps there
-    r_start = _origin_series(p, N)[2]
     # ln R2 grows like ~0.45 p in 2-d; start generous and extend on a miss
     ln_rmax = min(0.5 * p + 30.0, _LN_RMAX_CAP)
     while True:
-        cfg = IvpConfig(
-            p=p, N=N, a=1.0, r_start=r_start, r_max=math.exp(ln_rmax), max_zeros=2,
-        )
-        traj = integrate_ivp(cfg)
+        traj = integrate_ivp(p, N, math.exp(ln_rmax))
         if len(traj.zeros) >= 2:
             break
         if ln_rmax >= _LN_RMAX_CAP:

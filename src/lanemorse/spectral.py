@@ -486,10 +486,11 @@ def annulus_betas(sol: RadialSolution, inner: float | None = None,
 
     None selects the rule (`auto_inner_radius`, `auto_grid_size`). Before any
     grid is sized, each limit is one ConfigError that names it: 0 < inner <
-    r_p (the annulus holds the negative nodal region) and M >= 3 (the coarser
-    grid holds beta_1..beta_3). The values climb a ladder of one map: a seed
-    grid of max(3, M // 4) nodes is bisected by index range, its values seed
-    the M grid and the M values the 2M+1 grid (see `weighted_radial_eigs`).
+    r_p (the annulus holds the negative nodal region) and M >= 3 an integer
+    (the coarser grid holds beta_1..beta_3). The values climb a ladder of one
+    map: a seed grid of max(3, M // 4) nodes is bisected by index range, its
+    values seed the M grid and the M values the 2M+1 grid (see
+    `weighted_radial_eigs`).
     f_p is sampled once on the seed grid and once on the 2M+1 grid, which M
     shares.
     """
@@ -497,10 +498,11 @@ def annulus_betas(sol: RadialSolution, inner: float | None = None,
     if not (0.0 < inner < sol.r_p):
         raise ConfigError(f"inner radius {inner:.3e} must lie in (0, r_p={sol.r_p:.3e})")
     M = auto_grid_size(sol, inner) if M is None else M
-    if not M >= N_BETAS:
+    if not (M >= N_BETAS and float(M).is_integer()):
         raise ConfigError(
-            f"grid size M={M} must be at least {N_BETAS}: the coarser grid of "
-            f"the pair holds beta_1..beta_{N_BETAS}")
+            f"grid size M={M} must be at least {N_BETAS} and an integer: the "
+            f"coarser grid of the pair holds beta_1..beta_{N_BETAS}")
+    M = int(M)
     seed = weighted_radial_eigs(build_problem(sol, inner, max(N_BETAS, M // 4)), N_BETAS)
     fine = build_problem(sol, inner, 2 * M + 1)
     coarse = fine.coarsened()

@@ -12,7 +12,6 @@ import numpy as np
 
 
 from lanemorse import (
-    IvpConfig,
     TestFunctionSpec,
     annulus_betas,
     build_problem,
@@ -51,7 +50,7 @@ def _report(name: str, passed: bool, detail: str = "") -> None:
 
 def test_criterion_bessel_oracle():
     t0 = time.time()
-    traj = integrate_ivp(IvpConfig(p=1.0, N=2, a=1.0, r_max=10.0))
+    traj = integrate_ivp(1.0, 2, 10.0)
     zero = math.exp(traj.zeros[0][0])
     oracle = bessel_j0_first_zero()
     err = abs(zero - oracle)

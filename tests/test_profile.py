@@ -198,6 +198,6 @@ def test_analyze_fp_requires_one_critical_point(nodal, monkeypatch, where, count
     else:
         edited = [c] if count == 0 else [c, d, [0.5 * (d[0] + rho_2), *d[1:]]]
     bad = dataclasses.replace(traj, fp_critical=np.array(edited))
-    monkeypatch.setattr(radial, "integrate_ivp", lambda cfg: bad)
+    monkeypatch.setattr(radial, "integrate_ivp", lambda *args: bad)
     with pytest.raises(UnimodalityError, match=f"f_p has {count} critical points on the {where}"):
         solve_nodal(10.0)

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import re
 import warnings
 
 import numpy as np
@@ -10,29 +9,31 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from lanemorse import (
-    ConfigError, HorizonError, IvpConfig, SolverError, StiffnessError, Trajectory,
+    ConfigError, HorizonError, SolverError, StiffnessError, Trajectory,
     integrate_ivp, radial, solve_nodal,
 )
 from lanemorse.radial import _ABS_TOL, _MAX_LOG_STEP, signed_power
 
 
+def j0(x):
+    """J0 and J0' by their power series, sum_k (-x^2/4)^k / k!^2."""
+    term, total, slope = 1.0, 1.0, 0.0
+    for k in range(1, 60):
+        term *= -(x * x / 4.0) / (k * k)
+        total += term
+        slope += 2.0 * k * term / x
+        if abs(term) < 1e-18:
+            break
+    return total, slope
+
+
 def bessel_j0_first_zero():
     """Independent oracle: power series of J0 plus sign bisection."""
-
-    def j0(x):
-        term, total = 1.0, 1.0
-        for k in range(1, 60):
-            term *= -(x * x / 4.0) / (k * k)
-            total += term
-            if abs(term) < 1e-18:
-                break
-        return total
-
     lo, hi = 2.0, 3.0
-    assert j0(lo) > 0 > j0(hi)
+    assert j0(lo)[0] > 0 > j0(hi)[0]
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if j0(mid) > 0:
+        if j0(mid)[0] > 0:
             lo = mid
         else:
             hi = mid
@@ -41,46 +42,41 @@ def bessel_j0_first_zero():
 
 def test_bessel_first_zero():
     # p = 1 turns the radial equation into Bessel's equation of order zero
-    traj = integrate_ivp(IvpConfig(p=1.0, N=2, a=1.0, r_max=10.0))
+    traj = integrate_ivp(1.0, 2, 10.0)
     oracle = bessel_j0_first_zero()
     assert abs(math.exp(traj.zeros[0][0]) - oracle) < 1e-8
 
 
-def test_zero_initial_data():
-    traj = integrate_ivp(IvpConfig(p=3.0, N=2, a=0.0, r_max=10.0))
-    assert traj.zeros.shape == (0, 3)
-    assert np.all(traj.u == 0.0)
-    u, du = traj.eval(np.array([0.5, 2.0]))
-    assert np.all(u == 0.0) and np.all(du == 0.0)
-
-
 def test_trajectory_eval_at_the_origin_is_the_start_value():
-    # r = 0 is the seed model's (a, 0), with no log(0) on the way
-    traj = integrate_ivp(IvpConfig(p=3.0, N=2, a=2.0, r_max=10.0))
+    # r = 0 is the origin series' (1, 0), with no log(0) on the way
+    traj = integrate_ivp(3.0, 2, 10.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         u, du = traj.eval(0.0)
         u_v, du_v = traj.eval(np.array([0.0, 0.5]))
-    assert (u, du) == (2.0, 0.0)
-    assert (u_v[0], du_v[0]) == (2.0, 0.0) and 0.0 < u_v[1] < 2.0
+    assert (u, du) == (1.0, 0.0)
+    assert (u_v[0], du_v[0]) == (1.0, 0.0) and 0.0 < u_v[1] < 1.0
 
 
 def test_trajectory_follows_the_seed_model_below_the_first_node():
-    # p = 1 (Bessel J0): below r_start the origin series, u = 1 - r^2/4 and
-    # u' = -r/2 to rounding there, and it joins the first node continuously
-    traj = integrate_ivp(IvpConfig(p=1.0, N=2, a=1.0, r_max=10.0))
-    r = traj.config.r_start * np.array([1e-3, 0.1, 0.5, 0.9])
+    # p = 1 (Bessel J0): below the first node the origin series, which is
+    # J0 and J0' to rounding there, and it joins the first node continuously
+    traj = integrate_ivp(1.0, 2, 10.0)
+    r = math.exp(traj.rho[0]) * np.array([1e-3, 0.1, 0.5, 0.9])
     u, du = traj.eval(r)
-    assert np.allclose(u, 1.0 - r * r / 4.0, rtol=1e-15, atol=0.0)
-    assert np.allclose(du, -r / 2.0, rtol=1e-12, atol=0.0)
-    r0 = math.exp(traj.rho[0])
-    u_j, du_j = traj.eval(r0 * (1.0 - 1e-12))
-    assert u_j == pytest.approx(traj.u[0], rel=1e-12)
+    u_ref, du_ref = np.array([j0(x) for x in r]).T
+    assert np.allclose(u, u_ref, rtol=1e-15, atol=0.0)
+    assert np.allclose(du, du_ref, rtol=1e-12, atol=0.0)
+    # the first node is x_s = 1.83 here, where u' = w / r is not small: a
+    # relative step delta below it moves u by -delta w to first order
+    r0, delta = math.exp(traj.rho[0]), 1e-12
+    u_j, du_j = traj.eval(r0 * (1.0 - delta))
+    assert u_j == pytest.approx(traj.u[0] - delta * traj.w[0], rel=1e-12)
     assert du_j == pytest.approx(traj.w[0] / r0, rel=1e-12)
 
 
 def test_trajectory_residual_small():
-    traj = integrate_ivp(IvpConfig(p=3.0, N=2, a=1.0, r_max=30.0))
+    traj = integrate_ivp(3.0, 2, 30.0)
     assert traj.residual_sup() < 1e-8
 
 
@@ -112,23 +108,27 @@ def test_signed_power_monotone(a, b, p):
 @pytest.mark.parametrize(
     "kw",
     [
-        dict(p=0.0, N=2, a=1.0),
-        dict(p=float("nan"), N=2, a=1.0),
-        dict(p=float("inf"), N=2, a=1.0),
-        dict(p=3.0, N=float("nan"), a=1.0),
-        dict(p=3.0, N=2, a=1.0, r_max=float("nan")),
-        dict(p=3.0, N=2, a=1.0, r_max=float("inf")),
-        dict(p=3.0, N=2.5, a=1.0),
-        dict(p=3.0, N=1, a=1.0),
-        dict(p=3.0, N=2, a=1.0, r_start=-1.0),
-        dict(p=3.0, N=2, a=1.0, r_max=1e-7),
-        dict(p=3.0, N=2, a=1.0, r_start=float("nan")),
-        dict(p=3.0, N=2, a=1.0, max_zeros=0),
+        dict(p=0.0, N=2, r_max=100.0),
+        dict(p=float("nan"), N=2, r_max=100.0),
+        dict(p=float("inf"), N=2, r_max=100.0),
+        dict(p=3.0, N=float("nan"), r_max=100.0),
+        dict(p=3.0, N=2, r_max=float("nan")),
+        dict(p=3.0, N=2, r_max=float("inf")),
+        dict(p=3.0, N=2.5, r_max=100.0),
+        dict(p=3.0, N=1, r_max=100.0),
+        dict(p=3.0, N=2, r_max=1e-7),
+        dict(p=float("nan"), N=2),
+        dict(p=float("inf"), N=2),
+        dict(p=2.0, N=float("nan")),
     ],
 )
 def test_config_validation(kw):
-    with pytest.raises(ConfigError):
-        IvpConfig(**kw)
+    # integrate_ivp(p, N, r_max), and solve_nodal(p, N) where r_max is not
+    # given: p and N are checked before the origin series is formed, so the
+    # error names the input, not the series
+    shoot = integrate_ivp if "r_max" in kw else solve_nodal
+    with pytest.raises(ConfigError, match=r"^(exponent p|dimension N|r_max=)"):
+        shoot(**kw)
 
 
 @pytest.mark.parametrize("p", [380.0, 383.0, 402.0])
@@ -136,7 +136,7 @@ def test_a_numpy_exponent_shoots_as_a_float(p):
     # a np.float64 p once made the stage arithmetic NumPy scalars, which warn
     # ("overflow" at the error norm, "invalid" at a5) where Python floats
     # raise the OverflowError that rejects the step
-    assert type(IvpConfig(p=np.float64(p), N=2, a=1.0).p) is float
+    assert type(radial._checked(np.float64(p), 2)[0]) is float
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = solve_nodal(np.float64(p))
@@ -150,15 +150,32 @@ def test_a_numpy_exponent_shoots_as_a_float(p):
         assert (np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b), f.name
 
 
+def _shoot(p, N, r0, r_max, u0, w0):
+    """The shooting stepper from the state (u0, w0) at r0, as a Trajectory."""
+    rho0 = math.log(r0)
+    ts, us, ws, tables, rejected, rhs_evals = radial._dormand_prince(
+        p, N, rho0, math.log(r_max), u0, w0, radial._accel(rho0, u0, w0, p, N))
+    return Trajectory(p, N, np.array(ts), np.array(us), np.array(ws),
+                      *(np.array(rows, dtype=float).reshape(-1, 3) for rows in tables),
+                      rejected=rejected, rhs_evals=rhs_evals)
+
+
+def _scaled_seed(p, N, a, r):
+    """(u, r u') at r of the solution with u(0) = a: a (U(x), x U'(x)) of the
+    origin series at x = |a|^((p-1)/2) r, by the scaling u(r) = a U(x)."""
+    c, d, _ = radial._origin_series(p, N)
+    y = abs(a) ** (p - 1.0) * r**2
+    return a * radial._horner(c, y), a * radial._horner(d, y)
+
+
 @pytest.mark.parametrize("lam", [0.5, 2.0])
 def test_scaling_identity(lam):
-    # u_lam(r) = lam^(2/(p-1)) u(lam r) solves the same equation
+    # u_lam(r) = lam^(2/(p-1)) u(lam r) solves the same equation: the
+    # invariance solve_nodal rescales by, through the stepper from u(0) = k
     p = 3.0
-    base = integrate_ivp(IvpConfig(p=p, N=2, a=1.0, r_max=8.0, max_zeros=None))
+    base = _shoot(p, 2, 1e-6, 8.0, *_scaled_seed(p, 2, 1.0, 1e-6))
     k = lam ** (2.0 / (p - 1.0))
-    scaled = integrate_ivp(
-        IvpConfig(p=p, N=2, a=k, r_start=1e-6 / lam, r_max=8.0 / lam, max_zeros=None)
-    )
+    scaled = _shoot(p, 2, 1e-6 / lam, 8.0 / lam, *_scaled_seed(p, 2, k, 1e-6 / lam))
     r = np.linspace(0.05, 7.0 / lam, 200)
     u_s, _ = scaled.eval(r)
     u_b, _ = base.eval(lam * r)
@@ -166,12 +183,13 @@ def test_scaling_identity(lam):
 
 
 def test_zeros_ordered_and_simple():
-    traj = integrate_ivp(IvpConfig(p=3.0, N=2, a=1.0, r_max=1e4, max_zeros=6))
+    # the second zero ends the integration, far short of r_max
+    traj = integrate_ivp(3.0, 2, 1e4)
     rhos = traj.zeros[:, 0].tolist()
-    assert len(rhos) == 6
+    assert len(rhos) == 2 and traj.rho[-1] == rhos[-1]
     assert all(a < b for a, b in zip(rhos, rhos[1:]))
     directions = np.sign(traj.zeros[:, 2]).tolist()
-    assert directions == [-1, 1, -1, 1, -1, 1]
+    assert directions == [-1, 1]
     for rho_z in rhos:
         _, du = traj.eval(math.exp(rho_z))
         assert abs(du) > 1e-6  # Hopf-type simplicity
@@ -196,7 +214,7 @@ def test_a_zero_of_u_prime_before_r_p_is_named(nodal, monkeypatch):
     traj = nodal(10.0)._traj
     added = [traj.zeros[0, 0] - math.log(2.0), 0.5, -0.1]
     bad = dataclasses.replace(traj, critical=np.vstack((added, traj.critical)))
-    monkeypatch.setattr(radial, "integrate_ivp", lambda cfg: bad)
+    monkeypatch.setattr(radial, "integrate_ivp", lambda *args: bad)
     with pytest.raises(SolverError, match=r"u' vanishes at r=.* on \(0, r_p=.*\): u is not decreasing"):
         solve_nodal(10.0)
 
@@ -209,7 +227,7 @@ def test_a_minimum_outside_minus_u0_to_0_is_named(nodal, monkeypatch, u_min):
     critical = traj.critical.copy()
     critical[:, 1] = u_min
     bad = dataclasses.replace(traj, critical=critical)
-    monkeypatch.setattr(radial, "integrate_ivp", lambda cfg: bad)
+    monkeypatch.setattr(radial, "integrate_ivp", lambda *args: bad)
     with pytest.raises(SolverError, match=r"u\(0\)=.* is not the sup norm of a sign-changing u"):
         solve_nodal(10.0)
 
@@ -244,11 +262,11 @@ def test_eval_taylor_region(nodal):
     # the integration starts from the origin series at its first node, and
     # the evaluator reads the series below it
     traj = sol._traj
-    cfg = traj.config
-    assert radial._seed(cfg, cfg.r_start**2) == (traj.u[0], traj.w[0])
+    x_s = radial._origin_series(5.0, 2)[2]
+    assert radial._seed(5.0, 2, x_s**2) == (traj.u[0], traj.w[0])
     # below the first node, against an independent DOP853 run from r = 1e-6
     # seeded by the two-term Taylor model (its error there is O(1e-24))
-    r = np.geomspace(1e-4, 1.0, 40) * cfg.r_start
+    r = np.geomspace(1e-4, 1.0, 40) * x_s
     ref = _dop853_from_the_origin(5.0, 2, r)
     u, du = sol.eval(r / sol.lam)
     assert np.allclose(u / sol.u0, ref[0], rtol=1e-14, atol=0.0)
@@ -303,7 +321,7 @@ def test_the_series_start_matches_dop853(p, N):
     # solution to the rounding of the reference: 3.8e-15 in u and 1.4e-13
     # in r u' (p = 400) at worst
     x_s = radial._origin_series(p, N)[2]
-    u, w = radial._seed(IvpConfig(p=p, N=N, a=1.0), x_s * x_s)
+    u, w = radial._seed(p, N, x_s * x_s)
     (u_ref,), (w_ref,) = _dop853_from_the_origin(p, N, np.array([x_s]))
     assert u == pytest.approx(u_ref, rel=1e-14, abs=0.0)
     assert w == pytest.approx(w_ref, rel=5e-13, abs=0.0)
@@ -325,16 +343,6 @@ def test_the_series_region_holds_no_event_and_solves_the_equation(p, N):
     scale = np.maximum(1.0, np.maximum(np.abs(term_dd), np.maximum(np.abs(term_d), np.abs(term_u))))
     assert np.max(np.abs(term_dd + term_d + term_u) / scale) < 1e-13
     assert x_s * x_s * abs(c[-1] / c[-2]) < 0.2
-
-
-@pytest.mark.parametrize("p, a, limit", [(3.0, 1.0, "0.620"), (3.0, 4.0, "0.155")])
-def test_a_start_past_the_series_radius_is_a_config_error(p, a, limit):
-    # the series is exact to rounding up to x = |a|^((p-1)/2) r = x_s
-    message = rf"r_start=1 lies past r={limit}\d*, the largest radius at which the origin series is exact"
-    with pytest.raises(ConfigError, match=message):
-        integrate_ivp(IvpConfig(p=p, N=2, a=a, r_start=1.0, r_max=10.0))
-    x_s = radial._origin_series(p, 2)[2]
-    integrate_ivp(IvpConfig(p=p, N=2, a=a, r_start=x_s / a, r_max=10.0))
 
 
 def test_extreme_exponents_name_the_series_limit():
@@ -388,7 +396,7 @@ def test_dense_eval_matches_ode_solution(nodal, p):
     # the same log-form IVP from the first node, at random points, at every
     # step node and at both ends; at the nodes it returns the node states
     traj = nodal(p)._traj
-    N = traj.config.N
+    N = traj.N
     ts = traj.rho
     rng = np.random.default_rng(7)
     rho = np.sort(np.concatenate([rng.uniform(ts[0], ts[-1], 4000), ts]))
@@ -429,17 +437,10 @@ def test_the_trajectory_keeps_the_integrators_variables(monkeypatch, p, N):
     assert data[0] is traj.rho and data[2] is traj.w
 
 
-def _two_term_seed(cfg, r2):
-    """(u, r u') = (a - c r2, -2 c r2), c = |a|^(p-1) a / (2N): the origin
-    Taylor model to second order."""
-    c = signed_power(cfg.a, cfg.p) / (2.0 * cfg.N)
-    return cfg.a - c * r2, -2.0 * c * r2
-
-
-def _rk45_reference(cfg):
-    """The same log-form IVP, tolerances, step cap and events through SciPy's
-    RK45 (solve_ivp)."""
-    p, N = cfg.p, cfg.N
+def _rk45_reference(p, N, r0, r_max, y0):
+    """The same log-form IVP from the state y0 at r0, with the same
+    tolerances, step cap and events (the second zero of u terminal), through
+    SciPy's RK45 (solve_ivp)."""
 
     def rhs(rho, y):
         u = float(y[0])
@@ -449,7 +450,7 @@ def _rk45_reference(cfg):
     def zero_ev(rho, y):
         return y[0]
 
-    zero_ev.terminal = cfg.max_zeros
+    zero_ev.terminal = 2
 
     def crit_ev(rho, y):
         return y[1]
@@ -457,9 +458,8 @@ def _rk45_reference(cfg):
     def fp_crit_ev(rho, y):
         return (p - 1.0) * y[1] + 2.0 * y[0]
 
-    y0 = radial._seed(cfg, cfg.r_start**2)  # the state the stepper starts from
     with np.errstate(over="ignore"):  # the initial-step probe at large p
-        return solve_ivp(rhs, (math.log(cfg.r_start), math.log(cfg.r_max)), y0,
+        return solve_ivp(rhs, (math.log(r0), math.log(r_max)), y0,
                          rtol=radial._SHOOT_RTOL, atol=_ABS_TOL, max_step=_MAX_LOG_STEP,
                          events=(zero_ev, crit_ev, fp_crit_ev))
 
@@ -477,7 +477,7 @@ def test_ln_fp_is_the_u_row_of_the_full_reconstruction(nodal, p, N):
     seed = rho < data[0][0]
     assert 0 < np.count_nonzero(seed) < len(r)
     u = np.empty_like(rho)
-    u[seed] = radial._seed(traj.config, np.exp(2.0 * rho[seed]))[0]
+    u[seed] = radial._seed(p, N, np.exp(2.0 * rho[seed]))[0]
     j = np.clip(np.searchsorted(data[0], rho[~seed]) - 1, 0, len(data[0]) - 2)
     th = (rho[~seed] - data[0][j]) / (data[0][j + 1] - data[0][j])
     u[~seed] = radial._hermite(data, j, th, rows=3)[0]
@@ -491,8 +491,8 @@ CAPPED_THROUGHOUT = [(2.0, 2), (2.5, 3)]
 
 @pytest.mark.parametrize("p, N", CAPPED_THROUGHOUT + [(8.0, 2), (50.0, 2), (400.0, 2),
                                                       (760.0, 2)])
-def test_stepper_matches_scipy_rk45(monkeypatch, p, N):
-    # the shooting integrator (to solve_nodal's first horizon) against
+def test_stepper_matches_scipy_rk45(p, N):
+    # the shooting stepper (to solve_nodal's first horizon) against
     # SciPy's RK45 with the same controller and the step cap everywhere: the
     # same events and the same trajectory. At larger p the stepper lifts the
     # cap where u is harmonic to working precision, so it takes fewer steps.
@@ -501,10 +501,11 @@ def test_stepper_matches_scipy_rk45(monkeypatch, p, N):
     # roots agree to 1e-11 only for some start states: a few ulp of the
     # start u move the gap between the two ln R2 by up to 1.5e-10, and from
     # the origin series' state at 1e-6 it is 3.1e-11 at p = 400
-    monkeypatch.setattr(radial, "_seed", _two_term_seed)
-    cfg = IvpConfig(p=p, N=N, a=1.0, r_max=math.exp(min(0.5 * p + 30.0, 345.0)), max_zeros=2)
-    traj = integrate_ivp(cfg)
-    ref = _rk45_reference(cfg)
+    r0, r_max = 1e-6, math.exp(min(0.5 * p + 30.0, 345.0))
+    c = 1.0 / (2.0 * N)  # u = 1 - r^2/(2N) + O(r^4)
+    y0 = (1.0 - c * r0**2, -2.0 * c * r0**2)
+    traj = _shoot(p, N, r0, r_max, *y0)
+    ref = _rk45_reference(p, N, r0, r_max, y0)
     assert ref.status == 1
     rho = traj.rho
     if (p, N) in CAPPED_THROUGHOUT:
@@ -675,7 +676,7 @@ def test_horizon_retry_finds_a_zero_past_the_first_horizon(monkeypatch):
     horizons = []
     real = radial.integrate_ivp
     monkeypatch.setattr(radial, "integrate_ivp",
-                        lambda cfg: horizons.append(math.log(cfg.r_max)) or real(cfg))
+                        lambda p, N, r_max: horizons.append(math.log(r_max)) or real(p, N, r_max))
     sol = solve_nodal(4.9999, N=3)
     assert math.log(sol.lam) == pytest.approx(34.45, abs=5e-3)
     assert len(horizons) == 2 and horizons[0] < 32.5 < math.log(sol.lam) < horizons[1]
@@ -685,15 +686,6 @@ def test_overflow_inside_a_step_is_a_stiffness_error():
     # past ln r = 354.9 the factor e^(2 ln r) leaves the float range: each
     # stage that gets there overflows, so its step is rejected, until the
     # step falls below 10 ulp of ln r
-    cfg = IvpConfig(p=3.0, N=2, a=1e-160, r_start=math.exp(354.0), r_max=math.exp(356.0))
+    r0 = math.exp(354.0)
     with pytest.raises(StiffnessError, match=r"integration failed at r=1\.3\d+e\+154"):
-        integrate_ivp(cfg)
-
-
-@pytest.mark.parametrize("p, a, r_max", [(5.0, 1e100, 100.0), (3.0, 1e160, 100.0),
-                                         (1000.0, 2.0, 1e10)])
-def test_non_finite_taylor_seed_is_a_config_error(p, a, r_max):
-    # |a|^(p-1) a, or the start derivative e^(2 rho) |u|^(p-1) u, overflows
-    message = re.escape(f"Taylor seed at r_start=1e-06 is not finite for a={a:g},")
-    with pytest.raises(ConfigError, match=message):
-        integrate_ivp(IvpConfig(p=p, N=2, a=a, r_max=r_max))
+        _shoot(3.0, 2, r0, math.exp(356.0), *_scaled_seed(3.0, 2, 1e-160, r0))

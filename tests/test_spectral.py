@@ -305,7 +305,7 @@ def test_grid_convergence(nodal):
     assert abs(b2 - b1) / abs(b1) < 1e-4
 
 
-ANNULUS_LIMITS = [("M", 0), ("M", 1), ("M", 2), ("inner", 0.0), ("inner", 1.5),
+ANNULUS_LIMITS = [("M", 0), ("M", 1), ("M", 2), ("M", 3.5), ("inner", 0.0), ("inner", 1.5),
                   ("inner", "between r_p and 1"), ("inner", math.nan)]
 
 
@@ -314,7 +314,8 @@ ANNULUS_LIMITS = [("M", 0), ("M", 1), ("M", 2), ("inner", 0.0), ("inner", 1.5),
 def test_each_annulus_limit_is_one_named_error(nodal, limit, value):
     # checked once, before any grid is sized, whichever layer would have
     # failed first: the problem (M = 0), the coarsening (M = 1), the
-    # bisection (M = 2), math.log (inner = 0) or build_problem
+    # bisection (M = 2), the nested grids (M = 3.5), math.log (inner = 0) or
+    # build_problem
     sol = nodal(8.0)
     if value == "between r_p and 1":
         value = (sol.r_p + 1.0) / 2.0
@@ -323,6 +324,16 @@ def test_each_annulus_limit_is_one_named_error(nodal, limit, value):
     for solve in (annulus_betas, morse_index):
         with pytest.raises(ConfigError, match=match):
             solve(sol, **{limit: value})
+
+
+def test_whole_float_sizes_are_reported_as_ints(nodal):
+    # N = 3.0 once reached math.comb in the sphere multiplicities as a float,
+    # and M = 3000.0 came back as the float grid size
+    rep = morse_index(solve_nodal(2.5, N=3.0))
+    assert rep.total == 10 and type(rep.N) is int and rep.N == 3
+    ann = annulus_betas(nodal(8.0), M=3000.0)
+    assert type(ann.M) is int and ann.M == 3000
+    assert np.array_equal(ann.betas, annulus_betas(nodal(8.0), M=3000).betas)
 
 
 def test_the_library_names_the_spectral_limits(nodal, monkeypatch):
