@@ -34,12 +34,12 @@ e^(2 rho) |u|^(p-1) u falls below the rounding of the state, as between the
 two bubbles at large p, the equation is w' = -(N-2) w to working precision,
 which the step and the reconstruction both reproduce, and the error control
 alone sizes the steps. Its events (zeros of u, of u' and of
-d ln f_p / d ln r) are located by Brent's method on each step's quartic
-interpolant; only the step states (rho, u, w) and one (rho, u, w) row per
-event are kept, as integrated. Every u off the steps comes from one evaluator
-(Trajectory._state): the quintic Hermite reconstruction, built once, and
-below the first step the origin series the integration starts from (_seed).
-f_p = p |u|^(p-1) r^2 has one log form, _ln_fp.
+d ln f_p / d ln r) are located by regula falsi on each step's quartic
+interpolant (_root); only the step states (rho, u, w) and one (rho, u, w)
+row per event are kept, as integrated. Every u off the steps comes from one
+evaluator (Trajectory._state): the quintic Hermite reconstruction, built
+once, and below the first step the origin series the integration starts
+from (_seed). f_p = p |u|^(p-1) r^2 has one log form, _ln_fp.
 
 Powers |u|^(p-1) u are evaluated through logarithms, as sign(u) exp(p ln|u|),
 which keeps the sign and underflows gracefully; past the float64 range the
@@ -101,13 +101,6 @@ def signed_power(u, p: float):
 def _exp(x):
     """np.exp(x), with inf and no overflow warning past the float64 range."""
     return np.exp(x, out=np.full(np.shape(x), np.inf), where=~(x > _LN_FLOAT_MAX))
-
-
-def _signed_power_scalar(u: float, p: float) -> float:
-    if u == 0.0:
-        return 0.0
-    au = abs(u)
-    return math.copysign(math.exp(p * math.log(au)), u)
 
 
 def _ln_fp(p: float, u, rho):
@@ -432,7 +425,8 @@ def _accel(rho: float, u: float, w: float, p: float, N: int) -> float:
     _dormand_prince evaluates its stages with this expression inline, in the
     same operation order, so that every stage value is the same float.
     """
-    return -(N - 2.0) * w - math.exp(2.0 * rho) * _signed_power_scalar(u, p)
+    return -(N - 2.0) * w - math.exp(2.0 * rho) * (
+        math.copysign(math.exp(p * math.log(abs(u))), u) if u else 0.0)
 
 
 def _dormand_prince(p, N, t, t_end, u, w, f):
@@ -453,7 +447,7 @@ def _dormand_prince(p, N, t, t_end, u, w, f):
 
     The events are the zeros of u, of w and of (p-1) w + 2u, tested for a
     change or touch of sign on each step's end state. Each is located on the
-    step's quartic interpolant by _brentq, and the second zero of u ends
+    step's quartic interpolant by _root, and the second zero of u ends
     the integration at its root, as a terminal event does in solve_ivp.
     Returns the nodes (ts, us, ws), the three event tables (zeros of u, of w,
     of (p-1) w + 2u), each a list of (root, u, w) rows in root order, the
@@ -567,7 +561,7 @@ def _dormand_prince(p, N, t, t_end, u, w, f):
             # t a closure cell, which every stage then reads more slowly
             hits = []
             for i in kinds:
-                hits.append((_brentq(lambda s, i=i: state(s)[i], t, t_new), i))
+                hits.append((_root(lambda s, i=i: state(s)[i], t, t_new), i))
             # an event has at most one root per step, so root order keeps
             # each table in order
             for root, i in sorted(hits):
@@ -609,69 +603,50 @@ def _quartic(t, h, u, w, ku, kw, pm1):
     return state
 
 
-def _brentq(fun, xa: float, xb: float) -> float:
-    """Root of fun in [xa, xb] by Brent's method, to the nearest float.
+def _root(fun, a: float, b: float) -> float:
+    """The float in [a, b] nearest the zero of fun.
 
-    The iteration of scipy.optimize.brentq (Brent 1973, as in SciPy's C
-    brentq) with xtol = rtol = 4 eps, the tolerance solve_ivp uses for
-    events; bisection then narrows its last bracket to two adjacent floats
-    and returns the one where |fun| is smaller. Without a sign change at
-    the ends (the interpolant's end value rounds to the other side of zero)
-    the end nearer a root is returned. The terminal zero needs the last
-    float: the rescale by R2^(2/(p-1)) amplifies its residual u, and a root
-    elsewhere in the 4 eps bracket left |u(1)| = 1.8e-9 at p = 1.25, past
-    the 1e-9 shooting check, where the nearest float leaves 3.3e-10.
+    Where fun changes sign over [a, b], regula falsi with the Illinois rule
+    (Dowell & Jarratt, BIT 11 (1971): an end kept twice in a row has its
+    weight halved) narrows the bracket to _EVENT_TOL (1 + |a|), the tolerance
+    solve_ivp uses for events, and bisection then narrows it to two adjacent
+    floats. The result is the end of the bracket where |fun| is smaller;
+    without a sign change (the interpolant's end value rounds to the other
+    side of zero) that is an end of [a, b]. Each secant point lies at least
+    half the tolerance inside the bracket, and its divisor is a sum of two
+    magnitudes, one of them a nonzero value of fun, so no step divides by
+    zero. The terminal zero needs the last float: the rescale by
+    R2^(2/(p-1)) amplifies its residual u, and a root elsewhere in the 4 eps
+    bracket left |u(1)| = 1.8e-9 at p = 1.25, past the 1e-9 shooting check,
+    where the nearest float leaves 2.3e-10.
     """
-    xpre, xcur = xa, xb
-    fpre, fcur = fun(xpre), fun(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        return xpre if abs(fpre) < abs(fcur) else xcur
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_EVENT_TOL + _EVENT_TOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0:
-            return xcur
-        if abs(sbis) < delta:
-            # bisect the last bracket down to adjacent floats
-            while True:
-                mid = xcur + (xblk - xcur) / 2
-                if mid == xcur or mid == xblk:
-                    return xcur if abs(fcur) <= abs(fblk) else xblk
-                fmid = fun(mid)
-                if fmid == 0:
-                    return mid
-                if (fmid < 0) == (fcur < 0):
-                    xcur, fcur = mid, fmid
-                else:
-                    xblk, fblk = mid, fmid
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
+    fa, fb = fun(a), fun(b)
+    if fa and fb and (fa < 0) != (fb < 0):
+        ga, gb, kept = fa, fb, None  # the secant weights, and the end last kept
+        while b - a > (tol := _EVENT_TOL * (1.0 + abs(a))):
+            m = min(max(a + (b - a) * (ga / (ga - gb)), a + tol / 2), b - tol / 2)
+            fm = fun(m)
+            if fm == 0:
+                return m
+            if (fm < 0) == (fa < 0):
+                a, fa, ga = m, fm, fm
+                if kept == "b":
+                    gb /= 2
+                kept = "b"
             else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = fun(xcur)
-    return xcur
+                b, fb, gb = m, fm, fm
+                if kept == "a":
+                    ga /= 2
+                kept = "a"
+        while a < (m := a + (b - a) / 2) < b:
+            fm = fun(m)
+            if fm == 0:
+                return m
+            if (fm < 0) == (fa < 0):
+                a, fa = m, fm
+            else:
+                b, fb = m, fm
+    return a if abs(fa) <= abs(fb) else b
 
 
 @dataclass
@@ -781,11 +756,13 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
     Shoots from u(0) = 1 (integrate_ivp) to the second zero R2 and rescales
     it to r = 1; by the scaling invariance the result solves the Dirichlet
     problem with u(0) = R2^(2/(p-1)) > 0. Raises ConfigError for p <= 1 and
-    for supercritical exponents (N >= 3, p >= (N+2)/(N-2)), and HorizonError
-    if no second zero exists before the largest representable horizon. The shooting events are
-    read here, once. They fix the nodal shape: u' has no zero on (0, r_p) and
-    one on (r_p, 1), at s_p, and 0 < -u(s_p) <= u(0) (else SolverError); f_p
-    has one critical point on each nodal interval (else UnimodalityError).
+    for supercritical exponents (N >= 3, p >= (N+2)/(N-2)). The one
+    integration runs to the horizon r = e^345 (_LN_RMAX_CAP), where r^2 is
+    still a float, and stops at the second zero; HorizonError if there is
+    none before it. The shooting events are read here, once. They fix the
+    nodal shape: u' has no zero on (0, r_p) and one on (r_p, 1), at s_p, and
+    0 < -u(s_p) <= u(0) (else SolverError); f_p has one critical point on
+    each nodal interval (else UnimodalityError).
 
     The shooting contract is fixed: the integrator runs at relative
     tolerance 1e-12 (_SHOOT_RTOL); |u(1)| >= 1e-9 (_U1_BOUND) or
@@ -800,18 +777,11 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
             f"supercritical exponent: p={p} >= (N+2)/(N-2)={(N+2)/(N-2):.4f} for N={N}"
         )
 
-    # ln R2 grows like ~0.45 p in 2-d; start generous and extend on a miss
-    ln_rmax = min(0.5 * p + 30.0, _LN_RMAX_CAP)
-    while True:
-        traj = integrate_ivp(p, N, math.exp(ln_rmax))
-        if len(traj.zeros) >= 2:
-            break
-        if ln_rmax >= _LN_RMAX_CAP:
-            raise HorizonError(
-                f"second zero not found before r=exp({ln_rmax:.0f}) at p={p}, N={N}"
-            )
-        ln_rmax = min(1.5 * ln_rmax, _LN_RMAX_CAP)
-
+    traj = integrate_ivp(p, N, math.exp(_LN_RMAX_CAP))
+    if len(traj.zeros) < 2:
+        raise HorizonError(
+            f"second zero not found before r=exp({_LN_RMAX_CAP:.0f}) at p={p}, N={N}"
+        )
     (rho1, _, w1), (rho2, _, w2) = traj.zeros
     if not (w1 < 0 < w2):
         raise SolverError(f"unexpected crossing directions at p={p}: r u' = "

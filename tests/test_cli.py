@@ -351,6 +351,17 @@ def test_exit_codes_via_entry_point():
         assert scripts["lanemorse"] == "lanemorse.cli:main"
 
 
+def test_an_underflowing_root_bracket_is_a_named_solver_error():
+    # at N = 1000 near p = 1 the event interpolants take values whose
+    # products underflow; the shooting ends at the tangential zero it
+    # reaches, a named solver error
+    proc = _run_cli("solve", "--p", "1.0036072144288577", "--N", "1000")
+    assert proc.returncode == EXIT_SOLVER, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver error: degenerate zero"), lines
+
+
 def test_schema_shape():
     _, text = run(parse_args(["solve", "--p", "3"]))
     assert text.startswith('{\n  "schema_version": 8')

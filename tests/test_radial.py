@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -360,6 +361,37 @@ def test_the_terminal_zero_is_the_nearest_float(nodal, p, N):
         assert abs(u_z) <= 0.6 * abs(w_z) * math.ulp(rho_z)
 
 
+@pytest.mark.parametrize("c", [0.3, 1e-3, -0.8083498913620493, 14.952283819406915,
+                               258.7654321])
+def test_the_root_of_a_line_is_its_float(c):
+    assert radial._root(lambda x: x - c, c - 1.5, c + 2.0) == c
+
+
+@pytest.mark.parametrize("c", [0.3, 14.952283819406915, 258.7654321])
+@pytest.mark.parametrize("frac", [0.3, 0.7])
+def test_a_root_between_two_floats_gives_the_nearer(c, frac):
+    # the exact root lies frac of the way from c to the next float
+    up = math.nextafter(c, math.inf)
+    root = Fraction(c) + frac * (Fraction(up) - Fraction(c))
+    got = radial._root(lambda x: float(Fraction(x) - root), c - 1.0, c + 1.0)
+    assert got == (c if frac < 0.5 else up)
+
+
+@pytest.mark.parametrize("fun, a, b, end", [
+    (lambda x: x * x + 1.0, -0.5, 2.0, -0.5),
+    (lambda x: -(x * x + 1.0), -3.0, 1.0, 1.0),
+    (lambda x: x * (x - 2.0), 0.0, 1.0, 0.0),      # a touch at the left end
+], ids=["above", "below", "touch"])
+def test_no_sign_change_gives_the_end_nearer_zero(fun, a, b, end):
+    assert radial._root(fun, a, b) == end
+
+
+def test_a_tiny_scaled_function_still_has_its_root():
+    # values near 1e-150, whose products underflow to zero: no step may
+    # divide by one
+    assert radial._root(lambda x: 1e-150 * math.expm1(x - 0.3), 0.0, 1.0) == 0.3
+
+
 def test_supercritical_rejected():
     with pytest.raises(ConfigError):
         solve_nodal(5.0, N=3)
@@ -421,8 +453,7 @@ def test_dense_eval_matches_ode_solution(nodal, p):
 def test_the_trajectory_keeps_the_integrators_variables(monkeypatch, p, N):
     # the steps (rho, w) and the (root, u, w) event rows are stored as
     # _dormand_prince returned them, and the Hermite data reads the stored
-    # arrays; at p = 4.9999, N = 3 the second of two integrations is the
-    # one kept
+    # arrays
     runs = []
     real = radial._dormand_prince
     monkeypatch.setattr(radial, "_dormand_prince",
@@ -492,7 +523,7 @@ CAPPED_THROUGHOUT = [(2.0, 2), (2.5, 3)]
 @pytest.mark.parametrize("p, N", CAPPED_THROUGHOUT + [(8.0, 2), (50.0, 2), (400.0, 2),
                                                       (760.0, 2)])
 def test_stepper_matches_scipy_rk45(p, N):
-    # the shooting stepper (to solve_nodal's first horizon) against
+    # the shooting stepper (to the horizon e^(0.5 p + 30)) against
     # SciPy's RK45 with the same controller and the step cap everywhere: the
     # same events and the same trajectory. At larger p the stepper lifts the
     # cap where u is harmonic to working precision, so it takes fewer steps.
@@ -547,12 +578,12 @@ STEPPER_PINS = {
         ['0x1.8dbef1467692bp+0', '0x1.fe6295e82f609p+2'],
     ),
     (400.0, 2): (
-        ('0x1.6e10a7fa70ad2p-117', '0x1.ea8fe2af58f8fp-48',
-         '0x1.3ac8523422464p+1', '-0x1.2bee2c0a03de0p+0'),
-        721,
-        ['0x1.6c583b6e17743p+142', '0x1.fd97ff49d3418p+258'],
-        ['0x1.e841ace411fd7p+211'],
-        ['0x1.2186a75d463d0p-3', '0x1.fb27ced6d1db7p+211'],
+        ('0x1.6e10a7fa691fep-117', '0x1.ea8fe2af4fc03p-48',
+         '0x1.3ac85234224eap+1', '-0x1.2bee2c0a03e51p+0'),
+        715,
+        ['0x1.6c583b6e17743p+142', '0x1.fd97ff49ddc4cp+258'],
+        ['0x1.e841ace412e25p+211'],
+        ['0x1.2186a75d463d0p-3', '0x1.fb27ced6d2a97p+211'],
     ),
     (760.0, 2): (
         ('0x1.6f5b76fb1f1ccp-221', '0x1.f3df36e026c95p-90',
@@ -670,16 +701,16 @@ def test_no_second_zero_before_the_last_horizon_is_a_horizon_error():
         solve_nodal(800.0)
 
 
-def test_horizon_retry_finds_a_zero_past_the_first_horizon(monkeypatch):
-    # ln R2 = 34.45 lies past the first horizon 0.5 p + 30 = 32.5, so the
-    # first integration ends without a second zero and the retry finds it
+def test_solve_integrates_once_to_the_float_horizon(monkeypatch):
+    # one integration to e^345 for every exponent; it stops at the second
+    # zero, at ln R2 = 34.45 for p = 4.9999, N = 3
     horizons = []
     real = radial.integrate_ivp
     monkeypatch.setattr(radial, "integrate_ivp",
-                        lambda p, N, r_max: horizons.append(math.log(r_max)) or real(p, N, r_max))
+                        lambda p, N, r_max: horizons.append(r_max) or real(p, N, r_max))
     sol = solve_nodal(4.9999, N=3)
     assert math.log(sol.lam) == pytest.approx(34.45, abs=5e-3)
-    assert len(horizons) == 2 and horizons[0] < 32.5 < math.log(sol.lam) < horizons[1]
+    assert horizons == [math.exp(345.0)]
 
 
 def test_overflow_inside_a_step_is_a_stiffness_error():
