@@ -24,22 +24,21 @@ solve_nodal forms the radii it reports, and eval() reads u and u' at radii.
 Near the origin u is the Lane-Emden power series (_origin_series, with
 J.C.P. Miller's recurrence for the coefficients of u^p), exact to rounding
 up to a radius r_s of 0.03 (p = 760) to 2.3 (p = 1.3, N = 8); integrate_ivp
-starts the steps there. Past it the integrator is a scalar Dormand-Prince
-5(4) loop (_dormand_prince) with the step control of SciPy's RK45: same
-tableau, error norm, step factors, minimum step and initial-step rule.
-Where the equation is nonlinear it also caps the step in rho
-(_MAX_LOG_STEP), which the residual bound of the Hermite reconstruction
-requires. Where the nonlinear term
-e^(2 rho) |u|^(p-1) u falls below the rounding of the state, as between the
-two bubbles at large p, the equation is w' = -(N-2) w to working precision,
-which the step and the reconstruction both reproduce, and the error control
-alone sizes the steps. Its events (zeros of u, of u' and of
-d ln f_p / d ln r) are located by regula falsi on each step's quartic
-interpolant (_root); only the step states (rho, u, w) and one (rho, u, w)
-row per event are kept, as integrated. Every u off the steps comes from one
-evaluator (Trajectory._state): the quintic Hermite reconstruction, built
-once, and below the first step the origin series the integration starts
-from (_seed). f_p = p |u|^(p-1) r^2 has one log form, _ln_fp.
+starts the steps there. Past it the integrator is a scalar DOP853 loop
+(_dop853), the Dormand-Prince 8(5,3) pair with the step control of SciPy's
+DOP853: same tableau, error norm combining the fifth- and third-order
+estimates, exponent -1/8, step factors, minimum step and initial-step
+rule, and no step cap. Between the steps the trajectory is each step's
+seventh-order dense output (three extra stages per step), the one evaluator
+(Trajectory._state) that eval(), residual_sup(), the f_p sampling and the
+events all read: the loop forms a step's extra stages where an event
+changes sign over it and locates the zeros of u, of u' and of
+d ln f_p / d ln r on its polynomial by regula falsi (_root); the evaluator
+forms those of the other steps for all of them at once. Only the step
+states (rho, u, w), each step's stage row and one (rho, u, w) row per event
+are kept, as integrated; below the first step the evaluator is the origin
+series the integration starts from (_seed). f_p = p |u|^(p-1) r^2 has one
+log form, _ln_fp.
 
 Powers |u|^(p-1) u are evaluated through logarithms, as sign(u) exp(p ln|u|),
 which keeps the sign and underflows gracefully; past the float64 range the
@@ -73,12 +72,12 @@ __all__ = [
     "signed_power",
 ]
 
-# Quintic Hermite sample points used for the interpolated-residual check.
+# fractions of each step where residual_sup samples the dense output
 _RESIDUAL_THETAS = (0.15, 0.35, 0.5, 0.65, 0.85)
 
 _ABS_TOL = 1e-14        # absolute integrator tolerance on (u, w)
-_MAX_LOG_STEP = 0.075   # largest step in rho = ln r where the ODE is nonlinear
-_MAX_DECAY_STEP = 0.2   # largest (N-2) h: w decays like e^(-(N-2) rho)
+_SERIES_CELL = 0.075    # largest Pruefer cell in ln r below the first node
+_CELLS_PER_STEP = 4     # Pruefer cells per shooting step
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
 _CELL_DEFECT = 1e-4     # bound on h^2 f_p of a Pruefer cell below the first node
 
@@ -175,19 +174,23 @@ def _seed(p: float, N: int, r2):
 class Trajectory:
     """Integrated radial trajectory with event data, in the integrator's variables.
 
-    rho/u/w are the accepted steps (rho = ln r, w = r u') as integrated,
-    rejected counts the rejected step attempts and rhs_evals the
-    evaluations of dw/drho (2 at the start, 6 per attempt that raised no
-    overflow). The events of the one integration are (n, 3) tables with
-    columns (rho, u, w), one row per event in root order: zeros for the
-    simple zero crossings of u (the sign of w is the direction), critical
-    for the zeros of w, and fp_critical for the zeros of
-    d ln f_p / d rho = (p-1) w/u + 2, i.e. the critical points of
-    f_p = p |u|^(p-1) r^2. Between the steps the trajectory is the quintic
-    Hermite reconstruction in rho from the step states and their first two
-    rho-derivatives, taken from the ODE and built once, and below the first
-    step the origin series: _state() evaluates both, eval() reads it in r.
-    residual_sup() certifies the reconstruction; the series is exact to
+    rho/u/w are the accepted steps (rho = ln r, w = r u') as integrated;
+    stages holds, per step, the data of its dense output as _dop853 returned
+    it: the full step width h, the step's end state (u_new, w_new), which the
+    terminal step, cut at the second zero, does not reach, and the 16 stage
+    derivatives of u and then of w (columns 3..18 and 19..34, tableau order;
+    the dense output's extra stages 13..15 are nan unless the loop formed
+    them to locate an event there). rejected counts the rejected step
+    attempts and rhs_evals the evaluations of dw/drho in the loop: 2 at the
+    start, 12 per attempt that raised no overflow and 3 per step holding an
+    event. The events are (n, 3) tables with columns (rho, u, w), one row per
+    event in root order: zeros for the simple zero crossings of u (the sign
+    of w is the direction), critical for the zeros of w, and fp_critical for
+    the zeros of d ln f_p / d rho = (p-1) w/u + 2, i.e. the critical points
+    of f_p = p |u|^(p-1) r^2. Between the steps the trajectory is each
+    step's seventh-order dense output, built once, and below the first step
+    the origin series: _state() evaluates both, eval() reads it in r.
+    residual_sup() certifies the dense output; the series is exact to
     rounding below the start radius it accepts (_origin_series).
     """
 
@@ -196,6 +199,7 @@ class Trajectory:
     rho: np.ndarray
     u: np.ndarray
     w: np.ndarray
+    stages: np.ndarray
     zeros: np.ndarray
     critical: np.ndarray
     fp_critical: np.ndarray
@@ -203,34 +207,48 @@ class Trajectory:
     rhs_evals: int = 0
 
     @functools.cached_property
-    def _hermite_data(self):
-        """(rho, u, w, dw, ddw) at the steps, d = d/drho; built once."""
+    def _dense(self):
+        """(h, F): step widths and dense-output coefficients; built once.
+
+        F[i] is a (2, steps) array, row 0 for u and row 1 for w. The extra
+        stages the loop did not form are evaluated here for all steps at
+        once; the coefficients come from the same _dense_coeffs as the
+        loop's, elementwise, so on an event step the two agree bit for bit.
+        """
         p, N = self.p, self.N
-        rho, u, w = self.rho, self.u, self.w
-        e2, power = np.exp(2.0 * rho), signed_power(u, p)
-        dw = -(N - 2.0) * w - e2 * power
-        return rho, u, w, dw, _ddw(u, w, dw, e2, power, p, N)
+        h = self.stages[:, 0]
+        k = self.stages[:, 3:].reshape(-1, 2, 16)
+        ku, kw = _extra_stages(
+            self.rho[:-1], h, self.u[:-1], self.w[:-1], list(k[:, 0, :13].T),
+            list(k[:, 1, :13].T),
+            lambda t, x, v: -(N - 2.0) * v - _exp(2.0 * t) * signed_power(x, p))
+        missing = np.isnan(k[:, 0, 13])
+        k = k.copy()
+        k[missing, 0, 13:] = np.transpose(ku[13:])[missing]
+        k[missing, 1, 13:] = np.transpose(kw[13:])[missing]
+        y = np.array([self.u[:-1], self.w[:-1]])
+        return h, _dense_coeffs(h, y, self.stages[:, 1:3].T, list(k.transpose(2, 1, 0)))
 
     def _state(self, rho, rows=2):
         """The first `rows` of (u, w) at log radii rho up to the last node.
 
-        The origin series below the first node, the Hermite reconstruction
-        from it on; rows=1 evaluates u alone.
+        The origin series below the first node, the step's dense output from
+        it on; rows=1 evaluates u alone.
         """
-        data = self._hermite_data
-        knots = data[0]
+        h, F = self._dense
+        starts = self.rho[:-1]
         rho = np.asarray(rho, dtype=float)
-        out = [np.empty_like(rho) for _ in range(rows)]
-        seed = rho < knots[0]
-        for o, v in zip(out, _seed(self.p, self.N, np.exp(2.0 * rho[seed]))):
-            o[seed] = v
+        out = np.empty((rows,) + rho.shape)
+        seed = rho < starts[0]
+        out[:, seed] = _seed(self.p, self.N, np.exp(2.0 * rho[seed]))[:rows]
         step = ~seed
         x = rho[step]
-        j = np.clip(np.searchsorted(knots, x, side="left") - 1, 0, len(knots) - 2)
-        th = (x - knots[j]) / (knots[j + 1] - knots[j])
-        for o, v in zip(out, _hermite(data, j, th, rows)):
-            o[step] = v
-        return out
+        # a node opens its step (x = 0, the node state itself); the last
+        # node closes the last step
+        j = np.clip(np.searchsorted(starts, x, side="right") - 1, 0, len(starts) - 1)
+        y = np.array([self.u, self.w][:rows])
+        out[:, step] = _dense_eval(y[:, j], [c[:rows, j] for c in F], (x - starts[j]) / h[j])
+        return list(out)
 
     def eval(self, r):
         """(u, du) at radii r in [0, e^rho[-1]], vectorized."""
@@ -240,101 +258,81 @@ class Trajectory:
         return u, np.divide(w, r, out=np.zeros_like(w), where=r != 0.0)  # u'(0) = 0
 
     def residual_sup(self) -> float:
-        """Sup over the trajectory of the normalized interpolated ODE residual.
+        """Sup over the trajectory of the normalized ODE residual of the dense output.
 
-        The defect of the radial equation along the Hermite reconstruction is
+        The defect of the radial equation along the dense output is
         normalized by the largest of its three terms (floored at one), so the
-        figure is meaningful across the full dynamic range of r and u.
+        figure is meaningful across the full dynamic range of r and u. It is
+        sampled at _RESIDUAL_THETAS of every step; steps shorter than 1e-3 in
+        rho are skipped: differentiating the polynomial across such
+        micro-intervals (the event-truncated final step) only amplifies float
+        rounding of data that already satisfies the equation to machine
+        precision at both ends.
         """
-        return _residual_sup_log(self._hermite_data, self.p, self.N)
-
-
-def _quintic_coeffs(th: float):
-    # each power once: th may be an array of some 10^4 evaluation points
-    th2, th3, th4, th5 = th**2, th**3, th**4, th**5
-    return (
-        1 - 10 * th3 + 15 * th4 - 6 * th5,
-        th - 6 * th3 + 8 * th4 - 3 * th5,
-        (th2 - 3 * th3 + 3 * th4 - th5) / 2,
-        10 * th3 - 15 * th4 + 6 * th5,
-        -4 * th3 + 7 * th4 - 3 * th5,
-        (th3 - 2 * th4 + th5) / 2,
-    )
-
-
-def _quintic_slopes(th: float):
-    # d/dth of _quintic_coeffs
-    th2, th3, th4 = th**2, th**3, th**4
-    return (
-        -30 * th2 + 60 * th3 - 30 * th4,
-        1 - 18 * th2 + 32 * th3 - 15 * th4,
-        (2 * th - 9 * th2 + 12 * th3 - 5 * th4) / 2,
-        30 * th2 - 60 * th3 + 30 * th4,
-        -12 * th2 + 28 * th3 - 15 * th4,
-        (3 * th2 - 8 * th3 + 5 * th4) / 2,
-    )
-
-
-def _hermite(data, j, th, rows=3):
-    """Quintic Hermite [u, w, dw/drho][:rows] at fraction th of steps j.
-
-    Values and first and second rho-derivatives match the node data at both
-    step ends; w is interpolated from its own data (w, dw, ddw). Only the
-    rows asked for are formed: f_p reads u, eval (u, w), the residual all three.
-    """
-    rho, u, w, dw, ddw = data
-    h = rho[j + 1] - rho[j]
-    w0, w1 = w[j], w[j + 1]
-    a0, a1 = dw[j], dw[j + 1]
-    H = _quintic_coeffs(th)
-    out = [H[0] * u[j] + H[1] * h * w0 + H[2] * h * h * a0
-           + H[3] * u[j + 1] + H[4] * h * w1 + H[5] * h * h * a1]
-    if rows > 1:
-        b0, b1 = ddw[j], ddw[j + 1]
-        out.append(H[0] * w0 + H[1] * h * a0 + H[2] * h * h * b0
-                   + H[3] * w1 + H[4] * h * a1 + H[5] * h * h * b1)
-    if rows > 2:
-        dH = _quintic_slopes(th)
-        out.append((dH[0] * w0 + dH[1] * h * a0 + dH[2] * h * h * b0
-                    + dH[3] * w1 + dH[4] * h * a1 + dH[5] * h * h * b1) / h)
-    return out
-
-
-def _residual_sup_log(data, p: float, N: int) -> float:
-    """Normalized defect of the r-form equation sampled inside every step.
-
-    Steps shorter than 1e-3 in rho are skipped: differentiating the
-    reconstruction across such micro-intervals (the event-truncated final
-    step, the startup step) only amplifies float rounding of data that
-    already satisfies the equation to machine precision at both ends.
-    """
-    rho = data[0]
-    j = np.flatnonzero(np.diff(rho) > 1e-3)
-    if len(j) == 0:
-        return 0.0
-    h = rho[j + 1] - rho[j]
-    worst = []
-    for th in _RESIDUAL_THETAS:
-        Pu, Pw, dPw = _hermite(data, j, th)
-        r = np.exp(rho[j] + th * h)
-        r2 = r * r
-        term_dd = -(dPw - Pw) / r2          # -u''
-        term_d = -(N - 1.0) * Pw / r2       # -(N-1) u'/r
-        term_u = -signed_power(Pu, p)
+        h, F = self._dense
+        width = np.diff(self.rho)
+        j = np.flatnonzero(width > 1e-3)
+        if len(j) == 0:
+            return 0.0
+        # every sample at once: one row per theta, one column per step
+        th = np.array(_RESIDUAL_THETAS)[:, None]
+        (Pu, Pw), (_, dPw) = _dense_eval(
+            np.array([self.u[j], self.w[j]])[:, None], [c[:, None, j] for c in F],
+            th * width[j] / h[j], slope=True)
+        r2 = np.exp(2.0 * (self.rho[j] + th * width[j]))
+        term_dd = -(dPw / h[j] - Pw) / r2   # -u''
+        term_d = -(self.N - 1.0) * Pw / r2  # -(N-1) u'/r
+        term_u = -signed_power(Pu, self.p)
         res = np.abs(term_dd + term_d + term_u)
         scale = np.maximum(
             1.0,
             np.maximum(np.abs(term_dd), np.maximum(np.abs(term_d), np.abs(term_u))),
         )
-        worst.append(np.max(res / scale))
-    return float(np.max(worst))  # nan, unlike max(), propagates
+        return float(np.max(res / scale))  # nan, unlike max(), propagates
 
 
-def _ddw(u, w, dw, e2, power, p, N):
-    # d/drho of dw = -(N-2) w - e2 power, e2 = e^(2 rho), power = |u|^(p-1) u
-    dpow = p * _exp((p - 1.0) * np.log(np.where(u != 0.0, np.abs(u), 1.0)))
-    dpow = np.where(u != 0.0, dpow, 0.0 if p > 1 else p)
-    return -(N - 2.0) * dw - e2 * (2.0 * power + dpow * w)
+def _extra_stages(t, h, u, w, ku, kw, rhs):
+    """ku, kw (the stage derivatives 0..12 of u and w) extended by stages 13..15.
+
+    These are the stages the dense output adds to a step (t, h) from (u, w);
+    rhs(t, u, w) = dw/drho. Floats or arrays of steps alike.
+    """
+    ku, kw = list(ku), list(kw)
+    for s in (13, 14, 15):
+        row = _A[s]
+        v = w + sum(a * k for a, k in zip(row, kw) if a) * h
+        x = u + sum(a * k for a, k in zip(row, ku) if a) * h
+        ku.append(v)
+        kw.append(rhs(t + _C[s] * h, x, v))
+    return ku, kw
+
+
+def _dense_coeffs(h, y, y_new, k):
+    """F_0..F_6 of a step's seventh-order dense output of one component, or of several.
+
+    y and y_new are its values at the step's ends, k its 16 stage
+    derivatives (Hairer, Norsett & Wanner, II.6; SciPy's DOP853 form).
+    Floats or arrays (components stacked on the first axis) alike, in one
+    operation order.
+    """
+    dy = y_new - y
+    return [dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0])] + [
+        h * sum(d * ks for d, ks in zip(row, k) if d) for row in _D]
+
+
+def _dense_eval(y, F, x, slope=False):
+    """y + x (F_0 + (1-x) (F_1 + x (F_2 + ... + x F_6))) at fractions x of the step.
+
+    With slope, also its derivative in x. At x = 0 the value is y exactly.
+    """
+    value = derivative = 0.0
+    for i, f in enumerate(reversed(F)):
+        s = value + f
+        if i % 2:
+            value, derivative = s * (1.0 - x), derivative * (1.0 - x) - s
+        else:
+            value, derivative = s * x, derivative * x + s
+    return (y + value, derivative) if slope else y + value
 
 
 def _checked(p: float, N: int) -> tuple[float, int]:
@@ -361,7 +359,8 @@ def integrate_ivp(p: float, N: int, r_max: float) -> Trajectory:
     taken (an overflow in every stage down to the smallest step) raises
     StiffnessError, a zero of u with |w| below 1e3 _ABS_TOL
     TangentialZeroError. The Trajectory holds what the integrator produced:
-    the steps (rho, u, w) and one (rho, u, w) row per located event.
+    the steps (rho, u, w), each step's stage row and one (rho, u, w) row per
+    located event.
     """
     p, N = _checked(p, N)
     x_s = _origin_series(p, N)[2]
@@ -370,7 +369,7 @@ def integrate_ivp(p: float, N: int, r_max: float) -> Trajectory:
                           f"{x_s:.6g} at p={p:g}, N={N}")
     rho0 = math.log(x_s)
     u0, w0 = _seed(p, N, x_s**2)
-    ts, us, ws, tables, rejected, rhs_evals = _dormand_prince(
+    ts, us, ws, steps, tables, rejected, rhs_evals = _dop853(
         p, N, rho0, math.log(r_max), u0, w0, _accel(rho0, u0, w0, p, N))
     zeros, critical, fp_critical = (np.array(rows, dtype=float).reshape(-1, 3)
                                     for rows in tables)
@@ -378,40 +377,109 @@ def integrate_ivp(p: float, N: int, r_max: float) -> Trajectory:
         if abs(w_z) < 1e3 * _ABS_TOL:
             raise TangentialZeroError(f"degenerate zero at r={math.exp(rho_z):.6e}: "
                                       "|u| and |u'| both below tolerance")
-    return Trajectory(p, N, np.array(ts), np.array(us), np.array(ws), zeros,
-                      critical, fp_critical, rejected=rejected, rhs_evals=rhs_evals)
+    return Trajectory(p, N, np.array(ts), np.array(us), np.array(ws), np.array(steps),
+                      zeros, critical, fp_critical, rejected=rejected, rhs_evals=rhs_evals)
 
 
-# Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6 (1980)):
-# stage nodes _C*, stage weights _A*, fifth-order weights _B*, error weights
-# _E* (with the first-same-as-last stage 6) and the quartic dense-output
-# matrix _P of Shampine (Math. Comp. 46 (1986)), all as in SciPy's RK45.
-# Zero entries (stage 1 in _B, _E and _P) are left out.
-_C1, _C2, _C3, _C4 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A10 = 1 / 5
-_A20, _A21 = 3 / 40, 9 / 40
-_A30, _A31, _A32 = 44 / 45, -56 / 15, 32 / 9
-_A40, _A41, _A42, _A43 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A50, _A51, _A52, _A53, _A54 = (
-    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
-_B0, _B2, _B3, _B4, _B5 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E0, _E2, _E3, _E4, _E5, _E6 = (
-    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
-_P = (  # rows: stages 0, 2, 3, 4, 5, 6; columns: powers 1..4 of theta
-    (1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432),
-    (0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799),
-    (0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072),
-    (0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632),
-    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+# Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.5-II.6), as in SciPy's dop853_coefficients: the stage nodes _C and
+# weights _A (rows 1..11 the step's stages, row 12 the eighth-order solution,
+# rows 13..15 the extra stages of the dense output), the fifth- and
+# third-order error weights _E5 and _E3, and _D, the weights of the dense
+# output's F_3..F_6. Zero entries are kept, so that stage s is index s.
+_C = (
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0, 0.1, 0.2,
+    0.777777777777777777777777777778
+)
+_A = (  # row s: the weights of stages 0 .. s-1
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0, 0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0, 0, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2,
+     -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0, 0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0, 0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0, 0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0, 0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0, 0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+    (5.42937341165687622380535766363e-2, 0, 0, 0, 0, 4.45031289275240888144113950566,
+     1.89151789931450038304281599044, -5.8012039600105847814672114227,
+     3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+     2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2),
+    (5.61675022830479523392909219681e-2, 0, 0, 0, 0, 0, 2.53500210216624811088794765333e-1,
+     -2.46239037470802489917441475441e-1, -1.24191423263816360469010140626e-1,
+     1.5329179827876569731206322685e-1, 8.20105229563468988491666602057e-3,
+     7.56789766054569976138603589584e-3, -8.298e-3),
+    (3.18346481635021405060768473261e-2, 0, 0, 0, 0, 2.83009096723667755288322961402e-2,
+     5.35419883074385676223797384372e-2, -5.49237485713909884646569340306e-2, 0, 0,
+     -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
+     -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1),
+    (-4.28896301583791923408573538692e-1, 0, 0, 0, 0, -4.69762141536116384314449447206,
+     7.68342119606259904184240953878, 4.06898981839711007970213554331,
+     3.56727187455281109270669543021e-1, 0, 0, 0, -1.39902416515901462129418009734e-3,
+     2.9475147891527723389556272149, -9.15095847217987001081870187138),
+)
+_E5 = (
+    0.1312004499419488073250102996e-1, 0, 0, 0, 0, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1
+)
+_E3 = tuple(b - c for b, c in zip(_A[12], (
+    0.244094488188976377952755905512, 0, 0, 0, 0, 0, 0, 0, 0.733846688281611857341361741547, 0,
+    0, 0.220588235294117647058823529412e-1
+)))
+_D = (
+    (-0.84289382761090128651353491142e+1, 0, 0, 0, 0, 0.56671495351937776962531783590,
+     -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
+     0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
+     0.22404374302607882758541771650e+1, 0.63157877876946881815570249290,
+     -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2,
+     -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1),
+    (0.10427508642579134603413151009e+2, 0, 0, 0, 0, 0.24228349177525818288430175319e+3,
+     0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3,
+     -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1,
+     -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1,
+     0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2,
+     -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2),
+    (0.19985053242002433820987653617e+2, 0, 0, 0, 0, -0.38703730874935176555105901742e+3,
+     -0.18917813819516756882830838328e+3, 0.52780815920542364900561016686e+3,
+     -0.11573902539959630126141871134e+2, 0.68812326946963000169666922661e+1,
+     -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740,
+     -0.27782057523535084065932004339e+1, -0.60196695231264120758267380846e+2,
+     0.84320405506677161018159903784e+2, 0.11992291136182789328035130030e+2),
+    (-0.25693933462703749003312586129e+2, 0, 0, 0, 0, -0.15418974869023643374053993627e+3,
+     -0.23152937917604549567536039109e+3, 0.35763911791061412378285349910e+3,
+     0.93405324183624310003907691704e+2, -0.37458323136451633156875139351e+2,
+     0.10409964950896230045147246184e+3, 0.29840293426660503123344363579e+2,
+     -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
+     -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3),
 )
 # step control of Hairer-Norsett-Wanner, Solving ODEs I, II.4
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERR_EXP = -1 / 5                    # -1 / (order of the error estimator + 1)
+_ERR_EXP = -1 / 8                    # -1 / (order of the error estimator + 1)
 _EVENT_TOL = 4 * sys.float_info.epsilon
 
 
@@ -422,36 +490,33 @@ def _rms(xu: float, xw: float) -> float:
 def _accel(rho: float, u: float, w: float, p: float, N: int) -> float:
     """dw/drho; math.exp raises OverflowError past the float64 range.
 
-    _dormand_prince evaluates its stages with this expression inline, in the
-    same operation order, so that every stage value is the same float.
+    _dop853 evaluates its stages with this expression inline, in the same
+    operation order, so that every stage value is the same float.
     """
     return -(N - 2.0) * w - math.exp(2.0 * rho) * (
         math.copysign(math.exp(p * math.log(abs(u))), u) if u else 0.0)
 
 
-def _dormand_prince(p, N, t, t_end, u, w, f):
-    """Integrate u' = w, w' = _accel(t, u, w, p, N) from t to t_end by DP5(4).
+def _dop853(p, N, t, t_end, u, w, f):
+    """Integrate u' = w, w' = _accel(t, u, w, p, N) from t to t_end by DOP853.
 
-    f = _accel(t, u, w, p, N) at the start. The step control is SciPy's RK45
-    one: the RMS error norm over _ABS_TOL + max(|y|, |y_new|) _SHOOT_RTOL,
+    f = _accel(t, u, w, p, N) at the start. The step control is SciPy's
+    DOP853 one: the error norm that combines the fifth- and third-order
+    estimates over _ABS_TOL + max(|y|, |y_new|) _SHOOT_RTOL, exponent -1/8,
     safety 0.9, step factors in [0.2, 10] with no growth right after a
-    rejection, steps of at least 10 ulp(t) and the same initial-step rule.
-    A step is at
-    most _MAX_LOG_STEP, and at most _MAX_DECAY_STEP / (N-2), unless the
-    nonlinear term e^(2 t) |u|^(p-1) u at its start is at most
-    eps (|u| + |w|): there the equation is linear to working precision and
-    the error control alone sizes the step. Where the cap binds throughout
-    (N = 2 with p <= 3, and N >= 3) these are the steps of SciPy's RK45 with
-    that max_step. An overflow in a stage makes the error norm infinite, so
-    the step is rejected; a step below 10 ulp(t) raises StiffnessError.
+    rejection, steps of at least 10 ulp(t) and the same initial-step rule;
+    no step is capped. An overflow in a stage makes the error norm infinite,
+    so the step is rejected; a step below 10 ulp(t) raises StiffnessError.
 
     The events are the zeros of u, of w and of (p-1) w + 2u, tested for a
-    change or touch of sign on each step's end state. Each is located on the
-    step's quartic interpolant by _root, and the second zero of u ends
-    the integration at its root, as a terminal event does in solve_ivp.
-    Returns the nodes (ts, us, ws), the three event tables (zeros of u, of w,
-    of (p-1) w + 2u), each a list of (root, u, w) rows in root order, the
-    number of rejected attempts and the number of evaluations of w'.
+    change or touch of sign on each step's end state. On such a step the
+    dense output's three extra stages are formed, each event is located on
+    its seventh-order polynomial by _root, and the second zero of u ends the
+    integration at its root, as a terminal event does in solve_ivp.
+    Returns the nodes (ts, us, ws), the step rows of Trajectory.stages, the
+    three event tables (zeros of u, of w, of (p-1) w + 2u), each a list of
+    (root, u, w) rows in root order, the number of rejected attempts and the
+    number of evaluations of w'.
     """
     atol, rtol = _ABS_TOL, _SHOOT_RTOL
     span = t_end - t
@@ -467,30 +532,30 @@ def _dormand_prince(p, N, t, t_end, u, w, f):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    # the Hermite defect of a capped step grows with the decay of w over it
-    max_step = min(_MAX_LOG_STEP, _MAX_DECAY_STEP / (N - 2)) if N > 2 else _MAX_LOG_STEP
-    cap = max_step
-    h_abs = min(100 * h0, h1, span, cap)
+        h1 = (0.01 / max(d1, d2)) ** -_ERR_EXP
+    h_abs = min(100 * h0, h1, span)
     n_rejected, rhs_evals = 0, 2
-    eps = sys.float_info.epsilon
 
-    # the stage loop runs some 10^4 times per solve: locals, and _accel
+    # the stage loop runs some 10^3 times per solve: locals, and _accel
     # written out, save the global lookups and the calls
     exp, log, copysign, sqrt = math.exp, math.log, math.copysign, math.sqrt
-    shift, pm1 = -(N - 2.0), p - 1.0
-    C1, C2, C3, C4 = _C1, _C2, _C3, _C4
-    A10, A20, A21, A30, A31, A32 = _A10, _A20, _A21, _A30, _A31, _A32
-    A40, A41, A42, A43 = _A40, _A41, _A42, _A43
-    A50, A51, A52, A53, A54 = _A50, _A51, _A52, _A53, _A54
-    B0, B2, B3, B4, B5 = _B0, _B2, _B3, _B4, _B5
-    E0, E2, E3, E4, E5, E6 = _E0, _E2, _E3, _E4, _E5, _E6
+    shift, pm1, nan = -(N - 2.0), p - 1.0, math.nan
+    _, C1, C2, C3, C4, C5, C6, C7, C8, C9, C10, *_ = _C
+    (_, (A1_0,), (A2_0, A2_1), (A3_0, _, A3_2), (A4_0, _, A4_2, A4_3),
+     (A5_0, _, _, A5_3, A5_4), (A6_0, _, _, A6_3, A6_4, A6_5),
+     (A7_0, _, _, A7_3, A7_4, A7_5, A7_6), (A8_0, _, _, A8_3, A8_4, A8_5, A8_6, A8_7),
+     (A9_0, _, _, A9_3, A9_4, A9_5, A9_6, A9_7, A9_8),
+     (A10_0, _, _, A10_3, A10_4, A10_5, A10_6, A10_7, A10_8, A10_9),
+     (A11_0, _, _, A11_3, A11_4, A11_5, A11_6, A11_7, A11_8, A11_9, A11_10),
+     (B0, _, _, _, _, B5, B6, B7, B8, B9, B10, B11), *_) = _A
+    E5_0, _, _, _, _, E5_5, E5_6, E5_7, E5_8, E5_9, E5_10, E5_11 = _E5
+    E3_0, _, _, _, _, E3_5, E3_6, E3_7, E3_8, E3_9, E3_10, E3_11 = _E3
 
-    ts, us, ws = [t], [u], [w]
+    ts, us, ws, steps = [t], [u], [w], []
     tables = ([], [], [])  # the zeros of u, of w and of (p-1) w + 2u
     while True:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        h_abs = min(max(h_abs, min_step), cap)
+        h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
@@ -501,37 +566,79 @@ def _dormand_prince(p, N, t, t_end, u, w, f):
             h = t_new - t
             h_abs = h
             try:
-                w1 = w + (A10 * f) * h
-                x = u + (A10 * w) * h
+                w1 = w + (A1_0 * f) * h
+                x = u + (A1_0 * w) * h
                 a1 = shift * w1 - exp(2.0 * (t + C1 * h)) * (
                     copysign(exp(p * log(abs(x))), x) if x else 0.0)
-                w2 = w + (A20 * f + A21 * a1) * h
-                x = u + (A20 * w + A21 * w1) * h
+                w2 = w + (A2_0 * f + A2_1 * a1) * h
+                x = u + (A2_0 * w + A2_1 * w1) * h
                 a2 = shift * w2 - exp(2.0 * (t + C2 * h)) * (
                     copysign(exp(p * log(abs(x))), x) if x else 0.0)
-                w3 = w + (A30 * f + A31 * a1 + A32 * a2) * h
-                x = u + (A30 * w + A31 * w1 + A32 * w2) * h
+                w3 = w + (A3_0 * f + A3_2 * a2) * h
+                x = u + (A3_0 * w + A3_2 * w2) * h
                 a3 = shift * w3 - exp(2.0 * (t + C3 * h)) * (
                     copysign(exp(p * log(abs(x))), x) if x else 0.0)
-                w4 = w + (A40 * f + A41 * a1 + A42 * a2 + A43 * a3) * h
-                x = u + (A40 * w + A41 * w1 + A42 * w2 + A43 * w3) * h
+                w4 = w + (A4_0 * f + A4_2 * a2 + A4_3 * a3) * h
+                x = u + (A4_0 * w + A4_2 * w2 + A4_3 * w3) * h
                 a4 = shift * w4 - exp(2.0 * (t + C4 * h)) * (
                     copysign(exp(p * log(abs(x))), x) if x else 0.0)
-                w5 = w + (A50 * f + A51 * a1 + A52 * a2 + A53 * a3 + A54 * a4) * h
-                x = u + (A50 * w + A51 * w1 + A52 * w2 + A53 * w3 + A54 * w4) * h
-                a5 = shift * w5 - exp(2.0 * (t + h)) * (
+                w5 = w + (A5_0 * f + A5_3 * a3 + A5_4 * a4) * h
+                x = u + (A5_0 * w + A5_3 * w3 + A5_4 * w4) * h
+                a5 = shift * w5 - exp(2.0 * (t + C5 * h)) * (
                     copysign(exp(p * log(abs(x))), x) if x else 0.0)
-                u_new = u + h * (B0 * w + B2 * w2 + B3 * w3 + B4 * w4 + B5 * w5)
-                w_new = w + h * (B0 * f + B2 * a2 + B3 * a3 + B4 * a4 + B5 * a5)
-                nonlin = exp(2.0 * (t + h)) * (
+                w6 = w + (A6_0 * f + A6_3 * a3 + A6_4 * a4 + A6_5 * a5) * h
+                x = u + (A6_0 * w + A6_3 * w3 + A6_4 * w4 + A6_5 * w5) * h
+                a6 = shift * w6 - exp(2.0 * (t + C6 * h)) * (
+                    copysign(exp(p * log(abs(x))), x) if x else 0.0)
+                w7 = w + (A7_0 * f + A7_3 * a3 + A7_4 * a4 + A7_5 * a5 + A7_6 * a6) * h
+                x = u + (A7_0 * w + A7_3 * w3 + A7_4 * w4 + A7_5 * w5 + A7_6 * w6) * h
+                a7 = shift * w7 - exp(2.0 * (t + C7 * h)) * (
+                    copysign(exp(p * log(abs(x))), x) if x else 0.0)
+                w8 = w + (A8_0 * f + A8_3 * a3 + A8_4 * a4 + A8_5 * a5 + A8_6 * a6
+                          + A8_7 * a7) * h
+                x = u + (A8_0 * w + A8_3 * w3 + A8_4 * w4 + A8_5 * w5 + A8_6 * w6
+                         + A8_7 * w7) * h
+                a8 = shift * w8 - exp(2.0 * (t + C8 * h)) * (
+                    copysign(exp(p * log(abs(x))), x) if x else 0.0)
+                w9 = w + (A9_0 * f + A9_3 * a3 + A9_4 * a4 + A9_5 * a5 + A9_6 * a6
+                          + A9_7 * a7 + A9_8 * a8) * h
+                x = u + (A9_0 * w + A9_3 * w3 + A9_4 * w4 + A9_5 * w5 + A9_6 * w6
+                         + A9_7 * w7 + A9_8 * w8) * h
+                a9 = shift * w9 - exp(2.0 * (t + C9 * h)) * (
+                    copysign(exp(p * log(abs(x))), x) if x else 0.0)
+                w10 = w + (A10_0 * f + A10_3 * a3 + A10_4 * a4 + A10_5 * a5 + A10_6 * a6
+                           + A10_7 * a7 + A10_8 * a8 + A10_9 * a9) * h
+                x = u + (A10_0 * w + A10_3 * w3 + A10_4 * w4 + A10_5 * w5 + A10_6 * w6
+                         + A10_7 * w7 + A10_8 * w8 + A10_9 * w9) * h
+                a10 = shift * w10 - exp(2.0 * (t + C10 * h)) * (
+                    copysign(exp(p * log(abs(x))), x) if x else 0.0)
+                # stage 11 and the new state's derivative both sit at t + h
+                e_end = exp(2.0 * (t + h))
+                w11 = w + (A11_0 * f + A11_3 * a3 + A11_4 * a4 + A11_5 * a5 + A11_6 * a6
+                           + A11_7 * a7 + A11_8 * a8 + A11_9 * a9 + A11_10 * a10) * h
+                x = u + (A11_0 * w + A11_3 * w3 + A11_4 * w4 + A11_5 * w5 + A11_6 * w6
+                         + A11_7 * w7 + A11_8 * w8 + A11_9 * w9 + A11_10 * w10) * h
+                a11 = shift * w11 - e_end * (
+                    copysign(exp(p * log(abs(x))), x) if x else 0.0)
+                u_new = u + h * (B0 * w + B5 * w5 + B6 * w6 + B7 * w7 + B8 * w8
+                                 + B9 * w9 + B10 * w10 + B11 * w11)
+                w_new = w + h * (B0 * f + B5 * a5 + B6 * a6 + B7 * a7 + B8 * a8
+                                 + B9 * a9 + B10 * a10 + B11 * a11)
+                f_new = shift * w_new - e_end * (
                     copysign(exp(p * log(abs(u_new))), u_new) if u_new else 0.0)
-                f_new = shift * w_new - nonlin
-                rhs_evals += 6
-                eu = ((E0 * w + E2 * w2 + E3 * w3 + E4 * w4 + E5 * w5 + E6 * w_new)
-                      * h / (atol + max(abs(u), abs(u_new)) * rtol))
-                ew = ((E0 * f + E2 * a2 + E3 * a3 + E4 * a4 + E5 * a5 + E6 * f_new)
-                      * h / (atol + max(abs(w), abs(w_new)) * rtol))
-                err = sqrt(eu * eu + ew * ew) / 2**0.5  # _rms(eu, ew)
+                rhs_evals += 12
+                su = atol + max(abs(u), abs(u_new)) * rtol
+                sw = atol + max(abs(w), abs(w_new)) * rtol
+                eu5 = (E5_0 * w + E5_5 * w5 + E5_6 * w6 + E5_7 * w7 + E5_8 * w8
+                       + E5_9 * w9 + E5_10 * w10 + E5_11 * w11) / su
+                ew5 = (E5_0 * f + E5_5 * a5 + E5_6 * a6 + E5_7 * a7 + E5_8 * a8
+                       + E5_9 * a9 + E5_10 * a10 + E5_11 * a11) / sw
+                eu3 = (E3_0 * w + E3_5 * w5 + E3_6 * w6 + E3_7 * w7 + E3_8 * w8
+                       + E3_9 * w9 + E3_10 * w10 + E3_11 * w11) / su
+                ew3 = (E3_0 * f + E3_5 * a5 + E3_6 * a6 + E3_7 * a7 + E3_8 * a8
+                       + E3_9 * a9 + E3_10 * a10 + E3_11 * a11) / sw
+                n5, n3 = eu5 * eu5 + ew5 * ew5, eu3 * eu3 + ew3 * ew3
+                err = h * n5 / sqrt((n5 + 0.01 * n3) * 2.0) if n5 or n3 else 0.0
             except OverflowError:
                 err = math.inf
             if err < 1:
@@ -543,6 +650,8 @@ def _dormand_prince(p, N, t, t_end, u, w, f):
             rejected = True
             n_rejected += 1
 
+        ku = [w, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w_new, nan, nan, nan]
+        kw = [f, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, f_new, nan, nan, nan]
         # the events that change sign or touch zero over the step, of
         # u, w and g = (p-1) w + 2u = u d ln f_p / d rho
         g, g_new = pm1 * w + 2.0 * u, pm1 * w_new + 2.0 * u_new
@@ -553,10 +662,15 @@ def _dormand_prince(p, N, t, t_end, u, w, f):
             kinds.append(1)
         if g <= 0 <= g_new or g >= 0 >= g_new:
             kinds.append(2)
+        if kinds:
+            ku, kw = _extra_stages(t, h, u, w, ku[:13], kw[:13],
+                                   functools.partial(_accel, p=p, N=N))
+            rhs_evals += 3
+        steps.append([h, u_new, w_new, *ku, *kw])
         stop = False
         if kinds:
-            state = _quartic(t, h, u, w, (w, w2, w3, w4, w5, w_new),
-                             (f, a2, a3, a4, a5, f_new), pm1)
+            state = _step_state(t, h, u, w, _dense_coeffs(h, u, u_new, ku),
+                                _dense_coeffs(h, w, w_new, kw), pm1)
             # a loop, not a comprehension: up to Python 3.11 one would make
             # t a closure cell, which every stage then reads more slowly
             hits = []
@@ -575,29 +689,20 @@ def _dormand_prince(p, N, t, t_end, u, w, f):
         us.append(u_new)
         ws.append(w_new)
         if stop or t_new >= t_end:
-            return ts, us, ws, tables, n_rejected, rhs_evals
-        # below the rounding of the state the nonlinear term drops out
-        cap = max_step if abs(nonlin) > eps * (abs(u_new) + abs(w_new)) else math.inf
+            return ts, us, ws, steps, tables, n_rejected, rhs_evals
         t, u, w, f = t_new, u_new, w_new, f_new
 
 
-def _quartic(t, h, u, w, ku, kw, pm1):
-    """s -> (u, w, (p-1) w + 2u) on the step's quartic interpolant, pm1 = p - 1.
+def _step_state(t, h, u, w, Fu, Fw, pm1):
+    """s -> (u, w, (p-1) w + 2u) on the step's dense output, pm1 = p - 1.
 
-    The step runs from t to t + h, and ku, kw are the stage derivatives of u
-    and w (stages 0, 2..6): y(t + x h) = y + h sum_k Q_k x^k with Q = k _P.
-    The three values are the three event functions.
+    The step runs from (u, w) at t over the full width h, with dense-output
+    coefficients Fu, Fw (_dense_coeffs). The three values are the three
+    event functions.
     """
-    qu = [sum(k * row[m] for k, row in zip(ku, _P)) for m in range(4)]
-    qw = [sum(k * row[m] for k, row in zip(kw, _P)) for m in range(4)]
-
     def state(s):
         x = (s - t) / h
-        x2 = x * x
-        x3 = x2 * x
-        x4 = x3 * x
-        u_s = h * (qu[0] * x + qu[1] * x2 + qu[2] * x3 + qu[3] * x4) + u
-        w_s = h * (qw[0] * x + qw[1] * x2 + qw[2] * x3 + qw[3] * x4) + w
+        u_s, w_s = _dense_eval(u, Fu, x), _dense_eval(w, Fw, x)
         return u_s, w_s, pm1 * w_s + 2.0 * u_s
 
     return state
@@ -714,32 +819,36 @@ class RadialSolution:
     def fp_cells(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """f_p on the Pruefer cells and on their 2-fold split.
 
-        The cells are the shooting steps and, below the first node, cells of
-        the series region from where f_p falls to eps. There 0 < u <= 1, so
-        f_p <= p r^2, and a cell from r to r + dr has width h <= dr / r in
-        t = ln r: with dr = sqrt(_CELL_DEFECT / p), h^2 f_p at its midpoint
-        is at most _CELL_DEFECT e^h. The cells are evenly spaced in r by
-        that dr near the first node, and evenly spaced in t, no wider than
-        _MAX_LOG_STEP, below. Per cell set, (cell widths in t, f_p at the
+        Each shooting step is cut into _CELLS_PER_STEP equal cells in
+        t = ln r, and below the first node the series region has cells of
+        its own, from where f_p falls to eps. There 0 < u <= 1, so f_p <=
+        p r^2, and a cell from r to r + dr has width h <= dr / r in t: with
+        dr = sqrt(_CELL_DEFECT / p), h^2 f_p at its midpoint is at most
+        _CELL_DEFECT e^h. The series cells are evenly spaced in r by that dr
+        near the first node, and evenly spaced in t, no wider than
+        _SERIES_CELL, below. Per cell set, (cell widths in t, f_p at the
         cell midpoints), read off the unscaled trajectory like ln_fp. The
         split gives each Pruefer count its margin check
         (`spectral.prufer_counts`).
         """
-        first = self._traj.rho[0]
+        nodes = self._traj.rho
+        first = nodes[0]
         lo = 0.5 * math.log(sys.float_info.epsilon / self.p)
         dr = math.sqrt(_CELL_DEFECT / self.p)
-        mid = min(math.log(dr / _MAX_LOG_STEP), first)
-        wide = np.linspace(lo, mid, math.ceil((mid - lo) / _MAX_LOG_STEP) + 1)
+        mid = min(math.log(dr / _SERIES_CELL), first)
+        wide = np.linspace(lo, mid, math.ceil((mid - lo) / _SERIES_CELL) + 1)
         r_mid, r_first = math.exp(mid), math.exp(first)
         narrow = np.log(np.linspace(r_mid, r_first, math.ceil((r_first - r_mid) / dr) + 1))
-        rho = np.concatenate((wide[:-1], narrow[:-1], self._traj.rho))
-        steps = np.diff(rho)
+        frac = np.arange(_CELLS_PER_STEP) / _CELLS_PER_STEP
+        cut = (nodes[:-1, None] + frac * np.diff(nodes)[:, None]).ravel()
+        rho = np.concatenate((wide[:-1], narrow[:-1], cut, nodes[-1:]))
+        widths = np.diff(rho)
         cells = []
         for split in (1, 2):
-            j = np.repeat(np.arange(len(steps)), split)
-            mid = rho[j] + np.tile((np.arange(split) + 0.5) / split, len(steps)) * steps[j]
+            j = np.repeat(np.arange(len(widths)), split)
+            mid = rho[j] + np.tile((np.arange(split) + 0.5) / split, len(widths)) * widths[j]
             u, = self._traj._state(mid, rows=1)
-            cells.append((steps[j] / split, _exp(_ln_fp(self.p, u, mid))))
+            cells.append((widths[j] / split, _exp(_ln_fp(self.p, u, mid))))
         return tuple(cells)
 
 

@@ -36,7 +36,8 @@ Every command solves the annulus by one call, `annulus_betas`, which also
 applies the inner-radius and grid rules, checks their limits and takes the
 Richardson combination. It climbs a ladder of three grids of the same map.
 A seed grid of max(3, M // 4) nodes, sampled on its own, is bisected by
-LAPACK (stebz, through SciPy) from the whole spectrum; no larger grid is.
+LAPACK (stebz, through SciPy) from the whole spectrum, to the seeding
+tolerance SEED_TOL; no larger grid is.
 The M grid takes each eigenvalue by shifted inverse iteration from the seed
 grid's value sigma, and the 2M+1 grid from the M grid's: T - sigma I is
 factored once (LAPACK gttrf) and solved four times, (T - sigma I) x = x_prev
@@ -53,10 +54,11 @@ the negative count m_rad of the M grid.
 The ledger is confirmed mode by mode without a matrix (`prufer_counts`):
 sphere mode k has as many negative eigenvalues as its regular solution of
 y'' + (f - (alpha+k)^2) y = 0 has zeros in (0, 1), counted by the Pruefer
-angle on the shooting steps; k = 1 takes the zeros of u'. The report is
-stable when these per-mode counts equal the ledger's. Each cell maps
-(y', y) linearly, so one mode's walks over the steps and over their 2-fold
-split are one lower-banded forward substitution (BLAS tbsv).
+angle on cells of the shooting steps (`RadialSolution.fp_cells`); k = 1
+takes the zeros of u'. The report is stable when these per-mode counts
+equal the ledger's. Each cell maps (y', y) linearly, so one mode's walks
+over the cells and over their 2-fold split are one lower-banded forward
+substitution (BLAS tbsv).
 """
 
 from __future__ import annotations
@@ -115,6 +117,10 @@ LEDGER_TIE_EPS = 1e-7
 
 # absolute tolerance of the LAPACK bisection
 BISECT_TOL = 1e-14
+# absolute tolerance of the seed grid's bisection: its values only seed the
+# M grid's inverse iteration, from about 3.3e-2 times as far from their M
+# eigenvalue as from any other, which no tolerance this fine changes
+SEED_TOL = 1e-6
 # largest certified radius of an M or 2M+1 value: Richardson moves beta by
 # at most 4/3 of it (1.3e-8), under LEDGER_TIE_EPS. The default grids give at
 # most 1.0e-9 on M and 2.5e-9 on 2M+1 (p from 1.25 to 760, N = 2..6), nearly
@@ -269,15 +275,17 @@ def build_problem(sol: RadialSolution, inner: float, M: int) -> AnnulusEigenProb
 
 
 def weighted_radial_eigs(prob: AnnulusEigenProblem, k: int,
-                         near: np.ndarray | None = None) -> np.ndarray:
+                         near: np.ndarray | None = None,
+                         tol: float = BISECT_TOL) -> np.ndarray:
     """k smallest eigenvalues of the weighted problem.
 
     Without `near` they are bisected from the whole spectrum (LAPACK's index
-    range). `near`, the same k eigenvalues on a coarser grid of the annulus
-    (the M // 4 seed grid for M, M for 2M+1), seeds shifted inverse
-    iteration (see `_seeded_eigs`): each value is a Rayleigh quotient within
-    its certified radius of an eigenvalue. Where the radii do not certify
-    the k smallest eigenvalues, the index-range result is returned instead.
+    range) to the absolute tolerance tol. `near`, the same k eigenvalues on
+    a coarser grid of the annulus (the M // 4 seed grid for M, M for 2M+1),
+    seeds shifted inverse iteration (see `_seeded_eigs`): each value is a
+    Rayleigh quotient within its certified radius of an eigenvalue. Where
+    the radii do not certify the k smallest eigenvalues, the index-range
+    result is returned instead.
     """
     if k < 1 or k > prob.M:
         raise ConfigError(f"requested {k} eigenvalues from an {prob.M}-point grid")
@@ -286,7 +294,7 @@ def weighted_radial_eigs(prob: AnnulusEigenProblem, k: int,
     betas = None if near is None else _seeded_eigs(prob, np.asarray(near, float))
     if betas is None:
         d, e, _ = prob._tridiagonal
-        betas = _stebz(d, e, "i", (0, k - 1))
+        betas = _stebz(d, e, "i", (0, k - 1), tol)
     return betas
 
 
@@ -488,8 +496,8 @@ def annulus_betas(sol: RadialSolution, inner: float | None = None,
     grid is sized, each limit is one ConfigError that names it: 0 < inner <
     r_p (the annulus holds the negative nodal region) and M >= 3 an integer
     (the coarser grid holds beta_1..beta_3). The values climb a ladder of one
-    map: a seed grid of max(3, M // 4) nodes is bisected by index range, its
-    values seed the M grid and the M values the 2M+1 grid (see
+    map: a seed grid of max(3, M // 4) nodes is bisected by index range to
+    SEED_TOL, its values seed the M grid and the M values the 2M+1 grid (see
     `weighted_radial_eigs`).
     f_p is sampled once on the seed grid and once on the 2M+1 grid, which M
     shares.
@@ -503,7 +511,8 @@ def annulus_betas(sol: RadialSolution, inner: float | None = None,
             f"grid size M={M} must be at least {N_BETAS} and an integer: the "
             f"coarser grid of the pair holds beta_1..beta_{N_BETAS}")
     M = int(M)
-    seed = weighted_radial_eigs(build_problem(sol, inner, max(N_BETAS, M // 4)), N_BETAS)
+    seed = weighted_radial_eigs(build_problem(sol, inner, max(N_BETAS, M // 4)), N_BETAS,
+                                tol=SEED_TOL)
     fine = build_problem(sol, inner, 2 * M + 1)
     coarse = fine.coarsened()
     raw = weighted_radial_eigs(coarse, N_BETAS, near=seed)
@@ -600,7 +609,8 @@ def prufer_counts(sol: RadialSolution) -> list[int]:
 
     By Sturm oscillation Z_k is the number of zeros in (0, 1) of the regular
     solution (y'/y = alpha + k at r = 0) of y'' + (f_p - (alpha+k)^2) y = 0,
-    with f_p held at its midpoint value on the shooting steps; none where
+    with f_p held at its midpoint value on each cell of `sol.fp_cells()`,
+    each shooting step cut into equal cells; none where
     (alpha+k)^2 >= max f_p. Z_1 is the zero count of u', which the forward
     walk loses between the bubbles, where it decays. Each walked mode takes
     one banded solve for both cell sets (`_prufer_angles`). A theta_k(1)

@@ -168,7 +168,7 @@ def test_maximizers_are_critical_points(nodal, p):
 def test_analyze_fp_reads_maxima_off_the_events(monkeypatch):
     # solve_nodal takes the maxima from the event states, with no
     # evaluation of the trajectory, and they agree with f_p evaluated
-    # through the Hermite reconstruction
+    # through the dense output
     evals = []
 
     def counting_eval(traj, r):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from lanemorse import (
     ConfigError, HorizonError, SolverError, StiffnessError, Trajectory,
     integrate_ivp, radial, solve_nodal,
 )
-from lanemorse.radial import _ABS_TOL, _MAX_LOG_STEP, signed_power
+from lanemorse.radial import _ABS_TOL, signed_power
 
 
 def j0(x):
@@ -148,15 +149,30 @@ def test_a_numpy_exponent_shoots_as_a_float(p):
     assert type(got.p) is float
     for f in dataclasses.fields(want._traj):
         a, b = getattr(got._traj, f.name), getattr(want._traj, f.name)
-        assert (np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b), f.name
+        # the stage rows hold nan where no extra stage was formed
+        assert (np.array_equal(a, b, equal_nan=True) if isinstance(b, np.ndarray)
+                else a == b), f.name
+
+
+def test_the_tableau_is_scipys_dop853():
+    # the stepper's constants, entry by entry, against the installed SciPy's
+    from scipy.integrate._ivp import dop853_coefficients as dop853
+
+    assert radial._C == tuple(dop853.C)
+    for s, row in enumerate(radial._A):
+        assert row == tuple(dop853.A[s, :s]), s
+    assert radial._E5 == tuple(dop853.E5[:12])
+    assert radial._E3 == tuple(dop853.E3[:12])
+    assert not dop853.E5[12] and not dop853.E3[12]
+    assert radial._D == tuple(map(tuple, dop853.D))
 
 
 def _shoot(p, N, r0, r_max, u0, w0):
     """The shooting stepper from the state (u0, w0) at r0, as a Trajectory."""
     rho0 = math.log(r0)
-    ts, us, ws, tables, rejected, rhs_evals = radial._dormand_prince(
+    ts, us, ws, steps, tables, rejected, rhs_evals = radial._dop853(
         p, N, rho0, math.log(r_max), u0, w0, radial._accel(rho0, u0, w0, p, N))
-    return Trajectory(p, N, np.array(ts), np.array(us), np.array(ws),
+    return Trajectory(p, N, np.array(ts), np.array(us), np.array(ws), np.array(steps),
                       *(np.array(rows, dtype=float).reshape(-1, 3) for rows in tables),
                       rejected=rejected, rhs_evals=rhs_evals)
 
@@ -355,10 +371,12 @@ def test_extreme_exponents_name_the_series_limit():
                                   (2.5, 3), (4.9999, 3), (1.5, 6), (1.3, 8)])
 def test_the_terminal_zero_is_the_nearest_float(nodal, p, N):
     # the rescale multiplies u(R2) by R2^(2/(p-1)): the last root is the
-    # float nearest the interpolant's zero, so |u| <= |w| ulp(ln R2) / 2
+    # float nearest the dense output's zero, so |u| <= |w| ulp(ln R2) / 2,
+    # up to the rounding of the polynomial itself, at most about eps where
+    # its step starts at |u| <= 1 (1.1e-16 at the first zero for p = 400)
     traj = nodal(p, N)._traj
     for rho_z, u_z, w_z in traj.zeros:
-        assert abs(u_z) <= 0.6 * abs(w_z) * math.ulp(rho_z)
+        assert abs(u_z) <= 0.6 * abs(w_z) * math.ulp(rho_z) + sys.float_info.epsilon
 
 
 @pytest.mark.parametrize("c", [0.3, 1e-3, -0.8083498913620493, 14.952283819406915,
@@ -424,9 +442,10 @@ def test_large_p_solve_emits_no_warning():
 
 @pytest.mark.parametrize("p", [2.5, 400.0])
 def test_dense_eval_matches_ode_solution(nodal, p):
-    # the Hermite reconstruction against an independent DOP853 solution of
-    # the same log-form IVP from the first node, at random points, at every
-    # step node and at both ends; at the nodes it returns the node states
+    # the dense output against an independent, much tighter DOP853 solution
+    # of the same log-form IVP from the first node, at random points, at
+    # every step node and at both ends; at the nodes it returns the node
+    # states
     traj = nodal(p)._traj
     N = traj.N
     ts = traj.rho
@@ -439,7 +458,7 @@ def test_dense_eval_matches_ode_solution(nodal, p):
     y0 = (traj.u[0], traj.w[0])
     with np.errstate(over="ignore"):  # the initial-step probe at large p
         ref = solve_ivp(rhs, (ts[0], ts[-1]), y0, method="DOP853", rtol=2.3e-14,
-                        atol=1e-16, max_step=_MAX_LOG_STEP, t_eval=rho)
+                        atol=1e-16, max_step=0.075, t_eval=rho)
     assert ref.success
     r = np.exp(rho)
     u, du = traj.eval(r)
@@ -451,32 +470,33 @@ def test_dense_eval_matches_ode_solution(nodal, p):
 
 @pytest.mark.parametrize("p, N", [(400.0, 2), (4.9999, 3)])
 def test_the_trajectory_keeps_the_integrators_variables(monkeypatch, p, N):
-    # the steps (rho, w) and the (root, u, w) event rows are stored as
-    # _dormand_prince returned them, and the Hermite data reads the stored
-    # arrays
+    # the steps (rho, w), their stage rows and the (root, u, w) event rows
+    # are stored as _dop853 returned them; the stage rows hold the extra
+    # stages only where an event was located
     runs = []
-    real = radial._dormand_prince
-    monkeypatch.setattr(radial, "_dormand_prince",
+    real = radial._dop853
+    monkeypatch.setattr(radial, "_dop853",
                         lambda *args, **kwargs: runs.append(real(*args, **kwargs)) or runs[-1])
     traj = solve_nodal(p, N)._traj
-    ts, _, ws, tables, *_ = runs[-1]
+    ts, _, ws, steps, tables, *_ = runs[-1]
     assert np.array_equal(traj.rho, ts) and np.array_equal(traj.w, ws)
+    assert np.array_equal(traj.stages, np.array(steps), equal_nan=True)
     for table, rows in zip((traj.zeros, traj.critical, traj.fp_critical), tables):
         assert rows and all(len(row) == 3 for row in rows)
         assert [tuple(row) for row in table.tolist()] == rows
-    data = traj._hermite_data
-    assert data[0] is traj.rho and data[2] is traj.w
+    event_steps = {int(np.searchsorted(ts, row[0])) - 1
+                   for table in tables for row in table}
+    formed = np.flatnonzero(~np.isnan(traj.stages[:, 3 + 13]))
+    assert formed.tolist() == sorted(event_steps)
 
 
-def _rk45_reference(p, N, r0, r_max, y0):
+def _dop853_reference(p, N, r0, r_max, y0):
     """The same log-form IVP from the state y0 at r0, with the same
-    tolerances, step cap and events (the second zero of u terminal), through
-    SciPy's RK45 (solve_ivp)."""
+    tolerances and events (the second zero of u terminal), through SciPy's
+    DOP853 (solve_ivp)."""
 
     def rhs(rho, y):
-        u = float(y[0])
-        power = math.copysign(math.exp(p * math.log(abs(u))), u) if u else 0.0
-        return (y[1], -(N - 2.0) * y[1] - math.exp(2.0 * rho) * power)
+        return (y[1], -(N - 2.0) * y[1] - np.exp(2.0 * rho) * signed_power(y[0], p))
 
     def zero_ev(rho, y):
         return y[0]
@@ -489,76 +509,61 @@ def _rk45_reference(p, N, r0, r_max, y0):
     def fp_crit_ev(rho, y):
         return (p - 1.0) * y[1] + 2.0 * y[0]
 
-    with np.errstate(over="ignore"):  # the initial-step probe at large p
-        return solve_ivp(rhs, (math.log(r0), math.log(r_max)), y0,
-                         rtol=radial._SHOOT_RTOL, atol=_ABS_TOL, max_step=_MAX_LOG_STEP,
+    # a trial step that leaves the float range is rejected, as in the stepper
+    with np.errstate(over="ignore", invalid="ignore"):
+        return solve_ivp(rhs, (math.log(r0), math.log(r_max)), y0, method="DOP853",
+                         rtol=radial._SHOOT_RTOL, atol=_ABS_TOL,
                          events=(zero_ev, crit_ev, fp_crit_ev))
 
 
 @pytest.mark.parametrize("p, N", [(400.0, 2), (2.5, 3)])
 def test_ln_fp_is_the_u_row_of_the_full_reconstruction(nodal, p, N):
-    # ln_fp forms u alone; bit for bit it is ln f_p of the u row of the
-    # three-row reconstruction that residual_sup certifies, and of the seed
-    # model below the first step node
+    # ln_fp forms u alone; bit for bit it is ln f_p of the value row of the
+    # dense output with its slope, which residual_sup certifies, and of the
+    # seed model below the first step node
     sol = nodal(p, N)
     traj = sol._traj
-    data = traj._hermite_data
+    h, F = traj._dense
+    starts = traj.rho[:-1]
     r = np.geomspace(1e-3 * math.exp(traj.rho[0]) / sol.lam, 1.0, 6001)
     rho = np.log(r * sol.lam)
-    seed = rho < data[0][0]
+    seed = rho < starts[0]
     assert 0 < np.count_nonzero(seed) < len(r)
     u = np.empty_like(rho)
     u[seed] = radial._seed(p, N, np.exp(2.0 * rho[seed]))[0]
-    j = np.clip(np.searchsorted(data[0], rho[~seed]) - 1, 0, len(data[0]) - 2)
-    th = (rho[~seed] - data[0][j]) / (data[0][j + 1] - data[0][j])
-    u[~seed] = radial._hermite(data, j, th, rows=3)[0]
+    j = np.clip(np.searchsorted(starts, rho[~seed], side="right") - 1, 0, len(starts) - 1)
+    x = (rho[~seed] - starts[j]) / h[j]
+    u[~seed] = radial._dense_eval(traj.u[j], [c[0, j] for c in F], x, slope=True)[0]
     assert np.array_equal(sol.ln_fp(r), radial._ln_fp(p, u, rho))
 
 
-# the nonlinear term stays above the rounding of the state all the way, so
-# the step cap binds throughout and the stepper takes SciPy's steps
-CAPPED_THROUGHOUT = [(2.0, 2), (2.5, 3)]
-
-
-@pytest.mark.parametrize("p, N", CAPPED_THROUGHOUT + [(8.0, 2), (50.0, 2), (400.0, 2),
-                                                      (760.0, 2)])
-def test_stepper_matches_scipy_rk45(p, N):
-    # the shooting stepper (to the horizon e^(0.5 p + 30)) against
-    # SciPy's RK45 with the same controller and the step cap everywhere: the
-    # same events and the same trajectory. At larger p the stepper lifts the
-    # cap where u is harmonic to working precision, so it takes fewer steps.
-    # Both start at r = 1e-6 from the two-term Taylor state this comparison
-    # was recorded from: where the steps differ (p >= 400) the two event
-    # roots agree to 1e-11 only for some start states: a few ulp of the
-    # start u move the gap between the two ln R2 by up to 1.5e-10, and from
-    # the origin series' state at 1e-6 it is 3.1e-11 at p = 400
-    r0, r_max = 1e-6, math.exp(min(0.5 * p + 30.0, 345.0))
-    c = 1.0 / (2.0 * N)  # u = 1 - r^2/(2N) + O(r^4)
-    y0 = (1.0 - c * r0**2, -2.0 * c * r0**2)
-    traj = _shoot(p, N, r0, r_max, *y0)
-    ref = _rk45_reference(p, N, r0, r_max, y0)
+@pytest.mark.parametrize("p, N", [(2.0, 2), (2.5, 3), (8.0, 2), (50.0, 2), (400.0, 2),
+                                  (760.0, 2)])
+def test_stepper_matches_scipy_dop853(p, N):
+    # the shooting integration against SciPy's DOP853 with the same
+    # controller from the same start, the origin series at x_s, neither
+    # capped: the same events and the same trajectory. The error estimate
+    # cancels to ~1e-12 of the stage sums, so rounding (BLAS dot products
+    # there, scalar sums here) moves the step ends by 1e-6 to 2e-5 and the
+    # two may part by a few steps; both stay within 1.2e-10 of the event
+    # roots at rtol 2.3e-14 (p = 760), and a few ulp of the start u move the
+    # gap between them by at most 2.7e-11 in ln r
+    traj = integrate_ivp(p, N, math.exp(345.0))
+    x_s = radial._origin_series(p, N)[2]
+    ref = _dop853_reference(p, N, x_s, math.exp(345.0), radial._seed(p, N, x_s * x_s))
     assert ref.status == 1
-    rho = traj.rho
-    if (p, N) in CAPPED_THROUGHOUT:
-        assert len(rho) == len(ref.t)
-        # the error estimate cancels to ~1e-12 of the stage sums, so rounding
-        # (fused multiply-adds in SciPy's BLAS dot, scalar sums here) moves
-        # each step size by ~1e-5 relative: the step ends drift while the
-        # solution through them agrees to the tolerances below
-        assert np.max(np.abs(rho - ref.t)) < 1e-4
-    else:
-        assert len(rho) <= len(ref.t)
-    assert rho[-1] == pytest.approx(ref.t[-1], rel=1e-11)
+    assert abs(len(traj.rho) - len(ref.t)) <= 8
+    assert traj.rho[-1] == pytest.approx(ref.t[-1], rel=1e-11)
     u, du = traj.eval(np.exp(ref.t))
     assert np.max(np.abs(u - ref.y[0])) <= 1e-11 * np.max(np.abs(ref.y[0]))
-    # r u' at p = 760 differs by 1.9e-11 of its peak, after the first zero
+    # r u' at p = 760 differs by 7.0e-11 of its peak, in the second bubble,
+    # whose radius the two place 1.6e-11 apart in ln r
     w_ref = ref.y[1]
-    assert np.max(np.abs(np.exp(ref.t) * du - w_ref)) <= 3e-11 * np.max(np.abs(w_ref))
+    assert np.max(np.abs(np.exp(ref.t) * du - w_ref)) <= 2e-10 * np.max(np.abs(w_ref))
     events = (traj.zeros, traj.critical, traj.fp_critical)
     for table, theirs, ref_states in zip(events, ref.t_events, ref.y_events):
         assert len(table) == len(theirs)
-        # roots in ln r to 1e-11: the radii to 1e-11 relative
-        assert np.allclose(table[:, 0], theirs, rtol=0.0, atol=1e-11)
+        assert np.allclose(table[:, 0], theirs, rtol=0.0, atol=1e-10)
         if len(table):
             assert np.allclose(table[:, 1:], ref_states, rtol=0.0,
                                atol=1e-11 * np.max(np.abs(w_ref)))
@@ -570,36 +575,36 @@ def test_stepper_matches_scipy_rk45(p, N):
 # 3.11, glibc libm, x86-64)
 STEPPER_PINS = {
     (3.0, 2): (
-        ('0x1.29d928726de7fp-2', '0x1.2d7ab00c98b79p-1',
-         '0x1.892f753dd0cadp+3', '-0x1.4ba12f7eddf46p+2'),
-        507,
-        ['0x1.c975965e42e2ap+1', '0x1.892f753dd0cadp+3'],
-        ['0x1.cf093bdb87561p+2'],
-        ['0x1.8dbef1467692bp+0', '0x1.fe6295e82f609p+2'],
+        ('0x1.29d928726ddc5p-2', '0x1.2d7ab00c98b8ep-1',
+         '0x1.892f753dd0d2ep+3', '-0x1.4ba12f7eddff0p+2'),
+        60,
+        ['0x1.c975965e42da2p+1', '0x1.892f753dd0d2ep+3'],
+        ['0x1.cf093bdb87619p+2'],
+        ['0x1.8dbef146775b2p+0', '0x1.fe6295e82f740p+2'],
     ),
     (400.0, 2): (
-        ('0x1.6e10a7fa691fep-117', '0x1.ea8fe2af4fc03p-48',
-         '0x1.3ac85234224eap+1', '-0x1.2bee2c0a03e51p+0'),
-        715,
-        ['0x1.6c583b6e17743p+142', '0x1.fd97ff49ddc4cp+258'],
-        ['0x1.e841ace412e25p+211'],
-        ['0x1.2186a75d463d0p-3', '0x1.fb27ced6d2a97p+211'],
+        ('0x1.6e10a7f930869p-117', '0x1.ea8fe2add426dp-48',
+         '0x1.3ac8523424467p+1', '-0x1.2bee2c0a05090p+0'),
+        123,
+        ['0x1.6c583b6ea6c6dp+142', '0x1.fd97ff4c59647p+258'],
+        ['0x1.e841ace4fa142p+211'],
+        ['0x1.2186a75d48484p-3', '0x1.fb27ced7c34d0p+211'],
     ),
     (760.0, 2): (
-        ('0x1.6f5b76fb1f1ccp-221', '0x1.f3df36e026c95p-90',
-         '0x1.3a9d0e0f057cep+1', '-0x1.2c243259eb758p+0'),
-        688,
-        ['0x1.dd254b8a592b4p+271', '0x1.4c8216d9b2c6bp+492'],
-        ['0x1.44a1bf916a116p+403'],
-        ['0x1.a4291c7b0faefp-4', '0x1.5124b5b17cde1p+403'],
+        ('0x1.6f5b76f896237p-221', '0x1.f3df36dcd5e20p-90',
+         '0x1.3a9d0e0f073fap+1', '-0x1.2c243259ecc95p+0'),
+        118,
+        ['0x1.dd254b8b03b61p+271', '0x1.4c8216dc75080p+492'],
+        ['0x1.44a1bf91f44a4p+403'],
+        ['0x1.a4291c7b0d1e6p-4', '0x1.5124b5b20d135p+403'],
     ),
     (2.5, 3): (
-        ('0x1.142e1e2a72175p-2', '0x1.0a3553d687168p-1',
-         '0x1.ae23a5c3dfcffp+5', '-0x1.1a66992854ccbp+3'),
-        512,
-        ['0x1.56bcd54762979p+2', '0x1.3db1b79187981p+4'],
-        ['0x1.4a5cd69310bd6p+3'],
-        ['0x1.2a1440d6fc2dep+1', '0x1.8737b7bf1a9c8p+3'],
+        ('0x1.142e1e2a70e50p-2', '0x1.0a3553d6868dep-1',
+         '0x1.ae23a5c3e068ap+5', '-0x1.1a66992853da5p+3'),
+        70,
+        ['0x1.56bcd5476176ap+2', '0x1.3db1b79187ecap+4'],
+        ['0x1.4a5cd693106bcp+3'],
+        ['0x1.2a1440d6fbb36p+1', '0x1.8737b7bf1ac01p+3'],
     ),
 }
 
@@ -615,46 +620,46 @@ def test_stepper_is_pinned_bit_for_bit(nodal, p, N):
     assert [[math.exp(rho).hex() for rho in rhos] for rhos in got] == radii
 
 
-@pytest.mark.parametrize("p, counts", [(3.0, (507, 0, 3038)), (1.25, (409, 23, 2588))])
+@pytest.mark.parametrize("p, counts", [(3.0, (60, 14, 893)), (1.25, (78, 42, 1445))])
 def test_integrator_counts_its_work(nodal, p, counts):
-    # nodes, rejected attempts and evaluations of dw/drho: 2 at the start and
-    # 6 per attempt (no stage overflows here), as with the cap on every step
+    # nodes, rejected attempts and evaluations of dw/drho: 2 at the start,
+    # 12 per attempt (no stage overflows here) and the dense output's 3
+    # extra stages on each of the 5 steps that hold an event
     traj = nodal(p)._traj
     assert (len(traj.rho), traj.rejected, traj.rhs_evals) == counts
-    assert traj.rhs_evals == 2 + 6 * (len(traj.rho) - 1 + traj.rejected)
+    event_steps = np.count_nonzero(~np.isnan(traj.stages[:, 3 + 13]))
+    assert event_steps == 5
+    assert traj.rhs_evals == 2 + 12 * (len(traj.rho) - 1 + traj.rejected) + 3 * event_steps
 
 
-# (nodes, evaluations of dw/drho) with the 0.075 cap on every step
-CAPPED_COUNTS = {
-    (1.25, 2): (745, 4592), (2.0, 2): (764, 4622), (3.0, 2): (806, 4832),
-    (8.0, 2): (866, 5234), (14.0, 2): (886, 5354), (39.0, 2): (998, 6014),
-    (100.0, 2): (1320, 7952), (250.0, 2): (2163, 13016),
-    (400.0, 2): (3029, 18212), (760.0, 2): (5141, 30884),
-    (1.5, 3): (896, 5474), (2.5, 3): (915, 5510), (4.9, 3): (1185, 7112),
-    (1.5, 4): (1032, 6284), (2.9, 4): (1232, 7388),
+# (nodes, evaluations of dw/drho) of the shooting integration; the step
+# cap of 0.075 in ln r that it no longer has took 745 to 5141 nodes here
+LADDER_COUNTS = {
+    (1.25, 2): (78, 1445), (2.0, 2): (59, 977), (3.0, 2): (60, 893),
+    (8.0, 2): (92, 1349), (14.0, 2): (105, 1493), (39.0, 2): (119, 1721),
+    (100.0, 2): (128, 1901), (250.0, 2): (125, 1793),
+    (400.0, 2): (123, 1769), (760.0, 2): (118, 1733),
+    (1.5, 3): (73, 1265), (2.5, 3): (70, 1097), (4.9, 3): (101, 1373),
+    (1.5, 4): (77, 1325), (2.9, 4): (85, 1145),
+    (2.0, 5): (78, 1133), (1.5, 6): (89, 1445), (1.5, 7): (95, 1493), (1.3, 8): (94, 1553),
 }
-# from N = 5 on the cap shrinks like 1 / (N-2), so these take more steps
-HIGH_DIMENSION = [(2.0, 5), (1.5, 6), (1.5, 7), (1.3, 8)]
 
 
-@pytest.mark.parametrize("p, N", list(CAPPED_COUNTS) + HIGH_DIMENSION)
+@pytest.mark.parametrize("p, N", list(LADDER_COUNTS))
 def test_shooting_ladder_meets_the_contract(nodal, p, N):
     sol = nodal(p, N)
     traj = sol._traj
     assert sol.residual_sup < 1e-7
-    if (p, N) in CAPPED_COUNTS:
-        nodes, rhs_evals = CAPPED_COUNTS[p, N]
-        assert len(traj.rho) <= nodes and traj.rhs_evals <= rhs_evals
-    if p >= 100:
-        # u is harmonic between the two bubbles, which no cap slices up
-        assert len(traj.rho) <= 1000
+    nodes, rhs_evals = LADDER_COUNTS[p, N]
+    assert len(traj.rho) <= nodes and traj.rhs_evals <= rhs_evals
+    assert len(traj.rho) <= 150
 
 
 def test_solve_rejects_a_residual_past_the_contract(monkeypatch):
-    # an integrator tolerance of 1e-8 in place of 1e-12 leaves an
-    # interpolated residual of 3.9e-7 at N = 6
-    monkeypatch.setattr(radial, "_SHOOT_RTOL", 1e-8)
-    with pytest.raises(SolverError, match=r"residual 3\.87\d+e-07 exceeds the bound 1e-07"):
+    # an integrator tolerance of 1e-7 in place of 1e-12 leaves a dense
+    # output residual of 2.9e-7 at N = 6 (9.1e-8 at 1e-8)
+    monkeypatch.setattr(radial, "_SHOOT_RTOL", 1e-7)
+    with pytest.raises(SolverError, match=r"residual 2\.92\d+e-07 exceeds the bound 1e-07"):
         solve_nodal(1.5, N=6)
 
 
@@ -671,17 +676,17 @@ def test_solve_computes_the_residual_once(monkeypatch):
 def test_a_nan_residual_fails_the_contract(nodal, monkeypatch):
     # an overflowing step sample makes its defect nan: the sup keeps it
     # (max(worst, nan) would drop it), and the shooting check rejects it
-    data = list(nodal(3.0)._traj._hermite_data)
-    data[1] = data[1].copy()
-    data[1][len(data[1]) // 2] = math.inf
+    traj = nodal(3.0)._traj
+    u = traj.u.copy()
+    u[len(u) // 2] = math.inf
     with np.errstate(invalid="ignore"):
-        assert math.isnan(radial._residual_sup_log(tuple(data), 3.0, 2))
+        assert math.isnan(dataclasses.replace(traj, u=u).residual_sup())
     monkeypatch.setattr(Trajectory, "residual_sup", lambda traj: math.nan)
     with pytest.raises(SolverError, match=r"residual nan exceeds the bound 1e-07"):
         solve_nodal(3.0)
 
 
-@pytest.mark.parametrize("p, N, u1", [(1.2, 3, "1.132e-08"), (1.2, 2, "1.676e-09")])
+@pytest.mark.parametrize("p, N, u1", [(1.2, 3, "1.866e-09"), (1.2, 2, "9.211e-09")])
 def test_the_float_floor_of_u1_is_named(p, N, u1):
     # the terminal zero is the float ln R2 nearest the root, whose half ulp
     # allows |u(1)| up to a floor above 1e-9 here, and |u(1)| lands above

@@ -654,7 +654,7 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
 
     monkeypatch.setattr(spectral, "weighted_radial_eigs", counted(
         grids, spectral.weighted_radial_eigs,
-        lambda prob, k, near=None: (prob.inner, prob.M, k)))
+        lambda prob, k, near=None, tol=None: (prob.inner, prob.M, k)))
     monkeypatch.setattr(spectral, "fp_values", counted(
         samples, spectral.fp_values, lambda sol, r: np.size(r)))
     monkeypatch.setattr(spectral, "count_negative", counted(
@@ -675,14 +675,16 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     assert diagonals == offdiagonals == [M // 4, M, 2 * M + 1]
 
 
-def test_a_morse_request_builds_the_hermite_data_once(monkeypatch):
+def test_a_morse_request_builds_the_dense_output_once(monkeypatch):
     # the residual check, the annulus sampling and the Pruefer cells all
-    # read the one node data of the trajectory
+    # read the one dense output of the trajectory, whose extra stages are
+    # formed once for all steps (and in the loop on the event steps)
     builds = []
-    real = radial._ddw
-    monkeypatch.setattr(radial, "_ddw", lambda *a: builds.append(1) or real(*a))
+    real = radial._extra_stages
+    monkeypatch.setattr(radial, "_extra_stages",
+                        lambda *a: builds.append(np.ndim(a[0])) or real(*a))
     rep = morse_index(solve_nodal(400.0))
-    assert rep.total == 12 and builds == [1]
+    assert rep.total == 12 and builds.count(1) == 1 and builds.count(0) == 5
 
 
 def test_a_prufer_disagreement_is_reported(nodal, monkeypatch):
@@ -757,13 +759,14 @@ def test_the_series_region_cells_carry_theta0_at_p_1_25(nodal):
     # zero short of m_rad = 2
     sol = nodal(1.25)
     cells = sol.fp_cells()
-    assert _prufer_angles(0.0, cells) == pytest.approx([2.039583] * 2, abs=5e-6)
-    # below the first node the cells are no wider than the step cap, a cell
-    # of width h has h^2 f_p <= 1e-4 e^h, and they start where f_p <= eps
-    n = len(sol._traj.rho) - 1
+    assert _prufer_angles(0.0, cells) == pytest.approx([2.039584] * 2, abs=5e-6)
+    # below the first node the cells are no wider than _SERIES_CELL, a cell
+    # of width h has h^2 f_p <= 1e-4 e^h, and they start where f_p <= eps;
+    # from the first node on each step is cut into _CELLS_PER_STEP cells
+    n = (len(sol._traj.rho) - 1) * radial._CELLS_PER_STEP
     for (h, f), split in zip(cells, (1, 2)):
         below = slice(0, len(h) - n * split)
-        assert np.all(h[below] <= radial._MAX_LOG_STEP / split * (1 + 1e-12))
+        assert np.all(h[below] <= radial._SERIES_CELL / split * (1 + 1e-12))
         assert np.sum(h) == pytest.approx(sol._traj.rho[-1] - 0.5 * math.log(2.0**-52 / 1.25))
     h, f = cells[0]
     assert np.all(h[:-n] ** 2 * f[:-n] <= 1e-4 * np.exp(h[:-n]))
@@ -848,7 +851,10 @@ def test_the_banded_walk_is_the_per_cell_walk(nodal, p, N):
         got = _prufer_angles(s, [(h, f - s * s) for h, f in cells])
         want = [loop_prufer_angle(s, h, f - s * s) for h, f in cells]
         assert [math.floor(x) for x in got] == [math.floor(x) for x in want], k
-        assert got == pytest.approx(want, rel=0, abs=1e-11), k
+        # next to the N = 3 critical exponent the two differ by 1.8e-11; a
+        # long-double per-cell walk lies 1.2e-11 from the banded and 5.7e-12
+        # from the per-cell one
+        assert got == pytest.approx(want, rel=0, abs=3e-11 if p == 4.9999 else 1e-11), k
     assert walked
 
 
