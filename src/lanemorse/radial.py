@@ -34,11 +34,17 @@ seventh-order dense output (three extra stages per step), the one evaluator
 events all read: the loop forms a step's extra stages where an event
 changes sign over it and locates the zeros of u, of u' and of
 d ln f_p / d ln r on its polynomial by regula falsi (_root); the evaluator
-forms those of the other steps for all of them at once. Only the step
-states (rho, u, w), each step's stage row and one (rho, u, w) row per event
-are kept, as integrated; below the first step the evaluator is the origin
-series the integration starts from (_seed). f_p = p |u|^(p-1) r^2 has one
-log form, _ln_fp.
+forms those of the other steps for all of them at once. A zero of u is the
+float where the polynomial, evaluated in double-double arithmetic
+(_exact_value), is least, and the terminal node keeps that state: the
+rescale amplifies u there. Across a zero of u, |u|^(p-1) u is only
+C^(1, p-1), so for p < 2 the loop also shrinks such a step until the
+defect of its dense output is below _CROSSING_DEFECT; residual_sup()
+samples every step. Only the step states (rho, u, w), each step's 13
+stages, the extra stages of the event steps and one (rho, u, w) row per
+event are kept, as integrated; below the first step the evaluator is the
+origin series the integration starts from (_seed). f_p = p |u|^(p-1) r^2
+has one log form, _ln_fp.
 
 Powers |u|^(p-1) u are evaluated through logarithms, as sign(u) exp(p ln|u|),
 which keeps the sign and underflows gracefully; past the float64 range the
@@ -174,22 +180,23 @@ def _seed(p: float, N: int, r2):
 class Trajectory:
     """Integrated radial trajectory with event data, in the integrator's variables.
 
-    rho/u/w are the accepted steps (rho = ln r, w = r u') as integrated;
-    stages holds, per step, the data of its dense output as _dop853 returned
-    it: the full step width h, the step's end state (u_new, w_new), which the
-    terminal step, cut at the second zero, does not reach, and the 16 stage
-    derivatives of u and then of w (columns 3..18 and 19..34, tableau order;
-    the dense output's extra stages 13..15 are nan unless the loop formed
-    them to locate an event there). rejected counts the rejected step
-    attempts and rhs_evals the evaluations of dw/drho in the loop: 2 at the
-    start, 12 per attempt that raised no overflow and 3 per step holding an
-    event. The events are (n, 3) tables with columns (rho, u, w), one row per
-    event in root order: zeros for the simple zero crossings of u (the sign
-    of w is the direction), critical for the zeros of w, and fp_critical for
-    the zeros of d ln f_p / d rho = (p-1) w/u + 2, i.e. the critical points
-    of f_p = p |u|^(p-1) r^2. Between the steps the trajectory is each
-    step's seventh-order dense output, built once, and below the first step
-    the origin series: _state() evaluates both, eval() reads it in r.
+    rho/u/w are the accepted steps (rho = ln r, w = r u') as integrated.
+    Each step's dense output reads them with the rest of its data as _dop853
+    returned it: stages holds the 13 stage derivatives of u and of w per
+    step (shape (steps, 2, 13), tableau order), extra the dense output's
+    three extra stages of u and of w on each step where the loop formed them
+    to locate an event, keyed by step index, and end the last step's full
+    width and end state (h, u, w), which the terminal step, cut at the
+    second zero, does not reach. rejected counts the rejected step attempts
+    and rhs_evals the evaluations of dw/drho in the loop: 2 at the start, 12
+    per attempt that raised no overflow and 3 per attempt holding an event.
+    The events are (n, 3) tables with columns (rho, u, w), one row per event
+    in root order: zeros for the simple zero crossings of u (the sign of w
+    is the direction), critical for the zeros of w, and fp_critical for the
+    zeros of d ln f_p / d rho = (p-1) w/u + 2, i.e. the critical points of
+    f_p = p |u|^(p-1) r^2. Between the steps the trajectory is each step's
+    seventh-order dense output, built once, and below the first step the
+    origin series: _state() evaluates both, eval() reads it in r.
     residual_sup() certifies the dense output; the series is exact to
     rounding below the start radius it accepts (_origin_series).
     """
@@ -200,6 +207,8 @@ class Trajectory:
     u: np.ndarray
     w: np.ndarray
     stages: np.ndarray
+    extra: dict
+    end: tuple
     zeros: np.ndarray
     critical: np.ndarray
     fp_critical: np.ndarray
@@ -211,23 +220,25 @@ class Trajectory:
         """(h, F): step widths and dense-output coefficients; built once.
 
         F[i] is a (2, steps) array, row 0 for u and row 1 for w. The extra
-        stages the loop did not form are evaluated here for all steps at
-        once; the coefficients come from the same _dense_coeffs as the
-        loop's, elementwise, so on an event step the two agree bit for bit.
+        stages are evaluated here for all steps at once, and those the loop
+        formed are kept: the coefficients come from the same _dense_coeffs as
+        the loop's, elementwise, so on an event step the two agree bit for
+        bit.
         """
         p, N = self.p, self.N
-        h = self.stages[:, 0]
-        k = self.stages[:, 3:].reshape(-1, 2, 16)
+        h = np.diff(self.rho)
+        h[-1] = self.end[0]
+        y = np.array([self.u, self.w])
+        y_new = y[:, 1:].copy()
+        y_new[:, -1] = self.end[1:]
         ku, kw = _extra_stages(
-            self.rho[:-1], h, self.u[:-1], self.w[:-1], list(k[:, 0, :13].T),
-            list(k[:, 1, :13].T),
+            self.rho[:-1], h, y[0, :-1], y[1, :-1], self.stages[:, 0].T, self.stages[:, 1].T,
             lambda t, x, v: -(N - 2.0) * v - _exp(2.0 * t) * signed_power(x, p))
-        missing = np.isnan(k[:, 0, 13])
-        k = k.copy()
-        k[missing, 0, 13:] = np.transpose(ku[13:])[missing]
-        k[missing, 1, 13:] = np.transpose(kw[13:])[missing]
-        y = np.array([self.u[:-1], self.w[:-1]])
-        return h, _dense_coeffs(h, y, self.stages[:, 1:3].T, list(k.transpose(2, 1, 0)))
+        extra = np.array([ku[13:], kw[13:]]).transpose(2, 0, 1)
+        for j, stages in self.extra.items():
+            extra[j] = stages
+        k = np.concatenate((self.stages, extra), axis=2)
+        return h, _dense_coeffs(h, y[:, :-1], y_new, list(k.transpose(2, 1, 0)))
 
     def _state(self, rho, rows=2):
         """The first `rows` of (u, w) at log radii rho up to the last node.
@@ -248,6 +259,9 @@ class Trajectory:
         j = np.clip(np.searchsorted(starts, x, side="right") - 1, 0, len(starts) - 1)
         y = np.array([self.u, self.w][:rows])
         out[:, step] = _dense_eval(y[:, j], [c[:rows, j] for c in F], (x - starts[j]) / h[j])
+        # the terminal node keeps the state of the zero that ends it
+        # (_exact_value)
+        out[:, rho == self.rho[-1]] = y[:, -1:]
         return list(out)
 
     def eval(self, r):
@@ -263,32 +277,49 @@ class Trajectory:
         The defect of the radial equation along the dense output is
         normalized by the largest of its three terms (floored at one), so the
         figure is meaningful across the full dynamic range of r and u. It is
-        sampled at _RESIDUAL_THETAS of every step; steps shorter than 1e-3 in
-        rho are skipped: differentiating the polynomial across such
-        micro-intervals (the event-truncated final step) only amplifies float
-        rounding of data that already satisfies the equation to machine
-        precision at both ends.
+        sampled at _RESIDUAL_THETAS of every step, the terminal step up to the
+        second zero that cuts it. The slope is that of the step's polynomial
+        over its full width h, whatever the step's length, so a short step
+        amplifies no rounding.
         """
         h, F = self._dense
-        width = np.diff(self.rho)
-        j = np.flatnonzero(width > 1e-3)
-        if len(j) == 0:
-            return 0.0
-        # every sample at once: one row per theta, one column per step
-        th = np.array(_RESIDUAL_THETAS)[:, None]
-        (Pu, Pw), (_, dPw) = _dense_eval(
-            np.array([self.u[j], self.w[j]])[:, None], [c[:, None, j] for c in F],
-            th * width[j] / h[j], slope=True)
-        r2 = np.exp(2.0 * (self.rho[j] + th * width[j]))
-        term_dd = -(dPw / h[j] - Pw) / r2   # -u''
-        term_d = -(self.N - 1.0) * Pw / r2  # -(N-1) u'/r
-        term_u = -signed_power(Pu, self.p)
-        res = np.abs(term_dd + term_d + term_u)
-        scale = np.maximum(
-            1.0,
-            np.maximum(np.abs(term_dd), np.maximum(np.abs(term_d), np.abs(term_u))),
-        )
-        return float(np.max(res / scale))  # nan, unlike max(), propagates
+        return float(np.max(_defects(self.p, self.N, self.rho[:-1], h, np.diff(self.rho),
+                                     np.array([self.u[:-1], self.w[:-1]]), F)))
+
+
+def _defects(p, N, t, h, width, y, F):
+    """The normalized ODE residual at _RESIDUAL_THETAS of each step's width.
+
+    The steps start at t with states y (a (2, steps) array) and have full
+    widths h and dense-output coefficients F (_dense_coeffs, each (2,
+    steps)); width is the part of each step that the trajectory keeps. Each
+    defect is normalized by the largest of the equation's three terms,
+    floored at one: one row per theta, one column per step. An overflowing
+    sample is nan, which np.max, unlike max(), propagates.
+    """
+    th = np.array(_RESIDUAL_THETAS)[:, None]
+    (Pu, Pw), (_, dPw) = _dense_eval(y[:, None], [c[:, None] for c in F], th * width / h,
+                                     slope=True)
+    r2 = np.exp(2.0 * (t + th * width))
+    term_dd = -(dPw / h - Pw) / r2   # -u''
+    term_d = -(N - 1.0) * Pw / r2    # -(N-1) u'/r
+    term_u = -signed_power(Pu, p)
+    res = np.abs(term_dd + term_d + term_u)
+    scale = np.maximum(
+        1.0,
+        np.maximum(np.abs(term_dd), np.maximum(np.abs(term_d), np.abs(term_u))),
+    )
+    return res / scale
+
+
+def _defect_sup(p, N, t, h, width, u, w, Fu, Fw):
+    """The largest of _defects on the one step from (u, w) at t; nan propagates.
+
+    Fu and Fw are its dense-output coefficients of u and of w (_dense_coeffs).
+    """
+    F = [np.array([[a], [b]]) for a, b in zip(Fu, Fw)]
+    return float(np.max(_defects(p, N, np.array([t]), np.array([h]), np.array([width]),
+                                 np.array([[u], [w]]), F)))
 
 
 def _extra_stages(t, h, u, w, ku, kw, rhs):
@@ -359,8 +390,8 @@ def integrate_ivp(p: float, N: int, r_max: float) -> Trajectory:
     taken (an overflow in every stage down to the smallest step) raises
     StiffnessError, a zero of u with |w| below 1e3 _ABS_TOL
     TangentialZeroError. The Trajectory holds what the integrator produced:
-    the steps (rho, u, w), each step's stage row and one (rho, u, w) row per
-    located event.
+    the steps (rho, u, w), their stages and one (rho, u, w) row per located
+    event.
     """
     p, N = _checked(p, N)
     x_s = _origin_series(p, N)[2]
@@ -369,7 +400,7 @@ def integrate_ivp(p: float, N: int, r_max: float) -> Trajectory:
                           f"{x_s:.6g} at p={p:g}, N={N}")
     rho0 = math.log(x_s)
     u0, w0 = _seed(p, N, x_s**2)
-    ts, us, ws, steps, tables, rejected, rhs_evals = _dop853(
+    ts, us, ws, stages, extra, end, tables, rejected, rhs_evals = _dop853(
         p, N, rho0, math.log(r_max), u0, w0, _accel(rho0, u0, w0, p, N))
     zeros, critical, fp_critical = (np.array(rows, dtype=float).reshape(-1, 3)
                                     for rows in tables)
@@ -377,8 +408,9 @@ def integrate_ivp(p: float, N: int, r_max: float) -> Trajectory:
         if abs(w_z) < 1e3 * _ABS_TOL:
             raise TangentialZeroError(f"degenerate zero at r={math.exp(rho_z):.6e}: "
                                       "|u| and |u'| both below tolerance")
-    return Trajectory(p, N, np.array(ts), np.array(us), np.array(ws), np.array(steps),
-                      zeros, critical, fp_critical, rejected=rejected, rhs_evals=rhs_evals)
+    return Trajectory(p, N, np.array(ts), np.array(us), np.array(ws), np.array(stages), extra,
+                      end, zeros, critical, fp_critical, rejected=rejected,
+                      rhs_evals=rhs_evals)
 
 
 # Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -509,14 +541,18 @@ def _dop853(p, N, t, t_end, u, w, f):
     so the step is rejected; a step below 10 ulp(t) raises StiffnessError.
 
     The events are the zeros of u, of w and of (p-1) w + 2u, tested for a
-    change or touch of sign on each step's end state. On such a step the
-    dense output's three extra stages are formed, each event is located on
-    its seventh-order polynomial by _root, and the second zero of u ends the
-    integration at its root, as a terminal event does in solve_ivp.
-    Returns the nodes (ts, us, ws), the step rows of Trajectory.stages, the
-    three event tables (zeros of u, of w, of (p-1) w + 2u), each a list of
-    (root, u, w) rows in root order, the number of rejected attempts and the
-    number of evaluations of w'.
+    change or touch of sign on each attempt that passes the error test. On
+    such an attempt the dense output's three extra stages are formed and
+    each event is located on its seventh-order polynomial by _root; a zero
+    of u is then moved to the float where _exact_value is least, and for
+    p < 2 the attempt is also rejected while the defect of its dense output
+    (up to the second zero, where the step ends) reaches _CROSSING_DEFECT,
+    shrinking it by 0.9 (_CROSSING_DEFECT / defect)^(1/p). The second
+    zero of u ends the integration at its root, as a terminal event does in
+    solve_ivp. Returns the nodes (ts, us, ws), the stages, extra and end of
+    Trajectory, the three event tables (zeros of u, of w, of (p-1) w + 2u),
+    each a list of (root, u, w) rows in root order, the number of rejected
+    attempts and the number of evaluations of w'.
     """
     atol, rtol = _ABS_TOL, _SHOOT_RTOL
     span = t_end - t
@@ -539,7 +575,8 @@ def _dop853(p, N, t, t_end, u, w, f):
     # the stage loop runs some 10^3 times per solve: locals, and _accel
     # written out, save the global lookups and the calls
     exp, log, copysign, sqrt = math.exp, math.log, math.copysign, math.sqrt
-    shift, pm1, nan = -(N - 2.0), p - 1.0, math.nan
+    shift, pm1 = -(N - 2.0), p - 1.0
+    accel = functools.partial(_accel, p=p, N=N)
     _, C1, C2, C3, C4, C5, C6, C7, C8, C9, C10, *_ = _C
     (_, (A1_0,), (A2_0, A2_1), (A3_0, _, A3_2), (A4_0, _, A4_2, A4_3),
      (A5_0, _, _, A5_3, A5_4), (A6_0, _, _, A6_3, A6_4, A6_5),
@@ -551,7 +588,7 @@ def _dop853(p, N, t, t_end, u, w, f):
     E5_0, _, _, _, _, E5_5, E5_6, E5_7, E5_8, E5_9, E5_10, E5_11 = _E5
     E3_0, _, _, _, _, E3_5, E3_6, E3_7, E3_8, E3_9, E3_10, E3_11 = _E3
 
-    ts, us, ws, steps = [t], [u], [w], []
+    ts, us, ws, stages, extra = [t], [u], [w], [], {}
     tables = ([], [], [])  # the zeros of u, of w and of (p-1) w + 2u
     while True:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -642,44 +679,67 @@ def _dop853(p, N, t, t_end, u, w, f):
             except OverflowError:
                 err = math.inf
             if err < 1:
-                factor = (_MAX_FACTOR if err == 0
-                          else min(_MAX_FACTOR, _SAFETY * err**_ERR_EXP))
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERR_EXP)
+                ku = [w, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w_new]
+                kw = [f, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, f_new]
+                # the events that change sign or touch zero over the step, of
+                # u, w and g = (p-1) w + 2u = u d ln f_p / d rho
+                g, g_new = pm1 * w + 2.0 * u, pm1 * w_new + 2.0 * u_new
+                kinds = []
+                if u <= 0 <= u_new or u >= 0 >= u_new:
+                    kinds.append(0)
+                if w <= 0 <= w_new or w >= 0 >= w_new:
+                    kinds.append(1)
+                if g <= 0 <= g_new or g >= 0 >= g_new:
+                    kinds.append(2)
+                hits, defect = [], 0.0
+                if kinds:
+                    ku, kw = _extra_stages(t, h, u, w, ku, kw, accel)
+                    rhs_evals += 3
+                    Fu, Fw = _dense_coeffs(h, u, u_new, ku), _dense_coeffs(h, w, w_new, kw)
+                    state = _step_state(t, h, u, w, Fu, Fw, pm1)
+                    # a loop, not a comprehension: up to Python 3.11 one would
+                    # make t a closure cell, which every stage then reads more
+                    # slowly
+                    for i in kinds:
+                        hits.append((_root(lambda s, i=i: state(s)[i], t, t_new), i))
+                    if kinds[0] == 0:
+                        # the zero of u is the float where u is least in exact
+                        # arithmetic: the rescale amplifies u there
+                        zero, u_zero = _nearest_zero(
+                            lambda s: _exact_value(u, Fu, s, t, h), hits[0][0], t, t_new)
+                        hits[0] = (zero, 0)
+                        if p < 2.0:
+                            # across a zero of u, |u|^(p-1) u is only
+                            # C^(1, p-1) and the dense output's defect falls
+                            # only like h^p: the step must also keep it under
+                            # _CROSSING_DEFECT, up to the second zero if it
+                            # ends there
+                            defect = _defect_sup(p, N, t, h, zero - t if tables[0] else h,
+                                                 u, w, Fu, Fw)
+                    # an event has at most one root per step, so root order
+                    # keeps each table in order
+                    hits.sort()
+                if defect < _CROSSING_DEFECT:
+                    factor = (_MAX_FACTOR if err == 0
+                              else min(_MAX_FACTOR, _SAFETY * err**_ERR_EXP))
+                    h_abs *= min(1, factor) if rejected else factor
+                    break
+                # nan (an overflow) takes the smallest factor
+                h_abs *= max(_MIN_FACTOR, _SAFETY * (_CROSSING_DEFECT / defect) ** (1.0 / p))
+            else:
+                h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERR_EXP)
             rejected = True
             n_rejected += 1
 
-        ku = [w, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w_new, nan, nan, nan]
-        kw = [f, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, f_new, nan, nan, nan]
-        # the events that change sign or touch zero over the step, of
-        # u, w and g = (p-1) w + 2u = u d ln f_p / d rho
-        g, g_new = pm1 * w + 2.0 * u, pm1 * w_new + 2.0 * u_new
-        kinds = []
-        if u <= 0 <= u_new or u >= 0 >= u_new:
-            kinds.append(0)
-        if w <= 0 <= w_new or w >= 0 >= w_new:
-            kinds.append(1)
-        if g <= 0 <= g_new or g >= 0 >= g_new:
-            kinds.append(2)
-        if kinds:
-            ku, kw = _extra_stages(t, h, u, w, ku[:13], kw[:13],
-                                   functools.partial(_accel, p=p, N=N))
-            rhs_evals += 3
-        steps.append([h, u_new, w_new, *ku, *kw])
+        stages.append((ku[:13], kw[:13]))
+        end = (h, u_new, w_new)
         stop = False
         if kinds:
-            state = _step_state(t, h, u, w, _dense_coeffs(h, u, u_new, ku),
-                                _dense_coeffs(h, w, w_new, kw), pm1)
-            # a loop, not a comprehension: up to Python 3.11 one would make
-            # t a closure cell, which every stage then reads more slowly
-            hits = []
-            for i in kinds:
-                hits.append((_root(lambda s, i=i: state(s)[i], t, t_new), i))
-            # an event has at most one root per step, so root order keeps
-            # each table in order
-            for root, i in sorted(hits):
+            extra[len(stages) - 1] = (ku[13:], kw[13:])
+            for root, i in hits:
                 u_r, w_r, _ = state(root)
+                if i == 0:
+                    u_r = u_zero
                 tables[i].append((root, u_r, w_r))
                 if i == 0 and len(tables[0]) == 2:
                     stop = True
@@ -689,7 +749,7 @@ def _dop853(p, N, t, t_end, u, w, f):
         us.append(u_new)
         ws.append(w_new)
         if stop or t_new >= t_end:
-            return ts, us, ws, steps, tables, n_rejected, rhs_evals
+            return ts, us, ws, stages, extra, end, tables, n_rejected, rhs_evals
         t, u, w, f = t_new, u_new, w_new, f_new
 
 
@@ -706,6 +766,70 @@ def _step_state(t, h, u, w, Fu, Fw, pm1):
         return u_s, w_s, pm1 * w_s + 2.0 * u_s
 
     return state
+
+
+_SPLIT = 2.0**27 + 1.0  # Dekker's splitter for float64
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """(a + b, its rounding error), exactly (Knuth, TAOCP vol. 2, 4.2.2)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _two_prod(a: float, b: float) -> tuple[float, float]:
+    """(a b, its rounding error), exactly (Dekker, Numer. Math. 18 (1971))."""
+    prod = a * b
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    c = _SPLIT * b
+    b_hi = c - (c - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return prod, ((a_hi * b_hi - prod) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _exact_value(y: float, F, s: float, t: float, h: float) -> float:
+    """_dense_eval(y, F, (s - t) / h) in double-double arithmetic, rounded once.
+
+    x, 1 - x and the nested sums and products are each carried as an
+    unevaluated sum hi + lo, so the value is close to that of the exact
+    polynomial at the float s, where _dense_eval loses up to eps |y| to
+    rounding: at a zero of u after a long step from u = 0.5 that is more
+    than |u'| ulp(s) / 2.
+    """
+    d, d_lo = _two_sum(s, -t)
+    q = d / h
+    prod, prod_lo = _two_prod(q, h)
+    x = (q, ((d - prod) - prod_lo + d_lo) / h)
+    one, one_lo = _two_sum(1.0, -q)
+    x1 = (one, one_lo - x[1])
+    hi = lo = 0.0
+    for i, f in enumerate(reversed(F)):
+        hi, e = _two_sum(hi, f)
+        lo += e
+        c_hi, c_lo = x1 if i % 2 else x
+        prod, e = _two_prod(hi, c_hi)
+        hi, lo = _two_sum(prod, e + hi * c_lo + lo * c_hi)
+    hi, e = _two_sum(y, hi)
+    return hi + (e + lo)
+
+
+def _nearest_zero(fun, root: float, a: float, b: float) -> tuple[float, float]:
+    """(s, fun(s)): the float s in [a, b] next to root where |fun| is least.
+
+    Walks from root one float at a time towards a, then towards b, while
+    |fun| falls.
+    """
+    value = fun(root)
+    for end in (a, b):
+        while root != end:
+            s = math.nextafter(root, end)
+            v = fun(s)
+            if not abs(v) < abs(value):
+                break
+            root, value = s, v
+    return root, value
 
 
 def _root(fun, a: float, b: float) -> float:
@@ -855,6 +979,7 @@ class RadialSolution:
 _LN_RMAX_CAP = 345.0  # keep r^2 representable in float64
 # the shooting contract: fixed, so that no caller can loosen it
 _RESIDUAL_BOUND = 1e-7  # on residual_sup
+_CROSSING_DEFECT = 0.1 * _RESIDUAL_BOUND  # on a step across a zero of u (_dop853)
 _U1_BOUND = 1e-9  # on |u(1)| after the rescale
 _SHOOT_RTOL = 1e-12  # the integrator's relative tolerance
 

@@ -74,7 +74,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import BisectionError, ConfigError, SolverError
 from .profile import fp_values, scales
-from .radial import RadialSolution
+from .radial import RadialSolution, _two_prod, _two_sum
 
 __all__ = [
     "AnnulusEigenProblem",
@@ -569,6 +569,22 @@ def _cell_maps(h: np.ndarray, c: np.ndarray
     return np.where(osc, np.cos(wh), scale), b, np.where(osc, -w, w) * s
 
 
+_WALK_ROUNDING = 1e-13  # rounding of theta/pi that a Pruefer walk may keep unrefined
+
+
+def _band_residual(band: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """rhs - A x for the unit lower-triangular A with 3 subdiagonals in band
+    (LAPACK band storage, row d the d-th subdiagonal), rounded once: each
+    product is split exactly (_two_prod) and the sum carries its rounding
+    errors (_two_sum)."""
+    total, err = _two_sum(rhs, -x)
+    for d in (1, 2, 3):
+        prod, prod_err = _two_prod(band[d, :-d], x[:-d])
+        total[d:], e = _two_sum(total[d:], -prod)
+        err[d:] += e - prod_err
+    return total + err
+
+
 def _prufer_angles(z: float, cells: list[tuple[np.ndarray, np.ndarray]]
                    ) -> list[float]:
     """theta / pi at the end of y'' + c y = 0 from y'/y = z, per (h, c) in cells.
@@ -577,8 +593,11 @@ def _prufer_angles(z: float, cells: list[tuple[np.ndarray, np.ndarray]]
     passes a multiple of pi at each zero of y. The cell maps of `_cell_maps`
     chain into one lower-banded system in the cell-end states (y', y), each
     walk starting from (z, 1); its forward substitution (BLAS tbsv, bandwidth
-    3) walks every cell set at once. A zero is a sign change of y between
-    consecutive cell ends, a y of exactly 0 taking the sign before it.
+    3) walks every cell set at once; where a walk shrinks enough for its
+    rounding to reach _WALK_ROUNDING in theta/pi, a second one on the exact
+    residual (_band_residual) corrects it. A zero is a sign change of y
+    between consecutive cell ends, a y of exactly 0 taking the sign before
+    it.
     """
     maps = [_cell_maps(h, c) for h, c in cells]
     # one state per cell end; the map out of each walk's last state is 0, so
@@ -592,7 +611,20 @@ def _prufer_angles(z: float, cells: list[tuple[np.ndarray, np.ndarray]]
     rhs = np.zeros(2 * len(a))
     for lo in bounds[:-1]:
         rhs[2 * lo], rhs[2 * lo + 1] = z, 1.0
-    dy, y = np.reshape(dtbsv(3, band, rhs, lower=1, diag=1), (-1, 2)).T
+    x = dtbsv(3, band, rhs, lower=1, diag=1)
+    # the substitution's rounding, relative to a walk's end state, grows
+    # about as much as the walk shrinks from its largest state (theta/pi
+    # moves by 0.1 to 0.3 eps times that factor). Next to a critical
+    # exponent a walk follows the recessive solution and shrinks by up to
+    # 4e8 (p = 4.9999, N = 3, mode 0: theta/pi 1.2e-11 from a long-double
+    # walk of the same cells); there one step of iterative refinement on a
+    # residual exact to about eps^2 leaves 5e-15. The benchmark bands
+    # shrink by at most 6 and are not refined
+    size = np.abs(x[0::2]) + np.abs(x[1::2])
+    shrink = max(np.max(size[lo:hi]) / size[hi - 1] for lo, hi in zip(bounds[:-1], bounds[1:]))
+    if shrink * np.finfo(float).eps > _WALK_ROUNDING:
+        x += dtbsv(3, band, _band_residual(band, x, rhs), lower=1, diag=1)
+    dy, y = np.reshape(x, (-1, 2)).T
     sign = np.sign(y)
     # a y of exactly 0 takes the sign before it (each walk starts at y = 1)
     sign = sign[np.maximum.accumulate(np.where(sign != 0, np.arange(len(y)), 0))]

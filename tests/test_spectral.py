@@ -851,11 +851,47 @@ def test_the_banded_walk_is_the_per_cell_walk(nodal, p, N):
         got = _prufer_angles(s, [(h, f - s * s) for h, f in cells])
         want = [loop_prufer_angle(s, h, f - s * s) for h, f in cells]
         assert [math.floor(x) for x in got] == [math.floor(x) for x in want], k
-        # next to the N = 3 critical exponent the two differ by 1.8e-11; a
-        # long-double per-cell walk lies 1.2e-11 from the banded and 5.7e-12
-        # from the per-cell one
-        assert got == pytest.approx(want, rel=0, abs=3e-11 if p == 4.9999 else 1e-11), k
+        assert got == pytest.approx(want, rel=0, abs=1e-11), k
     assert walked
+
+
+def test_the_band_residual_is_exact_to_its_rounding():
+    # the refinement step's residual, against rational arithmetic, where it
+    # is pure rounding: x is the substitution's own solution
+    from fractions import Fraction
+    from scipy.linalg.blas import dtbsv
+
+    rng = np.random.default_rng(5)
+    n = 60
+    band = np.zeros((4, n))
+    for d in (1, 2, 3):
+        band[d, :-d] = rng.uniform(-2.0, 2.0, n - d)
+    rhs = rng.uniform(-1.0, 1.0, n)
+    x = dtbsv(3, band, rhs, lower=1, diag=1)
+    got = spectral._band_residual(band, x, rhs)
+    for i in range(n):
+        exact = Fraction(rhs[i]) - Fraction(x[i]) - sum(
+            Fraction(band[d, i - d]) * Fraction(x[i - d]) for d in (1, 2, 3) if i >= d)
+        assert abs(Fraction(got[i]) - exact) <= Fraction(math.ulp(float(exact))) + 1e-30
+    assert np.count_nonzero(got) > n // 2
+
+
+@pytest.mark.parametrize("p, N, refined", [(4.9999, 3, [0]), (400.0, 2, []), (2.5, 3, [])])
+def test_only_a_shrinking_walk_is_refined(nodal, monkeypatch, p, N, refined):
+    # next to the N = 3 critical exponent mode 0 follows the recessive
+    # solution and is refined; the benchmark bands' walks shrink by at most 6
+    sol = nodal(p, N)
+    cells = sol.fp_cells()
+    modes = len(prufer_counts(sol))
+    calls = []
+    real = spectral._band_residual
+    monkeypatch.setattr(spectral, "_band_residual",
+                        lambda *args: calls.append(k) or real(*args))
+    for k in range(modes):
+        s = 0.5 * (N - 2) + k
+        if k != 1 and s * s < max(sol.max_plus, sol.max_minus):
+            _prufer_angles(s, [(h, f - s * s) for h, f in cells])
+    assert calls == refined
 
 
 # the Sturm count `count_negative`, which certifies the seeds and takes m_rad,
