@@ -20,8 +20,8 @@ value that is not a float and moved.
 The set covers the solve, morse, spectrum and sweep commands on the p and N
 bands the tests and the benchmark use, the longest shootings (p = 760, and
 p = 4.9999, N = 3, near the critical exponent), the horizon error at
-p = 800, the too-close-to-1 errors at p = 1.001 and p = 1.2, N = 3, and
-limit-check at N = 2 and 5.
+p = 800, the too-close-to-1 error at p = 1.001, the solve at p = 1.2,
+N = 3 (u(0) = 3.1e8), and limit-check at N = 2 and 5.
 """
 
 from __future__ import annotations

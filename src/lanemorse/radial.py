@@ -28,23 +28,22 @@ starts the steps there. Past it the integrator is a scalar DOP853 loop
 (_dop853), the Dormand-Prince 8(5,3) pair with the step control of SciPy's
 DOP853: same tableau, error norm combining the fifth- and third-order
 estimates, exponent -1/8, step factors, minimum step and initial-step
-rule, and no step cap. Between the steps the trajectory is each step's
-seventh-order dense output (three extra stages per step), the one evaluator
-(Trajectory._state) that eval(), residual_sup(), the f_p sampling and the
-events all read: the loop forms a step's extra stages where an event
-changes sign over it and locates the zeros of u, of u' and of
-d ln f_p / d ln r on its polynomial by regula falsi (_root); the evaluator
-forms those of the other steps for all of them at once. A zero of u is the
-float where the polynomial, evaluated in double-double arithmetic
-(_exact_value), is least, and the terminal node keeps that state: the
-rescale amplifies u there. Across a zero of u, |u|^(p-1) u is only
+rule, and no step cap; it only steps, and stops after the step over which
+u changes sign the second time. Between the steps the trajectory is each
+step's seventh-order dense output (three extra stages per step), built
+once for all steps after the loop: the one evaluator (Trajectory._state)
+that eval(), residual_sup() and the f_p sampling read, and on which
+_events then locates the zeros of u, of u' and of d ln f_p / d ln r by
+regula falsi (_root). A zero of u is the float where the polynomial,
+evaluated in double-double arithmetic (_exact_value), is least, and the
+trajectory ends at the second one. Across a zero of u, |u|^(p-1) u is only
 C^(1, p-1), so for p < 2 the loop also shrinks such a step until the
 defect of its dense output is below _CROSSING_DEFECT; residual_sup()
-samples every step. Only the step states (rho, u, w), each step's 13
-stages, the extra stages of the event steps and one (rho, u, w) row per
-event are kept, as integrated; below the first step the evaluator is the
-origin series the integration starts from (_seed). f_p = p |u|^(p-1) r^2
-has one log form, _ln_fp.
+samples every step. The Trajectory keeps the step states (rho, u, w), each
+step's full width and dense-output coefficients, the origin series the
+integration starts from, which is the evaluator below the first step, and
+one (rho, u, w) row per event. f_p = p |u|^(p-1) r^2 has one log form,
+_ln_fp.
 
 Powers |u|^(p-1) u are evaluated through logarithms, as sign(u) exp(p ln|u|),
 which keeps the sign and underflows gracefully; past the float64 range the
@@ -117,7 +116,6 @@ def _ln_fp(p: float, u, rho):
 _SERIES_TERMS = 16  # K: the origin series keeps the powers x^0 .. x^(2K)
 
 
-@functools.lru_cache(maxsize=16)
 def _origin_series(p: float, N: int):
     """(c, d, x_s): U(x) = sum_k c_k x^(2k), x U'(x) = sum_k d_k x^(2k), k <= K.
 
@@ -167,38 +165,28 @@ def _horner(coeffs, y):
     return total + coeffs[0]
 
 
-def _seed(p: float, N: int, r2):
-    """The origin series (u, w = r u') = (U(r), r U'(r)) at r^2 = r2.
-
-    Exact to rounding up to x_s (_origin_series).
-    """
-    c, d, _ = _origin_series(p, N)
-    return _horner(c, r2), _horner(d, r2)
-
-
 @dataclass
 class Trajectory:
     """Integrated radial trajectory with event data, in the integrator's variables.
 
-    rho/u/w are the accepted steps (rho = ln r, w = r u') as integrated.
-    Each step's dense output reads them with the rest of its data as _dop853
-    returned it: stages holds the 13 stage derivatives of u and of w per
-    step (shape (steps, 2, 13), tableau order), extra the dense output's
-    three extra stages of u and of w on each step where the loop formed them
-    to locate an event, keyed by step index, and end the last step's full
-    width and end state (h, u, w), which the terminal step, cut at the
-    second zero, does not reach. rejected counts the rejected step attempts
-    and rhs_evals the evaluations of dw/drho in the loop: 2 at the start, 12
-    per attempt that raised no overflow and 3 per attempt holding an event.
-    The events are (n, 3) tables with columns (rho, u, w), one row per event
-    in root order: zeros for the simple zero crossings of u (the sign of w
-    is the direction), critical for the zeros of w, and fp_critical for the
-    zeros of d ln f_p / d rho = (p-1) w/u + 2, i.e. the critical points of
-    f_p = p |u|^(p-1) r^2. Between the steps the trajectory is each step's
-    seventh-order dense output, built once, and below the first step the
-    origin series: _state() evaluates both, eval() reads it in r.
-    residual_sup() certifies the dense output; the series is exact to
-    rounding below the start radius it accepts (_origin_series).
+    rho/u/w are the accepted steps (rho = ln r, w = r u'); the last node is
+    the second zero of u where the integration reached it, and otherwise the
+    end of the last step. c and d are the origin series (_origin_series)
+    the integration starts from: U(r) = sum_k c_k r^(2k) and r U'(r) =
+    sum_k d_k r^(2k). h holds each step's full width, which the terminal
+    step, cut at the second zero, does not reach, and F its seventh-order
+    dense-output coefficients (_dense_coeffs), shape (7, 2, steps), row 0
+    for u and row 1 for w. rejected counts the rejected step attempts and
+    rhs_evals the evaluations of dw/drho in the loop: 2 at the start, 12
+    per attempt that raised no overflow and, for p < 2, 3 per attempt across
+    a zero of u (the evaluator's extra stages are not counted). The events
+    are (n, 3) tables with columns (rho, u, w), one row per event in root
+    order: zeros for the simple zero crossings of u (the sign of w is the
+    direction), critical for the zeros of w, and fp_critical for the zeros
+    of d ln f_p / d rho = (p-1) w/u + 2, i.e. the critical points of
+    f_p = p |u|^(p-1) r^2. _state() evaluates the trajectory, eval() reads
+    it in r; residual_sup() certifies the dense output, and the series is
+    exact to rounding below the start radius it accepts (_origin_series).
     """
 
     p: float
@@ -206,39 +194,15 @@ class Trajectory:
     rho: np.ndarray
     u: np.ndarray
     w: np.ndarray
-    stages: np.ndarray
-    extra: dict
-    end: tuple
+    c: tuple
+    d: tuple
+    h: np.ndarray
+    F: np.ndarray
     zeros: np.ndarray
     critical: np.ndarray
     fp_critical: np.ndarray
     rejected: int = 0
     rhs_evals: int = 0
-
-    @functools.cached_property
-    def _dense(self):
-        """(h, F): step widths and dense-output coefficients; built once.
-
-        F[i] is a (2, steps) array, row 0 for u and row 1 for w. The extra
-        stages are evaluated here for all steps at once, and those the loop
-        formed are kept: the coefficients come from the same _dense_coeffs as
-        the loop's, elementwise, so on an event step the two agree bit for
-        bit.
-        """
-        p, N = self.p, self.N
-        h = np.diff(self.rho)
-        h[-1] = self.end[0]
-        y = np.array([self.u, self.w])
-        y_new = y[:, 1:].copy()
-        y_new[:, -1] = self.end[1:]
-        ku, kw = _extra_stages(
-            self.rho[:-1], h, y[0, :-1], y[1, :-1], self.stages[:, 0].T, self.stages[:, 1].T,
-            lambda t, x, v: -(N - 2.0) * v - _exp(2.0 * t) * signed_power(x, p))
-        extra = np.array([ku[13:], kw[13:]]).transpose(2, 0, 1)
-        for j, stages in self.extra.items():
-            extra[j] = stages
-        k = np.concatenate((self.stages, extra), axis=2)
-        return h, _dense_coeffs(h, y[:, :-1], y_new, list(k.transpose(2, 1, 0)))
 
     def _state(self, rho, rows=2):
         """The first `rows` of (u, w) at log radii rho up to the last node.
@@ -246,19 +210,19 @@ class Trajectory:
         The origin series below the first node, the step's dense output from
         it on; rows=1 evaluates u alone.
         """
-        h, F = self._dense
         starts = self.rho[:-1]
         rho = np.asarray(rho, dtype=float)
         out = np.empty((rows,) + rho.shape)
-        seed = rho < starts[0]
-        out[:, seed] = _seed(self.p, self.N, np.exp(2.0 * rho[seed]))[:rows]
-        step = ~seed
+        series = rho < starts[0]
+        r2 = np.exp(2.0 * rho[series])
+        out[:, series] = [_horner(c, r2) for c in (self.c, self.d)[:rows]]
+        step = ~series
         x = rho[step]
         # a node opens its step (x = 0, the node state itself); the last
         # node closes the last step
         j = np.clip(np.searchsorted(starts, x, side="right") - 1, 0, len(starts) - 1)
         y = np.array([self.u, self.w][:rows])
-        out[:, step] = _dense_eval(y[:, j], [c[:rows, j] for c in F], (x - starts[j]) / h[j])
+        out[:, step] = _dense_eval(y[:, j], self.F[:, :rows, j], (x - starts[j]) / self.h[j])
         # the terminal node keeps the state of the zero that ends it
         # (_exact_value)
         out[:, rho == self.rho[-1]] = y[:, -1:]
@@ -282,17 +246,16 @@ class Trajectory:
         over its full width h, whatever the step's length, so a short step
         amplifies no rounding.
         """
-        h, F = self._dense
-        return float(np.max(_defects(self.p, self.N, self.rho[:-1], h, np.diff(self.rho),
-                                     np.array([self.u[:-1], self.w[:-1]]), F)))
+        return float(np.max(_defects(self.p, self.N, self.rho[:-1], self.h, np.diff(self.rho),
+                                     np.array([self.u[:-1], self.w[:-1]]), self.F)))
 
 
 def _defects(p, N, t, h, width, y, F):
     """The normalized ODE residual at _RESIDUAL_THETAS of each step's width.
 
     The steps start at t with states y (a (2, steps) array) and have full
-    widths h and dense-output coefficients F (_dense_coeffs, each (2,
-    steps)); width is the part of each step that the trajectory keeps. Each
+    widths h and dense-output coefficients F (_dense_coeffs, F_0..F_6 each
+    (2, steps)); width is the part of each step that the trajectory keeps. Each
     defect is normalized by the largest of the equation's three terms,
     floored at one: one row per theta, one column per step. An overflowing
     sample is nan, which np.max, unlike max(), propagates.
@@ -384,33 +347,112 @@ def integrate_ivp(p: float, N: int, r_max: float) -> Trajectory:
     """Integrate u(0) = 1 to the second zero of u, or to r_max if it comes first.
 
     p > 0 (p = 1 is the Bessel oracle) and N >= 2 an integer (_checked). The
-    steps start at x_s, up to which the origin series (_seed) is exact to
-    rounding and holds no event (_origin_series); r_max must be finite and
-    past it. Each limit is a ConfigError naming it. A step that cannot be
-    taken (an overflow in every stage down to the smallest step) raises
-    StiffnessError, a zero of u with |w| below 1e3 _ABS_TOL
-    TangentialZeroError. The Trajectory holds what the integrator produced:
-    the steps (rho, u, w), their stages and one (rho, u, w) row per located
-    event.
+    steps start at x_s, up to which the origin series is exact to rounding
+    and holds no event (_origin_series); r_max must be finite and past it.
+    Each limit is a ConfigError naming it. The rest is _integrate.
     """
     p, N = _checked(p, N)
-    x_s = _origin_series(p, N)[2]
+    c, d, x_s = _origin_series(p, N)
     if not (math.isfinite(r_max) and r_max > x_s):
         raise ConfigError(f"r_max={r_max} must be finite and exceed the start radius "
                           f"{x_s:.6g} at p={p:g}, N={N}")
-    rho0 = math.log(x_s)
-    u0, w0 = _seed(p, N, x_s**2)
-    ts, us, ws, stages, extra, end, tables, rejected, rhs_evals = _dop853(
+    return _integrate(p, N, c, d, x_s, r_max)
+
+
+def _integrate(p, N, c, d, r0, r_max):
+    """The Trajectory from the origin series (c, d) at r0 to the second zero of u or r_max.
+
+    _dop853 takes the steps. Their dense-output coefficients are then formed
+    for all steps at once, and _events locates the events on them; the
+    trajectory ends at the second zero of u. A step that cannot be taken (an
+    overflow in every stage down to the smallest step) raises
+    StiffnessError, a zero of u with |w| below 1e3 _ABS_TOL
+    TangentialZeroError.
+    """
+    rho0 = math.log(r0)
+    u0, w0 = _horner(c, r0**2), _horner(d, r0**2)
+    ts, us, ws, stages, rejected, rhs_evals = _dop853(
         p, N, rho0, math.log(r_max), u0, w0, _accel(rho0, u0, w0, p, N))
-    zeros, critical, fp_critical = (np.array(rows, dtype=float).reshape(-1, 3)
-                                    for rows in tables)
+    rho, u, w = np.array(ts), np.array(us), np.array(ws)
+    h = np.diff(rho)
+    stages = np.array(stages)  # (steps, 2, 13)
+    ku, kw = _extra_stages(rho[:-1], h, u[:-1], w[:-1], stages[:, 0].T, stages[:, 1].T,
+                           lambda t, x, v: -(N - 2.0) * v - _exp(2.0 * t) * signed_power(x, p))
+    y = np.array([u, w])
+    F = np.array(_dense_coeffs(h, y[:, :-1], y[:, 1:], np.array([ku, kw]).transpose(1, 0, 2)))
+    zeros, critical, fp_critical = _events(p, rho, u, w, h, F)
+    if len(zeros) == 2:
+        rho[-1], u[-1], w[-1] = zeros[-1]
     for rho_z, _, w_z in zeros:
         if abs(w_z) < 1e3 * _ABS_TOL:
             raise TangentialZeroError(f"degenerate zero at r={math.exp(rho_z):.6e}: "
                                       "|u| and |u'| both below tolerance")
-    return Trajectory(p, N, np.array(ts), np.array(us), np.array(ws), np.array(stages), extra,
-                      end, zeros, critical, fp_critical, rejected=rejected,
-                      rhs_evals=rhs_evals)
+    return Trajectory(p, N, rho, u, w, c, d, h, F, zeros, critical, fp_critical,
+                      rejected=rejected, rhs_evals=rhs_evals)
+
+
+def _events(p, rho, u, w, h, F):
+    """The zeros of u, of w and of (p-1) w + 2u on the dense output, up to the second zero of u.
+
+    rho, u, w are the nodes, h and F the steps' full widths and dense-output
+    coefficients. Each event is tested on each step for a change or touch of
+    sign between the step's ends and located on the step's polynomial by
+    _root; a zero of u is then moved to the float where _exact_value is
+    least (_zero_of_u). Returns the three (n, 3) tables of (root, u, w) rows,
+    each in root order (an event has at most one root per step); no event
+    past the second zero of u is kept.
+    """
+    pm1 = p - 1.0
+    y = np.array([u, w, pm1 * w + 2.0 * u])
+    a, b = y[:, :-1], y[:, 1:]
+    fired = ((a <= 0) & (0 <= b)) | ((a >= 0) & (0 >= b))
+    ts, us, ws = rho.tolist(), u.tolist(), w.tolist()
+    tables = ([], [], [])
+    for j in np.flatnonzero(fired.any(axis=0)).tolist():
+        t, t_new, hj = ts[j], ts[j + 1], float(h[j])
+        Fu, Fw = F[:, 0, j].tolist(), F[:, 1, j].tolist()
+        state = _step_state(t, hj, us[j], ws[j], Fu, Fw, pm1)
+        hits = []
+        for i in np.flatnonzero(fired[:, j]).tolist():
+            if i == 0:
+                root, u_zero = _zero_of_u(t, t_new, hj, us[j], Fu)
+            else:
+                root = _root(lambda s, i=i: state(s)[i], t, t_new)
+            hits.append((root, i))
+        for root, i in sorted(hits):
+            u_r, w_r, _ = state(root)
+            tables[i].append((root, u_zero if i == 0 else u_r, w_r))
+            if i == 0 and len(tables[0]) == 2:
+                break
+        if len(tables[0]) == 2:
+            break
+    return tuple(np.array(rows, dtype=float).reshape(-1, 3) for rows in tables)
+
+
+def _zero_of_u(t, t_new, h, u, Fu):
+    """(s, u(s)) at the zero of u on the dense output of a step over [t, t_new].
+
+    The step starts from u with full width h and coefficients Fu
+    (_dense_coeffs); s is the float next to _root's root where u, evaluated
+    in double-double arithmetic (_exact_value), is least.
+    """
+    root = _root(lambda s: _dense_eval(u, Fu, (s - t) / h), t, t_new)
+    return _nearest_zero(lambda s: _exact_value(u, Fu, s, t, h), root, t, t_new)
+
+
+def _step_state(t, h, u, w, Fu, Fw, pm1):
+    """s -> (u, w, (p-1) w + 2u) on the step's dense output, pm1 = p - 1.
+
+    The step runs from (u, w) at t over the full width h, with dense-output
+    coefficients Fu, Fw (_dense_coeffs). The three values are the three
+    event functions.
+    """
+    def state(s):
+        x = (s - t) / h
+        u_s, w_s = _dense_eval(u, Fu, x), _dense_eval(w, Fw, x)
+        return u_s, w_s, pm1 * w_s + 2.0 * u_s
+
+    return state
 
 
 # Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -540,19 +582,16 @@ def _dop853(p, N, t, t_end, u, w, f):
     no step is capped. An overflow in a stage makes the error norm infinite,
     so the step is rejected; a step below 10 ulp(t) raises StiffnessError.
 
-    The events are the zeros of u, of w and of (p-1) w + 2u, tested for a
-    change or touch of sign on each attempt that passes the error test. On
-    such an attempt the dense output's three extra stages are formed and
-    each event is located on its seventh-order polynomial by _root; a zero
-    of u is then moved to the float where _exact_value is least, and for
-    p < 2 the attempt is also rejected while the defect of its dense output
-    (up to the second zero, where the step ends) reaches _CROSSING_DEFECT,
-    shrinking it by 0.9 (_CROSSING_DEFECT / defect)^(1/p). The second
-    zero of u ends the integration at its root, as a terminal event does in
-    solve_ivp. Returns the nodes (ts, us, ws), the stages, extra and end of
-    Trajectory, the three event tables (zeros of u, of w, of (p-1) w + 2u),
-    each a list of (root, u, w) rows in root order, the number of rejected
-    attempts and the number of evaluations of w'.
+    Each attempt that passes the error test is tested for a change or touch
+    of sign of u. For p < 2 such an attempt is also rejected while the
+    defect of its dense output reaches _CROSSING_DEFECT, shrinking it by
+    0.9 (_CROSSING_DEFECT / defect)^(1/p): its three extra stages are formed
+    for that, and on the step that holds the second sign change the defect
+    is sampled up to the zero of u (_zero_of_u), where the trajectory will
+    end. The loop stops after that step, or at t_end. Returns the nodes
+    (ts, us, ws), each step's 13 stage derivatives of u and of w (a list of
+    pairs of lists), the number of rejected attempts and the number of
+    evaluations of w'.
     """
     atol, rtol = _ABS_TOL, _SHOOT_RTOL
     span = t_end - t
@@ -575,7 +614,7 @@ def _dop853(p, N, t, t_end, u, w, f):
     # the stage loop runs some 10^3 times per solve: locals, and _accel
     # written out, save the global lookups and the calls
     exp, log, copysign, sqrt = math.exp, math.log, math.copysign, math.sqrt
-    shift, pm1 = -(N - 2.0), p - 1.0
+    shift = -(N - 2.0)
     accel = functools.partial(_accel, p=p, N=N)
     _, C1, C2, C3, C4, C5, C6, C7, C8, C9, C10, *_ = _C
     (_, (A1_0,), (A2_0, A2_1), (A3_0, _, A3_2), (A4_0, _, A4_2, A4_3),
@@ -588,8 +627,7 @@ def _dop853(p, N, t, t_end, u, w, f):
     E5_0, _, _, _, _, E5_5, E5_6, E5_7, E5_8, E5_9, E5_10, E5_11 = _E5
     E3_0, _, _, _, _, E3_5, E3_6, E3_7, E3_8, E3_9, E3_10, E3_11 = _E3
 
-    ts, us, ws, stages, extra = [t], [u], [w], [], {}
-    tables = ([], [], [])  # the zeros of u, of w and of (p-1) w + 2u
+    ts, us, ws, stages, crossings = [t], [u], [w], [], 0
     while True:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -681,44 +719,18 @@ def _dop853(p, N, t, t_end, u, w, f):
             if err < 1:
                 ku = [w, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w_new]
                 kw = [f, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, f_new]
-                # the events that change sign or touch zero over the step, of
-                # u, w and g = (p-1) w + 2u = u d ln f_p / d rho
-                g, g_new = pm1 * w + 2.0 * u, pm1 * w_new + 2.0 * u_new
-                kinds = []
-                if u <= 0 <= u_new or u >= 0 >= u_new:
-                    kinds.append(0)
-                if w <= 0 <= w_new or w >= 0 >= w_new:
-                    kinds.append(1)
-                if g <= 0 <= g_new or g >= 0 >= g_new:
-                    kinds.append(2)
-                hits, defect = [], 0.0
-                if kinds:
-                    ku, kw = _extra_stages(t, h, u, w, ku, kw, accel)
+                crosses = u <= 0 <= u_new or u >= 0 >= u_new
+                defect = 0.0
+                if crosses and p < 2.0:
+                    # across a zero of u, |u|^(p-1) u is only C^(1, p-1) and
+                    # the dense output's defect falls only like h^p: the step
+                    # must also keep it under _CROSSING_DEFECT, up to the
+                    # second zero if it ends there
+                    eu, ew = _extra_stages(t, h, u, w, ku, kw, accel)
                     rhs_evals += 3
-                    Fu, Fw = _dense_coeffs(h, u, u_new, ku), _dense_coeffs(h, w, w_new, kw)
-                    state = _step_state(t, h, u, w, Fu, Fw, pm1)
-                    # a loop, not a comprehension: up to Python 3.11 one would
-                    # make t a closure cell, which every stage then reads more
-                    # slowly
-                    for i in kinds:
-                        hits.append((_root(lambda s, i=i: state(s)[i], t, t_new), i))
-                    if kinds[0] == 0:
-                        # the zero of u is the float where u is least in exact
-                        # arithmetic: the rescale amplifies u there
-                        zero, u_zero = _nearest_zero(
-                            lambda s: _exact_value(u, Fu, s, t, h), hits[0][0], t, t_new)
-                        hits[0] = (zero, 0)
-                        if p < 2.0:
-                            # across a zero of u, |u|^(p-1) u is only
-                            # C^(1, p-1) and the dense output's defect falls
-                            # only like h^p: the step must also keep it under
-                            # _CROSSING_DEFECT, up to the second zero if it
-                            # ends there
-                            defect = _defect_sup(p, N, t, h, zero - t if tables[0] else h,
-                                                 u, w, Fu, Fw)
-                    # an event has at most one root per step, so root order
-                    # keeps each table in order
-                    hits.sort()
+                    Fu, Fw = _dense_coeffs(h, u, u_new, eu), _dense_coeffs(h, w, w_new, ew)
+                    width = _zero_of_u(t, t_new, h, u, Fu)[0] - t if crossings else h
+                    defect = _defect_sup(p, N, t, h, width, u, w, Fu, Fw)
                 if defect < _CROSSING_DEFECT:
                     factor = (_MAX_FACTOR if err == 0
                               else min(_MAX_FACTOR, _SAFETY * err**_ERR_EXP))
@@ -731,41 +743,14 @@ def _dop853(p, N, t, t_end, u, w, f):
             rejected = True
             n_rejected += 1
 
-        stages.append((ku[:13], kw[:13]))
-        end = (h, u_new, w_new)
-        stop = False
-        if kinds:
-            extra[len(stages) - 1] = (ku[13:], kw[13:])
-            for root, i in hits:
-                u_r, w_r, _ = state(root)
-                if i == 0:
-                    u_r = u_zero
-                tables[i].append((root, u_r, w_r))
-                if i == 0 and len(tables[0]) == 2:
-                    stop = True
-                    t_new, u_new, w_new = root, u_r, w_r
-                    break
+        stages.append((ku, kw))
         ts.append(t_new)
         us.append(u_new)
         ws.append(w_new)
-        if stop or t_new >= t_end:
-            return ts, us, ws, stages, extra, end, tables, n_rejected, rhs_evals
+        crossings += crosses
+        if crossings == 2 or t_new >= t_end:
+            return ts, us, ws, stages, n_rejected, rhs_evals
         t, u, w, f = t_new, u_new, w_new, f_new
-
-
-def _step_state(t, h, u, w, Fu, Fw, pm1):
-    """s -> (u, w, (p-1) w + 2u) on the step's dense output, pm1 = p - 1.
-
-    The step runs from (u, w) at t over the full width h, with dense-output
-    coefficients Fu, Fw (_dense_coeffs). The three values are the three
-    event functions.
-    """
-    def state(s):
-        x = (s - t) / h
-        u_s, w_s = _dense_eval(u, Fu, x), _dense_eval(w, Fw, x)
-        return u_s, w_s, pm1 * w_s + 2.0 * u_s
-
-    return state
 
 
 _SPLIT = 2.0**27 + 1.0  # Dekker's splitter for float64
@@ -844,10 +829,10 @@ def _root(fun, a: float, b: float) -> float:
     side of zero) that is an end of [a, b]. Each secant point lies at least
     half the tolerance inside the bracket, and its divisor is a sum of two
     magnitudes, one of them a nonzero value of fun, so no step divides by
-    zero. The terminal zero needs the last float: the rescale by
-    R2^(2/(p-1)) amplifies its residual u, and a root elsewhere in the 4 eps
-    bracket left |u(1)| = 1.8e-9 at p = 1.25, past the 1e-9 shooting check,
-    where the nearest float leaves 2.3e-10.
+    zero. A zero of u is then moved to the float where u is least
+    (_zero_of_u): the rescale by R2^(2/(p-1)) amplifies the residual u of
+    the terminal zero, and a root elsewhere in the 4 eps bracket left
+    |u(1)| = 1.8e-9 at p = 1.25, where the nearest float leaves 2.3e-10.
     """
     fa, fb = fun(a), fun(b)
     if fa and fb and (fa < 0) != (fb < 0):
@@ -980,7 +965,7 @@ _LN_RMAX_CAP = 345.0  # keep r^2 representable in float64
 # the shooting contract: fixed, so that no caller can loosen it
 _RESIDUAL_BOUND = 1e-7  # on residual_sup
 _CROSSING_DEFECT = 0.1 * _RESIDUAL_BOUND  # on a step across a zero of u (_dop853)
-_U1_BOUND = 1e-9  # on |u(1)| after the rescale
+_U1_BOUND = 1e-9  # on |u(1)| / u(0)
 _SHOOT_RTOL = 1e-12  # the integrator's relative tolerance
 
 
@@ -999,9 +984,10 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
     each nodal interval (else UnimodalityError).
 
     The shooting contract is fixed: the integrator runs at relative
-    tolerance 1e-12 (_SHOOT_RTOL); |u(1)| >= 1e-9 (_U1_BOUND) or
-    residual_sup >= 1e-7 (_RESIDUAL_BOUND), or nan, raises SolverError, or
-    ConfigError where the float floor of |u(1)| exceeds 1e-9 (p near 1).
+    tolerance 1e-12 (_SHOOT_RTOL); |u(1)|/u(0) >= 1e-9 (_U1_BOUND) or
+    residual_sup >= 1e-7 (_RESIDUAL_BOUND), or nan, raises SolverError.
+    Both figures are invariant under the rescale: |u(1)|/u(0) is |u| at the
+    unscaled terminal node.
     """
     p, N = _checked(p, N)
     if p <= 1:
@@ -1039,16 +1025,9 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
     j = _unique_event(critical, negative, "u", SolverError)
     u_min = kappa * float(traj.critical[j, 1])
 
-    u1 = kappa * float(traj.u[-1])
-    if not abs(u1) < _U1_BOUND:
-        # the terminal zero is the float ln R2, whose rounding alone leaves
-        # |u(1)| up to |u'(1)| ulp(ln R2) / 2, and u'(1) = kappa w at R2
-        floor = kappa * abs(float(traj.w[-1])) * math.ulp(rho2) / 2.0
-        message = f"|u(1)|={abs(u1):.3e} exceeds shooting tolerance {_U1_BOUND}"
-        if floor > _U1_BOUND:
-            raise ConfigError(f"{message}: at p={p}, N={N} (too close to 1) its "
-                              f"float floor |u'(1)| ulp(ln R2)/2 is {floor:.3e}")
-        raise SolverError(message)
+    u1 = abs(float(traj.u[-1]))  # |u(1)| / u(0)
+    if not u1 < _U1_BOUND:
+        raise SolverError(f"|u(1)|/u(0)={u1:.3e} exceeds shooting tolerance {_U1_BOUND}")
 
     # u falls from u(0) = kappa on (0, r_p); on (r_p, 1), which the terminal
     # second zero ends, it has the one critical point s_p, so u is in [u_min, 0)

@@ -167,23 +167,14 @@ def test_the_tableau_is_scipys_dop853():
     assert radial._D == tuple(map(tuple, dop853.D))
 
 
-def _shoot(p, N, r0, r_max, u0, w0):
-    """The shooting stepper from the state (u0, w0) at r0, as a Trajectory."""
-    rho0 = math.log(r0)
-    ts, us, ws, stages, extra, end, tables, rejected, rhs_evals = radial._dop853(
-        p, N, rho0, math.log(r_max), u0, w0, radial._accel(rho0, u0, w0, p, N))
-    return Trajectory(p, N, np.array(ts), np.array(us), np.array(ws), np.array(stages),
-                      extra, end,
-                      *(np.array(rows, dtype=float).reshape(-1, 3) for rows in tables),
-                      rejected=rejected, rhs_evals=rhs_evals)
-
-
-def _scaled_seed(p, N, a, r):
-    """(u, r u') at r of the solution with u(0) = a: a (U(x), x U'(x)) of the
-    origin series at x = |a|^((p-1)/2) r, by the scaling u(r) = a U(x)."""
+def _shoot(p, N, a, r0, r_max):
+    """The shooting integration of the solution with u(0) = a from r0, as a
+    Trajectory: by the scaling u(r) = a U(x), x = |a|^((p-1)/2) r, its
+    origin series has the coefficients a c_k |a|^((p-1) k) in r^(2k)."""
     c, d, _ = radial._origin_series(p, N)
-    y = abs(a) ** (p - 1.0) * r**2
-    return a * radial._horner(c, y), a * radial._horner(d, y)
+    y = abs(a) ** (p - 1.0)
+    c, d = ([a * ck * y**k for k, ck in enumerate(coeffs)] for coeffs in (c, d))
+    return radial._integrate(p, N, c, d, r0, r_max)
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0])
@@ -191,9 +182,9 @@ def test_scaling_identity(lam):
     # u_lam(r) = lam^(2/(p-1)) u(lam r) solves the same equation: the
     # invariance solve_nodal rescales by, through the stepper from u(0) = k
     p = 3.0
-    base = _shoot(p, 2, 1e-6, 8.0, *_scaled_seed(p, 2, 1.0, 1e-6))
+    base = _shoot(p, 2, 1.0, 1e-6, 8.0)
     k = lam ** (2.0 / (p - 1.0))
-    scaled = _shoot(p, 2, 1e-6 / lam, 8.0 / lam, *_scaled_seed(p, 2, k, 1e-6 / lam))
+    scaled = _shoot(p, 2, k, 1e-6 / lam, 8.0 / lam)
     r = np.linspace(0.05, 7.0 / lam, 200)
     u_s, _ = scaled.eval(r)
     u_b, _ = base.eval(lam * r)
@@ -280,8 +271,9 @@ def test_eval_taylor_region(nodal):
     # the integration starts from the origin series at its first node, and
     # the evaluator reads the series below it
     traj = sol._traj
-    x_s = radial._origin_series(5.0, 2)[2]
-    assert radial._seed(5.0, 2, x_s**2) == (traj.u[0], traj.w[0])
+    c, d, x_s = radial._origin_series(5.0, 2)
+    assert (traj.c, traj.d) == (c, d)
+    assert (radial._horner(c, x_s**2), radial._horner(d, x_s**2)) == (traj.u[0], traj.w[0])
     # below the first node, against an independent DOP853 run from r = 1e-6
     # seeded by the two-term Taylor model (its error there is O(1e-24))
     r = np.geomspace(1e-4, 1.0, 40) * x_s
@@ -338,8 +330,8 @@ def test_the_series_start_matches_dop853(p, N):
     # at x_s, where solve_nodal starts its steps, the series is the IVP's
     # solution to the rounding of the reference: 3.8e-15 in u and 1.4e-13
     # in r u' (p = 400) at worst
-    x_s = radial._origin_series(p, N)[2]
-    u, w = radial._seed(p, N, x_s * x_s)
+    c, d, x_s = radial._origin_series(p, N)
+    u, w = radial._horner(c, x_s * x_s), radial._horner(d, x_s * x_s)
     (u_ref,), (w_ref,) = _dop853_from_the_origin(p, N, np.array([x_s]))
     assert u == pytest.approx(u_ref, rel=1e-14, abs=0.0)
     assert w == pytest.approx(w_ref, rel=5e-13, abs=0.0)
@@ -469,26 +461,27 @@ def test_dense_eval_matches_ode_solution(nodal, p):
 
 @pytest.mark.parametrize("p, N", [(400.0, 2), (4.9999, 3)])
 def test_the_trajectory_keeps_the_integrators_variables(monkeypatch, p, N):
-    # the steps (rho, w), their stages, the extra stages of the event steps,
-    # the last step's end and the (root, u, w) event rows are stored as
-    # _dop853 returned them
+    # the steps (rho, u, w) as _dop853 returned them, up to the last node,
+    # which is the second zero of u; each step's full width and its dense
+    # output, whose end value is the step's end state; and the origin
+    # series the steps start from
     runs = []
     real = radial._dop853
     monkeypatch.setattr(radial, "_dop853",
                         lambda *args, **kwargs: runs.append(real(*args, **kwargs)) or runs[-1])
     traj = solve_nodal(p, N)._traj
-    ts, _, ws, stages, extra, end, tables, *_ = runs[-1]
-    assert np.array_equal(traj.rho, ts) and np.array_equal(traj.w, ws)
-    assert np.array_equal(traj.stages, np.array(stages))
-    assert traj.stages.shape == (len(ts) - 1, 2, 13)
-    assert traj.extra is extra and traj.end is end
-    for table, rows in zip((traj.zeros, traj.critical, traj.fp_critical), tables):
-        assert rows and all(len(row) == 3 for row in rows)
-        assert [tuple(row) for row in table.tolist()] == rows
-    event_steps = {int(np.searchsorted(ts, row[0])) - 1
-                   for table in tables for row in table}
-    assert sorted(traj.extra) == sorted(event_steps)
-    assert all(np.shape(stages) == (2, 3) for stages in traj.extra.values())
+    ts, us, ws, stages, *_ = runs[-1]
+    assert np.array_equal(traj.rho[:-1], ts[:-1]) and np.array_equal(traj.u[:-1], us[:-1])
+    assert np.array_equal(traj.w[:-1], ws[:-1])
+    assert (traj.rho[-1], traj.u[-1], traj.w[-1]) == tuple(traj.zeros[-1])
+    assert ts[-2] < traj.rho[-1] <= ts[-1]
+    assert np.array_equal(traj.h, np.diff(ts))
+    assert np.shape(stages) == (len(ts) - 1, 2, 13) and traj.F.shape == (7, 2, len(ts) - 1)
+    assert np.array_equal(traj.F[0], np.diff([us, ws]))  # F_0 = y_new - y
+    assert (traj.c, traj.d) == radial._origin_series(p, N)[:2]
+    for table in (traj.zeros, traj.critical, traj.fp_critical):
+        assert table.shape[0] and table.shape[1] == 3
+        assert np.all(np.diff(table[:, 0]) > 0) and table[-1, 0] <= traj.rho[-1]
 
 
 def _dop853_along(traj):
@@ -502,8 +495,7 @@ def _dop853_along(traj):
     def rhs(rho, y):
         return (y[1], -(N - 2.0) * y[1] - np.exp(2.0 * rho) * signed_power(y[0], p))
 
-    widths = np.diff(traj.rho)
-    widths[-1] = traj.end[0]
+    widths = traj.h
     # a trial stage that leaves the float range is rejected, as in the stepper
     with np.errstate(over="ignore", invalid="ignore"):
         solver = DOP853(rhs, traj.rho[0], (traj.u[0], traj.w[0]),
@@ -548,11 +540,12 @@ def test_stepper_matches_scipy_dop853(p, N):
     traj = integrate_ivp(p, N, math.exp(radial._LN_RMAX_CAP))
     ts, ys, proposed, dense, events = _dop853_along(traj)
     assert np.array_equal(ts[:-1], traj.rho[:-1])
-    assert ts[-1] == traj.rho[-2] + traj.end[0]
+    assert ts[-1] == traj.rho[-2] + traj.h[-1]
     u_peak, w_peak = np.max(np.abs(traj.u)), np.max(np.abs(traj.w))
     assert np.max(np.abs(ys[:-1, 0] - traj.u[:-1])) <= 1e-11 * u_peak
     assert np.max(np.abs(ys[:-1, 1] - traj.w[:-1])) <= 3e-11 * w_peak
-    assert np.max(np.abs(ys[-1] - traj.end[1:])) <= 1e-11 * w_peak
+    end = np.array([traj.u[-2], traj.w[-2]]) + traj.F[0, :, -1]  # the last step's end state
+    assert np.max(np.abs(ys[-1] - end)) <= 1e-11 * w_peak
     # the step control: on most steps the stepper's next width is the one
     # SciPy proposes, to the rounding of the error estimate; it is shorter
     # after a rejected attempt, and where the estimate is mostly rounding
@@ -581,14 +574,14 @@ def test_ln_fp_is_the_u_row_of_the_full_reconstruction(nodal, p, N):
     # seed model below the first step node and of the terminal node's state
     sol = nodal(p, N)
     traj = sol._traj
-    h, F = traj._dense
+    h, F = traj.h, traj.F
     starts = traj.rho[:-1]
     r = np.geomspace(1e-3 * math.exp(traj.rho[0]) / sol.lam, 1.0, 6001)
     rho = np.log(r * sol.lam)
     seed = rho < starts[0]
     assert 0 < np.count_nonzero(seed) < len(r)
     u = np.empty_like(rho)
-    u[seed] = radial._seed(p, N, np.exp(2.0 * rho[seed]))[0]
+    u[seed] = radial._horner(traj.c, np.exp(2.0 * rho[seed]))
     j = np.clip(np.searchsorted(starts, rho[~seed], side="right") - 1, 0, len(starts) - 1)
     x = (rho[~seed] - starts[j]) / h[j]
     u[~seed] = radial._dense_eval(traj.u[j], [c[0, j] for c in F], x, slope=True)[0]
@@ -649,28 +642,28 @@ def test_stepper_is_pinned_bit_for_bit(nodal, p, N):
     assert [[math.exp(rho).hex() for rho in rhos] for rhos in got] == radii
 
 
-@pytest.mark.parametrize("p, counts", [(3.0, (60, 14, 893)), (1.25, (78, 42, 1445))])
+@pytest.mark.parametrize("p, counts", [(3.0, (60, 14, 878)), (1.25, (78, 42, 1436))])
 def test_integrator_counts_its_work(nodal, p, counts):
     # nodes, rejected attempts and evaluations of dw/drho: 2 at the start,
-    # 12 per attempt (no stage overflows here) and the dense output's 3
-    # extra stages on each of the 5 steps that hold an event (no attempt
-    # across a zero of u is rejected for its defect here)
+    # 12 per attempt (no stage overflows here) and, for p < 2, the dense
+    # output's 3 extra stages on each attempt across a zero of u (none of
+    # them is rejected for its defect here)
     traj = nodal(p)._traj
     assert (len(traj.rho), traj.rejected, traj.rhs_evals) == counts
-    assert len(traj.extra) == 5
-    assert traj.rhs_evals == 2 + 12 * (len(traj.rho) - 1 + traj.rejected) + 3 * len(traj.extra)
+    crossings = len(traj.zeros) if p < 2 else 0
+    assert traj.rhs_evals == 2 + 12 * (len(traj.rho) - 1 + traj.rejected) + 3 * crossings
 
 
 # (nodes, evaluations of dw/drho) of the shooting integration; the step
 # cap of 0.075 in ln r that it no longer has took 745 to 5141 nodes here
 LADDER_COUNTS = {
-    (1.25, 2): (78, 1445), (2.0, 2): (59, 977), (3.0, 2): (60, 893),
-    (8.0, 2): (92, 1349), (14.0, 2): (105, 1493), (39.0, 2): (119, 1721),
-    (100.0, 2): (128, 1901), (250.0, 2): (125, 1793),
-    (400.0, 2): (123, 1769), (760.0, 2): (118, 1733),
-    (1.5, 3): (73, 1265), (2.5, 3): (70, 1097), (4.9, 3): (101, 1373),
-    (1.5, 4): (77, 1325), (2.9, 4): (85, 1145),
-    (2.0, 5): (78, 1133), (1.5, 6): (89, 1445), (1.5, 7): (95, 1493), (1.3, 8): (94, 1553),
+    (1.25, 2): (78, 1436), (2.0, 2): (59, 962), (3.0, 2): (60, 878),
+    (8.0, 2): (92, 1334), (14.0, 2): (105, 1478), (39.0, 2): (119, 1706),
+    (100.0, 2): (128, 1886), (250.0, 2): (125, 1778),
+    (400.0, 2): (123, 1754), (760.0, 2): (118, 1718),
+    (1.5, 3): (73, 1256), (2.5, 3): (70, 1082), (4.9, 3): (101, 1358),
+    (1.5, 4): (77, 1316), (2.9, 4): (85, 1130),
+    (2.0, 5): (78, 1118), (1.5, 6): (89, 1436), (1.5, 7): (95, 1484), (1.3, 8): (94, 1544),
 }
 
 
@@ -692,11 +685,10 @@ def test_a_step_across_a_zero_of_u_keeps_its_defect(monkeypatch, p, N):
     # output's defect on a step across it falls only like h^p; the loop
     # shrinks such a step until its defect is under _CROSSING_DEFECT
     traj = integrate_ivp(p, N, math.exp(radial._LN_RMAX_CAP))
-    h, F = traj._dense
-    defects = radial._defects(p, N, traj.rho[:-1], h, np.diff(traj.rho),
-                              np.array([traj.u[:-1], traj.w[:-1]]), F)
+    defects = radial._defects(p, N, traj.rho[:-1], traj.h, np.diff(traj.rho),
+                              np.array([traj.u[:-1], traj.w[:-1]]), traj.F)
     for rho_z in traj.zeros[:, 0]:
-        j = min(np.searchsorted(traj.rho, rho_z) - 1, len(h) - 1)
+        j = min(np.searchsorted(traj.rho, rho_z) - 1, len(traj.h) - 1)
         assert np.max(defects[:, j]) < radial._CROSSING_DEFECT
     assert traj.residual_sup() < 0.1 * radial._RESIDUAL_BOUND
     monkeypatch.setattr(radial, "_CROSSING_DEFECT", math.inf)
@@ -713,9 +705,10 @@ def test_the_residual_samples_every_step(nodal, p):
     width = np.diff(traj.rho)[:-1]
     j = int(np.argmin(width))
     assert width[j] < 1e-3
-    stages = traj.stages.copy()
-    stages[j, 1, 5] += 1e-3  # a stage derivative of w
-    assert dataclasses.replace(traj, stages=stages).residual_sup() > 1e-5
+    F = traj.F.copy()
+    # what an error of 1e-3 in stage 5 of w does to F_3..F_6 of w
+    F[3:, 1, j] += traj.h[j] * 1e-3 * np.array(radial._D)[:, 5]
+    assert dataclasses.replace(traj, F=F).residual_sup() > 1e-5
 
 
 def test_a_zero_of_u_is_evaluated_exactly(nodal):
@@ -724,7 +717,7 @@ def test_a_zero_of_u_is_evaluated_exactly(nodal):
     # _exact_value is the exactly rounded value of the polynomial at the
     # float ln r, and the root the float where it is least
     traj = nodal(400.0)._traj
-    h, F = traj._dense
+    h, F = traj.h, traj.F
     rho_z, u_z, _ = traj.zeros[0]
     j = int(np.searchsorted(traj.rho, rho_z)) - 1
     t, u, Fu = traj.rho[j], traj.u[j], [float(c[0, j]) for c in F]
@@ -774,14 +767,15 @@ def test_a_nan_residual_fails_the_contract(nodal, monkeypatch):
         solve_nodal(3.0)
 
 
-@pytest.mark.parametrize("p, N, u1", [(1.2, 3, "9.147e-09"), (1.2, 2, "3.536e-09")])
-def test_the_float_floor_of_u1_is_named(p, N, u1):
-    # the terminal zero is the float ln R2 nearest the root, whose half ulp
-    # allows |u(1)| up to a floor above 1e-9 here, and |u(1)| lands above
-    # 1e-9, so p is too close to 1 for the contract
-    message = rf"\|u\(1\)\|={u1} exceeds .* at p={p}, N={N} .* float floor .* is [0-9.]+e-08"
-    with pytest.raises(ConfigError, match=message):
-        solve_nodal(p, N)
+@pytest.mark.parametrize("N", [2, 3])
+def test_the_u1_contract_is_scale_free(N):
+    # |u(1)| / u(0) is |u| at the unscaled terminal node, so the rescale by
+    # u(0) = R2^(2/(p-1)) amplifies no rounding of ln R2: p = 1.2 solves,
+    # and closer to 1 u(0) leaves the float64 range first
+    sol = solve_nodal(1.2, N)
+    assert abs(sol.eval(1.0)[0]) / sol.u0 < 1e-9 and sol.residual_sup < 1e-7
+    with pytest.raises(ConfigError, match=r"p=1\.001 is too close to 1: u\(0\) = .* overflows"):
+        solve_nodal(1.001, N)
 
 
 @pytest.mark.parametrize("p, N", [(1.25, 2), (1.3, 3)])
@@ -812,4 +806,4 @@ def test_overflow_inside_a_step_is_a_stiffness_error():
     # step falls below 10 ulp of ln r
     r0 = math.exp(354.0)
     with pytest.raises(StiffnessError, match=r"integration failed at r=1\.3\d+e\+154"):
-        _shoot(3.0, 2, r0, math.exp(356.0), *_scaled_seed(3.0, 2, 1e-160, r0))
+        _shoot(3.0, 2, 1e-160, r0, math.exp(356.0))
