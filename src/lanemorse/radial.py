@@ -34,9 +34,8 @@ step's seventh-order dense output (three extra stages per step), built
 once for all steps after the loop: the one evaluator (Trajectory._state)
 that eval(), residual_sup() and the f_p sampling read, and on which
 _events then locates the zeros of u, of u' and of d ln f_p / d ln r by
-regula falsi (_root). A zero of u is the float where the polynomial,
-evaluated in double-double arithmetic (_exact_value), is least, and the
-trajectory ends at the second one. Across a zero of u, |u|^(p-1) u is only
+regula falsi (_root); the trajectory ends at the second zero of u, in the
+state the dense output has there. Across a zero of u, |u|^(p-1) u is only
 C^(1, p-1), so for p < 2 the loop also shrinks such a step until the
 defect of its dense output is below _CROSSING_DEFECT; residual_sup()
 samples every step. The Trajectory keeps the step states (rho, u, w), each
@@ -170,11 +169,12 @@ class Trajectory:
     """Integrated radial trajectory with event data, in the integrator's variables.
 
     rho/u/w are the accepted steps (rho = ln r, w = r u'); the last node is
-    the second zero of u where the integration reached it, and otherwise the
-    end of the last step. c and d are the origin series (_origin_series)
-    the integration starts from: U(r) = sum_k c_k r^(2k) and r U'(r) =
-    sum_k d_k r^(2k). h holds each step's full width, which the terminal
-    step, cut at the second zero, does not reach, and F its seventh-order
+    the second zero of u where the integration reached it, in the state that
+    the last step's dense output has there, and otherwise the end of the
+    last step. c and d are the origin series (_origin_series) the
+    integration starts from: U(r) = sum_k c_k r^(2k) and r U'(r) = sum_k
+    d_k r^(2k). h holds each step's full width, which the terminal step,
+    cut at the second zero, does not reach, and F its seventh-order
     dense-output coefficients (_dense_coeffs), shape (7, 2, steps), row 0
     for u and row 1 for w. rejected counts the rejected step attempts and
     rhs_evals the evaluations of dw/drho in the loop: 2 at the start, 12
@@ -223,9 +223,6 @@ class Trajectory:
         j = np.clip(np.searchsorted(starts, x, side="right") - 1, 0, len(starts) - 1)
         y = np.array([self.u, self.w][:rows])
         out[:, step] = _dense_eval(y[:, j], self.F[:, :rows, j], (x - starts[j]) / self.h[j])
-        # the terminal node keeps the state of the zero that ends it
-        # (_exact_value)
-        out[:, rho == self.rho[-1]] = y[:, -1:]
         return list(out)
 
     def eval(self, r):
@@ -397,10 +394,10 @@ def _events(p, rho, u, w, h, F):
     rho, u, w are the nodes, h and F the steps' full widths and dense-output
     coefficients. Each event is tested on each step for a change or touch of
     sign between the step's ends and located on the step's polynomial by
-    _root; a zero of u is then moved to the float where _exact_value is
-    least (_zero_of_u). Returns the three (n, 3) tables of (root, u, w) rows,
-    each in root order (an event has at most one root per step); no event
-    past the second zero of u is kept.
+    _root, and its row is the step's dense output at that root. Returns the
+    three (n, 3) tables of (root, u, w) rows, each in root order (an event
+    has at most one root per step); no event past the second zero of u is
+    kept.
     """
     pm1 = p - 1.0
     y = np.array([u, w, pm1 * w + 2.0 * u])
@@ -412,32 +409,15 @@ def _events(p, rho, u, w, h, F):
         t, t_new, hj = ts[j], ts[j + 1], float(h[j])
         Fu, Fw = F[:, 0, j].tolist(), F[:, 1, j].tolist()
         state = _step_state(t, hj, us[j], ws[j], Fu, Fw, pm1)
-        hits = []
-        for i in np.flatnonzero(fired[:, j]).tolist():
-            if i == 0:
-                root, u_zero = _zero_of_u(t, t_new, hj, us[j], Fu)
-            else:
-                root = _root(lambda s, i=i: state(s)[i], t, t_new)
-            hits.append((root, i))
-        for root, i in sorted(hits):
-            u_r, w_r, _ = state(root)
-            tables[i].append((root, u_zero if i == 0 else u_r, w_r))
+        hits = sorted((_root(lambda s, i=i: state(s)[i], t, t_new), i)
+                      for i in np.flatnonzero(fired[:, j]).tolist())
+        for root, i in hits:
+            tables[i].append((root, *state(root)[:2]))
             if i == 0 and len(tables[0]) == 2:
                 break
         if len(tables[0]) == 2:
             break
     return tuple(np.array(rows, dtype=float).reshape(-1, 3) for rows in tables)
-
-
-def _zero_of_u(t, t_new, h, u, Fu):
-    """(s, u(s)) at the zero of u on the dense output of a step over [t, t_new].
-
-    The step starts from u with full width h and coefficients Fu
-    (_dense_coeffs); s is the float next to _root's root where u, evaluated
-    in double-double arithmetic (_exact_value), is least.
-    """
-    root = _root(lambda s: _dense_eval(u, Fu, (s - t) / h), t, t_new)
-    return _nearest_zero(lambda s: _exact_value(u, Fu, s, t, h), root, t, t_new)
 
 
 def _step_state(t, h, u, w, Fu, Fw, pm1):
@@ -587,11 +567,11 @@ def _dop853(p, N, t, t_end, u, w, f):
     defect of its dense output reaches _CROSSING_DEFECT, shrinking it by
     0.9 (_CROSSING_DEFECT / defect)^(1/p): its three extra stages are formed
     for that, and on the step that holds the second sign change the defect
-    is sampled up to the zero of u (_zero_of_u), where the trajectory will
-    end. The loop stops after that step, or at t_end. Returns the nodes
-    (ts, us, ws), each step's 13 stage derivatives of u and of w (a list of
-    pairs of lists), the number of rejected attempts and the number of
-    evaluations of w'.
+    is sampled up to the zero of u that _root finds on its polynomial, where
+    the trajectory will end. The loop stops after that step, or at t_end.
+    Returns the nodes (ts, us, ws), each step's 13 stage derivatives of u
+    and of w (a list of pairs of lists), the number of rejected attempts and
+    the number of evaluations of w'.
     """
     atol, rtol = _ABS_TOL, _SHOOT_RTOL
     span = t_end - t
@@ -729,7 +709,8 @@ def _dop853(p, N, t, t_end, u, w, f):
                     eu, ew = _extra_stages(t, h, u, w, ku, kw, accel)
                     rhs_evals += 3
                     Fu, Fw = _dense_coeffs(h, u, u_new, eu), _dense_coeffs(h, w, w_new, ew)
-                    width = _zero_of_u(t, t_new, h, u, Fu)[0] - t if crossings else h
+                    width = (_root(lambda s: _dense_eval(u, Fu, (s - t) / h), t, t_new) - t
+                             if crossings else h)
                     defect = _defect_sup(p, N, t, h, width, u, w, Fu, Fw)
                 if defect < _CROSSING_DEFECT:
                     factor = (_MAX_FACTOR if err == 0
@@ -753,70 +734,6 @@ def _dop853(p, N, t, t_end, u, w, f):
         t, u, w, f = t_new, u_new, w_new, f_new
 
 
-_SPLIT = 2.0**27 + 1.0  # Dekker's splitter for float64
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    """(a + b, its rounding error), exactly (Knuth, TAOCP vol. 2, 4.2.2)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    """(a b, its rounding error), exactly (Dekker, Numer. Math. 18 (1971))."""
-    prod = a * b
-    c = _SPLIT * a
-    a_hi = c - (c - a)
-    c = _SPLIT * b
-    b_hi = c - (c - b)
-    a_lo, b_lo = a - a_hi, b - b_hi
-    return prod, ((a_hi * b_hi - prod) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _exact_value(y: float, F, s: float, t: float, h: float) -> float:
-    """_dense_eval(y, F, (s - t) / h) in double-double arithmetic, rounded once.
-
-    x, 1 - x and the nested sums and products are each carried as an
-    unevaluated sum hi + lo, so the value is close to that of the exact
-    polynomial at the float s, where _dense_eval loses up to eps |y| to
-    rounding: at a zero of u after a long step from u = 0.5 that is more
-    than |u'| ulp(s) / 2.
-    """
-    d, d_lo = _two_sum(s, -t)
-    q = d / h
-    prod, prod_lo = _two_prod(q, h)
-    x = (q, ((d - prod) - prod_lo + d_lo) / h)
-    one, one_lo = _two_sum(1.0, -q)
-    x1 = (one, one_lo - x[1])
-    hi = lo = 0.0
-    for i, f in enumerate(reversed(F)):
-        hi, e = _two_sum(hi, f)
-        lo += e
-        c_hi, c_lo = x1 if i % 2 else x
-        prod, e = _two_prod(hi, c_hi)
-        hi, lo = _two_sum(prod, e + hi * c_lo + lo * c_hi)
-    hi, e = _two_sum(y, hi)
-    return hi + (e + lo)
-
-
-def _nearest_zero(fun, root: float, a: float, b: float) -> tuple[float, float]:
-    """(s, fun(s)): the float s in [a, b] next to root where |fun| is least.
-
-    Walks from root one float at a time towards a, then towards b, while
-    |fun| falls.
-    """
-    value = fun(root)
-    for end in (a, b):
-        while root != end:
-            s = math.nextafter(root, end)
-            v = fun(s)
-            if not abs(v) < abs(value):
-                break
-            root, value = s, v
-    return root, value
-
-
 def _root(fun, a: float, b: float) -> float:
     """The float in [a, b] nearest the zero of fun.
 
@@ -829,10 +746,9 @@ def _root(fun, a: float, b: float) -> float:
     side of zero) that is an end of [a, b]. Each secant point lies at least
     half the tolerance inside the bracket, and its divisor is a sum of two
     magnitudes, one of them a nonzero value of fun, so no step divides by
-    zero. A zero of u is then moved to the float where u is least
-    (_zero_of_u): the rescale by R2^(2/(p-1)) amplifies the residual u of
-    the terminal zero, and a root elsewhere in the 4 eps bracket left
-    |u(1)| = 1.8e-9 at p = 1.25, where the nearest float leaves 2.3e-10.
+    zero. Every event, a zero of u too, is this root on the step's float
+    polynomial (_events): the contract bounds |u(1)|/u(0), the unscaled
+    |u(R2)|, which either adjacent float keeps at rounding level.
     """
     fa, fb = fun(a), fun(b)
     if fa and fb and (fa < 0) != (fb < 0):

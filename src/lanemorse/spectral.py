@@ -74,7 +74,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import BisectionError, ConfigError, SolverError
 from .profile import fp_values, scales
-from .radial import RadialSolution, _two_prod, _two_sum
+from .radial import RadialSolution
 
 __all__ = [
     "AnnulusEigenProblem",
@@ -299,7 +299,7 @@ def weighted_radial_eigs(prob: AnnulusEigenProblem, k: int,
 
 
 def _stebz(d: np.ndarray, e: np.ndarray, select: str, select_range,
-           tol: float = BISECT_TOL) -> np.ndarray:
+           tol: float) -> np.ndarray:
     """Eigenvalues of the tridiagonal (d, e) by LAPACK bisection (stebz)."""
     try:
         return eigvalsh_tridiagonal(d, e, select=select, select_range=select_range,
@@ -570,6 +570,25 @@ def _cell_maps(h: np.ndarray, c: np.ndarray
 
 
 _WALK_ROUNDING = 1e-13  # rounding of theta/pi that a Pruefer walk may keep unrefined
+_SPLIT = 2.0**27 + 1.0  # Dekker's splitter for float64
+
+
+def _two_sum(a, b):
+    """(a + b, its rounding error), exactly (Knuth, TAOCP vol. 2, 4.2.2)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _two_prod(a, b):
+    """(a b, its rounding error), exactly (Dekker, Numer. Math. 18 (1971))."""
+    prod = a * b
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    c = _SPLIT * b
+    b_hi = c - (c - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return prod, ((a_hi * b_hi - prod) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def _band_residual(band: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:

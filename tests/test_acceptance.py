@@ -65,16 +65,19 @@ def test_criterion_shooting_contract(nodal):
     t0 = time.time()
     worst_bc, worst_res = 0.0, 0.0
     ok = True
-    for p in (2.0, 3.0, 5.0, 10.0, 50.0, 100.0, 400.0):
-        sol = nodal(p)
-        worst_bc = max(worst_bc, abs(sol.eval(1.0)[0]))
+    cases = [(p, 2) for p in (2.0, 3.0, 5.0, 10.0, 50.0, 100.0, 400.0)]
+    # near p = 1, u(0) = R2^(2/(p-1)) is 3.4e74 (p = 1.02) and 2.7e32
+    # (p = 1.05, N = 3): the contract bounds u(1) relative to it
+    for p, N in cases + [(1.02, 2), (1.05, 3)]:
+        sol = nodal(p, N)
+        worst_bc = max(worst_bc, abs(sol.eval(1.0)[0]) / sol.u0)
         worst_res = max(worst_res, sol.residual_sup)
         signs = np.sign(sol.eval(sol.grid[(sol.grid > 0) & (sol.grid < 1)])[0])
         ok &= int(np.sum(signs[:-1] * signs[1:] < 0)) == 1
     _report(
-        "shooting-contract (|u(1)|<1e-9, one interior zero, residual<1e-7)",
+        "shooting-contract (|u(1)|/u(0)<1e-9, one interior zero, residual<1e-7)",
         ok and worst_bc < 1e-9 and worst_res < 1e-7,
-        f"max|u(1)|={worst_bc:.1e} max residual={worst_res:.1e} "
+        f"max|u(1)|/u(0)={worst_bc:.1e} max residual={worst_res:.1e} "
         f"elapsed={time.time() - t0:.1f}s",
     )
 
