@@ -40,16 +40,19 @@ LAPACK (stebz, through SciPy) from the whole spectrum, to the seeding
 tolerance SEED_TOL; no larger grid is.
 The M grid takes each eigenvalue by shifted inverse iteration from the seed
 grid's value sigma, and the 2M+1 grid from the M grid's: T - sigma I is
-factored once (LAPACK gttrf) and solved four times, (T - sigma I) x = x_prev
-(gttrs), then the Rayleigh quotient rho = x^T T x lies within
-delta = |T x - rho x| + 4 eps |T| of an eigenvalue (at most 2.5e-9 on the
-default grids, nearly all of it the rounding term). `weighted_radial_eigs`
-certifies the results (each delta at most RADIUS_BOUND, the intervals
-rho +- delta disjoint, no other eigenvalue below the top one) or falls back
-to bisecting the whole spectrum, so every M and 2M+1 value comes with its
-radius. Every eigenvalue count is the one Sturm count `count_negative`
-(stebz with a tolerance as wide as its interval): the two certificates and
-the negative count m_rad of the M grid.
+factored once (LAPACK gttrf) and solved, (T - sigma I) x = x_prev (gttrs),
+four times from x = ones on M and twice on 2M+1 from the M grid's vector,
+prolonged to the nested grid (`_prolonged`); then the Rayleigh quotient
+rho = x^T T x lies within delta = |T x - rho x| + 4 eps |T| of an eigenvalue
+(at most 2.5e-9 on the default grids, nearly all of it the rounding term).
+`weighted_radial_eigs` certifies the results (each delta at most
+RADIUS_BOUND, the intervals rho +- delta disjoint, no other eigenvalue below
+the top one) or falls back to bisecting the whole spectrum, so every M and
+2M+1 value comes with its radius. Only certified M vectors start the 2M+1
+grid; after an M fallback it solves four times from x = ones. Every
+eigenvalue count is the one Sturm count `count_negative` (stebz with a
+tolerance as wide as its interval): the two certificates and the negative
+count m_rad of the M grid.
 
 The ledger is confirmed mode by mode without a matrix (`prufer_counts`):
 sphere mode k has as many negative eigenvalues as its regular solution of
@@ -126,14 +129,19 @@ SEED_TOL = 1e-6
 # most 1.0e-9 on M and 2.5e-9 on 2M+1 (p from 1.25 to 760, N = 2..6), nearly
 # all of it rounding
 RADIUS_BOUND = 1e-8
-# shifted solves per seed in the inverse iteration, on every grid. On the
+# shifted solves per seed in the inverse iteration from x = ones. On the
 # default grids (p from 1.25 to 760, N = 2..6) a seed from the M // 4 grid
 # lies at most 3.3e-2 times as far from its M-grid eigenvalue as from any
-# other, and an M value at most 1.3e-3 times from its 2M+1 one. The third
-# solve leaves a residual of up to 2.7e-8 on M, above RADIUS_BOUND; the
-# fourth at most 8.9e-10 on M and 2.2e-10 on 2M+1, against a 4 eps |T| term
-# of 1.5e-10 to 2.3e-9
+# other. The third solve leaves a residual of up to 2.7e-8 on M, above
+# RADIUS_BOUND; the fourth at most 8.9e-10, against a 4 eps |T| term of
+# 1.5e-10 to 2.3e-9
 _INVERSE_STEPS = 4
+# shifted solves per seed on 2M+1, from the certified M vector prolonged to
+# it. An M value lies at most 1.3e-3 times as far from its 2M+1 eigenvalue
+# as from any other, and the start is already close: one solve leaves a
+# residual of up to 5.0e-8 (p = 1.25, N = 5), above RADIUS_BOUND; the second
+# at most 2.6e-10
+_WARM_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -208,8 +216,8 @@ class AnnulusEigenProblem:
             raise ConfigError("inner radius must lie in (0, 1)")
         if self.M < 2:
             raise ConfigError("need at least two interior grid points")
-        if np.any(self.q < 0):
-            raise ConfigError("potential samples must be nonnegative")
+        if not np.all((self.q >= 0) & (self.q < math.inf)):
+            raise ConfigError("potential samples must be finite and nonnegative")
 
     @property
     def k(self) -> float:
@@ -244,6 +252,23 @@ class AnnulusEigenProblem:
             t_nodes=self.t_nodes[1::2], q=self.q[1::2], alpha=self.alpha,
             dt_ds=self.dt_ds[1::2], dt_ds_half=self.dt_ds[0::2],
         )
+
+
+def _prolonged(fine: AnnulusEigenProblem, x: np.ndarray) -> np.ndarray:
+    """Rows of x on the nodes of fine.coarsened(), carried to the nodes of fine.
+
+    The coarse nodes are the odd fine nodes, where x is kept. Each even fine
+    node takes the mean of its neighbours in y = x / sqrt(phi'), the function
+    values of the symmetrized vector, y being 0 beyond both Dirichlet ends,
+    and is scaled back by sqrt(phi').
+    """
+    root = np.sqrt(fine.dt_ds)
+    y = np.zeros((x.shape[0], x.shape[1] + 2))
+    y[:, 1:-1] = x / root[1::2]
+    out = np.empty((x.shape[0], fine.M))
+    out[:, 1::2] = x
+    out[:, 0::2] = 0.5 * (y[:, :-1] + y[:, 1:]) * root[0::2]
+    return out
 
 
 def mapped_problem(gmap: LogGridMap, N: int, M: int, potential) -> AnnulusEigenProblem:
@@ -291,11 +316,21 @@ def weighted_radial_eigs(prob: AnnulusEigenProblem, k: int,
         raise ConfigError(f"requested {k} eigenvalues from an {prob.M}-point grid")
     if near is not None and np.shape(near) != (k,):
         raise ConfigError(f"{k} eigenvalues need {k} seeds, got shape {np.shape(near)}")
-    betas = None if near is None else _seeded_eigs(prob, np.asarray(near, float))
-    if betas is None:
+    return _eigs(prob, k, near, tol)[0]
+
+
+def _eigs(prob: AnnulusEigenProblem, k: int, near: np.ndarray | None = None,
+          tol: float = BISECT_TOL, starts: np.ndarray | None = None
+          ) -> tuple[np.ndarray, np.ndarray | None]:
+    """(values, vectors): `weighted_radial_eigs`, with the inverse iteration
+    started from the rows of `starts` (see `_rayleigh_intervals`), and the
+    unit vectors of its certified values; None where the values are bisected.
+    """
+    found = None if near is None else _seeded_eigs(prob, np.asarray(near, float), starts)
+    if found is None:
         d, e, _ = prob._tridiagonal
-        betas = _stebz(d, e, "i", (0, k - 1), tol)
-    return betas
+        return _stebz(d, e, "i", (0, k - 1), tol), None
+    return found
 
 
 def _stebz(d: np.ndarray, e: np.ndarray, select: str, select_range,
@@ -308,8 +343,12 @@ def _stebz(d: np.ndarray, e: np.ndarray, select: str, select_range,
         raise BisectionError(f"tridiagonal bisection failed: {exc}") from exc
 
 
-def _seeded_eigs(prob: AnnulusEigenProblem, near: np.ndarray) -> np.ndarray | None:
-    """The len(near) smallest eigenvalues, by inverse iteration from near.
+def _seeded_eigs(prob: AnnulusEigenProblem, near: np.ndarray,
+                 starts: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray] | None:
+    """(values, vectors): the len(near) smallest eigenvalues, by inverse
+    iteration from near (and from starts, see `_rayleigh_intervals`), and
+    the unit vectors whose Rayleigh quotients they are.
 
     Returns None unless the intervals rho +- delta of `_rayleigh_intervals`
     certify the result: each radius delta is at most RADIUS_BOUND, the
@@ -319,29 +358,32 @@ def _seeded_eigs(prob: AnnulusEigenProblem, near: np.ndarray) -> np.ndarray | No
     negated, so that a value that is not finite fails them.
     """
     d, e, _ = prob._tridiagonal
-    found = _rayleigh_intervals(d, e, near)
+    found = _rayleigh_intervals(d, e, near, starts)
     if found is None:
         return None
-    rho, delta = found
+    rho, delta, x = found
     lo, hi = rho - delta, rho + delta
     if not (np.all(delta <= RADIUS_BOUND) and np.all(hi[:-1] < lo[1:])):
         return None
     if count_negative(prob, hi[-1]) != len(near):
         return None
-    return rho
+    return rho, x
 
 
-def _rayleigh_intervals(d: np.ndarray, e: np.ndarray, sigmas: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray] | None:
-    """(rho, delta) per shift sigma: some eigenvalue of T lies within delta of rho.
+def _rayleigh_intervals(d: np.ndarray, e: np.ndarray, sigmas: np.ndarray,
+                        starts: np.ndarray | None = None
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(rho, delta, x) per shift sigma: some eigenvalue of T lies within
+    delta of the Rayleigh quotient rho of the unit vector x.
 
     T - sigma I is factored once (LAPACK gttrf, partial pivoting) and its
-    factors give _INVERSE_STEPS solves of (T - sigma I) x = x_prev (gttrs)
-    from x = ones, normalizing x after each: gtsv's arithmetic, without
-    factoring again per step. The Rayleigh quotient rho = x^T T x lies
-    within delta = |T x - rho x| + 4 eps |T|, |T| = max |d| + 2 max |e|, of
-    an eigenvalue. None where the factor is singular (gttrf info != 0); nan
-    or inf pass through without a warning.
+    factors give solves of (T - sigma I) x = x_prev (gttrs), normalizing x
+    after each: gtsv's arithmetic, without factoring again per step. The
+    solves start from x = ones, _INVERSE_STEPS of them, or from the row of
+    `starts` for that shift, _WARM_STEPS of them. The Rayleigh quotient
+    rho = x^T T x lies within delta = |T x - rho x| + 4 eps |T|,
+    |T| = max |d| + 2 max |e|, of an eigenvalue. None where the factor is
+    singular (gttrf info != 0); nan or inf pass through without a warning.
     """
     # The residual bound (Parlett, The Symmetric Eigenvalue Problem, ch. 4)
     # holds for unit x and any rho; the rest of delta covers rounding, with u
@@ -355,13 +397,15 @@ def _rayleigh_intervals(d: np.ndarray, e: np.ndarray, sigmas: np.ndarray
     # below 4 eps |T|.
     slack = 4.0 * np.finfo(float).eps * (np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
     rho, delta = np.empty_like(sigmas), np.empty_like(sigmas)
+    vectors = np.empty((len(sigmas), len(d)))
+    steps = _INVERSE_STEPS if starts is None else _WARM_STEPS
     with np.errstate(all="ignore"):
         for i, sigma in enumerate(sigmas):
             *lu, info = dgttrf(e, d - sigma, e)
             if info != 0:
                 return None
-            x = np.ones_like(d)
-            for _ in range(_INVERSE_STEPS):
+            x = np.ones_like(d) if starts is None else starts[i]
+            for _ in range(steps):
                 x, info = dgttrs(*lu, x)
                 if info != 0:
                     return None
@@ -371,7 +415,8 @@ def _rayleigh_intervals(d: np.ndarray, e: np.ndarray, sigmas: np.ndarray
             tx[1:] += e * x[:-1]
             rho[i] = x @ tx
             delta[i] = np.linalg.norm(tx - rho[i] * x) + slack
-    return rho, delta
+            vectors[i] = x
+    return rho, delta, vectors
 
 
 def count_negative(prob: AnnulusEigenProblem, shift: float = 0.0) -> int:
@@ -498,7 +543,8 @@ def annulus_betas(sol: RadialSolution, inner: float | None = None,
     (the coarser grid holds beta_1..beta_3). The values climb a ladder of one
     map: a seed grid of max(3, M // 4) nodes is bisected by index range to
     SEED_TOL, its values seed the M grid and the M values the 2M+1 grid (see
-    `weighted_radial_eigs`).
+    `weighted_radial_eigs`), which starts from the M grid's certified
+    vectors (see `_rayleigh_intervals`).
     f_p is sampled once on the seed grid and once on the 2M+1 grid, which M
     shares.
     """
@@ -515,9 +561,10 @@ def annulus_betas(sol: RadialSolution, inner: float | None = None,
                                 tol=SEED_TOL)
     fine = build_problem(sol, inner, 2 * M + 1)
     coarse = fine.coarsened()
-    raw = weighted_radial_eigs(coarse, N_BETAS, near=seed)
+    raw, x = _eigs(coarse, N_BETAS, near=seed)
     return AnnulusBetas(inner=inner, M=M, coarse=raw,
-                        fine=weighted_radial_eigs(fine, N_BETAS, near=raw),
+                        fine=_eigs(fine, N_BETAS, near=raw,
+                                   starts=None if x is None else _prolonged(fine, x))[0],
                         m_rad=count_negative(coarse))
 
 
@@ -559,14 +606,20 @@ def _cell_maps(h: np.ndarray, c: np.ndarray
     of the map's dominant eigenvalue, so that nothing overflows.
     """
     w = np.sqrt(np.abs(c))
-    pieces = np.where(c > 0, w * h // np.pi + 1, 1).astype(int)
-    h, c, w = (np.repeat(x, pieces) for x in (h / pieces, c, w))
+    if np.any((c > 0) & (w * h >= np.pi)):  # a float // is slow; cuts are rare
+        pieces = np.where(c > 0, w * h // np.pi + 1, 1).astype(int)
+        h, c, w = (np.repeat(x, pieces) for x in (h / pieces, c, w))
     osc, wh = c > 0, w * h
-    t = np.tanh(wh)
-    scale = np.where(osc, 1.0, 1.0 / (1.0 + t))
-    s = np.where(osc, np.sin(wh), t) * scale
-    b = np.divide(s, w, out=h * scale, where=w > 0)  # -> h as omega -> 0
-    return np.where(osc, np.cos(wh), scale), b, np.where(osc, -w, w) * s
+    grow = ~osc
+    # each cell evaluates only its own transcendentals: cos, sin or tanh
+    a, s = np.empty_like(wh), np.empty_like(wh)
+    a[osc], s[osc] = np.cos(wh[osc]), np.sin(wh[osc])
+    t = np.tanh(wh[grow])
+    a[grow] = 1.0 / (1.0 + t)  # the scale
+    s[grow] = t * a[grow]
+    # w = 0 only where c = 0, whose scale is 1: b = h, the limit as w -> 0
+    b = np.divide(s, w, out=h * a, where=w > 0)
+    return a, b, np.where(osc, -w, w) * s
 
 
 _WALK_ROUNDING = 1e-13  # rounding of theta/pi that a Pruefer walk may keep unrefined

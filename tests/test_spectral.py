@@ -132,6 +132,24 @@ def test_coarsened_grid_is_the_direct_grid():
         direct.coarsened()  # an even node count has no nested coarse grid
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-300])
+def test_a_bad_potential_sample_is_a_named_error(nodal, monkeypatch, bad):
+    # one nan, inf or negative sample of f_p: the named limit, not LAPACK's
+    # bare ValueError on the assembled matrix
+    with pytest.raises(ConfigError, match="finite and nonnegative"):
+        free_problem(2, 0.01, 8, q=[0.0] * 4 + [bad] + [0.0] * 3)
+    real = spectral.fp_values
+
+    def spoiled(sol, r):
+        q = real(sol, r)
+        q[len(q) // 2] = bad
+        return q
+
+    monkeypatch.setattr(spectral, "fp_values", spoiled)
+    with pytest.raises(ConfigError, match="finite and nonnegative"):
+        annulus_betas(nodal(8.0))
+
+
 @pytest.mark.parametrize("p", [None, 8.0, 400.0, 760.0])
 def test_the_map_inverts_its_primitive_to_rounding(nodal, p):
     # phi(s) solves S(t) = S(t0) + s (S(0) - S(t0)) and phi' = (S(0) - S(t0)) / g
@@ -403,7 +421,7 @@ def test_seeded_bisection_matches_the_index_range(nodal, monkeypatch, p, N):
     calls = record_bisections(monkeypatch)
     seeded = weighted_radial_eigs(fine, 3, near=near)
     assert calls == [("v", 3)]
-    _, radius = spectral._rayleigh_intervals(fine.diagonal(), fine.offdiagonal(), near)
+    radius = spectral._rayleigh_intervals(fine.diagonal(), fine.offdiagonal(), near)[1]
     error = np.abs(seeded - weighted_radial_eigs(fine, 3))
     assert np.all(error <= radius) and np.all(error <= 2e-10), (error, radius)
 
@@ -431,7 +449,7 @@ def test_a_radius_above_the_bound_falls_back(nodal, monkeypatch):
     # the seeds' neighbourhood would have admitted; the bound does not
     fine, near = seeded_pair(nodal(8.0))
     monkeypatch.setattr(spectral, "_INVERSE_STEPS", 1)
-    _, radius = spectral._rayleigh_intervals(fine.diagonal(), fine.offdiagonal(), near)
+    radius = spectral._rayleigh_intervals(fine.diagonal(), fine.offdiagonal(), near)[1]
     assert radius[0] > 1e-4
     calls = record_bisections(monkeypatch)
     got = weighted_radial_eigs(fine, 3, near=near)
@@ -496,9 +514,9 @@ def test_the_fine_grid_is_certified_at_the_band_ends(nodal, monkeypatch, p, N):
     (1.5, 4), (2.9, 4), (1.5, 5), (2.2, 5), (1.3, 6), (1.7, 6)])
 def test_the_quarter_grid_seeds_certify_the_M_grid(nodal, monkeypatch, p, N):
     # the ladder of annulus_betas: the M // 4 grid, bisected, seeds the M
-    # grid, whose values seed the 2M+1 grid. Each M value lies within its
-    # certified radius of the bisected one, and within 2e-10; neither grid
-    # falls back to the index range
+    # grid, whose values and prolonged vectors start the 2M+1 grid. Each M
+    # value lies within its certified radius of the bisected one, and within
+    # 2e-10; neither grid falls back to the index range
     sol = nodal(p, N)
     inner = auto_inner_radius(sol)
     M = auto_grid_size(sol, inner)
@@ -506,10 +524,10 @@ def test_the_quarter_grid_seeds_certify_the_M_grid(nodal, monkeypatch, p, N):
     fine = build_problem(sol, inner, 2 * M + 1)
     coarse = fine.coarsened()
     calls = record_bisections(monkeypatch)
-    got = weighted_radial_eigs(coarse, 3, near=seeds)
-    weighted_radial_eigs(fine, 3, near=got)
+    got, x = spectral._eigs(coarse, 3, near=seeds)
+    spectral._eigs(fine, 3, near=got, starts=spectral._prolonged(fine, x))
     assert calls == [("v", 3), ("v", 3)]
-    _, radius = spectral._rayleigh_intervals(coarse.diagonal(), coarse.offdiagonal(), seeds)
+    radius = spectral._rayleigh_intervals(coarse.diagonal(), coarse.offdiagonal(), seeds)[1]
     error = np.abs(got - weighted_radial_eigs(coarse, 3))
     assert np.all(error <= radius) and np.all(error <= 2e-10), (error, radius)
 
@@ -551,8 +569,61 @@ def test_one_factorization_per_shift_solves_as_gtsv(nodal, p):
     # gttrf once and gttrs per step do gtsv's arithmetic: bit for bit
     fine, near = seeded_pair(nodal(p))
     d, e = fine.diagonal(), fine.offdiagonal()
-    got, want = spectral._rayleigh_intervals(d, e, near), gtsv_intervals(d, e, near)
+    got, want = spectral._rayleigh_intervals(d, e, near)[:2], gtsv_intervals(d, e, near)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_the_prolonged_start_keeps_every_M_node(nodal):
+    # the M nodes are the odd 2M+1 nodes: x is kept there bit for bit; each
+    # even node is the mean of its neighbours in y = x / sqrt(phi'), 0
+    # beyond both Dirichlet ends, scaled back by sqrt(phi')
+    fine, _ = seeded_pair(nodal(8.0))
+    x = np.random.default_rng(3).standard_normal((3, fine.coarsened().M))
+    got = spectral._prolonged(fine, x)
+    assert got.shape == (3, fine.M)
+    assert np.array_equal(got[:, 1::2], x)
+    m = fine.dt_ds
+
+    def y(row, j):  # at the odd fine node j, the coarse node j // 2
+        return 0.0 if j < 0 or j >= fine.M else row[j // 2] / math.sqrt(m[j])
+
+    for i, row in enumerate(x):
+        for j in range(0, fine.M, 2):
+            want = 0.5 * (y(row, j - 1) + y(row, j + 1)) * math.sqrt(m[j])
+            assert got[i, j] == pytest.approx(want, rel=1e-15, abs=0), (i, j)
+
+
+@pytest.mark.parametrize("p, N, solves", [(400.0, 2, 18), (4.9999, 3, 24)])
+def test_the_fine_rung_solves_twice_from_the_M_vectors(monkeypatch, capsys, p, N, solves):
+    # per morse request: one gttrf per shift on M and on 2M+1; four gttrs
+    # per shift on M from x = ones, two on 2M+1 from the prolonged M
+    # vectors. Where the M grid falls back (next to the N = 3 critical
+    # exponent) its vectors are not certified and 2M+1 starts cold
+    counts = {"dgttrf": 0, "dgttrs": 0}
+    for name in counts:
+        def counted(*args, _real=getattr(spectral, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(spectral, name, counted)
+    assert main(["morse", "--p", str(p), "--N", str(N)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert counts == {"dgttrf": 6, "dgttrs": solves}
+
+
+def test_a_non_finite_start_costs_a_bisection(nodal, monkeypatch):
+    # a start that is not finite fails the 2M+1 certificate: that grid is
+    # bisected by index range, quietly, to the values it would have alone
+    monkeypatch.setattr(spectral, "_prolonged",
+                        lambda fine, x: np.full((len(x), fine.M), np.nan))
+    sol = nodal(8.0)
+    selects = record_selects(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ann = annulus_betas(sol)
+    M = ann.M
+    assert selects == {M // 4: ["i"], M: ["v", "v"], 2 * M + 1: ["i"]}
+    fine = build_problem(sol, ann.inner, 2 * M + 1)
+    assert np.array_equal(ann.fine, weighted_radial_eigs(fine, 3))
 
 
 def test_seeds_must_match_the_requested_count(nodal):
@@ -642,7 +713,8 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     # sampled once on each, beta_1..beta_3 on M // 4, M and 2M+1, three Sturm
     # counts (the certificates of the inverse iteration on M and 2M+1; the
     # negative count on M), four stebz calls in all (index range on M // 4
-    # and the three counts) and one tridiagonal assembly per grid
+    # and the three counts) and one tridiagonal assembly per grid; only the
+    # 2M+1 grid starts from the M grid's vectors
     sol = nodal(5.0)
     grids, samples, scans, problems, diagonals, offdiagonals = [], [], [], [], [], []
 
@@ -652,9 +724,10 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(spectral, "weighted_radial_eigs", counted(
-        grids, spectral.weighted_radial_eigs,
-        lambda prob, k, near=None, tol=None: (prob.inner, prob.M, k)))
+    monkeypatch.setattr(spectral, "_eigs", counted(
+        grids, spectral._eigs,
+        lambda prob, k, near=None, tol=None, starts=None: (prob.inner, prob.M, k,
+                                                           starts is not None)))
     monkeypatch.setattr(spectral, "fp_values", counted(
         samples, spectral.fp_values, lambda sol, r: np.size(r)))
     monkeypatch.setattr(spectral, "count_negative", counted(
@@ -669,7 +742,8 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     assert rep.stable
     inner, M = rep.annulus.inner, rep.annulus.M
     assert problems == samples == [M // 4, 2 * M + 1]
-    assert grids == [(inner, M // 4, 3), (inner, M, 3), (inner, 2 * M + 1, 3)]
+    assert grids == [(inner, M // 4, 3, False), (inner, M, 3, False),
+                     (inner, 2 * M + 1, 3, True)]
     assert scans == [(inner, M), (inner, 2 * M + 1), (inner, M)]
     assert calls == [("i", 3), ("v", 3), ("v", 3), ("v", 2)]
     assert diagonals == offdiagonals == [M // 4, M, 2 * M + 1]
@@ -854,6 +928,36 @@ def test_the_banded_walk_is_the_per_cell_walk(nodal, p, N):
         assert [math.floor(x) for x in got] == [math.floor(x) for x in want], k
         assert got == pytest.approx(want, rel=0, abs=1e-11), k
     assert walked
+
+
+def where_cell_maps(h, c):
+    """`_cell_maps` as it was with every transcendental on every cell and
+    np.where picking one: the reference of the masked version."""
+    w = np.sqrt(np.abs(c))
+    pieces = np.where(c > 0, w * h // np.pi + 1, 1).astype(int)
+    h, c, w = (np.repeat(x, pieces) for x in (h / pieces, c, w))
+    osc, wh = c > 0, w * h
+    t = np.tanh(wh)
+    scale = np.where(osc, 1.0, 1.0 / (1.0 + t))
+    s = np.where(osc, np.sin(wh), t) * scale
+    b = np.divide(s, w, out=h * scale, where=w > 0)
+    return np.where(osc, np.cos(wh), scale), b, np.where(osc, -w, w) * s
+
+
+@pytest.mark.parametrize("p, N", BAND_ENDS + [(400.0, 2)])
+def test_the_cell_maps_are_the_where_maps(nodal, p, N):
+    # bit for bit on the cells of every mode that prufer_counts walks, on
+    # cells with c == 0 exactly and on cells cut into pieces
+    sol = nodal(p, N)
+    sets = [(h, f - s * s) for h, f in sol.fp_cells()
+            for s in 0.5 * (N - 2) + np.arange(len(prufer_counts(sol)))]
+    h = np.array([0.1, 0.5, 2.0, 0.3, 0.25, 1.0, 0.2])
+    c = np.array([0.0, 100.0, 30.0, -0.0, -4.0, 0.0, 1e4])
+    sets += [(h, c), (h[[0, 3, 5]], c[[0, 3, 5]])]
+    for h, c in sets:
+        got, want = spectral._cell_maps(h, c), where_cell_maps(h, c)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert len(got[0]) == 3 and len(spectral._cell_maps(*sets[-2])[0]) == 1 + 2 + 4 + 3 + 7
 
 
 def test_the_band_residual_is_exact_to_its_rounding():
