@@ -22,20 +22,18 @@ from .radial import RadialSolution, Trajectory, integrate_ivp, solve_nodal
 
 __version__ = "0.1.0"
 
-# spectral imports scipy.linalg, and limits scipy.integrate and scipy.special,
-# which take most of the package's import time; solve needs neither, and
-# limit-check only limits, so their names load them on first access
+# spectral imports scipy.linalg, and limits scipy.integrate and scipy.special
+# (and spectral, for its Pruefer walk), which take most of the package's
+# import time; solve needs neither, so their names load them on first access
 _SPECTRAL_NAMES = (
     "AnnulusEigenProblem", "AnnulusBetas", "MorseReport", "LedgerEntry",
     "build_problem", "count_negative", "weighted_radial_eigs", "annulus_betas",
     "sphere_spectrum", "morse_index", "prufer_counts",
 )
 _LIMITS_NAMES = (
-    "REFERENCE_ELL", "LimitConstants", "TestFunctionSpec", "QuotientParts",
-    "Check", "limit_constants", "liouville_profile", "singular_profile",
-    "liouville_mass", "singular_mass", "rayleigh_eta1", "rayleigh_limit",
-    "limit_residual", "test_function_quotient", "quotient_closed_forms",
-    "verification_battery",
+    "REFERENCE_ELL", "LimitConstants", "Check", "limit_constants",
+    "liouville_profile", "singular_profile", "liouville_mass", "singular_mass",
+    "rayleigh_eta1", "limit_residual", "verification_battery",
 )
 
 

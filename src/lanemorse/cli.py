@@ -32,7 +32,7 @@ from .radial import solve_nodal
 # spectral (and with it scipy.linalg) and limits are imported in the
 # branches that use them, so that solve loads neither
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 EXIT_OK = 0
 EXIT_SOLVER = 1

@@ -1,13 +1,12 @@
-"""Closed-form limit objects and quadrature-based verification.
+"""Closed-form limit objects, their quadratures and their eigenvalue counts.
 
 One function per object: the Liouville profile U (`liouville_profile`, mass
 8 pi by `liouville_mass`), the singular profile Z_ell (`singular_profile`,
 `singular_mass`; gamma = sqrt(2 ell^2 + 4) - 2 and delta =
 ((gamma+4)/gamma)^(1/(gamma+2)) ell from `limit_constants`), the potential
-V_+ (`limit_potential`), the first eigenfunction `eta1` of the weighted limit
-operator |x|^2(-Delta - V), whose lowest eigenvalue -(N-1) in every
-dimension N >= 2 is `rayleigh_eta1`, and the cut-off test function
-(`test_function_quotient`), whose quotient tends to -(ell^2+2)/2.
+V_+ (`limit_potential`) and the first eigenfunction `eta1` of the weighted
+limit operator |x|^2(-Delta - V), whose eigenvalue -(N-1) in every dimension
+N >= 2 is `rayleigh_eta1`.
 
 All improper integrals reduce to linear combinations of
 
@@ -15,26 +14,32 @@ All improper integrals reduce to linear combinations of
 
 whose tails have exact incomplete-beta expressions; quadrature is therefore
 truncated with certified (not estimated) remainders.
+
+That no eigenvalue lies lower is a count: under t = ln r and w =
+r^((N-2)/2) v the radial limit problem is -w'' + (alpha^2 - f(t)) w = E w on
+the line, alpha = (N-2)/2 and f(t) = V(e^t) e^(2t), and by Sturm oscillation
+the eigenvalues below E are the zeros of its solution that decays at -inf,
+counted by the Pruefer walk of the Morse confirmation
+(`spectral.prufer_angles`). `verification_battery` counts 0 below
+-(N-1)(1 + LIMIT_DELTA) and 1 below -(N-1)(1 - LIMIT_DELTA), and at N = 2
+the same pair at -(ell^2+2)/2 for f = e^(Z_ell) r^2, the singular limit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn, betainc
 
 from .errors import ConfigError
-from .radial import RadialSolution
-from .profile import fp_values
+from .spectral import prufer_angles
 
 __all__ = [
     "REFERENCE_ELL",
     "LimitConstants",
-    "TestFunctionSpec",
-    "QuotientParts",
     "Check",
     "limit_constants",
     "liouville_profile",
@@ -46,15 +51,8 @@ __all__ = [
     "liouville_mass",
     "singular_mass",
     "rayleigh_eta1",
-    "rayleigh_limit",
     "limit_residual",
     "power_tail_integral",
-    "psi_core",
-    "dpsi_core",
-    "test_function_quotient",
-    "quotient_closed_forms",
-    "random_admissible_function",
-    "rayleigh_quotient_suite",
     "verification_battery",
 ]
 
@@ -76,6 +74,18 @@ MAX_LIMIT_N = 139
 MASS_TRUNC = 1e3
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
+# the eigenvalue counts walk uniform cells of width LIMIT_CELL / sqrt(max f)
+# in t on [-T, T], T = |t_peak| + LIMIT_SPAN, over which f falls from its peak
+# by e^-40 or more (like e^(-2 |t - t_peak|) in every N, faster for Z_ell).
+# The lowest eigenvalue of the midpoint cells lies at most 8.9e-6 |E| above
+# the exact one (N = 2 and the singular limit; 2.4e-7 |E| at N = 139), within
+# LIMIT_DELTA / 10 of it; halving LIMIT_CELL divides that by 4, and halving
+# or doubling LIMIT_SPAN moves it by at most 2e-9 |E|
+LIMIT_CELL = 0.02
+LIMIT_SPAN = 20.0
+# relative half-width of the window that each pair of counts puts around a
+# limit eigenvalue
+LIMIT_DELTA = 1e-4
 
 
 @dataclass
@@ -238,22 +248,6 @@ def rayleigh_eta1(N: int) -> float:
     return (grad - pot) / den
 
 
-def rayleigh_limit(f, df, N: int) -> float:
-    """Weighted Rayleigh quotient of the limit operator for a radial function.
-
-    f and df are callables (value, derivative) defined on (0, inf).
-    """
-    opts = dict(epsabs=1e-11, epsrel=1e-10, limit=400)
-    num, _ = quad(
-        lambda r: (df(r) ** 2 - limit_potential(r, N) * f(r) ** 2) * r ** (N - 1),
-        0.0, np.inf, **opts,
-    )
-    den, _ = quad(lambda r: f(r) ** 2 * r ** (N - 3), 0.0, np.inf, **opts)
-    if den <= 0.0 or not math.isfinite(den):
-        raise ConfigError("vanishing weighted norm in the Rayleigh quotient")
-    return num / den
-
-
 def limit_residual(N: int, lam: float) -> float:
     """sup of |-Delta eta_1 - V eta_1 - lam eta_1/r^2| on a log grid over [1e-3, 1e3].
 
@@ -266,212 +260,24 @@ def limit_residual(N: int, lam: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# four-branch cut-off test function and its Rayleigh parts
+# eigenvalue counts of the limit problems
 
 
-def psi_core(s, gamma: float):
-    """Core profile s^((2+gamma)/2) / (1 + s^(2+gamma))."""
-    s = np.asarray(s, dtype=float)
-    return s ** ((2.0 + gamma) / 2.0) / (1.0 + s ** (2.0 + gamma))
+def _count_below(f, t_peak: float, alpha: float, E: float) -> int:
+    """Eigenvalues below E of -w'' + (alpha^2 - f(t)) w = E w on the line.
 
-
-def dpsi_core(s, gamma: float):
-    s = np.asarray(s, dtype=float)
-    sg = s ** (2.0 + gamma)
-    return (2.0 + gamma) / 2.0 * s ** (gamma / 2.0) * (1.0 - sg) / (1.0 + sg) ** 2
-
-
-@dataclass
-class TestFunctionSpec:
-    """Four-branch radial test function: ramp in, core psi, ramp out, zero.
-
-    The support is [scale/(2R), 2 R scale]; ramps are linear and continuous
-    against the core, so the breakpoints are ordered for any R > 1. In
-    finite-p use scale is delta * eps_minus.
+    f(t) >= 0 peaks at t_peak and decays at both ends. The count is the
+    number of zeros of the solution that decays at -inf, walked from y'/y =
+    sqrt(alpha^2 - E) at -T over uniform cells with f at their midpoints
+    (see LIMIT_CELL and LIMIT_SPAN for the cells and T).
     """
-
-    R: float
-    scale: float = 1.0
-    constants: LimitConstants = field(default_factory=limit_constants)
-
-    def __post_init__(self):
-        if self.R <= 1.0:
-            raise ConfigError("cutoff parameter R must exceed 1")
-        if self.scale <= 0.0:
-            raise ConfigError("scale must be positive")
-
-    def breakpoints(self) -> tuple[float, float, float, float]:
-        a = self.scale / self.R
-        b = self.scale * self.R
-        return (a / 2.0, a, b, 2.0 * b)
-
-
-@dataclass
-class QuotientParts:
-    """The six Rayleigh integrals of the cut-off test function.
-
-    n1/d1 cover the core region, n2/d2 the inner ramp, n3/d3 the outer ramp;
-    ramp numerators carry only the gradient term, which makes the quotient an
-    upper bound for the corresponding variational eigenvalue.
-    """
-
-    n1: float
-    n2: float
-    n3: float
-    d1: float
-    d2: float
-    d3: float
-
-    @property
-    def quotient(self) -> float:
-        return (self.n1 + self.n2 + self.n3) / (self.d1 + self.d2 + self.d3)
-
-
-def _limit_core_potential(s, gamma: float):
-    # delta^2 V^-(delta s) collapses to this closed combination
-    s = np.asarray(s, dtype=float)
-    sg = s ** (2.0 + gamma)
-    return 2.0 * (gamma + 2.0) ** 2 * s**gamma / (1.0 + sg) ** 2
-
-
-def test_function_quotient(spec: TestFunctionSpec,
-                           sol: RadialSolution | None = None) -> QuotientParts:
-    """Rayleigh parts of the four-branch test function, by quadrature.
-
-    Without `sol` the potential on the core is the closed-form rescaled
-    singular-profile exponential (the limit); with `sol` it is p |u|^(p-1)
-    sampled through the solution interpolator, and the resulting quotient is
-    a variational upper bound for the first weighted radial eigenvalue of any
-    annulus containing the support.
-    """
-    g = spec.constants.gamma
-    two_pi = 2.0 * math.pi
-    # everything is integrated in s = r/scale; the ramp and core parts are
-    # scale-invariant, only the finite-p potential sees the scale
-    a = 1.0 / spec.R
-    b = spec.R
-    psi_a = float(psi_core(a, g))
-    psi_b = float(psi_core(b, g))
-
-    grad_core, _ = quad(lambda s: dpsi_core(s, g) ** 2 * s, a, b, **_QUAD_OPTS)
-    if sol is None:
-        pot_core, _ = quad(
-            lambda s: _limit_core_potential(s, g) * psi_core(s, g) ** 2 * s,
-            a, b, **_QUAD_OPTS,
-        )
-    else:
-        lo, _, _, hi = spec.breakpoints()
-        if hi >= 1.0:
-            raise ConfigError(
-                f"test-function support [{lo:.3e}, {hi:.3e}] leaves the unit ball; "
-                "reduce R or the scale"
-            )
-
-        def pot_integrand(s):
-            # sigma = scale: p |u(sigma s)|^(p-1) psi^2 sigma^2 s = f_p(sigma s) psi^2 / s
-            return float(fp_values(sol, spec.scale * s)) * float(psi_core(s, g)) ** 2 / s
-
-        pot_core, _ = quad(pot_integrand, a, b, **_QUAD_OPTS)
-
-    n1 = two_pi * (grad_core - pot_core)
-    d1 = two_pi * quad(lambda s: psi_core(s, g) ** 2 / s, a, b, **_QUAD_OPTS)[0]
-
-    slope_in = 2.0 * psi_a / a
-    n2 = two_pi * quad(lambda s: slope_in**2 * s, a / 2.0, a)[0]
-    d2 = two_pi * quad(lambda s: slope_in**2 * (s - a / 2.0) ** 2 / s, a / 2.0, a)[0]
-
-    slope_out = psi_b / b
-    n3 = two_pi * quad(lambda s: slope_out**2 * s, b, 2.0 * b)[0]
-    d3 = two_pi * quad(lambda s: slope_out**2 * (2.0 * b - s) ** 2 / s, b, 2.0 * b)[0]
-
-    return QuotientParts(n1=n1, n2=n2, n3=n3, d1=d1, d2=d2, d3=d3)
-
-
-# names match the public contract; keep pytest from collecting them
-test_function_quotient.__test__ = False
-TestFunctionSpec.__test__ = False
-
-
-def quotient_closed_forms(spec: TestFunctionSpec) -> QuotientParts:
-    """Exact values of the six limit parts.
-
-    The core pair comes from the explicit antiderivative in t = 1 + s^(2+g);
-    the ramp pairs from elementary integrals of the linear branches. As
-    R -> inf the quotient tends to -(gamma+2)^2/4 = -(ell^2+2)/2.
-    """
-    g = spec.constants.gamma
-    R = spec.R
-    two_pi = 2.0 * math.pi
-    t1 = 1.0 + R ** -(2.0 + g)
-    t2 = 1.0 + R ** (2.0 + g)
-
-    def G(t):
-        return -1.0 / t + 6.0 / t**2 - 4.0 / t**3
-
-    psi_a2 = float(psi_core(1.0 / R, g)) ** 2
-    psi_b2 = float(psi_core(R, g)) ** 2
-    return QuotientParts(
-        n1=two_pi * (2.0 + g) / 4.0 * (G(t2) - G(t1)),
-        n2=two_pi * 1.5 * psi_a2,
-        n3=two_pi * 1.5 * psi_b2,
-        d1=two_pi / (2.0 + g) * (1.0 / t1 - 1.0 / t2),
-        d2=two_pi * (math.log(2.0) - 0.5) * psi_a2,
-        d3=two_pi * (4.0 * math.log(2.0) - 2.5) * psi_b2,
-    )
-
-
-def core_profile_identity_gap(constants: LimitConstants) -> float:
-    """Gap of eta_1(2 sqrt2 s^((2+g)/2)) against 2 sqrt2 psi(s), s in [1e-2, 1e2].
-
-    The composition reproduces the core profile up to the constant factor
-    2 sqrt 2, which is immaterial for the (0-homogeneous) Rayleigh quotient.
-    """
-    s = np.logspace(-2, 2, 201)
-    g = constants.gamma
-    lhs = eta1(2.0 * math.sqrt(2.0) * s ** ((2.0 + g) / 2.0), N=2)
-    rhs = 2.0 * math.sqrt(2.0) * psi_core(s, g)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-# ---------------------------------------------------------------------------
-# randomized admissible test functions
-
-
-def random_admissible_function(rng: np.random.Generator, N: int):
-    """One random radial function in the admissible class, with derivative.
-
-    Shape r^a / (1 + (r/s0)^q) with a > (2-N)/2 and q - a > (N-2)/2, so both
-    the Dirichlet energy and the weighted norm are finite.
-    """
-    a = rng.uniform(0.3, 1.5)
-    q = a + (N - 2.0) / 2.0 + rng.uniform(0.6, 2.5)
-    s0 = rng.uniform(0.5, 3.0)
-
-    def value(r):
-        rho = (r / s0) ** q
-        return r**a / (1.0 + rho)
-
-    def deriv(r):
-        rho = (r / s0) ** q
-        return r ** (a - 1.0) * (a + (a - q) * rho) / (1.0 + rho) ** 2
-
-    return value, deriv
-
-
-def rayleigh_quotient_suite(count: int = 50, seed: int = 20160127) -> list[float]:
-    """Rayleigh quotients of `count` seeded random admissible functions.
-
-    The dimension is drawn from {2,..,5} per function; every quotient must
-    sit above -(N-1) since that value is the infimum. Returns the list of
-    R*(v) + (N-1) margins (nonnegative up to quadrature error).
-    """
-    rng = np.random.default_rng(seed)
-    margins = []
-    for _ in range(count):
-        N = int(rng.integers(2, 6))
-        f, df = random_admissible_function(rng, N)
-        margins.append(rayleigh_limit(f, df, N) + (N - 1.0))
-    return margins
+    kappa = math.sqrt(alpha * alpha - E)
+    T = abs(t_peak) + LIMIT_SPAN
+    n = math.ceil(2.0 * T * math.sqrt(f(t_peak)) / LIMIT_CELL)
+    h = 2.0 * T / n
+    theta, = prufer_angles(kappa, [(np.full(n, h), f(-T + (np.arange(n) + 0.5) * h)
+                                    - kappa * kappa)])
+    return math.floor(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -496,19 +302,37 @@ def _mk_check(name, anchor, value, expected, tol, relative=False) -> Check:
                  expected=float(expected), tol=tol, passed=bool(err < tol))
 
 
+def _first_eigenvalue_checks(name: str, problem: str, f, t_peak: float, alpha: float,
+                             lam: float, label: str) -> list[Check]:
+    """Counts 0 below lam (1 + LIMIT_DELTA) and 1 below lam (1 - LIMIT_DELTA),
+    lam < 0: the lowest eigenvalue lies within LIMIT_DELTA |lam| of lam."""
+    return [
+        _mk_check(f"{name}_count_{side}",
+                  f"eigenvalues of {problem} below E = {label} (1 {sign} {LIMIT_DELTA:g})"
+                  f" = {E:.10g}",
+                  _count_below(f, t_peak, alpha, E), n, 0.5)
+        for side, n, sign, E in (("below", 0, "+", lam * (1.0 + LIMIT_DELTA)),
+                                 ("above", 1, "-", lam * (1.0 - LIMIT_DELTA)))
+    ]
+
+
 def verification_battery(
     N: int = 2, constants: LimitConstants | None = None,
 ) -> list[Check]:
-    """Run every closed-form limit check at dimension N and REFERENCE_ELL.
+    """Run every limit check at dimension N and REFERENCE_ELL.
 
-    constants: limit_constants() when the caller already holds them, so that
-    their H quadrature runs once.
+    N is an integer in [2, MAX_LIMIT_N], else ConfigError. constants:
+    limit_constants() when the caller already holds them, so that their H
+    quadrature runs once.
     """
+    if not float(N).is_integer():
+        raise ConfigError(f"dimension N must be an integer, got {N}")
     if N < 2:
         raise ConfigError(f"dimension N must be >= 2, got {N}")
     if N > MAX_LIMIT_N:
         raise ConfigError(
             f"dimension N must be <= {MAX_LIMIT_N} for the limit checks, got {N}")
+    N = int(N)
     k = constants if constants is not None else limit_constants()
     g, d, ell = k.gamma, k.delta, k.ell
     checks = [
@@ -539,21 +363,12 @@ def verification_battery(
         _mk_check("eta1_decay_infinity", "eta_1 / |x| -> 0 at infinity",
                   float(eta1(1e6, N)) / 1e6, 0.0, 1e-5),
     ]
+    checks += _first_eigenvalue_checks(
+        "eta1", "the limit problem", lambda t: limit_potential(np.exp(t), N) * np.exp(2.0 * t),
+        0.5 * math.log(_sphere_dim_c(N)), 0.5 * (N - 2.0), -(N - 1.0), "-(N-1)")
     if N == 2:
-        spec = TestFunctionSpec(R=10.0, constants=k)
-        parts = test_function_quotient(spec)
-        exact = quotient_closed_forms(spec)
-        part_err = max(
-            abs(getattr(parts, f) - getattr(exact, f)) / abs(getattr(exact, f))
-            for f in ("n1", "n2", "n3", "d1", "d2", "d3")
-        )
-        checks += [
-            _mk_check("cutoff_quotient", "variational upper bound -(ell^2+2)/2",
-                      parts.quotient, -(ell * ell + 2.0) / 2.0, 1e-3, relative=True),
-            _mk_check("cutoff_parts", "cut-off Rayleigh parts match closed forms",
-                      part_err, 0.0, 1e-8),
-            _mk_check("core_profile_identity",
-                      "core profile is a rescaled eta_1 (up to 2 sqrt 2)",
-                      core_profile_identity_gap(k), 0.0, 1e-12),
-        ]
+        checks += _first_eigenvalue_checks(
+            "singular", "the singular limit problem",
+            lambda t: np.exp(singular_profile(np.exp(t), k) + 2.0 * t),
+            math.log(d), 0.0, -(ell * ell + 2.0) / 2.0, "-(ell^2+2)/2")
     return checks

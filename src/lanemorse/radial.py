@@ -363,8 +363,8 @@ def _integrate(p, N, c, d, r0, r_max):
     for all steps at once, and _events locates the events on them; the
     trajectory ends at the second zero of u. A step that cannot be taken (an
     overflow in every stage down to the smallest step) raises
-    StiffnessError, a zero of u with |w| below 1e3 _ABS_TOL
-    TangentialZeroError.
+    StiffnessError, a zero of u with |w| below 1e3 _ABS_TOL times the largest
+    |w| on its lobe (at most 1) TangentialZeroError.
     """
     rho0 = math.log(r0)
     u0, w0 = _horner(c, r0**2), _horner(d, r0**2)
@@ -380,10 +380,19 @@ def _integrate(p, N, c, d, r0, r_max):
     zeros, critical, fp_critical = _events(p, rho, u, w, h, F)
     if len(zeros) == 2:
         rho[-1], u[-1], w[-1] = zeros[-1]
+    # the test is relative to the lobe that ends at the zero: next to a
+    # critical exponent the negative lobe's |w| is only about 1e-6 at its
+    # largest; the scale is capped at 1, so it is never stricter than 1e3 _ABS_TOL
+    start = -math.inf
     for rho_z, _, w_z in zeros:
-        if abs(w_z) < 1e3 * _ABS_TOL:
-            raise TangentialZeroError(f"degenerate zero at r={math.exp(rho_z):.6e}: "
-                                      "|u| and |u'| both below tolerance")
+        lobe = np.abs(w[(rho > start) & (rho <= rho_z)])
+        scale = min(1.0, float(np.max(lobe, initial=abs(w_z))))
+        if abs(w_z) < 1e3 * _ABS_TOL * scale:
+            raise TangentialZeroError(
+                f"degenerate zero at r={math.exp(rho_z):.6e}: |r u'| = {abs(w_z):.3e} is "
+                f"below {1e3 * _ABS_TOL:g} times {scale:.3e}, the largest |r u'| on its "
+                "lobe (capped at 1)")
+        start = rho_z
     return Trajectory(p, N, rho, u, w, c, d, h, F, zeros, critical, fp_critical,
                       rejected=rejected, rhs_evals=rhs_evals)
 

@@ -61,7 +61,8 @@ angle on cells of the shooting steps (`RadialSolution.fp_cells`); k = 1
 takes the zeros of u'. The report is stable when these per-mode counts
 equal the ledger's. Each cell maps (y', y) linearly, so one mode's walks
 over the cells and over their 2-fold split are one lower-banded forward
-substitution (BLAS tbsv).
+substitution (BLAS tbsv). That walk, `prufer_angles`, is public: `limits`
+counts the eigenvalues of the limit problems on the line with it.
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ __all__ = [
     "sphere_mode_multiplicity",
     "morse_index",
     "prufer_counts",
+    "prufer_angles",
     "auto_inner_radius",
     "auto_grid_size",
 ]
@@ -458,12 +460,13 @@ def sphere_spectrum(N: int, k_max: int) -> list[tuple[int, int]]:
     lambda_k = k (k + N - 2), multiplicity N_k - N_{k-2} with
     N_h = C(N-1+h, N-1).
     """
-    if N < 2:
-        raise ConfigError("sphere spectrum needs N >= 2")
-    if k_max < 0:
-        raise ConfigError("k_max must be nonnegative")
+    if not (float(N).is_integer() and N >= 2):
+        raise ConfigError(f"sphere spectrum needs an integer N >= 2, got {N}")
+    if not (float(k_max).is_integer() and k_max >= 0):
+        raise ConfigError(f"k_max must be a nonnegative integer, got {k_max}")
+    N = int(N)
     return [(_sphere_eigenvalue(N, k), sphere_mode_multiplicity(N, k))
-            for k in range(k_max + 1)]
+            for k in range(int(k_max) + 1)]
 
 
 @dataclass
@@ -657,8 +660,8 @@ def _band_residual(band: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> np.ndarr
     return total + err
 
 
-def _prufer_angles(z: float, cells: list[tuple[np.ndarray, np.ndarray]]
-                   ) -> list[float]:
+def prufer_angles(z: float, cells: list[tuple[np.ndarray, np.ndarray]]
+                  ) -> list[float]:
     """theta / pi at the end of y'' + c y = 0 from y'/y = z, per (h, c) in cells.
 
     theta is the Pruefer angle, (y, y') = rho (sin theta, cos theta), which
@@ -717,7 +720,7 @@ def prufer_counts(sol: RadialSolution) -> list[int]:
     each shooting step cut into equal cells; none where
     (alpha+k)^2 >= max f_p. Z_1 is the zero count of u', which the forward
     walk loses between the bubbles, where it decays. Each walked mode takes
-    one banded solve for both cell sets (`_prufer_angles`). A theta_k(1)
+    one banded solve for both cell sets (`prufer_angles`). A theta_k(1)
     that is not finite, or a margin (theta_k(1)/pi to the nearest integer)
     not above its change under a 2-fold cell split, raises SolverError.
     `morse_index` compares the list with the ledger's, mode by mode.
@@ -732,7 +735,7 @@ def prufer_counts(sol: RadialSolution) -> list[int]:
         elif s * s >= max(sol.max_plus, sol.max_minus):
             counts.append(0)
         else:
-            theta, split = _prufer_angles(s, [(h, f - s * s) for h, f in cells])
+            theta, split = prufer_angles(s, [(h, f - s * s) for h, f in cells])
             if not (math.isfinite(theta) and math.isfinite(split)):
                 raise SolverError(
                     f"Pruefer angle of sphere mode k={k} is not finite "

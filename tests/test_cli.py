@@ -308,7 +308,8 @@ def _run_cli(*args):
 def test_cli_import_leaves_the_limit_modules_unloaded():
     # scipy.integrate, scipy.special and lanemorse.limits load only on a
     # limit-check request or a first access to a limits name, scipy.linalg and
-    # lanemorse.spectral only on a spectral request or name
+    # lanemorse.spectral only on a spectral request or name, or with limits,
+    # whose eigenvalue counts take the Pruefer walk from spectral
     proc = _run_python("-c", (
         "import sys, lanemorse.cli, lanemorse\n"
         "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.special', 'lanemorse.limits',\n"
@@ -334,7 +335,7 @@ def test_every_exported_name_resolves():
 def test_exit_codes_via_entry_point():
     proc = _run_cli("limit-check", "--N", "2")
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert '"schema_version": 8' in proc.stdout, proc.stderr
+    assert '"schema_version": 9' in proc.stdout, proc.stderr
     proc = _run_cli("solve", "--p", "0.5")
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     proc = _run_cli("bogus")
@@ -364,7 +365,7 @@ def test_an_underflowing_root_bracket_is_a_named_solver_error():
 
 def test_schema_shape():
     _, text = run(parse_args(["solve", "--p", "3"]))
-    assert text.startswith('{\n  "schema_version": 8')
+    assert text.startswith('{\n  "schema_version": 9')
     for key in ('"command"', '"config"', '"results"', '"checks"'):
         assert key in text
     assert text.endswith("}\n")

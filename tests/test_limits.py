@@ -8,31 +8,28 @@ from scipy.integrate import quad
 
 from lanemorse import (
     ConfigError,
-    TestFunctionSpec,
     limit_constants,
     limit_residual,
     liouville_mass,
     liouville_profile,
-    quotient_closed_forms,
     rayleigh_eta1,
-    rayleigh_limit,
     singular_mass,
     singular_profile,
-    test_function_quotient,
+    sphere_spectrum,
     verification_battery,
 )
+from lanemorse import limits
 from lanemorse.limits import (
     ELL_MAX,
     ELL_MIN,
+    LIMIT_DELTA,
     MAX_LIMIT_N,
     REFERENCE_ELL,
-    core_profile_identity_gap,
+    _count_below,
     eta1,
     eta1_d1,
     limit_potential,
     power_tail_integral,
-    psi_core,
-    rayleigh_quotient_suite,
 )
 
 
@@ -153,14 +150,6 @@ def test_rayleigh_eta1(N):
     assert rayleigh_eta1(N) == pytest.approx(-(N - 1.0), rel=1e-6)
 
 
-def test_rayleigh_homogeneity():
-    f = lambda r: eta1(r, 2)
-    df = lambda r: eta1_d1(r, 2)
-    g = lambda r: 3.0 * eta1(r, 2)
-    dg = lambda r: 3.0 * eta1_d1(r, 2)
-    assert rayleigh_limit(f, df, 2) == pytest.approx(rayleigh_limit(g, dg, 2), rel=1e-13)
-
-
 @pytest.mark.parametrize("N,lam", [(2, -1.0), (3, -2.0), (4, -3.0), (5, -4.0)])
 def test_limit_residual_at_eigenvalue(N, lam):
     assert limit_residual(N, lam) < 1e-10
@@ -170,71 +159,54 @@ def test_limit_residual_wrong_eigenvalue():
     assert limit_residual(2, 0.0) > 1e-2
 
 
-def test_random_admissible_suite():
-    margins = rayleigh_quotient_suite(count=50)
-    assert len(margins) == 50
-    assert min(margins) >= -1e-6
-
-
 # ---------------------------------------------------------------------------
-# the cut-off test function
+# the counts that make it the first
 
 
-def test_quotient_parts_match_closed_forms():
-    spec = TestFunctionSpec(R=10.0)
-    parts = test_function_quotient(spec)
-    exact = quotient_closed_forms(spec)
-    for name in ("n1", "n2", "n3", "d1", "d2", "d3"):
-        assert getattr(parts, name) == pytest.approx(getattr(exact, name), rel=1e-8)
+def _limit_problem(N):
+    """(f, t_peak, alpha, lambda) of the limit problem in dimension N, built
+    here from V = kappa / (1 + r^2/c)^2: f = V r^2 peaks at r^2 = c."""
+    c = 8.0 if N == 2 else N * (N - 2.0)
+    return (lambda t: limit_potential(np.exp(t), N) * np.exp(2.0 * t),
+            0.5 * math.log(c), 0.5 * (N - 2.0), -(N - 1.0))
 
 
-def test_inner_ramp_closed_form_explicit():
-    # N2/(2 pi) = (3/2) R^-(2+g) / (1 + R^-(2+g))^2
-    spec = TestFunctionSpec(R=10.0)
-    g = spec.constants.gamma
-    parts = test_function_quotient(spec)
-    explicit = 1.5 * (0.1 ** (2.0 + g)) / (1.0 + 0.1 ** (2.0 + g)) ** 2
-    assert parts.n2 / (2.0 * math.pi) == pytest.approx(explicit, rel=1e-8)
+def _singular_problem():
+    k = limit_constants()
+    return (lambda t: np.exp(singular_profile(np.exp(t), k)) * np.exp(2.0 * t),
+            math.log(k.delta), 0.0, -(k.ell**2 + 2.0) / 2.0)
 
 
-def test_quotient_at_R10():
-    spec = TestFunctionSpec(R=10.0)
-    parts = test_function_quotient(spec)
-    ell = spec.constants.ell
-    target = -(ell * ell + 2.0) / 2.0
-    assert abs(parts.quotient - target) / abs(target) < 1e-3
+@pytest.mark.parametrize("problem", [
+    pytest.param(lambda: _limit_problem(2), id="eta1-2"),
+    pytest.param(lambda: _limit_problem(5), id="eta1-5"),
+    pytest.param(lambda: _limit_problem(MAX_LIMIT_N), id="eta1-139"),
+    pytest.param(_singular_problem, id="singular"),
+])
+def test_a_count_bisects_to_the_first_limit_eigenvalue(problem):
+    # the walk's lowest eigenvalue, bisected between the two counts of the
+    # battery, lies within LIMIT_DELTA / 10 of the exact first eigenvalue;
+    # the midpoint cells place it above (8.9e-6 |lambda| at N = 2)
+    f, t_peak, alpha, lam = problem()
+    lo, hi = lam * (1.0 + LIMIT_DELTA), lam * (1.0 - LIMIT_DELTA)
+    assert [_count_below(f, t_peak, alpha, E) for E in (lo, hi)] == [0, 1]
+    for _ in range(20):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _count_below(f, t_peak, alpha, mid) == 0 else (lo, mid)
+    assert lam <= lo and abs(hi - lam) < 0.1 * LIMIT_DELTA * abs(lam)
 
 
-def test_quotient_scale_invariant_limit_mode():
-    a = test_function_quotient(TestFunctionSpec(R=8.0))
-    b = test_function_quotient(TestFunctionSpec(R=8.0, scale=0.37))
-    assert a.quotient == pytest.approx(b.quotient, rel=1e-12)
-
-
-def test_core_profile_is_rescaled_eta1():
-    assert core_profile_identity_gap(limit_constants()) < 1e-12
-
-
-def test_spec_validation():
-    with pytest.raises(ConfigError):
-        TestFunctionSpec(R=0.9)
-    with pytest.raises(ConfigError):
-        TestFunctionSpec(R=10.0, scale=-1.0)
-
-
-def test_finite_p_support_must_fit(nodal):
-    sol = nodal(3.0)
-    spec = TestFunctionSpec(R=10.0, scale=0.2)  # support reaches 2*R*scale = 4
-    with pytest.raises(ConfigError):
-        test_function_quotient(spec, sol=sol)
-
-
-def test_psi_core_shape():
-    g = limit_constants().gamma
-    s = np.logspace(-2, 2, 200)
-    vals = psi_core(s, g)
-    assert np.all(vals > 0)
-    assert float(psi_core(1.0, g)) == pytest.approx(0.5, rel=1e-14)
+@pytest.mark.parametrize("N", [2, 5, MAX_LIMIT_N])
+def test_no_limit_count_moves_with_halved_cells_or_a_doubled_span(N, monkeypatch):
+    # doubling LIMIT_SPAN doubles the part of the walk beyond the peak of f
+    counts = lambda: [(c.name, c.value) for c in verification_battery(N) if "count" in c.name]
+    base = counts()
+    assert [v for _, v in base] == [0, 1] * (2 if N == 2 else 1)
+    monkeypatch.setattr(limits, "LIMIT_CELL", 0.5 * limits.LIMIT_CELL)
+    assert counts() == base
+    monkeypatch.undo()
+    monkeypatch.setattr(limits, "LIMIT_SPAN", 2.0 * limits.LIMIT_SPAN)
+    assert counts() == base
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +224,9 @@ BATTERY_NAMES = [
     "z_ell_root", "h_at_delta", "g_at_sqrt8", "H_quadrature", "liouville_mass",
     "singular_mass_finite", "rayleigh_eta1", "limit_residual",
     "residual_wrong_eigenvalue", "eta1_decay_origin", "eta1_decay_infinity",
+    "eta1_count_below", "eta1_count_above",
 ]
-PLANAR_NAMES = ["cutoff_quotient", "cutoff_parts", "core_profile_identity"]
+PLANAR_NAMES = ["singular_count_below", "singular_count_above"]
 
 
 @pytest.mark.parametrize("N, names", [
@@ -272,6 +245,33 @@ def test_battery_check_names(N, names):
     assert wrong.passed
     assert abs(wrong.value - wrong.expected) < wrong.tol * abs(wrong.expected)
     assert wrong.expected == pytest.approx((N - 1) * 1e3, rel=1e-5)
+    # each count is an integer against 0 or 1, its anchor naming its E
+    lam = {"eta1": -(N - 1.0), "singular": -(REFERENCE_ELL**2 + 2.0) / 2.0}
+    for c in checks:
+        if "_count_" in c.name:
+            prefix, side = c.name.split("_count_")
+            E = lam[prefix] * (1.0 + (LIMIT_DELTA if side == "below" else -LIMIT_DELTA))
+            n = 1.0 if side == "above" else 0.0
+            assert (c.value, c.expected, c.tol, c.passed) == (n, n, 0.5, True)
+            assert c.anchor.endswith(f" = {E:.10g}")
+
+
+@pytest.mark.parametrize("call, match", [
+    ((verification_battery, 2.5), "dimension N must be an integer, got 2.5"),
+    ((verification_battery, math.nan), "dimension N must be an integer, got nan"),
+    ((verification_battery, math.inf), "dimension N must be an integer, got inf"),
+    ((sphere_spectrum, 2.5, 3), r"sphere spectrum needs an integer N >= 2, got 2\.5"),
+    ((sphere_spectrum, math.nan, 3), "sphere spectrum needs an integer N >= 2, got nan"),
+    ((sphere_spectrum, 2, 2.5), r"k_max must be a nonnegative integer, got 2\.5"),
+    ((sphere_spectrum, 2, math.inf), "k_max must be a nonnegative integer, got inf"),
+], ids=["battery-2.5", "battery-nan", "battery-inf", "sphere-N-2.5", "sphere-N-nan",
+        "sphere-k-2.5", "sphere-k-inf"])
+def test_a_dimension_that_is_not_an_integer_is_a_config_error(call, match):
+    # 2.5 used to pass all 11 checks of the battery, nan to leak SciPy's
+    # IntegrationWarning, and sphere_spectrum to raise a bare TypeError
+    fn, *args = call
+    with pytest.raises(ConfigError, match=match):
+        fn(*args)
 
 
 @pytest.mark.parametrize("N", [0, 1])

@@ -786,6 +786,18 @@ def test_solve_integrates_once_to_the_float_horizon(monkeypatch):
     assert horizons == [math.exp(345.0)]
 
 
+@pytest.mark.parametrize("p", [4.99999, 4.999999])
+def test_a_simple_zero_on_a_small_lobe_is_not_degenerate(p):
+    # next to the N = 3 critical exponent the negative lobe's largest |r u'|
+    # is about 1e-6, and at the second zero |r u'| falls below the absolute
+    # 1e3 _ABS_TOL; the tangential-zero test is relative to the lobe
+    # (7.3e-7 and 7.0e-8 here, against 1.9e-12 and 2.0e-14 at the zero)
+    traj = integrate_ivp(p, 3, math.exp(radial._LN_RMAX_CAP))
+    lobe = np.abs(traj.w[traj.rho > traj.zeros[0][0]])
+    assert abs(traj.zeros[-1][2]) < 1e3 * _ABS_TOL and np.max(lobe) < 1e-6
+    assert solve_nodal(p, N=3).residual_sup < 1e-7
+
+
 def test_overflow_inside_a_step_is_a_stiffness_error():
     # past ln r = 354.9 the factor e^(2 ln r) leaves the float range: each
     # stage that gets there overflows, so its step is rejected, until the

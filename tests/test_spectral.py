@@ -28,10 +28,10 @@ from lanemorse.spectral import (
     AnnulusEigenProblem,
     LogGridMap,
     _assemble_ledger,
-    _prufer_angles,
     auto_grid_size,
     auto_inner_radius,
     mapped_problem,
+    prufer_angles,
     prufer_counts,
 )
 
@@ -790,14 +790,14 @@ def test_a_thin_prufer_margin_is_an_error(nodal, monkeypatch):
     # theta_0(1)/pi moved to 1e-9 above an integer on the unsplit cells: the
     # 2-fold split moves it by far more, so the count is not trusted
     sol = nodal(5.0)
-    real = spectral._prufer_angles
+    real = spectral.prufer_angles
 
     def doctored(z, cells):
         theta, split = real(z, cells)
         # N = 2: the k = 0 walk starts from y'/y = alpha = 0
         return [math.floor(theta) + 1e-9, split] if z == 0.0 else [theta, split]
 
-    monkeypatch.setattr(spectral, "_prufer_angles", doctored)
+    monkeypatch.setattr(spectral, "prufer_angles", doctored)
     with pytest.raises(SolverError, match=r"Pruefer margin 1\.000e-09 of sphere mode k=0"):
         morse_index(sol)
 
@@ -834,7 +834,7 @@ def test_the_series_region_cells_carry_theta0_at_p_1_25(nodal):
     # zero short of m_rad = 2
     sol = nodal(1.25)
     cells = sol.fp_cells()
-    assert _prufer_angles(0.0, cells) == pytest.approx([2.039584] * 2, abs=5e-6)
+    assert prufer_angles(0.0, cells) == pytest.approx([2.039584] * 2, abs=5e-6)
     # below the first node the cells are no wider than _SERIES_CELL, a cell
     # of width h has h^2 f_p <= 1e-4 e^h, and they start where f_p <= eps;
     # from the first node on each step is cut into _CELLS_PER_STEP cells
@@ -846,7 +846,7 @@ def test_the_series_region_cells_carry_theta0_at_p_1_25(nodal):
     h, f = cells[0]
     assert np.all(h[:-n] ** 2 * f[:-n] <= 1e-4 * np.exp(h[:-n]))
     steps = [(h[len(h) - n * split:], f[len(f) - n * split:]) for (h, f), split in zip(cells, (1, 2))]
-    assert _prufer_angles(0.0, steps) == pytest.approx([1.99283] * 2, abs=1e-5)
+    assert prufer_angles(0.0, steps) == pytest.approx([1.99283] * 2, abs=1e-5)
 
 
 def test_prufer_angle_is_exact_for_a_constant_coefficient():
@@ -866,7 +866,7 @@ def test_prufer_angle_is_exact_for_a_constant_coefficient():
         else:  # y = cosh(w t) + (z / w) sinh(w t), no zero
             zL = w * (w * math.tanh(w * L) + z) / (w + z * math.tanh(w * L))
             theta = math.atan2(1.0, zL) / math.pi
-        got = _prufer_angles(z, [(np.full(n, L / n), np.full(n, c)) for n in (1, 7, 100)])
+        got = prufer_angles(z, [(np.full(n, L / n), np.full(n, c)) for n in (1, 7, 100)])
         assert got == pytest.approx([theta] * 3, abs=1e-12), c
 
 
@@ -880,7 +880,7 @@ def test_prufer_angle_is_exact_for_a_constant_coefficient():
 ])
 def test_a_zero_on_a_cell_end_takes_the_sign_before_it(z, widths, theta):
     h = np.array(widths)
-    assert _prufer_angles(z, [(h, np.zeros_like(h))]) == [theta]
+    assert prufer_angles(z, [(h, np.zeros_like(h))]) == [theta]
     assert loop_prufer_angle(z, h, np.zeros_like(h)) == theta
 
 
@@ -923,7 +923,7 @@ def test_the_banded_walk_is_the_per_cell_walk(nodal, p, N):
         if k == 1 or s * s >= max(sol.max_plus, sol.max_minus):
             continue
         walked += 1
-        got = _prufer_angles(s, [(h, f - s * s) for h, f in cells])
+        got = prufer_angles(s, [(h, f - s * s) for h, f in cells])
         want = [loop_prufer_angle(s, h, f - s * s) for h, f in cells]
         assert [math.floor(x) for x in got] == [math.floor(x) for x in want], k
         assert got == pytest.approx(want, rel=0, abs=1e-11), k
@@ -995,7 +995,7 @@ def test_only_a_shrinking_walk_is_refined(nodal, monkeypatch, p, N, refined):
     for k in range(modes):
         s = 0.5 * (N - 2) + k
         if k != 1 and s * s < max(sol.max_plus, sol.max_minus):
-            _prufer_angles(s, [(h, f - s * s) for h, f in cells])
+            prufer_angles(s, [(h, f - s * s) for h, f in cells])
     assert calls == refined
 
 
