@@ -861,7 +861,8 @@ class RadialSolution:
         _CELL_DEFECT e^h. The series cells are evenly spaced in r by that dr
         near the first node, and evenly spaced in t, no wider than
         _SERIES_CELL, below. Per cell set, (cell widths in t, f_p at the
-        cell midpoints), read off the unscaled trajectory like ln_fp. The
+        cell midpoints), read off the unscaled trajectory like ln_fp, in one
+        evaluation for the midpoints of both sets. The
         split gives each Pruefer count its margin check
         (`spectral.prufer_counts`).
         """
@@ -877,13 +878,15 @@ class RadialSolution:
         cut = (nodes[:-1, None] + frac * np.diff(nodes)[:, None]).ravel()
         rho = np.concatenate((wide[:-1], narrow[:-1], cut, nodes[-1:]))
         widths = np.diff(rho)
-        cells = []
+        h, mid = [], []
         for split in (1, 2):
             j = np.repeat(np.arange(len(widths)), split)
-            mid = rho[j] + np.tile((np.arange(split) + 0.5) / split, len(widths)) * widths[j]
-            u, = self._traj._state(mid, rows=1)
-            cells.append((widths[j] / split, _exp(_ln_fp(self.p, u, mid))))
-        return tuple(cells)
+            mid.append(rho[j] + np.tile((np.arange(split) + 0.5) / split, len(widths)) * widths[j])
+            h.append(widths[j] / split)
+        mid = np.concatenate(mid)
+        u, = self._traj._state(mid, rows=1)
+        f = np.split(_exp(_ln_fp(self.p, u, mid)), [len(widths)])
+        return tuple(zip(h, f))
 
 
 _LN_RMAX_CAP = 345.0  # keep r^2 representable in float64

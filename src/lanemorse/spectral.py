@@ -20,8 +20,9 @@ uniform on [0, 1] and node density (nodes per unit of t)
     g(t) = G_FREE + G_BUMP * sum_c sech^2((t - t_c) / BUMP_WIDTH),
 
 t_c = ln c_p, ln d_p read off the shooting events. S(t) = int g has a closed
-form (tanh), which is inverted by table lookup and Newton steps; the default
-grid has M = ceil(int g dt) interior nodes. With s_i = i k, k = 1/(M+1),
+form (tanh), which is inverted by table lookup and Newton steps; the grids of
+one annulus share its map and so its table, built once. The default grid has
+M = ceil(int g dt) interior nodes. With s_i = i k, k = 1/(M+1),
 m_i = phi'(s_i) and a = 1/phi' at the half nodes, the conservative
 second-order scheme, symmetrized by the mass weights m_i, is the tridiagonal
 
@@ -51,23 +52,29 @@ the top one) or falls back to bisecting the whole spectrum, so every M and
 2M+1 value comes with its radius. Only certified M vectors start the 2M+1
 grid; after an M fallback it solves four times from x = ones. Every
 eigenvalue count is the one Sturm count `count_negative` (stebz with a
-tolerance as wide as its interval): the two certificates and the negative
-count m_rad of the M grid.
+tolerance as wide as its interval): the two certificates, and the negative
+count m_rad of the M grid only where its certified values do not settle it.
+Where the top interval lies above 0 and none holds 0, m_rad is the number of
+intervals below 0.
 
 The ledger is confirmed mode by mode without a matrix (`prufer_counts`):
 sphere mode k has as many negative eigenvalues as its regular solution of
 y'' + (f - (alpha+k)^2) y = 0 has zeros in (0, 1), counted by the Pruefer
 angle on cells of the shooting steps (`RadialSolution.fp_cells`); k = 1
 takes the zeros of u'. The report is stable when these per-mode counts
-equal the ledger's. Each cell maps (y', y) linearly, so one mode's walks
-over the cells and over their 2-fold split are one lower-banded forward
-substitution (BLAS tbsv). That walk, `prufer_angles`, is public: `limits`
-counts the eigenvalues of the limit problems on the line with it.
+equal the ledger's. Z_k does not increase with k, so only the ends of each
+run of modes with equal ledger counts are walked; a mode inside a run whose
+ends agree takes their count, without a margin check of its own. Each cell
+maps (y', y) linearly, so one mode's walks over the cells and over their
+2-fold split are one lower-banded forward substitution (BLAS tbsv). That
+walk, `prufer_angles`, is public: `limits` counts the eigenvalues of the
+limit problems on the line with it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -162,11 +169,23 @@ class LogGridMap:
 
     def _primitive_density(self, t):
         """(S(t), g(t)), S an antiderivative of g, from one tanh per centre:
-        sech^2 = 1 - tanh^2."""
+        sech^2 = 1 - tanh^2. In place, in the order of G_FREE t + G_BUMP
+        BUMP_WIDTH sum(tanh) and G_FREE + G_BUMP sum(1 - tanh^2)."""
         t = np.asarray(t, dtype=float)
-        th = [np.tanh((t - c) / BUMP_WIDTH) for c in self.centres]
-        return (G_FREE * t + G_BUMP * BUMP_WIDTH * sum(th),
-                G_FREE + G_BUMP * sum(1.0 - x * x for x in th))
+        S, g, x = np.zeros_like(t), np.zeros_like(t), np.empty_like(t)
+        for c in self.centres:
+            np.subtract(t, c, out=x)
+            x /= BUMP_WIDTH
+            np.tanh(x, out=x)
+            S += x
+            x *= x
+            np.subtract(1.0, x, out=x)
+            g += x
+        S *= G_BUMP * BUMP_WIDTH
+        S += G_FREE * t
+        g *= G_BUMP
+        g += G_FREE
+        return S, g
 
     def density(self, t):
         """g(t), nodes per unit of t."""
@@ -176,12 +195,19 @@ class LogGridMap:
     def total(self) -> float:
         return float(self._primitive_density(0.0)[0] - self._primitive_density(self.t0)[0])
 
+    @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(t, S(t)) on the lookup nodes, _TABLE_STEP apart on [t0, 0]: built
+        once per map, for all of its grids."""
+        t0 = self.t0
+        table = np.linspace(t0, 0.0, max(2, math.ceil(-t0 / _TABLE_STEP) + 1))
+        return table, self._primitive_density(table)[0]
+
     def __call__(self, s) -> tuple[np.ndarray, np.ndarray]:
         """(phi(s), phi'(s)) for s in [0, 1]."""
         s = np.asarray(s, dtype=float)
         t0 = self.t0
-        table = np.linspace(t0, 0.0, max(2, math.ceil(-t0 / _TABLE_STEP) + 1))
-        G = self._primitive_density(table)[0]
+        table, G = self._table
         target = G[0] + s * (G[-1] - G[0])
         t = np.interp(target, G, table)
         for _ in range(_NEWTON_STEPS):
@@ -192,7 +218,14 @@ class LogGridMap:
 
 def _grid_map(sol: RadialSolution, inner: float) -> LogGridMap:
     """The graded map of the annulus (inner, 1), centred on the f_p maxima."""
-    return LogGridMap(inner=inner, centres=(math.log(sol.c_p), math.log(sol.d_p)))
+    return _shared_map(inner, (math.log(sol.c_p), math.log(sol.d_p)))
+
+
+@functools.lru_cache(maxsize=1)
+def _shared_map(inner: float, centres: tuple[float, ...]) -> LogGridMap:
+    """The last map asked for is kept, so that the grids of one annulus
+    share its lookup table."""
+    return LogGridMap(inner=inner, centres=centres)
 
 
 @dataclass
@@ -323,15 +356,16 @@ def weighted_radial_eigs(prob: AnnulusEigenProblem, k: int,
 
 def _eigs(prob: AnnulusEigenProblem, k: int, near: np.ndarray | None = None,
           tol: float = BISECT_TOL, starts: np.ndarray | None = None
-          ) -> tuple[np.ndarray, np.ndarray | None]:
-    """(values, vectors): `weighted_radial_eigs`, with the inverse iteration
-    started from the rows of `starts` (see `_rayleigh_intervals`), and the
-    unit vectors of its certified values; None where the values are bisected.
+          ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """(values, vectors, radii): `weighted_radial_eigs`, with the inverse
+    iteration started from the rows of `starts` (see `_rayleigh_intervals`),
+    and the unit vectors and certified radii of its values; None where the
+    values are bisected.
     """
     found = None if near is None else _seeded_eigs(prob, np.asarray(near, float), starts)
     if found is None:
         d, e, _ = prob._tridiagonal
-        return _stebz(d, e, "i", (0, k - 1), tol), None
+        return _stebz(d, e, "i", (0, k - 1), tol), None, None
     return found
 
 
@@ -347,10 +381,10 @@ def _stebz(d: np.ndarray, e: np.ndarray, select: str, select_range,
 
 def _seeded_eigs(prob: AnnulusEigenProblem, near: np.ndarray,
                  starts: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """(values, vectors): the len(near) smallest eigenvalues, by inverse
-    iteration from near (and from starts, see `_rayleigh_intervals`), and
-    the unit vectors whose Rayleigh quotients they are.
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(values, vectors, radii): the len(near) smallest eigenvalues, by
+    inverse iteration from near (and from starts, see `_rayleigh_intervals`),
+    the unit vectors whose Rayleigh quotients they are, and the radii delta.
 
     Returns None unless the intervals rho +- delta of `_rayleigh_intervals`
     certify the result: each radius delta is at most RADIUS_BOUND, the
@@ -369,7 +403,7 @@ def _seeded_eigs(prob: AnnulusEigenProblem, near: np.ndarray,
         return None
     if count_negative(prob, hi[-1]) != len(near):
         return None
-    return rho, x
+    return rho, x, delta
 
 
 def _rayleigh_intervals(d: np.ndarray, e: np.ndarray, sigmas: np.ndarray,
@@ -520,7 +554,8 @@ N_BETAS = 3  # beta_1, beta_2 enter the ledger; beta_3 >= 0 is checked
 @dataclass(frozen=True)
 class AnnulusBetas:
     """Raw beta_1..beta_3 of the annulus (inner, 1) on the nested (M, 2M+1)
-    grids, and m_rad, the Sturm count of negative eigenvalues on the M grid."""
+    grids, and m_rad, the number of negative eigenvalues on the M grid: read
+    off its certified values where they settle it, else the Sturm count."""
 
     inner: float
     M: int
@@ -549,7 +584,8 @@ def annulus_betas(sol: RadialSolution, inner: float | None = None,
     `weighted_radial_eigs`), which starts from the M grid's certified
     vectors (see `_rayleigh_intervals`).
     f_p is sampled once on the seed grid and once on the 2M+1 grid, which M
-    shares.
+    shares; both grids invert one map. m_rad is read off the M grid's
+    certified values where they settle it (`_negative_count`).
     """
     inner = auto_inner_radius(sol) if inner is None else inner
     if not (0.0 < inner < sol.r_p):
@@ -564,11 +600,29 @@ def annulus_betas(sol: RadialSolution, inner: float | None = None,
                                 tol=SEED_TOL)
     fine = build_problem(sol, inner, 2 * M + 1)
     coarse = fine.coarsened()
-    raw, x = _eigs(coarse, N_BETAS, near=seed)
+    raw, x, radii = _eigs(coarse, N_BETAS, near=seed)
     return AnnulusBetas(inner=inner, M=M, coarse=raw,
                         fine=_eigs(fine, N_BETAS, near=raw,
                                    starts=None if x is None else _prolonged(fine, x))[0],
-                        m_rad=count_negative(coarse))
+                        m_rad=_negative_count(coarse, raw, radii))
+
+
+def _negative_count(prob: AnnulusEigenProblem, rho: np.ndarray,
+                    delta: np.ndarray | None) -> int:
+    """count_negative(prob), read off the certified intervals rho +- delta of
+    prob's len(rho) smallest eigenvalues where they settle it.
+
+    Certified (`_seeded_eigs`), each interval holds one eigenvalue and none
+    lies between them or above the top one up to its end. So where the top
+    interval lies above 0 and no interval holds 0, the eigenvalues up to 0
+    are those of the intervals below it; elsewhere, and where the values were
+    bisected (delta None), the Sturm count decides.
+    """
+    if delta is not None:
+        lo, hi = rho - delta, rho + delta
+        if lo[-1] > 0.0 and np.all((hi < 0.0) | (lo > 0.0)):
+            return int(np.count_nonzero(hi < 0.0))
+    return count_negative(prob)
 
 
 def _assemble_ledger(N: int, betas_neg: list[tuple[int, float]]) -> list[LedgerEntry]:
@@ -610,7 +664,7 @@ def _cell_maps(h: np.ndarray, c: np.ndarray
     """
     w = np.sqrt(np.abs(c))
     if np.any((c > 0) & (w * h >= np.pi)):  # a float // is slow; cuts are rare
-        pieces = np.where(c > 0, w * h // np.pi + 1, 1).astype(int)
+        pieces = _pieces(h, c, w)
         h, c, w = (np.repeat(x, pieces) for x in (h / pieces, c, w))
     osc, wh = c > 0, w * h
     grow = ~osc
@@ -623,6 +677,12 @@ def _cell_maps(h: np.ndarray, c: np.ndarray
     # w = 0 only where c = 0, whose scale is 1: b = h, the limit as w -> 0
     b = np.divide(s, w, out=h * a, where=w > 0)
     return a, b, np.where(osc, -w, w) * s
+
+
+def _pieces(h: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Pieces per cell in `_cell_maps`, w = sqrt(|c|): sqrt(c) h // pi + 1
+    where c > 0, else 1."""
+    return np.where(c > 0, w * h // np.pi + 1, 1).astype(int)
 
 
 _WALK_ROUNDING = 1e-13  # rounding of theta/pi that a Pruefer walk may keep unrefined
@@ -674,18 +734,27 @@ def prufer_angles(z: float, cells: list[tuple[np.ndarray, np.ndarray]]
     between consecutive cell ends, a y of exactly 0 taking the sign before
     it.
     """
-    maps = [_cell_maps(h, c) for h, c in cells]
-    # one state per cell end; the map out of each walk's last state is 0, so
-    # the next walk starts from its right-hand side alone
-    a, b, g = (np.concatenate([np.append(m[i], 0.0) for m in maps]) for i in range(3))
-    band = np.zeros((4, 2 * len(a)))
-    band[1, 1::2] = -g
-    band[2, 0::2] = band[2, 1::2] = -a
-    band[3, 0::2] = -b
-    bounds = np.cumsum([0] + [len(m[0]) + 1 for m in maps]).tolist()
-    rhs = np.zeros(2 * len(a))
-    for lo in bounds[:-1]:
-        rhs[2 * lo], rhs[2 * lo + 1] = z, 1.0
+    h, c = (np.concatenate(x) for x in zip(*cells))
+    # each walk's last cell, counted after `_cell_maps` cuts cells into pieces
+    ends = np.cumsum([len(x) for x, _ in cells])
+    maps = _cell_maps(h, c)
+    if len(maps[0]) > len(h):
+        ends = np.cumsum(_pieces(h, c, np.sqrt(np.abs(c))))[ends - 1]
+    # one state per cell end: a walk's cells i:j map its states from `first`
+    # on, and the map out of its last state is 0, so the next walk starts
+    # from its right-hand side alone
+    a, b, g = (-m for m in maps)
+    last = ends + np.arange(len(ends))
+    first = np.concatenate(([0], last[:-1] + 1))
+    # Fortran order is tbsv's own layout: it reads the band without a copy
+    band = np.zeros((4, 2 * (last[-1] + 1)), order="F")
+    for i, j, lo in zip([0, *ends[:-1].tolist()], ends.tolist(), first.tolist()):
+        walk = band[:, 2 * lo:2 * (lo + j - i)]
+        walk[1, 1::2] = g[i:j]
+        walk[2, 0::2] = walk[2, 1::2] = a[i:j]
+        walk[3, 0::2] = b[i:j]
+    rhs = np.zeros(band.shape[1])
+    rhs[2 * first], rhs[2 * first + 1] = z, 1.0
     x = dtbsv(3, band, rhs, lower=1, diag=1)
     # the substitution's rounding, relative to a walk's end state, grows
     # about as much as the walk shrinks from its largest state (theta/pi
@@ -696,22 +765,20 @@ def prufer_angles(z: float, cells: list[tuple[np.ndarray, np.ndarray]]
     # residual exact to about eps^2 leaves 5e-15. The benchmark bands
     # shrink by at most 6 and are not refined
     size = np.abs(x[0::2]) + np.abs(x[1::2])
-    shrink = max(np.max(size[lo:hi]) / size[hi - 1] for lo, hi in zip(bounds[:-1], bounds[1:]))
+    shrink = max((np.maximum.reduceat(size, first) / size[last]).tolist())
     if shrink * np.finfo(float).eps > _WALK_ROUNDING:
         x += dtbsv(3, band, _band_residual(band, x, rhs), lower=1, diag=1)
     dy, y = np.reshape(x, (-1, 2)).T
     sign = np.sign(y)
     # a y of exactly 0 takes the sign before it (each walk starts at y = 1)
     sign = sign[np.maximum.accumulate(np.where(sign != 0, np.arange(len(y)), 0))]
-    thetas = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        zeros = int(np.count_nonzero(sign[lo + 1:hi] != sign[lo:hi - 1]))
-        end = math.atan2(abs(y[hi - 1]), sign[hi - 1] * dy[hi - 1])
-        thetas.append(zeros + end / math.pi)
-    return thetas
+    flips = np.concatenate(([0], np.cumsum(sign[1:] != sign[:-1])))
+    zeros = (flips[last] - flips[first]).tolist()
+    return [n + math.atan2(abs(y[i]), sign[i] * dy[i]) / math.pi
+            for n, i in zip(zeros, last.tolist())]
 
 
-def prufer_counts(sol: RadialSolution) -> list[int]:
+def prufer_counts(sol: RadialSolution, ledger: list[int] | None = None) -> list[int]:
     """[Z_0, Z_1, ...]: negative eigenvalues of each sphere mode, to the first 0.
 
     By Sturm oscillation Z_k is the number of zeros in (0, 1) of the regular
@@ -723,30 +790,54 @@ def prufer_counts(sol: RadialSolution) -> list[int]:
     one banded solve for both cell sets (`prufer_angles`). A theta_k(1)
     that is not finite, or a margin (theta_k(1)/pi to the nearest integer)
     not above its change under a 2-fold cell split, raises SolverError.
-    `morse_index` compares the list with the ledger's, mode by mode.
+
+    `ledger`, the ledger's count per mode, spares walks. The potential
+    (alpha+k)^2 - f_p grows with k, so by min-max Z_k does not increase with
+    k, and two modes with the same count settle every mode between them.
+    Mode 0 is walked, and of each run of modes k >= 1 with equal ledger
+    counts its two ends (Z_1 costs no walk); where they agree, the modes
+    inside the run take their count without a walk, and so without a margin
+    check of their own; where they differ, those modes are walked too. Past
+    the ledger, and without one, every mode is walked. `morse_index`
+    compares the list with the ledger's, mode by mode.
     """
     cells = sol.fp_cells()
-    counts: list[int] = []
-    while not counts or counts[-1] > 0:
-        k = len(counts)
+
+    def count(k: int) -> int:
         s = 0.5 * (sol.N - 2) + k  # alpha + k
         if k == 1:
-            counts.append(sol.du_zeros)
-        elif s * s >= max(sol.max_plus, sol.max_minus):
-            counts.append(0)
-        else:
-            theta, split = prufer_angles(s, [(h, f - s * s) for h, f in cells])
-            if not (math.isfinite(theta) and math.isfinite(split)):
-                raise SolverError(
-                    f"Pruefer angle of sphere mode k={k} is not finite "
-                    f"(theta/pi = {theta}, {split} under a 2-fold split)")
-            n = math.floor(theta)
-            margin, change = min(theta - n, n + 1 - theta), abs(split - theta)
-            if not margin > change:
-                raise SolverError(
-                    f"Pruefer margin {margin:.3e} of sphere mode k={k} (theta/pi = "
-                    f"{theta:.6f}) is within its change {change:.3e} under a 2-fold split")
-            counts.append(n)
+            return sol.du_zeros
+        if s * s >= max(sol.max_plus, sol.max_minus):
+            return 0
+        theta, split = prufer_angles(s, [(h, f - s * s) for h, f in cells])
+        if not (math.isfinite(theta) and math.isfinite(split)):
+            raise SolverError(
+                f"Pruefer angle of sphere mode k={k} is not finite "
+                f"(theta/pi = {theta}, {split} under a 2-fold split)")
+        n = math.floor(theta)
+        margin, change = min(theta - n, n + 1 - theta), abs(split - theta)
+        if not margin > change:
+            raise SolverError(
+                f"Pruefer margin {margin:.3e} of sphere mode k={k} (theta/pi = "
+                f"{theta:.6f}) is within its change {change:.3e} under a 2-fold split")
+        return n
+
+    # the last mode of each run of equal ledger counts, by its first mode
+    run_end, k = {}, 1
+    for _, run in itertools.groupby([] if ledger is None else ledger[1:]):
+        n = len(list(run))
+        run_end[k] = k + n - 1
+        k += n
+    counts: list[int] = []
+    ahead: dict[int, int] = {}  # run ends walked before the modes inside
+    while not counts or counts[-1] > 0:
+        k = len(counts)
+        counts.append(ahead.pop(k) if k in ahead else count(k))
+        end = run_end.get(k, k)
+        if end > k + 1 and counts[-1] > 0:
+            ahead[end] = count(end)
+            if ahead[end] == counts[-1]:
+                counts += [ahead.pop(end)] * (end - k)
     return counts
 
 
@@ -755,27 +846,27 @@ def morse_index(sol: RadialSolution, inner: float | None = None,
     """Morse index of the solution via the weighted annulus decomposition.
 
     Takes beta_1..beta_3 from one `annulus_betas(sol, inner, M)` call,
-    checks that only two are negative (m_rad, the Sturm count of the M grid)
-    and ledgers the spherical modes k with beta_i + lambda_k < 0. The
+    checks that only two are negative (m_rad, the negative count of the M
+    grid) and ledgers the spherical modes k with beta_i + lambda_k < 0. The
     report is stable when the ledger's count of contributing beta_i per mode
     k, to the first mode with none, equals the Pruefer counts Z_k
-    (`prufer_counts`); each total is sum_k mult(lambda_k) Z_k over its counts.
+    (`prufer_counts`, which walks the ends of the ledger's runs of equal
+    counts); each total is sum_k mult(lambda_k) Z_k over its counts.
     """
     ann = annulus_betas(sol, inner, M)
     betas = ann.betas
-    counts = prufer_counts(sol)
     if ann.m_rad != 2:
         raise SolverError(
             f"expected exactly two negative radial eigenvalues, found {ann.m_rad} on "
-            f"the annulus (inner={ann.inner:.3e}, M={ann.M}) and {counts[0]} by "
-            "Pruefer count")
-    if betas[2] < -LEDGER_TIE_EPS:
-        raise SolverError(f"third radial eigenvalue is negative: {betas[2]:.3e}")
-
+            f"the annulus (inner={ann.inner:.3e}, M={ann.M}) and "
+            f"{prufer_counts(sol)[0]} by Pruefer count")
     ledger = _assemble_ledger(sol.N, [(1, float(betas[0])), (2, float(betas[1]))])
     # beta_1 has the most modes, and its last entry is the first mode with none
     ledger_counts = [sum(e.contributes for e in ledger if e.k == k)
                      for k in range(max(e.k for e in ledger) + 1)]
+    counts = prufer_counts(sol, ledger_counts)
+    if betas[2] < -LEDGER_TIE_EPS:
+        raise SolverError(f"third radial eigenvalue is negative: {betas[2]:.3e}")
     totals = tuple(sum(sphere_mode_multiplicity(sol.N, k) * z for k, z in enumerate(c))
                    for c in (ledger_counts, counts))
     return MorseReport(p=sol.p, N=sol.N, annulus=ann, ledger=ledger, total=totals[0],

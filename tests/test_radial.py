@@ -805,3 +805,38 @@ def test_overflow_inside_a_step_is_a_stiffness_error():
     r0 = math.exp(354.0)
     with pytest.raises(StiffnessError, match=r"integration failed at r=1\.3\d+e\+154"):
         _shoot(3.0, 2, 1e-160, r0, math.exp(356.0))
+
+
+def two_pass_fp_cells(sol):
+    """`RadialSolution.fp_cells` as it was with one evaluation of the dense
+    output per cell set: the reference of the one-pass version."""
+    nodes = sol._traj.rho
+    first = nodes[0]
+    lo = 0.5 * math.log(EPS / sol.p)
+    dr = math.sqrt(radial._CELL_DEFECT / sol.p)
+    mid = min(math.log(dr / radial._SERIES_CELL), first)
+    wide = np.linspace(lo, mid, math.ceil((mid - lo) / radial._SERIES_CELL) + 1)
+    r_mid, r_first = math.exp(mid), math.exp(first)
+    narrow = np.log(np.linspace(r_mid, r_first, math.ceil((r_first - r_mid) / dr) + 1))
+    frac = np.arange(radial._CELLS_PER_STEP) / radial._CELLS_PER_STEP
+    cut = (nodes[:-1, None] + frac * np.diff(nodes)[:, None]).ravel()
+    rho = np.concatenate((wide[:-1], narrow[:-1], cut, nodes[-1:]))
+    widths = np.diff(rho)
+    cells = []
+    for split in (1, 2):
+        j = np.repeat(np.arange(len(widths)), split)
+        mid = rho[j] + np.tile((np.arange(split) + 0.5) / split, len(widths)) * widths[j]
+        u, = sol._traj._state(mid, rows=1)
+        cells.append((widths[j] / split, radial._exp(radial._ln_fp(sol.p, u, mid))))
+    return tuple(cells)
+
+
+@pytest.mark.parametrize("p, N", [(1.25, 2), (8.0, 2), (400.0, 2), (760.0, 2),
+                                  (2.5, 3), (4.9999, 3), (1.5, 6)])
+def test_the_cells_of_both_sets_are_sampled_at_once(nodal, p, N):
+    # one evaluation over the midpoints of both cell sets gives the cells of
+    # one evaluation per set, bit for bit
+    got, want = nodal(p, N).fp_cells(), two_pass_fp_cells(nodal(p, N))
+    assert len(got) == len(want) == 2
+    for (h, f), (h_ref, f_ref) in zip(got, want):
+        assert np.array_equal(h, h_ref) and np.array_equal(f, f_ref)

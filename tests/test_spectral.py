@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import warnings
@@ -171,6 +172,42 @@ def test_the_map_inverts_its_primitive_to_rounding(nodal, p):
         ref = np.clip(ref - (S(ref) - target) / g(ref), t0, L(0.0))
     assert np.max(np.abs(t - ref.astype(float))) <= 1e-12
     assert np.max(np.abs(dt_ds / (total / g(ref)).astype(float) - 1.0)) <= 1e-13
+
+
+def loose_primitive_density(gmap, t):
+    """`LogGridMap._primitive_density` as it was, with a new array per
+    operation: the reference of the in-place version."""
+    t = np.asarray(t, dtype=float)
+    th = [np.tanh((t - c) / spectral.BUMP_WIDTH) for c in gmap.centres]
+    return (spectral.G_FREE * t + spectral.G_BUMP * spectral.BUMP_WIDTH * sum(th),
+            spectral.G_FREE + spectral.G_BUMP * sum(1.0 - x * x for x in th))
+
+
+@pytest.mark.parametrize("p, N", [(1.25, 2), (8.0, 2), (400.0, 2), (760.0, 2), (4.9999, 3)])
+def test_the_primitive_in_place_is_the_primitive(nodal, p, N):
+    # bit for bit on the nodes and half nodes of the 2M+1 grid, on the lookup
+    # table and at both ends
+    sol = nodal(p, N)
+    inner = auto_inner_radius(sol)
+    gmap = spectral._grid_map(sol, inner)
+    M = 2 * auto_grid_size(sol, inner) + 1
+    t = gmap(np.arange(1, 2 * M + 2) / (2.0 * (M + 1)))[0]
+    for x in (t, gmap._table[0], 0.0, gmap.t0):
+        got, want = gmap._primitive_density(x), loose_primitive_density(gmap, x)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_the_grids_of_one_annulus_share_one_lookup_table(nodal, monkeypatch):
+    # the seed grid and the 2M+1 grid invert the same map: its table of S(t)
+    # is built once per annulus_betas call
+    builds = []
+    real = LogGridMap._table.func
+    table = functools.cached_property(lambda gmap: builds.append(gmap.inner) or real(gmap))
+    table.__set_name__(LogGridMap, "_table")
+    monkeypatch.setattr(LogGridMap, "_table", table)
+    spectral._shared_map.cache_clear()
+    inners = [annulus_betas(nodal(p)).inner for p in (8.0, 400.0)]
+    assert builds == inners
 
 
 def test_richardson_ratio_on_graded_map():
@@ -501,12 +538,12 @@ BAND_ENDS = [(380.0, 2), (420.0, 2), (4.0, 2), (14.0, 2), (1.5, 3), (3.3, 3)]
 @pytest.mark.parametrize("p, N", BAND_ENDS)
 def test_the_fine_grid_is_certified_at_the_band_ends(nodal, monkeypatch, p, N):
     # only the quarter-size seed grid is bisected by index range: a fallback
-    # would bisect the M or the 2M+1 grid so too
+    # would bisect the M or the 2M+1 grid so too, and count m_rad on M
     selects = record_selects(monkeypatch)
     rep = morse_index(nodal(p, N))
     assert rep.stable
     M = rep.annulus.M
-    assert selects == {M // 4: ["i"], M: ["v", "v"], 2 * M + 1: ["v"]}
+    assert selects == {M // 4: ["i"], M: ["v"], 2 * M + 1: ["v"]}
 
 
 @pytest.mark.parametrize("p, N", BAND_ENDS + [
@@ -524,7 +561,7 @@ def test_the_quarter_grid_seeds_certify_the_M_grid(nodal, monkeypatch, p, N):
     fine = build_problem(sol, inner, 2 * M + 1)
     coarse = fine.coarsened()
     calls = record_bisections(monkeypatch)
-    got, x = spectral._eigs(coarse, 3, near=seeds)
+    got, x = spectral._eigs(coarse, 3, near=seeds)[:2]
     spectral._eigs(fine, 3, near=got, starts=spectral._prolonged(fine, x))
     assert calls == [("v", 3), ("v", 3)]
     radius = spectral._rayleigh_intervals(coarse.diagonal(), coarse.offdiagonal(), seeds)[1]
@@ -543,6 +580,63 @@ def test_an_unresolved_seed_grid_falls_back_quietly(nodal, monkeypatch):
     assert rep.total == 5 and rep.stable
     M = rep.annulus.M
     assert selects == {M // 4: ["i"], M: ["i", "v"], 2 * M + 1: ["v"]}
+
+
+def sturm_counts_at_zero(monkeypatch):
+    """The M of every grid that `count_negative` counts up to 0, in order."""
+    grids = []
+    real = spectral.count_negative
+
+    def counted(prob, shift=0.0):
+        if shift == 0.0:
+            grids.append(prob.M)
+        return real(prob, shift)
+
+    monkeypatch.setattr(spectral, "count_negative", counted)
+    return grids
+
+
+# the acceptance grid of tests/test_acceptance.py
+ACCEPTANCE_P = (2.0, 3.0, 5.0, 10.0, 50.0, 100.0, 200.0, 400.0)
+
+
+@pytest.mark.parametrize("p", ACCEPTANCE_P)
+def test_the_certified_M_values_give_m_rad(nodal, monkeypatch, p):
+    # beta_3's interval lies above 0 and no interval holds 0: m_rad is the
+    # number of intervals below 0, with no Sturm count of its own, and it is
+    # the count of the M grid
+    sol = nodal(p)
+    at_zero = sturm_counts_at_zero(monkeypatch)
+    ann = annulus_betas(sol)
+    assert at_zero == []
+    coarse = build_problem(sol, ann.inner, 2 * ann.M + 1).coarsened()
+    assert ann.m_rad == count_negative(coarse) == 2
+
+
+@pytest.mark.parametrize("p", [4.999, 4.9999])
+def test_an_uncertified_M_grid_counts_m_rad(nodal, monkeypatch, p):
+    # next to the N = 3 critical exponent the M grid falls back to the index
+    # range: no intervals, so the Sturm count takes m_rad
+    at_zero = sturm_counts_at_zero(monkeypatch)
+    ann = annulus_betas(nodal(p, 3))
+    assert ann.m_rad == 2 and at_zero == [ann.M]
+
+
+def test_an_interval_that_holds_0_leaves_m_rad_to_the_sturm_count(nodal, monkeypatch):
+    # intervals doctored so that beta_2's holds 0, beta_3's reaches down to
+    # it, or all three lie below 0 (where a fourth eigenvalue may too), or
+    # none at all (bisected values): the Sturm count decides
+    sol = nodal(8.0)
+    ann = annulus_betas(sol)
+    coarse = build_problem(sol, ann.inner, 2 * ann.M + 1).coarsened()
+    rho, radius = ann.coarse, np.full(3, 1e-9)
+    at_zero = sturm_counts_at_zero(monkeypatch)
+    assert spectral._negative_count(coarse, rho, radius) == 2 and at_zero == []
+    for values, delta in ((rho, np.array([1e-9, -rho[1], 1e-9])),
+                          (rho, np.array([1e-9, 1e-9, rho[2]])),
+                          (rho - rho[2] - 1e-3, radius), (rho, None)):
+        assert spectral._negative_count(coarse, values, delta) == 2
+    assert at_zero == [ann.M] * 4
 
 
 def gtsv_intervals(d, e, sigmas):
@@ -621,7 +715,7 @@ def test_a_non_finite_start_costs_a_bisection(nodal, monkeypatch):
         warnings.simplefilter("error")
         ann = annulus_betas(sol)
     M = ann.M
-    assert selects == {M // 4: ["i"], M: ["v", "v"], 2 * M + 1: ["i"]}
+    assert selects == {M // 4: ["i"], M: ["v"], 2 * M + 1: ["i"]}
     fine = build_problem(sol, ann.inner, 2 * M + 1)
     assert np.array_equal(ann.fine, weighted_radial_eigs(fine, 3))
 
@@ -710,11 +804,11 @@ def test_morse_report_moderate_p(nodal):
 
 def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     # two annulus problems, the M // 4 seed grid and the 2M+1 grid: f_p
-    # sampled once on each, beta_1..beta_3 on M // 4, M and 2M+1, three Sturm
+    # sampled once on each, beta_1..beta_3 on M // 4, M and 2M+1, two Sturm
     # counts (the certificates of the inverse iteration on M and 2M+1; the
-    # negative count on M), four stebz calls in all (index range on M // 4
-    # and the three counts) and one tridiagonal assembly per grid; only the
-    # 2M+1 grid starts from the M grid's vectors
+    # M grid's certified values give m_rad), three stebz calls in all (index
+    # range on M // 4 and the two counts) and one tridiagonal assembly per
+    # grid; only the 2M+1 grid starts from the M grid's vectors
     sol = nodal(5.0)
     grids, samples, scans, problems, diagonals, offdiagonals = [], [], [], [], [], []
 
@@ -744,8 +838,8 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     assert problems == samples == [M // 4, 2 * M + 1]
     assert grids == [(inner, M // 4, 3, False), (inner, M, 3, False),
                      (inner, 2 * M + 1, 3, True)]
-    assert scans == [(inner, M), (inner, 2 * M + 1), (inner, M)]
-    assert calls == [("i", 3), ("v", 3), ("v", 3), ("v", 2)]
+    assert scans == [(inner, M), (inner, 2 * M + 1)]
+    assert calls == [("i", 3), ("v", 3), ("v", 3)]
     assert diagonals == offdiagonals == [M // 4, M, 2 * M + 1]
 
 
@@ -770,7 +864,7 @@ def test_a_prufer_disagreement_is_reported(nodal, monkeypatch):
     honest = prufer_counts(sol)
     for doctored, totals in (([honest[0], honest[1] + 1] + honest[2:], (10, 12)),
                              ([honest[0] + 2, honest[1] - 1] + honest[2:], (10, 10))):
-        monkeypatch.setattr(spectral, "prufer_counts", lambda sol, d=doctored: d)
+        monkeypatch.setattr(spectral, "prufer_counts", lambda sol, ledger=None, d=doctored: d)
         rep = morse_index(sol)
         assert rep.stable is False and rep.stability_totals == totals
         assert main(["morse", "--p", "5", "--out", os.devnull]) == EXIT_CHECK
@@ -780,7 +874,7 @@ def test_a_per_mode_disagreement_with_equal_totals_is_unstable(nodal, monkeypatc
     # the ledger counts [2, 1, 1, 1, 1, 0] per mode at p = 5; a Pruefer vector
     # with the same total and the same Z_0 still disagrees on modes 3 and 4
     sol = nodal(5.0)
-    monkeypatch.setattr(spectral, "prufer_counts", lambda sol: [2, 1, 1, 2, 0])
+    monkeypatch.setattr(spectral, "prufer_counts", lambda sol, ledger=None: [2, 1, 1, 2, 0])
     rep = morse_index(sol)
     assert rep.stable is False and rep.stability_totals == (10, 10)
     assert main(["morse", "--p", "5", "--out", os.devnull]) == EXIT_CHECK
@@ -1155,3 +1249,90 @@ def test_morse_index_rejects_a_wrong_sturm_count(nodal, monkeypatch, edit):
     assert rep.stable is False and rep.stability_totals == (12, prufer_total)
     monkeypatch.setattr(cli, "solve_nodal", lambda p, N: bad)
     assert main(["morse", "--p", "50", "--out", os.devnull]) == EXIT_CHECK
+
+
+# the run-end walk of prufer_counts: two walked modes with one count settle
+# every mode between them
+@pytest.mark.parametrize("p, N, walked", [(400.0, 2, [0, 5, 6]), (14.0, 2, [0, 4, 5]),
+                                          (2.5, 3, [0, 2, 3])])
+def test_a_morse_request_walks_the_run_ends(nodal, monkeypatch, p, N, walked):
+    # the ledger counts [2, 1, 1, 1, 1, 1, 0] at p = 400 run 0, 1..5 and 6:
+    # Z_1 = du_zeros costs no walk and Z_5 = Z_1 settles modes 2 to 4 (the
+    # walk of every mode took 6 walks there, 5 at p = 14 and 3 at (2.5, 3))
+    modes = []
+    real = spectral.prufer_angles
+    monkeypatch.setattr(spectral, "prufer_angles",
+                        lambda z, cells: modes.append(z - 0.5 * (N - 2)) or real(z, cells))
+    rep = morse_index(nodal(p, N))
+    assert rep.stable and modes == walked
+
+
+def test_a_run_whose_ends_differ_is_walked_inside(nodal, monkeypatch):
+    # Z_1 = 2 against Z_5 = 1: modes 2 to 4 are walked, in order, and the
+    # counts are those of the walk of every mode
+    bad = dataclasses.replace(nodal(50.0), du_zeros=2)
+    modes = []
+    real = spectral.prufer_angles
+    monkeypatch.setattr(spectral, "prufer_angles",
+                        lambda z, cells: modes.append(z) or real(z, cells))
+    counts = prufer_counts(bad, [2, 1, 1, 1, 1, 1, 0])
+    assert counts == prufer_counts(bad) == [2, 2, 1, 1, 1, 1, 0]
+    assert modes[:6] == [0, 5, 2, 3, 4, 6]
+
+
+def outcome(fn):
+    """fn()'s value, or the type and message of the SolverError it raises."""
+    try:
+        return fn()
+    except SolverError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def report(sol):
+    """(total, stable, stability_totals, m_rad) of morse_index(sol), or its error."""
+    def run():
+        rep = morse_index(sol)
+        return rep.total, rep.stable, rep.stability_totals, rep.annulus.m_rad
+    return outcome(run)
+
+
+def assert_run_ends_are_every_mode(sol, monkeypatch):
+    """morse_index(sol) reports what it did with every mode walked and m_rad
+    by the Sturm count, and each ledger walk it made gives the counts, or
+    the error, of the walk of every mode. Returns the report."""
+    real = spectral.prufer_counts
+    ledgers = []
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "prufer_counts",
+                  lambda sol, ledger=None: ledgers.append(ledger) or real(sol, ledger))
+        got = report(sol)
+    for ledger in ledgers:
+        assert outcome(lambda: real(sol, ledger)) == outcome(lambda: real(sol)), ledger
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "prufer_counts", lambda sol, ledger=None: real(sol))
+        m.setattr(spectral, "_negative_count", lambda prob, rho, delta: count_negative(prob))
+        assert got == report(sol)
+    return got
+
+
+# the exponents where m(u_p) changes (Brent on the annulus beta_1, see the
+# ROADMAP finding), each with a band on one side where the report is
+# unstable or a theta margin is thin
+TRANSITIONS = [(1.668415446, 2), (3.452117867, 2), (30.179607217, 2),
+               (3.704562227, 3), (2.241103642, 4), (1.767142246, 5)]
+
+
+@pytest.mark.parametrize("p, N", TRANSITIONS)
+def test_the_run_ends_confirm_what_every_mode_does_next_to_a_transition(
+        nodal, monkeypatch, p, N):
+    # at relative offsets of +-1e-7, 1e-5, 1e-4 and 1e-3: stable and
+    # unstable reports and theta-margin SolverErrors, all as before
+    reports = [assert_run_ends_are_every_mode(nodal(p * (1 + s * o), N), monkeypatch)
+               for o in (1e-7, 1e-5, 1e-4, 1e-3) for s in (-1, 1)]
+    assert any(r[1] is True for r in reports)
+    assert any(r[0] == "SolverError" or r[1] is False for r in reports)
+
+
+@pytest.mark.parametrize("p, N", BAND_ENDS)
+def test_the_run_ends_confirm_what_every_mode_does_at_the_band_ends(nodal, monkeypatch, p, N):
+    assert assert_run_ends_are_every_mode(nodal(p, N), monkeypatch)[1] is True
