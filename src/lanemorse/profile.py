@@ -74,7 +74,7 @@ def _region(sol: RadialSolution, sign: str, x):
         raise ConfigError(f"sign must be '+' or '-', got {sign!r}")
     eps, amp = regions[sign]
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or np.any(eps * x > 1.0):
+    if not np.all((x >= 0) & (eps * x <= 1.0)):  # negated, so that nan fails it
         raise ConfigError("rescaled radius outside the unit ball")
     return sol.eval(eps * x)[0], amp
 

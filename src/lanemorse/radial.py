@@ -830,7 +830,7 @@ class RadialSolution:
     def _unscaled(self, r):
         """The unscaled radii lam r of scaled radii r in [0, 1]."""
         r = np.asarray(r, dtype=float)
-        if np.any(r < 0) or np.any(r > 1.0 + 1e-12):
+        if not np.all((r >= 0) & (r <= 1.0 + 1e-12)):  # negated, so that nan fails it
             raise ConfigError("radius outside [0, 1]")
         return r * self.lam
 

@@ -20,8 +20,8 @@ uniform on [0, 1] and node density (nodes per unit of t)
     g(t) = G_FREE + G_BUMP * sum_c sech^2((t - t_c) / BUMP_WIDTH),
 
 t_c = ln c_p, ln d_p read off the shooting events. S(t) = int g has a closed
-form (tanh), which is inverted by table lookup and Newton steps; the grids of
-one annulus share its map and so its table, built once. The default grid has
+form (tanh), which is inverted by table lookup and Newton steps; the table
+is built once per map, for all of its grids. The default grid has
 M = ceil(int g dt) interior nodes. With s_i = i k, k = 1/(M+1),
 m_i = phi'(s_i) and a = 1/phi' at the half nodes, the conservative
 second-order scheme, symmetrized by the mass weights m_i, is the tridiagonal
@@ -35,27 +35,27 @@ Refinement M -> 2M+1 halves k exactly and keeps every node, so f_p is
 sampled once for the pair, on the 2M+1 grid (`AnnulusEigenProblem.coarsened`).
 Every command solves the annulus by one call, `annulus_betas`, which also
 applies the inner-radius and grid rules, checks their limits and takes the
-Richardson combination. It climbs a ladder of three grids of the same map.
-A seed grid of max(3, M // 4) nodes, sampled on its own, is bisected by
-LAPACK (stebz, through SciPy) from the whole spectrum, to the seeding
-tolerance SEED_TOL; no larger grid is.
-The M grid takes each eigenvalue by shifted inverse iteration from the seed
-grid's value sigma, and the 2M+1 grid from the M grid's: T - sigma I is
-factored once (LAPACK gttrf) and solved, (T - sigma I) x = x_prev (gttrs),
-four times from x = ones on M and twice on 2M+1 from the M grid's vector,
-prolonged to the nested grid (`_prolonged`); then the Rayleigh quotient
-rho = x^T T x lies within delta = |T x - rho x| + 4 eps |T| of an eigenvalue
-(at most 2.5e-9 on the default grids, nearly all of it the rounding term).
-`weighted_radial_eigs` certifies the results (each delta at most
-RADIUS_BOUND, the intervals rho +- delta disjoint, no other eigenvalue below
-the top one) or falls back to bisecting the whole spectrum, so every M and
-2M+1 value comes with its radius. Only certified M vectors start the 2M+1
-grid; after an M fallback it solves four times from x = ones. Every
-eigenvalue count is the one Sturm count `count_negative` (stebz with a
-tolerance as wide as its interval): the two certificates, and the negative
-count m_rad of the M grid only where its certified values do not settle it.
-Where the top interval lies above 0 and none holds 0, m_rad is the number of
-intervals below 0.
+Richardson combination. It builds the annulus' map and climbs a ladder of
+three of its grids. A seed grid of max(3, M // 4) nodes, sampled on its own,
+is bisected by LAPACK (stebz, through SciPy) from the whole spectrum
+(`weighted_radial_eigs`), to the seeding tolerance SEED_TOL; no larger grid
+is. Each rung (`_rung`) takes the M grid's eigenvalues by shifted inverse
+iteration from the seed grid's values sigma, and the 2M+1 grid's from the M
+grid's: T - sigma I is factored once (LAPACK gttrf) and solved,
+(T - sigma I) x = x_prev (gttrs), four times from x = ones on M and twice on
+2M+1 from the M grid's vector, prolonged to the nested grid (`_prolonged`);
+then the Rayleigh quotient rho = x^T T x lies within
+delta = |T x - rho x| + 4 eps |T| of an eigenvalue (at most 2.5e-9 on the
+default grids, nearly all of it the rounding term). The rung certifies its
+values (each delta at most RADIUS_BOUND, the intervals rho +- delta
+disjoint, no other eigenvalue below the top one) or bisects the whole
+spectrum, so every M and 2M+1 value comes with its radius. Only certified M
+vectors start the 2M+1 grid; after an M fallback it solves four times from
+x = ones. Every eigenvalue count is the one Sturm count `count_negative`
+(stebz with a tolerance as wide as its interval): the two certificates, and
+the negative count m_rad of the M grid only where its certified values do
+not settle it. Where the top interval lies above 0 and none holds 0, m_rad
+is the number of intervals below 0.
 
 The ledger is confirmed mode by mode without a matrix (`prufer_counts`):
 sphere mode k has as many negative eigenvalues as its regular solution of
@@ -187,13 +187,10 @@ class LogGridMap:
         g += G_FREE
         return S, g
 
-    def density(self, t):
-        """g(t), nodes per unit of t."""
-        return self._primitive_density(t)[1]
-
     @property
     def total(self) -> float:
-        return float(self._primitive_density(0.0)[0] - self._primitive_density(self.t0)[0])
+        S = self._primitive_density(np.array([self.t0, 0.0]))[0]
+        return float(S[1] - S[0])
 
     @functools.cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -210,22 +207,16 @@ class LogGridMap:
         table, G = self._table
         target = G[0] + s * (G[-1] - G[0])
         t = np.interp(target, G, table)
+        S, g = self._primitive_density(t)
         for _ in range(_NEWTON_STEPS):
-            S, g = self._primitive_density(t)
             t = np.clip(t - (S - target) / g, t0, 0.0)
-        return t, (G[-1] - G[0]) / self.density(t)
+            S, g = self._primitive_density(t)
+        return t, (G[-1] - G[0]) / g
 
 
 def _grid_map(sol: RadialSolution, inner: float) -> LogGridMap:
     """The graded map of the annulus (inner, 1), centred on the f_p maxima."""
-    return _shared_map(inner, (math.log(sol.c_p), math.log(sol.d_p)))
-
-
-@functools.lru_cache(maxsize=1)
-def _shared_map(inner: float, centres: tuple[float, ...]) -> LogGridMap:
-    """The last map asked for is kept, so that the grids of one annulus
-    share its lookup table."""
-    return LogGridMap(inner=inner, centres=centres)
+    return LogGridMap(inner=inner, centres=(math.log(sol.c_p), math.log(sol.d_p)))
 
 
 @dataclass
@@ -335,38 +326,16 @@ def build_problem(sol: RadialSolution, inner: float, M: int) -> AnnulusEigenProb
 
 
 def weighted_radial_eigs(prob: AnnulusEigenProblem, k: int,
-                         near: np.ndarray | None = None,
                          tol: float = BISECT_TOL) -> np.ndarray:
-    """k smallest eigenvalues of the weighted problem.
+    """k smallest eigenvalues of the weighted problem, bisected from the whole
+    spectrum (LAPACK's index range) to the absolute tolerance tol.
 
-    Without `near` they are bisected from the whole spectrum (LAPACK's index
-    range) to the absolute tolerance tol. `near`, the same k eigenvalues on
-    a coarser grid of the annulus (the M // 4 seed grid for M, M for 2M+1),
-    seeds shifted inverse iteration (see `_seeded_eigs`): each value is a
-    Rayleigh quotient within its certified radius of an eigenvalue. Where
-    the radii do not certify the k smallest eigenvalues, the index-range
-    result is returned instead.
+    k is an integer from 1 to prob.M; a whole float is kept as an int.
     """
-    if k < 1 or k > prob.M:
-        raise ConfigError(f"requested {k} eigenvalues from an {prob.M}-point grid")
-    if near is not None and np.shape(near) != (k,):
-        raise ConfigError(f"{k} eigenvalues need {k} seeds, got shape {np.shape(near)}")
-    return _eigs(prob, k, near, tol)[0]
-
-
-def _eigs(prob: AnnulusEigenProblem, k: int, near: np.ndarray | None = None,
-          tol: float = BISECT_TOL, starts: np.ndarray | None = None
-          ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """(values, vectors, radii): `weighted_radial_eigs`, with the inverse
-    iteration started from the rows of `starts` (see `_rayleigh_intervals`),
-    and the unit vectors and certified radii of its values; None where the
-    values are bisected.
-    """
-    found = None if near is None else _seeded_eigs(prob, np.asarray(near, float), starts)
-    if found is None:
-        d, e, _ = prob._tridiagonal
-        return _stebz(d, e, "i", (0, k - 1), tol), None, None
-    return found
+    if not (1 <= k <= prob.M and float(k).is_integer()):
+        raise ConfigError(f"k={k} must be an integer from 1 to the grid's M={prob.M}")
+    d, e, _ = prob._tridiagonal
+    return _stebz(d, e, "i", (0, int(k) - 1), tol)
 
 
 def _stebz(d: np.ndarray, e: np.ndarray, select: str, select_range,
@@ -379,31 +348,27 @@ def _stebz(d: np.ndarray, e: np.ndarray, select: str, select_range,
         raise BisectionError(f"tridiagonal bisection failed: {exc}") from exc
 
 
-def _seeded_eigs(prob: AnnulusEigenProblem, near: np.ndarray,
-                 starts: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(values, vectors, radii): the len(near) smallest eigenvalues, by
-    inverse iteration from near (and from starts, see `_rayleigh_intervals`),
-    the unit vectors whose Rayleigh quotients they are, and the radii delta.
+def _rung(prob: AnnulusEigenProblem, near: np.ndarray, starts: np.ndarray | None = None
+          ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """(values, vectors, radii) of the len(near) smallest eigenvalues of prob,
+    by inverse iteration from near, their values on a coarser grid of the
+    annulus, and from the rows of starts (see `_rayleigh_intervals`).
 
-    Returns None unless the intervals rho +- delta of `_rayleigh_intervals`
-    certify the result: each radius delta is at most RADIUS_BOUND, the
-    intervals are disjoint (so each holds its own eigenvalue), and the Sturm
-    count `count_negative` finds exactly len(near) eigenvalues up to the top
-    one, so they are the smallest and none was missed. Comparisons are
-    negated, so that a value that is not finite fails them.
+    Certified where each radius delta is at most RADIUS_BOUND, the intervals
+    rho +- delta are disjoint (so each holds its own eigenvalue), and
+    `count_negative` finds exactly len(near) eigenvalues up to the top one, so
+    none was missed; a value that is not finite fails each comparison.
+    Otherwise `weighted_radial_eigs`, with None, None.
     """
     d, e, _ = prob._tridiagonal
     found = _rayleigh_intervals(d, e, near, starts)
-    if found is None:
-        return None
-    rho, delta, x = found
-    lo, hi = rho - delta, rho + delta
-    if not (np.all(delta <= RADIUS_BOUND) and np.all(hi[:-1] < lo[1:])):
-        return None
-    if count_negative(prob, hi[-1]) != len(near):
-        return None
-    return rho, x, delta
+    if found is not None:
+        rho, delta, x = found
+        lo, hi = rho - delta, rho + delta
+        if (np.all(delta <= RADIUS_BOUND) and np.all(hi[:-1] < lo[1:])
+                and count_negative(prob, hi[-1]) == len(near)):
+            return rho, x, delta
+    return weighted_radial_eigs(prob, len(near)), None, None
 
 
 def _rayleigh_intervals(d: np.ndarray, e: np.ndarray, sigmas: np.ndarray,
@@ -463,8 +428,10 @@ def count_negative(prob: AnnulusEigenProblem, shift: float = 0.0) -> int:
     the difference part of the matrix is positive semidefinite. The tolerance
     is the whole interval, so stebz counts and does not bisect: no eigenvalue
     is extracted. Nothing lies below the floor, and stebz rejects an empty
-    interval, hence the guard.
+    interval, hence the guard. A nan shift is a ConfigError.
     """
+    if math.isnan(shift):
+        raise ConfigError(f"shift={shift} must be a number")
     d, e, floor = prob._tridiagonal
     if shift <= floor:
         return 0
@@ -578,14 +545,13 @@ def annulus_betas(sol: RadialSolution, inner: float | None = None,
     None selects the rule (`auto_inner_radius`, `auto_grid_size`). Before any
     grid is sized, each limit is one ConfigError that names it: 0 < inner <
     r_p (the annulus holds the negative nodal region) and M >= 3 an integer
-    (the coarser grid holds beta_1..beta_3). The values climb a ladder of one
-    map: a seed grid of max(3, M // 4) nodes is bisected by index range to
-    SEED_TOL, its values seed the M grid and the M values the 2M+1 grid (see
-    `weighted_radial_eigs`), which starts from the M grid's certified
-    vectors (see `_rayleigh_intervals`).
-    f_p is sampled once on the seed grid and once on the 2M+1 grid, which M
-    shares; both grids invert one map. m_rad is read off the M grid's
-    certified values where they settle it (`_negative_count`).
+    (the coarser grid holds beta_1..beta_3). The call builds the annulus'
+    map, and so its table, once, and climbs a ladder of its grids: a seed
+    grid of max(3, M // 4) nodes is bisected by index range to SEED_TOL, its
+    values seed the M rung and the M values the 2M+1 rung (`_rung`), which
+    starts from the M rung's certified vectors. f_p is sampled once on the
+    seed grid and once on the 2M+1 grid, which M shares. m_rad is read off
+    the M grid's certified values where they settle it (`_negative_count`).
     """
     inner = auto_inner_radius(sol) if inner is None else inner
     if not (0.0 < inner < sol.r_p):
@@ -596,14 +562,15 @@ def annulus_betas(sol: RadialSolution, inner: float | None = None,
             f"grid size M={M} must be at least {N_BETAS} and an integer: the "
             f"coarser grid of the pair holds beta_1..beta_{N_BETAS}")
     M = int(M)
-    seed = weighted_radial_eigs(build_problem(sol, inner, max(N_BETAS, M // 4)), N_BETAS,
-                                tol=SEED_TOL)
-    fine = build_problem(sol, inner, 2 * M + 1)
+    gmap = _grid_map(sol, inner)
+    potential = lambda t: fp_values(sol, np.exp(t))
+    seed = weighted_radial_eigs(mapped_problem(gmap, sol.N, max(N_BETAS, M // 4), potential),
+                                N_BETAS, tol=SEED_TOL)
+    fine = mapped_problem(gmap, sol.N, 2 * M + 1, potential)
     coarse = fine.coarsened()
-    raw, x, radii = _eigs(coarse, N_BETAS, near=seed)
+    raw, x, radii = _rung(coarse, seed)
     return AnnulusBetas(inner=inner, M=M, coarse=raw,
-                        fine=_eigs(fine, N_BETAS, near=raw,
-                                   starts=None if x is None else _prolonged(fine, x))[0],
+                        fine=_rung(fine, raw, None if x is None else _prolonged(fine, x))[0],
                         m_rad=_negative_count(coarse, raw, radii))
 
 
@@ -612,7 +579,7 @@ def _negative_count(prob: AnnulusEigenProblem, rho: np.ndarray,
     """count_negative(prob), read off the certified intervals rho +- delta of
     prob's len(rho) smallest eigenvalues where they settle it.
 
-    Certified (`_seeded_eigs`), each interval holds one eigenvalue and none
+    Certified (`_rung`), each interval holds one eigenvalue and none
     lies between them or above the top one up to its end. So where the top
     interval lies above 0 and no interval holds 0, the eigenvalues up to 0
     are those of the intervals below it; elsewhere, and where the values were

@@ -82,6 +82,20 @@ def test_rescaled_domain_errors(nodal):
         rescaled_potential(sol, "x", 1.0)
 
 
+@pytest.mark.parametrize("r", [math.nan, [0.5, math.nan]])
+def test_a_nan_radius_is_outside_the_ball(nodal, r):
+    # the range checks are negated, so nan fails them rather than being
+    # evaluated to nan
+    sol = nodal(3.0)
+    for read in (sol.eval, sol.ln_fp, lambda r: fp_values(sol, r)):
+        with pytest.raises(ConfigError, match=r"radius outside \[0, 1\]"):
+            read(r)
+    for sign in ("+", "-"):
+        for rescaled in (rescaled_profile, rescaled_potential):
+            with pytest.raises(ConfigError, match="rescaled radius outside the unit ball"):
+                rescaled(sol, sign, np.multiply(r, 2.0))
+
+
 def test_positive_rescaling_converges_to_liouville(nodal):
     x = np.linspace(0.0, 5.0, 101)
     U = liouville_profile(x, 2)

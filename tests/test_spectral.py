@@ -197,17 +197,48 @@ def test_the_primitive_in_place_is_the_primitive(nodal, p, N):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-def test_the_grids_of_one_annulus_share_one_lookup_table(nodal, monkeypatch):
-    # the seed grid and the 2M+1 grid invert the same map: its table of S(t)
-    # is built once per annulus_betas call
+@pytest.mark.parametrize("p, N", [(1.25, 2), (8.0, 2), (400.0, 2), (760.0, 2), (4.9999, 3)])
+def test_each_map_quantity_is_its_two_pass_form(nodal, p, N):
+    # total takes S at both ends in one pass, and phi' reads g off the last
+    # Newton pass: bit for bit the forms with a pass per end and a pass of
+    # its own for g, on the nodes and half nodes of the 2M+1 grid
+    sol = nodal(p, N)
+    inner = auto_inner_radius(sol)
+    gmap = spectral._grid_map(sol, inner)
+    two_pass = float(gmap._primitive_density(0.0)[0] - gmap._primitive_density(gmap.t0)[0])
+    assert gmap.total == two_pass
+    M = 2 * auto_grid_size(sol, inner) + 1
+    t, dt_ds = gmap(np.arange(1, 2 * M + 2) / (2.0 * (M + 1)))
+    G = gmap._table[1]
+    assert np.array_equal(dt_ds, (G[-1] - G[0]) / gmap._primitive_density(t)[1])
+
+
+def record_table_builds(monkeypatch):
+    """The inner radius of each map whose table of S(t) is built, in order."""
     builds = []
     real = LogGridMap._table.func
     table = functools.cached_property(lambda gmap: builds.append(gmap.inner) or real(gmap))
     table.__set_name__(LogGridMap, "_table")
     monkeypatch.setattr(LogGridMap, "_table", table)
-    spectral._shared_map.cache_clear()
+    return builds
+
+
+def test_the_grids_of_one_annulus_share_one_lookup_table(nodal, monkeypatch):
+    # the seed grid and the 2M+1 grid invert the same map: its table of S(t)
+    # is built once per annulus_betas call
+    builds = record_table_builds(monkeypatch)
     inners = [annulus_betas(nodal(p)).inner for p in (8.0, 400.0)]
     assert builds == inners
+
+
+def test_each_annulus_call_builds_its_own_map(nodal, monkeypatch):
+    # no map outlives its call: two calls on one solution build two tables,
+    # and give the same values
+    builds = record_table_builds(monkeypatch)
+    first, second = annulus_betas(nodal(8.0)), annulus_betas(nodal(8.0))
+    assert builds == [first.inner, second.inner]
+    assert np.array_equal(first.coarse, second.coarse)
+    assert np.array_equal(first.fine, second.fine)
 
 
 def test_richardson_ratio_on_graded_map():
@@ -288,6 +319,30 @@ def test_count_cross_oracle(nodal):
     prob = build_problem(sol, auto_inner_radius(sol), 4096)
     spec = weighted_radial_eigs(prob, 6)
     assert count_negative(prob) == int(np.sum(spec < 0))
+
+
+def test_a_nan_shift_is_named_and_infinite_shifts_count():
+    # nan once reached stebz as its tolerance and came back as "did not
+    # converge"; the infinities bound the whole spectrum or none of it
+    prob = free_problem(2, 0.1, 64, q=np.linspace(0.0, 40.0, 64))
+    with pytest.raises(ConfigError, match="shift=nan must be a number"):
+        count_negative(prob, math.nan)
+    assert count_negative(prob, math.inf) == 64
+    assert count_negative(prob, -math.inf) == 0
+
+
+@pytest.mark.parametrize("k", [3.5, math.nan, math.inf, 0, 65, -1.0])
+def test_each_eigenvalue_count_limit_is_one_named_error(k):
+    # a non-integer k once reached SciPy's own ValueError ("select_range
+    # must contain integers")
+    prob = free_problem(2, 0.1, 64)
+    with pytest.raises(ConfigError, match=f"k={k} must be an integer from 1 to the grid's M=64"):
+        weighted_radial_eigs(prob, k)
+
+
+def test_a_whole_float_k_is_an_int():
+    prob = free_problem(2, 0.1, 64, q=np.linspace(0.0, 40.0, 64))
+    assert np.array_equal(weighted_radial_eigs(prob, 3.0), weighted_radial_eigs(prob, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +511,7 @@ def test_seeded_bisection_matches_the_index_range(nodal, monkeypatch, p, N):
     # within its certified radius of the bisected one, and within 2e-10
     fine, near = seeded_pair(nodal(p, N))
     calls = record_bisections(monkeypatch)
-    seeded = weighted_radial_eigs(fine, 3, near=near)
+    seeded = spectral._rung(fine, near)[0]
     assert calls == [("v", 3)]
     radius = spectral._rayleigh_intervals(fine.diagonal(), fine.offdiagonal(), near)[1]
     error = np.abs(seeded - weighted_radial_eigs(fine, 3))
@@ -476,7 +531,7 @@ def test_uncertified_seeds_fall_back_to_the_index_range(nodal, monkeypatch, seed
         near = near[1:]
         expected = [("v", 4)]
     calls = record_bisections(monkeypatch)
-    got = weighted_radial_eigs(fine, 3, near=near)
+    got = spectral._rung(fine, near)[0]
     assert calls == expected + [("i", 3)]
     assert np.array_equal(got, weighted_radial_eigs(fine, 3))
 
@@ -489,7 +544,7 @@ def test_a_radius_above_the_bound_falls_back(nodal, monkeypatch):
     radius = spectral._rayleigh_intervals(fine.diagonal(), fine.offdiagonal(), near)[1]
     assert radius[0] > 1e-4
     calls = record_bisections(monkeypatch)
-    got = weighted_radial_eigs(fine, 3, near=near)
+    got = spectral._rung(fine, near)[0]
     assert calls[-1] == ("i", 3)
     assert np.array_equal(got, weighted_radial_eigs(fine, 3))
 
@@ -501,7 +556,7 @@ def test_a_close_fourth_eigenvalue_does_not_stop_the_certificate(nodal, monkeypa
     betas = weighted_radial_eigs(fine, 4)
     assert 4e-5 < betas[3] - betas[2] < 6e-5
     calls = record_bisections(monkeypatch)
-    got = weighted_radial_eigs(fine, 3, near=near)
+    got = spectral._rung(fine, near)[0]
     assert calls == [("v", 3)]
     assert np.max(np.abs(got - betas[:3])) <= 2e-10
 
@@ -525,7 +580,7 @@ def test_a_failed_inverse_iteration_falls_back_quietly(nodal, monkeypatch, fault
     calls = record_bisections(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = weighted_radial_eigs(fine, 3, near=near)
+        got = spectral._rung(fine, near)[0]
     assert calls == [("i", 3)]
     assert np.array_equal(got, weighted_radial_eigs(fine, 3))
 
@@ -561,8 +616,8 @@ def test_the_quarter_grid_seeds_certify_the_M_grid(nodal, monkeypatch, p, N):
     fine = build_problem(sol, inner, 2 * M + 1)
     coarse = fine.coarsened()
     calls = record_bisections(monkeypatch)
-    got, x = spectral._eigs(coarse, 3, near=seeds)[:2]
-    spectral._eigs(fine, 3, near=got, starts=spectral._prolonged(fine, x))
+    got, x = spectral._rung(coarse, seeds)[:2]
+    spectral._rung(fine, got, spectral._prolonged(fine, x))
     assert calls == [("v", 3), ("v", 3)]
     radius = spectral._rayleigh_intervals(coarse.diagonal(), coarse.offdiagonal(), seeds)[1]
     error = np.abs(got - weighted_radial_eigs(coarse, 3))
@@ -720,12 +775,6 @@ def test_a_non_finite_start_costs_a_bisection(nodal, monkeypatch):
     assert np.array_equal(ann.fine, weighted_radial_eigs(fine, 3))
 
 
-def test_seeds_must_match_the_requested_count(nodal):
-    fine, near = seeded_pair(nodal(8.0))
-    with pytest.raises(ConfigError):
-        weighted_radial_eigs(fine, 2, near=near)
-
-
 # ---------------------------------------------------------------------------
 # sphere spectrum
 
@@ -803,9 +852,9 @@ def test_morse_report_moderate_p(nodal):
 
 
 def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
-    # two annulus problems, the M // 4 seed grid and the 2M+1 grid: f_p
-    # sampled once on each, beta_1..beta_3 on M // 4, M and 2M+1, two Sturm
-    # counts (the certificates of the inverse iteration on M and 2M+1; the
+    # two annulus problems of one map, the M // 4 seed grid and the 2M+1
+    # grid: f_p sampled once on each, beta_1..beta_3 by index range on M // 4
+    # and by one rung each on M and 2M+1, with no fallback, two Sturm counts (the certificates of the inverse iteration on M and 2M+1; the
     # M grid's certified values give m_rad), three stebz calls in all (index
     # range on M // 4 and the two counts) and one tridiagonal assembly per
     # grid; only the 2M+1 grid starts from the M grid's vectors
@@ -818,16 +867,18 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(spectral, "_eigs", counted(
-        grids, spectral._eigs,
-        lambda prob, k, near=None, tol=None, starts=None: (prob.inner, prob.M, k,
-                                                           starts is not None)))
+    monkeypatch.setattr(spectral, "weighted_radial_eigs", counted(
+        grids, spectral.weighted_radial_eigs,
+        lambda prob, k, tol=None: (prob.inner, prob.M, k, "index range")))
+    monkeypatch.setattr(spectral, "_rung", counted(
+        grids, spectral._rung,
+        lambda prob, near, starts=None: (prob.inner, prob.M, len(near), starts is not None)))
     monkeypatch.setattr(spectral, "fp_values", counted(
         samples, spectral.fp_values, lambda sol, r: np.size(r)))
     monkeypatch.setattr(spectral, "count_negative", counted(
         scans, spectral.count_negative, lambda prob, shift=0.0: (prob.inner, prob.M)))
-    monkeypatch.setattr(spectral, "build_problem", counted(
-        problems, spectral.build_problem, lambda sol, inner, M: M))
+    monkeypatch.setattr(spectral, "mapped_problem", counted(
+        problems, spectral.mapped_problem, lambda gmap, N, M, potential: M))
     for log, name in ((diagonals, "diagonal"), (offdiagonals, "offdiagonal")):
         monkeypatch.setattr(AnnulusEigenProblem, name, counted(
             log, getattr(AnnulusEigenProblem, name), lambda prob: prob.M))
@@ -836,7 +887,7 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
     assert rep.stable
     inner, M = rep.annulus.inner, rep.annulus.M
     assert problems == samples == [M // 4, 2 * M + 1]
-    assert grids == [(inner, M // 4, 3, False), (inner, M, 3, False),
+    assert grids == [(inner, M // 4, 3, "index range"), (inner, M, 3, False),
                      (inner, 2 * M + 1, 3, True)]
     assert scans == [(inner, M), (inner, 2 * M + 1)]
     assert calls == [("i", 3), ("v", 3), ("v", 3)]
