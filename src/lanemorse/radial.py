@@ -31,18 +31,18 @@ estimates, exponent -1/8, step factors, minimum step and initial-step
 rule, and no step cap; it only steps, and stops after the step over which
 u changes sign the second time. Between the steps the trajectory is each
 step's seventh-order dense output (three extra stages per step), built
-once for all steps after the loop: the one evaluator (Trajectory._state)
-that eval(), residual_sup() and the f_p sampling read, and on which
-_events then locates the zeros of u, of u' and of d ln f_p / d ln r by
-regula falsi (_root); the trajectory ends at the second zero of u, in the
-state the dense output has there. Across a zero of u, |u|^(p-1) u is only
-C^(1, p-1), so for p < 2 the loop also shrinks such a step until the
-defect of its dense output is below _CROSSING_DEFECT; residual_sup()
-samples every step. The Trajectory keeps the step states (rho, u, w), each
-step's full width and dense-output coefficients, the origin series the
-integration starts from, which is the evaluator below the first step, and
-one (rho, u, w) row per event. f_p = p |u|^(p-1) r^2 has one log form,
-_ln_fp.
+once for all steps after the loop by _dense_output, which sums the stages
+in stage order: the one evaluator (Trajectory._state) that eval(),
+residual_sup() and the f_p sampling read, and on which _events locates
+the zeros of u, of u' and of d ln f_p / d ln r by regula falsi (_root);
+the trajectory ends at the second zero of u, in the state the dense
+output has there. Across a zero of u, |u|^(p-1) u is only C^(1, p-1), so
+for p < 2 the loop also shrinks such a step until the defect of that
+same polynomial is below _CROSSING_DEFECT; residual_sup() samples every
+step. The Trajectory keeps the step states (rho, u, w), each step's full
+width and dense-output coefficients, the origin series the integration
+starts from, which is the evaluator below the first step, and one
+(rho, u, w) row per event. f_p = p |u|^(p-1) r^2 has one log form, _ln_fp.
 
 Powers |u|^(p-1) u are evaluated through logarithms, as sign(u) exp(p ln|u|),
 which keeps the sign and underflows gracefully; past the float64 range the
@@ -147,8 +147,9 @@ def _origin_series(p: float, N: int):
     for _ in range(6):
         y = (eps * min(abs(_horner(c, y)), abs(_horner(d, y)) / (2 * K)) / c_K) ** (1.0 / K)
     ys = y * np.linspace(1.0 / 64, 1.0, 64)
+    cd = np.array([c, d]).T[:, :, None]  # (K + 1, 2, 1): U and x U' in one _horner
     for _ in range(64):
-        U, W = _horner(c, ys), _horner(d, ys)
+        U, W = _horner(cd, ys)
         if np.all((U > 0) & (W < 0) & ((p - 1.0) * W + 2.0 * U > 0)):
             return tuple(c), tuple(d), math.sqrt(ys[-1])
         ys /= 2.0
@@ -175,11 +176,13 @@ class Trajectory:
     integration starts from: U(r) = sum_k c_k r^(2k) and r U'(r) = sum_k
     d_k r^(2k). h holds each step's full width, which the terminal step,
     cut at the second zero, does not reach, and F its seventh-order
-    dense-output coefficients (_dense_coeffs), shape (7, 2, steps), row 0
-    for u and row 1 for w. rejected counts the rejected step attempts and
-    rhs_evals the evaluations of dw/drho in the loop: 2 at the start, 12
-    per attempt that raised no overflow and, for p < 2, 3 per attempt across
-    a zero of u (the evaluator's extra stages are not counted). The events
+    dense-output coefficients, shape (7, 2, steps), row 0 for u and row 1
+    for w, built for all steps at once from the loop's flat stage buffer
+    with stage-order sums (_dense_output). rejected counts the rejected
+    step attempts and rhs_evals the evaluations of dw/drho in the loop: 2
+    at the start, 12 per attempt that raised no overflow and, for p < 2, 3
+    per attempt across a zero of u (the evaluator's extra stages are not
+    counted). The events
     are (n, 3) tables with columns (rho, u, w), one row per event in root
     order: zeros for the simple zero crossings of u (the sign of w is the
     direction), critical for the zeros of w, and fp_critical for the zeros
@@ -251,7 +254,7 @@ def _defects(p, N, t, h, width, y, F):
     """The normalized ODE residual at _RESIDUAL_THETAS of each step's width.
 
     The steps start at t with states y (a (2, steps) array) and have full
-    widths h and dense-output coefficients F (_dense_coeffs, F_0..F_6 each
+    widths h and dense-output coefficients F (_dense_output, F_0..F_6 each
     (2, steps)); width is the part of each step that the trajectory keeps. Each
     defect is normalized by the largest of the equation's three terms,
     floored at one: one row per theta, one column per step. An overflowing
@@ -272,43 +275,34 @@ def _defects(p, N, t, h, width, y, F):
     return res / scale
 
 
-def _defect_sup(p, N, t, h, width, u, w, Fu, Fw):
-    """The largest of _defects on the one step from (u, w) at t; nan propagates.
+def _stage_array(flat, steps):
+    """The (16, 2, steps) stage array K of _dop853's flat stage buffer.
 
-    Fu and Fw are its dense-output coefficients of u and of w (_dense_coeffs).
+    The buffer holds each step's 13 stage derivatives of u, then the 13 of
+    w; stages 13..15 are left for _dense_output to fill.
     """
-    F = [np.array([[a], [b]]) for a, b in zip(Fu, Fw)]
-    return float(np.max(_defects(p, N, np.array([t]), np.array([h]), np.array([width]),
-                                 np.array([[u], [w]]), F)))
+    K = np.empty((16, 2, steps))
+    K[:13] = np.fromiter(flat, float, 26 * steps).reshape(steps, 2, 13).transpose(2, 1, 0)
+    return K
 
 
-def _extra_stages(t, h, u, w, ku, kw, rhs):
-    """ku, kw (the stage derivatives 0..12 of u and w) extended by stages 13..15.
+def _dense_output(t, h, y, y_new, K, p, N):
+    """F_0..F_6, shape (7, 2, steps), of the steps' seventh-order dense outputs.
 
-    These are the stages the dense output adds to a step (t, h) from (u, w);
-    rhs(t, u, w) = dw/drho. Floats or arrays of steps alike.
+    The steps (t, h) run from the states y to y_new, (2, steps) arrays of
+    (u, w), with the stage array K (_stage_array); this fills its extra
+    stages 13..15, with dw/drho in array form (Hairer, Norsett & Wanner,
+    II.6; SciPy's DOP853 form). Each weighted stage sum is one product
+    with the nonzero weights and one np.add.reduce over the leading stage
+    axis, which adds elementwise in stage order: every coefficient is the
+    float of the term-by-term sum, on any CPU, for all steps or for one.
     """
-    ku, kw = list(ku), list(kw)
-    for s in (13, 14, 15):
-        row = _A[s]
-        v = w + sum(a * k for a, k in zip(row, kw) if a) * h
-        x = u + sum(a * k for a, k in zip(row, ku) if a) * h
-        ku.append(v)
-        kw.append(rhs(t + _C[s] * h, x, v))
-    return ku, kw
-
-
-def _dense_coeffs(h, y, y_new, k):
-    """F_0..F_6 of a step's seventh-order dense output of one component, or of several.
-
-    y and y_new are its values at the step's ends, k its 16 stage
-    derivatives (Hairer, Norsett & Wanner, II.6; SciPy's DOP853 form).
-    Floats or arrays (components stacked on the first axis) alike, in one
-    operation order.
-    """
+    for s, (stages, a) in zip((13, 14, 15), _EXTRA_WEIGHTS):
+        x, v = y + np.add.reduce(a * K[stages]) * h
+        K[s] = v, -(N - 2.0) * v - _exp(2.0 * (t + _C[s] * h)) * signed_power(x, p)
     dy = y_new - y
-    return [dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0])] + [
-        h * sum(d * ks for d, ks in zip(row, k) if d) for row in _D]
+    return np.concatenate(([dy, h * K[0] - dy, 2.0 * dy - h * (K[12] + K[0])],
+                           h * np.add.reduce(_D_WEIGHTS * K[_D_STAGES, None])))
 
 
 def _dense_eval(y, F, x, slope=False):
@@ -359,9 +353,10 @@ def integrate_ivp(p: float, N: int, r_max: float) -> Trajectory:
 def _integrate(p, N, c, d, r0, r_max):
     """The Trajectory from the origin series (c, d) at r0 to the second zero of u or r_max.
 
-    _dop853 takes the steps. Their dense-output coefficients are then formed
-    for all steps at once, and _events locates the events on them; the
-    trajectory ends at the second zero of u. A step that cannot be taken (an
+    _dop853 takes the steps; _dense_output forms all their dense-output
+    coefficients at once from its flat stage buffer, reshaped once
+    (_stage_array), and _events locates the events on them; the trajectory
+    ends at the second zero of u. A step that cannot be taken (an
     overflow in every stage down to the smallest step) raises
     StiffnessError, a zero of u with |w| below 1e3 _ABS_TOL times the largest
     |w| on its lobe (at most 1) TangentialZeroError.
@@ -372,11 +367,8 @@ def _integrate(p, N, c, d, r0, r_max):
         p, N, rho0, math.log(r_max), u0, w0, _accel(rho0, u0, w0, p, N))
     rho, u, w = np.array(ts), np.array(us), np.array(ws)
     h = np.diff(rho)
-    stages = np.array(stages)  # (steps, 2, 13)
-    ku, kw = _extra_stages(rho[:-1], h, u[:-1], w[:-1], stages[:, 0].T, stages[:, 1].T,
-                           lambda t, x, v: -(N - 2.0) * v - _exp(2.0 * t) * signed_power(x, p))
     y = np.array([u, w])
-    F = np.array(_dense_coeffs(h, y[:, :-1], y[:, 1:], np.array([ku, kw]).transpose(1, 0, 2)))
+    F = _dense_output(rho[:-1], h, y[:, :-1], y[:, 1:], _stage_array(stages, len(h)), p, N)
     zeros, critical, fp_critical = _events(p, rho, u, w, h, F)
     if len(zeros) == 2:
         rho[-1], u[-1], w[-1] = zeros[-1]
@@ -416,12 +408,12 @@ def _events(p, rho, u, w, h, F):
     tables = ([], [], [])
     for j in np.flatnonzero(fired.any(axis=0)).tolist():
         t, t_new, hj = ts[j], ts[j + 1], float(h[j])
-        Fu, Fw = F[:, 0, j].tolist(), F[:, 1, j].tolist()
-        state = _step_state(t, hj, us[j], ws[j], Fu, Fw, pm1)
-        hits = sorted((_root(lambda s, i=i: state(s)[i], t, t_new), i)
+        events = _step_events(t, hj, us[j], ws[j], F[:, 0, j].tolist(), F[:, 1, j].tolist(),
+                              pm1)
+        hits = sorted((_root(events[i], t, t_new), i)
                       for i in np.flatnonzero(fired[:, j]).tolist())
         for root, i in hits:
-            tables[i].append((root, *state(root)[:2]))
+            tables[i].append((root, events[0](root), events[1](root)))
             if i == 0 and len(tables[0]) == 2:
                 break
         if len(tables[0]) == 2:
@@ -429,19 +421,17 @@ def _events(p, rho, u, w, h, F):
     return tuple(np.array(rows, dtype=float).reshape(-1, 3) for rows in tables)
 
 
-def _step_state(t, h, u, w, Fu, Fw, pm1):
-    """s -> (u, w, (p-1) w + 2u) on the step's dense output, pm1 = p - 1.
+def _step_events(t, h, u, w, Fu, Fw, pm1):
+    """The event functions s -> u, w, (p-1) w + 2u on a step's dense output, each alone.
 
     The step runs from (u, w) at t over the full width h, with dense-output
-    coefficients Fu, Fw (_dense_coeffs). The three values are the three
-    event functions.
+    coefficients Fu, Fw (_dense_output); pm1 = p - 1.
     """
-    def state(s):
-        x = (s - t) / h
-        u_s, w_s = _dense_eval(u, Fu, x), _dense_eval(w, Fw, x)
-        return u_s, w_s, pm1 * w_s + 2.0 * u_s
+    def at(y, F):
+        return lambda s: _dense_eval(y, F, (s - t) / h)
 
-    return state
+    u_at, w_at = at(u, Fu), at(w, Fw)
+    return u_at, w_at, lambda s: pm1 * w_at(s) + 2.0 * u_at(s)
 
 
 # Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -540,6 +530,13 @@ _D = (
      -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
      -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3),
 )
+# _dense_output's weights: per extra stage 13..15 the stages with a nonzero
+# weight and those weights, and those of F_3..F_6, which share their zeros,
+# shaped to broadcast over (stage, [row of _D,] component, step)
+_EXTRA_WEIGHTS = tuple((np.flatnonzero(_A[s]), np.array([a for a in _A[s] if a])[:, None, None])
+                       for s in (13, 14, 15))
+_D_STAGES = np.flatnonzero(_D[0])
+_D_WEIGHTS = np.array(_D)[:, _D_STAGES].T[:, :, None, None]
 # step control of Hairer-Norsett-Wanner, Solving ODEs I, II.4
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERR_EXP = -1 / 8                    # -1 / (order of the error estimator + 1)
@@ -574,13 +571,13 @@ def _dop853(p, N, t, t_end, u, w, f):
     Each attempt that passes the error test is tested for a change or touch
     of sign of u. For p < 2 such an attempt is also rejected while the
     defect of its dense output reaches _CROSSING_DEFECT, shrinking it by
-    0.9 (_CROSSING_DEFECT / defect)^(1/p): its three extra stages are formed
-    for that, and on the step that holds the second sign change the defect
-    is sampled up to the zero of u that _root finds on its polynomial, where
-    the trajectory will end. The loop stops after that step, or at t_end.
-    Returns the nodes (ts, us, ws), each step's 13 stage derivatives of u
-    and of w (a list of pairs of lists), the number of rejected attempts and
-    the number of evaluations of w'.
+    0.9 (_CROSSING_DEFECT / defect)^(1/p): _dense_output builds for that
+    the polynomial that the trajectory keeps, bit for bit, and on the step
+    that holds the second sign change the defect is sampled up to the zero
+    of u that _root finds on it, where the trajectory will end. The loop
+    stops after that step, or at t_end. Returns the nodes (ts, us, ws), one
+    flat list of each step's 13 stage derivatives of u and then of w, the
+    number of rejected attempts and the number of evaluations of w'.
     """
     atol, rtol = _ABS_TOL, _SHOOT_RTOL
     span = t_end - t
@@ -604,7 +601,6 @@ def _dop853(p, N, t, t_end, u, w, f):
     # written out, save the global lookups and the calls
     exp, log, copysign, sqrt = math.exp, math.log, math.copysign, math.sqrt
     shift = -(N - 2.0)
-    accel = functools.partial(_accel, p=p, N=N)
     _, C1, C2, C3, C4, C5, C6, C7, C8, C9, C10, *_ = _C
     (_, (A1_0,), (A2_0, A2_1), (A3_0, _, A3_2), (A4_0, _, A4_2, A4_3),
      (A5_0, _, _, A5_3, A5_4), (A6_0, _, _, A6_3, A6_4, A6_5),
@@ -706,21 +702,23 @@ def _dop853(p, N, t, t_end, u, w, f):
             except OverflowError:
                 err = math.inf
             if err < 1:
-                ku = [w, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w_new]
-                kw = [f, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, f_new]
+                k = (w, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w_new,
+                     f, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, f_new)
                 crosses = u <= 0 <= u_new or u >= 0 >= u_new
                 defect = 0.0
                 if crosses and p < 2.0:
                     # across a zero of u, |u|^(p-1) u is only C^(1, p-1) and
                     # the dense output's defect falls only like h^p: the step
                     # must also keep it under _CROSSING_DEFECT, up to the
-                    # second zero if it ends there
-                    eu, ew = _extra_stages(t, h, u, w, ku, kw, accel)
+                    # second zero if it ends there, on the polynomial that
+                    # the trajectory keeps
+                    y = np.array([[u, u_new], [w, w_new]])
+                    F = _dense_output(t, h, y[:, :1], y[:, 1:], _stage_array(k, 1), p, N)
                     rhs_evals += 3
-                    Fu, Fw = _dense_coeffs(h, u, u_new, eu), _dense_coeffs(h, w, w_new, ew)
+                    Fu = F[:, 0, 0].tolist()
                     width = (_root(lambda s: _dense_eval(u, Fu, (s - t) / h), t, t_new) - t
                              if crossings else h)
-                    defect = _defect_sup(p, N, t, h, width, u, w, Fu, Fw)
+                    defect = float(np.max(_defects(p, N, t, h, width, y[:, :1], F)))
                 if defect < _CROSSING_DEFECT:
                     factor = (_MAX_FACTOR if err == 0
                               else min(_MAX_FACTOR, _SAFETY * err**_ERR_EXP))
@@ -733,7 +731,7 @@ def _dop853(p, N, t, t_end, u, w, f):
             rejected = True
             n_rejected += 1
 
-        stages.append((ku, kw))
+        stages += k
         ts.append(t_new)
         us.append(u_new)
         ws.append(w_new)

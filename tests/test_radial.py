@@ -488,7 +488,12 @@ def test_the_trajectory_keeps_the_integrators_variables(monkeypatch, p, N):
     assert (traj.rho[-1], traj.u[-1], traj.w[-1]) == tuple(traj.zeros[-1])
     assert ts[-2] < traj.rho[-1] <= ts[-1]
     assert np.array_equal(traj.h, np.diff(ts))
-    assert np.shape(stages) == (len(ts) - 1, 2, 13) and traj.F.shape == (7, 2, len(ts) - 1)
+    assert len(stages) == 26 * (len(ts) - 1) and traj.F.shape == (7, 2, len(ts) - 1)
+    # per step the 13 stage derivatives of u, then the 13 of w: u' = w at
+    # both ends of the step, and w' at its end is w' at the next one's start
+    k = np.reshape(stages, (len(ts) - 1, 2, 13))
+    assert np.array_equal(k[:, 0, 0], ws[:-1]) and np.array_equal(k[:, 0, 12], ws[1:])
+    assert np.array_equal(k[1:, 1, 0], k[:-1, 1, 12])
     assert np.array_equal(traj.F[0], np.diff([us, ws]))  # F_0 = y_new - y
     assert (traj.c, traj.d) == radial._origin_series(p, N)[:2]
     for table in (traj.zeros, traj.critical, traj.fp_critical):
@@ -651,6 +656,81 @@ def test_stepper_is_pinned_bit_for_bit(nodal, p, N):
     assert len(traj.rho) == steps
     got = (traj.zeros[:, 0], traj.critical[:, 0], traj.fp_critical[:, 0])
     assert [[math.exp(rho).hex() for rho in rhos] for rhos in got] == radii
+
+
+def extra_stages(t, h, u, w, ku, kw, rhs):
+    """ku, kw (the stage derivatives 0..12 of u and w) extended by the dense
+    output's stages 13..15 of the steps (t, h) from (u, w), rhs(t, u, w) =
+    dw/drho, each weighted stage sum added term by term: with dense_coeffs,
+    the reference of the stage-order reductions in radial._dense_output."""
+    ku, kw = list(ku), list(kw)
+    for s in (13, 14, 15):
+        row = radial._A[s]
+        v = w + sum(a * k for a, k in zip(row, kw) if a) * h
+        x = u + sum(a * k for a, k in zip(row, ku) if a) * h
+        ku.append(v)
+        kw.append(rhs(t + radial._C[s] * h, x, v))
+    return ku, kw
+
+
+def dense_coeffs(h, y, y_new, k):
+    """F_0..F_6 of the steps' dense output from their end states y, y_new
+    and their 16 stage derivatives k, added term by term."""
+    dy = y_new - y
+    return [dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0])] + [
+        h * sum(d * ks for d, ks in zip(row, k) if d) for row in radial._D]
+
+
+def record_dense_outputs(monkeypatch):
+    """Patch radial._dense_output to log each call's (t, h, K, F)."""
+    calls = []
+    real = radial._dense_output
+
+    def spy(t, h, y, y_new, K, p, N):
+        F = real(t, h, y, y_new, K, p, N)
+        calls.append((t, h, K, F))
+        return F
+
+    monkeypatch.setattr(radial, "_dense_output", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p, N", [*STEPPER_PINS, (1.25, 2), (1.5, 6), (4.9999, 3)])
+def test_the_stage_order_sums_are_the_term_by_term_sums(monkeypatch, p, N):
+    # the builder's extra stages and F_0..F_6 for all steps, bit for bit
+    # the term-by-term sums over the same stage buffer: the reduction over
+    # the leading stage axis adds in stage order
+    runs = []
+    real = radial._dop853
+    monkeypatch.setattr(radial, "_dop853", lambda *args: runs.append(real(*args)) or runs[-1])
+    calls = record_dense_outputs(monkeypatch)
+    traj = integrate_ivp(p, N, math.exp(radial._LN_RMAX_CAP))
+    ts, us, ws, flat, *_ = runs[-1]
+    rho, y = np.array(ts), np.array([us, ws])
+    h = np.diff(rho)
+    (_, _, K, F), = [call for call in calls if np.ndim(call[0])]
+    stages = np.reshape(flat, (len(h), 2, 13))
+    ku, kw = extra_stages(
+        rho[:-1], h, y[0, :-1], y[1, :-1], stages[:, 0].T, stages[:, 1].T,
+        lambda t, x, v: -(N - 2.0) * v - radial._exp(2.0 * t) * signed_power(x, p))
+    k = np.array([ku, kw]).transpose(1, 0, 2)
+    assert np.array_equal(K, k)
+    assert np.array_equal(F, dense_coeffs(h, y[:, :-1], y[:, 1:], k))
+    assert F is traj.F
+
+
+@pytest.mark.parametrize("p, N", [(1.25, 2), (1.6, 3)])
+def test_the_crossing_check_certifies_the_kept_dense_output(monkeypatch, p, N):
+    # for p < 2 each step across a zero of u is certified on its one-column
+    # dense output, built from the trajectory's dw/drho: bit for bit the
+    # coefficients the trajectory keeps for that step
+    calls = record_dense_outputs(monkeypatch)
+    traj = integrate_ivp(p, N, math.exp(radial._LN_RMAX_CAP))
+    certified = {(t, h): F for t, h, _, F in calls if np.ndim(t) == 0}
+    steps = np.searchsorted(traj.rho, traj.zeros[:, 0]) - 1
+    assert len(steps) == 2 and len(certified) >= 2
+    for j in steps.tolist():
+        assert np.array_equal(certified[traj.rho[j], traj.h[j]][:, :, 0], traj.F[:, :, j])
 
 
 @pytest.mark.parametrize("p, counts", [(3.0, (60, 14, 878)), (1.25, (78, 42, 1436))])

@@ -896,15 +896,16 @@ def test_morse_index_builds_each_grid_once(nodal, monkeypatch):
 
 def test_a_morse_request_builds_the_dense_output_once(monkeypatch):
     # the event location, the residual check, the annulus sampling and the
-    # Pruefer cells all read the one dense output of the trajectory, whose
-    # extra stages are formed once for all steps; the loop forms them only
-    # on an attempt across a zero of u for p < 2
+    # Pruefer cells all read the one dense output of the trajectory, built
+    # once for all steps; the loop builds a one-column one only on an
+    # attempt across a zero of u for p < 2
     builds = []
-    real = radial._extra_stages
-    monkeypatch.setattr(radial, "_extra_stages",
-                        lambda *a: builds.append(np.ndim(a[0])) or real(*a))
-    rep = morse_index(solve_nodal(400.0))
-    assert rep.total == 12 and builds.count(1) == 1 and builds.count(0) == 0
+    real = radial._dense_output
+    monkeypatch.setattr(radial, "_dense_output",
+                        lambda *a: builds.append(np.shape(a[4])[2]) or real(*a))
+    sol = solve_nodal(400.0)
+    rep = morse_index(sol)
+    assert rep.total == 12 and builds == [len(sol._traj.h)] and builds[0] > 1
 
 
 def test_a_prufer_disagreement_is_reported(nodal, monkeypatch):
