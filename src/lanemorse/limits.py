@@ -3,10 +3,10 @@
 One function per object: the Liouville profile U (`liouville_profile`, mass
 8 pi by `liouville_mass`), the singular profile Z_ell (`singular_profile`,
 `singular_mass`; gamma = sqrt(2 ell^2 + 4) - 2 and delta =
-((gamma+4)/gamma)^(1/(gamma+2)) ell from `limit_constants`), the potential
-V_+ (`limit_potential`) and the first eigenfunction `eta1` of the weighted
-limit operator |x|^2(-Delta - V), whose eigenvalue -(N-1) in every dimension
-N >= 2 is `rayleigh_eta1`.
+((gamma+4)/gamma)^(1/(gamma+2)) ell from `limit_constants`, at the paper's
+ell, REFERENCE_ELL), the potential V_+ (`limit_potential`) and the first
+eigenfunction `eta1` of the weighted limit operator |x|^2(-Delta - V),
+whose eigenvalue -(N-1) in every dimension N >= 2 is `rayleigh_eta1`.
 
 All improper integrals reduce to linear combinations of
 
@@ -56,16 +56,10 @@ __all__ = [
     "verification_battery",
 ]
 
-# the limit of s_p / eps_minus; no closed form is known, this reference value
-# is fed in as configuration and cross-checked against the solver estimate
+# the limit of s_p / eps_minus; no closed form is known, so the paper's value
+# is the one ell evaluated here, cross-checked against the solver estimate
 REFERENCE_ELL = 7.1979
 
-# ell range of the singular-profile arithmetic. gamma = sqrt(2 ell^2 + 4) - 2
-# is formed by cancellation, with relative error about 4e-16 / ell^2 (4e-4 at
-# ELL_MIN; it rounds to 0 below ell ~ 1.5e-8); the Z_ell mass tail needs
-# 1e3^sqrt(2 ell^2 + 4), which leaves the float64 range above ell ~ 72.6
-ELL_MIN = 1e-6
-ELL_MAX = 70.0
 # the exact eta_1 tails carry (N (N-2))^((N+4)/2), which leaves the float64
 # range at N = 140
 MAX_LIMIT_N = 139
@@ -99,16 +93,15 @@ class LimitConstants:
     morse_Z: int
 
 
-def limit_constants(ell: float = REFERENCE_ELL) -> LimitConstants:
-    """gamma, delta, H and the singular-profile Morse data for a given ell.
+def limit_constants() -> LimitConstants:
+    """gamma, delta, H and the singular-profile Morse data at REFERENCE_ELL.
 
     H = -int_0^ell e^(Z_ell(s)) s ds is computed by adaptive quadrature after
     the substitution s = tau^(2/(gamma+2)), which turns the integrable
     s^(gamma+1) endpoint into a linear one. (Algebraically H = -gamma; the
     quadrature route keeps this an independent check.)
     """
-    if not (ELL_MIN <= ell <= ELL_MAX):
-        raise ConfigError(f"ell must lie in [{ELL_MIN:g}, {ELL_MAX:g}], got {ell:g}")
+    ell = REFERENCE_ELL
     gamma = math.sqrt(2.0 * ell * ell + 4.0) - 2.0
     delta = ((gamma + 4.0) / gamma) ** (1.0 / (gamma + 2.0)) * ell
     ex = 2.0 / (gamma + 2.0)

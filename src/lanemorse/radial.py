@@ -296,10 +296,12 @@ def _dense_output(t, h, y, y_new, K, p, N):
     with the nonzero weights and one np.add.reduce over the leading stage
     axis, which adds elementwise in stage order: every coefficient is the
     float of the term-by-term sum, on any CPU, for all steps or for one.
+    The loop left stages 13..15 unchecked: a non-finite F fails the residual contract.
     """
-    for s, (stages, a) in zip((13, 14, 15), _EXTRA_WEIGHTS):
-        x, v = y + np.add.reduce(a * K[stages]) * h
-        K[s] = v, -(N - 2.0) * v - _exp(2.0 * (t + _C[s] * h)) * signed_power(x, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, (stages, a) in zip((13, 14, 15), _EXTRA_WEIGHTS):
+            x, v = y + np.add.reduce(a * K[stages]) * h
+            K[s] = v, -(N - 2.0) * v - _exp(2.0 * (t + _C[s] * h)) * signed_power(x, p)
     dy = y_new - y
     return np.concatenate(([dy, h * K[0] - dy, 2.0 * dy - h * (K[12] + K[0])],
                            h * np.add.reduce(_D_WEIGHTS * K[_D_STAGES, None])))
@@ -308,15 +310,15 @@ def _dense_output(t, h, y, y_new, K, p, N):
 def _dense_eval(y, F, x, slope=False):
     """y + x (F_0 + (1-x) (F_1 + x (F_2 + ... + x F_6))) at fractions x of the step.
 
-    With slope, also its derivative in x. At x = 0 the value is y exactly.
+    With slope, also its derivative in x (else not formed). At x = 0 it is y exactly.
     """
     value = derivative = 0.0
     for i, f in enumerate(reversed(F)):
         s = value + f
-        if i % 2:
-            value, derivative = s * (1.0 - x), derivative * (1.0 - x) - s
-        else:
-            value, derivative = s * x, derivative * x + s
+        g = 1.0 - x if i % 2 else x
+        if slope:
+            derivative = derivative * g + (-s if i % 2 else s)
+        value = s * g
     return (y + value, derivative) if slope else y + value
 
 
@@ -334,20 +336,17 @@ def _checked(p: float, N: int) -> tuple[float, int]:
     return float(p), int(N)
 
 
-def integrate_ivp(p: float, N: int, r_max: float) -> Trajectory:
-    """Integrate u(0) = 1 to the second zero of u, or to r_max if it comes first.
+def integrate_ivp(p: float, N: int) -> Trajectory:
+    """Integrate u(0) = 1 to the second zero of u, or to the horizon r = e^345.
 
-    p > 0 (p = 1 is the Bessel oracle) and N >= 2 an integer (_checked). The
-    steps start at x_s, up to which the origin series is exact to rounding
-    and holds no event (_origin_series); r_max must be finite and past it.
-    Each limit is a ConfigError naming it. The rest is _integrate.
+    p > 0 (p = 1 is the Bessel oracle) and N >= 2 an integer, else a
+    ConfigError naming the limit (_checked). The steps start where the
+    origin series ends (_origin_series); the horizon (_LN_RMAX_CAP) keeps
+    r^2 a float. The rest is _integrate.
     """
     p, N = _checked(p, N)
     c, d, x_s = _origin_series(p, N)
-    if not (math.isfinite(r_max) and r_max > x_s):
-        raise ConfigError(f"r_max={r_max} must be finite and exceed the start radius "
-                          f"{x_s:.6g} at p={p:g}, N={N}")
-    return _integrate(p, N, c, d, x_s, r_max)
+    return _integrate(p, N, c, d, x_s, math.exp(_LN_RMAX_CAP))
 
 
 def _integrate(p, N, c, d, r0, r_max):
@@ -923,7 +922,7 @@ def solve_nodal(p: float, N: int = 2) -> RadialSolution:
             f"supercritical exponent: p={p} >= (N+2)/(N-2)={(N+2)/(N-2):.4f} for N={N}"
         )
 
-    traj = integrate_ivp(p, N, math.exp(_LN_RMAX_CAP))
+    traj = integrate_ivp(p, N)
     if len(traj.zeros) < 2:
         raise HorizonError(
             f"second zero not found before r=exp({_LN_RMAX_CAP:.0f}) at p={p}, N={N}"

@@ -33,11 +33,12 @@ which for a constant phi' is the plain second difference on a uniform grid.
 
 Refinement M -> 2M+1 halves k exactly and keeps every node, so f_p is
 sampled once for the pair, on the 2M+1 grid (`AnnulusEigenProblem.coarsened`).
-Every command solves the annulus by one call, `annulus_betas`, which also
-applies the inner-radius and grid rules, checks their limits and takes the
-Richardson combination. It builds the annulus' map and climbs a ladder of
-three of its grids. A seed grid of max(3, M // 4) nodes, sampled on its own,
-is bisected by LAPACK (stebz, through SciPy) from the whole spectrum
+Every command solves the annulus by one call, `annulus_betas(sol)`, which
+also applies the inner-radius and grid rules and takes the Richardson
+combination (refinement studies build single grids with `build_problem`).
+It builds the annulus' map and climbs a ladder of three of its grids. A
+seed grid of max(3, M // 4) nodes, sampled on its own, is bisected by
+LAPACK (stebz, through SciPy) from the whole spectrum
 (`weighted_radial_eigs`), to the seeding tolerance SEED_TOL; no larger grid
 is. Each rung (`_rung`) takes the M grid's eigenvalues by shifted inverse
 iteration from the seed grid's values sigma, and the 2M+1 grid's from the M
@@ -538,30 +539,23 @@ class AnnulusBetas:
         return (4.0 * self.fine - self.coarse) / 3.0
 
 
-def annulus_betas(sol: RadialSolution, inner: float | None = None,
-                  M: int | None = None) -> AnnulusBetas:
+def annulus_betas(sol: RadialSolution) -> AnnulusBetas:
     """The annulus of sol, solved on the nested (M, 2M+1) grids.
 
-    None selects the rule (`auto_inner_radius`, `auto_grid_size`). Before any
-    grid is sized, each limit is one ConfigError that names it: 0 < inner <
-    r_p (the annulus holds the negative nodal region) and M >= 3 an integer
-    (the coarser grid holds beta_1..beta_3). The call builds the annulus'
-    map, and so its table, once, and climbs a ladder of its grids: a seed
-    grid of max(3, M // 4) nodes is bisected by index range to SEED_TOL, its
-    values seed the M rung and the M values the 2M+1 rung (`_rung`), which
-    starts from the M rung's certified vectors. f_p is sampled once on the
-    seed grid and once on the 2M+1 grid, which M shares. m_rad is read off
-    the M grid's certified values where they settle it (`_negative_count`).
+    inner and M are the rules' (`auto_inner_radius`, `auto_grid_size`); an
+    inner radius outside (0, r_p), as one underflowed to 0, is a ConfigError.
+    M >= 7 (inner < 1/10, g >= G_FREE). The call builds the annulus' map, and
+    so its table, once, and climbs a ladder of its grids: a seed grid of
+    max(3, M // 4) nodes is bisected by index range to SEED_TOL, its values
+    seed the M rung and the M values the 2M+1 rung (`_rung`), which starts
+    from the M rung's certified vectors. f_p is sampled once on the seed
+    grid and once on the 2M+1 grid, which M shares. m_rad is read off the M
+    grid's certified values where they settle it (`_negative_count`).
     """
-    inner = auto_inner_radius(sol) if inner is None else inner
+    inner = auto_inner_radius(sol)
     if not (0.0 < inner < sol.r_p):
         raise ConfigError(f"inner radius {inner:.3e} must lie in (0, r_p={sol.r_p:.3e})")
-    M = auto_grid_size(sol, inner) if M is None else M
-    if not (M >= N_BETAS and float(M).is_integer()):
-        raise ConfigError(
-            f"grid size M={M} must be at least {N_BETAS} and an integer: the "
-            f"coarser grid of the pair holds beta_1..beta_{N_BETAS}")
-    M = int(M)
+    M = auto_grid_size(sol, inner)
     gmap = _grid_map(sol, inner)
     potential = lambda t: fp_values(sol, np.exp(t))
     seed = weighted_radial_eigs(mapped_problem(gmap, sol.N, max(N_BETAS, M // 4), potential),
@@ -808,11 +802,10 @@ def prufer_counts(sol: RadialSolution, ledger: list[int] | None = None) -> list[
     return counts
 
 
-def morse_index(sol: RadialSolution, inner: float | None = None,
-                M: int | None = None) -> MorseReport:
+def morse_index(sol: RadialSolution) -> MorseReport:
     """Morse index of the solution via the weighted annulus decomposition.
 
-    Takes beta_1..beta_3 from one `annulus_betas(sol, inner, M)` call,
+    Takes beta_1..beta_3 from one `annulus_betas(sol)` call,
     checks that only two are negative (m_rad, the negative count of the M
     grid) and ledgers the spherical modes k with beta_i + lambda_k < 0. The
     report is stable when the ledger's count of contributing beta_i per mode
@@ -820,7 +813,7 @@ def morse_index(sol: RadialSolution, inner: float | None = None,
     (`prufer_counts`, which walks the ends of the ledger's runs of equal
     counts); each total is sum_k mult(lambda_k) Z_k over its counts.
     """
-    ann = annulus_betas(sol, inner, M)
+    ann = annulus_betas(sol)
     betas = ann.betas
     if ann.m_rad != 2:
         raise SolverError(

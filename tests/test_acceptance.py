@@ -26,7 +26,6 @@ from lanemorse import (
     verification_battery,
     weighted_radial_eigs,
 )
-from lanemorse.limits import REFERENCE_ELL
 from lanemorse.spectral import auto_grid_size, auto_inner_radius, prufer_angles
 
 from test_radial import bessel_j0_first_zero
@@ -48,7 +47,7 @@ def _report(name: str, passed: bool, detail: str = "") -> None:
 
 def test_criterion_bessel_oracle():
     t0 = time.time()
-    traj = integrate_ivp(1.0, 2, 10.0)
+    traj = integrate_ivp(1.0, 2)
     zero = math.exp(traj.zeros[0][0])
     oracle = bessel_j0_first_zero()
     err = abs(zero - oracle)
@@ -103,7 +102,7 @@ def test_criterion_liouville_mass():
 
 
 def test_criterion_algebraic_identities():
-    k = limit_constants(REFERENCE_ELL)
+    k = limit_constants()
     g, d, ell = k.gamma, k.delta, k.ell
     from lanemorse.limits import _z_ell_log, limit_potential
 

@@ -363,6 +363,15 @@ def test_an_underflowing_root_bracket_is_a_named_solver_error():
     assert len(lines) == 1 and lines[0].startswith("solver error: degenerate zero"), lines
 
 
+def test_a_solve_past_the_horizon_writes_one_error_line():
+    # at p = 1e19 an extra dense-output stage overflows before the horizon
+    # error; its 0 * inf once reached stderr as a raw RuntimeWarning
+    proc = _run_cli("solve", "--p", "1e19")
+    assert proc.returncode == EXIT_SOLVER, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver error: second zero not found"), lines
+
+
 def test_schema_shape():
     _, text = run(parse_args(["solve", "--p", "3"]))
     assert text.startswith('{\n  "schema_version": 9')

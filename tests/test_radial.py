@@ -46,14 +46,14 @@ def bessel_j0_first_zero():
 
 def test_bessel_first_zero():
     # p = 1 turns the radial equation into Bessel's equation of order zero
-    traj = integrate_ivp(1.0, 2, 10.0)
+    traj = integrate_ivp(1.0, 2)
     oracle = bessel_j0_first_zero()
     assert abs(math.exp(traj.zeros[0][0]) - oracle) < 1e-8
 
 
 def test_trajectory_eval_at_the_origin_is_the_start_value():
     # r = 0 is the origin series' (1, 0), with no log(0) on the way
-    traj = integrate_ivp(3.0, 2, 10.0)
+    traj = integrate_ivp(3.0, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         u, du = traj.eval(0.0)
@@ -65,7 +65,7 @@ def test_trajectory_eval_at_the_origin_is_the_start_value():
 def test_trajectory_follows_the_seed_model_below_the_first_node():
     # p = 1 (Bessel J0): below the first node the origin series, which is
     # J0 and J0' to rounding there, and it joins the first node continuously
-    traj = integrate_ivp(1.0, 2, 10.0)
+    traj = integrate_ivp(1.0, 2)
     r = math.exp(traj.rho[0]) * np.array([1e-3, 0.1, 0.5, 0.9])
     u, du = traj.eval(r)
     u_ref, du_ref = np.array([j0(x) for x in r]).T
@@ -80,7 +80,7 @@ def test_trajectory_follows_the_seed_model_below_the_first_node():
 
 
 def test_trajectory_residual_small():
-    traj = integrate_ivp(3.0, 2, 30.0)
+    traj = integrate_ivp(3.0, 2)
     assert traj.residual_sup() < 1e-8
 
 
@@ -110,28 +110,23 @@ def test_signed_power_monotone(a, b, p):
 
 
 @pytest.mark.parametrize(
-    "kw",
+    "shoot, kw",
     [
-        dict(p=0.0, N=2, r_max=100.0),
-        dict(p=float("nan"), N=2, r_max=100.0),
-        dict(p=float("inf"), N=2, r_max=100.0),
-        dict(p=3.0, N=float("nan"), r_max=100.0),
-        dict(p=3.0, N=2, r_max=float("nan")),
-        dict(p=3.0, N=2, r_max=float("inf")),
-        dict(p=3.0, N=2.5, r_max=100.0),
-        dict(p=3.0, N=1, r_max=100.0),
-        dict(p=3.0, N=2, r_max=1e-7),
-        dict(p=float("nan"), N=2),
-        dict(p=float("inf"), N=2),
-        dict(p=2.0, N=float("nan")),
+        pytest.param(integrate_ivp, dict(p=0.0, N=2), id="kw0"),
+        pytest.param(integrate_ivp, dict(p=float("nan"), N=2), id="kw1"),
+        pytest.param(integrate_ivp, dict(p=float("inf"), N=2), id="kw2"),
+        pytest.param(integrate_ivp, dict(p=3.0, N=float("nan")), id="kw3"),
+        pytest.param(integrate_ivp, dict(p=3.0, N=2.5), id="kw6"),
+        pytest.param(integrate_ivp, dict(p=3.0, N=1), id="kw7"),
+        pytest.param(solve_nodal, dict(p=float("nan"), N=2), id="kw9"),
+        pytest.param(solve_nodal, dict(p=float("inf"), N=2), id="kw10"),
+        pytest.param(solve_nodal, dict(p=2.0, N=float("nan")), id="kw11"),
     ],
 )
-def test_config_validation(kw):
-    # integrate_ivp(p, N, r_max), and solve_nodal(p, N) where r_max is not
-    # given: p and N are checked before the origin series is formed, so the
-    # error names the input, not the series
-    shoot = integrate_ivp if "r_max" in kw else solve_nodal
-    with pytest.raises(ConfigError, match=r"^(exponent p|dimension N|r_max=)"):
+def test_config_validation(shoot, kw):
+    # p and N are checked before the origin series is formed, so the error
+    # names the input, not the series
+    with pytest.raises(ConfigError, match=r"^(exponent p|dimension N)"):
         shoot(**kw)
 
 
@@ -192,8 +187,8 @@ def test_scaling_identity(lam):
 
 
 def test_zeros_ordered_and_simple():
-    # the second zero ends the integration, far short of r_max
-    traj = integrate_ivp(3.0, 2, 1e4)
+    # the second zero ends the integration, far short of the horizon
+    traj = integrate_ivp(3.0, 2)
     rhos = traj.zeros[:, 0].tolist()
     assert len(rhos) == 2 and traj.rho[-1] == rhos[-1]
     assert all(a < b for a, b in zip(rhos, rhos[1:]))
@@ -471,6 +466,48 @@ def test_dense_eval_matches_ode_solution(nodal, p):
     assert np.array_equal(u_n, traj.u) and np.array_equal(w_n, traj.w)
 
 
+def joint_dense_eval(y, F, x):
+    """The value and x-derivative of the dense output, both formed on every
+    pass: the reference for radial._dense_eval with and without slope."""
+    value = derivative = 0.0
+    for i, f in enumerate(reversed(F)):
+        s = value + f
+        if i % 2:
+            value, derivative = s * (1.0 - x), derivative * (1.0 - x) - s
+        else:
+            value, derivative = s * x, derivative * x + s
+    return y + value, derivative
+
+
+def assert_dense_eval_is_the_joint_form(y, F, x):
+    value = radial._dense_eval(y, F, x)
+    with_slope, slope = radial._dense_eval(y, F, x, slope=True)
+    ref_value, ref_slope = joint_dense_eval(y, F, x)
+    assert np.array_equal(value, with_slope) and np.array_equal(value, ref_value)
+    assert np.array_equal(slope, ref_slope)
+
+
+def test_the_value_alone_is_the_value_with_the_slope():
+    # the derivative is formed only with slope; the value is the same float
+    rng = np.random.default_rng(11)
+    scale = 10.0 ** rng.integers(-8, 8, 7)
+    y, F = rng.normal(size=(2, 50)), list(rng.normal(size=(7, 2, 50)) * scale[:, None, None])
+    for x in (rng.uniform(size=50), 0.0, 1.0, float(rng.uniform())):
+        assert_dense_eval_is_the_joint_form(y, F, x)
+    for _ in range(200):  # scalars, as _root probes them
+        y0, x = rng.normal(), float(rng.uniform())
+        assert_dense_eval_is_the_joint_form(y0, list(rng.normal(size=7)), x)
+
+
+@pytest.mark.parametrize("p, N", [(400.0, 2), (1.25, 2)])
+def test_the_value_alone_is_the_value_on_a_trajectory(nodal, p, N):
+    traj = nodal(p, N)._traj
+    y = np.array([traj.u[:-1], traj.w[:-1]])
+    x = np.random.default_rng(3).uniform(size=y.shape[1])
+    assert_dense_eval_is_the_joint_form(y, list(traj.F), x)
+    assert_dense_eval_is_the_joint_form(traj.u[5], [c[0, 5] for c in traj.F], 0.3)
+
+
 @pytest.mark.parametrize("p, N", [(400.0, 2), (4.9999, 3)])
 def test_the_trajectory_keeps_the_integrators_variables(monkeypatch, p, N):
     # the steps (rho, u, w) as _dop853 returned them, up to the last node,
@@ -554,7 +591,7 @@ def test_stepper_matches_scipy_dop853(p, N):
     # stage sums, rounds differently (BLAS dot products there, scalar sums
     # here) and flips an acceptance; then they differ by the integration
     # error, up to 1e-10 in ln R2, not by the implementation
-    traj = integrate_ivp(p, N, math.exp(radial._LN_RMAX_CAP))
+    traj = integrate_ivp(p, N)
     ts, ys, proposed, dense, events = _dop853_along(traj)
     assert np.array_equal(ts[:-1], traj.rho[:-1])
     assert ts[-1] == traj.rho[-2] + traj.h[-1]
@@ -704,7 +741,7 @@ def test_the_stage_order_sums_are_the_term_by_term_sums(monkeypatch, p, N):
     real = radial._dop853
     monkeypatch.setattr(radial, "_dop853", lambda *args: runs.append(real(*args)) or runs[-1])
     calls = record_dense_outputs(monkeypatch)
-    traj = integrate_ivp(p, N, math.exp(radial._LN_RMAX_CAP))
+    traj = integrate_ivp(p, N)
     ts, us, ws, flat, *_ = runs[-1]
     rho, y = np.array(ts), np.array([us, ws])
     h = np.diff(rho)
@@ -725,7 +762,7 @@ def test_the_crossing_check_certifies_the_kept_dense_output(monkeypatch, p, N):
     # dense output, built from the trajectory's dw/drho: bit for bit the
     # coefficients the trajectory keeps for that step
     calls = record_dense_outputs(monkeypatch)
-    traj = integrate_ivp(p, N, math.exp(radial._LN_RMAX_CAP))
+    traj = integrate_ivp(p, N)
     certified = {(t, h): F for t, h, _, F in calls if np.ndim(t) == 0}
     steps = np.searchsorted(traj.rho, traj.zeros[:, 0]) - 1
     assert len(steps) == 2 and len(certified) >= 2
@@ -775,7 +812,7 @@ def test_a_step_across_a_zero_of_u_keeps_its_defect(monkeypatch, p, N):
     # |u|^(p-1) u is only C^(1, p-1) at a zero of u, so for p < 2 the dense
     # output's defect on a step across it falls only like h^p; the loop
     # shrinks such a step until its defect is under _CROSSING_DEFECT
-    traj = integrate_ivp(p, N, math.exp(radial._LN_RMAX_CAP))
+    traj = integrate_ivp(p, N)
     defects = radial._defects(p, N, traj.rho[:-1], traj.h, np.diff(traj.rho),
                               np.array([traj.u[:-1], traj.w[:-1]]), traj.F)
     for rho_z in traj.zeros[:, 0]:
@@ -783,7 +820,7 @@ def test_a_step_across_a_zero_of_u_keeps_its_defect(monkeypatch, p, N):
         assert np.max(defects[:, j]) < radial._CROSSING_DEFECT
     assert traj.residual_sup() < 0.1 * radial._RESIDUAL_BOUND
     monkeypatch.setattr(radial, "_CROSSING_DEFECT", math.inf)
-    assert integrate_ivp(p, N, math.exp(radial._LN_RMAX_CAP)).residual_sup() > 5e-8
+    assert integrate_ivp(p, N).residual_sup() > 5e-8
 
 
 @pytest.mark.parametrize("p", [1.25, 1.5, 1.8])
@@ -858,12 +895,26 @@ def test_solve_integrates_once_to_the_float_horizon(monkeypatch):
     # one integration to e^345 for every exponent; it stops at the second
     # zero, at ln R2 = 34.45 for p = 4.9999, N = 3
     horizons = []
-    real = radial.integrate_ivp
-    monkeypatch.setattr(radial, "integrate_ivp",
-                        lambda p, N, r_max: horizons.append(r_max) or real(p, N, r_max))
+    real = radial._integrate
+
+    def spy(p, N, c, d, r0, r_max):
+        horizons.append(r_max)
+        return real(p, N, c, d, r0, r_max)
+
+    monkeypatch.setattr(radial, "_integrate", spy)
     sol = solve_nodal(4.9999, N=3)
     assert math.log(sol.lam) == pytest.approx(34.45, abs=5e-3)
     assert horizons == [math.exp(345.0)]
+
+
+@pytest.mark.parametrize("p", [1e19, 3e19, 1e20])
+def test_an_overflowing_extra_stage_is_no_warning(p):
+    # at N = 2 an extra dense-output stage whose w overflowed to inf once
+    # made -(N - 2) w a 0 * inf, a raw RuntimeWarning before the HorizonError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HorizonError, match=r"second zero not found before r=exp\(345\)"):
+            solve_nodal(p)
 
 
 @pytest.mark.parametrize("p", [4.99999, 4.999999])
@@ -872,7 +923,7 @@ def test_a_simple_zero_on_a_small_lobe_is_not_degenerate(p):
     # is about 1e-6, and at the second zero |r u'| falls below the absolute
     # 1e3 _ABS_TOL; the tangential-zero test is relative to the lobe
     # (7.3e-7 and 7.0e-8 here, against 1.9e-12 and 2.0e-14 at the zero)
-    traj = integrate_ivp(p, 3, math.exp(radial._LN_RMAX_CAP))
+    traj = integrate_ivp(p, 3)
     lobe = np.abs(traj.w[traj.rho > traj.zeros[0][0]])
     assert abs(traj.zeros[-1][2]) < 1e3 * _ABS_TOL and np.max(lobe) < 1e-6
     assert solve_nodal(p, N=3).residual_sup < 1e-7

@@ -415,56 +415,41 @@ def test_grid_convergence(nodal):
     assert abs(b2 - b1) / abs(b1) < 1e-4
 
 
-ANNULUS_LIMITS = [("M", 0), ("M", 1), ("M", 2), ("M", 3.5), ("inner", 0.0), ("inner", 1.5),
-                  ("inner", "between r_p and 1"), ("inner", math.nan)]
-
-
-@pytest.mark.parametrize("limit, value", ANNULUS_LIMITS,
-                         ids=[f"{k}={v}" for k, v in ANNULUS_LIMITS])
-def test_each_annulus_limit_is_one_named_error(nodal, limit, value):
-    # checked once, before any grid is sized, whichever layer would have
-    # failed first: the problem (M = 0), the coarsening (M = 1), the
-    # bisection (M = 2), the nested grids (M = 3.5), math.log (inner = 0) or
-    # build_problem
-    sol = nodal(8.0)
-    if value == "between r_p and 1":
-        value = (sol.r_p + 1.0) / 2.0
-    match = ("grid size M=.* must be at least 3" if limit == "M"
-             else "inner radius .* must lie in \\(0, r_p=")
-    for solve in (annulus_betas, morse_index):
-        with pytest.raises(ConfigError, match=match):
-            solve(sol, **{limit: value})
-
-
-def test_whole_float_sizes_are_reported_as_ints(nodal):
-    # N = 3.0 once reached math.comb in the sphere multiplicities as a float,
-    # and M = 3000.0 came back as the float grid size
+def test_whole_float_sizes_are_reported_as_ints():
+    # N = 3.0 once reached math.comb in the sphere multiplicities as a float
     rep = morse_index(solve_nodal(2.5, N=3.0))
     assert rep.total == 10 and type(rep.N) is int and rep.N == 3
-    ann = annulus_betas(nodal(8.0), M=3000.0)
-    assert type(ann.M) is int and ann.M == 3000
-    assert np.array_equal(ann.betas, annulus_betas(nodal(8.0), M=3000).betas)
 
 
 def test_the_library_names_the_spectral_limits(nodal, monkeypatch):
-    # the rules' own values pass the same checks: an inner radius that
-    # underflows to 0, or a grid density too thin for three eigenvalues
+    # the rule's own inner radius passes the range check: one that
+    # underflows to 0 is named
     sol = nodal(5.0)
     monkeypatch.setattr(spectral, "auto_inner_radius", lambda sol: 0.0)
-    with pytest.raises(ConfigError, match="inner radius 0.000e\\+00 must lie in"):
-        morse_index(sol)
-    monkeypatch.undo()
-    monkeypatch.setattr(spectral, "auto_grid_size", lambda sol, inner: 2)
-    with pytest.raises(ConfigError, match="grid size M=2 must be at least 3"):
-        morse_index(sol)
+    for solve in (annulus_betas, morse_index):
+        with pytest.raises(ConfigError, match="inner radius 0.000e\\+00 must lie in"):
+            solve(sol)
 
 
-def test_the_smallest_inner_radii_keep_working(nodal):
+@pytest.mark.parametrize("p, N", [(5.0, 2), (400.0, 2), (2.5, 3)])
+def test_the_grid_rule_gives_at_least_seven_nodes(nodal, p, N):
+    # annulus_betas checks no grid size: the density is at least G_FREE on
+    # (ln inner, 0), so M >= ceil(G_FREE ln(1/inner)), and the inner rule
+    # gives inner <= r_p/10 < 1/10, so M >= ceil(3 ln 10) = 7 > 3 = N_BETAS
+    sol = nodal(p, N)
+    assert auto_inner_radius(sol) <= sol.r_p / 10.0 < 0.1
+    for inner in [*np.geomspace(5e-324, 0.1, 60).tolist(), 0.1]:
+        bound = math.ceil(spectral.G_FREE * -math.log(inner))
+        assert auto_grid_size(sol, inner) >= bound >= 7 > spectral.N_BETAS, inner
+
+
+def test_the_smallest_inner_radii_keep_working(nodal, monkeypatch):
     # no annulus is deepened, so the smallest subnormal serves morse_index too
     sol = nodal(5.0)
-    ann = annulus_betas(sol, 5e-324)
-    assert ann.m_rad == 2 and np.all(np.isfinite(ann.betas))
-    rep = morse_index(sol, inner=5e-324)
+    monkeypatch.setattr(spectral, "auto_inner_radius", lambda sol: 5e-324)
+    ann = annulus_betas(sol)
+    assert ann.inner == 5e-324 and ann.m_rad == 2 and np.all(np.isfinite(ann.betas))
+    rep = morse_index(sol)
     assert rep.annulus.inner == 5e-324 and rep.annulus.m_rad == 2 and rep.stable
 
 
